@@ -1,8 +1,7 @@
-//! Cross-request batch coalescing: [`MeshBatcher`] merges mesh passes
+//! Cross-request batch coalescing: [`MeshBatcher`] runs mesh passes
 //! submitted by *independent callers* (e.g. concurrent server requests)
-//! into single backend batches, so a serving layer inherits the panel
-//! backend's batching gains even when each individual request carries
-//! only a handful of tiles.
+//! and merges the submissions that queue up behind a running pass into
+//! single backend batches.
 //!
 //! The design leans entirely on the [`MeshBackend`](crate::MeshBackend)
 //! equivalence contract: every backend is bit-identical *per vector*,
@@ -13,107 +12,104 @@
 //! throughput, never results.
 //!
 //! Submissions are grouped by [`BatchKey`] (a caller-chosen model
-//! identity plus a lane discriminating the mesh being applied). A group
-//! flushes when its tile count reaches the batch limit (on the
-//! submitting thread) or when its deadline expires (on the batcher's
-//! timer thread). A zero deadline disables coalescing: every submission
-//! flushes immediately, which is the per-request dispatch mode
-//! benchmarks compare against.
+//! identity plus a lane discriminating the mesh being applied), and each
+//! key commits its work as a group, with no timer anywhere:
+//!
+//! - a submission whose key has no pass running runs at once on the
+//!   submitting thread ([`FlushCause::Eager`]);
+//! - submissions that arrive while a pass of their key runs join the
+//!   key's pending group; the ending pass hands that group to one of its
+//!   waiting submitters, which runs it as one merged pass
+//!   ([`FlushCause::Backlog`]) and then hands on whatever queued behind
+//!   *it*;
+//! - a pending group that reaches the batch tile limit runs at once on
+//!   the submitter that filled it ([`FlushCause::Full`]).
+//!
+//! So a submission only ever waits for a running pass of its own key,
+//! and a limit of one tile turns merging off (per-request dispatch).
 
 use crate::BackendKind;
 use qn_metrics::{Counter, Histogram, Registry};
 use qn_photonic::Mesh;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::collections::hash_map::{Entry as Slot, HashMap};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
-/// Why a group left the queue and executed. Every flush is attributed
-/// to exactly one cause, so the per-cause counters in
-/// [`BatcherMetrics`] always sum to the total number of flushes.
+/// Why a pass ran. Every pass is attributed to exactly one cause, so
+/// the per-cause counters in [`BatcherMetrics`] always sum to the total
+/// number of passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushCause {
-    /// The group reached the batch tile limit.
-    Full,
-    /// The group's coalescing deadline expired on the timer thread.
-    Deadline,
-    /// A submitter flushed early — the eager hint, or a batcher whose
-    /// configuration disables coalescing entirely.
+    /// The submission found no pass of its key running and ran on
+    /// arrival, on the submitting thread.
     Eager,
-    /// The batcher was dropped and drained its pending groups.
-    Drain,
+    /// A pending group ran on one of its own submitters, handed to it
+    /// by the pass it had queued behind.
+    Backlog,
+    /// The pass reached the batch tile limit: a pending group filled up
+    /// and ran at once, or one oversized submission ran on arrival.
+    Full,
 }
 
 impl FlushCause {
+    /// Every cause, in counter order.
+    pub const ALL: [FlushCause; 3] = [FlushCause::Eager, FlushCause::Backlog, FlushCause::Full];
+
     /// Stable label value used in metric keys.
     pub fn label(self) -> &'static str {
         match self {
-            FlushCause::Full => "full",
-            FlushCause::Deadline => "deadline",
             FlushCause::Eager => "eager",
-            FlushCause::Drain => "drain",
+            FlushCause::Backlog => "backlog",
+            FlushCause::Full => "full",
         }
     }
 }
 
 /// Per-submission flush attribution, delivered with the results via
-/// [`BatchHandle::wait_info`]: why the group executed, how big the
-/// merged batch was, and how the submitter's latency split between
-/// queueing and the shared backend pass. Pure observability — the
-/// values never influence flush decisions or outputs.
+/// [`BatchHandle::wait_info`]: why the pass ran, how big the merged
+/// batch was, and how the submitter's latency split between queueing
+/// and the shared backend pass. Pure observability — the values never
+/// influence flush decisions or outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchInfo {
-    /// Why the group containing this submission flushed.
+    /// Why the pass containing this submission ran.
     pub cause: FlushCause,
     /// Total tiles in the executed batch (across all submitters).
     pub batch_tiles: usize,
-    /// Nanoseconds this submission waited in the queue before its
-    /// group's flush began.
+    /// Nanoseconds from this submission to the start of its pass.
     pub queued_ns: u64,
     /// Nanoseconds the shared backend pass took.
     pub run_ns: u64,
 }
 
-/// Telemetry handles a [`MeshBatcher`] updates on every flush: a
-/// histogram of flushed batch sizes (in tiles) and one counter per
+/// Telemetry handles a [`MeshBatcher`] updates on every pass: a
+/// histogram of batch sizes (in tiles) and one counter per
 /// [`FlushCause`]. All handles live in the [`Registry`] the metrics
 /// were built from, so exposition picks them up automatically.
 #[derive(Debug, Clone)]
 pub struct BatcherMetrics {
     /// Tiles per executed batch (`batch_flush_tiles`).
     pub flush_tiles: Arc<Histogram>,
-    /// Flush counters indexed by cause
+    /// Pass counters in [`FlushCause::ALL`] order
     /// (`batch_flushes_total{cause=...}`).
-    causes: [Arc<Counter>; 4],
+    causes: [Arc<Counter>; 3],
 }
 
 impl BatcherMetrics {
     /// Register the batcher's metrics in `registry` (idempotent —
     /// re-registering returns the same handles).
     pub fn new(registry: &Registry) -> Self {
-        let cause =
-            |c: FlushCause| registry.counter_with("batch_flushes_total", &[("cause", c.label())]);
         BatcherMetrics {
             flush_tiles: registry.histogram("batch_flush_tiles"),
-            causes: [
-                cause(FlushCause::Full),
-                cause(FlushCause::Deadline),
-                cause(FlushCause::Eager),
-                cause(FlushCause::Drain),
-            ],
+            causes: FlushCause::ALL
+                .map(|c| registry.counter_with("batch_flushes_total", &[("cause", c.label())])),
         }
     }
 
-    /// The flush counter for `cause`.
+    /// The pass counter for `cause`.
     pub fn flushes(&self, cause: FlushCause) -> &Counter {
-        &self.causes[match cause {
-            FlushCause::Full => 0,
-            FlushCause::Deadline => 1,
-            FlushCause::Eager => 2,
-            FlushCause::Drain => 3,
-        }]
+        &self.causes[cause as usize]
     }
 
     fn record(&self, tiles: usize, cause: FlushCause) {
@@ -122,10 +118,9 @@ impl BatcherMetrics {
     }
 }
 
-/// Supplies the mesh a batch group executes against. Implementors wrap
+/// Supplies the mesh a pass executes against. Implementors wrap
 /// whatever owns the mesh (e.g. a cached codec) so the mesh stays alive
-/// until the group flushes, regardless of which thread performs the
-/// flush.
+/// until the pass runs, regardless of which thread runs it.
 pub trait MeshSource: Send + Sync {
     /// The mesh every submission under this source's key runs through.
     fn mesh(&self) -> &Mesh;
@@ -145,100 +140,247 @@ pub struct BatchKey {
     pub lane: u8,
 }
 
-/// A pending submission's receipt: resolves to the mesh outputs for
-/// exactly the vectors that were submitted, in submission order.
-#[derive(Debug)]
-pub struct BatchHandle {
-    rx: Receiver<(Vec<Vec<f64>>, BatchInfo)>,
+/// One submission's outputs and attribution.
+type Outcome = (Vec<Vec<f64>>, BatchInfo);
+
+/// A submission's receipt: resolves to the mesh outputs for exactly the
+/// vectors that were submitted, in submission order.
+///
+/// A submission that ran on arrival is resolved before
+/// [`MeshBatcher::submit`] returns; one queued behind a running pass
+/// resolves when its group has run — possibly on this handle's own
+/// thread, inside [`BatchHandle::wait`]. A queued group never depends
+/// on its submitters reaching `wait`: a handle may be waited on late,
+/// in any order relative to others, or dropped.
+pub struct BatchHandle(Receipt);
+
+enum Receipt {
+    /// Ran on the submitting thread.
+    Ready(Option<Outcome>),
+    /// Queued behind a running pass of `key`.
+    Queued {
+        shared: Arc<Shared>,
+        key: BatchKey,
+        group: Arc<Rendezvous>,
+        index: usize,
+    },
+}
+
+impl std::fmt::Debug for BatchHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let state = match &self.0 {
+            Receipt::Ready(_) => "ready",
+            Receipt::Queued { .. } => "queued",
+        };
+        f.debug_tuple("BatchHandle").field(&state).finish()
+    }
 }
 
 impl BatchHandle {
-    /// Block until the batch containing this submission has flushed.
-    /// Returns `None` only if the batcher was torn down (or a flush
-    /// panicked) before delivering results.
+    /// Block until this submission's pass has run. Returns `None` only
+    /// if that pass panicked (e.g. on a vector whose length differs
+    /// from the mesh's).
     pub fn wait(self) -> Option<Vec<Vec<f64>>> {
-        self.rx.recv().ok().map(|(outs, _)| outs)
+        self.wait_info().map(|(outs, _)| outs)
     }
 
     /// [`BatchHandle::wait`] plus the flush attribution for this
-    /// submission (cause, merged batch size, queue/run split).
-    pub fn wait_info(self) -> Option<(Vec<Vec<f64>>, BatchInfo)> {
-        self.rx.recv().ok()
+    /// submission (cause, merged batch size, queue/run split). When the
+    /// pass this submission queued behind hands its group here, the
+    /// group runs on the calling thread.
+    pub fn wait_info(self) -> Option<Outcome> {
+        let (shared, key, group, index) = match self.0 {
+            Receipt::Ready(outcome) => return outcome,
+            Receipt::Queued {
+                shared,
+                key,
+                group,
+                index,
+            } => (shared, key, group, index),
+        };
+        let mut st = lock(&group.state);
+        st.waiting += 1;
+        loop {
+            match std::mem::replace(&mut st.phase, Phase::Wait) {
+                Phase::Done(mut outcomes) => {
+                    let mine = outcomes[index].take();
+                    st.phase = Phase::Done(outcomes);
+                    return mine;
+                }
+                Phase::Handed(pending) => {
+                    drop(st);
+                    let mine = shared.run(pending, FlushCause::Backlog, &group, Some(index));
+                    shared.hand_on(key);
+                    return mine;
+                }
+                Phase::Wait => st = group.cond.wait(st).expect("batcher lock poisoned"),
+            }
+        }
     }
 }
 
-/// One caller's pending vectors plus the channel its results go back on.
+/// One caller's vectors in a pending group.
 struct Entry {
     vecs: Vec<Vec<f64>>,
-    tx: SyncSender<(Vec<Vec<f64>>, BatchInfo)>,
     queued_at: Instant,
 }
 
-/// All pending submissions for one (model, lane) pair.
-struct Group {
+/// Submissions queued behind the running pass of one key.
+struct Pending {
     source: Arc<dyn MeshSource>,
     entries: Vec<Entry>,
     tiles: usize,
-    deadline_at: Instant,
 }
 
-struct State {
-    groups: HashMap<BatchKey, Group>,
+/// Where a pending group's submitters wait: for the group to be handed
+/// to them, then for its outputs.
+struct Rendezvous {
+    state: Mutex<GroupState>,
+    cond: Condvar,
+}
+
+struct GroupState {
+    /// Submitters that have entered [`BatchHandle::wait_info`] on this
+    /// group; none leaves before the group is handed off or has run.
+    waiting: usize,
+    phase: Phase,
+}
+
+enum Phase {
+    /// Queued behind its key's running pass, or itself running:
+    /// nothing for a waiter to do.
+    Wait,
+    /// Handed off by the pass it queued behind; the first waiter to
+    /// see this runs it.
+    Handed(Pending),
+    /// Ran: one outcome per entry, each taken by its submitter (all
+    /// `None` if the pass panicked).
+    Done(Vec<Option<Outcome>>),
+}
+
+/// A key's pending group and its rendezvous.
+struct Queue {
+    pending: Pending,
+    group: Arc<Rendezvous>,
 }
 
 struct Shared {
-    state: Mutex<State>,
-    cond: Condvar,
+    /// One entry per key with a pass running: the group queued behind
+    /// that pass, if any.
+    lanes: Mutex<HashMap<BatchKey, Option<Queue>>>,
     backend: BackendKind,
     max_tiles: usize,
-    deadline: Duration,
-    shutdown: AtomicBool,
     metrics: Option<BatcherMetrics>,
 }
 
+/// Lock a batcher mutex. Passes run outside every lock and catch their
+/// own panics, so no thread panics while holding one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("batcher lock poisoned")
+}
+
+/// Saturating nanoseconds between two instants.
+fn span_ns(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
+}
+
 impl Shared {
-    /// Execute one group as a single backend pass and fan results back
-    /// out to every submitter. Runs outside the state lock.
-    fn flush(&self, group: Group, cause: FlushCause) {
+    /// One backend pass, recorded in the metrics. `None` if it
+    /// panicked; the panic stays with this pass's submitters.
+    fn pass(
+        &self,
+        source: &dyn MeshSource,
+        vecs: &[Vec<f64>],
+        cause: FlushCause,
+    ) -> (Option<Vec<Vec<f64>>>, u64) {
         if let Some(m) = &self.metrics {
-            m.record(group.tiles, cause);
+            m.record(vecs.len(), cause);
         }
-        let counts: Vec<usize> = group.entries.iter().map(|e| e.vecs.len()).collect();
-        let mut all: Vec<Vec<f64>> = Vec::with_capacity(group.tiles);
-        let mut txs = Vec::with_capacity(group.entries.len());
-        let flush_started = Instant::now();
-        for entry in group.entries {
+        let started = Instant::now();
+        let outs = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.backend.backend().forward_batch(source.mesh(), vecs)
+        }))
+        .ok();
+        (outs, span_ns(started, Instant::now()))
+    }
+
+    /// Run a pending group as one merged pass, publish every entry's
+    /// outputs on `group`, and return entry `own`'s (the runner's, when
+    /// it is one of the group's submitters).
+    fn run(
+        &self,
+        pending: Pending,
+        cause: FlushCause,
+        group: &Rendezvous,
+        own: Option<usize>,
+    ) -> Option<Outcome> {
+        let started = Instant::now();
+        let mut all = Vec::with_capacity(pending.tiles);
+        let mut shares = Vec::with_capacity(pending.entries.len());
+        for entry in pending.entries {
+            shares.push((entry.vecs.len(), span_ns(entry.queued_at, started)));
             all.extend(entry.vecs);
-            let queued_ns = flush_started
-                .saturating_duration_since(entry.queued_at)
-                .as_nanos() as u64;
-            txs.push((entry.tx, queued_ns));
         }
-        let mut outs = self
-            .backend
-            .backend()
-            .forward_batch(group.source.mesh(), &all);
-        let run_ns = flush_started.elapsed().as_nanos() as u64;
-        for (count, (tx, queued_ns)) in counts.into_iter().zip(txs) {
-            let rest = outs.split_off(count);
-            let info = BatchInfo {
-                cause,
-                batch_tiles: group.tiles,
-                queued_ns,
-                run_ns,
+        let (outs, run_ns) = self.pass(&*pending.source, &all, cause);
+        let mut outcomes: Vec<Option<Outcome>> = match outs {
+            Some(outs) => {
+                let mut outs = outs.into_iter();
+                shares
+                    .iter()
+                    .map(|&(count, queued_ns)| {
+                        let info = BatchInfo {
+                            cause,
+                            batch_tiles: pending.tiles,
+                            queued_ns,
+                            run_ns,
+                        };
+                        Some((outs.by_ref().take(count).collect(), info))
+                    })
+                    .collect()
+            }
+            None => shares.iter().map(|_| None).collect(),
+        };
+        let mine = own.and_then(|i| outcomes[i].take());
+        lock(&group.state).phase = Phase::Done(outcomes);
+        group.cond.notify_all();
+        mine
+    }
+
+    /// The pass holding `key`'s lane has ended: pass the lane to the
+    /// group queued behind it, or free it. The group goes to one of its
+    /// submitters blocked in `wait`; if none is blocked yet, it runs
+    /// here — a submitter that has not reached `wait` may be blocked on
+    /// something else, so nothing may depend on it arriving.
+    fn hand_on(&self, key: BatchKey) {
+        loop {
+            let next = {
+                let mut lanes = lock(&self.lanes);
+                match lanes.get_mut(&key).and_then(Option::take) {
+                    Some(next) => next,
+                    None => {
+                        lanes.remove(&key);
+                        return;
+                    }
+                }
             };
-            // A submitter that gave up waiting is not an error.
-            let _ = tx.send((std::mem::replace(&mut outs, rest), info));
+            let mut st = lock(&next.group.state);
+            if st.waiting > 0 {
+                st.phase = Phase::Handed(next.pending);
+                drop(st);
+                next.group.cond.notify_all();
+                return;
+            }
+            drop(st);
+            self.run(next.pending, FlushCause::Backlog, &next.group, None);
         }
     }
 }
 
 /// Coalesces mesh-pass submissions from many threads into shared
-/// backend batches. Cheap to share behind an `Arc`; dropping the last
-/// reference flushes pending groups and joins the timer thread.
+/// backend batches. Cheap to share behind an `Arc`; it owns no thread,
+/// and every pass runs on a submitter's own thread.
 pub struct MeshBatcher {
     shared: Arc<Shared>,
-    timer: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for MeshBatcher {
@@ -246,65 +388,49 @@ impl std::fmt::Debug for MeshBatcher {
         f.debug_struct("MeshBatcher")
             .field("backend", &self.shared.backend)
             .field("max_tiles", &self.shared.max_tiles)
-            .field("deadline", &self.shared.deadline)
             .finish()
     }
 }
 
 impl MeshBatcher {
-    /// A batcher flushing through `backend` whenever a group reaches
-    /// `max_tiles` vectors or has waited `deadline` since it opened.
-    /// `deadline == 0` (or `max_tiles <= 1`) flushes every submission
-    /// immediately — per-request dispatch with no coalescing.
-    pub fn new(backend: BackendKind, max_tiles: usize, deadline: Duration) -> Self {
-        Self::with_metrics(backend, max_tiles, deadline, None)
+    /// A batcher running passes through `backend`, merging at most
+    /// `max_tiles` vectors per pending group. `max_tiles <= 1` never
+    /// merges — per-request dispatch.
+    pub fn new(backend: BackendKind, max_tiles: usize) -> Self {
+        Self::with_metrics(backend, max_tiles, None)
     }
 
     /// [`MeshBatcher::new`] with telemetry: when `metrics` is supplied
-    /// every flush records its batch size and cause. Instrumentation
+    /// every pass records its batch size and cause. Instrumentation
     /// never changes flush decisions or results.
     pub fn with_metrics(
         backend: BackendKind,
         max_tiles: usize,
-        deadline: Duration,
         metrics: Option<BatcherMetrics>,
     ) -> Self {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                groups: HashMap::new(),
-            }),
-            cond: Condvar::new(),
-            backend,
-            max_tiles: max_tiles.max(1),
-            deadline,
-            shutdown: AtomicBool::new(false),
-            metrics,
-        });
-        let timer = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mesh-batcher".into())
-                .spawn(move || timer_loop(&shared))
-                .expect("spawn batcher timer thread")
-        };
         MeshBatcher {
-            shared,
-            timer: Some(timer),
+            shared: Arc::new(Shared {
+                lanes: Mutex::new(HashMap::new()),
+                backend,
+                max_tiles: max_tiles.max(1),
+                metrics,
+            }),
         }
     }
 
-    /// The backend every flush runs through.
+    /// The backend every pass runs through.
     pub fn backend(&self) -> BackendKind {
         self.shared.backend
     }
 
-    /// Whether submissions may be coalesced across callers.
+    /// Whether submissions may be merged across callers.
     pub fn coalesces(&self) -> bool {
-        !self.shared.deadline.is_zero() && self.shared.max_tiles > 1
+        self.shared.max_tiles > 1
     }
 
-    /// Queue `vecs` for a forward pass through `source`'s mesh,
-    /// coalesced with any other pending submissions under `key`.
+    /// Run `vecs` forward through `source`'s mesh: at once on this
+    /// thread if no pass of `key` is running, otherwise merged with the
+    /// other submissions queued behind that pass.
     ///
     /// The returned handle resolves (via [`BatchHandle::wait`]) to the
     /// outputs for exactly these vectors, in order, bit-identical to a
@@ -315,129 +441,80 @@ impl MeshBatcher {
         source: Arc<dyn MeshSource>,
         vecs: Vec<Vec<f64>>,
     ) -> BatchHandle {
-        self.submit_with(key, source, vecs, false)
-    }
-
-    /// [`MeshBatcher::submit`] with an **eager** hint: when `eager` is
-    /// true the group flushes immediately after this submission joins
-    /// it (merging with anything already pending under `key`) instead
-    /// of waiting for batch-full or the deadline. Callers pass the
-    /// hint when they know no other submission is on its way — e.g. a
-    /// server whose connection tracking shows this is the only request
-    /// in flight — so a solo caller never pays the full deadline.
-    /// Results are bit-identical either way; the hint only moves the
-    /// flush earlier.
-    pub fn submit_with(
-        &self,
-        key: BatchKey,
-        source: Arc<dyn MeshSource>,
-        vecs: Vec<Vec<f64>>,
-        eager: bool,
-    ) -> BatchHandle {
-        let (tx, rx) = mpsc::sync_channel(1);
-        if vecs.is_empty() {
+        let shared = &self.shared;
+        let submitted = Instant::now();
+        let tiles = vecs.len();
+        if tiles == 0 {
             let info = BatchInfo {
                 cause: FlushCause::Eager,
                 batch_tiles: 0,
                 queued_ns: 0,
                 run_ns: 0,
             };
-            let _ = tx.send((Vec::new(), info));
-            return BatchHandle { rx };
+            return BatchHandle(Receipt::Ready(Some((Vec::new(), info))));
         }
-        let tiles = vecs.len();
-        let flush_now = {
-            let mut st = self.shared.state.lock().expect("batcher state lock");
-            let group = st.groups.entry(key).or_insert_with(|| Group {
-                source,
-                entries: Vec::new(),
-                tiles: 0,
-                deadline_at: Instant::now() + self.shared.deadline,
-            });
-            group.entries.push(Entry {
-                vecs,
-                tx,
-                queued_at: Instant::now(),
-            });
-            group.tiles += tiles;
-            if eager || group.tiles >= self.shared.max_tiles || !self.coalesces() {
-                // Batch-full takes attribution precedence: an eager
-                // hint that also filled the batch counts as full.
-                let cause = if group.tiles >= self.shared.max_tiles {
+        let mut lanes = lock(&shared.lanes);
+        let queue = match lanes.entry(key) {
+            Slot::Vacant(lane) => {
+                // No pass of this key is running: this one takes the
+                // lane and runs now.
+                lane.insert(None);
+                drop(lanes);
+                let cause = if tiles >= shared.max_tiles {
                     FlushCause::Full
                 } else {
                     FlushCause::Eager
                 };
-                st.groups.remove(&key).map(|g| (g, cause))
-            } else {
-                self.shared.cond.notify_one();
-                None
+                let queued_ns = span_ns(submitted, Instant::now());
+                let (outs, run_ns) = shared.pass(&*source, &vecs, cause);
+                shared.hand_on(key);
+                let info = BatchInfo {
+                    cause,
+                    batch_tiles: tiles,
+                    queued_ns,
+                    run_ns,
+                };
+                return BatchHandle(Receipt::Ready(outs.map(|outs| (outs, info))));
             }
+            Slot::Occupied(lane) => lane.into_mut(),
         };
-        if let Some((group, cause)) = flush_now {
-            self.shared.flush(group, cause);
+        let Queue { pending, group } = queue.get_or_insert_with(|| Queue {
+            pending: Pending {
+                source,
+                entries: Vec::new(),
+                tiles: 0,
+            },
+            group: Arc::new(Rendezvous {
+                state: Mutex::new(GroupState {
+                    waiting: 0,
+                    phase: Phase::Wait,
+                }),
+                cond: Condvar::new(),
+            }),
+        });
+        let index = pending.entries.len();
+        pending.entries.push(Entry {
+            vecs,
+            queued_at: submitted,
+        });
+        pending.tiles += tiles;
+        if pending.tiles >= shared.max_tiles {
+            // Full: run the group now, beside the pass it queued behind.
+            let Some(Queue { pending, group }) = queue.take() else {
+                unreachable!("the group was just filled");
+            };
+            drop(lanes);
+            let outcome = shared.run(pending, FlushCause::Full, &group, Some(index));
+            return BatchHandle(Receipt::Ready(outcome));
         }
-        BatchHandle { rx }
-    }
-}
-
-impl Drop for MeshBatcher {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cond.notify_all();
-        if let Some(timer) = self.timer.take() {
-            let _ = timer.join();
-        }
-    }
-}
-
-/// Deadline watcher: flushes groups whose deadline has passed, sleeps
-/// until the next one, and drains everything on shutdown.
-fn timer_loop(shared: &Shared) {
-    let mut st = shared.state.lock().expect("batcher state lock");
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let groups: Vec<Group> = st.groups.drain().map(|(_, g)| g).collect();
-            drop(st);
-            for group in groups {
-                shared.flush(group, FlushCause::Drain);
-            }
-            return;
-        }
-        let now = Instant::now();
-        let due: Vec<BatchKey> = st
-            .groups
-            .iter()
-            .filter(|(_, g)| g.deadline_at <= now)
-            .map(|(k, _)| *k)
-            .collect();
-        if !due.is_empty() {
-            let groups: Vec<Group> = due.iter().filter_map(|k| st.groups.remove(k)).collect();
-            drop(st);
-            for group in groups {
-                shared.flush(group, FlushCause::Deadline);
-            }
-            st = shared.state.lock().expect("batcher state lock");
-            continue;
-        }
-        // With pending groups, sleep until the earliest deadline; with
-        // none, park until a submit (or shutdown) notifies — no idle
-        // wakeups.
-        st = match st
-            .groups
-            .values()
-            .map(|g| g.deadline_at.saturating_duration_since(now))
-            .min()
-        {
-            Some(wait) => {
-                shared
-                    .cond
-                    .wait_timeout(st, wait)
-                    .expect("batcher state lock")
-                    .0
-            }
-            None => shared.cond.wait(st).expect("batcher state lock"),
-        };
+        let group = Arc::clone(group);
+        drop(lanes);
+        BatchHandle(Receipt::Queued {
+            shared: Arc::clone(shared),
+            key,
+            group,
+            index,
+        })
     }
 }
 
@@ -446,6 +523,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[derive(Debug)]
     struct OwnedMesh(Mesh);
@@ -456,12 +535,12 @@ mod tests {
         }
     }
 
+    fn random_mesh(dim: usize, layers: usize, seed: u64) -> Mesh {
+        Mesh::random(dim, layers, &mut StdRng::seed_from_u64(seed))
+    }
+
     fn mesh(dim: usize, layers: usize, seed: u64) -> Arc<OwnedMesh> {
-        Arc::new(OwnedMesh(Mesh::random(
-            dim,
-            layers,
-            &mut StdRng::seed_from_u64(seed),
-        )))
+        Arc::new(OwnedMesh(random_mesh(dim, layers, seed)))
     }
 
     fn batch(dim: usize, n: usize, phase: f64) -> Vec<Vec<f64>> {
@@ -474,47 +553,328 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn coalesced_submissions_match_standalone_passes_bitwise() {
-        let src = mesh(8, 3, 11);
-        let a = batch(8, 5, 0.0);
-        let b = batch(8, 9, 1.0);
-        let want_a = BackendKind::Panel.backend().forward_batch(src.mesh(), &a);
-        let want_b = BackendKind::Panel.backend().forward_batch(src.mesh(), &b);
+    /// A mesh whose passes hold at a gate: each `mesh()` call announces
+    /// itself on `entered`, then blocks until the test sends `release`.
+    struct GatedMesh {
+        mesh: Mesh,
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
 
-        // Large deadline so both land in one group; batch-full at 14
-        // tiles forces the second submit to flush the merged group.
-        let batcher = MeshBatcher::new(BackendKind::Panel, 14, Duration::from_secs(10));
+    /// The test's side of a [`GatedMesh`].
+    struct Gate {
+        entered: mpsc::Receiver<()>,
+        release: mpsc::Sender<()>,
+    }
+
+    impl Gate {
+        /// Block until a pass has entered the gated mesh.
+        fn await_pass(&self) {
+            self.entered
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a pass entered the gated mesh");
+        }
+
+        /// Let one held pass proceed.
+        fn open(&self) {
+            self.release.send(()).expect("gated pass still waiting");
+        }
+    }
+
+    impl MeshSource for GatedMesh {
+        fn mesh(&self) -> &Mesh {
+            lock(&self.entered).send(()).expect("test holds the gate");
+            lock(&self.release).recv().expect("test opens the gate");
+            &self.mesh
+        }
+    }
+
+    fn gated(mesh: Mesh) -> (Arc<GatedMesh>, Gate) {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let source = Arc::new(GatedMesh {
+            mesh,
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        });
+        let gate = Gate {
+            entered: entered_rx,
+            release: release_tx,
+        };
+        (source, gate)
+    }
+
+    /// Submit on a fresh thread and wait there, returning the outcome.
+    fn submit_and_wait(
+        batcher: &Arc<MeshBatcher>,
+        key: BatchKey,
+        source: Arc<dyn MeshSource>,
+        vecs: Vec<Vec<f64>>,
+    ) -> std::thread::JoinHandle<Option<Outcome>> {
+        let batcher = Arc::clone(batcher);
+        std::thread::spawn(move || batcher.submit(key, source, vecs).wait_info())
+    }
+
+    /// Spin until `pred` holds (bounded, so a regression fails instead
+    /// of hanging).
+    fn eventually(what: &str, pred: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(30);
+        while !pred() {
+            assert!(Instant::now() < give_up, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn counts(metrics: &BatcherMetrics) -> [u64; 3] {
+        FlushCause::ALL.map(|c| metrics.flushes(c).get())
+    }
+
+    /// Tiles currently queued behind a running pass of `key`.
+    fn queued_tiles(batcher: &MeshBatcher, key: BatchKey) -> usize {
+        lock(&batcher.shared.lanes)
+            .get(&key)
+            .and_then(Option::as_ref)
+            .map_or(0, |q| q.pending.tiles)
+    }
+
+    /// Submitters of `key`'s queued group blocked in `wait`.
+    fn waiting(batcher: &MeshBatcher, key: BatchKey) -> usize {
+        lock(&batcher.shared.lanes)
+            .get(&key)
+            .and_then(Option::as_ref)
+            .map_or(0, |q| lock(&q.group.state).waiting)
+    }
+
+    #[test]
+    fn solo_submission_runs_eagerly_before_submit_returns() {
+        let registry = Registry::new();
+        let metrics = BatcherMetrics::new(&registry);
+        let src = mesh(6, 2, 41);
+        let xs = batch(6, 3, 0.9);
+        let want = BackendKind::Panel.backend().forward_batch(src.mesh(), &xs);
+        let batcher = MeshBatcher::with_metrics(BackendKind::Panel, 1_000, Some(metrics.clone()));
+        let handle = batcher.submit(BatchKey { model: 7, lane: 0 }, src, xs);
+        // Resolved already: the pass ran on this thread inside submit.
+        assert!(matches!(handle.0, Receipt::Ready(Some(_))), "{handle:?}");
+        let (outs, info) = handle.wait_info().unwrap();
+        assert_eq!(outs, want);
+        assert_eq!(info.cause, FlushCause::Eager);
+        assert_eq!(info.batch_tiles, 3);
+        assert_eq!(counts(&metrics), [1, 0, 0]);
+        assert!(
+            lock(&batcher.shared.lanes).is_empty(),
+            "the lane is free again"
+        );
+    }
+
+    #[test]
+    fn arrivals_behind_a_running_pass_merge_into_one_backlog_pass() {
+        let registry = Registry::new();
+        let metrics = BatcherMetrics::new(&registry);
+        let batcher = Arc::new(MeshBatcher::with_metrics(
+            BackendKind::Panel,
+            1_000,
+            Some(metrics.clone()),
+        ));
         let key = BatchKey { model: 1, lane: 0 };
-        let ha = batcher.submit(key, src.clone(), a);
-        let hb = batcher.submit(key, src.clone(), b);
-        assert_eq!(ha.wait().unwrap(), want_a);
-        assert_eq!(hb.wait().unwrap(), want_b);
+        let plain = mesh(8, 3, 11);
+        let (leader_src, gate) = gated(random_mesh(8, 3, 11));
+        let lead = batch(8, 2, 0.3);
+        let leader = submit_and_wait(&batcher, key, leader_src, lead.clone());
+        gate.await_pass();
+
+        let (a, b) = (batch(8, 5, 0.0), batch(8, 9, 1.0));
+        let want_a = BackendKind::Scalar
+            .backend()
+            .forward_batch(plain.mesh(), &a);
+        let want_b = BackendKind::Scalar
+            .backend()
+            .forward_batch(plain.mesh(), &b);
+        let ha = submit_and_wait(&batcher, key, plain.clone(), a);
+        let hb = submit_and_wait(&batcher, key, plain.clone(), b);
+        eventually("both arrivals to queue", || {
+            queued_tiles(&batcher, key) == 14
+        });
+        gate.open();
+
+        let (lead_out, lead_info) = leader.join().unwrap().unwrap();
+        assert_eq!(
+            lead_out,
+            BackendKind::Scalar
+                .backend()
+                .forward_batch(plain.mesh(), &lead)
+        );
+        assert_eq!(lead_info.cause, FlushCause::Eager);
+        let (out_a, info_a) = ha.join().unwrap().unwrap();
+        let (out_b, info_b) = hb.join().unwrap().unwrap();
+        assert_eq!(out_a, want_a);
+        assert_eq!(out_b, want_b);
+        for info in [info_a, info_b] {
+            assert_eq!(info.cause, FlushCause::Backlog);
+            assert_eq!(info.batch_tiles, 14);
+        }
+        assert_eq!(info_a.run_ns, info_b.run_ns, "one shared backend pass");
+        assert_eq!(counts(&metrics), [1, 1, 0]);
+        assert_eq!(metrics.flush_tiles.sum(), 2 + 14);
     }
 
     #[test]
-    fn deadline_flushes_undersized_groups() {
-        let src = mesh(6, 2, 5);
-        let xs = batch(6, 3, 0.5);
+    fn the_ending_pass_hands_its_backlog_off_instead_of_running_it() {
+        let batcher = Arc::new(MeshBatcher::new(BackendKind::Panel, 1_000));
+        let key = BatchKey { model: 2, lane: 1 };
+        let (leader_src, leader_gate) = gated(random_mesh(6, 2, 5));
+        let (backlog_src, backlog_gate) = gated(random_mesh(6, 2, 5));
+        let leader = submit_and_wait(&batcher, key, leader_src, batch(6, 3, 0.5));
+        leader_gate.await_pass();
+        let queued = submit_and_wait(&batcher, key, backlog_src, batch(6, 4, 0.1));
+        eventually("the arrival to block in wait", || {
+            waiting(&batcher, key) == 1
+        });
+
+        leader_gate.open();
+        // The backlog pass starts on the queued submitter and holds at
+        // its gate — yet the leader returns.
+        backlog_gate.await_pass();
+        eventually("the leader to return", || leader.is_finished());
+        let (_, info) = leader.join().unwrap().unwrap();
+        assert_eq!(info.cause, FlushCause::Eager);
+        assert!(!queued.is_finished(), "the backlog pass is still held");
+        backlog_gate.open();
+        let (outs, info) = queued.join().unwrap().unwrap();
+        assert_eq!(outs.len(), 4);
+        assert_eq!(info.cause, FlushCause::Backlog);
+    }
+
+    #[test]
+    fn a_pending_group_that_fills_up_runs_at_once() {
+        let registry = Registry::new();
+        let metrics = BatcherMetrics::new(&registry);
+        let batcher = Arc::new(MeshBatcher::with_metrics(
+            BackendKind::Panel,
+            10,
+            Some(metrics.clone()),
+        ));
+        let key = BatchKey { model: 3, lane: 0 };
+        let plain = mesh(5, 2, 21);
+        let (leader_src, gate) = gated(random_mesh(5, 2, 21));
+        let leader = submit_and_wait(&batcher, key, leader_src, batch(5, 2, 0.2));
+        gate.await_pass();
+
+        let a = batch(5, 4, 0.7);
+        let b = batch(5, 6, 0.4);
+        let ha = submit_and_wait(&batcher, key, plain.clone(), a.clone());
+        eventually("the first arrival to queue", || {
+            queued_tiles(&batcher, key) == 4
+        });
+        // 4 + 6 tiles reach the limit of 10: the group runs on this
+        // thread while the leader's pass is still held.
+        let (out_b, info_b) = batcher
+            .submit(key, plain.clone(), b.clone())
+            .wait_info()
+            .unwrap();
+        let (out_a, info_a) = ha.join().unwrap().unwrap();
+        assert!(!leader.is_finished(), "the leader is still held");
+        assert_eq!(
+            out_a,
+            BackendKind::Scalar
+                .backend()
+                .forward_batch(plain.mesh(), &a)
+        );
+        assert_eq!(
+            out_b,
+            BackendKind::Scalar
+                .backend()
+                .forward_batch(plain.mesh(), &b)
+        );
+        for info in [info_a, info_b] {
+            assert_eq!(info.cause, FlushCause::Full);
+            assert_eq!(info.batch_tiles, 10);
+        }
+        gate.open();
+        leader.join().unwrap().unwrap();
+        assert_eq!(counts(&metrics), [1, 0, 1]);
+        eventually("the lane to free", || {
+            lock(&batcher.shared.lanes).is_empty()
+        });
+    }
+
+    #[test]
+    fn a_panicking_pass_fails_only_its_own_submitters() {
+        let batcher = Arc::new(MeshBatcher::new(BackendKind::Scalar, 1_000));
+        let key = BatchKey { model: 4, lane: 0 };
+        let src = mesh(6, 2, 9);
+        // A solo pass over a vector of the wrong length panics inside
+        // the backend; its submitter sees `None`.
+        let mut bad = batch(6, 2, 0.3);
+        bad[1].pop();
+        assert!(batcher
+            .submit(key, src.clone(), bad.clone())
+            .wait()
+            .is_none());
+
+        // The same inside a backlog group: every submitter of the
+        // group sees `None`, the pass it queued behind is unharmed.
+        let (leader_src, gate) = gated(random_mesh(6, 2, 9));
+        let leader = submit_and_wait(&batcher, key, leader_src, batch(6, 1, 0.0));
+        gate.await_pass();
+        let good = submit_and_wait(&batcher, key, src.clone(), batch(6, 3, 0.1));
+        eventually("the good arrival to queue", || {
+            queued_tiles(&batcher, key) == 3
+        });
+        let failed = submit_and_wait(&batcher, key, src.clone(), bad);
+        eventually("the bad arrival to queue", || {
+            queued_tiles(&batcher, key) == 5
+        });
+        gate.open();
+        assert!(leader.join().unwrap().is_some());
+        assert!(good.join().unwrap().is_none());
+        assert!(failed.join().unwrap().is_none());
+
+        // The lane was handed on: a later submission still completes.
+        let xs = batch(6, 4, 0.8);
         let want = BackendKind::Scalar.backend().forward_batch(src.mesh(), &xs);
-        let batcher = MeshBatcher::new(BackendKind::Scalar, 1_000_000, Duration::from_millis(5));
-        let handle = batcher.submit(BatchKey { model: 2, lane: 1 }, src, xs);
-        assert_eq!(handle.wait().unwrap(), want);
+        assert_eq!(batcher.submit(key, src, xs).wait().unwrap(), want);
     }
 
     #[test]
-    fn zero_deadline_dispatches_immediately() {
-        let src = mesh(4, 1, 3);
-        let xs = batch(4, 2, 0.0);
+    fn dropped_or_unwaited_handles_never_strand_anyone() {
+        let registry = Registry::new();
+        let metrics = BatcherMetrics::new(&registry);
+        let batcher = Arc::new(MeshBatcher::with_metrics(
+            BackendKind::Panel,
+            1_000,
+            Some(metrics.clone()),
+        ));
+        let key = BatchKey { model: 5, lane: 0 };
+        let src = mesh(6, 2, 17);
+        let (leader_src, gate) = gated(random_mesh(6, 2, 17));
+        let leader = submit_and_wait(&batcher, key, leader_src, batch(6, 2, 0.0));
+        gate.await_pass();
+        // Queued behind the held pass: one handle dropped at once, one
+        // held but not waited on.
+        drop(batcher.submit(key, src.clone(), batch(6, 2, 0.1)));
+        let xs = batch(6, 3, 0.3);
         let want = BackendKind::Scalar.backend().forward_batch(src.mesh(), &xs);
-        let batcher = MeshBatcher::new(BackendKind::Scalar, 1_000_000, Duration::ZERO);
-        assert!(!batcher.coalesces());
-        let handle = batcher.submit(BatchKey { model: 3, lane: 0 }, src, xs);
-        assert_eq!(handle.wait().unwrap(), want);
+        let held = batcher.submit(key, src.clone(), xs);
+        gate.open();
+        // With no submitter of the group in `wait`, the ending pass runs
+        // the group itself before returning, and frees the lane.
+        leader.join().unwrap().unwrap();
+        assert!(lock(&batcher.shared.lanes).is_empty(), "the lane is free");
+        assert_eq!(counts(&metrics), [1, 1, 0]);
+        let (outs, info) = held.wait_info().unwrap();
+        assert_eq!(outs, want);
+        assert_eq!((info.cause, info.batch_tiles), (FlushCause::Backlog, 5));
+        // A later submission runs on arrival.
+        let (_, info) = batcher
+            .submit(key, src, batch(6, 1, 0.9))
+            .wait_info()
+            .unwrap();
+        assert_eq!(info.cause, FlushCause::Eager);
     }
 
     #[test]
-    fn different_keys_never_share_a_mesh() {
+    fn different_keys_never_share_a_mesh_or_wait_on_each_other() {
         let src_a = mesh(5, 2, 21);
         let src_b = mesh(5, 2, 22);
         let xs = batch(5, 4, 0.2);
@@ -524,173 +884,63 @@ mod tests {
         let want_b = BackendKind::Panel
             .backend()
             .forward_batch(src_b.mesh(), &xs);
-        let batcher = MeshBatcher::new(BackendKind::Panel, 1_000_000, Duration::from_millis(5));
-        let ha = batcher.submit(BatchKey { model: 10, lane: 0 }, src_a, xs.clone());
-        let hb = batcher.submit(BatchKey { model: 11, lane: 0 }, src_b, xs);
-        assert_eq!(ha.wait().unwrap(), want_a);
-        assert_eq!(hb.wait().unwrap(), want_b);
-    }
-
-    #[test]
-    fn eager_submissions_flush_without_waiting_for_the_deadline() {
-        let src = mesh(6, 2, 41);
-        let xs = batch(6, 3, 0.9);
-        let want = BackendKind::Panel.backend().forward_batch(src.mesh(), &xs);
-        // An hour-long deadline: only the eager hint can flush this
-        // before the test times out.
-        let batcher = MeshBatcher::new(BackendKind::Panel, 1_000_000, Duration::from_secs(3600));
-        let key = BatchKey { model: 7, lane: 0 };
-        let t0 = Instant::now();
-        let handle = batcher.submit_with(key, src.clone(), xs, true);
-        assert_eq!(handle.wait().unwrap(), want);
-        assert!(
-            t0.elapsed() < Duration::from_secs(60),
-            "eager flush must not wait for the deadline"
+        let batcher = Arc::new(MeshBatcher::new(BackendKind::Panel, 1_000));
+        let (held_src, gate) = gated(random_mesh(5, 2, 21));
+        let held = submit_and_wait(
+            &batcher,
+            BatchKey { model: 10, lane: 0 },
+            held_src,
+            xs.clone(),
         );
-        // An eager submission drains anything already pending under
-        // the same key, preserving per-submitter results.
-        let a = batch(6, 2, 0.1);
-        let b = batch(6, 4, 0.2);
-        let want_a = BackendKind::Panel.backend().forward_batch(src.mesh(), &a);
-        let want_b = BackendKind::Panel.backend().forward_batch(src.mesh(), &b);
-        let ha = batcher.submit(key, src.clone(), a); // parks (huge deadline)
-        let hb = batcher.submit_with(key, src, b, true); // flushes both
-        assert_eq!(ha.wait().unwrap(), want_a);
-        assert_eq!(hb.wait().unwrap(), want_b);
+        gate.await_pass();
+        // Another model, and another lane of the same model, run on
+        // arrival while key (10, 0) is held.
+        let other_model = batcher.submit(BatchKey { model: 11, lane: 0 }, src_b, xs.clone());
+        let other_lane = batcher.submit(BatchKey { model: 10, lane: 1 }, src_a, xs);
+        assert_eq!(other_model.wait().unwrap(), want_b);
+        assert_eq!(other_lane.wait().unwrap(), want_a);
+        gate.open();
+        assert_eq!(held.join().unwrap().unwrap().0, want_a);
     }
 
     #[test]
-    fn empty_submission_resolves_immediately() {
+    fn empty_and_oversized_submissions_resolve_on_arrival() {
         let src = mesh(4, 1, 9);
-        let batcher = MeshBatcher::new(BackendKind::Panel, 8, Duration::from_secs(10));
-        let handle = batcher.submit(BatchKey { model: 4, lane: 0 }, src, Vec::new());
-        assert_eq!(handle.wait().unwrap(), Vec::<Vec<f64>>::new());
-    }
-
-    #[test]
-    fn drop_flushes_pending_groups() {
-        let src = mesh(6, 2, 17);
-        let xs = batch(6, 2, 0.7);
-        let want = BackendKind::Panel.backend().forward_batch(src.mesh(), &xs);
-        let batcher = MeshBatcher::new(BackendKind::Panel, 1_000_000, Duration::from_secs(3600));
-        let handle = batcher.submit(BatchKey { model: 5, lane: 0 }, src, xs);
-        drop(batcher);
-        assert_eq!(handle.wait().unwrap(), want);
-    }
-
-    #[test]
-    fn flush_causes_are_attributed_and_sum_to_total_flushes() {
-        let registry = Registry::new();
-        let metrics = BatcherMetrics::new(&registry);
-        let src = mesh(6, 2, 51);
-        let key = BatchKey { model: 20, lane: 0 };
-
-        // Full: 4 tiles meet max_tiles=4 on the submitting thread.
-        let batcher = MeshBatcher::with_metrics(
-            BackendKind::Panel,
-            4,
-            Duration::from_secs(3600),
-            Some(metrics.clone()),
-        );
-        batcher.submit(key, src.clone(), batch(6, 4, 0.0)).wait();
-        assert_eq!(metrics.flushes(FlushCause::Full).get(), 1);
-
-        // Eager: explicit hint, undersized group.
-        batcher
-            .submit_with(key, src.clone(), batch(6, 2, 0.1), true)
-            .wait();
-        assert_eq!(metrics.flushes(FlushCause::Eager).get(), 1);
-
-        // Drain: a parked group flushed by drop.
-        let parked = batcher.submit(key, src.clone(), batch(6, 1, 0.2));
-        drop(batcher);
-        parked.wait().unwrap();
-        assert_eq!(metrics.flushes(FlushCause::Drain).get(), 1);
-
-        // Deadline: a short-deadline batcher flushes on its timer.
-        let batcher = MeshBatcher::with_metrics(
-            BackendKind::Panel,
-            1_000_000,
-            Duration::from_millis(2),
-            Some(metrics.clone()),
-        );
-        batcher.submit(key, src, batch(6, 3, 0.3)).wait();
-        assert_eq!(metrics.flushes(FlushCause::Deadline).get(), 1);
-
-        // Every flush carries exactly one cause, so the cause counters
-        // sum to the batch-size histogram's count, and the histogram
-        // saw every tile.
-        let total: u64 = [
-            FlushCause::Full,
-            FlushCause::Deadline,
-            FlushCause::Eager,
-            FlushCause::Drain,
-        ]
-        .iter()
-        .map(|&c| metrics.flushes(c).get())
-        .sum();
-        assert_eq!(total, 4);
-        assert_eq!(metrics.flush_tiles.count(), 4);
-        assert_eq!(metrics.flush_tiles.sum(), 4 + 2 + 1 + 3);
-    }
-
-    #[test]
-    fn wait_info_reports_cause_and_merged_batch_size() {
-        let src = mesh(6, 2, 61);
-        let key = BatchKey { model: 30, lane: 0 };
-        let batcher = MeshBatcher::new(BackendKind::Panel, 6, Duration::from_secs(3600));
-        // Two submissions merge; the second fills the batch, so both
-        // see cause=Full and the merged 6-tile size.
-        let ha = batcher.submit(key, src.clone(), batch(6, 2, 0.0));
-        let hb = batcher.submit(key, src.clone(), batch(6, 4, 0.5));
-        let (outs_a, info_a) = ha.wait_info().unwrap();
-        let (outs_b, info_b) = hb.wait_info().unwrap();
-        assert_eq!(outs_a.len(), 2);
-        assert_eq!(outs_b.len(), 4);
-        for info in [info_a, info_b] {
-            assert_eq!(info.cause, FlushCause::Full);
-            assert_eq!(info.batch_tiles, 6);
-        }
-        // The first submitter queued at least as long as the second.
-        assert!(info_a.queued_ns >= info_b.queued_ns);
-        assert_eq!(info_a.run_ns, info_b.run_ns, "one shared backend pass");
-
-        // An eager solo submission is attributed as Eager; an empty
-        // one resolves with a zeroed info.
-        let (_, info) = batcher
-            .submit_with(key, src.clone(), batch(6, 1, 0.9), true)
+        let batcher = MeshBatcher::new(BackendKind::Panel, 8);
+        let key = BatchKey { model: 6, lane: 0 };
+        let (outs, info) = batcher
+            .submit(key, src.clone(), Vec::new())
             .wait_info()
             .unwrap();
-        assert_eq!(info.cause, FlushCause::Eager);
-        assert_eq!(info.batch_tiles, 1);
-        let (outs, info) = batcher.submit(key, src, Vec::new()).wait_info().unwrap();
         assert!(outs.is_empty());
         assert_eq!(info.batch_tiles, 0);
+        let xs = batch(4, 12, 0.6);
+        let want = BackendKind::Panel.backend().forward_batch(src.mesh(), &xs);
+        let (outs, info) = batcher.submit(key, src, xs).wait_info().unwrap();
+        assert_eq!(outs, want);
+        assert_eq!(info.cause, FlushCause::Full);
+        assert_eq!(info.batch_tiles, 12);
     }
 
     #[test]
-    fn concurrent_submitters_each_get_their_own_results() {
-        let src = mesh(8, 2, 33);
-        let batcher = Arc::new(MeshBatcher::new(
-            BackendKind::Panel,
-            64,
-            Duration::from_millis(2),
-        ));
-        let key = BatchKey { model: 6, lane: 0 };
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let batcher = Arc::clone(&batcher);
-                let src = src.clone();
-                std::thread::spawn(move || {
-                    let xs = batch(8, 3 + i % 4, i as f64);
-                    let want = BackendKind::Scalar.backend().forward_batch(src.mesh(), &xs);
-                    let got = batcher.submit(key, src.clone(), xs).wait().unwrap();
-                    assert_eq!(got, want, "submitter {i}");
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn a_one_tile_limit_never_merges() {
+        let batcher = Arc::new(MeshBatcher::new(BackendKind::Scalar, 1));
+        assert!(!batcher.coalesces());
+        let key = BatchKey { model: 8, lane: 0 };
+        let src = mesh(4, 1, 3);
+        let (leader_src, gate) = gated(random_mesh(4, 1, 3));
+        let leader = submit_and_wait(&batcher, key, leader_src, batch(4, 1, 0.0));
+        gate.await_pass();
+        // Arriving behind a running pass, each submission fills its own
+        // group and runs at once: no submission ever waits for another.
+        for n in [1, 3] {
+            let xs = batch(4, n, 0.5);
+            let want = BackendKind::Scalar.backend().forward_batch(src.mesh(), &xs);
+            let (outs, info) = batcher.submit(key, src.clone(), xs).wait_info().unwrap();
+            assert_eq!(outs, want);
+            assert_eq!((info.cause, info.batch_tiles), (FlushCause::Full, n));
         }
+        gate.open();
+        leader.join().unwrap().unwrap();
     }
 }

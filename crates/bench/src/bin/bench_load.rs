@@ -155,7 +155,6 @@ fn main() {
 
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: Duration::from_millis(1),
         max_inflight: MAX_INFLIGHT,
         ..ServerConfig::default()
     })

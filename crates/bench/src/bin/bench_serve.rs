@@ -26,7 +26,7 @@ use qn_metrics::Histogram;
 use qn_serve::client::model_encode_request;
 use qn_serve::{spawn, Client, ServerConfig, TraceContext};
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Client-observed latency percentiles, estimated from the same log₂
 /// histogram the server uses (`qn_metrics`).
@@ -43,7 +43,7 @@ const IMAGE_SIZE: usize = 64;
 struct Mode {
     name: &'static str,
     backend: BackendKind,
-    batch_deadline: Duration,
+    batch_tiles: usize,
 }
 
 fn main() {
@@ -66,12 +66,12 @@ fn main() {
         Mode {
             name: "scalar-per-request",
             backend: BackendKind::Scalar,
-            batch_deadline: Duration::ZERO,
+            batch_tiles: 1,
         },
         Mode {
             name: "panel-batched",
             backend: BackendKind::Panel,
-            batch_deadline: Duration::from_millis(2),
+            batch_tiles: ServerConfig::default().batch_tiles,
         },
     ];
 
@@ -149,7 +149,7 @@ fn main() {
             let server = spawn(ServerConfig {
                 addr: "127.0.0.1:0".into(),
                 backend: mode.backend,
-                batch_deadline: mode.batch_deadline,
+                batch_tiles: mode.batch_tiles,
                 ..ServerConfig::default()
             })
             .expect("spawn server");
@@ -183,7 +183,7 @@ fn main() {
                  \"decode_tiles_per_sec\": {dec_tps:.0}}}",
                 mode.name,
                 mode.backend.name(),
-                !mode.batch_deadline.is_zero(),
+                mode.batch_tiles > 1,
             )
             .expect("write entry");
             server.shutdown();

@@ -18,7 +18,7 @@ use qn_image::GrayImage;
 use qn_photonic::Mesh;
 use qn_trace::{SpanId, TraceBuilder};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Saturating nanoseconds since `t` (mirrors the codec's convention).
 fn elapsed_ns(t: Instant) -> u64 {
@@ -57,11 +57,11 @@ pub struct TileBatcher {
 }
 
 impl TileBatcher {
-    /// A batcher flushing through `backend` when a (model, mesh) group
-    /// reaches `max_tiles` or has waited `deadline`. A zero deadline
-    /// (or `max_tiles <= 1`) degrades to per-request dispatch.
-    pub fn new(backend: BackendKind, max_tiles: usize, deadline: Duration) -> Self {
-        TileBatcher::with_metrics(backend, max_tiles, deadline, None)
+    /// A batcher running passes through `backend` that merges at most
+    /// `max_tiles` queued tiles per pass (`max_tiles <= 1`:
+    /// per-request dispatch).
+    pub fn new(backend: BackendKind, max_tiles: usize) -> Self {
+        TileBatcher::with_metrics(backend, max_tiles, None)
     }
 
     /// [`TileBatcher::new`] with optional flush telemetry (batch-size
@@ -69,15 +69,14 @@ impl TileBatcher {
     pub fn with_metrics(
         backend: BackendKind,
         max_tiles: usize,
-        deadline: Duration,
         metrics: Option<BatcherMetrics>,
     ) -> Self {
         TileBatcher {
-            inner: MeshBatcher::with_metrics(backend, max_tiles, deadline, metrics),
+            inner: MeshBatcher::with_metrics(backend, max_tiles, metrics),
         }
     }
 
-    /// The backend every flush runs through.
+    /// The backend every pass runs through.
     pub fn backend(&self) -> BackendKind {
         self.inner.backend()
     }
@@ -88,73 +87,27 @@ impl TileBatcher {
     }
 
     /// Encode `img` with `codec`, the mesh pass batched across
-    /// requests. Byte-identical to [`Codec::encode_image_with_stats`].
+    /// requests; bytes identical to [`Codec::encode_image_with_stats`].
+    /// `mesh_ns` in the timings covers submit → results, so it includes
+    /// any wait behind a running pass of the same model — the latency
+    /// the request actually experiences.
+    ///
+    /// When `tb` holds a builder, the request's spans are recorded into
+    /// it: `prepare`, a `batch_wait` span carrying `cause` and
+    /// `batch_tiles` attributes (the flush attribution from
+    /// [`qn_backend::BatchInfo`]), a `mesh_pass` child covering the
+    /// shared backend pass, then retroactive `quantize`/`entropy` spans
+    /// from the codec's stage timings. `tb = None` costs one branch per
+    /// span site; tracing reads clocks, never data.
     ///
     /// # Errors
     /// Codec validation/serialisation errors; [`ServeError::Internal`]
-    /// if the batcher is torn down mid-request.
+    /// if the mesh pass panicked.
     pub fn encode(
         &self,
         codec: &Arc<Codec>,
         img: &GrayImage,
         opts: &CodecOptions,
-    ) -> Result<(Vec<u8>, EncodeStats)> {
-        self.encode_hinted(codec, img, opts, false)
-    }
-
-    /// [`TileBatcher::encode`] with an eager-flush hint: pass `true`
-    /// when the caller knows no other request is in flight (the
-    /// server's adaptive flush), so a solo request never pays the
-    /// batch deadline. Bytes are identical either way.
-    ///
-    /// # Errors
-    /// See [`TileBatcher::encode`].
-    pub fn encode_hinted(
-        &self,
-        codec: &Arc<Codec>,
-        img: &GrayImage,
-        opts: &CodecOptions,
-        eager: bool,
-    ) -> Result<(Vec<u8>, EncodeStats)> {
-        let (bytes, stats, _) = self.encode_hinted_timed(codec, img, opts, eager)?;
-        Ok((bytes, stats))
-    }
-
-    /// [`TileBatcher::encode_hinted`] with per-stage wall-clock
-    /// timings. `mesh_ns` covers submit → wait, so under load it
-    /// includes batch queueing, not just the backend pass — that is the
-    /// latency a request actually experiences. Bytes are identical.
-    ///
-    /// # Errors
-    /// See [`TileBatcher::encode`].
-    pub fn encode_hinted_timed(
-        &self,
-        codec: &Arc<Codec>,
-        img: &GrayImage,
-        opts: &CodecOptions,
-        eager: bool,
-    ) -> Result<(Vec<u8>, EncodeStats, EncodeTimings)> {
-        self.encode_hinted_traced(codec, img, opts, eager, &mut None)
-    }
-
-    /// [`TileBatcher::encode_hinted_timed`] that additionally records
-    /// the request's span tree into `tb` when tracing is on:
-    /// `prepare`, a `batch_wait` span carrying `cause` and
-    /// `batch_tiles` attributes (the flush attribution from
-    /// [`qn_backend::BatchInfo`]), a `mesh_pass` child covering the
-    /// shared backend pass, then retroactive `quantize`/`entropy`
-    /// spans from the codec's stage timings. `tb = None` costs one
-    /// branch per span site; the encoded bytes are identical either
-    /// way (tracing reads clocks, never data).
-    ///
-    /// # Errors
-    /// See [`TileBatcher::encode`].
-    pub fn encode_hinted_traced(
-        &self,
-        codec: &Arc<Codec>,
-        img: &GrayImage,
-        opts: &CodecOptions,
-        eager: bool,
         tb: &mut Option<TraceBuilder>,
     ) -> Result<(Vec<u8>, EncodeStats, EncodeTimings)> {
         let prep_span = tb.as_mut().map(|tb| tb.begin(SpanId::ROOT, "prepare"));
@@ -164,31 +117,15 @@ impl TileBatcher {
         if let (Some(tb), Some(s)) = (tb.as_mut(), prep_span) {
             tb.end(s);
         }
-        let wait_span = tb
-            .as_mut()
-            .map(|tb| (tb.begin(SpanId::ROOT, "batch_wait"), tb.elapsed_ns()));
-        let t = Instant::now();
-        let handle = self.inner.submit_with(
+        let (outs, mesh_ns) = self.mesh_pass(
             BatchKey {
                 model: codec.model_id(),
                 lane: LANE_COMPRESS,
             },
             Arc::new(CompressMesh(Arc::clone(codec))),
             states,
-            eager,
-        );
-        let (outs, info) = handle
-            .wait_info()
-            .ok_or_else(|| ServeError::Internal("batcher torn down mid-encode".into()))?;
-        let mesh_ns = elapsed_ns(t);
-        if let (Some(tb), Some((s, submit_off))) = (tb.as_mut(), wait_span) {
-            tb.end(s);
-            tb.attr(s, "cause", info.cause.label());
-            tb.attr(s, "batch_tiles", info.batch_tiles);
-            let mesh_start = submit_off + info.queued_ns;
-            let mesh = tb.record(s, "mesh_pass", mesh_start, mesh_start + info.run_ns);
-            tb.attr(mesh, "backend", self.backend());
-        }
+            tb,
+        )?;
         let complete_off = tb.as_ref().map(qn_trace::TraceBuilder::elapsed_ns);
         let (bytes, stats, mut timings) = codec.complete_encode_timed(plan, outs)?;
         timings.prepare_ns = prepare_ns;
@@ -204,57 +141,19 @@ impl TileBatcher {
     }
 
     /// Decode a parsed container with `codec`, the mesh pass batched
-    /// across requests. Byte-identical to [`Codec::decode_container`].
+    /// across requests; pixels identical to [`Codec::decode_container`].
+    /// `parse_ns` in the timings is left zero — the caller parsed the
+    /// container and owns that measurement. Spans, when `tb` holds a
+    /// builder: `prepare`, `batch_wait` (+`mesh_pass` child), `stitch`
+    /// — see [`TileBatcher::encode`].
     ///
     /// # Errors
-    /// Codec geometry errors; [`ServeError::Internal`] if the batcher
-    /// is torn down mid-request.
-    pub fn decode(&self, codec: &Arc<Codec>, container: &Container) -> Result<GrayImage> {
-        self.decode_hinted(codec, container, false)
-    }
-
-    /// [`TileBatcher::decode`] with an eager-flush hint — see
-    /// [`TileBatcher::encode_hinted`].
-    ///
-    /// # Errors
-    /// See [`TileBatcher::decode`].
-    pub fn decode_hinted(
+    /// Codec geometry errors; [`ServeError::Internal`] if the mesh pass
+    /// panicked.
+    pub fn decode(
         &self,
         codec: &Arc<Codec>,
         container: &Container,
-        eager: bool,
-    ) -> Result<GrayImage> {
-        Ok(self.decode_hinted_timed(codec, container, eager)?.0)
-    }
-
-    /// [`TileBatcher::decode_hinted`] with per-stage timings.
-    /// `parse_ns` is left zero — the caller parsed the container and
-    /// owns that measurement. `mesh_ns` covers submit → wait (includes
-    /// batch queueing). Pixels are identical.
-    ///
-    /// # Errors
-    /// See [`TileBatcher::decode`].
-    pub fn decode_hinted_timed(
-        &self,
-        codec: &Arc<Codec>,
-        container: &Container,
-        eager: bool,
-    ) -> Result<(GrayImage, DecodeTimings)> {
-        self.decode_hinted_traced(codec, container, eager, &mut None)
-    }
-
-    /// [`TileBatcher::decode_hinted_timed`] with span recording — the
-    /// decode analogue of [`TileBatcher::encode_hinted_traced`]:
-    /// `prepare`, `batch_wait` (+`mesh_pass` child), `stitch`. Pixels
-    /// are identical with tracing on or off.
-    ///
-    /// # Errors
-    /// See [`TileBatcher::decode`].
-    pub fn decode_hinted_traced(
-        &self,
-        codec: &Arc<Codec>,
-        container: &Container,
-        eager: bool,
         tb: &mut Option<TraceBuilder>,
     ) -> Result<(GrayImage, DecodeTimings)> {
         let prep_span = tb.as_mut().map(|tb| tb.begin(SpanId::ROOT, "prepare"));
@@ -264,31 +163,15 @@ impl TileBatcher {
         if let (Some(tb), Some(s)) = (tb.as_mut(), prep_span) {
             tb.end(s);
         }
-        let wait_span = tb
-            .as_mut()
-            .map(|tb| (tb.begin(SpanId::ROOT, "batch_wait"), tb.elapsed_ns()));
-        let t = Instant::now();
-        let handle = self.inner.submit_with(
+        let (outs, mesh_ns) = self.mesh_pass(
             BatchKey {
                 model: codec.model_id(),
                 lane: LANE_RECONSTRUCT,
             },
             Arc::new(ReconstructMesh(Arc::clone(codec))),
             states,
-            eager,
-        );
-        let (outs, info) = handle
-            .wait_info()
-            .ok_or_else(|| ServeError::Internal("batcher torn down mid-decode".into()))?;
-        let mesh_ns = elapsed_ns(t);
-        if let (Some(tb), Some((s, submit_off))) = (tb.as_mut(), wait_span) {
-            tb.end(s);
-            tb.attr(s, "cause", info.cause.label());
-            tb.attr(s, "batch_tiles", info.batch_tiles);
-            let mesh_start = submit_off + info.queued_ns;
-            let mesh = tb.record(s, "mesh_pass", mesh_start, mesh_start + info.run_ns);
-            tb.attr(mesh, "backend", self.backend());
-        }
+            tb,
+        )?;
         let stitch_span = tb.as_mut().map(|tb| tb.begin(SpanId::ROOT, "stitch"));
         let t = Instant::now();
         let img = codec.complete_decode(plan, outs)?;
@@ -306,6 +189,37 @@ impl TileBatcher {
                 stitch_ns,
             },
         ))
+    }
+
+    /// Submit `states` under `key` and wait for the outputs, recording
+    /// the `batch_wait` span (with its `mesh_pass` child) when tracing.
+    /// Returns the outputs and the submit → results nanoseconds.
+    fn mesh_pass(
+        &self,
+        key: BatchKey,
+        source: Arc<dyn MeshSource>,
+        states: Vec<Vec<f64>>,
+        tb: &mut Option<TraceBuilder>,
+    ) -> Result<(Vec<Vec<f64>>, u64)> {
+        let wait_span = tb
+            .as_mut()
+            .map(|tb| (tb.begin(SpanId::ROOT, "batch_wait"), tb.elapsed_ns()));
+        let t = Instant::now();
+        let (outs, info) = self
+            .inner
+            .submit(key, source, states)
+            .wait_info()
+            .ok_or_else(|| ServeError::Internal("the batched mesh pass panicked".into()))?;
+        let mesh_ns = elapsed_ns(t);
+        if let (Some(tb), Some((s, submit_off))) = (tb.as_mut(), wait_span) {
+            tb.end(s);
+            tb.attr(s, "cause", info.cause.label());
+            tb.attr(s, "batch_tiles", info.batch_tiles);
+            let mesh_start = submit_off + info.queued_ns;
+            let mesh = tb.record(s, "mesh_pass", mesh_start, mesh_start + info.run_ns);
+            tb.attr(mesh, "backend", self.backend());
+        }
+        Ok((outs, mesh_ns))
     }
 }
 
@@ -327,12 +241,12 @@ mod tests {
         let offline = codec.encode_image(&img, &opts).unwrap();
         let offline_img = codec.decode_bytes(&offline).unwrap();
 
-        let batcher = TileBatcher::new(BackendKind::Panel, 4096, Duration::from_millis(2));
-        let (bytes, stats) = batcher.encode(&codec, &img, &opts).unwrap();
+        let batcher = TileBatcher::new(BackendKind::Panel, 4096);
+        let (bytes, stats, _) = batcher.encode(&codec, &img, &opts, &mut None).unwrap();
         assert_eq!(bytes, offline, "batched encode must be byte-identical");
         assert_eq!(stats.tiles, 24);
         let container = Container::from_bytes(&bytes).unwrap();
-        let decoded = batcher.decode(&codec, &container).unwrap();
+        let (decoded, _) = batcher.decode(&codec, &container, &mut None).unwrap();
         assert_eq!(decoded, offline_img, "batched decode must be identical");
     }
 
@@ -340,18 +254,16 @@ mod tests {
     fn concurrent_requests_coalesce_without_cross_talk() {
         let (codec, img, opts) = fixture();
         let offline = codec.encode_image(&img, &opts).unwrap();
-        let batcher = Arc::new(TileBatcher::new(
-            BackendKind::Panel,
-            1_000_000, // never batch-full: the deadline merges them
-            Duration::from_millis(5),
-        ));
+        let batcher = Arc::new(TileBatcher::new(BackendKind::Panel, 1_000_000));
         let handles: Vec<_> = (0..6)
             .map(|_| {
                 let batcher = Arc::clone(&batcher);
                 let codec = Arc::clone(&codec);
                 let img = img.clone();
                 let opts = opts.clone();
-                std::thread::spawn(move || batcher.encode(&codec, &img, &opts).unwrap().0)
+                std::thread::spawn(move || {
+                    batcher.encode(&codec, &img, &opts, &mut None).unwrap().0
+                })
             })
             .collect();
         for h in handles {
@@ -363,8 +275,9 @@ mod tests {
     fn per_request_mode_still_matches() {
         let (codec, img, opts) = fixture();
         let offline = codec.encode_image(&img, &opts).unwrap();
-        let batcher = TileBatcher::new(BackendKind::Scalar, 4096, Duration::ZERO);
+        let batcher = TileBatcher::new(BackendKind::Scalar, 1);
         assert!(!batcher.coalesces());
-        assert_eq!(batcher.encode(&codec, &img, &opts).unwrap().0, offline);
+        let (bytes, _, _) = batcher.encode(&codec, &img, &opts, &mut None).unwrap();
+        assert_eq!(bytes, offline);
     }
 }

@@ -43,7 +43,7 @@ USAGE:
                    [--layers-c N] [--layers-r N] [--iters N] [--seed S]
     qnc info       <file.qnc | file.qnm> [--json]
     qnc serve      [--addr HOST:PORT] [--store DIR] [--backend B]
-                   [--batch-tiles N] [--batch-deadline-ms T] [--cache-models N]
+                   [--batch-tiles N] [--cache-models N]
                    [--read-timeout-ms T] [--log-level off|warn|info|debug]
                    [--workers N] [--max-inflight N] [--conn-inflight N]
                    [--max-conns N] [--shutdown-grace-ms T]
@@ -78,7 +78,10 @@ embeds it in the container, so the .qnc decodes standalone. `train`
 distills a model from an image's tiles: spectral initialisation plus
 --iters gradient refinement steps (0 = spectral only). `serve` runs
 the batching codec server (default addr 127.0.0.1:7733, port 0 =
-ephemeral; --store names the model-zoo directory; --quiet drops the
+ephemeral; --store names the model-zoo directory; a request's mesh
+pass runs on arrival unless a pass of its model is already running, in
+which case it merges with the requests queued behind that pass, up to
+--batch-tiles tiles per pass (1 = never merge); --quiet drops the
 banner, --log-level gates the timestamped stderr event lines,
 --no-metrics disables telemetry, --metrics-dump-secs prints the
 telemetry snapshot as one JSON line per interval); `remote` runs
@@ -148,7 +151,6 @@ impl Args {
             "--addr",
             "--store",
             "--batch-tiles",
-            "--batch-deadline-ms",
             "--cache-models",
             "--read-timeout-ms",
             "--workers",
@@ -598,7 +600,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         model_cache: args.numeric(&["--cache-models"], 16usize)?,
         backend: backend_choice(args)?,
         batch_tiles: args.numeric(&["--batch-tiles"], 4096usize)?,
-        batch_deadline: Duration::from_millis(args.numeric(&["--batch-deadline-ms"], 2u64)?),
         read_timeout: Duration::from_millis(args.numeric(&["--read-timeout-ms"], 30_000u64)?),
         workers: args.numeric(&["--workers"], 0usize)?,
         max_inflight: args.numeric(&["--max-inflight"], 256usize)?,
@@ -633,11 +634,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if !args.has("--quiet") {
         let _ = writeln!(
             stdout,
-            "qn-serve listening on {}\n  backend {}, batch {} tiles / {} ms deadline, model store: {store}\n  metrics {}, tracing {}, log level {}",
+            "qn-serve listening on {}\n  backend {}, batch up to {} tiles per mesh pass (runs on arrival), model store: {store}\n  metrics {}, tracing {}, log level {}",
             handle.addr(),
             config.backend,
             config.batch_tiles,
-            config.batch_deadline.as_millis(),
             if config.metrics { "on" } else { "off" },
             match (config.tracing, config.slow_threshold.as_millis()) {
                 (false, _) => "off".to_string(),

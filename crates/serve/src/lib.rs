@@ -14,11 +14,11 @@
 //!   `.qnm` files keyed by model id with an LRU-bounded in-memory
 //!   cache, so `.qnc` containers referencing a known model id decode
 //!   without inline models;
-//! - [`batcher`] — the micro-batching core: tiles from *concurrent
-//!   requests* are coalesced into single
-//!   [`PanelBackend`](qn_backend::PanelBackend) passes (flush on
-//!   batch-full or a small deadline), sound because backends are
-//!   bit-identical per vector regardless of batch composition;
+//! - [`batcher`] — the micro-batching core: a request's mesh pass runs
+//!   on arrival, and requests that arrive while a pass of their model
+//!   runs are coalesced into one merged pass after it — sound because
+//!   backends are bit-identical per vector regardless of batch
+//!   composition;
 //! - [`reactor`] — the event-driven connection plumbing: a `poll(2)`
 //!   wrapper (two-symbol FFI, no async runtime in this offline
 //!   environment), a wakeup pipe, the per-connection incremental frame

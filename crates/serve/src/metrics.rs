@@ -13,13 +13,13 @@
 //! | `serve_frame_bytes_in_total` / `serve_frame_bytes_out_total` | counter | — |
 //! | `serve_connections_total` | counter | — |
 //! | `serve_open_connections` | gauge | — |
-//! | `serve_inflight_requests` | gauge | mirror of the adaptive-flush in-flight count |
+//! | `serve_inflight_requests` | gauge | — (ENCODE/DECODE requests from frame header to reply release) |
 //! | `serve_read_deadline_reaps_total` | counter | — |
 //! | `serve_busy_total` | counter | — (requests shed with a typed `BUSY` reply by the admission limits) |
 //! | `codec_stage_ns` | histogram | `op`+`stage`: encode `spectral`/`prepare`/`mesh`/`quantize`/`entropy`; decode `parse`/`prepare`/`mesh`/`stitch` |
 //! | `codec_coded_bytes_total` / `codec_decoded_bytes_total` | counter | `coder` = `rice`/`rice-pos`/`range` |
 //! | `batch_flush_tiles` | histogram | — (tiles per executed batch) |
-//! | `batch_flushes_total` | counter | `cause` = `full`/`deadline`/`eager`/`drain` |
+//! | `batch_flushes_total` | counter | `cause` = `eager` (ran on arrival) / `backlog` (ran by a handed-off waiter) / `full` |
 //! | `zoo_hits_total` / `zoo_misses_total` / `zoo_inserts_total` | counter | — |
 //! | `zoo_cached_models` | gauge | — |
 //! | `gate_table_cache_hits` / `gate_table_cache_misses` / `gate_table_cache_entries` | gauge | — (process-wide [`qn_backend::table_cache_stats`], synced at exposition) |
@@ -216,9 +216,8 @@ impl ServeMetrics {
         self.busy.inc();
     }
 
-    /// The mirror of the adaptive-flush in-flight count. The atomic in
-    /// the server remains the source of truth for flush decisions; this
-    /// gauge only makes it observable.
+    /// Mesh-bound (ENCODE/DECODE) requests in flight, counted from the
+    /// arrival of their frame header until their reply is released.
     pub fn inflight(&self) -> &Gauge {
         &self.inflight
     }

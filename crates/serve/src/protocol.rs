@@ -409,29 +409,9 @@ impl Frame {
     /// [`FrameError`] for stream-level violations; EOF (clean or
     /// mid-frame) surfaces as [`FrameError::Io`].
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
-        Frame::read_from_tracked(r, |_| {})
-    }
-
-    /// [`Frame::read_from`] with a progress hook: `on_header` fires
-    /// with the frame's opcode byte once the fixed header has arrived
-    /// and validated — the earliest moment a reader *knows* a request
-    /// is in flight, and of which kind (before that, a blocked read
-    /// just means an idle connection). The server's adaptive batch
-    /// flush keys off this: a batch waits out its deadline only while
-    /// some other connection has a *mesh-bound* request past its
-    /// header.
-    ///
-    /// # Errors
-    /// See [`Frame::read_from`]. The hook does not fire on
-    /// header-level violations.
-    pub fn read_from_tracked<R: Read>(
-        r: &mut R,
-        on_header: impl FnOnce(u8),
-    ) -> Result<Frame, FrameError> {
         let mut raw = [0u8; HEADER_LEN];
         r.read_exact(&mut raw).map_err(FrameError::Io)?;
         let header = FrameHeader::parse(&raw)?;
-        on_header(header.opcode);
         let mut payload = vec![0u8; header.payload_len];
         r.read_exact(&mut payload).map_err(FrameError::Io)?;
         let mut crc_bytes = [0u8; 4];
@@ -495,8 +475,8 @@ impl FrameHeader {
         HEADER_LEN + self.payload_len + 4
     }
 
-    /// Whether the opcode submits tiles to the mesh batcher (drives
-    /// the adaptive-flush in-flight count).
+    /// Whether the opcode submits tiles to the mesh batcher (counted
+    /// by the `serve_inflight_requests` gauge).
     pub fn mesh_bound(&self) -> bool {
         matches!(
             Opcode::from_u8(self.opcode),

@@ -387,7 +387,7 @@ impl ConnShared {
 /// exactly once per frame via [`FrameHeader::parse`]
 /// (crate::protocol::FrameHeader), at the earliest moment the 16
 /// header bytes are present — which is when mesh-bound requests start
-/// counting toward the adaptive flush and the read deadline arms.
+/// counting as in flight and the read deadline arms.
 #[derive(Debug, Default)]
 pub struct FrameAccumulator {
     buf: Vec<u8>,

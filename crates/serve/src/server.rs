@@ -105,24 +105,25 @@ pub struct ServerConfig {
     pub model_cache: usize,
     /// Backend every batched mesh pass runs through.
     pub backend: BackendKind,
-    /// Flush a batch group once it holds this many tiles.
-    pub batch_tiles: usize,
-    /// Flush a batch group this long after it opens. Zero disables
+    /// Most tiles one merged mesh pass takes: requests that queue
+    /// behind a running pass of their model merge up to this many
+    /// tiles, and a group that reaches it runs at once. `1` disables
     /// cross-request coalescing (per-request dispatch).
-    pub batch_deadline: Duration,
+    pub batch_tiles: usize,
     /// How long a connection may take to deliver the rest of a frame
     /// once its header has arrived (`Duration::ZERO` disables the
     /// timeout). Idle connections are never timed out — the deadline
     /// only runs between header and frame completion, where a stalled
-    /// peer would otherwise pin the adaptive-flush in-flight gauge and
-    /// degrade every concurrent request to deadline-bounded batching.
+    /// or byte-dripping peer would otherwise hold its connection, a
+    /// partial-frame buffer of up to the declared payload, and a unit of
+    /// the `serve_inflight_requests` gauge forever.
     pub read_timeout: Duration,
     /// Request-handling worker threads. Zero (the default) sizes the
     /// pool to `max(available_parallelism, 8)` — the floor matters on
-    /// small hosts because queued mesh-bound jobs hold their
-    /// adaptive-flush count, and active submitters would otherwise
-    /// wait out the batch deadline for work that no worker is free to
-    /// submit.
+    /// small hosts because a worker whose request queued behind a
+    /// running pass of its model blocks until that pass hands it the
+    /// merged group, and a pool sized to the core count would then
+    /// leave other models' requests waiting in the job queue.
     pub workers: usize,
     /// Global admission cap: requests admitted (parsed and handed to
     /// the worker pool, reply not yet fully written) beyond this answer
@@ -169,7 +170,6 @@ impl Default for ServerConfig {
             model_cache: 16,
             backend: BackendKind::Panel,
             batch_tiles: 4096,
-            batch_deadline: Duration::from_millis(2),
             read_timeout: Duration::from_secs(30),
             workers: 0,
             max_inflight: 256,
@@ -190,17 +190,6 @@ struct Shared {
     batcher: TileBatcher,
     config: ServerConfig,
     requests: AtomicU64,
-    /// Mesh-bound (ENCODE/DECODE) requests currently *incoming*:
-    /// counted from the moment a connection has read such a frame's
-    /// header (the request is definitely coming) until the request
-    /// submits its tiles to the batcher. Drives the adaptive batch
-    /// flush — a submitter that sees no other incoming request
-    /// flushes its batch eagerly instead of paying the deadline.
-    /// A peer that stalls (or drips bytes) between header and payload
-    /// keeps the count raised only until the frame read deadline
-    /// ([`ServerConfig::read_timeout`]) reaps the connection and the
-    /// guard releases the count.
-    inflight: AtomicUsize,
     /// Requests admitted past the backpressure gate: incremented by
     /// the reactor when a complete frame clears both caps, released
     /// (via [`AdmissionSlot`] drop) when the reply is fully written or
@@ -212,9 +201,7 @@ struct Shared {
     /// Wakes the reactor's poll wait: workers after parking a reply,
     /// [`ServerHandle::stop`] after raising `shutdown`.
     waker: Arc<Waker>,
-    /// Telemetry, present unless [`ServerConfig::metrics`] is off. The
-    /// `inflight` atomic above stays the source of truth for flush
-    /// decisions; the registry's gauge only mirrors it for exposition.
+    /// Telemetry, present unless [`ServerConfig::metrics`] is off.
     metrics: Option<Arc<ServeMetrics>>,
     /// Trace sink, present unless [`ServerConfig::tracing`] is off.
     /// Holding `Some` alone records nothing: a request's spans are
@@ -242,34 +229,29 @@ impl Drop for AdmissionSlot {
     }
 }
 
-/// Holds one unit of the adaptive-flush in-flight count (see
-/// [`Shared::inflight`]) from header arrival until batch submission.
-/// Owned (`Arc`) rather than borrowed so it can travel from the
-/// reactor thread into a worker's job; every exit path — submission,
-/// pre-submit error, reaped or disconnected connection — releases the
-/// count by dropping, which is what keeps the adaptive flush sound.
+/// Holds one unit of the `serve_inflight_requests` gauge for a
+/// mesh-bound (ENCODE/DECODE) request, from the arrival of its frame
+/// header (the request is certainly coming) until its reply is
+/// released to the connection. Owned (`Arc`) rather than borrowed so it
+/// can travel from the reactor thread into a worker's job; every exit
+/// path — reply, `BUSY` shed, reaped or disconnected connection —
+/// releases the unit by dropping.
 struct MeshInflightGuard {
-    shared: Arc<Shared>,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl MeshInflightGuard {
-    fn acquire(shared: &Arc<Shared>) -> MeshInflightGuard {
-        shared.inflight.fetch_add(1, Ordering::SeqCst);
-        if let Some(m) = &shared.metrics {
-            m.inflight().add(1);
-        }
-        MeshInflightGuard {
-            shared: Arc::clone(shared),
-        }
+    /// `None` when metrics are off: the gauge is all this guards.
+    fn acquire(shared: &Shared) -> Option<MeshInflightGuard> {
+        let metrics = Arc::clone(shared.metrics.as_ref()?);
+        metrics.inflight().add(1);
+        Some(MeshInflightGuard { metrics })
     }
 }
 
 impl Drop for MeshInflightGuard {
     fn drop(&mut self) {
-        self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        if let Some(m) = &self.shared.metrics {
-            m.inflight().sub(1);
-        }
+        self.metrics.inflight().sub(1);
     }
 }
 
@@ -286,8 +268,8 @@ struct Job {
     /// When the frame completed (latency epoch; queue wait counts).
     frame_done_at: Instant,
     admission: AdmissionSlot,
-    /// The adaptive-flush count acquired at header time, released by
-    /// the handler at batch submission (mesh-bound opcodes only).
+    /// The in-flight gauge unit acquired at header time, released with
+    /// the reply (mesh-bound opcodes only).
     mesh_guard: Option<MeshInflightGuard>,
 }
 
@@ -455,14 +437,12 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         batcher: TileBatcher::with_metrics(
             config.backend,
             config.batch_tiles,
-            config.batch_deadline,
             metrics.as_ref().map(|m| m.batcher_metrics()),
         ),
         log: Logger::new(config.log_level),
         started: Instant::now(),
         config,
         requests: AtomicU64::new(0),
-        inflight: AtomicUsize::new(0),
         admitted: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
         waker,
@@ -514,7 +494,7 @@ struct Conn {
     header_at: Option<Instant>,
     /// Frame-completion deadline, armed at header arrival.
     deadline: Option<Instant>,
-    /// Adaptive-flush count for an accumulating mesh-bound frame,
+    /// In-flight gauge unit of an accumulating mesh-bound frame,
     /// parked here between header and completion.
     mesh_guard: Option<MeshInflightGuard>,
     /// Sequence number the next parsed frame gets.
@@ -559,7 +539,7 @@ impl Conn {
 
     /// Drop any half-read frame (peer EOF / server drain): its bytes
     /// can never complete, and a parked mesh guard must not keep
-    /// degrading the adaptive flush.
+    /// counting it in flight.
     fn abandon_partial_frame(&mut self) {
         self.header = None;
         self.header_at = None;
@@ -886,14 +866,13 @@ fn pump_frames(shared: &Arc<Shared>, jobs: &Arc<JobQueue>, conn: &mut Conn, now:
             FrameStep::Header(header) => {
                 // A header means the frame is certainly coming: arm
                 // the completion deadline and, for mesh-bound opcodes,
-                // raise the adaptive-flush count so concurrent
-                // submitters wait to coalesce with this request.
+                // count the request in flight.
                 conn.header_at = Some(now);
                 if shared.config.read_timeout > Duration::ZERO {
                     conn.deadline = Some(now + shared.config.read_timeout);
                 }
                 if header.mesh_bound() {
-                    conn.mesh_guard = Some(MeshInflightGuard::acquire(shared));
+                    conn.mesh_guard = MeshInflightGuard::acquire(shared);
                 }
                 conn.header = Some(header);
             }
@@ -1111,13 +1090,7 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
         }
         _ => None,
     };
-    let outcome = match stripped {
-        Ok(_) => dispatch(shared, op, frame.opcode, body, mesh_guard, &mut tb),
-        Err(e) => {
-            drop(mesh_guard);
-            Err(e)
-        }
-    };
+    let outcome = stripped.and_then(|_| dispatch(shared, op, frame.opcode, body, &mut tb));
     let reply = match outcome {
         Ok((op, payload)) => Frame::reply(op, request_id, payload),
         Err(e) => {
@@ -1190,6 +1163,9 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
             op.map_or("unknown", Opcode::label)
         ),
     );
+    // Released before the reply, so a client that reads its reply and
+    // then polls STATS never sees its own request still in flight.
+    drop(mesh_guard);
     let delivered = chan.push_reply(
         seq,
         Reply {
@@ -1206,22 +1182,19 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
 }
 
 /// Route one well-framed request; every failure comes back typed.
-/// `inflight` is the request's adaptive-flush count guard (held only
-/// by mesh-bound opcodes) — the encode/decode handlers release it at
-/// submission time, everything else drops it on entry. `payload` is
-/// the request body with any trace-context prefix already stripped;
-/// `tb` is the request's span builder (`None` unless sampled).
+/// `payload` is the request body with any trace-context prefix already
+/// stripped; `tb` is the request's span builder (`None` unless
+/// sampled).
 fn dispatch(
     shared: &Shared,
     op: Option<Opcode>,
     opcode_byte: u8,
     payload: &[u8],
-    inflight: Option<MeshInflightGuard>,
     tb: &mut Option<TraceBuilder>,
 ) -> Result<(Opcode, Vec<u8>)> {
     match op {
-        Some(Opcode::Encode) => handle_encode(shared, payload, inflight, tb),
-        Some(Opcode::Decode) => handle_decode(shared, payload, inflight, tb),
+        Some(Opcode::Encode) => handle_encode(shared, payload, tb),
+        Some(Opcode::Decode) => handle_decode(shared, payload, tb),
         Some(Opcode::LoadModel) => {
             let id = shared.store.insert_bytes(payload)?;
             Ok((Opcode::LoadModel, id.to_le_bytes().to_vec()))
@@ -1280,7 +1253,6 @@ fn handle_trace(shared: &Shared, payload: &[u8]) -> Result<(Opcode, Vec<u8>)> {
 fn handle_encode(
     shared: &Shared,
     payload: &[u8],
-    inflight: Option<MeshInflightGuard>,
     tb: &mut Option<TraceBuilder>,
 ) -> Result<(Opcode, Vec<u8>)> {
     let parse_span = tb.as_mut().map(|b| b.begin(SpanId::ROOT, "parse"));
@@ -1314,32 +1286,12 @@ fn handle_encode(
         backend: shared.config.backend,
         entropy: req.entropy,
     };
-    let eager = submitting_alone(shared, inflight);
-    let (bytes, _, timings) = shared
-        .batcher
-        .encode_hinted_traced(&codec, &req.image, &opts, eager, tb)?;
+    let (bytes, _, timings) = shared.batcher.encode(&codec, &req.image, &opts, tb)?;
     if let Some(m) = &shared.metrics {
         m.record_encode_timings(&timings);
         m.record_coded_bytes(req.entropy, bytes.len() as u64);
     }
     Ok((Opcode::Encode, bytes))
-}
-
-/// The adaptive-flush test, evaluated at submission time: release this
-/// request's own in-flight count (its tiles are about to be in the
-/// batcher — it is no longer "incoming"), then ask whether any *other*
-/// mesh-bound request is still between its frame header and its own
-/// submission. If not, nothing can be coalesced with and the batch
-/// flushes eagerly — so a solo client never pays the deadline, and in
-/// overlapping pairs the *last* submitter flushes the merged group
-/// (the count it waited on was released by the earlier submitter).
-/// Racing is benign in both directions: a header arriving just after
-/// the load only loses one coalescing opportunity, never correctness
-/// (backends are bit-identical per vector regardless of batch
-/// composition).
-fn submitting_alone(shared: &Shared, inflight: Option<MeshInflightGuard>) -> bool {
-    drop(inflight);
-    shared.inflight.load(Ordering::SeqCst) == 0
 }
 
 /// Most pixels a served decode may produce: the decoded image must fit
@@ -1383,7 +1335,6 @@ fn check_container_dims(payload: &[u8]) -> Result<()> {
 fn handle_decode(
     shared: &Shared,
     payload: &[u8],
-    inflight: Option<MeshInflightGuard>,
     tb: &mut Option<TraceBuilder>,
 ) -> Result<(Opcode, Vec<u8>)> {
     check_container_dims(payload)?;
@@ -1400,10 +1351,7 @@ fn handle_decode(
         shared.store.get(container.header.model_id)?
     };
     codec.check_container(&container)?;
-    let eager = submitting_alone(shared, inflight);
-    let (img, mut timings) = shared
-        .batcher
-        .decode_hinted_traced(&codec, &container, eager, tb)?;
+    let (img, mut timings) = shared.batcher.decode(&codec, &container, tb)?;
     if let Some(m) = &shared.metrics {
         timings.parse_ns = parse_ns;
         m.record_decode_timings(&timings);
@@ -1443,8 +1391,8 @@ fn server_info_json(shared: &Shared) -> String {
         "{{\"format\":\"qn-serve\",\"protocol_version\":{PROTOCOL_VERSION},\
          \"server_version\":\"{}\",\"uptime_secs\":{},\"metrics\":{},\
          \"tracing\":{},\"slow_ms\":{},\
-         \"backend\":\"{}\",\"batch_tiles\":{},\"batch_deadline_ms\":{},\
-         \"coalescing\":{},\"adaptive_flush\":true,\"read_timeout_ms\":{},\
+         \"backend\":\"{}\",\"batch_tiles\":{},\
+         \"coalescing\":{},\"read_timeout_ms\":{},\
          \"workers\":{},\"max_inflight\":{},\"conn_inflight\":{},\"max_conns\":{},\
          \"models_cached\":{},\"store_dir\":{store_dir},\
          \"requests_served\":{}}}",
@@ -1455,7 +1403,6 @@ fn server_info_json(shared: &Shared) -> String {
         shared.config.slow_threshold.as_millis(),
         shared.config.backend,
         shared.config.batch_tiles,
-        shared.config.batch_deadline.as_millis(),
         shared.batcher.coalesces(),
         shared.config.read_timeout.as_millis(),
         shared.config.workers,

@@ -12,13 +12,11 @@ use qn_serve::client::{model_encode_request, spectral_encode_request};
 use qn_serve::{spawn, Client, ServerConfig, ServerHandle};
 use std::time::Duration;
 
-/// A server on an ephemeral port with batching on (tiny deadline so
-/// solo requests don't stall the suite).
+/// A server on an ephemeral port with batching on (the default).
 fn boot(store_dir: Option<std::path::PathBuf>) -> ServerHandle {
     spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
         store_dir,
-        batch_deadline: Duration::from_millis(2),
         ..ServerConfig::default()
     })
     .expect("spawn server")
@@ -141,14 +139,13 @@ fn sixteen_concurrent_clients_round_trip_byte_identically() {
 
 #[test]
 fn solo_requests_flush_adaptively_well_under_the_deadline() {
-    // A deliberately huge batch deadline: without the adaptive flush a
-    // solo request would stall the full two seconds waiting for
-    // batch-mates that never come. With it, the server notices no
-    // other request is past its frame header and flushes immediately.
-    let deadline = Duration::from_secs(2);
+    // A solo request finds no pass of its model running, so its mesh
+    // pass runs on arrival: it never waits for batch-mates that never
+    // come. Its own work takes milliseconds, so only waiting on
+    // something else could take it past a second.
+    let bound = Duration::from_secs(1);
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: deadline,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -170,9 +167,9 @@ fn solo_requests_flush_adaptively_well_under_the_deadline() {
         assert_eq!(bytes, offline, "round {round}");
         assert_eq!(decoded, offline_img, "round {round}");
         assert!(
-            elapsed < deadline / 2,
+            elapsed < bound,
             "round {round}: solo encode+decode took {elapsed:?}, \
-             deadline is {deadline:?} — adaptive flush not engaging"
+             bound is {bound:?} — the eager flush is not engaging"
         );
     }
 }
@@ -180,17 +177,15 @@ fn solo_requests_flush_adaptively_well_under_the_deadline() {
 #[test]
 fn overlapping_closed_loop_clients_never_pay_the_full_deadline() {
     // Two clients in a closed loop (each sends its next request as
-    // soon as its reply lands): with the in-flight count released at
-    // *submission* rather than at reply time, the last submitter of
-    // any overlap sees no other incoming request and flushes the
-    // merged group eagerly — so neither client ever stalls out a full
-    // deadline, even while the other is mid mesh-pass. Were the count
-    // held through the reply, roughly every second request here would
-    // pay the whole 2 s.
-    let deadline = Duration::from_secs(2);
+    // soon as its reply lands), both encoding the same image, so their
+    // spectral models — and batch keys — coincide: a request that
+    // arrives while the other's mesh pass runs queues behind it and is
+    // handed its pass the moment that one ends. No request waits for
+    // anything but a running pass, so eight requests of a few
+    // milliseconds each stay far under two seconds.
+    let bound = Duration::from_secs(2);
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: deadline,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -223,9 +218,9 @@ fn overlapping_closed_loop_clients_never_pay_the_full_deadline() {
     }
     let elapsed = t0.elapsed();
     assert!(
-        elapsed < deadline,
-        "2 clients × {rounds} rounds took {elapsed:?} against a {deadline:?} \
-         deadline — some request waited out the batch deadline"
+        elapsed < bound,
+        "2 clients × {rounds} rounds took {elapsed:?} against a {bound:?} \
+         bound — some request waited on something other than a running pass"
     );
 }
 
@@ -288,23 +283,21 @@ fn every_entropy_coder_round_trips_byte_identically_over_the_wire() {
 
 #[test]
 fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
-    // A peer that sends an ENCODE frame header and then stalls used to
-    // pin the adaptive-flush in-flight gauge until it went away,
-    // degrading every other request to deadline-bounded batching. With
-    // the read timeout the server reaps the stalled connection, so a
-    // concurrent client flushes eagerly again — pinned here with a
-    // deliberately huge 2 s deadline a solo request must stay well
-    // under.
+    // A peer that sends an ENCODE frame header and then stalls (or
+    // drips bytes) must be reaped by the read timeout, releasing its
+    // in-flight gauge unit, and must never slow anyone else down:
+    // another client's requests still run their mesh pass on arrival,
+    // well under a second.
     use std::io::{Read as _, Write as _};
-    let deadline = Duration::from_secs(2);
+    let bound = Duration::from_secs(1);
     let timeout = Duration::from_millis(250);
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: deadline,
         read_timeout: timeout,
         ..ServerConfig::default()
     })
     .unwrap();
+    let metrics = std::sync::Arc::clone(server.metrics().expect("metrics on"));
 
     // The stalling peer: a full 16-byte ENCODE header promising a
     // 4096-byte payload that never comes.
@@ -332,7 +325,28 @@ fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
         Ok(n) => panic!("stalled connection got {n} unexpected reply bytes"),
     }
 
-    // ... and a fresh client is solo again: eager flush, not deadline.
+    // ... counted as a reap, with its in-flight gauge unit released
+    // (the socket may close a moment before the unit drops) ...
+    assert!(
+        metrics
+            .stats_json()
+            .contains("\"serve_read_deadline_reaps_total\":1"),
+        "{}",
+        metrics.stats_json()
+    );
+    let give_up = std::time::Instant::now() + Duration::from_secs(5);
+    while !metrics
+        .stats_json()
+        .contains("\"serve_inflight_requests\":0")
+    {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "reaped peer still counted in flight: {}",
+            metrics.stats_json()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // ... and a fresh client runs its passes on arrival.
     let img = datasets::grayscale_blobs(1, 24, 24, 43).remove(0);
     let opts = CodecOptions::default();
     let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
@@ -346,9 +360,8 @@ fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
         let elapsed = t0.elapsed();
         assert_eq!(bytes, offline, "round {round}");
         assert!(
-            elapsed < deadline / 2,
-            "round {round}: encode took {elapsed:?} with a stalled peer reaped — \
-             the in-flight gauge is still pinned"
+            elapsed < bound,
+            "round {round}: encode took {elapsed:?} with a stalled peer reaped"
         );
     }
 
@@ -379,15 +392,16 @@ fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
         reaped = matches!(dripper.read(&mut probe), Ok(0) | Err(_));
     }
     assert!(reaped, "drip-feeding peer survived the frame deadline");
-    // And the gauge is free again.
+    // And the server still answers within the bound.
     let t0 = std::time::Instant::now();
     let bytes = client
         .encode(&spectral_encode_request(&img, &opts, 8))
         .unwrap();
     assert_eq!(bytes, offline);
     assert!(
-        t0.elapsed() < deadline / 2,
-        "dripper reaped but the in-flight gauge is still pinned"
+        t0.elapsed() < bound,
+        "dripper reaped but the next encode took {:?}",
+        t0.elapsed()
     );
 }
 
@@ -459,12 +473,13 @@ fn info_replies_share_the_cli_json() {
 
 #[test]
 fn per_request_dispatch_servers_answer_the_same_bytes() {
-    // Batching off (zero deadline) and the scalar backend: responses
-    // must still be byte-identical — scheduling is never observable.
+    // Batching off (one tile per pass) and the scalar backend:
+    // responses must still be byte-identical — scheduling is never
+    // observable.
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
         backend: BackendKind::Scalar,
-        batch_deadline: Duration::ZERO,
+        batch_tiles: 1,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -643,7 +658,7 @@ fn stats_counts_match_a_client_side_tally_under_sixteen_clients() {
     // Flush-cause attribution is total: the per-cause counters sum to
     // the number of executed batches.
     let flushes = hist_count(&json, "batch_flush_tiles");
-    let by_cause: u64 = ["full", "deadline", "eager", "drain"]
+    let by_cause: u64 = ["eager", "backlog", "full"]
         .iter()
         .map(|c| stat_int(&json, &format!("batch_flushes_total{{cause={c}}}")))
         .sum();
@@ -652,7 +667,7 @@ fn stats_counts_match_a_client_side_tally_under_sixteen_clients() {
         "flush causes must sum to flushes: {json}"
     );
     assert!(flushes > 0, "{json}");
-    // Adaptive-flush bookkeeping drained back to zero.
+    // Every mesh-bound request released its in-flight gauge unit.
     assert_eq!(stat_int(&json, "serve_inflight_requests"), 0);
 
     // The handle exposes the same registry the wire serves.

@@ -29,7 +29,6 @@ fn shutdown_returns_promptly_on_a_wildcard_bind() {
     // not wait for a real client to stumble in and unblock accept.
     let server = spawn(ServerConfig {
         addr: "0.0.0.0:0".into(),
-        batch_deadline: Duration::from_millis(1),
         ..ServerConfig::default()
     })
     .expect("spawn on wildcard");
@@ -55,7 +54,6 @@ fn shutdown_drains_inflight_replies_before_returning() {
     // handlers could be killed (or race teardown) with work in flight.
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: Duration::from_millis(1),
         ..ServerConfig::default()
     })
     .expect("spawn server");
@@ -89,11 +87,10 @@ fn shutdown_drains_inflight_replies_before_returning() {
 fn connection_held_mid_frame_cannot_stall_shutdown() {
     // Bug 2, the bounded-grace half: a peer parked mid-frame (header
     // sent, payload never coming) must not hold shutdown hostage —
-    // and its parked adaptive-flush count must be released, not
-    // leaked into the gauge.
+    // and its parked in-flight gauge unit must be released, not
+    // leaked.
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: Duration::from_millis(1),
         // Long enough that shutdown returning promptly proves the
         // mid-frame connection was dropped, not waited out.
         read_timeout: Duration::from_secs(60),
@@ -151,7 +148,6 @@ fn read_deadline_never_leaks_into_the_next_frame() {
     // and completing a frame must fully disarm it.
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: Duration::from_millis(1),
         read_timeout: Duration::from_millis(150),
         ..ServerConfig::default()
     })

@@ -19,7 +19,6 @@ use std::time::Duration;
 fn boot() -> ServerHandle {
     spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: Duration::from_millis(1),
         ..ServerConfig::default()
     })
     .expect("spawn server")
@@ -308,7 +307,6 @@ fn a_thousand_idle_connections_stay_alive_with_timeouts_disabled() {
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
         read_timeout: Duration::ZERO,
-        batch_deadline: Duration::from_millis(1),
         ..ServerConfig::default()
     })
     .expect("spawn server");
@@ -369,7 +367,6 @@ fn a_peer_that_reads_late_is_throttled_and_still_gets_every_reply() {
     // against the frame-completion deadline.
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: Duration::from_millis(1),
         read_timeout: Duration::from_millis(500),
         ..ServerConfig::default()
     })
@@ -440,7 +437,6 @@ fn saturated_global_admission_sheds_typed_busy_and_recovers() {
     // drop or an unbounded queue.
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: Duration::from_millis(1),
         max_inflight: 1,
         conn_inflight: 0,
         ..ServerConfig::default()
@@ -489,7 +485,6 @@ fn per_connection_inflight_cap_sheds_typed_busy() {
     // real reply.
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: Duration::from_millis(1),
         max_inflight: 0,
         conn_inflight: 1,
         ..ServerConfig::default()

@@ -13,7 +13,6 @@ use std::time::Duration;
 fn boot(config: ServerConfig) -> ServerHandle {
     spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
-        batch_deadline: Duration::from_millis(2),
         ..config
     })
     .expect("spawn server")
@@ -62,10 +61,7 @@ fn traced_encode_round_trip_returns_a_well_formed_span_tree() {
     assert_eq!(t.spans[0].attr("origin"), Some("client"));
     let bw = t.span("batch_wait").unwrap();
     assert!(
-        matches!(
-            bw.attr("cause"),
-            Some("full" | "deadline" | "eager" | "drain")
-        ),
+        matches!(bw.attr("cause"), Some("eager" | "backlog" | "full")),
         "flush cause attr: {:?}",
         bw.attr("cause")
     );
