@@ -4,11 +4,10 @@
 //! single backend batches.
 //!
 //! The design leans entirely on the [`MeshBackend`](crate::MeshBackend)
-//! equivalence contract: every backend is bit-identical *per vector*,
-//! independent of batch composition, so concatenating two requests'
-//! tiles into one `forward_batch` call and splitting the outputs back
-//! apart yields exactly the bytes each request would have produced
-//! alone. Coalescing is therefore invisible to callers — it changes
+//! contract: a backend's output for a vector has the same bits whatever
+//! batch it rides in, so concatenating two requests' tiles into one
+//! `forward_batch` call and splitting the outputs back apart yields
+//! exactly the bytes each request would have produced alone. Coalescing is therefore invisible to callers — it changes
 //! throughput, never results.
 //!
 //! Submissions are grouped by [`BatchKey`] (a caller-chosen model
@@ -651,8 +650,8 @@ mod tests {
         let metrics = BatcherMetrics::new(&registry);
         let src = mesh(6, 2, 41);
         let xs = batch(6, 3, 0.9);
-        let want = BackendKind::Panel.backend().forward_batch(src.mesh(), &xs);
-        let batcher = MeshBatcher::with_metrics(BackendKind::Panel, 1_000, Some(metrics.clone()));
+        let want = BackendKind::Simd.backend().forward_batch(src.mesh(), &xs);
+        let batcher = MeshBatcher::with_metrics(BackendKind::Simd, 1_000, Some(metrics.clone()));
         let handle = batcher.submit(BatchKey { model: 7, lane: 0 }, src, xs);
         // Resolved already: the pass ran on this thread inside submit.
         assert!(matches!(handle.0, Receipt::Ready(Some(_))), "{handle:?}");
@@ -672,7 +671,7 @@ mod tests {
         let registry = Registry::new();
         let metrics = BatcherMetrics::new(&registry);
         let batcher = Arc::new(MeshBatcher::with_metrics(
-            BackendKind::Panel,
+            BackendKind::Simd,
             1_000,
             Some(metrics.clone()),
         ));
@@ -720,7 +719,7 @@ mod tests {
 
     #[test]
     fn the_ending_pass_hands_its_backlog_off_instead_of_running_it() {
-        let batcher = Arc::new(MeshBatcher::new(BackendKind::Panel, 1_000));
+        let batcher = Arc::new(MeshBatcher::new(BackendKind::Simd, 1_000));
         let key = BatchKey { model: 2, lane: 1 };
         let (leader_src, leader_gate) = gated(random_mesh(6, 2, 5));
         let (backlog_src, backlog_gate) = gated(random_mesh(6, 2, 5));
@@ -750,7 +749,7 @@ mod tests {
         let registry = Registry::new();
         let metrics = BatcherMetrics::new(&registry);
         let batcher = Arc::new(MeshBatcher::with_metrics(
-            BackendKind::Panel,
+            BackendKind::Simd,
             10,
             Some(metrics.clone()),
         ));
@@ -841,7 +840,7 @@ mod tests {
         let registry = Registry::new();
         let metrics = BatcherMetrics::new(&registry);
         let batcher = Arc::new(MeshBatcher::with_metrics(
-            BackendKind::Panel,
+            BackendKind::Simd,
             1_000,
             Some(metrics.clone()),
         ));
@@ -878,13 +877,9 @@ mod tests {
         let src_a = mesh(5, 2, 21);
         let src_b = mesh(5, 2, 22);
         let xs = batch(5, 4, 0.2);
-        let want_a = BackendKind::Panel
-            .backend()
-            .forward_batch(src_a.mesh(), &xs);
-        let want_b = BackendKind::Panel
-            .backend()
-            .forward_batch(src_b.mesh(), &xs);
-        let batcher = Arc::new(MeshBatcher::new(BackendKind::Panel, 1_000));
+        let want_a = BackendKind::Simd.backend().forward_batch(src_a.mesh(), &xs);
+        let want_b = BackendKind::Simd.backend().forward_batch(src_b.mesh(), &xs);
+        let batcher = Arc::new(MeshBatcher::new(BackendKind::Simd, 1_000));
         let (held_src, gate) = gated(random_mesh(5, 2, 21));
         let held = submit_and_wait(
             &batcher,
@@ -906,7 +901,7 @@ mod tests {
     #[test]
     fn empty_and_oversized_submissions_resolve_on_arrival() {
         let src = mesh(4, 1, 9);
-        let batcher = MeshBatcher::new(BackendKind::Panel, 8);
+        let batcher = MeshBatcher::new(BackendKind::Simd, 8);
         let key = BatchKey { model: 6, lane: 0 };
         let (outs, info) = batcher
             .submit(key, src.clone(), Vec::new())
@@ -915,7 +910,7 @@ mod tests {
         assert!(outs.is_empty());
         assert_eq!(info.batch_tiles, 0);
         let xs = batch(4, 12, 0.6);
-        let want = BackendKind::Panel.backend().forward_batch(src.mesh(), &xs);
+        let want = BackendKind::Simd.backend().forward_batch(src.mesh(), &xs);
         let (outs, info) = batcher.submit(key, src, xs).wait_info().unwrap();
         assert_eq!(outs, want);
         assert_eq!(info.cause, FlushCause::Full);

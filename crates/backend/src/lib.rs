@@ -3,19 +3,17 @@
 //! The codec, the trainer and every related mesh workload ultimately
 //! reduce to the same primitive: apply a [`Mesh`] (or its inverse) to a
 //! batch of real amplitude vectors. This crate abstracts that primitive
-//! behind the [`MeshBackend`] trait so the *schedule* — one vector at a
-//! time, fanned across threads, or packed into cache-friendly panels —
-//! can vary while the *numbers* cannot:
+//! behind the [`MeshBackend`] trait with one reference and one fast
+//! path:
 //!
-//! - [`ScalarBackend`] — the reference: per-vector dispatch through
-//!   `Mesh::forward_real`, serial or thread-parallel;
-//! - [`PanelBackend`] — packs vectors into mode-major
-//!   [`qn_linalg::Panel`]s and sweeps each beam-splitter layer across
-//!   the whole panel, chunked across threads;
-//! - [`SimdBackend`] — panel execution over pruned gate tables with
-//!   explicit lane-blocked rotations.
+//! - [`ScalarBackend`] — the reference and test oracle: per-vector
+//!   dispatch with the exact semantics of `Mesh::forward_real`;
+//! - [`SimdBackend`] — the production path (the default): tiles packed
+//!   into mode-major [`qn_linalg::Panel`]s, identity gates pruned, and
+//!   rotations swept across the lanes in explicit blocks, with panels
+//!   chunked across threads.
 //!
-//! All backends share the content-addressed gate-table cache
+//! Both share the content-addressed gate-table cache
 //! ([`tables::cached_tables`]): per-gate `sin_cos` is evaluated once
 //! per model, ever, instead of once per gate per panel per batch.
 //!
@@ -31,15 +29,12 @@
 //! `.qnc` containers record quantized mesh outputs; a decoder that
 //! produced even 1-ulp-different amplitudes could round a quantizer
 //! level differently and emit different pixels — a silent format
-//! incompatibility. Backends therefore declare an explicit
-//! [`Equivalence`] contract against the scalar reference — bit-exact
-//! for most, value-equal up to the sign of IEEE zeros for the pruning
-//! `simd` backend (a distinction the quantizer provably cannot
-//! observe) — and the cross-backend conformance suite plus the golden
-//! bitstream vectors pin the resulting byte-compatibility in CI.
+//! incompatibility. The [`MeshBackend`] rustdoc therefore states the
+//! contract every backend meets against the scalar reference, and the
+//! conformance properties plus the golden bitstream vectors pin the
+//! resulting byte-compatibility in CI.
 
 mod batch;
-mod panel;
 mod scalar;
 mod simd;
 pub mod tables;
@@ -47,9 +42,8 @@ pub mod tables;
 pub use batch::{
     BatchHandle, BatchInfo, BatchKey, BatcherMetrics, FlushCause, MeshBatcher, MeshSource,
 };
-pub use panel::{PanelBackend, DEFAULT_PANEL_WIDTH};
 pub use scalar::ScalarBackend;
-pub use simd::SimdBackend;
+pub use simd::{SimdBackend, DEFAULT_PANEL_WIDTH};
 pub use tables::{cached_tables, table_cache_stats, TableCacheStats};
 
 use qn_photonic::Mesh;
@@ -59,30 +53,30 @@ use std::str::FromStr;
 /// Executes mesh forward/inverse passes over batches of amplitude
 /// vectors.
 ///
-/// # Equivalence contract
+/// # Contract: `ZeroSignOnly` against the scalar reference
 ///
 /// For every implementation, every mesh `U`, and every batch,
 /// `forward_batch(U, batch)[i]` must match `U.forward_real_copy(&batch[i])`
 /// (and `inverse_batch` likewise against `U.inverse_real`) for all `i`,
 /// in input order, regardless of thread count, batch size or internal
-/// blocking — to the precision the backend *declares* via
-/// [`BackendKind::equivalence`]:
+/// blocking, as follows:
 ///
-/// - [`Equivalence::BitExact`] (scalar, scalar-parallel, panel): the
-///   same `f64` bit patterns. Implementations keep the per-gate
-///   arithmetic exactly as written in `MeshLayer::apply_real`
-///   (`c·a − s·b`, `s·a + c·b`, `sin_cos`-derived coefficients) — no
-///   reassociation, no FMA contraction, no extended-precision
-///   accumulation.
-/// - [`Equivalence::ZeroSignOnly`] (simd): every output compares equal
-///   under `f64 ==` — the absolute difference is exactly `0.0`, a zero
-///   tolerance budget — but the sign of an IEEE zero may differ
-///   (identity-gate pruning preserves stored `-0.0` bits where the
-///   reference's `0·a + 1·b` rewrites them to `+0.0`).
+/// - every output compares equal under `f64 ==` — the absolute
+///   difference is exactly `0.0`, a zero tolerance budget;
+/// - bits may differ only where both values are IEEE zeros.
 ///
-/// Either way `.qnc` containers encode and decode byte-identically
-/// under every backend: quantization and pixel reconstruction cannot
-/// distinguish `-0.0` from `+0.0`. The conformance suite
+/// [`ScalarBackend`] meets this trivially: it is bit-identical to the
+/// reference (same `c·a − s·b` / `s·a + c·b` per-gate expressions, same
+/// `sin_cos` values, no reassociation, no FMA contraction).
+/// [`SimdBackend`] uses the zero-sign latitude: pruning an identity
+/// gate (`θ = ±0.0`) keeps an amplitude's stored bits where the
+/// reference computes `1·a − 0·b` / `0·a + 1·b`, which can rewrite
+/// `-0.0` to `+0.0`. On meshes without identity gates it is
+/// bit-identical too.
+///
+/// `.qnc` containers encode and decode byte-identically under either
+/// backend: quantization and pixel reconstruction cannot distinguish
+/// `-0.0` from `+0.0`. The conformance suite
 /// (`tests/codec_properties.rs`), the golden vectors
 /// (`tests/golden_vectors.rs`) and the epsilon-budget test below
 /// enforce all of this.
@@ -106,52 +100,29 @@ pub trait MeshBackend: fmt::Debug + Sync {
     fn inverse_batch(&self, mesh: &Mesh, batch: &[Vec<f64>]) -> Vec<Vec<f64>>;
 }
 
-/// Declared numeric equivalence of a backend against the scalar
-/// reference — the precision class the conformance suite holds it to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Equivalence {
-    /// Outputs are bit-identical `f64`s.
-    BitExact,
-    /// Outputs compare equal under `f64 ==` (absolute difference
-    /// exactly `0.0`); only the sign of IEEE zeros may differ.
-    ZeroSignOnly,
-}
-
 /// Value-level backend selector for CLI flags and codec options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// Per-vector dispatch on the calling thread.
+    /// Per-vector dispatch on the calling thread: the reference.
     Scalar,
-    /// Per-vector dispatch fanned across threads.
-    ScalarParallel,
-    /// Batched mode-major panels, chunked across threads (default).
+    /// Pruned gate tables + explicit lane-blocked rotations over
+    /// thread-chunked panels (default).
     #[default]
-    Panel,
-    /// Pruned gate tables + explicit lane-blocked rotations.
     Simd,
 }
 
 /// Shared instances behind [`BackendKind::backend`].
-static SCALAR: ScalarBackend = ScalarBackend::serial();
-static SCALAR_PARALLEL: ScalarBackend = ScalarBackend::parallel();
-static PANEL: PanelBackend = PanelBackend::with_width(DEFAULT_PANEL_WIDTH);
+static SCALAR: ScalarBackend = ScalarBackend;
 static SIMD: SimdBackend = SimdBackend::with_width(DEFAULT_PANEL_WIDTH);
 
 impl BackendKind {
     /// Every selectable backend, in documentation order.
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Scalar,
-        BackendKind::ScalarParallel,
-        BackendKind::Panel,
-        BackendKind::Simd,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Simd];
 
     /// The backend instance this selector names.
     pub fn backend(self) -> &'static dyn MeshBackend {
         match self {
             BackendKind::Scalar => &SCALAR,
-            BackendKind::ScalarParallel => &SCALAR_PARALLEL,
-            BackendKind::Panel => &PANEL,
             BackendKind::Simd => &SIMD,
         }
     }
@@ -160,20 +131,7 @@ impl BackendKind {
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
-            BackendKind::ScalarParallel => "scalar-parallel",
-            BackendKind::Panel => "panel",
             BackendKind::Simd => "simd",
-        }
-    }
-
-    /// The backend's declared equivalence contract against the scalar
-    /// reference (see the [`MeshBackend`] rustdoc).
-    pub fn equivalence(self) -> Equivalence {
-        match self {
-            BackendKind::Scalar | BackendKind::ScalarParallel | BackendKind::Panel => {
-                Equivalence::BitExact
-            }
-            BackendKind::Simd => Equivalence::ZeroSignOnly,
         }
     }
 }
@@ -189,12 +147,10 @@ impl FromStr for BackendKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "scalar" | "serial" => Ok(BackendKind::Scalar),
-            "scalar-parallel" | "parallel" => Ok(BackendKind::ScalarParallel),
-            "panel" => Ok(BackendKind::Panel),
+            "scalar" => Ok(BackendKind::Scalar),
             "simd" => Ok(BackendKind::Simd),
             other => Err(format!(
-                "unknown backend {other:?} (expected scalar, scalar-parallel, panel or simd)"
+                "unknown backend {other:?} (expected scalar or simd)"
             )),
         }
     }
@@ -228,34 +184,16 @@ mod tests {
             assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
             assert_eq!(kind.to_string(), kind.name());
         }
-        assert_eq!(
-            "serial".parse::<BackendKind>().unwrap(),
-            BackendKind::Scalar
-        );
-        assert_eq!(
-            "parallel".parse::<BackendKind>().unwrap(),
-            BackendKind::ScalarParallel
-        );
-        assert_eq!("simd".parse::<BackendKind>().unwrap(), BackendKind::Simd);
-        assert!("vector".parse::<BackendKind>().is_err());
-        assert_eq!(BackendKind::default(), BackendKind::Panel);
-    }
-
-    #[test]
-    fn equivalence_contracts_are_declared_per_backend() {
-        for kind in BackendKind::ALL {
-            let expected = if kind == BackendKind::Simd {
-                Equivalence::ZeroSignOnly
-            } else {
-                Equivalence::BitExact
-            };
-            assert_eq!(kind.equivalence(), expected, "{kind}");
+        for unknown in ["serial", "parallel", "scalar-parallel", "panel", "vector"] {
+            let err = unknown.parse::<BackendKind>().unwrap_err();
+            assert!(err.contains("unknown backend"), "{unknown}: {err}");
+            assert!(err.contains("scalar") && err.contains("simd"), "{err}");
         }
+        assert_eq!(BackendKind::default(), BackendKind::Simd);
     }
 
     #[test]
     fn zero_width_backends_are_rejected_at_construction() {
-        assert!(std::panic::catch_unwind(|| PanelBackend::with_width(0)).is_err());
         assert!(std::panic::catch_unwind(|| SimdBackend::with_width(0)).is_err());
     }
 
@@ -313,22 +251,30 @@ mod tests {
 
     #[test]
     fn all_backends_match_the_scalar_reference_bitwise() {
+        // A random mesh has no identity gates, so simd prunes nothing
+        // and must reproduce the reference bit for bit.
         let m = mesh(10, 3);
         let xs = batch(10, 23); // ragged against every panel width
-        let reference: Vec<Vec<f64>> = xs.iter().map(|x| m.forward_real_copy(x)).collect();
-        let inverse_reference: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|x| {
-                let mut v = x.clone();
-                m.inverse_real(&mut v);
-                v
-            })
-            .collect();
+        let bits = |vs: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            vs.iter()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let reference = bits(xs.iter().map(|x| m.forward_real_copy(x)).collect());
+        let inverse_reference = bits(
+            xs.iter()
+                .map(|x| {
+                    let mut v = x.clone();
+                    m.inverse_real(&mut v);
+                    v
+                })
+                .collect(),
+        );
         for kind in BackendKind::ALL {
             let b = kind.backend();
-            assert_eq!(b.forward_batch(&m, &xs), reference, "{kind} forward");
+            assert_eq!(bits(b.forward_batch(&m, &xs)), reference, "{kind} forward");
             assert_eq!(
-                b.inverse_batch(&m, &xs),
+                bits(b.inverse_batch(&m, &xs)),
                 inverse_reference,
                 "{kind} inverse"
             );
@@ -341,17 +287,6 @@ mod tests {
         for kind in BackendKind::ALL {
             assert!(kind.backend().forward_batch(&m, &[]).is_empty());
             assert!(kind.backend().inverse_batch(&m, &[]).is_empty());
-        }
-    }
-
-    #[test]
-    fn panel_widths_including_one_agree_with_scalar() {
-        let m = mesh(6, 2);
-        let xs = batch(6, 7);
-        let reference = BackendKind::Scalar.backend().forward_batch(&m, &xs);
-        for width in [1usize, 2, 3, 7, 8, 64] {
-            let backend = PanelBackend::with_width(width);
-            assert_eq!(backend.forward_batch(&m, &xs), reference, "width {width}");
         }
     }
 
@@ -371,9 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn default_panel_backend_uses_the_documented_width() {
-        assert_eq!(PanelBackend::default().width(), DEFAULT_PANEL_WIDTH);
-        assert_eq!(PanelBackend::with_width(7).width(), 7);
+    fn default_simd_backend_uses_the_documented_width() {
+        assert_eq!(SimdBackend::default().width(), DEFAULT_PANEL_WIDTH);
+        assert_eq!(SimdBackend::with_width(7).width(), 7);
     }
 
     #[test]
@@ -394,7 +329,7 @@ mod tests {
         let xs = batch(9, 13);
         let reference = BackendKind::Scalar.backend().forward_batch(&m, &xs);
         assert_eq!(
-            BackendKind::Panel.backend().forward_batch(&m, &xs),
+            BackendKind::Simd.backend().forward_batch(&m, &xs),
             reference
         );
     }

@@ -2,51 +2,19 @@
 
 use crate::tables::cached_tables;
 use crate::MeshBackend;
-use qn_linalg::parallel::par_map_indexed;
 use qn_photonic::Mesh;
 
-/// Per-vector dispatch with the exact semantics of
-/// `Mesh::forward_real` — the reference every other backend must
-/// reproduce. The per-gate pass runs through the shared gate-table
-/// cache (cached `sin_cos` values are bit-identical to recomputation,
-/// so outputs are unchanged down to the last bit). The parallel
-/// flavour fans vectors across threads; each vector's pass is
-/// untouched, so serial and parallel outputs are identical.
+/// Per-vector dispatch on the calling thread with the exact semantics
+/// of `Mesh::forward_real` — the reference every other backend is
+/// checked against. The per-gate pass runs through the shared
+/// gate-table cache (cached `sin_cos` values are bit-identical to
+/// recomputation, so outputs are unchanged down to the last bit).
 #[derive(Debug, Clone, Copy)]
-pub struct ScalarBackend {
-    parallel: bool,
-}
-
-impl ScalarBackend {
-    /// Scalar dispatch on the calling thread.
-    pub const fn serial() -> Self {
-        ScalarBackend { parallel: false }
-    }
-
-    /// Scalar dispatch fanned across threads (one vector per task).
-    pub const fn parallel() -> Self {
-        ScalarBackend { parallel: true }
-    }
-
-    fn map<F>(&self, n: usize, f: F) -> Vec<Vec<f64>>
-    where
-        F: Fn(usize) -> Vec<f64> + Sync + Send,
-    {
-        if self.parallel {
-            par_map_indexed(n, f)
-        } else {
-            (0..n).map(f).collect()
-        }
-    }
-}
+pub struct ScalarBackend;
 
 impl MeshBackend for ScalarBackend {
     fn name(&self) -> &'static str {
-        if self.parallel {
-            "scalar-parallel"
-        } else {
-            "scalar"
-        }
+        "scalar"
     }
 
     fn forward_batch(&self, mesh: &Mesh, batch: &[Vec<f64>]) -> Vec<Vec<f64>> {
@@ -54,11 +22,14 @@ impl MeshBackend for ScalarBackend {
             return Vec::new();
         }
         let tables = cached_tables(mesh);
-        self.map(batch.len(), |i| {
-            let mut v = batch[i].clone();
-            tables.forward_amps(&mut v);
-            v
-        })
+        batch
+            .iter()
+            .map(|x| {
+                let mut v = x.clone();
+                tables.forward_amps(&mut v);
+                v
+            })
+            .collect()
     }
 
     fn inverse_batch(&self, mesh: &Mesh, batch: &[Vec<f64>]) -> Vec<Vec<f64>> {
@@ -66,10 +37,13 @@ impl MeshBackend for ScalarBackend {
             return Vec::new();
         }
         let tables = cached_tables(mesh);
-        self.map(batch.len(), |i| {
-            let mut v = batch[i].clone();
-            tables.inverse_amps(&mut v);
-            v
-        })
+        batch
+            .iter()
+            .map(|x| {
+                let mut v = x.clone();
+                tables.inverse_amps(&mut v);
+                v
+            })
+            .collect()
     }
 }

@@ -1,37 +1,54 @@
 //! The explicit-SIMD backend: pruned gate tables + lane-blocked
 //! rotations.
 //!
-//! Same panel decomposition as [`crate::PanelBackend`], but the mesh
-//! pass runs [`qn_photonic::MeshTables`]' blocked kernels: identity
-//! gates (`θ = ±0.0`, roughly half the gate slots of an ASAP-packed
-//! spectral model) are skipped outright, and the surviving rotations
-//! sweep the panel lanes in explicit `f64x4`-style blocks
-//! (`qn_linalg::panel::rotate_lanes_blocked`) — four independent
-//! mul/add pairs per block that the compiler keeps in vector
-//! registers, no nightly features.
+//! Tiles are packed into mode-major [`qn_linalg::Panel`]s of up to
+//! [`DEFAULT_PANEL_WIDTH`] lanes, and the mesh pass runs
+//! [`qn_photonic::MeshTables`]' blocked kernels: identity gates
+//! (`θ = ±0.0`, roughly half the gate slots of an ASAP-packed spectral
+//! model) are skipped outright, and the surviving rotations sweep the
+//! panel lanes in explicit [`qn_linalg::panel::LANE_BLOCK`]-wide blocks
+//! (`qn_linalg::panel::rotate_lanes_blocked`) — independent mul/add
+//! pairs per block that the compiler keeps in vector registers, no
+//! nightly features. Panels are chunked across threads.
 //!
-//! # Declared equivalence: [`crate::Equivalence::ZeroSignOnly`]
-//!
-//! Skipping an identity gate preserves an amplitude's stored bits where
-//! the reference computes `1·a − 0·b` / `0·a + 1·b`, which can rewrite
-//! the *sign of an IEEE zero*. Every output therefore compares equal to
-//! the scalar reference under `f64 ==` (absolute difference exactly
-//! `0.0`), but is not guaranteed bit-identical on zero amplitudes.
-//! Downstream this is invisible: quantization, tile scaling and pixel
-//! hashing are all sign-of-zero insensitive, so `.qnc` containers and
-//! decoded pixels stay byte-identical — the conformance and golden
-//! suites run this backend against the same value-equality assertions
-//! as every other, and the epsilon-budget test in `crate` pins the
-//! "only zero signs" claim bit-by-bit.
+//! Outputs meet the `ZeroSignOnly` contract stated on
+//! [`crate::MeshBackend`]: skipping an identity gate preserves an
+//! amplitude's stored bits where the scalar reference computes
+//! `1·a − 0·b` / `0·a + 1·b`, which can rewrite the *sign of an IEEE
+//! zero*, so values compare equal but zero signs may differ.
 
-use crate::panel::{run_chunked, DEFAULT_PANEL_WIDTH};
 use crate::tables::cached_tables;
 use crate::MeshBackend;
+use qn_linalg::parallel::par_map_chunked_into;
+use qn_linalg::Panel;
 use qn_photonic::Mesh;
 
+/// Default lanes per panel. At the paper's N = 16 state dimension one
+/// panel is 16 × 64 × 8 B = 8 KiB — two rows (1 KiB) live comfortably
+/// in L1 while a gate sweeps them — and a 256×256 image (4096 tiles)
+/// still splits into 64 chunks for thread-level parallelism.
+pub const DEFAULT_PANEL_WIDTH: usize = 64;
+
+/// Split `batch` into `width`-lane panels, apply a mesh pass to each,
+/// and write the results straight into a preallocated output batch —
+/// one allocation per output column, no per-chunk collection vectors.
+/// Chunk boundaries depend only on the batch length and `width`, so
+/// results are thread-count invariant whenever `apply` is.
+fn run_chunked<F>(width: usize, batch: &[Vec<f64>], apply: F) -> Vec<Vec<f64>>
+where
+    F: Fn(&mut Panel) + Sync,
+{
+    let mut out: Vec<Vec<f64>> = batch.iter().map(|v| vec![0.0; v.len()]).collect();
+    par_map_chunked_into(&mut out, width, |start, block| {
+        let mut panel = Panel::from_columns(&batch[start..start + block.len()]);
+        apply(&mut panel);
+        panel.write_columns_into(block);
+    });
+    out
+}
+
 /// Lane-blocked, identity-pruned panel execution over cached gate
-/// tables — see the module docs for the kernel and its declared
-/// equivalence contract.
+/// tables — see the module docs for the kernel and its contract.
 #[derive(Debug, Clone, Copy)]
 pub struct SimdBackend {
     width: usize,
@@ -39,10 +56,11 @@ pub struct SimdBackend {
 
 impl SimdBackend {
     /// SIMD backend with an explicit panel width (lanes per panel).
+    /// [`DEFAULT_PANEL_WIDTH`] suits the codec's tile sizes.
     ///
     /// # Panics
-    /// Panics when `width` is zero — rejected at construction, like
-    /// [`crate::PanelBackend::with_width`].
+    /// Panics when `width` is zero — rejected here, at construction,
+    /// not on the first batch.
     pub const fn with_width(width: usize) -> Self {
         assert!(width > 0, "panel width must be positive");
         SimdBackend { width }

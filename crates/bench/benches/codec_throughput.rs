@@ -1,7 +1,7 @@
 //! Criterion bench: codec encode/decode throughput in tiles/sec across
-//! the execution backends (scalar serial, scalar parallel, batched
-//! panels) on identical inputs — the numbers recorded in
-//! `BENCH_codec.json` (see `qn-bench`'s `bench_codec` binary).
+//! the execution backends (the scalar reference and simd) on identical
+//! inputs — the numbers recorded in `BENCH_codec.json` (see `qn-bench`'s
+//! `bench_codec` binary).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qn_codec::{BackendKind, Codec, CodecOptions};
@@ -44,7 +44,7 @@ fn bench_decode(c: &mut Criterion) {
     for &size in &[64usize, 128, 256] {
         let (codec, img, tiles) = fixture(size);
         let bytes = codec
-            .encode_image(&img, &opts(BackendKind::Panel))
+            .encode_image(&img, &opts(BackendKind::default()))
             .expect("encode fixture");
         group.throughput(Throughput::Elements(tiles as u64));
         for backend in BackendKind::ALL {
@@ -64,7 +64,7 @@ fn bench_container_parse(c: &mut Criterion) {
     // Bitstream-only cost: parse without running the meshes.
     let (codec, img, tiles) = fixture(128);
     let bytes = codec
-        .encode_image(&img, &opts(BackendKind::Panel))
+        .encode_image(&img, &opts(BackendKind::default()))
         .expect("encode");
     let mut group = c.benchmark_group("codec_container");
     group.throughput(Throughput::Elements(tiles as u64));

@@ -1,7 +1,7 @@
 //! Codec throughput recorder: measures encode/decode tiles/sec for
 //! every execution backend on identical inputs — pinned to a one-thread
 //! pool so the per-backend rows are true single-core numbers on any
-//! host — then sweeps a thread axis over the widest backend, prints a
+//! host — then sweeps a thread axis over the simd backend, prints a
 //! table, and writes the numbers to `BENCH_codec.json` at the workspace
 //! root — the machine-readable trail the ROADMAP's batching claims
 //! point at.
@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Thread counts swept over the widest backend. Counts above the
+/// Thread counts swept over the simd backend. Counts above the
 /// host's parallelism still run (the pool spawns that many workers);
 /// their rows record what oversubscription costs.
 const THREAD_AXIS: [usize; 4] = [1, 2, 4, 8];
@@ -113,7 +113,7 @@ fn main() {
     };
 
     // Backends must agree byte-for-byte before their speed means
-    // anything (the declared contracts guarantee value-equal mesh
+    // anything (the backend contract guarantees value-equal mesh
     // outputs, hence identical containers).
     let reference = {
         let opts = CodecOptions {
@@ -144,7 +144,7 @@ fn main() {
         push_entry(backend, 1, enc_tps, dec_tps);
     }
 
-    // Thread axis over the widest backend: the chunked panel schedule
+    // Thread axis over the simd backend: the chunked panel schedule
     // is thread-count invariant, so these rows move only in speed,
     // never in bytes.
     for threads in THREAD_AXIS {

@@ -2,7 +2,7 @@
 //! in-process `qn-serve` instances and measures requests/s, tiles/s
 //! and client-observed p50/p99 request latency at 1/4/16 concurrent
 //! clients, comparing per-request scalar dispatch (batching off)
-//! against cross-request panel batching — the number the ROADMAP's
+//! against cross-request simd batching — the number the ROADMAP's
 //! serving claims point at. Final rows measure the cost of the
 //! telemetry layer itself (instrumented server vs `metrics: false`)
 //! and of span tracing (untraced requests on a tracing-armed server,
@@ -69,8 +69,8 @@ fn main() {
             batch_tiles: 1,
         },
         Mode {
-            name: "panel-batched",
-            backend: BackendKind::Panel,
+            name: "simd-batched",
+            backend: BackendKind::default(),
             batch_tiles: ServerConfig::default().batch_tiles,
         },
     ];

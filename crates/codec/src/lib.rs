@@ -22,8 +22,9 @@
 //! - [`pipeline`] — the full-image path: `qn-image` tiling → batch
 //!   amplitude encode → `U_C`/`P1` → quantize + entropy-code, and the
 //!   reverse through `U_R`, with the mesh passes dispatched through a
-//!   selectable, bit-compatible `qn_backend::MeshBackend` (scalar
-//!   serial/parallel or batched tile panels);
+//!   selectable `qn_backend::MeshBackend` (the `simd` panel path by
+//!   default, the `scalar` reference on request — same bytes either
+//!   way);
 //! - the `qnc` binary — `compress` / `decompress` / `train` / `info`
 //!   over PGM files.
 //!

@@ -10,9 +10,11 @@
 //! converts `GrayImage`s to `.qnc` bytes and back. The mesh passes that
 //! dominate runtime are dispatched as whole-image batches through a
 //! [`qn_backend::MeshBackend`] selected by [`CodecOptions::backend`]:
-//! scalar per-tile dispatch (serial or thread-fanned) or batched tile
-//! panels. Every backend is bit-compatible, so the bytes a container
-//! holds — and the pixels it decodes to — never depend on the schedule.
+//! the `simd` panel path by default, or the `scalar` per-tile reference.
+//! Backends may differ only in the sign of IEEE zeros, which the
+//! magnitude quantizer and the pixel decode erase, so the bytes a
+//! container holds — and the pixels it decodes to — never depend on the
+//! backend.
 
 use crate::container::{
     dequantize_norm, quantize_norm, Container, ContainerHeader, TilePayload, FLAG_INLINE_MODEL,
@@ -79,8 +81,9 @@ pub struct CodecOptions {
     pub per_tile_scale: bool,
     /// Embed the model file in the container so it decodes standalone.
     pub inline_model: bool,
-    /// Execution backend for the mesh passes. Backends are
-    /// bit-compatible: this knob changes throughput only, never bytes.
+    /// Execution backend for the mesh passes (default `simd`; `scalar`
+    /// is the reference). This knob changes throughput only, never
+    /// bytes or pixels.
     pub backend: BackendKind,
     /// Entropy coder for the latent payload. `Rice` writes format v1
     /// (bit-exact with pre-v2 builds); `RicePos`/`Range` write format
@@ -96,7 +99,7 @@ impl Default for CodecOptions {
             bits: 8,
             per_tile_scale: false,
             inline_model: true,
-            backend: BackendKind::Panel,
+            backend: BackendKind::default(),
             entropy: EntropyCoder::Rice,
         }
     }
@@ -295,8 +298,8 @@ impl Codec {
     /// [`Codec::encode_image_with_stats`] dispatches them directly
     /// through [`CodecOptions::backend`], while a serving layer can
     /// coalesce them with other requests' tiles — and feed the outputs
-    /// (bit-identical by the backend contract) to
-    /// [`Codec::complete_encode`].
+    /// (equal up to zero signs by the backend contract, which the
+    /// quantizer erases) to [`Codec::complete_encode`].
     ///
     /// # Errors
     /// [`CodecError::Invalid`] for empty images, zero/oversize tile
@@ -513,9 +516,9 @@ impl Codec {
         self.decode_bytes_with(bytes, BackendKind::default())
     }
 
-    /// Decompress through an explicit execution backend. Backends are
-    /// bit-compatible, so every [`BackendKind`] yields the identical
-    /// image.
+    /// Decompress through an explicit execution backend. Backends
+    /// differ at most in the sign of IEEE zeros, which decoding erases,
+    /// so every [`BackendKind`] yields the identical image.
     ///
     /// # Errors
     /// See [`Codec::decode_bytes`].

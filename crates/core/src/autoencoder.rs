@@ -57,9 +57,11 @@ impl QuantumAutoencoder {
     /// Run a batch of raw data vectors through the full pipeline on an
     /// explicit execution backend: both mesh passes are dispatched as
     /// batches (`U_C` forward, then `U_R` forward on the projected
-    /// states), so a panel backend sweeps each layer across the whole
+    /// states), so the simd backend sweeps each layer across the whole
     /// batch. Per-sample results are bit-identical to
-    /// [`QuantumAutoencoder::roundtrip`] under every backend.
+    /// [`QuantumAutoencoder::roundtrip`] under every backend: decoding
+    /// squares each amplitude, which erases the only difference (IEEE
+    /// zero signs) the `MeshBackend` contract allows.
     ///
     /// # Errors
     /// Propagates encoding errors (zero vector, oversize data) from any
@@ -301,7 +303,7 @@ mod tests {
         let mut bad = xs;
         bad[3] = vec![0.0; 8];
         assert!(ae
-            .roundtrip_batch_with(&bad, BackendKind::Panel.backend())
+            .roundtrip_batch_with(&bad, BackendKind::Simd.backend())
             .is_err());
     }
 

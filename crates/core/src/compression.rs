@@ -99,14 +99,15 @@ impl CompressionNetwork {
         out
     }
 
-    /// Batch forward pass (parallel over samples).
+    /// Batch forward pass through the default backend
+    /// ([`BackendKind::default`], panels chunked across threads).
     pub fn forward_batch(&self, encoded: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.forward_batch_with(encoded, BackendKind::ScalarParallel.backend())
+        self.forward_batch_with(encoded, BackendKind::default().backend())
     }
 
     /// Batch forward pass through an explicit execution backend. Every
-    /// backend is bit-identical to [`CompressionNetwork::forward`] per
-    /// sample (the `MeshBackend` equivalence contract).
+    /// backend matches [`CompressionNetwork::forward`] per sample up to
+    /// the sign of IEEE zeros (the `MeshBackend` contract).
     pub fn forward_batch_with(
         &self,
         encoded: &[Vec<f64>],
@@ -115,13 +116,15 @@ impl CompressionNetwork {
         backend.forward_batch(&self.mesh, encoded)
     }
 
-    /// Batch compression (parallel over samples).
+    /// Batch compression through the default backend
+    /// ([`BackendKind::default`]).
     pub fn compress_batch(&self, encoded: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.compress_batch_with(encoded, BackendKind::ScalarParallel.backend())
+        self.compress_batch_with(encoded, BackendKind::default().backend())
     }
 
     /// Batch compression through an explicit execution backend —
-    /// bit-identical to [`CompressionNetwork::compress`] per sample.
+    /// equal to [`CompressionNetwork::compress`] per sample up to the
+    /// sign of IEEE zeros (the `MeshBackend` contract).
     pub fn compress_batch_with(
         &self,
         encoded: &[Vec<f64>],

@@ -22,10 +22,11 @@
 //! (backprop) gradient as engineering upgrades — see
 //! [`gradient::GradientMethod`].
 //!
-//! Extensions beyond the paper's evaluation, each flagged in `DESIGN.md`:
-//! [`spectral`] (PCA-optimal initialisation via Clements decomposition),
-//! [`complexnet`] (trainable phases α — the paper's stated future work),
-//! and shot-noise training via `qn-sim::shots`.
+//! Extensions beyond the paper's evaluation, each flagged in its module
+//! docs: [`spectral`] (PCA-optimal initialisation via Clements
+//! decomposition), [`complexnet`] (trainable phases α — the paper's
+//! stated future work), and shot-noise training through the trainer's
+//! own seeded multinomial sampler ([`config::NetworkConfig::shots`]).
 
 pub mod autoencoder;
 pub mod complexnet;

@@ -64,14 +64,15 @@ impl ReconstructionNetwork {
         self.mesh.forward_real_copy(compressed)
     }
 
-    /// Batch reconstruction (parallel over samples).
+    /// Batch reconstruction through the default backend
+    /// ([`BackendKind::default`], panels chunked across threads).
     pub fn reconstruct_batch(&self, compressed: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.reconstruct_batch_with(compressed, BackendKind::ScalarParallel.backend())
+        self.reconstruct_batch_with(compressed, BackendKind::default().backend())
     }
 
     /// Batch reconstruction through an explicit execution backend —
-    /// bit-identical to [`ReconstructionNetwork::reconstruct`] per
-    /// sample (the `MeshBackend` equivalence contract).
+    /// equal to [`ReconstructionNetwork::reconstruct`] per sample up to
+    /// the sign of IEEE zeros (the `MeshBackend` contract).
     pub fn reconstruct_batch_with(
         &self,
         compressed: &[Vec<f64>],

@@ -211,8 +211,8 @@ mod tests {
             latent_dim: 8,
             bits: 8,
         };
-        let a = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Panel, false).unwrap();
-        let b = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Panel, false).unwrap();
+        let a = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, false).unwrap();
+        let b = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, false).unwrap();
         assert_eq!(a.bpp.to_bits(), b.bpp.to_bits());
         assert_eq!(a.psnr_db.to_bits(), b.psnr_db.to_bits());
         assert_eq!(a.ssim.to_bits(), b.ssim.to_bits());
@@ -225,18 +225,19 @@ mod tests {
 
     #[test]
     fn backends_agree_on_rd_points() {
-        // Backends are bit-compatible, so RD numbers cannot depend on
-        // the schedule — the quality mirror of the conformance suite.
+        // Backends differ at most in zero signs, which quantization
+        // erases, so RD numbers cannot depend on the backend — the
+        // quality mirror of the conformance suite.
         let ds = blobs();
         let p = OperatingPoint {
             tile_size: 4,
             latent_dim: 4,
             bits: 6,
         };
-        let panel = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Panel, false).unwrap();
+        let simd = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, false).unwrap();
         let scalar = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Scalar, false).unwrap();
-        assert_eq!(panel.bpp.to_bits(), scalar.bpp.to_bits());
-        assert_eq!(panel.psnr_db.to_bits(), scalar.psnr_db.to_bits());
+        assert_eq!(simd.bpp.to_bits(), scalar.bpp.to_bits());
+        assert_eq!(simd.psnr_db.to_bits(), scalar.psnr_db.to_bits());
     }
 
     #[test]
@@ -250,7 +251,7 @@ mod tests {
                 bits: 4,
             },
             EntropyCoder::Rice,
-            BackendKind::Panel,
+            BackendKind::Simd,
             false,
         )
         .unwrap();
@@ -262,7 +263,7 @@ mod tests {
                 bits: 8,
             },
             EntropyCoder::Rice,
-            BackendKind::Panel,
+            BackendKind::Simd,
             false,
         )
         .unwrap();
@@ -278,7 +279,7 @@ mod tests {
             latent_dim: 4,
             bits: 8,
         };
-        let timed = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Panel, true).unwrap();
+        let timed = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, true).unwrap();
         let t = timed.throughput.expect("requested timings");
         assert!(t.encode_tiles_per_s > 0.0 && t.decode_tiles_per_s > 0.0);
     }
@@ -301,9 +302,8 @@ mod tests {
             ("lowrank", EntropyCoder::Range),
         ] {
             let ds = registry::builtin(ds_name, 0).unwrap();
-            let rice =
-                quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Panel, false).unwrap();
-            let v2 = quantum_point(&ds, p, coder, BackendKind::Panel, false).unwrap();
+            let rice = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, false).unwrap();
+            let v2 = quantum_point(&ds, p, coder, BackendKind::Simd, false).unwrap();
             assert_eq!(
                 v2.psnr_db.to_bits(),
                 rice.psnr_db.to_bits(),
@@ -320,8 +320,8 @@ mod tests {
         // The headline gate: ≥ 5 % payload reduction on the golden
         // point (blobs, tile 4, d 8, 8 bits) from per-position coding.
         let ds = blobs();
-        let rice = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Panel, false).unwrap();
-        let pos = quantum_point(&ds, p, EntropyCoder::RicePos, BackendKind::Panel, false).unwrap();
+        let rice = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, false).unwrap();
+        let pos = quantum_point(&ds, p, EntropyCoder::RicePos, BackendKind::Simd, false).unwrap();
         assert!(
             pos.bpp <= rice.bpp * 0.95,
             "rice-pos saved only {:.2} % at the golden point",

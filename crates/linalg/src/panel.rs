@@ -5,15 +5,16 @@
 //! `m` are contiguous (`data[m·width + lane]`). A beam-splitter gate on
 //! modes `(k, k+1)` then touches exactly two contiguous rows, so one
 //! trigonometric evaluation sweeps the whole batch with a unit-stride,
-//! auto-vectorizable inner loop — the storage layout behind
-//! `qn-backend`'s `PanelBackend`.
+//! vectorizable inner loop — the storage layout behind `qn-backend`'s
+//! `SimdBackend`, whose rotations run through [`rotate_lanes_blocked`]
+//! and [`rotate_lanes_blocked_inverse`].
 //!
 //! Panels are a pure data-layout change: extracting lane `l` after any
 //! sequence of row operations yields bit-identical values to running the
 //! same operations on lane `l`'s vector alone, provided the per-row
 //! arithmetic is expressed identically (no reassociation, no FMA
-//! contraction). The mesh kernels in `qn-photonic` and the conformance
-//! suite in `tests/codec_properties.rs` hold that line.
+//! contraction). The blocked rotations below and the conformance suite
+//! in `tests/codec_properties.rs` hold that line.
 
 /// A `dim × width` batch of real amplitude vectors, mode-major.
 #[derive(Debug, Clone, PartialEq)]

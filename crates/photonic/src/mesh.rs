@@ -14,7 +14,7 @@
 
 use crate::beamsplitter::BeamSplitter;
 use crate::sequence::GateSequence;
-use qn_linalg::{Matrix, Panel};
+use qn_linalg::Matrix;
 use qn_sim::complex::Complex64;
 use rand::Rng;
 
@@ -162,52 +162,6 @@ impl MeshLayer {
             let b = amps[k + 1];
             amps[k] = c * a + s * b;
             amps[k + 1] = c * b - s * a;
-        }
-    }
-
-    /// Apply the layer to every lane of a mode-major [`Panel`] in place.
-    ///
-    /// Bitwise-equivalent to [`MeshLayer::apply_real`] on each lane: the
-    /// per-gate rotation is written with the identical `c·a − s·b` /
-    /// `s·a + c·b` expressions and the identical [`f64::sin_cos`] values,
-    /// evaluated once per gate instead of once per lane. The layout puts
-    /// the two rotated mode rows contiguous in memory, so the lane loop
-    /// is unit-stride and auto-vectorizable.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or complex gates.
-    pub fn apply_real_panel(&self, panel: &mut Panel) {
-        assert_eq!(panel.dim(), self.dim, "layer dimension mismatch");
-        assert!(self.is_real(), "complex layer applied to real amplitudes");
-        for k in self.positions() {
-            let (s, c) = self.thetas[k].sin_cos();
-            let (row_a, row_b) = panel.row_pair_mut(k);
-            for (a, b) in row_a.iter_mut().zip(row_b.iter_mut()) {
-                let x = *a;
-                let y = *b;
-                *a = c * x - s * y;
-                *b = s * x + c * y;
-            }
-        }
-    }
-
-    /// Apply the layer inverse to every lane of a [`Panel`] in place —
-    /// bitwise-equivalent to [`MeshLayer::apply_real_inverse`] per lane.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or complex gates.
-    pub fn apply_real_inverse_panel(&self, panel: &mut Panel) {
-        assert_eq!(panel.dim(), self.dim, "layer dimension mismatch");
-        assert!(self.is_real(), "complex layer applied to real amplitudes");
-        for k in self.positions_rev() {
-            let (s, c) = self.thetas[k].sin_cos();
-            let (row_a, row_b) = panel.row_pair_mut(k);
-            for (a, b) in row_a.iter_mut().zip(row_b.iter_mut()) {
-                let x = *a;
-                let y = *b;
-                *a = c * x + s * y;
-                *b = c * y - s * x;
-            }
         }
     }
 
@@ -388,29 +342,6 @@ impl Mesh {
     pub fn inverse_real(&self, amps: &mut [f64]) {
         for layer in self.layers.iter().rev() {
             layer.apply_real_inverse(amps);
-        }
-    }
-
-    /// Apply the full mesh to every lane of a [`Panel`] in place —
-    /// bitwise-equivalent to [`Mesh::forward_real`] on each lane (see
-    /// [`MeshLayer::apply_real_panel`] for the exact guarantee).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or complex gates.
-    pub fn forward_real_panel(&self, panel: &mut Panel) {
-        for layer in &self.layers {
-            layer.apply_real_panel(panel);
-        }
-    }
-
-    /// Apply the exact inverse `U⁻¹` to every lane of a [`Panel`] in
-    /// place — bitwise-equivalent to [`Mesh::inverse_real`] per lane.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or complex gates.
-    pub fn inverse_real_panel(&self, panel: &mut Panel) {
-        for layer in self.layers.iter().rev() {
-            layer.apply_real_inverse_panel(panel);
         }
     }
 
@@ -819,67 +750,6 @@ mod tests {
         assert!(m.max_abs_diff(&u).unwrap() < 1e-10);
         // Rectangular packing stays shallow: about N layers.
         assert!(mesh.n_layers() <= 10, "layers = {}", mesh.n_layers());
-    }
-
-    #[test]
-    fn panel_forward_is_bit_identical_to_per_vector_forward() {
-        // Descending-order layers included: reversed() flips the cascade.
-        for mesh in [
-            Mesh::random(9, 4, &mut rng()),
-            Mesh::random(9, 4, &mut rng()).reversed(),
-        ] {
-            let columns: Vec<Vec<f64>> = (0..5)
-                .map(|l| (0..9).map(|i| ((l * 9 + i) as f64 * 0.37).sin()).collect())
-                .collect();
-            let mut panel = Panel::from_columns(&columns);
-            mesh.forward_real_panel(&mut panel);
-            for (lane, col) in columns.iter().enumerate() {
-                let reference = mesh.forward_real_copy(col);
-                assert_eq!(panel.column(lane), reference, "lane {lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn panel_inverse_is_bit_identical_to_per_vector_inverse() {
-        let mesh = Mesh::random(7, 3, &mut rng());
-        let columns: Vec<Vec<f64>> = (0..4)
-            .map(|l| (0..7).map(|i| ((l + 2 * i) as f64 * 0.21).cos()).collect())
-            .collect();
-        let mut panel = Panel::from_columns(&columns);
-        mesh.inverse_real_panel(&mut panel);
-        for (lane, col) in columns.iter().enumerate() {
-            let mut reference = col.clone();
-            mesh.inverse_real(&mut reference);
-            assert_eq!(panel.column(lane), reference, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn panel_inverse_undoes_panel_forward() {
-        let mesh = Mesh::random(6, 3, &mut rng());
-        let columns: Vec<Vec<f64>> = (0..3)
-            .map(|l| (0..6).map(|i| ((l * 6 + i + 1) as f64).recip()).collect())
-            .collect();
-        let mut panel = Panel::from_columns(&columns);
-        mesh.forward_real_panel(&mut panel);
-        mesh.inverse_real_panel(&mut panel);
-        for (lane, col) in columns.iter().enumerate() {
-            for (a, b) in panel.column(lane).iter().zip(col) {
-                assert!((a - b).abs() < TOL);
-            }
-        }
-    }
-
-    #[test]
-    fn complex_mesh_rejected_on_panel_path() {
-        let mut m = Mesh::zeros(4, 1);
-        m.set_alpha_at(0, 1, 0.5);
-        let result = std::panic::catch_unwind(|| {
-            let mut panel = Panel::zeros(4, 2);
-            m.forward_real_panel(&mut panel);
-        });
-        assert!(result.is_err());
     }
 
     #[test]

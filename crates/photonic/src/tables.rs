@@ -9,31 +9,31 @@
 //! table-driven apply kernels, so the hot loops contain only
 //! multiply/add work.
 //!
-//! # Equivalence
+//! # Contracts
 //!
-//! Two kernel families live here, with two declared contracts:
+//! Two kernel families live here, with two contracts:
 //!
 //! - **Exact kernels** ([`MeshTables::forward_amps`],
-//!   [`MeshTables::inverse_amps`], [`MeshTables::forward_panel`],
-//!   [`MeshTables::inverse_panel`]) replay *every* gate with the
+//!   [`MeshTables::inverse_amps`]) replay *every* gate with the
 //!   identical `c·a − s·b` / `s·a + c·b` expressions the scalar
 //!   reference uses. `f64::sin_cos` is deterministic, so a cached value
 //!   is the same bit pattern as a recomputed one and these kernels are
 //!   **bit-identical** to `Mesh::forward_real` / `Mesh::inverse_real`.
 //! - **Pruned, lane-blocked kernels** ([`MeshTables::forward_panel_blocked`],
-//!   [`MeshTables::inverse_panel_blocked`]) additionally skip identity
-//!   gates — gates whose table entry is exactly `(sin, cos) = (0, 1)`,
-//!   i.e. `θ = ±0.0` — and sweep the panel lanes in explicit 4-wide
-//!   blocks (`qn_linalg::panel::rotate_lanes_blocked`). Skipping an
-//!   identity rotation leaves an amplitude's stored bits untouched,
-//!   whereas the reference computes `1·a − 0·b` / `0·a + 1·b`, which can
-//!   flip the *sign of an IEEE zero* (e.g. `-0.0 − (-0.0) = +0.0`).
-//!   Every output therefore compares **equal under `f64 ==`** to the
-//!   reference (absolute difference exactly `0.0`), but is not
-//!   guaranteed bit-identical on zero amplitudes. Identity gates are
-//!   common in practice: ASAP-packed spectral meshes (the codec's
-//!   default model source) leave roughly half their gate slots at
-//!   `θ = 0`.
+//!   [`MeshTables::inverse_panel_blocked`]) sweep every lane of a
+//!   mode-major [`Panel`], skip identity gates — gates whose table
+//!   entry is exactly `(sin, cos) = (0, 1)`, i.e. `θ = ±0.0` — and
+//!   rotate the lanes in explicit
+//!   [`LANE_BLOCK`](qn_linalg::panel::LANE_BLOCK)-wide blocks
+//!   (`qn_linalg::panel::rotate_lanes_blocked`). Skipping an identity
+//!   rotation leaves an amplitude's stored bits untouched, whereas the
+//!   reference computes `1·a − 0·b` / `0·a + 1·b`, which can flip the
+//!   *sign of an IEEE zero* (e.g. `-0.0 − (-0.0) = +0.0`). Every output
+//!   therefore compares **equal under `f64 ==`** to the reference
+//!   (absolute difference exactly `0.0`), but is not guaranteed
+//!   bit-identical on zero amplitudes. Identity gates are common in
+//!   practice: ASAP-packed spectral meshes (the codec's default model
+//!   source) leave roughly half their gate slots at `θ = 0`.
 //!
 //! `qn-backend` keys a content-addressed cache of these tables by model
 //! identity, so the build cost is paid once per mesh, not per batch.
@@ -182,50 +182,10 @@ impl MeshTables {
         }
     }
 
-    /// Apply the mesh forward to every lane of a [`Panel`] —
-    /// bit-identical to [`Mesh::forward_real_panel`].
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn forward_panel(&self, panel: &mut Panel) {
-        assert_eq!(panel.dim(), self.dim, "table dimension mismatch");
-        for layer in &self.layers {
-            for g in &layer.gates {
-                let (row_a, row_b) = panel.row_pair_mut(g.mode);
-                for (a, b) in row_a.iter_mut().zip(row_b.iter_mut()) {
-                    let x = *a;
-                    let y = *b;
-                    *a = g.cos * x - g.sin * y;
-                    *b = g.sin * x + g.cos * y;
-                }
-            }
-        }
-    }
-
-    /// Apply the exact inverse to every lane of a [`Panel`] —
-    /// bit-identical to [`Mesh::inverse_real_panel`].
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn inverse_panel(&self, panel: &mut Panel) {
-        assert_eq!(panel.dim(), self.dim, "table dimension mismatch");
-        for layer in self.layers.iter().rev() {
-            for g in layer.gates.iter().rev() {
-                let (row_a, row_b) = panel.row_pair_mut(g.mode);
-                for (a, b) in row_a.iter_mut().zip(row_b.iter_mut()) {
-                    let x = *a;
-                    let y = *b;
-                    *a = g.cos * x + g.sin * y;
-                    *b = g.cos * y - g.sin * x;
-                }
-            }
-        }
-    }
-
     /// Forward panel sweep with identity-gate pruning and explicit
-    /// 4-lane blocks — the `simd` backend's kernel. Outputs compare
-    /// equal (`f64 ==`) to [`Mesh::forward_real_panel`] on every lane;
-    /// see the module docs for the exact (zero-sign) contract.
+    /// lane blocks — the `simd` backend's kernel. Outputs compare equal
+    /// (`f64 ==`) to [`Mesh::forward_real`] on every lane; see the
+    /// module docs for the exact (zero-sign) contract.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
@@ -240,7 +200,7 @@ impl MeshTables {
     }
 
     /// Inverse panel sweep with identity-gate pruning and explicit
-    /// 4-lane blocks — see [`MeshTables::forward_panel_blocked`].
+    /// lane blocks — see [`MeshTables::forward_panel_blocked`].
     ///
     /// # Panics
     /// Panics on dimension mismatch.
@@ -332,29 +292,13 @@ mod tests {
                     "inverse_amps drifted"
                 );
             }
-            let cols = columns(9, 7);
-            let mut panel = Panel::from_columns(&cols);
-            tables.forward_panel(&mut panel);
-            for (lane, col) in cols.iter().enumerate() {
-                assert_eq!(
-                    panel.column(lane),
-                    mesh.forward_real_copy(col),
-                    "lane {lane}"
-                );
-            }
-            let mut panel = Panel::from_columns(&cols);
-            tables.inverse_panel(&mut panel);
-            for (lane, col) in cols.iter().enumerate() {
-                let mut reference = col.clone();
-                mesh.inverse_real(&mut reference);
-                assert_eq!(panel.column(lane), reference, "inverse lane {lane}");
-            }
         }
     }
 
     #[test]
     fn blocked_kernels_equal_the_reference_on_every_lane() {
-        // Widths around the 4-lane block: remainder lanes included.
+        // Widths below, at and above the 8-lane block: remainder lanes
+        // included.
         for width in [1usize, 3, 4, 5, 8, 11] {
             for mesh in [sparse_mesh(10, 4), sparse_mesh(10, 4).reversed()] {
                 let tables = mesh.tables();

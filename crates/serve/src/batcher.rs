@@ -241,7 +241,7 @@ mod tests {
         let offline = codec.encode_image(&img, &opts).unwrap();
         let offline_img = codec.decode_bytes(&offline).unwrap();
 
-        let batcher = TileBatcher::new(BackendKind::Panel, 4096);
+        let batcher = TileBatcher::new(BackendKind::Simd, 4096);
         let (bytes, stats, _) = batcher.encode(&codec, &img, &opts, &mut None).unwrap();
         assert_eq!(bytes, offline, "batched encode must be byte-identical");
         assert_eq!(stats.tiles, 24);
@@ -254,7 +254,7 @@ mod tests {
     fn concurrent_requests_coalesce_without_cross_talk() {
         let (codec, img, opts) = fixture();
         let offline = codec.encode_image(&img, &opts).unwrap();
-        let batcher = Arc::new(TileBatcher::new(BackendKind::Panel, 1_000_000));
+        let batcher = Arc::new(TileBatcher::new(BackendKind::Simd, 1_000_000));
         let handles: Vec<_> = (0..6)
             .map(|_| {
                 let batcher = Arc::clone(&batcher);

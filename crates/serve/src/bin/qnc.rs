@@ -36,9 +36,9 @@ USAGE:
     qnc compress   <input.pgm> -o <out.qnc> [--model <m.qnm>] [--tile N]
                    [--latent D] [--bits B] [--entropy rice|rice-pos|range]
                    [--per-tile-scale] [--no-inline-model] [--backend B]
-                   [--serial] [--no-verify] [--timings] [--trace]
+                   [--no-verify] [--timings] [--trace]
     qnc decompress <input.qnc> -o <out.pgm> [--model <m.qnm>]
-                   [--backend B] [--serial] [--timings] [--trace]
+                   [--backend B] [--timings] [--trace]
     qnc train      <input.pgm> -o <model.qnm> [--tile N] [--latent D]
                    [--layers-c N] [--layers-r N] [--iters N] [--seed S]
     qnc info       <file.qnc | file.qnm> [--json]
@@ -65,10 +65,9 @@ USAGE:
                    [--timings]
 
 Defaults: tile 4, latent 8, bits 8, rice entropy coding, inline model,
-panel backend. Backends (--backend scalar|scalar-parallel|panel|simd;
---serial is shorthand for --backend scalar) change throughput only:
-every backend produces byte-identical containers and pixel-identical
-decodes. --entropy picks the latent bitstream coder: rice writes
+simd backend. Backends (--backend scalar|simd; scalar is the reference)
+change throughput only: both produce byte-identical containers and
+pixel-identical decodes. --entropy picks the latent bitstream coder: rice writes
 format v1 (readable by every build), rice-pos and range write format
 v2 (per-position Rice parameters / adaptive range coding + norm
 deltas — smaller files, identical pixels). `decompress` reads all
@@ -172,7 +171,6 @@ impl Args {
         let boolean = [
             "--per-tile-scale",
             "--no-inline-model",
-            "--serial",
             "--no-verify",
             "--json",
             "--check",
@@ -229,13 +227,11 @@ fn read_image(path: &Path) -> Result<GrayImage, String> {
     pgm::read_pgm(path).map_err(|e| format!("reading {}: {e}", path.display()))
 }
 
-/// Backend selection: `--backend <name>` wins, `--serial` is shorthand
-/// for the scalar backend, default is the panel backend.
+/// Backend selection: `--backend scalar|simd`, default simd.
 fn backend_choice(args: &Args) -> Result<BackendKind, String> {
     match args.value(&["--backend"]) {
         Some(name) => name.parse(),
-        None if args.has("--serial") => Ok(BackendKind::Scalar),
-        None => Ok(BackendKind::Panel),
+        None => Ok(BackendKind::default()),
     }
 }
 
@@ -838,7 +834,7 @@ fn remote_compress(args: &Args, positional: &[String]) -> Result<(), String> {
         bits: args.numeric(&["--bits"], 8u8)?,
         per_tile_scale: args.has("--per-tile-scale"),
         inline_model: !args.has("--no-inline-model"),
-        backend: BackendKind::Panel, // server-side choice; irrelevant to bytes
+        backend: BackendKind::default(), // server-side choice; irrelevant to bytes
         entropy: entropy_choice(args)?,
     };
     let img = read_image(Path::new(input))?;

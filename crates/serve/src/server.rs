@@ -103,7 +103,7 @@ pub struct ServerConfig {
     /// Parsed models kept hot in RAM (least-recently-used beyond this;
     /// also the total retention bound when `store_dir` is `None`).
     pub model_cache: usize,
-    /// Backend every batched mesh pass runs through.
+    /// Backend every batched mesh pass runs through (default `simd`).
     pub backend: BackendKind,
     /// Most tiles one merged mesh pass takes: requests that queue
     /// behind a running pass of their model merge up to this many
@@ -168,7 +168,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7733".into(),
             store_dir: None,
             model_cache: 16,
-            backend: BackendKind::Panel,
+            backend: BackendKind::default(),
             batch_tiles: 4096,
             read_timeout: Duration::from_secs(30),
             workers: 0,

@@ -276,16 +276,18 @@ fn entropy_coders_are_selectable_and_decode_identically() {
 }
 
 /// `--backend` selects the execution schedule without changing a single
-/// byte: every backend compresses to the same container, and a panel
-/// decode of a scalar encode reproduces the scalar decode exactly.
+/// byte: `scalar` and `simd` compress to the same container, and each
+/// decodes the other's container to the identical image. Unknown
+/// backend names and `--serial` fail cleanly.
 #[test]
 fn backends_are_byte_compatible_end_to_end() {
     let dir = work_dir("backends");
     let input = dir.join("img.pgm");
     write_dataset_image(&input, 48, 32, 29);
 
+    let backends = ["scalar", "simd"];
     let mut containers = Vec::new();
-    for backend in ["scalar", "scalar-parallel", "panel"] {
+    for backend in backends {
         let out = dir.join(format!("{backend}.qnc"));
         run_ok(
             qnc()
@@ -299,48 +301,72 @@ fn backends_are_byte_compatible_end_to_end() {
         );
         containers.push(std::fs::read(&out).unwrap());
     }
-    assert_eq!(containers[0], containers[1], "scalar vs scalar-parallel");
-    assert_eq!(containers[0], containers[2], "scalar vs panel");
+    assert_eq!(containers[0], containers[1], "scalar vs simd container");
 
-    // Cross-decode: encode under one backend, decode under another.
-    let scalar_pgm = dir.join("scalar.pgm");
-    let panel_pgm = dir.join("panel.pgm");
-    run_ok(
-        qnc()
-            .arg("decompress")
-            .arg(dir.join("scalar.qnc"))
-            .arg("-o")
-            .arg(&scalar_pgm)
-            .arg("--backend")
-            .arg("scalar"),
-    );
-    run_ok(
-        qnc()
-            .arg("decompress")
-            .arg(dir.join("scalar.qnc"))
-            .arg("-o")
-            .arg(&panel_pgm)
-            .arg("--backend")
-            .arg("panel"),
-    );
-    assert_eq!(
-        std::fs::read(&scalar_pgm).unwrap(),
-        std::fs::read(&panel_pgm).unwrap(),
-        "panel decode must be byte-identical to scalar decode"
-    );
+    // Cross-decode: every container under every backend, one image.
+    let mut decodes = Vec::new();
+    for encoder in backends {
+        for decoder in backends {
+            let pgm = dir.join(format!("{encoder}-by-{decoder}.pgm"));
+            run_ok(
+                qnc()
+                    .arg("decompress")
+                    .arg(dir.join(format!("{encoder}.qnc")))
+                    .arg("-o")
+                    .arg(&pgm)
+                    .arg("--backend")
+                    .arg(decoder),
+            );
+            decodes.push((
+                format!("{encoder}->{decoder}"),
+                std::fs::read(&pgm).unwrap(),
+            ));
+        }
+    }
+    for (name, pgm) in &decodes[1..] {
+        assert_eq!(
+            pgm, &decodes[0].1,
+            "{name} decode must be byte-identical to {}",
+            decodes[0].0
+        );
+    }
 
-    // Unknown backends fail cleanly.
+    // Unknown backends fail cleanly and name the two that exist.
+    for unknown in ["gpu", "panel", "scalar-parallel"] {
+        let out = qnc()
+            .arg("compress")
+            .arg(&input)
+            .arg("-o")
+            .arg(dir.join("never.qnc"))
+            .arg("--backend")
+            .arg(unknown)
+            .output()
+            .expect("spawn qnc");
+        assert!(!out.status.success(), "--backend {unknown} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown backend"), "{unknown}: {stderr}");
+        assert!(
+            stderr.contains("scalar") && stderr.contains("simd"),
+            "{unknown}: the error must name the backends: {stderr}"
+        );
+    }
+    assert!(!dir.join("never.qnc").exists());
+
+    // `--serial` is not a flag.
     let out = qnc()
         .arg("compress")
         .arg(&input)
         .arg("-o")
         .arg(dir.join("never.qnc"))
-        .arg("--backend")
-        .arg("gpu")
+        .arg("--serial")
         .output()
         .expect("spawn qnc");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown backend"));
+    assert!(!out.status.success(), "--serial must be rejected");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag --serial"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]

@@ -467,7 +467,7 @@ fn info_replies_share_the_cli_json() {
     // Server info: names the serving parameters.
     let status = client.info(None).unwrap();
     assert!(status.contains("\"format\":\"qn-serve\""), "{status}");
-    assert!(status.contains("\"backend\":\"panel\""), "{status}");
+    assert!(status.contains("\"backend\":\"simd\""), "{status}");
     assert!(status.contains("\"coalescing\":true"), "{status}");
 }
 

@@ -10,7 +10,7 @@
 //! cargo run --release --example gen_golden_vectors
 //! ```
 
-use qn::codec::{model, BackendKind, Codec, CodecOptions, EntropyCoder};
+use qn::codec::{model, Codec, CodecOptions, EntropyCoder};
 use qn::image::{datasets, metrics, pgm};
 use std::path::Path;
 
@@ -33,7 +33,6 @@ fn main() {
 
     let base = CodecOptions {
         inline_model: false,
-        backend: BackendKind::Panel,
         ..CodecOptions::default()
     };
     let bytes = codec.encode_image(&img, &base).expect("encode");

@@ -11,8 +11,8 @@
 //!
 //! - [`core`](qn_core) — the paper's contribution: encoding, compression /
 //!   reconstruction networks, losses, gradients, the training loop.
-//! - [`backend`](qn_backend) — mesh execution backends: scalar reference
-//!   dispatch and batched tile panels behind one bit-compatible trait.
+//! - [`backend`](qn_backend) — mesh execution backends: the scalar
+//!   reference and the default simd panel path behind one trait.
 //! - [`sim`](qn_sim) — hand-rolled state-vector simulator.
 //! - [`photonic`](qn_photonic) — interferometer meshes, Clements/Reck
 //!   decompositions.

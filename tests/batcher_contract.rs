@@ -138,7 +138,7 @@ fn stress(backend: BackendKind, seed: u64) -> (BatcherMetrics, usize) {
 #[test]
 fn batched_passes_match_standalone_scalar_passes_under_a_seeded_stress() {
     let mut reached = [0u64; 3];
-    for backend in [BackendKind::Scalar, BackendKind::Panel] {
+    for backend in [BackendKind::Scalar, BackendKind::Simd] {
         for seed in 1..=3 {
             let (tx, rx) = mpsc::channel();
             let run = std::thread::spawn(move || tx.send(stress(backend, seed)));

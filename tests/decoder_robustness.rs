@@ -297,7 +297,7 @@ fn every_single_byte_truncation_fails_typed() {
             ),
             "cut {cut}: unexpected {err:?}"
         );
-        assert!(codec.decode_bytes_with(bytes, BackendKind::Panel).is_err());
+        assert!(codec.decode_bytes_with(bytes, BackendKind::Simd).is_err());
         assert!(decode_standalone(bytes).is_err());
     }
 }
@@ -314,7 +314,7 @@ fn every_single_byte_corruption_is_caught_or_harmless() {
             container::Container::from_bytes(&bytes).is_err(),
             "flip at {pos} went unnoticed"
         );
-        assert!(codec.decode_bytes_with(&bytes, BackendKind::Panel).is_err());
+        assert!(codec.decode_bytes_with(&bytes, BackendKind::Simd).is_err());
     }
 }
 
@@ -340,7 +340,7 @@ fn v2_every_single_byte_truncation_fails_typed() {
                 "{coder} cut {cut}: unexpected {err:?}"
             );
             assert!(codec
-                .decode_bytes_with(&valid[..cut], BackendKind::Panel)
+                .decode_bytes_with(&valid[..cut], BackendKind::Simd)
                 .is_err());
             assert!(decode_standalone(&valid[..cut]).is_err());
         }
@@ -358,7 +358,7 @@ fn v2_every_single_byte_flip_is_caught_without_crc_repair() {
                 container::Container::from_bytes(&bytes).is_err(),
                 "{coder}: flip at {pos} went unnoticed"
             );
-            assert!(codec.decode_bytes_with(&bytes, BackendKind::Panel).is_err());
+            assert!(codec.decode_bytes_with(&bytes, BackendKind::Simd).is_err());
         }
     }
 }
@@ -376,7 +376,7 @@ fn v2_payload_flips_with_crc_refixed_never_panic() {
             let mut bytes = valid.clone();
             bytes[pos] ^= 0x41;
             refix_crc(&mut bytes);
-            match codec.decode_bytes_with(&bytes, BackendKind::Panel) {
+            match codec.decode_bytes_with(&bytes, BackendKind::Simd) {
                 Ok(img) => assert_eq!(
                     (img.width(), img.height()),
                     (16, 16),
