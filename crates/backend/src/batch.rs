@@ -4,11 +4,12 @@
 //! single backend batches.
 //!
 //! The design leans entirely on the [`MeshBackend`](crate::MeshBackend)
-//! contract: a backend's output for a vector has the same bits whatever
-//! batch it rides in, so concatenating two requests' tiles into one
-//! `forward_batch` call and splitting the outputs back apart yields
-//! exactly the bytes each request would have produced alone. Coalescing is therefore invisible to callers — it changes
-//! throughput, never results.
+//! contract: a backend's output for a lane has the same bits whatever
+//! panels share its pass, so moving two requests' panels into one
+//! `forward_panels` call and handing them back by count yields exactly
+//! the bytes each request would have produced alone. Merging moves
+//! panel handles, never amplitudes. Coalescing is therefore invisible
+//! to callers — it changes throughput, never results.
 //!
 //! Submissions are grouped by [`BatchKey`] (a caller-chosen model
 //! identity plus a lane discriminating the mesh being applied), and each
@@ -26,8 +27,10 @@
 //!
 //! So a submission only ever waits for a running pass of its own key,
 //! and a limit of one tile turns merging off (per-request dispatch).
+//! Sizes and limits count tiles, i.e. panel lanes.
 
 use crate::BackendKind;
+use qn_linalg::Panel;
 use qn_metrics::{Counter, Histogram, Registry};
 use qn_photonic::Mesh;
 use std::collections::hash_map::{Entry as Slot, HashMap};
@@ -140,10 +143,10 @@ pub struct BatchKey {
 }
 
 /// One submission's outputs and attribution.
-type Outcome = (Vec<Vec<f64>>, BatchInfo);
+type Outcome = (Vec<Panel>, BatchInfo);
 
-/// A submission's receipt: resolves to the mesh outputs for exactly the
-/// vectors that were submitted, in submission order.
+/// A submission's receipt: resolves to exactly the panels that were
+/// submitted, in submission order, with the mesh applied.
 ///
 /// A submission that ran on arrival is resolved before
 /// [`MeshBatcher::submit`] returns; one queued behind a running pass
@@ -177,9 +180,9 @@ impl std::fmt::Debug for BatchHandle {
 
 impl BatchHandle {
     /// Block until this submission's pass has run. Returns `None` only
-    /// if that pass panicked (e.g. on a vector whose length differs
+    /// if that pass panicked (e.g. on a panel whose dimension differs
     /// from the mesh's).
-    pub fn wait(self) -> Option<Vec<Vec<f64>>> {
+    pub fn wait(self) -> Option<Vec<Panel>> {
         self.wait_info().map(|(outs, _)| outs)
     }
 
@@ -218,9 +221,9 @@ impl BatchHandle {
     }
 }
 
-/// One caller's vectors in a pending group.
+/// One caller's panels in a pending group.
 struct Entry {
-    vecs: Vec<Vec<f64>>,
+    panels: Vec<Panel>,
     queued_at: Instant,
 }
 
@@ -228,6 +231,7 @@ struct Entry {
 struct Pending {
     source: Arc<dyn MeshSource>,
     entries: Vec<Entry>,
+    /// Lanes across every entry's panels.
     tiles: usize,
 }
 
@@ -284,23 +288,27 @@ fn span_ns(from: Instant, to: Instant) -> u64 {
 }
 
 impl Shared {
-    /// One backend pass, recorded in the metrics. `None` if it
-    /// panicked; the panic stays with this pass's submitters.
+    /// One in-place backend pass over `tiles` lanes, recorded in the
+    /// metrics. `None` if it panicked; the panic stays with this pass's
+    /// submitters.
     fn pass(
         &self,
         source: &dyn MeshSource,
-        vecs: &[Vec<f64>],
+        mut panels: Vec<Panel>,
+        tiles: usize,
         cause: FlushCause,
-    ) -> (Option<Vec<Vec<f64>>>, u64) {
+    ) -> (Option<Vec<Panel>>, u64) {
         if let Some(m) = &self.metrics {
-            m.record(vecs.len(), cause);
+            m.record(tiles, cause);
         }
         let started = Instant::now();
-        let outs = panic::catch_unwind(AssertUnwindSafe(|| {
-            self.backend.backend().forward_batch(source.mesh(), vecs)
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.backend
+                .backend()
+                .forward_panels(source.mesh(), &mut panels)
         }))
-        .ok();
-        (outs, span_ns(started, Instant::now()))
+        .is_ok();
+        (ran.then_some(panels), span_ns(started, Instant::now()))
     }
 
     /// Run a pending group as one merged pass, publish every entry's
@@ -314,15 +322,16 @@ impl Shared {
         own: Option<usize>,
     ) -> Option<Outcome> {
         let started = Instant::now();
-        let mut all = Vec::with_capacity(pending.tiles);
+        let mut all = Vec::new();
         let mut shares = Vec::with_capacity(pending.entries.len());
         for entry in pending.entries {
-            shares.push((entry.vecs.len(), span_ns(entry.queued_at, started)));
-            all.extend(entry.vecs);
+            shares.push((entry.panels.len(), span_ns(entry.queued_at, started)));
+            all.extend(entry.panels);
         }
-        let (outs, run_ns) = self.pass(&*pending.source, &all, cause);
+        let (outs, run_ns) = self.pass(&*pending.source, all, pending.tiles, cause);
         let mut outcomes: Vec<Option<Outcome>> = match outs {
             Some(outs) => {
+                // Hand every entry its own panels back, by count.
                 let mut outs = outs.into_iter();
                 shares
                     .iter()
@@ -393,7 +402,7 @@ impl std::fmt::Debug for MeshBatcher {
 
 impl MeshBatcher {
     /// A batcher running passes through `backend`, merging at most
-    /// `max_tiles` vectors per pending group. `max_tiles <= 1` never
+    /// `max_tiles` lanes per pending group. `max_tiles <= 1` never
     /// merges — per-request dispatch.
     pub fn new(backend: BackendKind, max_tiles: usize) -> Self {
         Self::with_metrics(backend, max_tiles, None)
@@ -427,22 +436,22 @@ impl MeshBatcher {
         self.shared.max_tiles > 1
     }
 
-    /// Run `vecs` forward through `source`'s mesh: at once on this
-    /// thread if no pass of `key` is running, otherwise merged with the
-    /// other submissions queued behind that pass.
+    /// Run `panels` forward through `source`'s mesh, in place: at once
+    /// on this thread if no pass of `key` is running, otherwise merged
+    /// with the other submissions queued behind that pass.
     ///
-    /// The returned handle resolves (via [`BatchHandle::wait`]) to the
-    /// outputs for exactly these vectors, in order, bit-identical to a
-    /// standalone `forward_batch` call.
+    /// The returned handle resolves (via [`BatchHandle::wait`]) to
+    /// these panels, in order, bit-identical to a standalone
+    /// `forward_panels` call over them.
     pub fn submit(
         &self,
         key: BatchKey,
         source: Arc<dyn MeshSource>,
-        vecs: Vec<Vec<f64>>,
+        panels: Vec<Panel>,
     ) -> BatchHandle {
         let shared = &self.shared;
         let submitted = Instant::now();
-        let tiles = vecs.len();
+        let tiles: usize = panels.iter().map(Panel::width).sum();
         if tiles == 0 {
             let info = BatchInfo {
                 cause: FlushCause::Eager,
@@ -465,7 +474,7 @@ impl MeshBatcher {
                     FlushCause::Eager
                 };
                 let queued_ns = span_ns(submitted, Instant::now());
-                let (outs, run_ns) = shared.pass(&*source, &vecs, cause);
+                let (outs, run_ns) = shared.pass(&*source, panels, tiles, cause);
                 shared.hand_on(key);
                 let info = BatchInfo {
                     cause,
@@ -493,7 +502,7 @@ impl MeshBatcher {
         });
         let index = pending.entries.len();
         pending.entries.push(Entry {
-            vecs,
+            panels,
             queued_at: submitted,
         });
         pending.tiles += tiles;
@@ -542,14 +551,24 @@ mod tests {
         Arc::new(OwnedMesh(random_mesh(dim, layers, seed)))
     }
 
-    fn batch(dim: usize, n: usize, phase: f64) -> Vec<Vec<f64>> {
-        (0..n)
+    /// `n` vectors packed into 4-lane panels, so most submissions
+    /// carry several panels and a ragged last one.
+    fn batch(dim: usize, n: usize, phase: f64) -> Vec<Panel> {
+        let vecs: Vec<_> = (0..n)
             .map(|i| {
                 (0..dim)
                     .map(|j| ((i * dim + j) as f64 * 0.31 + phase).sin())
                     .collect()
             })
-            .collect()
+            .collect();
+        qn_linalg::panel::pack(&vecs, 4)
+    }
+
+    /// A standalone pass of `kind` over copies of `panels`.
+    fn passed(kind: BackendKind, mesh: &Mesh, panels: &[Panel]) -> Vec<Panel> {
+        let mut out = panels.to_vec();
+        kind.backend().forward_panels(mesh, &mut out);
+        out
     }
 
     /// A mesh whose passes hold at a gate: each `mesh()` call announces
@@ -608,10 +627,10 @@ mod tests {
         batcher: &Arc<MeshBatcher>,
         key: BatchKey,
         source: Arc<dyn MeshSource>,
-        vecs: Vec<Vec<f64>>,
+        panels: Vec<Panel>,
     ) -> std::thread::JoinHandle<Option<Outcome>> {
         let batcher = Arc::clone(batcher);
-        std::thread::spawn(move || batcher.submit(key, source, vecs).wait_info())
+        std::thread::spawn(move || batcher.submit(key, source, panels).wait_info())
     }
 
     /// Spin until `pred` holds (bounded, so a regression fails instead
@@ -650,7 +669,7 @@ mod tests {
         let metrics = BatcherMetrics::new(&registry);
         let src = mesh(6, 2, 41);
         let xs = batch(6, 3, 0.9);
-        let want = BackendKind::Simd.backend().forward_batch(src.mesh(), &xs);
+        let want = passed(BackendKind::Simd, src.mesh(), &xs);
         let batcher = MeshBatcher::with_metrics(BackendKind::Simd, 1_000, Some(metrics.clone()));
         let handle = batcher.submit(BatchKey { model: 7, lane: 0 }, src, xs);
         // Resolved already: the pass ran on this thread inside submit.
@@ -683,12 +702,8 @@ mod tests {
         gate.await_pass();
 
         let (a, b) = (batch(8, 5, 0.0), batch(8, 9, 1.0));
-        let want_a = BackendKind::Scalar
-            .backend()
-            .forward_batch(plain.mesh(), &a);
-        let want_b = BackendKind::Scalar
-            .backend()
-            .forward_batch(plain.mesh(), &b);
+        let want_a = passed(BackendKind::Scalar, plain.mesh(), &a);
+        let want_b = passed(BackendKind::Scalar, plain.mesh(), &b);
         let ha = submit_and_wait(&batcher, key, plain.clone(), a);
         let hb = submit_and_wait(&batcher, key, plain.clone(), b);
         eventually("both arrivals to queue", || {
@@ -697,12 +712,7 @@ mod tests {
         gate.open();
 
         let (lead_out, lead_info) = leader.join().unwrap().unwrap();
-        assert_eq!(
-            lead_out,
-            BackendKind::Scalar
-                .backend()
-                .forward_batch(plain.mesh(), &lead)
-        );
+        assert_eq!(lead_out, passed(BackendKind::Scalar, plain.mesh(), &lead));
         assert_eq!(lead_info.cause, FlushCause::Eager);
         let (out_a, info_a) = ha.join().unwrap().unwrap();
         let (out_b, info_b) = hb.join().unwrap().unwrap();
@@ -740,7 +750,7 @@ mod tests {
         assert!(!queued.is_finished(), "the backlog pass is still held");
         backlog_gate.open();
         let (outs, info) = queued.join().unwrap().unwrap();
-        assert_eq!(outs.len(), 4);
+        assert_eq!(outs.iter().map(Panel::width).sum::<usize>(), 4);
         assert_eq!(info.cause, FlushCause::Backlog);
     }
 
@@ -773,18 +783,8 @@ mod tests {
             .unwrap();
         let (out_a, info_a) = ha.join().unwrap().unwrap();
         assert!(!leader.is_finished(), "the leader is still held");
-        assert_eq!(
-            out_a,
-            BackendKind::Scalar
-                .backend()
-                .forward_batch(plain.mesh(), &a)
-        );
-        assert_eq!(
-            out_b,
-            BackendKind::Scalar
-                .backend()
-                .forward_batch(plain.mesh(), &b)
-        );
+        assert_eq!(out_a, passed(BackendKind::Scalar, plain.mesh(), &a));
+        assert_eq!(out_b, passed(BackendKind::Scalar, plain.mesh(), &b));
         for info in [info_a, info_b] {
             assert_eq!(info.cause, FlushCause::Full);
             assert_eq!(info.batch_tiles, 10);
@@ -802,10 +802,9 @@ mod tests {
         let batcher = Arc::new(MeshBatcher::new(BackendKind::Scalar, 1_000));
         let key = BatchKey { model: 4, lane: 0 };
         let src = mesh(6, 2, 9);
-        // A solo pass over a vector of the wrong length panics inside
+        // A solo pass over a panel of the wrong dimension panics inside
         // the backend; its submitter sees `None`.
-        let mut bad = batch(6, 2, 0.3);
-        bad[1].pop();
+        let bad = batch(5, 2, 0.3);
         assert!(batcher
             .submit(key, src.clone(), bad.clone())
             .wait()
@@ -831,7 +830,7 @@ mod tests {
 
         // The lane was handed on: a later submission still completes.
         let xs = batch(6, 4, 0.8);
-        let want = BackendKind::Scalar.backend().forward_batch(src.mesh(), &xs);
+        let want = passed(BackendKind::Scalar, src.mesh(), &xs);
         assert_eq!(batcher.submit(key, src, xs).wait().unwrap(), want);
     }
 
@@ -853,7 +852,7 @@ mod tests {
         // held but not waited on.
         drop(batcher.submit(key, src.clone(), batch(6, 2, 0.1)));
         let xs = batch(6, 3, 0.3);
-        let want = BackendKind::Scalar.backend().forward_batch(src.mesh(), &xs);
+        let want = passed(BackendKind::Scalar, src.mesh(), &xs);
         let held = batcher.submit(key, src.clone(), xs);
         gate.open();
         // With no submitter of the group in `wait`, the ending pass runs
@@ -877,8 +876,8 @@ mod tests {
         let src_a = mesh(5, 2, 21);
         let src_b = mesh(5, 2, 22);
         let xs = batch(5, 4, 0.2);
-        let want_a = BackendKind::Simd.backend().forward_batch(src_a.mesh(), &xs);
-        let want_b = BackendKind::Simd.backend().forward_batch(src_b.mesh(), &xs);
+        let want_a = passed(BackendKind::Simd, src_a.mesh(), &xs);
+        let want_b = passed(BackendKind::Simd, src_b.mesh(), &xs);
         let batcher = Arc::new(MeshBatcher::new(BackendKind::Simd, 1_000));
         let (held_src, gate) = gated(random_mesh(5, 2, 21));
         let held = submit_and_wait(
@@ -910,7 +909,7 @@ mod tests {
         assert!(outs.is_empty());
         assert_eq!(info.batch_tiles, 0);
         let xs = batch(4, 12, 0.6);
-        let want = BackendKind::Simd.backend().forward_batch(src.mesh(), &xs);
+        let want = passed(BackendKind::Simd, src.mesh(), &xs);
         let (outs, info) = batcher.submit(key, src, xs).wait_info().unwrap();
         assert_eq!(outs, want);
         assert_eq!(info.cause, FlushCause::Full);
@@ -930,7 +929,7 @@ mod tests {
         // group and runs at once: no submission ever waits for another.
         for n in [1, 3] {
             let xs = batch(4, n, 0.5);
-            let want = BackendKind::Scalar.backend().forward_batch(src.mesh(), &xs);
+            let want = passed(BackendKind::Scalar, src.mesh(), &xs);
             let (outs, info) = batcher.submit(key, src.clone(), xs).wait_info().unwrap();
             assert_eq!(outs, want);
             assert_eq!((info.cause, info.batch_tiles), (FlushCause::Full, n));

@@ -2,16 +2,16 @@
 //!
 //! The codec, the trainer and every related mesh workload ultimately
 //! reduce to the same primitive: apply a [`Mesh`] (or its inverse) to a
-//! batch of real amplitude vectors. This crate abstracts that primitive
-//! behind the [`MeshBackend`] trait with one reference and one fast
-//! path:
+//! batch of real amplitude vectors. Batches travel as mode-major
+//! [`qn_linalg::Panel`]s — the layout the codec gathers tiles into —
+//! and this crate abstracts the in-place pass over them behind the
+//! [`MeshBackend`] trait, with one reference and one fast path:
 //!
-//! - [`ScalarBackend`] — the reference and test oracle: per-vector
+//! - [`ScalarBackend`] — the reference and test oracle: lane-by-lane
 //!   dispatch with the exact semantics of `Mesh::forward_real`;
-//! - [`SimdBackend`] — the production path (the default): tiles packed
-//!   into mode-major [`qn_linalg::Panel`]s, identity gates pruned, and
-//!   rotations swept across the lanes in explicit blocks, with panels
-//!   chunked across threads.
+//! - [`SimdBackend`] — the production path (the default): identity
+//!   gates pruned and rotations swept across the panel lanes in
+//!   explicit blocks, with panels spread across threads.
 //!
 //! Both share the content-addressed gate-table cache
 //! ([`tables::cached_tables`]): per-gate `sin_cos` is evaluated once
@@ -21,8 +21,9 @@
 //! options) that maps onto shared backend instances. On top of the
 //! trait, [`MeshBatcher`] coalesces passes submitted by independent
 //! callers (e.g. concurrent server requests) into single backend
-//! batches — sound precisely because a backend's per-vector output
-//! never depends on batch composition.
+//! passes by moving their panels into one slice — sound precisely
+//! because a backend's per-lane output never depends on which panels
+//! share the pass.
 //!
 //! # Why numeric compatibility is part of the trait contract
 //!
@@ -42,24 +43,34 @@ pub mod tables;
 pub use batch::{
     BatchHandle, BatchInfo, BatchKey, BatcherMetrics, FlushCause, MeshBatcher, MeshSource,
 };
+pub use qn_linalg::panel::DEFAULT_PANEL_WIDTH;
+pub use qn_linalg::Panel;
 pub use scalar::ScalarBackend;
-pub use simd::{SimdBackend, DEFAULT_PANEL_WIDTH};
+pub use simd::SimdBackend;
 pub use tables::{cached_tables, table_cache_stats, TableCacheStats};
 
 use qn_photonic::Mesh;
 use std::fmt;
 use std::str::FromStr;
 
-/// Executes mesh forward/inverse passes over batches of amplitude
-/// vectors.
+/// Executes mesh forward/inverse passes in place over batches of
+/// amplitude vectors held as the lanes of mode-major [`Panel`]s.
+///
+/// A backend implements two methods: rotate every lane of every panel
+/// by `U` ([`MeshBackend::forward_panels`]) or by `U⁻¹`
+/// ([`MeshBackend::inverse_panels`]). Panels may differ in width (the
+/// last panel of a batch is usually narrower), and one call may carry
+/// panels from several callers (the [`MeshBatcher`] merges them), so a
+/// lane's result must depend on nothing but that lane and the mesh.
 ///
 /// # Contract: `ZeroSignOnly` against the scalar reference
 ///
-/// For every implementation, every mesh `U`, and every batch,
-/// `forward_batch(U, batch)[i]` must match `U.forward_real_copy(&batch[i])`
-/// (and `inverse_batch` likewise against `U.inverse_real`) for all `i`,
-/// in input order, regardless of thread count, batch size or internal
-/// blocking, as follows:
+/// For every implementation, every mesh `U`, and every panel slice,
+/// lane `l` of panel `p` after `forward_panels(U, panels)` must match
+/// `U.forward_real_copy(column)` for that lane's input column (and
+/// `inverse_panels` likewise against `U.inverse_real`), regardless of
+/// thread count, panel widths, panel count or internal blocking, as
+/// follows:
 ///
 /// - every output compares equal under `f64 ==` — the absolute
 ///   difference is exactly `0.0`, a zero tolerance budget;
@@ -83,37 +94,36 @@ use std::str::FromStr;
 ///
 /// # Panics
 ///
-/// Implementations panic (like the scalar reference) when a batch
-/// vector's length differs from `mesh.dim()` or the mesh has complex
-/// gates; malformed *file* input must be rejected by the codec layer
-/// before reaching a backend.
+/// Implementations panic (like the scalar reference) when a panel's
+/// dimension differs from `mesh.dim()` or the mesh has complex gates;
+/// malformed *file* input must be rejected by the codec layer before
+/// reaching a backend.
 pub trait MeshBackend: fmt::Debug + Sync {
     /// Stable human-readable name (used in logs and benchmarks).
     fn name(&self) -> &'static str;
 
-    /// Apply `mesh` forward to every vector, returning outputs in input
-    /// order.
-    fn forward_batch(&self, mesh: &Mesh, batch: &[Vec<f64>]) -> Vec<Vec<f64>>;
+    /// Apply `mesh` forward to every lane of every panel, in place.
+    fn forward_panels(&self, mesh: &Mesh, panels: &mut [Panel]);
 
-    /// Apply the exact inverse `U⁻¹` to every vector, returning outputs
-    /// in input order.
-    fn inverse_batch(&self, mesh: &Mesh, batch: &[Vec<f64>]) -> Vec<Vec<f64>>;
+    /// Apply the exact inverse `U⁻¹` to every lane of every panel, in
+    /// place.
+    fn inverse_panels(&self, mesh: &Mesh, panels: &mut [Panel]);
 }
 
 /// Value-level backend selector for CLI flags and codec options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// Per-vector dispatch on the calling thread: the reference.
+    /// Lane-by-lane dispatch on the calling thread: the reference.
     Scalar,
-    /// Pruned gate tables + explicit lane-blocked rotations over
-    /// thread-chunked panels (default).
+    /// Pruned gate tables + explicit lane-blocked rotations, panels
+    /// spread across threads (default).
     #[default]
     Simd,
 }
 
 /// Shared instances behind [`BackendKind::backend`].
 static SCALAR: ScalarBackend = ScalarBackend;
-static SIMD: SimdBackend = SimdBackend::with_width(DEFAULT_PANEL_WIDTH);
+static SIMD: SimdBackend = SimdBackend;
 
 impl BackendKind {
     /// Every selectable backend, in documentation order.
@@ -159,6 +169,7 @@ impl FromStr for BackendKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qn_linalg::panel::{pack, unpack};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -174,6 +185,32 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// `xs` packed into `width`-lane panels, passed forward (or
+    /// inverse) through `backend`, and unpacked again.
+    fn run(
+        backend: &dyn MeshBackend,
+        m: &Mesh,
+        xs: &[Vec<f64>],
+        width: usize,
+        inverse: bool,
+    ) -> Vec<Vec<f64>> {
+        let mut panels = pack(xs, width);
+        if inverse {
+            backend.inverse_panels(m, &mut panels);
+        } else {
+            backend.forward_panels(m, &mut panels);
+        }
+        unpack(&panels)
+    }
+
+    fn forward(backend: &dyn MeshBackend, m: &Mesh, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        run(backend, m, xs, DEFAULT_PANEL_WIDTH, false)
+    }
+
+    fn inverse(backend: &dyn MeshBackend, m: &Mesh, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        run(backend, m, xs, DEFAULT_PANEL_WIDTH, true)
     }
 
     #[test]
@@ -193,18 +230,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_width_backends_are_rejected_at_construction() {
-        assert!(std::panic::catch_unwind(|| SimdBackend::with_width(0)).is_err());
-    }
-
-    #[test]
-    fn simd_widths_including_one_agree_with_scalar() {
+    fn panel_widths_including_one_agree_with_scalar() {
         let m = mesh(6, 2);
         let xs = batch(6, 7);
-        let reference = BackendKind::Scalar.backend().forward_batch(&m, &xs);
+        let reference = forward(BackendKind::Scalar.backend(), &m, &xs);
         for width in [1usize, 2, 3, 4, 5, 7, 8, 64] {
-            let backend = SimdBackend::with_width(width);
-            assert_eq!(backend.forward_batch(&m, &xs), reference, "width {width}");
+            for kind in BackendKind::ALL {
+                let got = run(kind.backend(), &m, &xs, width, false);
+                assert_eq!(got, reference, "{kind} width {width}");
+            }
         }
     }
 
@@ -229,12 +263,13 @@ mod tests {
         xs[0] = vec![0.0; 10];
         xs[1] = vec![-0.0; 10];
         for m in [m.clone(), m.reversed()] {
-            let reference = BackendKind::Scalar.backend().forward_batch(&m, &xs);
-            let inv_reference = BackendKind::Scalar.backend().inverse_batch(&m, &xs);
+            let scalar = BackendKind::Scalar.backend();
+            let reference = forward(scalar, &m, &xs);
+            let inv_reference = inverse(scalar, &m, &xs);
             let simd = BackendKind::Simd.backend();
             for (got, want) in [
-                (simd.forward_batch(&m, &xs), reference),
-                (simd.inverse_batch(&m, &xs), inv_reference),
+                (forward(simd, &m, &xs), reference),
+                (inverse(simd, &m, &xs), inv_reference),
             ] {
                 for (g, w) in got.iter().zip(&want) {
                     for (a, b) in g.iter().zip(w) {
@@ -254,7 +289,7 @@ mod tests {
         // A random mesh has no identity gates, so simd prunes nothing
         // and must reproduce the reference bit for bit.
         let m = mesh(10, 3);
-        let xs = batch(10, 23); // ragged against every panel width
+        let xs = batch(10, 23);
         let bits = |vs: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
             vs.iter()
                 .map(|v| v.iter().map(|x| x.to_bits()).collect())
@@ -271,22 +306,31 @@ mod tests {
                 .collect(),
         );
         for kind in BackendKind::ALL {
-            let b = kind.backend();
-            assert_eq!(bits(b.forward_batch(&m, &xs)), reference, "{kind} forward");
-            assert_eq!(
-                bits(b.inverse_batch(&m, &xs)),
-                inverse_reference,
-                "{kind} inverse"
-            );
+            // Widths ragged against the 23-vector batch.
+            for width in [5usize, DEFAULT_PANEL_WIDTH] {
+                let b = kind.backend();
+                assert_eq!(
+                    bits(run(b, &m, &xs, width, false)),
+                    reference,
+                    "{kind} forward"
+                );
+                assert_eq!(
+                    bits(run(b, &m, &xs, width, true)),
+                    inverse_reference,
+                    "{kind} inverse"
+                );
+            }
         }
     }
 
     #[test]
-    fn empty_batches_yield_empty_outputs() {
+    fn empty_panel_slices_are_a_no_op() {
         let m = mesh(4, 1);
         for kind in BackendKind::ALL {
-            assert!(kind.backend().forward_batch(&m, &[]).is_empty());
-            assert!(kind.backend().inverse_batch(&m, &[]).is_empty());
+            let mut none: Vec<Panel> = Vec::new();
+            kind.backend().forward_panels(&m, &mut none);
+            kind.backend().inverse_panels(&m, &mut none);
+            assert!(none.is_empty());
         }
     }
 
@@ -296,8 +340,10 @@ mod tests {
         let xs = batch(8, 5);
         for kind in BackendKind::ALL {
             let b = kind.backend();
-            let back = b.inverse_batch(&m, &b.forward_batch(&m, &xs));
-            for (got, want) in back.iter().zip(&xs) {
+            let mut panels = pack(&xs, 2);
+            b.forward_panels(&m, &mut panels);
+            b.inverse_panels(&m, &mut panels);
+            for (got, want) in unpack(&panels).iter().zip(&xs) {
                 for (a, b) in got.iter().zip(want) {
                     assert!((a - b).abs() < 1e-12);
                 }
@@ -306,18 +352,14 @@ mod tests {
     }
 
     #[test]
-    fn default_simd_backend_uses_the_documented_width() {
-        assert_eq!(SimdBackend::default().width(), DEFAULT_PANEL_WIDTH);
-        assert_eq!(SimdBackend::with_width(7).width(), 7);
-    }
-
-    #[test]
-    fn mismatched_vector_lengths_panic_like_the_scalar_path() {
+    fn mismatched_panel_dimensions_panic_like_the_scalar_path() {
         let m = mesh(6, 1);
-        let bad = vec![vec![0.0; 5]];
         for kind in BackendKind::ALL {
-            let result = std::panic::catch_unwind(|| kind.backend().forward_batch(&m, &bad));
-            assert!(result.is_err(), "{kind} must reject a length-5 vector");
+            let result = std::panic::catch_unwind(|| {
+                let mut bad = vec![Panel::zeros(5, 3)];
+                kind.backend().forward_panels(&m, &mut bad);
+            });
+            assert!(result.is_err(), "{kind} must reject a 5-mode panel");
         }
     }
 
@@ -327,10 +369,7 @@ mod tests {
         // panel sweep must follow the same gate order.
         let m = mesh(9, 2).reversed();
         let xs = batch(9, 13);
-        let reference = BackendKind::Scalar.backend().forward_batch(&m, &xs);
-        assert_eq!(
-            BackendKind::Simd.backend().forward_batch(&m, &xs),
-            reference
-        );
+        let reference = forward(BackendKind::Scalar.backend(), &m, &xs);
+        assert_eq!(forward(BackendKind::Simd.backend(), &m, &xs), reference);
     }
 }

@@ -25,11 +25,16 @@ const MAX_UNARY_RUN: u32 = 1 << 18;
 // ---------------------------------------------------------------------
 
 /// Append-only bit sink, LSB-first within each byte.
+///
+/// Bits collect in a 64-bit word that is stored eight bytes at a time;
+/// the byte layout is identical to pushing the same bits one at a time.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits already used in the final byte (0 = byte boundary).
-    used: u32,
+    /// Bits not yet stored, LSB-first; only the low `pending` are set.
+    word: u64,
+    /// Bits held in `word` (always < 64 between calls).
+    pending: u32,
 }
 
 impl BitWriter {
@@ -40,62 +45,47 @@ impl BitWriter {
 
     /// Append a single bit.
     pub fn write_bit(&mut self, bit: bool) {
-        if self.used == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.last_mut().expect("pushed above");
-            *last |= 1 << self.used;
-        }
-        self.used = (self.used + 1) % 8;
+        self.write_bits(u64::from(bit), 1);
     }
 
     /// Append the `n` low bits of `value`, LSB first (`n ≤ 64`).
-    ///
-    /// Byte-at-a-time: tops up the current partial byte, then emits
-    /// whole bytes — the resulting byte layout is identical to pushing
-    /// the same bits one at a time.
     pub fn write_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64, "write_bits supports at most 64 bits");
         if n == 0 {
             return;
         }
-        let mut value = if n == 64 {
+        let value = if n == 64 {
             value
         } else {
             value & ((1u64 << n) - 1)
         };
-        let mut n = n;
-        if self.used != 0 {
-            let free = 8 - self.used;
-            let take = free.min(n);
-            let last = self.bytes.last_mut().expect("partial byte exists");
-            *last |= ((value & ((1u64 << take) - 1)) as u8) << self.used;
-            self.used = (self.used + take) % 8;
-            value >>= take;
-            n -= take;
+        self.word |= value << self.pending;
+        let total = self.pending + n;
+        if total < 64 {
+            self.pending = total;
+            return;
         }
-        while n >= 8 {
-            self.bytes.push((value & 0xFF) as u8);
-            value >>= 8;
-            n -= 8;
-        }
-        if n > 0 {
-            self.bytes.push((value & ((1u64 << n) - 1)) as u8);
-            self.used = n;
-        }
+        // The word is full: store it and keep the bits of `value` that
+        // did not fit.
+        self.bytes.extend_from_slice(&self.word.to_le_bytes());
+        self.word = if self.pending == 0 {
+            0
+        } else {
+            value >> (64 - self.pending)
+        };
+        self.pending = total - 64;
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
-        match self.used {
-            0 => self.bytes.len() * 8,
-            used => (self.bytes.len() - 1) * 8 + used as usize,
-        }
+        self.bytes.len() * 8 + self.pending as usize
     }
 
     /// Finish, returning the padded byte buffer.
-    pub fn finish(self) -> Vec<u8> {
+    pub fn finish(mut self) -> Vec<u8> {
+        let tail = self.pending.div_ceil(8) as usize;
+        self.bytes
+            .extend_from_slice(&self.word.to_le_bytes()[..tail]);
         self.bytes
     }
 }
@@ -247,16 +237,23 @@ pub fn rice_len(value: u32, k: u32) -> usize {
 }
 
 /// The `k` minimising the total Rice length of `values`, searched over
-/// `0..=max_k`.
+/// `0..=max_k`; the smallest such `k` on ties.
+///
+/// The total is convex in `k`: raising `k` by one adds one bit per value
+/// and saves `⌈(v >> k) / 2⌉` unary bits on each, a saving that never
+/// grows with `k`. So the first `k` whose successor is no shorter is
+/// the first minimum, and the search stops there.
 pub fn best_rice_k(values: &[u32], max_k: u32) -> u32 {
-    let mut best = (usize::MAX, 0u32);
-    for k in 0..=max_k {
-        let total: usize = values.iter().map(|&v| rice_len(v, k)).sum();
-        if total < best.0 {
-            best = (total, k);
+    let total = |k: u32| -> usize { values.iter().map(|&v| rice_len(v, k)).sum() };
+    let mut best = total(0);
+    for k in 0..max_k {
+        let next = total(k + 1);
+        if next >= best {
+            return k;
         }
+        best = next;
     }
-    best.1
+    max_k
 }
 
 /// Write `value` with Rice parameter `k`: unary quotient (q ones, one
@@ -335,9 +332,13 @@ pub fn unzigzag_signed(v: u64) -> i64 {
 // Checksums / ids
 // ---------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables, built at
+/// compile time. `CRC32_TABLES[0]` is the classic bytewise table;
+/// `CRC32_TABLES[k][b]` is the CRC contribution of byte `b` followed by
+/// `k` zero bytes, so eight table lookups advance the checksum by one
+/// 8-byte word.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -350,10 +351,20 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes` — the integrity check both file formats
@@ -365,11 +376,29 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// CRC-32 (IEEE) over the concatenation of `parts`, without
 /// materialising it — equal to `crc32` of the joined bytes. Lets
 /// framing layers checksum header + payload with no copy.
+///
+/// Slicing-by-8: each part runs eight bytes per step through
+/// [`CRC32_TABLES`], then its tail bytewise, so any split of the same
+/// bytes into parts gives the same checksum.
 pub fn crc32_of_parts(parts: &[&[u8]]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     for part in parts {
-        for &b in *part {
-            crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        let mut words = part.chunks_exact(8);
+        for w in words.by_ref() {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
         }
     }
     !crc
@@ -560,6 +589,47 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
 
+    /// The bytewise table loop slicing-by-8 replaced — kept as its
+    /// oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_oracle() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // One buffer with slack in front, so every length is also
+        // checked at every start alignment of an 8-byte word.
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        for len in 0..=4096usize {
+            for off in 0..8 {
+                let bytes = &buf[off..off + len];
+                let want = crc32_bytewise(bytes);
+                assert_eq!(crc32(bytes), want, "len {len} offset {off}");
+                // A random split into up to four parts.
+                let mut cuts: Vec<usize> = (0..3).map(|_| next() as usize % (len + 1)).collect();
+                cuts.sort_unstable();
+                let parts = [
+                    &bytes[..cuts[0]],
+                    &bytes[cuts[0]..cuts[1]],
+                    &bytes[cuts[1]..cuts[2]],
+                    &bytes[cuts[2]..],
+                ];
+                assert_eq!(crc32_of_parts(&parts), want, "len {len} cuts {cuts:?}");
+            }
+        }
+    }
+
     #[test]
     fn crc32_of_parts_equals_crc32_of_concatenation() {
         let data: Vec<u8> = (0..200u16).map(|i| (i * 7 % 251) as u8).collect();
@@ -600,6 +670,34 @@ mod tests {
         assert!(matches!(r.read_bits(6), Err(CodecError::Truncated { .. })));
     }
 
+    /// The layout every payload depends on, one bit at a time: bit `i`
+    /// of the stream is bit `i % 8` of byte `i / 8`.
+    #[derive(Default)]
+    struct ReferenceBits {
+        bytes: Vec<u8>,
+        len: usize,
+    }
+
+    impl ReferenceBits {
+        fn write_bit(&mut self, bit: bool) {
+            if self.len.is_multiple_of(8) {
+                self.bytes.push(0);
+            }
+            if bit {
+                *self.bytes.last_mut().expect("pushed above") |= 1 << (self.len % 8);
+            }
+            self.len += 1;
+        }
+
+        fn bit_len(&self) -> usize {
+            self.len
+        }
+
+        fn finish(self) -> Vec<u8> {
+            self.bytes
+        }
+    }
+
     #[test]
     fn word_level_writer_matches_a_bit_by_bit_reference() {
         // The word-level write_bits/write_rice fast paths must emit the
@@ -607,7 +705,7 @@ mod tests {
         // invariant all existing .qnc payloads (and the golden vectors)
         // depend on.
         let mut fast = BitWriter::new();
-        let mut slow = BitWriter::new();
+        let mut slow = ReferenceBits::default();
         let mut state = 0x1234_5678_9ABC_DEF0u64;
         let mut next = move || {
             state ^= state << 13;
@@ -633,6 +731,9 @@ mod tests {
             for i in 0..k {
                 slow.write_bit((rice_value >> i) & 1 == 1);
             }
+            let bit = next() & 1 == 1;
+            fast.write_bit(bit);
+            slow.write_bit(bit);
             assert_eq!(fast.bit_len(), slow.bit_len());
         }
         let fast = fast.finish();
@@ -688,6 +789,43 @@ mod tests {
         let len = |kk: u32| -> usize { big.iter().map(|&v| rice_len(v, kk)).sum() };
         assert!(len(k) <= len(k.saturating_sub(1)));
         assert!(len(k) <= len(k + 1));
+    }
+
+    #[test]
+    fn early_exit_k_search_matches_the_exhaustive_search() {
+        // The exhaustive scan the convexity argument replaced.
+        let exhaustive = |values: &[u32], max_k: u32| -> u32 {
+            let mut best = (usize::MAX, 0u32);
+            for k in 0..=max_k {
+                let total: usize = values.iter().map(|&v| rice_len(v, k)).sum();
+                if total < best.0 {
+                    best = (total, k);
+                }
+            }
+            best.1
+        };
+        let mut state = 0xDEAD_BEEF_0123_4567u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..20_000 {
+            let n = (next() % 20) as usize;
+            // Magnitudes from tiny to 2^18, so every k wins somewhere.
+            let bits = (next() % 19) as u32;
+            let values: Vec<u32> = (0..n)
+                .map(|_| (next() % (1u64 << bits).max(1)) as u32)
+                .collect();
+            for max_k in [0u32, 3, 9, 17] {
+                assert_eq!(
+                    best_rice_k(&values, max_k),
+                    exhaustive(&values, max_k),
+                    "case {case}: {values:?}, max_k {max_k}"
+                );
+            }
+        }
     }
 
     #[test]

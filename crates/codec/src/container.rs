@@ -60,6 +60,14 @@
 //! position's context set. No side tables: the contexts adapt as the
 //! stream decodes.
 //!
+//! # In memory
+//!
+//! A parsed [`Container`] holds its tiles as flat arrays over the grid
+//! ([`TileGrid`]): one occupancy flag per tile, then per occupied tile a
+//! quantized norm, an optional scale and `d` quantizer levels, each
+//! array in row-major tile order. Writers and readers walk those
+//! arrays; the bytes are the layouts above, unchanged.
+//!
 //! # Versioning rules
 //!
 //! Readers reject versions above [`CONTAINER_VERSION`]; any layout
@@ -75,7 +83,10 @@ use crate::bitstream::{
 };
 use crate::entropy::{decode_eg, encode_eg, EntropyCoder, RangeDecoder, RangeEncoder, PROB_INIT};
 use crate::error::{CodecError, Result};
-use crate::quantize::{Quantizer, MAX_BITS};
+use crate::quantize::{zigzag, Quantizer, MAX_BITS};
+use qn_linalg::panel::DEFAULT_PANEL_WIDTH;
+use qn_linalg::parallel::par_map_chunked_into;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Leading magic of a container file.
 pub const CONTAINER_MAGIC: [u8; 4] = *b"QNC1";
@@ -253,16 +264,92 @@ impl ContainerHeader {
     }
 }
 
-/// One occupied tile's compressed payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TilePayload {
-    /// Tile norm quantized against the header's `max_norm`
-    /// (`norm ≈ norm_q / 65535 · max_norm`).
-    pub norm_q: u16,
-    /// Per-tile amplitude scale (present iff [`FLAG_PER_TILE_SCALE`]).
-    pub scale: Option<f32>,
-    /// Quantizer level per latent amplitude (length = `latent_dim`).
+/// A container's tiles as flat arrays over the tile grid — no
+/// allocation per tile. Occupied tiles appear in row-major order in
+/// every per-tile array, so occupied tile `o` owns `norms_q[o]`,
+/// `scales[o]` (when present) and `levels[o·d..(o+1)·d]` for the
+/// header's latent dimension `d`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct TileGrid {
+    /// One flag per grid tile, row-major; `false` marks an all-zero
+    /// tile, which carries nothing else.
+    pub occupied: Vec<bool>,
+    /// Each occupied tile's norm, quantized against the header's
+    /// `max_norm` (`norm ≈ norm_q / 65535 · max_norm`).
+    pub norms_q: Vec<u16>,
+    /// Each occupied tile's amplitude scale when [`FLAG_PER_TILE_SCALE`]
+    /// is set; empty otherwise.
+    pub scales: Vec<f32>,
+    /// `latent_dim` quantizer levels per occupied tile, tile after tile.
     pub levels: Vec<u32>,
+}
+
+impl TileGrid {
+    /// Grid tiles, occupied or not.
+    pub fn len(&self) -> usize {
+        self.occupied.len()
+    }
+
+    /// Whether the grid has no tiles at all.
+    pub fn is_empty(&self) -> bool {
+        self.occupied.is_empty()
+    }
+
+    /// Occupied (non-zero) tiles.
+    pub fn occupied_count(&self) -> usize {
+        self.norms_q.len()
+    }
+
+    /// Append an all-zero tile.
+    pub fn push_empty(&mut self) {
+        self.occupied.push(false);
+    }
+
+    /// Append an occupied tile.
+    pub fn push(&mut self, norm_q: u16, scale: Option<f32>, levels: &[u32]) {
+        self.occupied.push(true);
+        self.norms_q.push(norm_q);
+        self.scales.extend(scale);
+        self.levels.extend_from_slice(levels);
+    }
+
+    /// Check the arrays against each other and the header: one flag
+    /// per grid tile, one norm per occupied tile, a scale per occupied
+    /// tile exactly when the header says so, `latent_dim` levels per
+    /// occupied tile.
+    ///
+    /// # Errors
+    /// [`CodecError::Invalid`] naming the first disagreement.
+    pub(crate) fn check(&self, header: &ContainerHeader) -> Result<()> {
+        if self.occupied.len() != header.tile_count() {
+            return Err(CodecError::Invalid(format!(
+                "container has {} tiles, header implies {}",
+                self.occupied.len(),
+                header.tile_count()
+            )));
+        }
+        let occupied = self.occupied.iter().filter(|&&o| o).count();
+        if self.norms_q.len() != occupied {
+            return Err(CodecError::Invalid(format!(
+                "{} tile norms for {occupied} occupied tiles",
+                self.norms_q.len()
+            )));
+        }
+        let scales = if header.per_tile_scale() { occupied } else { 0 };
+        if self.scales.len() != scales {
+            return Err(CodecError::Invalid(
+                "tile scale presence disagrees with container flags".into(),
+            ));
+        }
+        let d = header.latent_dim as usize;
+        if self.levels.len() != occupied * d {
+            return Err(CodecError::Invalid(format!(
+                "{} latent levels for {occupied} occupied tiles of {d} latents",
+                self.levels.len()
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// A fully parsed (or to-be-written) container.
@@ -272,8 +359,8 @@ pub struct Container {
     pub header: ContainerHeader,
     /// Embedded model file bytes, when present.
     pub inline_model: Option<Vec<u8>>,
-    /// Per-tile payloads, row-major; `None` marks an all-zero tile.
-    pub tiles: Vec<Option<TilePayload>>,
+    /// The tile payloads as flat grid arrays.
+    pub tiles: TileGrid,
 }
 
 /// Quantize a tile norm against the container's max norm.
@@ -295,26 +382,22 @@ impl Container {
     ///
     /// # Errors
     /// [`CodecError::Invalid`] when the container is internally
-    /// inconsistent (wrong tile count, levels out of range for the bit
-    /// depth, scale presence disagreeing with the flags).
+    /// inconsistent (array lengths disagreeing with the grid, levels
+    /// out of range for the bit depth, scale presence disagreeing with
+    /// the flags).
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
         self.header.validate()?;
-        if self.tiles.len() != self.header.tile_count() {
-            return Err(CodecError::Invalid(format!(
-                "container has {} tiles, header implies {}",
-                self.tiles.len(),
-                self.header.tile_count()
-            )));
-        }
+        self.tiles.check(&self.header)?;
         if self.header.inline_model() != self.inline_model.is_some() {
             return Err(CodecError::Invalid(
                 "inline-model flag disagrees with inline model presence".into(),
             ));
         }
         let quantizer = Quantizer::new(self.header.bits)?;
-        let symbols = self.tile_symbols(&quantizer)?;
-        let payload = match self.header.entropy()? {
-            EntropyCoder::Rice => self.payload_rice(&symbols),
+        let entropy = self.header.entropy()?;
+        let (symbols, tile_ks) = self.tile_symbols(&quantizer, entropy == EntropyCoder::Rice)?;
+        let payload = match entropy {
+            EntropyCoder::Rice => self.payload_rice(&symbols, &tile_ks),
             EntropyCoder::RicePos => self.payload_rice_pos(&symbols),
             EntropyCoder::Range => {
                 if self.tiles.len() > MAX_RANGE_TILES {
@@ -463,64 +546,85 @@ impl Container {
         })
     }
 
-    /// Validate every tile against the header and zigzag-map its
-    /// levels — the symbol view all three payload writers share: the
-    /// occupied tiles' symbols concatenated in tile order, `latent_dim`
-    /// per tile (one flat buffer, not a vector per tile).
-    fn tile_symbols(&self, quantizer: &Quantizer) -> Result<Vec<u32>> {
+    /// Range-check and zigzag-map every level — the symbol view all
+    /// three payload writers share: the occupied tiles' symbols
+    /// concatenated in tile order, `latent_dim` per tile — plus, when
+    /// `per_tile_k` is set (v1 `rice`), each tile's best Rice
+    /// parameter. Runs one panel of tiles per chunk on the pool; the
+    /// chunking depends only on the tile count, so the output does not
+    /// depend on the thread count.
+    fn tile_symbols(
+        &self,
+        quantizer: &Quantizer,
+        per_tile_k: bool,
+    ) -> Result<(Vec<u32>, Vec<u32>)> {
         let levels = quantizer.levels();
         let zero_level = quantizer.zero_level();
         let d = self.header.latent_dim as usize;
-        let occupied = self.tiles.iter().flatten().count();
-        let mut symbols = Vec::with_capacity(occupied * d);
-        for payload in self.tiles.iter().flatten() {
-            if payload.levels.len() != d {
-                return Err(CodecError::Invalid(format!(
-                    "tile has {} latents, header says {}",
-                    payload.levels.len(),
-                    self.header.latent_dim
-                )));
-            }
-            if payload.scale.is_some() != self.header.per_tile_scale() {
-                return Err(CodecError::Invalid(
-                    "tile scale presence disagrees with container flags".into(),
-                ));
-            }
-            for &level in &payload.levels {
-                if level >= levels {
-                    return Err(CodecError::Invalid(format!(
-                        "level {level} out of range for {}-bit quantizer",
-                        self.header.bits
-                    )));
+        let max_k = u32::from(self.header.bits) + 1;
+        let tiles = self.tiles.occupied_count();
+        let mut symbols = vec![0u32; self.tiles.levels.len()];
+        let mut tile_ks = vec![0u32; if per_tile_k { tiles } else { 0 }];
+        let out_of_range = AtomicBool::new(false);
+        let mut jobs: Vec<(&mut [u32], &mut [u32])> = symbols
+            .chunks_mut(DEFAULT_PANEL_WIDTH * d)
+            .zip(
+                tile_ks
+                    .chunks_mut(DEFAULT_PANEL_WIDTH)
+                    .chain(std::iter::repeat_with(Default::default)),
+            )
+            .collect();
+        par_map_chunked_into(&mut jobs, 1, |first, jobs| {
+            for (i, (syms, ks)) in jobs.iter_mut().enumerate() {
+                let start = (first + i) * DEFAULT_PANEL_WIDTH * d;
+                let src = &self.tiles.levels[start..start + syms.len()];
+                for (sym, &level) in syms.iter_mut().zip(src) {
+                    if level >= levels {
+                        out_of_range.store(true, Ordering::Relaxed);
+                        return;
+                    }
+                    *sym = zigzag(level, zero_level);
                 }
-                symbols.push(crate::quantize::zigzag(level, zero_level));
+                for (k, tile) in ks.iter_mut().zip(syms.chunks_exact(d)) {
+                    *k = best_rice_k(tile, max_k);
+                }
             }
+        });
+        drop(jobs);
+        if out_of_range.into_inner() {
+            let level = self.tiles.levels.iter().find(|&&l| l >= levels);
+            return Err(CodecError::Invalid(format!(
+                "level {} out of range for {}-bit quantizer",
+                level.expect("an out-of-range level was seen"),
+                self.header.bits
+            )));
         }
-        Ok(symbols)
+        Ok((symbols, tile_ks))
     }
 
     /// The v1 payload: per-tile Rice parameter, raw 16-bit norms.
     /// Bit-exact with every pre-v2 build.
-    fn payload_rice(&self, symbols: &[u32]) -> Vec<u8> {
-        let max_k = u32::from(self.header.bits) + 1;
+    fn payload_rice(&self, symbols: &[u32], tile_ks: &[u32]) -> Vec<u8> {
+        let d = self.header.latent_dim as usize;
+        let tiles = &self.tiles;
         let mut bits = BitWriter::new();
-        let mut chunks = symbols.chunks_exact(self.header.latent_dim as usize);
-        for tile in &self.tiles {
-            let Some(payload) = tile else {
+        let mut o = 0;
+        for &occupied in &tiles.occupied {
+            if !occupied {
                 bits.write_bit(false);
                 continue;
-            };
-            let syms = chunks.next().expect("one symbol chunk per occupied tile");
+            }
             bits.write_bit(true);
-            bits.write_bits(u64::from(payload.norm_q), 16);
-            if let Some(scale) = payload.scale {
+            bits.write_bits(u64::from(tiles.norms_q[o]), 16);
+            if let Some(scale) = tiles.scales.get(o) {
                 bits.write_bits(u64::from(scale.to_bits()), 32);
             }
-            let k = best_rice_k(syms, max_k);
+            let k = tile_ks[o];
             bits.write_bits(u64::from(k), RICE_K_BITS);
-            for &s in syms {
+            for &s in &symbols[o * d..(o + 1) * d] {
                 write_rice(&mut bits, s, k);
             }
+            o += 1;
         }
         bits.finish()
     }
@@ -543,12 +647,17 @@ impl Container {
         // Predicted-norm deltas between raster-neighbouring occupied
         // tiles, and the Rice parameter that fits them best.
         let mut pred = NORM_PRED_INIT;
-        let mut deltas = Vec::new();
-        for tile in self.tiles.iter().flatten() {
-            let norm_q = u32::from(tile.norm_q);
-            deltas.push(zigzag_signed(i64::from(norm_q) - i64::from(pred)) as u32);
-            pred = norm_q;
-        }
+        let deltas: Vec<u32> = self
+            .tiles
+            .norms_q
+            .iter()
+            .map(|&norm_q| {
+                let norm_q = u32::from(norm_q);
+                let delta = zigzag_signed(i64::from(norm_q) - i64::from(pred)) as u32;
+                pred = norm_q;
+                delta
+            })
+            .collect();
         let norm_k = best_rice_k(&deltas, MAX_NORM_K);
 
         let mut bits = BitWriter::new();
@@ -559,26 +668,22 @@ impl Container {
         }
         bits.write_bits(u64::from(norm_k), RICE_K_BITS);
 
-        let mut delta_iter = deltas.into_iter();
-        let mut chunks = symbols.chunks_exact(d);
-        for tile in &self.tiles {
-            let Some(payload) = tile else {
+        let tiles = &self.tiles;
+        let mut o = 0;
+        for &occupied in &tiles.occupied {
+            if !occupied {
                 bits.write_bit(false);
                 continue;
-            };
-            let syms = chunks.next().expect("one symbol chunk per occupied tile");
+            }
             bits.write_bit(true);
-            write_rice(
-                &mut bits,
-                delta_iter.next().expect("one delta per tile"),
-                norm_k,
-            );
-            if let Some(scale) = payload.scale {
+            write_rice(&mut bits, deltas[o], norm_k);
+            if let Some(scale) = tiles.scales.get(o) {
                 bits.write_bits(u64::from(scale.to_bits()), 32);
             }
-            for (j, &s) in syms.iter().enumerate() {
-                write_rice(&mut bits, s, k_table[j]);
+            for (&s, &k) in symbols[o * d..(o + 1) * d].iter().zip(&k_table) {
+                write_rice(&mut bits, s, k);
             }
+            o += 1;
         }
         bits.finish()
     }
@@ -593,24 +698,25 @@ impl Container {
         let mut norm_ctx = [PROB_INIT; NORM_CTX_BINS];
         let mut sym_ctx = vec![[PROB_INIT; SYM_CTX_BINS]; ctx_sets];
         let mut pred = NORM_PRED_INIT;
-        let mut chunks = symbols.chunks_exact(d);
-        for tile in &self.tiles {
-            let Some(payload) = tile else {
+        let tiles = &self.tiles;
+        let mut o = 0;
+        for &occupied in &tiles.occupied {
+            if !occupied {
                 enc.encode_bit(&mut occ_ctx, false);
                 continue;
-            };
-            let syms = chunks.next().expect("one symbol chunk per occupied tile");
+            }
             enc.encode_bit(&mut occ_ctx, true);
-            let norm_q = u32::from(payload.norm_q);
+            let norm_q = u32::from(tiles.norms_q[o]);
             let delta = zigzag_signed(i64::from(norm_q) - i64::from(pred)) as u32;
             encode_eg(&mut enc, &mut norm_ctx, delta);
             pred = norm_q;
-            if let Some(scale) = payload.scale {
+            if let Some(scale) = tiles.scales.get(o) {
                 enc.encode_direct(u64::from(scale.to_bits()), 32);
             }
-            for (j, &s) in syms.iter().enumerate() {
+            for (j, &s) in symbols[o * d..(o + 1) * d].iter().enumerate() {
                 encode_eg(&mut enc, &mut sym_ctx[j.min(ctx_sets - 1)], s);
             }
+            o += 1;
         }
         enc.finish()
     }
@@ -645,22 +751,26 @@ fn read_tiles_rice(
     header: &ContainerHeader,
     quantizer: &Quantizer,
     payload: &[u8],
-) -> Result<Vec<Option<TilePayload>>> {
+) -> Result<TileGrid> {
     let levels = quantizer.levels();
     let zero_level = quantizer.zero_level();
     let mut bits = BitReader::new(payload);
-    let mut tiles = Vec::with_capacity(header.tile_count());
+    let mut tiles = TileGrid {
+        occupied: Vec::with_capacity(header.tile_count()),
+        ..TileGrid::default()
+    };
     for _ in 0..header.tile_count() {
-        if !bits.read_bit()? {
-            tiles.push(None);
+        let occupied = bits.read_bit()?;
+        tiles.occupied.push(occupied);
+        if !occupied {
             continue;
         }
-        let norm_q = bits.read_bits(16)? as u16;
-        let scale = if header.per_tile_scale() {
-            Some(validate_scale(bits.read_bits(32)? as u32)?)
-        } else {
-            None
-        };
+        tiles.norms_q.push(bits.read_bits(16)? as u16);
+        if header.per_tile_scale() {
+            tiles
+                .scales
+                .push(validate_scale(bits.read_bits(32)? as u32)?);
+        }
         let k = bits.read_bits(RICE_K_BITS)? as u32;
         if k > u32::from(header.bits) + 1 {
             return Err(CodecError::Invalid(format!(
@@ -668,7 +778,6 @@ fn read_tiles_rice(
                 header.bits
             )));
         }
-        let mut tile_levels = Vec::with_capacity(header.latent_dim as usize);
         for _ in 0..header.latent_dim {
             let symbol = read_rice(&mut bits, k)?;
             if symbol >= levels {
@@ -677,13 +786,10 @@ fn read_tiles_rice(
                     header.bits
                 )));
             }
-            tile_levels.push(crate::quantize::unzigzag(symbol, zero_level));
+            tiles
+                .levels
+                .push(crate::quantize::unzigzag(symbol, zero_level));
         }
-        tiles.push(Some(TilePayload {
-            norm_q,
-            scale,
-            levels: tile_levels,
-        }));
     }
     Ok(tiles)
 }
@@ -693,7 +799,7 @@ fn read_tiles_rice_pos(
     header: &ContainerHeader,
     quantizer: &Quantizer,
     payload: &[u8],
-) -> Result<Vec<Option<TilePayload>>> {
+) -> Result<TileGrid> {
     let levels = quantizer.levels();
     let zero_level = quantizer.zero_level();
     let d = header.latent_dim as usize;
@@ -724,19 +830,24 @@ fn read_tiles_rice_pos(
     }
 
     let mut pred = NORM_PRED_INIT;
-    let mut tiles = Vec::with_capacity(header.tile_count());
+    let mut tiles = TileGrid {
+        occupied: Vec::with_capacity(header.tile_count()),
+        ..TileGrid::default()
+    };
     for _ in 0..header.tile_count() {
-        if !bits.read_bit()? {
-            tiles.push(None);
+        let occupied = bits.read_bit()?;
+        tiles.occupied.push(occupied);
+        if !occupied {
             continue;
         }
-        let norm_q = apply_norm_delta(&mut pred, read_rice(&mut bits, norm_k)?)?;
-        let scale = if header.per_tile_scale() {
-            Some(validate_scale(bits.read_bits(32)? as u32)?)
-        } else {
-            None
-        };
-        let mut tile_levels = Vec::with_capacity(d);
+        tiles
+            .norms_q
+            .push(apply_norm_delta(&mut pred, read_rice(&mut bits, norm_k)?)?);
+        if header.per_tile_scale() {
+            tiles
+                .scales
+                .push(validate_scale(bits.read_bits(32)? as u32)?);
+        }
         for &kj in &k_table {
             let symbol = read_rice(&mut bits, kj)?;
             if symbol >= levels {
@@ -745,13 +856,10 @@ fn read_tiles_rice_pos(
                     header.bits
                 )));
             }
-            tile_levels.push(crate::quantize::unzigzag(symbol, zero_level));
+            tiles
+                .levels
+                .push(crate::quantize::unzigzag(symbol, zero_level));
         }
-        tiles.push(Some(TilePayload {
-            norm_q,
-            scale,
-            levels: tile_levels,
-        }));
     }
     Ok(tiles)
 }
@@ -761,7 +869,7 @@ fn read_tiles_range(
     header: &ContainerHeader,
     quantizer: &Quantizer,
     payload: &[u8],
-) -> Result<Vec<Option<TilePayload>>> {
+) -> Result<TileGrid> {
     let levels = quantizer.levels();
     let zero_level = quantizer.zero_level();
     let d = header.latent_dim as usize;
@@ -791,22 +899,22 @@ fn read_tiles_range(
         })?;
         Ok(())
     };
-    let mut tiles = Vec::new();
+    let mut tiles = TileGrid::default();
     for _ in 0..header.tile_count() {
         spend(1)?;
-        if !dec.decode_bit(&mut occ_ctx)? {
-            tiles.push(None);
+        let occupied = dec.decode_bit(&mut occ_ctx)?;
+        tiles.occupied.push(occupied);
+        if !occupied {
             continue;
         }
         spend(1 + d)?;
         let delta_zz = decode_eg(&mut dec, &mut norm_ctx, MAX_EG_BUCKET)?;
-        let norm_q = apply_norm_delta(&mut pred, delta_zz)?;
-        let scale = if header.per_tile_scale() {
-            Some(validate_scale(dec.decode_direct(32)? as u32)?)
-        } else {
-            None
-        };
-        let mut tile_levels = Vec::with_capacity(d);
+        tiles.norms_q.push(apply_norm_delta(&mut pred, delta_zz)?);
+        if header.per_tile_scale() {
+            tiles
+                .scales
+                .push(validate_scale(dec.decode_direct(32)? as u32)?);
+        }
         for j in 0..d {
             let symbol = decode_eg(&mut dec, &mut sym_ctx[j.min(ctx_sets - 1)], MAX_EG_BUCKET)?;
             if symbol >= levels {
@@ -815,13 +923,10 @@ fn read_tiles_range(
                     header.bits
                 )));
             }
-            tile_levels.push(crate::quantize::unzigzag(symbol, zero_level));
+            tiles
+                .levels
+                .push(crate::quantize::unzigzag(symbol, zero_level));
         }
-        tiles.push(Some(TilePayload {
-            norm_q,
-            scale,
-            levels: tile_levels,
-        }));
     }
     Ok(tiles)
 }
@@ -849,19 +954,19 @@ mod tests {
             bits: 8,
             max_norm: 3.5,
         };
-        let tiles = (0..header.tile_count())
-            .map(|i| {
-                if i % 3 == 2 {
-                    None
-                } else {
-                    Some(TilePayload {
-                        norm_q: (i * 9991 % 65536) as u16,
-                        scale: per_tile_scale.then_some(0.25 + i as f32 * 0.1),
-                        levels: (0..5).map(|j| ((i * 37 + j * 11) % 256) as u32).collect(),
-                    })
-                }
-            })
-            .collect();
+        let mut tiles = TileGrid::default();
+        for i in 0..header.tile_count() {
+            if i % 3 == 2 {
+                tiles.push_empty();
+            } else {
+                let levels: Vec<u32> = (0..5).map(|j| ((i * 37 + j * 11) % 256) as u32).collect();
+                tiles.push(
+                    (i * 9991 % 65536) as u16,
+                    per_tile_scale.then_some(0.25 + i as f32 * 0.1),
+                    &levels,
+                );
+            }
+        }
         Container {
             header,
             inline_model,
@@ -989,11 +1094,8 @@ mod tests {
             bits: 8,
             max_norm: 2.0,
         };
-        let tiles = vec![Some(TilePayload {
-            norm_q: u16::MAX,
-            scale: None,
-            levels: vec![200, 140, 131, 126, 129, 128, 127, 128],
-        })];
+        let mut tiles = TileGrid::default();
+        tiles.push(u16::MAX, None, &[200, 140, 131, 126, 129, 128, 127, 128]);
         let v1 = Container {
             header,
             inline_model: None,
@@ -1067,19 +1169,22 @@ mod tests {
     fn inconsistent_containers_cannot_serialise() {
         // Wrong tile count.
         let mut c = sample_container(false, None);
-        c.tiles.pop();
+        c.tiles.occupied.pop();
         assert!(c.to_bytes().is_err());
         // Level out of range for the bit depth.
         let mut c = sample_container(false, None);
-        if let Some(Some(t)) = c.tiles.first_mut().map(|t| t.as_mut()) {
-            t.levels[0] = 256;
-        }
+        c.tiles.levels[0] = 256;
         assert!(c.to_bytes().is_err());
         // Scale present without the flag.
         let mut c = sample_container(false, None);
-        if let Some(Some(t)) = c.tiles.first_mut().map(|t| t.as_mut()) {
-            t.scale = Some(1.0);
-        }
+        c.tiles.scales.push(1.0);
+        assert!(c.to_bytes().is_err());
+        // A norm or a level too many for the occupied tiles.
+        let mut c = sample_container(false, None);
+        c.tiles.norms_q.push(7);
+        assert!(c.to_bytes().is_err());
+        let mut c = sample_container(false, None);
+        c.tiles.levels.push(1);
         assert!(c.to_bytes().is_err());
     }
 

@@ -54,7 +54,7 @@ pub fn container_info_json(container: &Container, file_len: usize) -> String {
         }
         None => s.push_str(",\"inline_model_bytes\":null"),
     }
-    let occupied = container.tiles.iter().filter(|t| t.is_some()).count();
+    let occupied = container.tiles.occupied_count();
     let _ = write!(s, ",\"occupied_tiles\":{occupied}");
     let _ = write!(s, ",\"payload_bytes\":{payload_len}");
     let _ = write!(s, ",\"file_bytes\":{file_len}");

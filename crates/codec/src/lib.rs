@@ -18,13 +18,15 @@
 //!   selector (`rice` / `rice-pos` / `range`) and the adaptive binary
 //!   range coder with Exp-Golomb binarization;
 //! - [`container`] — the `.qnc` layout: header, model id, tile grid,
-//!   per-tile payloads, optional inline model, trailing checksum;
-//! - [`pipeline`] — the full-image path: `qn-image` tiling → batch
-//!   amplitude encode → `U_C`/`P1` → quantize + entropy-code, and the
-//!   reverse through `U_R`, with the mesh passes dispatched through a
-//!   selectable `qn_backend::MeshBackend` (the `simd` panel path by
-//!   default, the `scalar` reference on request — same bytes either
-//!   way);
+//!   per-tile payloads, optional inline model, trailing checksum; in
+//!   memory the tiles are flat grid arrays ([`TileGrid`]);
+//! - [`pipeline`] — the full-image path: occupied tiles gathered and
+//!   amplitude-encoded straight into mode-major panels → `U_C`/`P1` in
+//!   place → quantize + entropy-code, and the reverse through `U_R`,
+//!   every per-tile stage on the thread pool one panel at a time, with
+//!   the mesh passes dispatched through a selectable
+//!   `qn_backend::MeshBackend` (the `simd` panel path by default, the
+//!   `scalar` reference on request — same bytes either way);
 //! - the `qnc` binary — `compress` / `decompress` / `train` / `info`
 //!   over PGM files.
 //!
@@ -41,7 +43,7 @@ pub mod model;
 pub mod pipeline;
 pub mod quantize;
 
-pub use container::{Container, ContainerHeader, TilePayload};
+pub use container::{Container, ContainerHeader, TileGrid};
 pub use entropy::EntropyCoder;
 pub use error::{CodecError, Result};
 pub use model::{load_model, save_model};

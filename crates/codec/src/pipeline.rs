@@ -10,14 +10,41 @@
 //! converts `GrayImage`s to `.qnc` bytes and back. The mesh passes that
 //! dominate runtime are dispatched as whole-image batches through a
 //! [`qn_backend::MeshBackend`] selected by [`CodecOptions::backend`]:
-//! the `simd` panel path by default, or the `scalar` per-tile reference.
-//! Backends may differ only in the sign of IEEE zeros, which the
-//! magnitude quantizer and the pixel decode erase, so the bytes a
+//! the `simd` panel path by default, or the `scalar` per-lane
+//! reference. Backends may differ only in the sign of IEEE zeros, which
+//! the magnitude quantizer and the pixel decode erase, so the bytes a
 //! container holds — and the pixels it decodes to — never depend on the
 //! backend.
+//!
+//! # Tiles travel as panels
+//!
+//! Every occupied tile lives in one lane of a mode-major
+//! [`qn_linalg::Panel`] of [`DEFAULT_PANEL_WIDTH`] lanes (only the last
+//! panel is narrower), from pixels to bitstream and back:
+//!
+//! - **encode**: [`Codec::prepare_encode`] finds the occupied tiles and
+//!   gathers and normalises each one straight into its lane (Eq. 1);
+//!   the backend rotates the panels in place; [`Codec::complete_encode`]
+//!   quantizes the kept rows into the container's flat
+//!   [`TileGrid`] arrays, which [`Container::to_bytes`] zigzags and
+//!   entropy-codes;
+//! - **decode**: [`Container::from_bytes`] fills the flat arrays;
+//!   [`Codec::prepare_decode`] dequantizes them into the kept rows of
+//!   fresh panels; the backend rotates them in place;
+//!   [`Codec::complete_decode`] applies Eq. 2 while stitching the lanes
+//!   into the image.
+//!
+//! No stage allocates per tile. Each per-tile stage runs on the thread
+//! pool through `qn_linalg::parallel::par_map_chunked_into`, one panel
+//! per chunk (stitching: one band of tile rows per panel), so chunk
+//! boundaries depend only on the image and never on the thread count,
+//! and a one-panel image never forks. Only the entropy bitstream and
+//! the occupancy scan run serially. [`Codec::encode_image_with_stats`],
+//! [`Codec::decode_container`] and the server's batcher all run this
+//! one schedule: prepare → mesh pass → complete.
 
 use crate::container::{
-    dequantize_norm, quantize_norm, Container, ContainerHeader, TilePayload, FLAG_INLINE_MODEL,
+    dequantize_norm, quantize_norm, Container, ContainerHeader, TileGrid, FLAG_INLINE_MODEL,
     FLAG_PER_TILE_SCALE,
 };
 use crate::entropy::EntropyCoder;
@@ -27,8 +54,12 @@ use crate::quantize::{tile_scale, Quantizer};
 use qn_backend::BackendKind;
 use qn_core::config::{CompressionTargetKind, SubspaceKind};
 use qn_core::reconstruction::ReconstructionNetwork;
-use qn_core::{compression::CompressionNetwork, encoding, QuantumAutoencoder};
-use qn_image::{tiles, GrayImage};
+use qn_core::spectral::SecondMoment;
+use qn_core::{compression::CompressionNetwork, QuantumAutoencoder};
+use qn_image::GrayImage;
+use qn_linalg::panel::DEFAULT_PANEL_WIDTH;
+use qn_linalg::parallel::par_map_chunked_into;
+use qn_linalg::Panel;
 use std::path::Path;
 use std::time::Instant;
 
@@ -38,13 +69,13 @@ use std::time::Instant;
 /// telemetry dependency, and never an influence on encoded bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EncodeTimings {
-    /// Tiling plus amplitude encoding ([`Codec::prepare_encode`]).
+    /// Tile gather plus amplitude encoding ([`Codec::prepare_encode`]).
     pub prepare_ns: u64,
     /// The compression mesh pass.
     pub mesh_ns: u64,
-    /// Latent gather, scaling and level quantization (payload build).
+    /// Latent scaling and level quantization into the tile arrays.
     pub quantize_ns: u64,
-    /// Entropy coding and container serialisation.
+    /// Zigzag mapping, entropy coding and container serialisation.
     pub entropy_ns: u64,
 }
 
@@ -54,12 +85,12 @@ pub struct EncodeTimings {
 pub struct DecodeTimings {
     /// Container parse, including entropy decoding of the payload.
     pub parse_ns: u64,
-    /// Dequantization and state re-embedding
+    /// Dequantization into the kept rows of fresh panels
     /// ([`Codec::prepare_decode`]).
     pub prepare_ns: u64,
     /// The reconstruction mesh pass.
     pub mesh_ns: u64,
-    /// Norm scaling, patch rebuild and stitching
+    /// Norm scaling and stitching into the image
     /// ([`Codec::complete_decode`]).
     pub stitch_ns: u64,
 }
@@ -213,16 +244,32 @@ impl Codec {
                 "latent dimension must be in 1..={dim}, got {latent_dim}"
             )));
         }
-        let inputs: Vec<Vec<f64>> = images
-            .iter()
-            .flat_map(|img| tiles::tile(img, tile_size).tiles)
-            .filter_map(|t| encoding::encode(t.pixels(), dim).ok())
-            .map(|e| e.amplitudes)
-            .collect();
-        let mesh_c = if inputs.is_empty() {
+        // The fit sees exactly the states the encoder would: each
+        // image's occupied tiles from the prepare gather, in tile order,
+        // streamed into the second moment one lane at a time.
+        let mut moment = SecondMoment::new(dim);
+        let mut sample = vec![0.0; dim];
+        let mut samples = 0usize;
+        for img in images {
+            for panel in &gather_tiles(img, tile_size, dim).panels {
+                for lane in 0..panel.width() {
+                    for (m, x) in sample.iter_mut().enumerate() {
+                        *x = panel.row(m)[lane];
+                    }
+                    moment.add(&sample);
+                    samples += 1;
+                }
+            }
+        }
+        let mesh_c = if samples == 0 {
             qn_photonic::Mesh::zeros(dim, 1)
         } else {
-            qn_core::spectral::spectral_mesh(&inputs, dim, latent_dim, SubspaceKind::KeepLast, 1)?
+            qn_core::spectral::spectral_mesh_of_moment(
+                &moment.matrix(),
+                latent_dim,
+                SubspaceKind::KeepLast,
+                1,
+            )?
         };
         let compression = CompressionNetwork::new(
             mesh_c,
@@ -257,12 +304,11 @@ impl Codec {
         img: &GrayImage,
         opts: &CodecOptions,
     ) -> Result<(Vec<u8>, EncodeStats)> {
-        let (plan, states) = self.prepare_encode(img, opts)?;
-        let outs = self
-            .model
-            .compression
-            .forward_batch_with(&states, opts.backend.backend());
-        self.complete_encode(plan, outs)
+        let (plan, mut panels) = self.prepare_encode(img, opts)?;
+        opts.backend
+            .backend()
+            .forward_panels(self.model.compression.mesh(), &mut panels);
+        self.complete_encode(plan, panels)
     }
 
     /// [`Codec::encode_image_with_stats`] with per-stage wall-clock
@@ -277,29 +323,28 @@ impl Codec {
         opts: &CodecOptions,
     ) -> Result<(Vec<u8>, EncodeStats, EncodeTimings)> {
         let t = Instant::now();
-        let (plan, states) = self.prepare_encode(img, opts)?;
+        let (plan, mut panels) = self.prepare_encode(img, opts)?;
         let prepare_ns = elapsed_ns(t);
         let t = Instant::now();
-        let outs = self
-            .model
-            .compression
-            .forward_batch_with(&states, opts.backend.backend());
+        opts.backend
+            .backend()
+            .forward_panels(self.model.compression.mesh(), &mut panels);
         let mesh_ns = elapsed_ns(t);
-        let (bytes, stats, mut timings) = self.complete_encode_timed(plan, outs)?;
+        let (bytes, stats, mut timings) = self.complete_encode_timed(plan, panels)?;
         timings.prepare_ns = prepare_ns;
         timings.mesh_ns = mesh_ns;
         Ok((bytes, stats, timings))
     }
 
-    /// Everything *before* the encode's single mesh pass: tile the
-    /// image, amplitude-encode every non-empty tile, and hand back the
-    /// state vectors alongside the bookkeeping needed to finish. Any
-    /// executor may then run the compression mesh over the states —
-    /// [`Codec::encode_image_with_stats`] dispatches them directly
-    /// through [`CodecOptions::backend`], while a serving layer can
-    /// coalesce them with other requests' tiles — and feed the outputs
-    /// (equal up to zero signs by the backend contract, which the
-    /// quantizer erases) to [`Codec::complete_encode`].
+    /// Everything *before* the encode's single mesh pass: find the
+    /// occupied tiles and amplitude-encode each one into its panel lane,
+    /// handing back the panels alongside the bookkeeping needed to
+    /// finish. Any executor may then run the compression mesh over the
+    /// panels — [`Codec::encode_image_with_stats`] applies
+    /// [`CodecOptions::backend`] in place, while a serving layer can
+    /// coalesce them with other requests' panels — and feed them (equal
+    /// up to zero signs by the backend contract, which the quantizer
+    /// erases) to [`Codec::complete_encode`].
     ///
     /// # Errors
     /// [`CodecError::Invalid`] for empty images, zero/oversize tile
@@ -308,7 +353,7 @@ impl Codec {
         &self,
         img: &GrayImage,
         opts: &CodecOptions,
-    ) -> Result<(EncodePlan, Vec<Vec<f64>>)> {
+    ) -> Result<(EncodePlan, Vec<Panel>)> {
         if img.is_empty() {
             return Err(CodecError::Invalid("cannot encode an empty image".into()));
         }
@@ -325,83 +370,41 @@ impl Codec {
             )));
         }
         Quantizer::new(opts.bits)?; // validate the bit depth up front
-        let ts = opts.tile_size;
-        let tiles_x = img.width().div_ceil(ts).max(1);
-        let tiles_y = img.height().div_ceil(ts).max(1);
-        let tile_px = ts * ts;
-        let src = img.pixels();
-        let n_tiles = tiles_x * tiles_y;
-        let mut states: Vec<Vec<f64>> = Vec::with_capacity(n_tiles);
-        let mut norms: Vec<f64> = Vec::with_capacity(n_tiles);
-        let mut slots: Vec<Option<usize>> = Vec::with_capacity(n_tiles);
-        // Fused tiling + amplitude encoding (Eq. 1): gather each tile's
-        // row spans straight into its padded state vector and normalise
-        // in place, with no intermediate patch images. Values appear in
-        // the exact order `tiles::tile` + `encoding::encode` would
-        // produce them (row-major with trailing zero padding), so norms
-        // and amplitudes are bit-identical to the unfused path.
-        for ty in 0..tiles_y {
-            for tx in 0..tiles_x {
-                let x0 = tx * ts;
-                let y0 = ty * ts;
-                let span_w = ts.min(img.width().saturating_sub(x0));
-                let span_h = ts.min(img.height().saturating_sub(y0));
-                let mut state = vec![0.0; dim];
-                for py in 0..span_h {
-                    let s = (y0 + py) * img.width() + x0;
-                    let d = py * ts;
-                    state[d..d + span_w].copy_from_slice(&src[s..s + span_w]);
-                }
-                let norm = qn_linalg::vector::norm2(&state[..tile_px]);
-                if norm <= 0.0 {
-                    // All-zero tile: no quantum state can encode it.
-                    slots.push(None);
-                    continue;
-                }
-                for a in &mut state[..tile_px] {
-                    *a /= norm;
-                }
-                slots.push(Some(states.len()));
-                norms.push(norm);
-                states.push(state);
-            }
-        }
+        let gathered = gather_tiles(img, opts.tile_size, dim);
         let plan = EncodePlan {
-            slots,
-            norms,
-            tiles_x,
-            tiles_y,
+            occupied: gathered.occupied,
+            norms: gathered.norms,
             width: img.width() as u32,
             height: img.height() as u32,
             raw_bytes: img.len(),
             opts: opts.clone(),
         };
-        Ok((plan, states))
+        Ok((plan, gathered.panels))
     }
 
-    /// Everything *after* the encode's mesh pass: gather the kept
-    /// latent amplitudes from the raw `U_C` outputs (projection only
-    /// zeroes the discarded ones, so the gather is bit-identical to
-    /// projecting first), quantize, entropy-code and serialise the
-    /// container. `mesh_out[i]` must be the mesh output for state `i`
-    /// of [`Codec::prepare_encode`].
+    /// Everything *after* the encode's mesh pass: quantize the kept
+    /// rows of the raw `U_C` output (projection only zeroes the
+    /// discarded ones, so reading the kept rows is bit-identical to
+    /// projecting first) straight into the container's tile arrays,
+    /// then entropy-code and serialise. `panels` must be the panels of
+    /// [`Codec::prepare_encode`], in order, after the mesh pass.
     ///
     /// # Errors
-    /// [`CodecError::Invalid`] when `mesh_out` does not match the
-    /// plan's state count, plus container serialisation errors.
+    /// [`CodecError::Invalid`] when `panels` do not have the plan's
+    /// panel layout, plus container serialisation errors.
     pub fn complete_encode(
         &self,
         plan: EncodePlan,
-        mesh_out: Vec<Vec<f64>>,
+        panels: Vec<Panel>,
     ) -> Result<(Vec<u8>, EncodeStats)> {
-        let (bytes, stats, _) = self.complete_encode_timed(plan, mesh_out)?;
+        let (bytes, stats, _) = self.complete_encode_timed(plan, panels)?;
         Ok((bytes, stats))
     }
 
     /// [`Codec::complete_encode`] with wall-clock accounting of its two
-    /// stages: `quantize_ns` (latent gather + payload build) and
-    /// `entropy_ns` (entropy coding + container serialisation). The
-    /// `prepare_ns`/`mesh_ns` fields are left zero for the caller —
+    /// stages: `quantize_ns` (latent scaling + level quantization) and
+    /// `entropy_ns` (zigzag, entropy coding + container serialisation).
+    /// The `prepare_ns`/`mesh_ns` fields are left zero for the caller —
     /// whoever ran the mesh pass — to fill in.
     ///
     /// # Errors
@@ -409,19 +412,13 @@ impl Codec {
     pub fn complete_encode_timed(
         &self,
         plan: EncodePlan,
-        mesh_out: Vec<Vec<f64>>,
+        panels: Vec<Panel>,
     ) -> Result<(Vec<u8>, EncodeStats, EncodeTimings)> {
-        if mesh_out.len() != plan.norms.len() {
-            return Err(CodecError::Invalid(format!(
-                "mesh pass returned {} outputs for {} prepared tiles",
-                mesh_out.len(),
-                plan.norms.len()
-            )));
-        }
+        check_panels(&panels, plan.norms.len(), self.model.dim())?;
         let opts = &plan.opts;
         let quantizer = Quantizer::new(opts.bits)?;
         let latent_dim = self.model.compression.compressed_dim();
-        let kept_indices = self.model.compression.projector().kept_indices();
+        let kept = self.model.compression.projector().kept_indices();
         let max_norm = plan.norms.iter().fold(0.0f64, |m, &n| m.max(n)) as f32;
 
         let mut flags = 0u16;
@@ -445,51 +442,58 @@ impl Codec {
         };
 
         let t = Instant::now();
-        let mut empty_tiles = 0usize;
-        // One reused gather buffer: per tile only the `levels` vector
-        // the payload keeps is allocated.
-        let mut kept = vec![0.0f64; latent_dim];
-        let tile_payloads: Vec<Option<TilePayload>> = plan
-            .slots
-            .iter()
-            .map(|slot| match slot {
-                None => {
-                    empty_tiles += 1;
-                    None
+        let occupied = plan.norms.len();
+        let grid = plan.occupied.len();
+        let mut tiles = TileGrid {
+            occupied: plan.occupied,
+            norms_q: vec![0; occupied],
+            scales: vec![0.0; if opts.per_tile_scale { occupied } else { 0 }],
+            levels: vec![0; occupied * latent_dim],
+        };
+        {
+            // One job per panel: its lanes' slices of every tile array.
+            let w = DEFAULT_PANEL_WIDTH;
+            let mut jobs: Vec<_> = panels
+                .iter()
+                .zip(plan.norms.chunks(w))
+                .zip(tiles.norms_q.chunks_mut(w))
+                .zip(tiles.levels.chunks_mut((w * latent_dim).max(1)))
+                .zip(
+                    tiles
+                        .scales
+                        .chunks_mut(w)
+                        .chain(std::iter::repeat_with(Default::default)),
+                )
+                .map(
+                    |((((panel, norms), norms_q), levels), scales)| QuantizeJob {
+                        panel,
+                        norms,
+                        norms_q,
+                        levels,
+                        scales,
+                    },
+                )
+                .collect();
+            par_map_chunked_into(&mut jobs, 1, |_, jobs| {
+                for job in jobs {
+                    job.run(&quantizer, &kept, max_norm);
                 }
-                Some(i) => {
-                    for (dst, &j) in kept.iter_mut().zip(kept_indices.iter()) {
-                        *dst = mesh_out[*i][j];
-                    }
-                    let scale = opts.per_tile_scale.then(|| {
-                        let s = tile_scale(&kept);
-                        for a in &mut kept {
-                            *a /= f64::from(s);
-                        }
-                        s
-                    });
-                    Some(TilePayload {
-                        norm_q: quantize_norm(plan.norms[*i], max_norm),
-                        scale,
-                        levels: quantizer.quantize_block(&kept),
-                    })
-                }
-            })
-            .collect();
+            });
+        }
         let quantize_ns = elapsed_ns(t);
 
         let t = Instant::now();
         let container = Container {
             header,
             inline_model: opts.inline_model.then(|| model::encode_model(&self.model)),
-            tiles: tile_payloads,
+            tiles,
         };
         let model_bytes = container.inline_model.as_ref().map_or(0, Vec::len);
         let bytes = container.to_bytes()?;
         let entropy_ns = elapsed_ns(t);
         let stats = EncodeStats {
-            tiles: plan.tiles_x * plan.tiles_y,
-            empty_tiles,
+            tiles: grid,
+            empty_tiles: grid - occupied,
             raw_bytes: plan.raw_bytes,
             container_bytes: bytes.len(),
             bits_per_pixel: bytes.len() as f64 * 8.0 / plan.raw_bytes as f64,
@@ -543,16 +547,15 @@ impl Codec {
         let parse_ns = elapsed_ns(t);
         self.check_container(&container)?;
         let t = Instant::now();
-        let (plan, states) = self.prepare_decode(&container)?;
+        let (plan, mut panels) = self.prepare_decode(&container)?;
         let prepare_ns = elapsed_ns(t);
         let t = Instant::now();
-        let outs = self
-            .model
-            .reconstruction
-            .reconstruct_batch_with(&states, backend.backend());
+        backend
+            .backend()
+            .forward_panels(self.model.reconstruction.mesh(), &mut panels);
         let mesh_ns = elapsed_ns(t);
         let t = Instant::now();
-        let img = self.complete_decode(plan, outs)?;
+        let img = self.complete_decode(plan, panels)?;
         let stitch_ns = elapsed_ns(t);
         Ok((
             img,
@@ -589,24 +592,25 @@ impl Codec {
         container: &Container,
         backend: BackendKind,
     ) -> Result<GrayImage> {
-        let (plan, states) = self.prepare_decode(container)?;
-        let outs = self
-            .model
-            .reconstruction
-            .reconstruct_batch_with(&states, backend.backend());
-        self.complete_decode(plan, outs)
+        let (plan, mut panels) = self.prepare_decode(container)?;
+        backend
+            .backend()
+            .forward_panels(self.model.reconstruction.mesh(), &mut panels);
+        self.complete_decode(plan, panels)
     }
 
     /// Everything *before* the decode's single mesh pass: validate the
     /// container geometry against the model and dequantize every
-    /// occupied tile into a re-embedded state vector. Any executor may
-    /// then run the reconstruction mesh over the states and feed the
-    /// outputs to [`Codec::complete_decode`].
+    /// occupied tile into the kept rows of its panel lane (the other
+    /// rows stay zero: the re-embedded state). Any executor may then
+    /// run the reconstruction mesh over the panels and feed them to
+    /// [`Codec::complete_decode`].
     ///
     /// # Errors
     /// [`CodecError::Invalid`] when the container geometry disagrees
-    /// with the model (latent dimension, state dimension).
-    pub fn prepare_decode(&self, container: &Container) -> Result<(DecodePlan, Vec<Vec<f64>>)> {
+    /// with the model (latent dimension, state dimension) or its tile
+    /// arrays disagree with its header.
+    pub fn prepare_decode(&self, container: &Container) -> Result<(DecodePlan, Vec<Panel>)> {
         let header = &container.header;
         let dim = self.model.dim();
         let tile_px = header.tile_size as usize * header.tile_size as usize;
@@ -616,100 +620,306 @@ impl Codec {
                 header.tile_size
             )));
         }
-        if header.latent_dim as usize != self.model.compression.compressed_dim() {
+        let d = self.model.compression.compressed_dim();
+        if header.latent_dim as usize != d {
             return Err(CodecError::Invalid(format!(
                 "container stores {} latents per tile, model compresses to {}",
-                header.latent_dim,
-                self.model.compression.compressed_dim()
+                header.latent_dim, d
             )));
         }
+        let tiles = &container.tiles;
+        tiles.check(header)?;
         let quantizer = Quantizer::new(header.bits)?;
-        let kept_indices = self.model.compression.projector().kept_indices();
+        let kept = self.model.compression.projector().kept_indices();
+        let occupied = tiles.occupied_count();
 
-        // Dequantize every occupied tile into a re-embedded state vector.
-        let mut states: Vec<Vec<f64>> = Vec::new();
-        let mut norms: Vec<f64> = Vec::new();
-        let mut slots: Vec<Option<usize>> = Vec::with_capacity(container.tiles.len());
-        for tile in &container.tiles {
-            match tile {
-                None => slots.push(None),
-                Some(payload) => {
-                    // Dequantize straight into the re-embedded state —
-                    // same values as dequantizing to a staging buffer,
-                    // scaling, then scattering, with no per-tile
-                    // intermediate allocation.
-                    let mut state = vec![0.0; dim];
-                    match payload.scale {
-                        Some(scale) => {
-                            for (&j, &level) in kept_indices.iter().zip(&payload.levels) {
-                                state[j] = quantizer.dequantize(level) * f64::from(scale);
-                            }
+        let mut norms = vec![0.0; occupied];
+        let panels = build_panels(&mut norms, |p, norms| {
+            let o0 = p * DEFAULT_PANEL_WIDTH;
+            let lanes = norms.len();
+            for (norm, &norm_q) in norms.iter_mut().zip(&tiles.norms_q[o0..]) {
+                *norm = dequantize_norm(norm_q, header.max_norm);
+            }
+            let levels = &tiles.levels[o0 * d..(o0 + lanes) * d];
+            let scales = tiles.scales.get(o0..o0 + lanes);
+            // Mode by mode: a kept mode's row holds the lanes'
+            // dequantized latents, every other row stays zero.
+            let mut data = Vec::with_capacity(dim * lanes);
+            let mut kept_rows = kept.iter().enumerate().peekable();
+            for m in 0..dim {
+                match kept_rows.next_if(|&(_, &k)| k == m) {
+                    Some((j, _)) => data.extend((0..lanes).map(|lane| {
+                        let a = quantizer.dequantize(levels[lane * d + j]);
+                        match scales {
+                            Some(s) => a * f64::from(s[lane]),
+                            None => a,
                         }
-                        None => {
-                            for (&j, &level) in kept_indices.iter().zip(&payload.levels) {
-                                state[j] = quantizer.dequantize(level);
-                            }
-                        }
-                    }
-                    slots.push(Some(states.len()));
-                    norms.push(dequantize_norm(payload.norm_q, header.max_norm));
-                    states.push(state);
+                    })),
+                    None => data.extend(std::iter::repeat_n(0.0, lanes)),
                 }
             }
-        }
+            Panel::from_mode_major(dim, lanes, data)
+        });
         let plan = DecodePlan {
-            slots,
+            occupied: tiles.occupied.clone(),
             norms,
             tile_size: header.tile_size as usize,
             width: header.width as usize,
             height: header.height as usize,
             tiles_x: header.tiles_x(),
         };
-        Ok((plan, states))
+        Ok((plan, panels))
     }
 
-    /// Everything *after* the decode's mesh pass: scale each
-    /// reconstructed state by its tile norm, rebuild the patches and
-    /// stitch the image. `mesh_out[i]` must be the reconstruction-mesh
-    /// output for state `i` of [`Codec::prepare_decode`].
+    /// Everything *after* the decode's mesh pass: scale each lane by
+    /// its tile norm (Eq. 2, `x̂ = √(B²)·‖x‖`, exactly
+    /// `encoding::decode`) and stitch it into the image, clipped at the
+    /// right and bottom edges. `panels` must be the panels of
+    /// [`Codec::prepare_decode`], in order, after the mesh pass.
     ///
     /// # Errors
-    /// [`CodecError::Invalid`] when `mesh_out` does not match the
-    /// plan's state count.
-    pub fn complete_decode(&self, plan: DecodePlan, mesh_out: Vec<Vec<f64>>) -> Result<GrayImage> {
-        if mesh_out.len() != plan.norms.len() {
-            return Err(CodecError::Invalid(format!(
-                "mesh pass returned {} outputs for {} prepared tiles",
-                mesh_out.len(),
-                plan.norms.len()
-            )));
-        }
-        // Stitch decoded amplitudes straight into the output image:
-        // per-row spans clipped at the right/bottom edges, Eq. 2
-        // (`x̂ = √(B²)·‖x‖`, exactly `encoding::decode`) applied in
-        // place. Skipped (all-zero) tiles keep the canvas zeros, and
-        // padding amplitudes beyond each clipped span are dropped — the
-        // same crop `tiles::untile` performed on materialised patches.
+    /// [`CodecError::Invalid`] when `panels` do not have the plan's
+    /// panel layout.
+    pub fn complete_decode(&self, plan: DecodePlan, panels: Vec<Panel>) -> Result<GrayImage> {
+        check_panels(&panels, plan.norms.len(), self.model.dim())?;
         let ts = plan.tile_size;
-        let mut out = GrayImage::zeros(plan.width, plan.height);
-        let dst = out.pixels_mut();
-        for (idx, slot) in plan.slots.iter().enumerate() {
-            let Some(i) = slot else { continue };
-            let amps = &mesh_out[*i];
-            let norm = plan.norms[*i];
-            let x0 = (idx % plan.tiles_x) * ts;
-            let y0 = (idx / plan.tiles_x) * ts;
-            let span_w = ts.min(plan.width.saturating_sub(x0));
-            let span_h = ts.min(plan.height.saturating_sub(y0));
-            for py in 0..span_h {
-                let d = (y0 + py) * plan.width + x0;
-                let s = py * ts;
-                for (o, &b) in dst[d..d + span_w].iter_mut().zip(&amps[s..s + span_w]) {
-                    *o = (b * b).sqrt() * norm;
+        let width = plan.width;
+        let tiles_x = plan.tiles_x;
+        let mut out = GrayImage::zeros(width, plan.height);
+        if panels.is_empty() {
+            return Ok(out); // every tile is empty: the canvas stays black
+        }
+        // Occupied tiles before each tile row, so a band of rows knows
+        // which lane its first tile sits in.
+        let mut row_start = Vec::with_capacity(plan.occupied.len() / tiles_x + 1);
+        let mut seen = 0usize;
+        for row in plan.occupied.chunks(tiles_x) {
+            row_start.push(seen);
+            seen += row.iter().filter(|&&o| o).count();
+        }
+        // One band of whole tile rows per chunk, at most one chunk per
+        // panel: a one-panel image stitches on the calling thread.
+        let rows_per_band = row_start.len().div_ceil(panels.len());
+        let band_px = rows_per_band * ts * width;
+        let w = DEFAULT_PANEL_WIDTH;
+        par_map_chunked_into(out.pixels_mut(), band_px, |start, band| {
+            let ty0 = start / (ts * width);
+            let rows = band.len().div_ceil(ts * width);
+            let mut o = row_start[ty0];
+            for ty in ty0..ty0 + rows {
+                let span_h = ts.min(plan.height - ty * ts);
+                for tx in 0..tiles_x {
+                    if !plan.occupied[ty * tiles_x + tx] {
+                        continue; // an empty tile keeps the canvas black
+                    }
+                    // Occupied tile `o` sits in lane `o % w` of panel `o / w`.
+                    let (panel, lane) = (&panels[o / w], o % w);
+                    let (amps, lanes) = (panel.as_slice(), panel.width());
+                    let norm = plan.norms[o];
+                    o += 1;
+                    let x0 = tx * ts;
+                    let span_w = ts.min(width - x0);
+                    for py in 0..span_h {
+                        let d = ((ty - ty0) * ts + py) * width + x0;
+                        for (px, p) in band[d..d + span_w].iter_mut().enumerate() {
+                            let b = amps[(py * ts + px) * lanes + lane];
+                            *p = (b * b).sqrt() * norm;
+                        }
+                    }
                 }
             }
-        }
+        });
         Ok(out)
+    }
+}
+
+/// One panel's share of the quantize stage: its lanes' norms in, and
+/// their slices of every tile array out.
+struct QuantizeJob<'a> {
+    panel: &'a Panel,
+    norms: &'a [f64],
+    norms_q: &'a mut [u16],
+    levels: &'a mut [u32],
+    /// Empty unless per-tile scales are on.
+    scales: &'a mut [f32],
+}
+
+impl QuantizeJob<'_> {
+    /// Quantize every lane's norm and its kept rows, optionally divided
+    /// by the lane's peak — the exact arithmetic of quantizing a
+    /// gathered latent vector.
+    fn run(&mut self, quantizer: &Quantizer, kept: &[usize], max_norm: f32) {
+        for (norm_q, &norm) in self.norms_q.iter_mut().zip(self.norms) {
+            *norm_q = quantize_norm(norm, max_norm);
+        }
+        let (amps, width) = (self.panel.as_slice(), self.panel.width());
+        let d = kept.len().max(1);
+        for (lane, levels) in self.levels.chunks_exact_mut(d).enumerate() {
+            let latent = |m: usize| amps[m * width + lane];
+            let scale = self.scales.get_mut(lane).map(|s| {
+                *s = tile_scale(kept.iter().map(|&m| latent(m)));
+                f64::from(*s)
+            });
+            for (level, &m) in levels.iter_mut().zip(kept) {
+                let a = match scale {
+                    Some(s) => latent(m) / s,
+                    None => latent(m),
+                };
+                *level = quantizer.quantize(a);
+            }
+        }
+    }
+}
+
+/// Build the panels for `norms.len()` tiles on the pool, one
+/// [`DEFAULT_PANEL_WIDTH`]-lane panel per chunk (the last may be
+/// narrower): `fill(p, norms)` returns panel `p` and writes its lanes'
+/// norms.
+fn build_panels(norms: &mut [f64], fill: impl Fn(usize, &mut [f64]) -> Panel + Sync) -> Vec<Panel> {
+    let mut jobs: Vec<(&mut [f64], Option<Panel>)> = norms
+        .chunks_mut(DEFAULT_PANEL_WIDTH)
+        .map(|norms| (norms, None))
+        .collect();
+    par_map_chunked_into(&mut jobs, 1, |first, jobs| {
+        for (i, (norms, panel)) in jobs.iter_mut().enumerate() {
+            *panel = Some(fill(first + i, norms));
+        }
+    });
+    jobs.into_iter()
+        .map(|(_, panel)| panel.expect("every chunk builds its panel"))
+        .collect()
+}
+
+/// Reject panels that do not have the layout [`build_panels`] gives
+/// `occupied` tiles of a `dim`-mode model: the lane arithmetic of the
+/// complete stages relies on it.
+fn check_panels(panels: &[Panel], occupied: usize, dim: usize) -> Result<()> {
+    let lanes: usize = panels.iter().map(Panel::width).sum();
+    let layout_ok = panels.len() == occupied.div_ceil(DEFAULT_PANEL_WIDTH)
+        && panels.iter().enumerate().all(|(p, panel)| {
+            panel.dim() == dim
+                && panel.width() == DEFAULT_PANEL_WIDTH.min(occupied - p * DEFAULT_PANEL_WIDTH)
+        });
+    if !layout_ok {
+        return Err(CodecError::Invalid(format!(
+            "mesh pass returned {} panels of {lanes} lanes for {occupied} prepared tiles",
+            panels.len()
+        )));
+    }
+    Ok(())
+}
+
+/// An image's occupied tiles, amplitude-encoded into panel lanes.
+struct GatheredTiles {
+    /// One flag per grid tile, row-major.
+    occupied: Vec<bool>,
+    /// Eq. 1 norm of each occupied tile.
+    norms: Vec<f64>,
+    panels: Vec<Panel>,
+}
+
+/// The prepare gather: tile `img` at `tile_size`, and write every
+/// occupied tile's pixels — row-major with trailing zero padding, the
+/// order `tiles::tile` + `encoding::encode` produce — into its lane of
+/// a `dim`-mode panel, normalised in place. Norms and amplitudes are
+/// bit-identical to that unfused path: the occupancy test `|p| > 0`
+/// for some pixel is exactly "the Eq. 1 norm is not ≤ 0", and the norm
+/// replays `qn_linalg::vector::norm2`'s arithmetic lane by lane.
+fn gather_tiles(img: &GrayImage, tile_size: usize, dim: usize) -> GatheredTiles {
+    let ts = tile_size;
+    let (width, height) = (img.width(), img.height());
+    let tiles_x = width.div_ceil(ts).max(1);
+    let tiles_y = height.div_ceil(ts).max(1);
+    let src = img.pixels();
+    let span = |t: usize, extent: usize| ts.min(extent.saturating_sub(t * ts));
+    // The occupancy scan stops at a tile's first non-zero pixel.
+    let mut occupied = Vec::with_capacity(tiles_x * tiles_y);
+    let mut tile_of = Vec::new();
+    for ty in 0..tiles_y {
+        for tx in 0..tiles_x {
+            let (x0, span_w) = (tx * ts, span(tx, width));
+            let lit = (ty * ts..ty * ts + span(ty, height)).any(|y| {
+                src[y * width + x0..][..span_w]
+                    .iter()
+                    .any(|p| p.abs() > 0.0)
+            });
+            occupied.push(lit);
+            if lit {
+                tile_of.push(ty * tiles_x + tx);
+            }
+        }
+    }
+    let mut norms = vec![0.0; tile_of.len()];
+    let panels = build_panels(&mut norms, |p, norms| {
+        let tiles = &tile_of[p * DEFAULT_PANEL_WIDTH..][..norms.len()];
+        // Where each lane's tile starts in the image, and how many of
+        // its columns and rows lie inside.
+        let mut at = [(0usize, 0usize, 0usize); DEFAULT_PANEL_WIDTH];
+        for (a, &t) in at.iter_mut().zip(tiles) {
+            let (tx, ty) = (t % tiles_x, t / tiles_x);
+            *a = (ty * ts * width + tx * ts, span(tx, width), span(ty, height));
+        }
+        // Mode by mode: mode `py·ts + px` of a lane is its tile's pixel
+        // (px, py), or zero past the image edge and past the tile.
+        let lanes = tiles.len();
+        let mut data = Vec::with_capacity(dim * lanes);
+        for m in 0..dim {
+            let (py, px) = (m / ts, m % ts);
+            data.extend(at[..lanes].iter().map(|&(origin, cols, rows)| {
+                if px < cols && py < rows {
+                    src[origin + py * width + px]
+                } else {
+                    0.0
+                }
+            }));
+        }
+        let mut panel = Panel::from_mode_major(dim, lanes, data);
+        normalise_lanes(&mut panel, ts * ts, norms);
+        panel
+    });
+    GatheredTiles {
+        occupied,
+        norms,
+        panels,
+    }
+}
+
+/// Eq. 1 over the first `tile_px` rows of every lane: each lane's
+/// `qn_linalg::vector::norm2` (peak-scaled sum of squares, in mode
+/// order), written to `norms`, then the lane divided by it. Swept a
+/// row at a time, so the per-lane arithmetic is that of `norm2` while
+/// the loops run across contiguous lanes.
+fn normalise_lanes(panel: &mut Panel, tile_px: usize, norms: &mut [f64]) {
+    let lanes = norms.len();
+    let mut peak = [0.0f64; DEFAULT_PANEL_WIDTH];
+    let peak = &mut peak[..lanes];
+    for m in 0..tile_px {
+        for (pk, &v) in peak.iter_mut().zip(panel.row(m)) {
+            *pk = pk.max(v.abs());
+        }
+    }
+    let mut sum = [0.0f64; DEFAULT_PANEL_WIDTH];
+    let sum = &mut sum[..lanes];
+    for m in 0..tile_px {
+        for ((s, &pk), &v) in sum.iter_mut().zip(peak.iter()).zip(panel.row(m)) {
+            *s += (v / pk) * (v / pk);
+        }
+    }
+    for ((norm, &pk), &s) in norms.iter_mut().zip(peak.iter()).zip(sum.iter()) {
+        *norm = if pk == 0.0 || !pk.is_finite() {
+            if pk.is_finite() {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        } else {
+            pk * s.sqrt()
+        };
+    }
+    for m in 0..tile_px {
+        for (a, &norm) in panel.row_mut(m).iter_mut().zip(norms.iter()) {
+            *a /= norm;
+        }
     }
 }
 
@@ -762,12 +972,10 @@ fn decode_parsed(codec: &Codec, container: &Container, backend: BackendKind) -> 
 /// pass has run elsewhere.
 #[derive(Debug, Clone)]
 pub struct EncodePlan {
-    /// Row-major tile → state index (None = all-zero tile).
-    slots: Vec<Option<usize>>,
-    /// Encoding norm per occupied state.
+    /// One flag per grid tile, row-major (false = all-zero tile).
+    occupied: Vec<bool>,
+    /// Encoding norm per occupied tile, in lane order.
     norms: Vec<f64>,
-    tiles_x: usize,
-    tiles_y: usize,
     width: u32,
     height: u32,
     raw_bytes: usize,
@@ -779,9 +987,9 @@ pub struct EncodePlan {
 /// the output geometry.
 #[derive(Debug, Clone)]
 pub struct DecodePlan {
-    /// Row-major tile → state index (None = all-zero tile).
-    slots: Vec<Option<usize>>,
-    /// Dequantized tile norm per occupied state.
+    /// One flag per grid tile, row-major (false = all-zero tile).
+    occupied: Vec<bool>,
+    /// Dequantized tile norm per occupied tile, in lane order.
     norms: Vec<f64>,
     tile_size: usize,
     width: usize,
@@ -840,6 +1048,61 @@ mod tests {
         let solo = Codec::spectral_for_image(&data[3], 4, 8).unwrap();
         let solo_set = Codec::spectral_for_images(&data[3..4], 4, 8).unwrap();
         assert_eq!(solo.model_id(), solo_set.model_id());
+    }
+
+    #[test]
+    fn spectral_fit_from_the_prepare_gather_matches_tile_and_encode() {
+        // The fit used to sample through `tiles::tile` +
+        // `encoding::encode` into a vector per tile; it now streams
+        // the prepare gather's panel lanes. Model ids must not move.
+        use qn_core::encoding;
+        use qn_image::tiles;
+        let mut sparse = datasets::grayscale_blobs(1, 30, 22, 4).remove(0);
+        for x in 0..12 {
+            for y in 0..8 {
+                sparse.set(x, y, 0.0);
+            }
+        }
+        let sets = [
+            vec![test_image()],
+            vec![sparse],
+            datasets::paper_binary_16(25),
+            vec![GrayImage::zeros(8, 8)],
+        ];
+        for images in &sets {
+            for (tile, d) in [(4usize, 8usize), (3, 4)] {
+                let dim = tile * tile;
+                let inputs: Vec<_> = images
+                    .iter()
+                    .flat_map(|img| tiles::tile(img, tile).tiles)
+                    .filter_map(|t| encoding::encode(t.pixels(), dim).ok())
+                    .map(|e| e.amplitudes)
+                    .collect();
+                let mesh_c = if inputs.is_empty() {
+                    qn_photonic::Mesh::zeros(dim, 1)
+                } else {
+                    qn_core::spectral::spectral_mesh(&inputs, dim, d, SubspaceKind::KeepLast, 1)
+                        .unwrap()
+                };
+                let compression = CompressionNetwork::new(
+                    mesh_c,
+                    d,
+                    SubspaceKind::KeepLast,
+                    CompressionTargetKind::TrashPenalty,
+                )
+                .unwrap();
+                let n_layers = compression.mesh().n_layers();
+                let reconstruction =
+                    ReconstructionNetwork::from_reversed_compression(&compression, n_layers);
+                let reference = Codec::new(QuantumAutoencoder::new(compression, reconstruction));
+                let fitted = Codec::spectral_for_images(images, tile, d).unwrap();
+                assert_eq!(
+                    fitted.model_id(),
+                    reference.model_id(),
+                    "tile {tile}, d {d}"
+                );
+            }
+        }
     }
 
     #[test]

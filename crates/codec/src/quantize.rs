@@ -79,16 +79,6 @@ impl Quantizer {
         f64::from(level) / f64::from(self.levels - 1) * 2.0 - 1.0
     }
 
-    /// Quantize a slice.
-    pub fn quantize_block(&self, amps: &[f64]) -> Vec<u32> {
-        amps.iter().map(|&a| self.quantize(a)).collect()
-    }
-
-    /// Dequantize a slice.
-    pub fn dequantize_block(&self, levels: &[u32]) -> Vec<f64> {
-        levels.iter().map(|&l| self.dequantize(l)).collect()
-    }
-
     /// Worst-case absolute reconstruction error per amplitude (half a
     /// step).
     pub fn max_error(&self) -> f64 {
@@ -99,8 +89,8 @@ impl Quantizer {
 /// Per-tile normalisation scale: the peak |amplitude|, floored so a
 /// (theoretically impossible, but defensively handled) all-zero latent
 /// block never divides by zero.
-pub fn tile_scale(amps: &[f64]) -> f32 {
-    let peak = amps.iter().fold(0.0f64, |m, &a| m.max(a.abs()));
+pub fn tile_scale(amps: impl IntoIterator<Item = f64>) -> f32 {
+    let peak = amps.into_iter().fold(0.0f64, |m, a| m.max(a.abs()));
     (peak.max(1e-9)) as f32
 }
 
@@ -194,19 +184,7 @@ mod tests {
 
     #[test]
     fn tile_scale_tracks_peak() {
-        assert!((tile_scale(&[0.1, -0.6, 0.3]) - 0.6).abs() < 1e-7);
-        assert!(tile_scale(&[0.0, 0.0]) > 0.0, "floored, never zero");
-    }
-
-    #[test]
-    fn block_helpers_match_scalar_paths() {
-        let q = Quantizer::new(8).unwrap();
-        let amps = [0.0, 0.5, -0.5, 1.0, -1.0, 0.123];
-        let levels = q.quantize_block(&amps);
-        let back = q.dequantize_block(&levels);
-        for (i, &a) in amps.iter().enumerate() {
-            assert_eq!(levels[i], q.quantize(a));
-            assert_eq!(back[i], q.dequantize(levels[i]));
-        }
+        assert!((tile_scale([0.1, -0.6, 0.3]) - 0.6).abs() < 1e-7);
+        assert!(tile_scale([0.0, 0.0]) > 0.0, "floored, never zero");
     }
 }

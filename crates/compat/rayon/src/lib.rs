@@ -8,8 +8,9 @@
 //! - `slice.par_chunks_mut(n).for_each(f)` (plus `.enumerate()`)
 //! - `ThreadPoolBuilder::new().num_threads(n).build()?.install(f)`
 //!
-//! Work is split into contiguous blocks, one per worker; workers are
-//! spawned per call. That is slower than rayon's work-stealing pool for
+//! Work is split into contiguous blocks, one per worker; the calling
+//! thread runs the first block and `workers − 1` threads are spawned
+//! per call for the rest. That is slower than rayon's work-stealing pool for
 //! tiny closures but has identical semantics, and the workspace's
 //! deterministic-reduction helpers (`qn-linalg::parallel`) already chunk
 //! work coarsely. `install` scopes a thread-count override so the
@@ -19,19 +20,28 @@ use std::cell::Cell;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Thread-count override installed by [`ThreadPool::install`].
     static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Number of workers a parallel call should use right now.
-fn current_threads() -> usize {
-    POOL_THREADS.with(|t| t.get()).unwrap_or_else(|| {
+/// The host's parallelism, read once per process like rayon sizes its
+/// global pool once: `available_parallelism` re-reads the cgroup quota
+/// files on every call, which costs more than a small parallel call.
+fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1)
     })
+}
+
+/// Number of workers a parallel call should use right now.
+fn current_threads() -> usize {
+    POOL_THREADS.with(|t| t.get()).unwrap_or_else(host_threads)
 }
 
 /// The calling thread's [`ThreadPool::install`] override, for handing to
@@ -58,8 +68,8 @@ where
     F: Fn(usize, T) + Sync,
 {
     let n = items.len();
-    let workers = current_threads().clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
+    let workers = if n <= 1 { 1 } else { current_threads().min(n) };
+    if workers <= 1 {
         for (i, item) in items.into_iter().enumerate() {
             f(i, item);
         }
@@ -78,9 +88,11 @@ where
         blocks.push(current);
     }
     let ambient = ambient_override();
+    let mut blocks = blocks.into_iter();
+    let own = blocks.next().expect("at least two blocks");
+    let f = &f;
     std::thread::scope(|scope| {
         for block in blocks {
-            let f = &f;
             scope.spawn(move || {
                 with_override(ambient, || {
                     for (i, item) in block {
@@ -88,6 +100,10 @@ where
                     }
                 });
             });
+        }
+        // The caller runs the first block instead of idling in `join`.
+        for (i, item) in own {
+            f(i, item);
         }
     });
 }
@@ -140,9 +156,9 @@ where
     /// Execute the map across workers and collect in index order.
     pub fn collect<C: From<Vec<U>>>(self) -> C {
         let n = self.items.len();
-        let workers = current_threads().clamp(1, n.max(1));
+        let workers = if n <= 1 { 1 } else { current_threads().min(n) };
         let f = &self.f;
-        if workers <= 1 || n <= 1 {
+        if workers <= 1 {
             return C::from(self.items.into_iter().map(f).collect());
         }
         let chunk = n.div_ceil(workers);
@@ -154,18 +170,24 @@ where
         }
         blocks.push(items);
         let ambient = ambient_override();
+        let mut blocks = blocks.into_iter();
+        let own = blocks.next().expect("at least two blocks");
         let results: Vec<Vec<U>> = std::thread::scope(|scope| {
             let handles: Vec<_> = blocks
-                .into_iter()
                 .map(|block| {
                     scope.spawn(move || {
                         with_override(ambient, || block.into_iter().map(f).collect::<Vec<U>>())
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
+            // The caller maps the first block instead of idling in `join`.
+            let first: Vec<U> = own.into_iter().map(f).collect();
+            std::iter::once(first)
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("worker panicked")),
+                )
                 .collect()
         });
         C::from(results.into_iter().flatten().collect())
@@ -299,11 +321,7 @@ impl ThreadPoolBuilder {
     /// Never fails in this stand-in; `Result` kept for API compatibility.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         Ok(ThreadPool {
-            num_threads: self.num_threads.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            }),
+            num_threads: self.num_threads.unwrap_or_else(host_threads),
         })
     }
 }
@@ -379,6 +397,43 @@ mod tests {
         for (j, &v) in data.iter().enumerate() {
             assert_eq!(v, j / 10);
         }
+    }
+
+    #[test]
+    fn the_calling_thread_runs_the_first_block() {
+        let caller = std::thread::current().id();
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let mut data = [0u8; 2];
+        let ids = std::sync::Mutex::new(Vec::new());
+        pool.install(|| {
+            data.par_chunks_mut(1).enumerate().for_each(|(i, _)| {
+                ids.lock().unwrap().push((i, std::thread::current().id()));
+            });
+        });
+        let mut ids = ids.into_inner().unwrap();
+        ids.sort_by_key(|&(i, _)| i);
+        assert_eq!(ids.len(), 2);
+        assert_eq!(ids[0].1, caller, "block 0 runs on the caller");
+        assert_ne!(ids[1].1, caller, "block 1 runs on a spawned worker");
+        // The collecting map splits the same way.
+        let mapped: Vec<_> = pool.install(|| {
+            (0..2usize)
+                .into_par_iter()
+                .map(|i| (i, std::thread::current().id()))
+                .collect()
+        });
+        assert_eq!(mapped[0].1, caller);
+        assert_ne!(mapped[1].1, caller);
+        // A single block never forks, whatever the pool size.
+        let wide = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
+        let mut one = [0u8; 4];
+        let seen = std::sync::Mutex::new(None);
+        wide.install(|| {
+            one.par_chunks_mut(4).for_each(|_| {
+                *seen.lock().unwrap() = Some(std::thread::current().id());
+            });
+        });
+        assert_eq!(seen.into_inner().unwrap(), Some(caller));
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::reconstruction::ReconstructionNetwork;
 use crate::Result;
 use qn_backend::MeshBackend;
 use qn_image::GrayImage;
+use qn_linalg::panel;
 
 /// The full quantum autoencoder of the paper's Fig. 1: both trained
 /// networks plus the encode/decode conversions.
@@ -76,10 +77,13 @@ impl QuantumAutoencoder {
             .map(|x| encoding::encode(x, self.dim()))
             .collect::<Result<Vec<_>>>()?;
         let amplitudes: Vec<Vec<f64>> = encoded.iter().map(|e| e.amplitudes.clone()).collect();
-        let compressed = self.compression.compress_batch_with(&amplitudes, backend);
-        let outs = self
-            .reconstruction
-            .reconstruct_batch_with(&compressed, backend);
+        let panels = panel::pack(&amplitudes, panel::DEFAULT_PANEL_WIDTH);
+        let compressed = self.compression.compress_batch_with(&panels, backend);
+        let outs = panel::unpack(
+            &self
+                .reconstruction
+                .reconstruct_batch_with(&compressed, backend),
+        );
         Ok(outs
             .iter()
             .zip(&encoded)

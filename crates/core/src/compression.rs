@@ -7,6 +7,7 @@ use crate::gradient::{self, GradientMethod};
 use crate::loss::Loss;
 use crate::Result;
 use qn_backend::{BackendKind, MeshBackend};
+use qn_linalg::Panel;
 use qn_photonic::Mesh;
 use qn_sim::Projector;
 
@@ -100,43 +101,41 @@ impl CompressionNetwork {
     }
 
     /// Batch forward pass through the default backend
-    /// ([`BackendKind::default`], panels chunked across threads).
-    pub fn forward_batch(&self, encoded: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    /// ([`BackendKind::default`]) over panel-packed samples (see
+    /// [`qn_linalg::panel::pack`]).
+    pub fn forward_batch(&self, encoded: &[Panel]) -> Vec<Panel> {
         self.forward_batch_with(encoded, BackendKind::default().backend())
     }
 
-    /// Batch forward pass through an explicit execution backend. Every
-    /// backend matches [`CompressionNetwork::forward`] per sample up to
-    /// the sign of IEEE zeros (the `MeshBackend` contract).
-    pub fn forward_batch_with(
-        &self,
-        encoded: &[Vec<f64>],
-        backend: &dyn MeshBackend,
-    ) -> Vec<Vec<f64>> {
-        backend.forward_batch(&self.mesh, encoded)
+    /// Batch forward pass through an explicit execution backend: a copy
+    /// of `encoded` with `U_C` applied to every lane. Every backend
+    /// matches [`CompressionNetwork::forward`] per lane up to the sign
+    /// of IEEE zeros (the `MeshBackend` contract). Callers that own
+    /// their panels apply [`MeshBackend::forward_panels`] in place.
+    pub fn forward_batch_with(&self, encoded: &[Panel], backend: &dyn MeshBackend) -> Vec<Panel> {
+        let mut out = encoded.to_vec();
+        backend.forward_panels(&self.mesh, &mut out);
+        out
     }
 
     /// Batch compression through the default backend
     /// ([`BackendKind::default`]).
-    pub fn compress_batch(&self, encoded: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub fn compress_batch(&self, encoded: &[Panel]) -> Vec<Panel> {
         self.compress_batch_with(encoded, BackendKind::default().backend())
     }
 
     /// Batch compression through an explicit execution backend —
-    /// equal to [`CompressionNetwork::compress`] per sample up to the
-    /// sign of IEEE zeros (the `MeshBackend` contract).
-    pub fn compress_batch_with(
-        &self,
-        encoded: &[Vec<f64>],
-        backend: &dyn MeshBackend,
-    ) -> Vec<Vec<f64>> {
-        let mut outs = backend.forward_batch(&self.mesh, encoded);
-        for out in &mut outs {
-            self.projector
-                .project_real(out)
-                .expect("dimensions match by construction");
+    /// equal to [`CompressionNetwork::compress`] per lane up to the
+    /// sign of IEEE zeros (the `MeshBackend` contract): the forward
+    /// pass, then every discarded mode's row zeroed.
+    pub fn compress_batch_with(&self, encoded: &[Panel], backend: &dyn MeshBackend) -> Vec<Panel> {
+        let mut out = self.forward_batch_with(encoded, backend);
+        for panel in &mut out {
+            for mode in (0..panel.dim()).filter(|&m| !self.projector.keeps(m)) {
+                panel.row_mut(mode).fill(0.0);
+            }
         }
-        outs
+        out
     }
 
     /// Write the residual `r = a_i − b_i` for the configured target
@@ -342,10 +341,11 @@ mod tests {
 
     #[test]
     fn batch_paths_match_single_sample_paths() {
+        use qn_linalg::panel::{pack, unpack};
         let net = network(CompressionTargetKind::TrashPenalty);
         let xs = inputs();
-        let batch = net.forward_batch(&xs);
-        let compressed = net.compress_batch(&xs);
+        let batch = unpack(&net.forward_batch(&pack(&xs, 3)));
+        let compressed = unpack(&net.compress_batch(&pack(&xs, 3)));
         for (i, x) in xs.iter().enumerate() {
             assert_eq!(batch[i], net.forward(x));
             assert_eq!(compressed[i], net.compress(x));

@@ -4,6 +4,7 @@ use crate::compression::CompressionNetwork;
 use crate::gradient::{self, GradientMethod};
 use crate::loss::Loss;
 use qn_backend::{BackendKind, MeshBackend};
+use qn_linalg::Panel;
 use qn_photonic::{Mesh, MeshLayer};
 
 /// The reconstruction half: `|Ψ_i⟩ = U_R · (P1 U_C |ψ_i⟩)`.
@@ -65,20 +66,23 @@ impl ReconstructionNetwork {
     }
 
     /// Batch reconstruction through the default backend
-    /// ([`BackendKind::default`], panels chunked across threads).
-    pub fn reconstruct_batch(&self, compressed: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    /// ([`BackendKind::default`]) over panel-packed states.
+    pub fn reconstruct_batch(&self, compressed: &[Panel]) -> Vec<Panel> {
         self.reconstruct_batch_with(compressed, BackendKind::default().backend())
     }
 
-    /// Batch reconstruction through an explicit execution backend —
-    /// equal to [`ReconstructionNetwork::reconstruct`] per sample up to
-    /// the sign of IEEE zeros (the `MeshBackend` contract).
+    /// Batch reconstruction through an explicit execution backend: a
+    /// copy of `compressed` with `U_R` applied to every lane — equal to
+    /// [`ReconstructionNetwork::reconstruct`] per lane up to the sign
+    /// of IEEE zeros (the `MeshBackend` contract).
     pub fn reconstruct_batch_with(
         &self,
-        compressed: &[Vec<f64>],
+        compressed: &[Panel],
         backend: &dyn MeshBackend,
-    ) -> Vec<Vec<f64>> {
-        backend.forward_batch(&self.mesh, compressed)
+    ) -> Vec<Panel> {
+        let mut out = compressed.to_vec();
+        backend.forward_panels(&self.mesh, &mut out);
+        out
     }
 
     /// Reconstruction loss `L_R = Σ_{i,j} (B_i^j − A_i^j)²` (Eq. 5), where
@@ -148,6 +152,7 @@ impl ReconstructionNetwork {
 mod tests {
     use super::*;
     use crate::config::{CompressionTargetKind, SubspaceKind};
+    use qn_linalg::panel::{pack, unpack};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -212,7 +217,7 @@ mod tests {
         let recon = ReconstructionNetwork::from_reversed_compression(&comp, 3);
         let xs = unit_inputs(3);
         // Bypass projection: feed unprojected outputs.
-        let ys = comp.forward_batch(&xs);
+        let ys = unpack(&comp.forward_batch(&pack(&xs, 2)));
         let loss = recon.loss(&ys, &xs);
         assert!(loss.sum < 1e-20);
         assert!((recon.mean_fidelity(&ys, &xs) - 1.0).abs() < 1e-12);
@@ -223,7 +228,7 @@ mod tests {
         let comp = compression();
         let recon = ReconstructionNetwork::from_reversed_compression(&comp, 3);
         let xs = unit_inputs(3);
-        let compressed = comp.compress_batch(&xs); // with P1
+        let compressed = unpack(&comp.compress_batch(&pack(&xs, 2))); // with P1
         let loss = recon.loss(&compressed, &xs);
         // Some amplitude was projected away, so the loss is positive…
         assert!(loss.sum > 1e-6);
@@ -240,7 +245,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let mut recon = ReconstructionNetwork::new(Mesh::random_small(8, 4, 0.3, &mut rng));
         let xs = unit_inputs(4);
-        let ys = comp.forward_batch(&xs);
+        let ys = unpack(&comp.forward_batch(&pack(&xs, 2)));
         let before = recon.loss(&ys, &xs).sum;
         for _ in 0..200 {
             let (_, grad) = recon.loss_and_gradient(&ys, &xs, GradientMethod::Analytic);
@@ -265,8 +270,8 @@ mod tests {
         let comp = compression();
         let recon = ReconstructionNetwork::from_reversed_compression(&comp, 3);
         let xs = unit_inputs(3);
-        let cs = comp.compress_batch(&xs);
-        let batch = recon.reconstruct_batch(&cs);
+        let cs = unpack(&comp.compress_batch(&pack(&xs, 2)));
+        let batch = unpack(&recon.reconstruct_batch(&pack(&cs, 2)));
         for (i, c) in cs.iter().enumerate() {
             assert_eq!(batch[i], recon.reconstruct(c));
         }

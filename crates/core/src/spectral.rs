@@ -20,21 +20,69 @@ use qn_linalg::{sym_eig, Matrix};
 use qn_photonic::clements::clements_decompose;
 use qn_photonic::{Mesh, MeshLayer};
 
-/// Second-moment matrix `S = Σ_i ψ_i ψ_iᵀ` of encoded samples.
-fn second_moment(inputs: &[Vec<f64>], dim: usize) -> Matrix {
-    let mut s = Matrix::zeros(dim, dim);
-    for x in inputs {
+/// Accumulates the second-moment matrix `S = Σ_i ψ_i ψ_iᵀ` of encoded
+/// samples, one sample at a time in the order given.
+///
+/// Only the upper triangle of a flat buffer is summed, then mirrored.
+/// For finite samples that is bit-identical to summing every entry:
+/// each product `ψ_i[r]·ψ_i[c]` commutes exactly, and an accumulator
+/// that starts at `+0.0` never becomes `−0.0`, so the `±0` terms that
+/// the zero-skip adds to one triangle and not the other change nothing.
+#[derive(Debug, Clone)]
+pub struct SecondMoment {
+    /// Row-major `dim × dim`; only entries with `col ≥ row` are summed
+    /// until [`SecondMoment::matrix`] mirrors them.
+    acc: Matrix,
+}
+
+impl SecondMoment {
+    /// An empty sum over `dim`-dimensional samples.
+    pub fn new(dim: usize) -> Self {
+        SecondMoment {
+            acc: Matrix::zeros(dim, dim),
+        }
+    }
+
+    /// Add `x xᵀ`.
+    ///
+    /// # Panics
+    /// Panics when `x.len()` differs from the dimension.
+    pub fn add(&mut self, x: &[f64]) {
+        let dim = self.acc.rows();
+        assert_eq!(x.len(), dim, "second moment: sample length mismatch");
+        let acc = self.acc.data_mut();
         for (i, &xi) in x.iter().enumerate() {
             if xi == 0.0 {
                 continue;
             }
-            for (j, &xj) in x.iter().enumerate() {
-                let v = s.get(i, j) + xi * xj;
-                s.set(i, j, v);
+            let row = &mut acc[i * dim + i..(i + 1) * dim];
+            for (s, &xj) in row.iter_mut().zip(&x[i..]) {
+                *s += xi * xj;
             }
         }
     }
-    s
+
+    /// The symmetric matrix `S`.
+    pub fn matrix(&self) -> Matrix {
+        let dim = self.acc.rows();
+        let mut s = self.acc.clone();
+        for i in 0..dim {
+            for j in 0..i {
+                let upper = s.get(j, i);
+                s.set(i, j, upper);
+            }
+        }
+        s
+    }
+}
+
+/// Second-moment matrix `S = Σ_i ψ_i ψ_iᵀ` of encoded samples.
+fn second_moment(inputs: &[Vec<f64>], dim: usize) -> Matrix {
+    let mut s = SecondMoment::new(dim);
+    for x in inputs {
+        s.add(x);
+    }
+    s.matrix()
 }
 
 /// The PCA-optimal compression rotation: an orthogonal `U` whose rows map
@@ -49,8 +97,17 @@ pub fn pca_rotation(
     compressed_dim: usize,
     subspace: SubspaceKind,
 ) -> Result<Matrix> {
-    let s = second_moment(inputs, dim);
-    let eig = sym_eig::sym_eig(&s)?;
+    pca_rotation_of_moment(&second_moment(inputs, dim), compressed_dim, subspace)
+}
+
+/// [`pca_rotation`] from a precomputed second-moment matrix.
+fn pca_rotation_of_moment(
+    s: &Matrix,
+    compressed_dim: usize,
+    subspace: SubspaceKind,
+) -> Result<Matrix> {
+    let dim = s.rows();
+    let eig = sym_eig::sym_eig(s)?;
     // Row r of U = eigenvector assigned to output dimension r.
     // Kept dims receive the top-d eigenvectors (largest eigenvalues).
     let kept: Vec<usize> = match subspace {
@@ -89,7 +146,28 @@ pub fn spectral_mesh(
     subspace: SubspaceKind,
     min_layers: usize,
 ) -> Result<Mesh> {
-    let u = pca_rotation(inputs, dim, compressed_dim, subspace)?;
+    spectral_mesh_of_moment(
+        &second_moment(inputs, dim),
+        compressed_dim,
+        subspace,
+        min_layers,
+    )
+}
+
+/// [`spectral_mesh`] from a precomputed second-moment matrix — for
+/// callers that stream their samples into a [`SecondMoment`] instead of
+/// collecting them.
+///
+/// # Errors
+/// Propagates decomposition failures.
+pub fn spectral_mesh_of_moment(
+    s: &Matrix,
+    compressed_dim: usize,
+    subspace: SubspaceKind,
+    min_layers: usize,
+) -> Result<Mesh> {
+    let dim = s.rows();
+    let u = pca_rotation_of_moment(s, compressed_dim, subspace)?;
     let seq = clements_decompose(&u, 1e-8)?;
     let (mesh, _signs) = Mesh::from_sequence_packed(&seq);
     if mesh.n_layers() >= min_layers {
@@ -137,6 +215,55 @@ mod tests {
             .into_iter()
             .map(|e| e.amplitudes)
             .collect()
+    }
+
+    /// The full-matrix `get`/`set` accumulation the upper-triangle
+    /// [`SecondMoment`] replaced — kept as its oracle.
+    fn second_moment_reference(inputs: &[Vec<f64>], dim: usize) -> Matrix {
+        let mut s = Matrix::zeros(dim, dim);
+        for x in inputs {
+            for (i, &xi) in x.iter().enumerate() {
+                if xi == 0.0 {
+                    continue;
+                }
+                for (j, &xj) in x.iter().enumerate() {
+                    let v = s.get(i, j) + xi * xj;
+                    s.set(i, j, v);
+                }
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn upper_triangle_second_moment_is_bit_identical_to_the_full_sum() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2026);
+        for case in 0..200 {
+            let dim = 1 + case % 17;
+            let n = rng.random_range(0..40usize);
+            // Signed values with about a third exact zeros, both signs,
+            // and some samples that are all zero.
+            let inputs: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    (0..dim)
+                        .map(|_| match rng.random_range(0..6u32) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.random::<f64>() * 2.0 - 1.0,
+                        })
+                        .collect()
+                })
+                .collect();
+            let want = second_moment_reference(&inputs, dim);
+            let got = second_moment(&inputs, dim);
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "case {case}: dim {dim}, {n} samples"
+            );
+        }
     }
 
     #[test]

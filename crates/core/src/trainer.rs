@@ -19,6 +19,7 @@ use crate::reconstruction::ReconstructionNetwork;
 use crate::spectral;
 use crate::Result;
 use qn_image::{metrics, GrayImage};
+use qn_linalg::panel;
 use qn_photonic::Mesh;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -361,7 +362,7 @@ impl Trainer {
             Some(b) => b.iter().map(|&i| self.inputs[i].clone()).collect(),
             None => self.inputs.clone(),
         };
-        let compressed = self.compression.compress_batch(&batch_inputs);
+        let compressed = compress_samples(&self.compression, &batch_inputs);
         let shots = self.config.shots;
         let seed = self.config.seed ^ 0x5A5A_5A5A;
         let global = |local: usize| batch.as_ref().map_or(local, |b| b[local]);
@@ -403,8 +404,10 @@ impl Trainer {
     /// paper's snap adjustment, and the §IV-B binary-threshold variant.
     /// Returns `(snap accuracy, binary accuracy)`.
     fn evaluate_accuracy(&self) -> (f64, f64) {
-        let compressed = self.compression.compress_batch(&self.inputs);
-        let outs = self.reconstruction.reconstruct_batch(&compressed);
+        let compressed = self
+            .compression
+            .compress_batch(&panel::pack(&self.inputs, panel::DEFAULT_PANEL_WIDTH));
+        let outs = panel::unpack(&self.reconstruction.reconstruct_batch(&compressed));
         let decoded: Vec<GrayImage> = outs
             .iter()
             .zip(&self.encoded)
@@ -453,6 +456,14 @@ impl Trainer {
             .theta_r_trace
             .push(self.reconstruction.mesh().thetas());
     }
+}
+
+/// `P1 U_C` over the trainer's samples. They are a few dozen `Vec`s;
+/// the batch helpers take panels, so the trainer packs and unpacks at
+/// this boundary.
+fn compress_samples(compression: &CompressionNetwork, samples: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let panels = panel::pack(samples, panel::DEFAULT_PANEL_WIDTH);
+    panel::unpack(&compression.compress_batch(&panels))
 }
 
 /// Deterministic shot-noise model: estimate amplitudes from a multinomial

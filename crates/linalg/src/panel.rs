@@ -9,12 +9,28 @@
 //! `SimdBackend`, whose rotations run through [`rotate_lanes_blocked`]
 //! and [`rotate_lanes_blocked_inverse`].
 //!
+//! Panels are also the codec's tile carrier from pixels to bitstream:
+//! `qn-codec` gathers each occupied tile straight into a lane of a
+//! [`DEFAULT_PANEL_WIDTH`]-lane panel, the mesh backends rotate the
+//! panels in place, and quantization and stitching read the lanes
+//! back out, so no stage allocates per tile. [`pack`] and [`unpack`]
+//! convert vector batches at the boundary of callers that hold a few
+//! samples as `Vec`s (the trainer, tests).
+//!
 //! Panels are a pure data-layout change: extracting lane `l` after any
 //! sequence of row operations yields bit-identical values to running the
 //! same operations on lane `l`'s vector alone, provided the per-row
 //! arithmetic is expressed identically (no reassociation, no FMA
 //! contraction). The blocked rotations below and the conformance suite
 //! in `tests/codec_properties.rs` hold that line.
+
+/// Lanes per panel wherever tiles are packed: the codec's tile panels
+/// and [`pack`]'s default callers. At the paper's N = 16 state
+/// dimension one panel is 16 × 64 × 8 B = 8 KiB — two rows (1 KiB)
+/// live comfortably in L1 while a gate sweeps them — and a 256×256
+/// image (4096 tiles) still splits into 64 panels for thread-level
+/// parallelism.
+pub const DEFAULT_PANEL_WIDTH: usize = 64;
 
 /// A `dim × width` batch of real amplitude vectors, mode-major.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,6 +54,20 @@ impl Panel {
             width,
             data: vec![0.0; dim * width],
         }
+    }
+
+    /// Panel over storage that is already mode-major:
+    /// `data[m·width + lane]` is mode `m` of lane `lane`. Lets a caller
+    /// fill a panel row by row without zeroing it first.
+    ///
+    /// # Panics
+    /// Panics when `dim` or `width` is zero or `data` is not
+    /// `dim · width` long.
+    pub fn from_mode_major(dim: usize, width: usize, data: Vec<f64>) -> Self {
+        assert!(dim > 0, "panel needs at least one mode");
+        assert!(width > 0, "panel needs at least one lane");
+        assert_eq!(data.len(), dim * width, "panel storage length mismatch");
+        Panel { dim, width, data }
     }
 
     /// Pack a batch of equal-length vectors into the panel's lanes
@@ -65,6 +95,12 @@ impl Panel {
         self.width
     }
 
+    /// The mode-major storage: `as_slice()[m·width + lane]` is mode `m`
+    /// of lane `lane`.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// One amplitude.
     ///
     /// # Panics
@@ -81,6 +117,15 @@ impl Panel {
     pub fn row(&self, mode: usize) -> &[f64] {
         assert!(mode < self.dim, "panel row index");
         &self.data[mode * self.width..(mode + 1) * self.width]
+    }
+
+    /// Mutably borrow the `width` lanes of one mode.
+    ///
+    /// # Panics
+    /// Panics out of range.
+    pub fn row_mut(&mut self, mode: usize) -> &mut [f64] {
+        assert!(mode < self.dim, "panel row index");
+        &mut self.data[mode * self.width..(mode + 1) * self.width]
     }
 
     /// Mutably borrow the adjacent rows `mode` and `mode + 1` — the two
@@ -121,23 +166,26 @@ impl Panel {
     pub fn into_columns(self) -> Vec<Vec<f64>> {
         (0..self.width).map(|lane| self.column(lane)).collect()
     }
+}
 
-    /// Copy every lane into the caller's preallocated vectors
-    /// (`out[lane]` receives lane `lane`) — the allocation-free
-    /// counterpart of [`Panel::into_columns`].
-    ///
-    /// # Panics
-    /// Panics when `out` has fewer than `width` vectors or any target
-    /// vector's length differs from `dim`.
-    pub fn write_columns_into(&self, out: &mut [Vec<f64>]) {
-        assert!(out.len() >= self.width, "panel output batch too short");
-        for (lane, col) in out.iter_mut().take(self.width).enumerate() {
-            assert_eq!(col.len(), self.dim, "panel column length mismatch");
-            for (m, v) in col.iter_mut().enumerate() {
-                *v = self.data[m * self.width + lane];
-            }
-        }
-    }
+/// Pack equal-length vectors into panels of at most `width` lanes:
+/// vector `i` becomes lane `i % width` of panel `i / width`, and only
+/// the last panel may be narrower. An empty batch packs into no panels.
+///
+/// # Panics
+/// Panics when `width` is zero or the vector lengths disagree.
+pub fn pack(columns: &[Vec<f64>], width: usize) -> Vec<Panel> {
+    assert!(width > 0, "panel needs at least one lane");
+    columns.chunks(width).map(Panel::from_columns).collect()
+}
+
+/// Unpack every lane of every panel into vectors, in panel then lane
+/// order — the inverse of [`pack`].
+pub fn unpack(panels: &[Panel]) -> Vec<Vec<f64>> {
+    panels
+        .iter()
+        .flat_map(|p| (0..p.width).map(move |lane| p.column(lane)))
+        .collect()
 }
 
 /// Width of the explicit lane blocks used by the blocked rotation
@@ -258,6 +306,36 @@ mod tests {
         let panel = Panel::from_columns(std::slice::from_ref(&v));
         assert_eq!(panel.width(), 1);
         assert_eq!(panel.column(0), v);
+    }
+
+    #[test]
+    fn pack_splits_into_full_panels_and_a_ragged_last_one() {
+        let cols: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64, -(i as f64)]).collect();
+        let panels = pack(&cols, 3);
+        let widths: Vec<usize> = panels.iter().map(Panel::width).collect();
+        assert_eq!(widths, vec![3, 3, 1]);
+        assert_eq!(panels[1].column(2), cols[5]);
+        assert_eq!(unpack(&panels), cols);
+        assert!(pack(&[], 4).is_empty());
+        assert!(unpack(&[]).is_empty());
+    }
+
+    #[test]
+    fn mode_major_storage_roundtrips() {
+        let panel = Panel::from_mode_major(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(panel.column(1), vec![2.0, 5.0]);
+        assert_eq!(panel.row(1), &[4.0, 5.0, 6.0]);
+        assert_eq!(panel.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let result = std::panic::catch_unwind(|| Panel::from_mode_major(2, 3, vec![0.0; 5]));
+        assert!(result.is_err(), "storage of the wrong length is rejected");
+    }
+
+    #[test]
+    fn row_mut_writes_one_mode_across_lanes() {
+        let mut panel = Panel::zeros(3, 2);
+        panel.row_mut(2).copy_from_slice(&[7.0, 8.0]);
+        assert_eq!(panel.column(0), vec![0.0, 0.0, 7.0]);
+        assert_eq!(panel.column(1), vec![0.0, 0.0, 8.0]);
     }
 
     #[test]

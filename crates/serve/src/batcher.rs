@@ -1,10 +1,11 @@
 //! The micro-batching core: request-level encode/decode built from the
-//! codec's `prepare_*`/`complete_*` halves with the mesh pass routed
-//! through a shared [`qn_backend::MeshBatcher`], so tiles from
-//! concurrent requests coalesce into single backend passes.
+//! codec's `prepare_*`/`complete_*` halves — the same schedule
+//! `Codec::encode_image` runs — with the mesh pass routed through a
+//! shared [`qn_backend::MeshBatcher`], so the tile panels of concurrent
+//! requests coalesce into single backend passes.
 //!
-//! Soundness rests on two contracts proven elsewhere: backends are
-//! bit-identical per vector regardless of batch composition
+//! Soundness rests on two contracts proven elsewhere: a backend's
+//! per-lane output does not depend on which panels share its pass
 //! (`qn_backend`'s equivalence contract), and model ids are
 //! content-addressed (`qn_codec::model::model_id`), so two requests
 //! batched under the same [`BatchKey`] are guaranteed to reference
@@ -12,6 +13,7 @@
 //! every response is byte-identical to an offline run.
 
 use crate::error::{Result, ServeError};
+use qn_backend::Panel;
 use qn_backend::{BackendKind, BatchKey, BatcherMetrics, MeshBatcher, MeshSource};
 use qn_codec::{Codec, CodecOptions, Container, DecodeTimings, EncodeStats, EncodeTimings};
 use qn_image::GrayImage;
@@ -112,7 +114,7 @@ impl TileBatcher {
     ) -> Result<(Vec<u8>, EncodeStats, EncodeTimings)> {
         let prep_span = tb.as_mut().map(|tb| tb.begin(SpanId::ROOT, "prepare"));
         let t = Instant::now();
-        let (plan, states) = codec.prepare_encode(img, opts)?;
+        let (plan, panels) = codec.prepare_encode(img, opts)?;
         let prepare_ns = elapsed_ns(t);
         if let (Some(tb), Some(s)) = (tb.as_mut(), prep_span) {
             tb.end(s);
@@ -123,7 +125,7 @@ impl TileBatcher {
                 lane: LANE_COMPRESS,
             },
             Arc::new(CompressMesh(Arc::clone(codec))),
-            states,
+            panels,
             tb,
         )?;
         let complete_off = tb.as_ref().map(qn_trace::TraceBuilder::elapsed_ns);
@@ -158,7 +160,7 @@ impl TileBatcher {
     ) -> Result<(GrayImage, DecodeTimings)> {
         let prep_span = tb.as_mut().map(|tb| tb.begin(SpanId::ROOT, "prepare"));
         let t = Instant::now();
-        let (plan, states) = codec.prepare_decode(container)?;
+        let (plan, panels) = codec.prepare_decode(container)?;
         let prepare_ns = elapsed_ns(t);
         if let (Some(tb), Some(s)) = (tb.as_mut(), prep_span) {
             tb.end(s);
@@ -169,7 +171,7 @@ impl TileBatcher {
                 lane: LANE_RECONSTRUCT,
             },
             Arc::new(ReconstructMesh(Arc::clone(codec))),
-            states,
+            panels,
             tb,
         )?;
         let stitch_span = tb.as_mut().map(|tb| tb.begin(SpanId::ROOT, "stitch"));
@@ -191,23 +193,24 @@ impl TileBatcher {
         ))
     }
 
-    /// Submit `states` under `key` and wait for the outputs, recording
-    /// the `batch_wait` span (with its `mesh_pass` child) when tracing.
-    /// Returns the outputs and the submit → results nanoseconds.
+    /// Submit `panels` under `key` and wait for them to come back with
+    /// the mesh applied, recording the `batch_wait` span (with its
+    /// `mesh_pass` child) when tracing. Returns the panels and the
+    /// submit → results nanoseconds.
     fn mesh_pass(
         &self,
         key: BatchKey,
         source: Arc<dyn MeshSource>,
-        states: Vec<Vec<f64>>,
+        panels: Vec<Panel>,
         tb: &mut Option<TraceBuilder>,
-    ) -> Result<(Vec<Vec<f64>>, u64)> {
+    ) -> Result<(Vec<Panel>, u64)> {
         let wait_span = tb
             .as_mut()
             .map(|tb| (tb.begin(SpanId::ROOT, "batch_wait"), tb.elapsed_ns()));
         let t = Instant::now();
         let (outs, info) = self
             .inner
-            .submit(key, source, states)
+            .submit(key, source, panels)
             .wait_info()
             .ok_or_else(|| ServeError::Internal("the batched mesh pass panicked".into()))?;
         let mesh_ns = elapsed_ns(t);

@@ -543,7 +543,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
             );
             println!(
                 "  occupied     {}/{} tiles",
-                c.tiles.iter().filter(|t| t.is_some()).count(),
+                c.tiles.occupied_count(),
                 c.tiles.len()
             );
             println!("  file size    {} bytes", bytes.len());

@@ -11,7 +11,10 @@
 //! - every submitted tile runs exactly once, dropped handles included,
 //!   so the `batch_flush_tiles` sum equals the tiles submitted.
 
-use qn::backend::{BackendKind, BatchKey, BatcherMetrics, FlushCause, MeshBatcher, MeshSource};
+use qn::backend::{
+    BackendKind, BatchKey, BatcherMetrics, FlushCause, MeshBatcher, MeshSource, Panel,
+};
+use qn::linalg::panel::{pack, unpack};
 use qn::metrics::Registry;
 use qn::photonic::Mesh;
 use rand::rngs::StdRng;
@@ -26,6 +29,9 @@ const KEYS: usize = 4;
 const ROUNDS: usize = 40;
 /// The merge cap; submissions range from empty to twice this.
 const BATCH_TILES: usize = 16;
+/// Lanes per submitted panel: submissions carry several panels and a
+/// ragged last one.
+const LANES: usize = 5;
 /// A run takes well under a second; one that has not finished by this
 /// long has stranded a submitter.
 const WATCHDOG: Duration = Duration::from_secs(60);
@@ -57,14 +63,17 @@ fn size(rng: &mut StdRng) -> usize {
     }
 }
 
-fn vectors(rng: &mut StdRng, n: usize) -> Vec<Vec<f64>> {
-    (0..n)
+fn panels(rng: &mut StdRng, n: usize) -> Vec<Panel> {
+    let vecs: Vec<Vec<f64>> = (0..n)
         .map(|_| (0..DIM).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect())
-        .collect()
+        .collect();
+    pack(&vecs, LANES)
 }
 
-fn bits(vs: &[Vec<f64>]) -> Vec<Vec<u64>> {
-    vs.iter()
+/// Every lane's bits, in panel then lane order.
+fn bits(panels: &[Panel]) -> Vec<Vec<u64>> {
+    unpack(panels)
+        .iter()
         .map(|v| v.iter().map(|x| x.to_bits()).collect())
         .collect()
 }
@@ -99,13 +108,14 @@ fn stress(backend: BackendKind, seed: u64) -> (BatcherMetrics, usize) {
                     for _ in 0..rng.random_range(1..=3usize) {
                         let k = rng.random_range(0..KEYS);
                         let n = size(&mut rng);
-                        let vecs = vectors(&mut rng, n);
-                        let want = BackendKind::Scalar
+                        let submitted = panels(&mut rng, n);
+                        let mut want = submitted.clone();
+                        BackendKind::Scalar
                             .backend()
-                            .forward_batch(&meshes[k].0, &vecs);
+                            .forward_panels(&meshes[k].0, &mut want);
                         tiles += n;
                         let source: Arc<dyn MeshSource> = meshes[k].clone();
-                        held.push((batcher.submit(key(k), source, vecs), want));
+                        held.push((batcher.submit(key(k), source, submitted), want));
                     }
                     // ... waited on in random order, one in ten dropped.
                     while !held.is_empty() {

@@ -8,8 +8,8 @@
 //! byte-identical containers.
 
 use proptest::prelude::*;
-use qn::backend::{BackendKind, MeshBackend, SimdBackend};
-use qn::codec::{container, model, Codec, CodecError, CodecOptions, Quantizer};
+use qn::backend::{BackendKind, MeshBackend, SimdBackend, DEFAULT_PANEL_WIDTH};
+use qn::codec::{container, model, Codec, CodecError, CodecOptions, EntropyCoder, Quantizer};
 use qn::core::compression::CompressionNetwork;
 use qn::core::config::{CompressionTargetKind, SubspaceKind};
 use qn::core::reconstruction::ReconstructionNetwork;
@@ -39,6 +39,24 @@ fn assert_zero_sign_only(got: &[Vec<f64>], want: &[Vec<f64>], what: &str) {
             }
         }
     }
+}
+
+/// `batch` packed into `width`-lane panels, passed forward (or inverse)
+/// through `backend` in place, and unpacked again.
+fn pass(
+    backend: &dyn MeshBackend,
+    m: &Mesh,
+    batch: &[Vec<f64>],
+    width: usize,
+    inverse: bool,
+) -> Vec<Vec<f64>> {
+    let mut panels = qn::linalg::panel::pack(batch, width);
+    if inverse {
+        backend.inverse_panels(m, &mut panels);
+    } else {
+        backend.forward_panels(m, &mut panels);
+    }
+    qn::linalg::panel::unpack(&panels)
 }
 
 /// A pixel vector with at least some energy (the image-data regime).
@@ -213,24 +231,25 @@ proptest! {
                     v
                 })
                 .collect();
+            let w = DEFAULT_PANEL_WIDTH;
             for kind in BackendKind::ALL {
                 let what = kind.name();
-                assert_zero_sign_only(&kind.backend().forward_batch(&m, &batch), &reference, what);
-                assert_zero_sign_only(&kind.backend().inverse_batch(&m, &batch), &inv_reference, what);
+                assert_zero_sign_only(&pass(kind.backend(), &m, &batch, w, false), &reference, what);
+                assert_zero_sign_only(&pass(kind.backend(), &m, &batch, w, true), &inv_reference, what);
             }
             // The scalar reference reproduces the mesh bit for bit.
             let bits = |vs: &[Vec<f64>]| -> Vec<Vec<u64>> {
                 vs.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
             };
             let scalar = BackendKind::Scalar.backend();
-            prop_assert_eq!(bits(&scalar.forward_batch(&m, &batch)), bits(&reference));
-            prop_assert_eq!(bits(&scalar.inverse_batch(&m, &batch)), bits(&inv_reference));
+            prop_assert_eq!(bits(&pass(scalar, &m, &batch, w, false)), bits(&reference));
+            prop_assert_eq!(bits(&pass(scalar, &m, &batch, w, true)), bits(&inv_reference));
             // Explicit panel widths exercise ragged last panels (the
             // batch length is rarely a multiple of `width`) and the
             // width-1 degenerate panel.
-            let simd = SimdBackend::with_width(width);
-            assert_zero_sign_only(&simd.forward_batch(&m, &batch), &reference, "simd width");
-            assert_zero_sign_only(&simd.inverse_batch(&m, &batch), &inv_reference, "simd width");
+            let simd = SimdBackend;
+            assert_zero_sign_only(&pass(&simd, &m, &batch, width, false), &reference, "simd width");
+            assert_zero_sign_only(&pass(&simd, &m, &batch, width, true), &inv_reference, "simd width");
         }
     }
 
@@ -290,43 +309,69 @@ proptest! {
 }
 
 /// The full codec path is thread-count invariant: encoding and decoding
-/// a golden image inside forced 1/2/4/8-thread pools produces the same
-/// `.qnc` container byte-for-byte and the same pixels bit-for-bit. The
-/// chunked panel schedule partitions tiles identically regardless of
-/// worker count, so parallelism moves only wall-clock, never bytes.
+/// inside forced 1/2/3/8-thread pools, on either backend, produces the
+/// `.qnc` bytes of the 1-thread scalar reference byte-for-byte and its
+/// pixels bit-for-bit. Every per-tile stage (gather, mesh, quantize +
+/// zigzag, dequantize, stitch) partitions tiles by panel boundaries
+/// that depend only on the image, so parallelism moves only wall-clock,
+/// never bytes. Covered: a 64×64 golden image (64 full panels), ragged
+/// geometries whose last panel is partly filled and whose edge tiles
+/// are clipped (13×9: one panel of 12 tiles; 257×131: 66×33 tiles in
+/// 35 panels), an image with empty tiles scattered across panel
+/// boundaries, and an all-black image (no panels at all), each under
+/// all three entropy coders with and without per-tile scales.
 #[test]
 fn codec_output_is_thread_count_invariant() {
-    let img = qn::image::datasets::grayscale_blobs(1, 64, 64, 42).remove(0);
-    let codec = Codec::spectral_for_image(&img, 4, 8).expect("spectral model");
-
-    let mut reference: Option<(Vec<u8>, GrayImage)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
+    use qn::image::datasets::grayscale_blobs;
+    let mut sparse = grayscale_blobs(1, 64, 48, 7).remove(0);
+    for y in 0..48 {
+        for x in 0..64 {
+            if (x / 4 + 2 * (y / 4)) % 3 == 0 {
+                sparse.set(x, y, 0.0);
+            }
+        }
+    }
+    let images = [
+        ("64x64", grayscale_blobs(1, 64, 64, 42).remove(0)),
+        ("13x9", grayscale_blobs(1, 13, 9, 21).remove(0)),
+        ("257x131", grayscale_blobs(1, 257, 131, 5).remove(0)),
+        ("sparse 64x48", sparse),
+        ("black 5x3", GrayImage::zeros(5, 3)),
+    ];
+    let pixel_bits =
+        |img: &GrayImage| -> Vec<u64> { img.pixels().iter().map(|p| p.to_bits()).collect() };
+    let pool = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
-            .expect("bench pool");
-        for backend in BackendKind::ALL {
-            let (bytes, decoded) = pool.install(|| {
-                let opts = CodecOptions {
-                    backend,
-                    inline_model: false,
-                    ..CodecOptions::default()
+            .expect("bench pool")
+    };
+    for (name, img) in &images {
+        let codec = Codec::spectral_for_image(img, 4, 8).expect("spectral model");
+        for entropy in EntropyCoder::ALL {
+            for per_tile_scale in [false, true] {
+                let run = |backend: BackendKind| {
+                    let opts = CodecOptions {
+                        backend,
+                        entropy,
+                        per_tile_scale,
+                        inline_model: false,
+                        ..CodecOptions::default()
+                    };
+                    let bytes = codec.encode_image(img, &opts).expect("encode");
+                    let decoded = codec.decode_bytes_with(&bytes, backend).expect("decode");
+                    (bytes, pixel_bits(&decoded))
                 };
-                let bytes = codec.encode_image(&img, &opts).expect("encode");
-                let decoded = codec.decode_bytes_with(&bytes, backend).expect("decode");
-                (bytes, decoded)
-            });
-            match &reference {
-                None => reference = Some((bytes, decoded)),
-                Some((ref_bytes, ref_img)) => {
-                    assert_eq!(
-                        &bytes, ref_bytes,
-                        "{backend} container diverged under {threads} threads"
-                    );
-                    assert_eq!(
-                        &decoded, ref_img,
-                        "{backend} pixels diverged under {threads} threads"
-                    );
+                let (ref_bytes, ref_pixels) = pool(1).install(|| run(BackendKind::Scalar));
+                for threads in [1usize, 2, 3, 8] {
+                    for backend in BackendKind::ALL {
+                        let (bytes, pixels) = pool(threads).install(|| run(backend));
+                        let what = format!(
+                            "{name} {entropy} scale={per_tile_scale} {backend} {threads} threads"
+                        );
+                        assert_eq!(bytes, ref_bytes, "{what}: container diverged");
+                        assert_eq!(pixels, ref_pixels, "{what}: pixels diverged");
+                    }
                 }
             }
         }

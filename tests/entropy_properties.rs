@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use qn::codec::container::{
-    Container, ContainerHeader, TilePayload, FLAG_ENTROPY_RANGE, FLAG_ENTROPY_RICE_POS,
+    Container, ContainerHeader, TileGrid, FLAG_ENTROPY_RANGE, FLAG_ENTROPY_RICE_POS,
     FLAG_PER_TILE_SCALE,
 };
 use qn::codec::EntropyCoder;
@@ -56,18 +56,17 @@ fn arbitrary_container(
         bits,
         max_norm: 4.0,
     };
-    let tiles = (0..tiles_x * tiles_y)
-        .map(|_| {
-            if mix.below(4) == 0 {
-                return None;
-            }
-            Some(TilePayload {
-                norm_q: mix.below(65536) as u16,
-                scale: per_tile_scale.then(|| 0.001 + (mix.below(1000) as f32) / 100.0),
-                levels: (0..latent_dim).map(|_| mix.below(levels) as u32).collect(),
-            })
-        })
-        .collect();
+    let mut tiles = TileGrid::default();
+    for _ in 0..tiles_x * tiles_y {
+        if mix.below(4) == 0 {
+            tiles.push_empty();
+            continue;
+        }
+        let norm_q = mix.below(65536) as u16;
+        let scale = per_tile_scale.then(|| 0.001 + (mix.below(1000) as f32) / 100.0);
+        let tile_levels: Vec<u32> = (0..latent_dim).map(|_| mix.below(levels) as u32).collect();
+        tiles.push(norm_q, scale, &tile_levels);
+    }
     Container {
         header,
         inline_model: None,
@@ -135,20 +134,19 @@ proptest! {
         // Position-decaying amplitudes with ±25 % per-tile variation,
         // norms drifting slowly below the max-norm tile.
         let mut norm = 65535i64;
-        let tiles: Vec<Option<TilePayload>> = (0..tiles_x * tiles_y)
-            .map(|_| {
-                norm = (norm - mix.below(4000) as i64 + mix.below(3000) as i64).clamp(0, 65535);
-                let levels = (0..latent_dim)
-                    .map(|j| {
-                        let peak = 110.0 * 0.55f64.powi(j as i32);
-                        let amp = peak * (0.75 + mix.below(50) as f64 / 100.0);
-                        let signed = if mix.below(2) == 0 { amp } else { -amp };
-                        (zero + signed.round() as i64).clamp(0, 255) as u32
-                    })
-                    .collect();
-                Some(TilePayload { norm_q: norm as u16, scale: None, levels })
-            })
-            .collect();
+        let mut tiles = TileGrid::default();
+        for _ in 0..tiles_x * tiles_y {
+            norm = (norm - mix.below(4000) as i64 + mix.below(3000) as i64).clamp(0, 65535);
+            let levels: Vec<u32> = (0..latent_dim)
+                .map(|j| {
+                    let peak = 110.0 * 0.55f64.powi(j as i32);
+                    let amp = peak * (0.75 + mix.below(50) as f64 / 100.0);
+                    let signed = if mix.below(2) == 0 { amp } else { -amp };
+                    (zero + signed.round() as i64).clamp(0, 255) as u32
+                })
+                .collect();
+            tiles.push(norm as u16, None, &levels);
+        }
         let base = Container { header, inline_model: None, tiles };
         let rice = as_coder(base.clone(), EntropyCoder::Rice).to_bytes().unwrap();
         let rice_pos = as_coder(base, EntropyCoder::RicePos).to_bytes().unwrap();
