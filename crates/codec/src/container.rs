@@ -65,8 +65,24 @@
 //! A parsed [`Container`] holds its tiles as flat arrays over the grid
 //! ([`TileGrid`]): one occupancy flag per tile, then per occupied tile a
 //! quantized norm, an optional scale and `d` quantizer levels, each
-//! array in row-major tile order. Writers and readers walk those
-//! arrays; the bytes are the layouts above, unchanged.
+//! array in row-major tile order. The bytes are the layouts above,
+//! unchanged.
+//!
+//! # Coding
+//!
+//! The two Rice writers code the grid in fixed chunks of
+//! `CHUNK_TILES` (1024) tiles on the thread pool. A chunk zigzags its
+//! levels without a branch, picks its Rice parameters, sums its exact
+//! bit length and fills a bit writer ([`crate::bitstream`]) of exactly
+//! that size; `rice-pos` first merges every chunk's shifted sums
+//! `Σ (v >> k)` into its k-table and norm parameter. [`Container::to_bytes`]
+//! then splices the chunks at their bit offsets straight into the file
+//! buffer behind the header and appends the CRC. The chunk size depends
+//! on nothing but the tile count, so the bytes never depend on the
+//! thread count. Decoding both Rice layouts is one serial pass of the
+//! word-level bit reader into arrays preallocated from the payload's
+//! bit count. The `range` coder is serial both ways: every symbol's
+//! contexts depend on all before it.
 //!
 //! # Versioning rules
 //!
@@ -78,14 +94,15 @@
 //! [`CodecError::UnsupportedCoder`].
 
 use crate::bitstream::{
-    best_rice_k, crc32, read_rice, unzigzag_signed, write_rice, zigzag_signed, BitReader,
-    BitWriter, ByteReader, ByteWriter, RICE_K_BITS,
+    append_bits, crc32, first_min_k, rice_k_walk, rice_len, unzigzag_signed, zigzag_signed,
+    BitReader, BitWriter, ByteReader, ByteWriter, MAX_RICE_K, RICE_K_BITS,
 };
 use crate::entropy::{decode_eg, encode_eg, EntropyCoder, RangeDecoder, RangeEncoder, PROB_INIT};
 use crate::error::{CodecError, Result};
-use crate::quantize::{zigzag, Quantizer, MAX_BITS};
+use crate::quantize::{unzigzag, zigzag, Quantizer, MAX_BITS};
 use qn_linalg::panel::DEFAULT_PANEL_WIDTH;
 use qn_linalg::parallel::par_map_chunked_into;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Leading magic of a container file.
@@ -142,6 +159,19 @@ const MAX_RANGE_TILES: usize = 1 << 22;
 /// proportional to the *input* size: a small corrupt-but-CRC-valid
 /// container cannot balloon into millions of decoded tiles.
 const RANGE_ITEMS_PER_BYTE: usize = 512;
+
+/// Grid tiles per chunk of a Rice payload. The writers code the chunks
+/// on the thread pool and splice them in order; the size is fixed, so
+/// chunk boundaries depend only on the tile count and the bytes never
+/// on the thread count. Sixteen panels amortise a chunk's allocations
+/// and splice, and a request of up to that many tiles codes on the
+/// calling thread.
+const CHUNK_TILES: usize = 16 * DEFAULT_PANEL_WIDTH;
+/// Entries of a shifted-sum table: `Σ (v >> k)` for every Rice
+/// parameter `k ≤ MAX_RICE_K`.
+const SUM_KS: usize = MAX_RICE_K as usize + 1;
+/// Bytes of the fixed header, before the optional inline model.
+const HEADER_LEN: usize = 36;
 
 /// Upper bound on header dimensions (defends allocations against
 /// corrupt headers; 2³⁰ pixels ≈ 1 gigapixel per side is far beyond any
@@ -377,8 +407,73 @@ pub fn dequantize_norm(norm_q: u16, max_norm: f32) -> f64 {
     f64::from(norm_q) / f64::from(NORM_LEVELS) * f64::from(max_norm)
 }
 
+/// One chunk of coded payload bits, LSB-first, padding bits zero.
+#[derive(Debug, Default)]
+struct CodedChunk {
+    bytes: Vec<u8>,
+    bits: usize,
+}
+
+/// A chunk of grid tiles: its index, its grid-tile range, and the
+/// range of its occupied tiles' indices into the per-tile arrays.
+#[derive(Debug)]
+struct ChunkSpan {
+    index: usize,
+    grid: Range<usize>,
+    occupied: Range<usize>,
+}
+
+/// The chunks of a grid of `occupied.len()` tiles — the one serial scan
+/// the writers make: each chunk's first occupied tile is the count of
+/// occupied tiles before it.
+fn chunk_spans(occupied: &[bool]) -> Vec<ChunkSpan> {
+    let mut first = 0;
+    occupied
+        .chunks(CHUNK_TILES)
+        .enumerate()
+        .map(|(index, flags)| {
+            let start = first;
+            first += flags.iter().filter(|&&o| o).count();
+            ChunkSpan {
+                index,
+                grid: index * CHUNK_TILES..index * CHUNK_TILES + flags.len(),
+                occupied: start..first,
+            }
+        })
+        .collect()
+}
+
+/// Add `Σ (v >> k)` for every `k < SUM_KS` into `sums`.
+#[inline]
+fn add_shifted(sums: &mut [u64], v: u32) {
+    for (k, s) in sums[..SUM_KS].iter_mut().enumerate() {
+        *s += u64::from(v >> k);
+    }
+}
+
+/// Occupied tile `o`'s zigzagged norm delta against its raster
+/// predecessor (the `rice-pos` and `range` norm stream).
+#[inline]
+fn norm_delta(norms_q: &[u16], o: usize) -> u32 {
+    let pred = o
+        .checked_sub(1)
+        .map_or(NORM_PRED_INIT, |p| u32::from(norms_q[p]));
+    zigzag_signed(i64::from(norms_q[o]) - i64::from(pred)) as u32
+}
+
+fn level_out_of_range(level: u32, bits: u8) -> CodecError {
+    CodecError::Invalid(format!(
+        "level {level} out of range for {bits}-bit quantizer"
+    ))
+}
+
 impl Container {
     /// Serialise to complete file bytes (header + payload + CRC).
+    ///
+    /// Rice payloads are coded one chunk of grid tiles at a time on the
+    /// thread pool and spliced at their bit offsets straight into the
+    /// file buffer behind the header; the splice and the CRC run
+    /// serially, and so does the adaptive range coder.
     ///
     /// # Errors
     /// [`CodecError::Invalid`] when the container is internally
@@ -394,11 +489,9 @@ impl Container {
             ));
         }
         let quantizer = Quantizer::new(self.header.bits)?;
-        let entropy = self.header.entropy()?;
-        let (symbols, tile_ks) = self.tile_symbols(&quantizer, entropy == EntropyCoder::Rice)?;
-        let payload = match entropy {
-            EntropyCoder::Rice => self.payload_rice(&symbols, &tile_ks),
-            EntropyCoder::RicePos => self.payload_rice_pos(&symbols),
+        let chunks = match self.header.entropy()? {
+            EntropyCoder::Rice => self.rice_chunks(&quantizer)?,
+            EntropyCoder::RicePos => self.rice_pos_chunks(&quantizer)?,
             EntropyCoder::Range => {
                 if self.tiles.len() > MAX_RANGE_TILES {
                     return Err(CodecError::Invalid(format!(
@@ -407,11 +500,17 @@ impl Container {
                         self.tiles.len()
                     )));
                 }
-                self.payload_range(&symbols)
+                let bytes = self.payload_range(&quantizer)?;
+                vec![CodedChunk {
+                    bits: bytes.len() * 8,
+                    bytes,
+                }]
             }
         };
+        let payload_len = chunks.iter().map(|c| c.bits).sum::<usize>().div_ceil(8);
+        let model_len = self.inline_model.as_ref().map_or(0, |m| 4 + m.len());
 
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::with_capacity(HEADER_LEN + model_len + 4 + payload_len + 4);
         w.put_bytes(&CONTAINER_MAGIC);
         w.put_u16(self.header.version);
         w.put_u16(self.header.flags);
@@ -427,9 +526,12 @@ impl Container {
             w.put_u32(model.len() as u32);
             w.put_bytes(model);
         }
-        w.put_u32(payload.len() as u32);
-        w.put_bytes(&payload);
+        w.put_u32(payload_len as u32);
         let mut bytes = w.finish();
+        let mut tail = 0;
+        for chunk in &chunks {
+            append_bits(&mut bytes, &mut tail, &chunk.bytes, chunk.bits);
+        }
         let crc = crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
         Ok(bytes)
@@ -534,8 +636,8 @@ impl Container {
         }
         let quantizer = Quantizer::new(header.bits)?;
         let tiles = match entropy {
-            EntropyCoder::Rice => read_tiles_rice(&header, &quantizer, payload)?,
-            EntropyCoder::RicePos => read_tiles_rice_pos(&header, &quantizer, payload)?,
+            EntropyCoder::Rice => read_tiles_rice(&header, &quantizer, payload, false)?,
+            EntropyCoder::RicePos => read_tiles_rice(&header, &quantizer, payload, true)?,
             EntropyCoder::Range => read_tiles_range(&header, &quantizer, payload)?,
         };
 
@@ -546,158 +648,213 @@ impl Container {
         })
     }
 
-    /// Range-check and zigzag-map every level — the symbol view all
-    /// three payload writers share: the occupied tiles' symbols
-    /// concatenated in tile order, `latent_dim` per tile — plus, when
-    /// `per_tile_k` is set (v1 `rice`), each tile's best Rice
-    /// parameter. Runs one panel of tiles per chunk on the pool; the
-    /// chunking depends only on the tile count, so the output does not
-    /// depend on the thread count.
-    fn tile_symbols(
+    /// Run `code` over every chunk of the grid on the thread pool and
+    /// collect the results in chunk order. `code` returns `None` when
+    /// the chunk holds a level out of range for the bit depth, which
+    /// becomes the error naming the first such level.
+    fn map_chunks<T: Default + Send>(
         &self,
-        quantizer: &Quantizer,
-        per_tile_k: bool,
-    ) -> Result<(Vec<u32>, Vec<u32>)> {
-        let levels = quantizer.levels();
-        let zero_level = quantizer.zero_level();
-        let d = self.header.latent_dim as usize;
-        let max_k = u32::from(self.header.bits) + 1;
-        let tiles = self.tiles.occupied_count();
-        let mut symbols = vec![0u32; self.tiles.levels.len()];
-        let mut tile_ks = vec![0u32; if per_tile_k { tiles } else { 0 }];
+        spans: &[ChunkSpan],
+        code: impl Fn(&ChunkSpan) -> Option<T> + Sync,
+    ) -> Result<Vec<T>> {
+        let mut out: Vec<T> = spans.iter().map(|_| T::default()).collect();
         let out_of_range = AtomicBool::new(false);
-        let mut jobs: Vec<(&mut [u32], &mut [u32])> = symbols
-            .chunks_mut(DEFAULT_PANEL_WIDTH * d)
-            .zip(
-                tile_ks
-                    .chunks_mut(DEFAULT_PANEL_WIDTH)
-                    .chain(std::iter::repeat_with(Default::default)),
-            )
-            .collect();
-        par_map_chunked_into(&mut jobs, 1, |first, jobs| {
-            for (i, (syms, ks)) in jobs.iter_mut().enumerate() {
-                let start = (first + i) * DEFAULT_PANEL_WIDTH * d;
-                let src = &self.tiles.levels[start..start + syms.len()];
-                for (sym, &level) in syms.iter_mut().zip(src) {
-                    if level >= levels {
+        par_map_chunked_into(&mut out, 1, |first, slots| {
+            for (slot, span) in slots.iter_mut().zip(&spans[first..]) {
+                match code(span) {
+                    Some(value) => *slot = value,
+                    None => {
                         out_of_range.store(true, Ordering::Relaxed);
                         return;
                     }
-                    *sym = zigzag(level, zero_level);
-                }
-                for (k, tile) in ks.iter_mut().zip(syms.chunks_exact(d)) {
-                    *k = best_rice_k(tile, max_k);
                 }
             }
         });
-        drop(jobs);
         if out_of_range.into_inner() {
+            let levels = 1u32 << self.header.bits;
             let level = self.tiles.levels.iter().find(|&&l| l >= levels);
-            return Err(CodecError::Invalid(format!(
-                "level {} out of range for {}-bit quantizer",
-                level.expect("an out-of-range level was seen"),
-                self.header.bits
-            )));
+            return Err(level_out_of_range(
+                *level.expect("an out-of-range level was seen"),
+                self.header.bits,
+            ));
         }
-        Ok((symbols, tile_ks))
+        Ok(out)
     }
 
-    /// The v1 payload: per-tile Rice parameter, raw 16-bit norms.
-    /// Bit-exact with every pre-v2 build.
-    fn payload_rice(&self, symbols: &[u32], tile_ks: &[u32]) -> Vec<u8> {
+    /// A chunk's latent levels, `latent_dim` per occupied tile, or
+    /// `None` when one is out of range for `quantizer`.
+    fn chunk_levels(&self, span: &ChunkSpan, quantizer: &Quantizer) -> Option<&[u32]> {
         let d = self.header.latent_dim as usize;
+        let levels = &self.tiles.levels[span.occupied.start * d..span.occupied.end * d];
+        let top = levels.iter().copied().max().unwrap_or(0);
+        (top < quantizer.levels()).then_some(levels)
+    }
+
+    /// The v1 payload, bit-exact with every pre-v2 build: per tile the
+    /// occupancy bit, the raw 16-bit norm, the optional scale, the
+    /// tile's own Rice parameter and its `d` symbols. Each chunk picks
+    /// its tiles' parameters and sums its exact length, then writes.
+    fn rice_chunks(&self, quantizer: &Quantizer) -> Result<Vec<CodedChunk>> {
         let tiles = &self.tiles;
-        let mut bits = BitWriter::new();
-        let mut o = 0;
-        for &occupied in &tiles.occupied {
-            if !occupied {
-                bits.write_bit(false);
-                continue;
+        let d = self.header.latent_dim as usize;
+        let zero = quantizer.zero_level();
+        let max_k = u32::from(self.header.bits) + 1;
+        let fixed = 16 + RICE_K_BITS as usize + if tiles.scales.is_empty() { 0 } else { 32 };
+        self.map_chunks(&chunk_spans(&tiles.occupied), |span| {
+            let levels = self.chunk_levels(span, quantizer)?;
+            let mut bits = span.grid.len() + span.occupied.len() * fixed;
+            let ks: Vec<u32> = levels
+                .chunks_exact(d)
+                .map(|tile| {
+                    let (k, len) = rice_k_walk(d as u64, max_k, |k| {
+                        tile.iter().map(|&l| u64::from(zigzag(l, zero) >> k)).sum()
+                    });
+                    bits += len;
+                    k
+                })
+                .collect();
+            let mut w = BitWriter::with_bit_len(bits);
+            let mut coded = span.occupied.clone().zip(levels.chunks_exact(d).zip(ks));
+            for &occupied in &tiles.occupied[span.grid.clone()] {
+                if !occupied {
+                    w.put(0, 1);
+                    continue;
+                }
+                let (o, (tile, k)) = coded.next().expect("one level row per occupied tile");
+                let mut head = 1 | u64::from(tiles.norms_q[o]) << 1;
+                let mut n = 17;
+                if let Some(scale) = tiles.scales.get(o) {
+                    head |= u64::from(scale.to_bits()) << n;
+                    n += 32;
+                }
+                w.put(head | u64::from(k) << n, n + RICE_K_BITS);
+                for &level in tile {
+                    w.put_rice(zigzag(level, zero), k);
+                }
             }
-            bits.write_bit(true);
-            bits.write_bits(u64::from(tiles.norms_q[o]), 16);
-            if let Some(scale) = tiles.scales.get(o) {
-                bits.write_bits(u64::from(scale.to_bits()), 32);
-            }
-            let k = tile_ks[o];
-            bits.write_bits(u64::from(k), RICE_K_BITS);
-            for &s in &symbols[o * d..(o + 1) * d] {
-                write_rice(&mut bits, s, k);
-            }
-            o += 1;
-        }
-        bits.finish()
+            Some(CodedChunk {
+                bytes: w.finish(),
+                bits,
+            })
+        })
     }
 
     /// The v2 `rice-pos` payload: delta-coded per-position k-table and
-    /// norm-delta stream up front, then the tiles.
-    fn payload_rice_pos(&self, symbols: &[u32]) -> Vec<u8> {
-        let d = self.header.latent_dim as usize;
-        let max_k = u32::from(self.header.bits) + 1;
-
-        // Per-position Rice parameters over the whole tile panel.
-        let mut k_table = vec![0u32; d];
-        let mut column = Vec::new();
-        for (j, k) in k_table.iter_mut().enumerate() {
-            column.clear();
-            column.extend(symbols.chunks_exact(d).map(|syms| syms[j]));
-            *k = best_rice_k(&column, max_k);
-        }
-
-        // Predicted-norm deltas between raster-neighbouring occupied
-        // tiles, and the Rice parameter that fits them best.
-        let mut pred = NORM_PRED_INIT;
-        let deltas: Vec<u32> = self
-            .tiles
-            .norms_q
-            .iter()
-            .map(|&norm_q| {
-                let norm_q = u32::from(norm_q);
-                let delta = zigzag_signed(i64::from(norm_q) - i64::from(pred)) as u32;
-                pred = norm_q;
-                delta
-            })
-            .collect();
-        let norm_k = best_rice_k(&deltas, MAX_NORM_K);
-
-        let mut bits = BitWriter::new();
-        bits.write_bits(u64::from(k_table[0]), RICE_K_BITS);
-        for j in 1..d {
-            let delta = i64::from(k_table[j]) - i64::from(k_table[j - 1]);
-            write_rice(&mut bits, zigzag_signed(delta) as u32, K_TABLE_DELTA_K);
-        }
-        bits.write_bits(u64::from(norm_k), RICE_K_BITS);
-
+    /// norm-delta parameter up front, then the tiles. A first pass sums
+    /// `Σ (v >> k)` per chunk for every latent column and the norm
+    /// deltas; merged, those give each column's first-minimum Rice
+    /// parameter over the whole tile panel, and per chunk its exact
+    /// length for the second, writing pass.
+    fn rice_pos_chunks(&self, quantizer: &Quantizer) -> Result<Vec<CodedChunk>> {
         let tiles = &self.tiles;
-        let mut o = 0;
-        for &occupied in &tiles.occupied {
-            if !occupied {
-                bits.write_bit(false);
-                continue;
+        let d = self.header.latent_dim as usize;
+        let zero = quantizer.zero_level();
+        let max_k = u32::from(self.header.bits) + 1;
+        let spans = chunk_spans(&tiles.occupied);
+
+        // Rows 0..d of a table are the latent columns, row d the norm
+        // deltas.
+        let sums: Vec<Vec<u64>> = self.map_chunks(&spans, |span| {
+            let levels = self.chunk_levels(span, quantizer)?;
+            let mut sums = vec![0u64; (d + 1) * SUM_KS];
+            let (columns, norm) = sums.split_at_mut(d * SUM_KS);
+            for (o, tile) in span.occupied.clone().zip(levels.chunks_exact(d)) {
+                for (column, &level) in columns.chunks_exact_mut(SUM_KS).zip(tile) {
+                    add_shifted(column, zigzag(level, zero));
+                }
+                add_shifted(norm, norm_delta(&tiles.norms_q, o));
             }
-            bits.write_bit(true);
-            write_rice(&mut bits, deltas[o], norm_k);
-            if let Some(scale) = tiles.scales.get(o) {
-                bits.write_bits(u64::from(scale.to_bits()), 32);
+            Some(sums)
+        })?;
+        let mut total = vec![0u64; (d + 1) * SUM_KS];
+        for chunk in &sums {
+            for (t, s) in total.iter_mut().zip(chunk) {
+                *t += s;
             }
-            for (&s, &k) in symbols[o * d..(o + 1) * d].iter().zip(&k_table) {
-                write_rice(&mut bits, s, k);
-            }
-            o += 1;
         }
-        bits.finish()
+        let n = tiles.occupied_count() as u64;
+        let k_table: Vec<u32> = total
+            .chunks_exact(SUM_KS)
+            .take(d)
+            .map(|column| first_min_k(n, max_k, column))
+            .collect();
+        let norm_k = first_min_k(n, MAX_NORM_K, &total[d * SUM_KS..]);
+
+        let k_deltas: Vec<u32> = k_table
+            .windows(2)
+            .map(|k| zigzag_signed(i64::from(k[1]) - i64::from(k[0])) as u32)
+            .collect();
+        let side_bits = 2 * RICE_K_BITS as usize
+            + k_deltas
+                .iter()
+                .map(|&delta| rice_len(delta, K_TABLE_DELTA_K))
+                .sum::<usize>();
+        let mut w = BitWriter::with_bit_len(side_bits);
+        w.put(u64::from(k_table[0]), RICE_K_BITS);
+        for &delta in &k_deltas {
+            w.put_rice(delta, K_TABLE_DELTA_K);
+        }
+        w.put(u64::from(norm_k), RICE_K_BITS);
+        let side = CodedChunk {
+            bytes: w.finish(),
+            bits: side_bits,
+        };
+
+        // Per occupied tile: occupancy, the norm's Rice(norm_k) unary
+        // terminator and remainder, the scale, and each symbol's
+        // terminator and remainder; the unary bits are the sums at the
+        // chosen parameters.
+        let fixed = 2
+            + norm_k as usize
+            + if tiles.scales.is_empty() { 0 } else { 32 }
+            + k_table.iter().map(|&k| k as usize + 1).sum::<usize>();
+        let chunks = self.map_chunks(&spans, |span| {
+            let sums = &sums[span.index];
+            let unary: u64 = k_table
+                .iter()
+                .chain([&norm_k])
+                .zip(sums.chunks_exact(SUM_KS))
+                .map(|(&k, row)| row[k as usize])
+                .sum();
+            let bits = span.grid.len() - span.occupied.len()
+                + span.occupied.len() * fixed
+                + unary as usize;
+            let mut w = BitWriter::with_bit_len(bits);
+            let mut o = span.occupied.start;
+            for &occupied in &tiles.occupied[span.grid.clone()] {
+                if !occupied {
+                    w.put(0, 1);
+                    continue;
+                }
+                w.put(1, 1);
+                w.put_rice(norm_delta(&tiles.norms_q, o), norm_k);
+                if let Some(scale) = tiles.scales.get(o) {
+                    w.put(u64::from(scale.to_bits()), 32);
+                }
+                for (&level, &k) in tiles.levels[o * d..(o + 1) * d].iter().zip(&k_table) {
+                    w.put_rice(zigzag(level, zero), k);
+                }
+                o += 1;
+            }
+            Some(CodedChunk {
+                bytes: w.finish(),
+                bits,
+            })
+        })?;
+        Ok(std::iter::once(side).chain(chunks).collect())
     }
 
     /// The v2 `range` payload: one adaptive binary range-coded stream,
-    /// per-position contexts, no side tables.
-    fn payload_range(&self, symbols: &[u32]) -> Vec<u8> {
+    /// per-position contexts, no side tables. Serial: every symbol's
+    /// contexts depend on all before it.
+    fn payload_range(&self, quantizer: &Quantizer) -> Result<Vec<u8>> {
         let d = self.header.latent_dim as usize;
+        let zero = quantizer.zero_level();
         let ctx_sets = d.clamp(1, MAX_CTX_POSITIONS);
         let mut enc = RangeEncoder::new();
         let mut occ_ctx = PROB_INIT;
         let mut norm_ctx = [PROB_INIT; NORM_CTX_BINS];
         let mut sym_ctx = vec![[PROB_INIT; SYM_CTX_BINS]; ctx_sets];
-        let mut pred = NORM_PRED_INIT;
         let tiles = &self.tiles;
         let mut o = 0;
         for &occupied in &tiles.occupied {
@@ -706,23 +863,27 @@ impl Container {
                 continue;
             }
             enc.encode_bit(&mut occ_ctx, true);
-            let norm_q = u32::from(tiles.norms_q[o]);
-            let delta = zigzag_signed(i64::from(norm_q) - i64::from(pred)) as u32;
-            encode_eg(&mut enc, &mut norm_ctx, delta);
-            pred = norm_q;
+            encode_eg(&mut enc, &mut norm_ctx, norm_delta(&tiles.norms_q, o));
             if let Some(scale) = tiles.scales.get(o) {
                 enc.encode_direct(u64::from(scale.to_bits()), 32);
             }
-            for (j, &s) in symbols[o * d..(o + 1) * d].iter().enumerate() {
-                encode_eg(&mut enc, &mut sym_ctx[j.min(ctx_sets - 1)], s);
+            for (j, &level) in tiles.levels[o * d..(o + 1) * d].iter().enumerate() {
+                if level >= quantizer.levels() {
+                    return Err(level_out_of_range(level, self.header.bits));
+                }
+                encode_eg(
+                    &mut enc,
+                    &mut sym_ctx[j.min(ctx_sets - 1)],
+                    zigzag(level, zero),
+                );
             }
             o += 1;
         }
-        enc.finish()
+        Ok(enc.finish())
     }
 }
 
-/// Shared per-tile field validation: the scale read by both v2 readers.
+/// Shared per-tile field validation: the scale read by every reader.
 fn validate_scale(raw: u32) -> Result<f32> {
     let s = f32::from_bits(raw);
     if !s.is_finite() || s <= 0.0 {
@@ -746,72 +907,16 @@ fn apply_norm_delta(pred: &mut u32, delta_zz: u32) -> Result<u16> {
     Ok(norm as u16)
 }
 
-/// Decode the v1 payload (per-tile Rice parameter, raw norms).
-fn read_tiles_rice(
-    header: &ContainerHeader,
-    quantizer: &Quantizer,
-    payload: &[u8],
-) -> Result<TileGrid> {
-    let levels = quantizer.levels();
-    let zero_level = quantizer.zero_level();
-    let mut bits = BitReader::new(payload);
-    let mut tiles = TileGrid {
-        occupied: Vec::with_capacity(header.tile_count()),
-        ..TileGrid::default()
-    };
-    for _ in 0..header.tile_count() {
-        let occupied = bits.read_bit()?;
-        tiles.occupied.push(occupied);
-        if !occupied {
-            continue;
-        }
-        tiles.norms_q.push(bits.read_bits(16)? as u16);
-        if header.per_tile_scale() {
-            tiles
-                .scales
-                .push(validate_scale(bits.read_bits(32)? as u32)?);
-        }
-        let k = bits.read_bits(RICE_K_BITS)? as u32;
-        if k > u32::from(header.bits) + 1 {
-            return Err(CodecError::Invalid(format!(
-                "rice parameter {k} exceeds the maximum for {}-bit symbols",
-                header.bits
-            )));
-        }
-        for _ in 0..header.latent_dim {
-            let symbol = read_rice(&mut bits, k)?;
-            if symbol >= levels {
-                return Err(CodecError::Invalid(format!(
-                    "zigzag symbol {symbol} out of range for {}-bit quantizer",
-                    header.bits
-                )));
-            }
-            tiles
-                .levels
-                .push(crate::quantize::unzigzag(symbol, zero_level));
-        }
-    }
-    Ok(tiles)
-}
-
-/// Decode the v2 `rice-pos` payload.
-fn read_tiles_rice_pos(
-    header: &ContainerHeader,
-    quantizer: &Quantizer,
-    payload: &[u8],
-) -> Result<TileGrid> {
-    let levels = quantizer.levels();
-    let zero_level = quantizer.zero_level();
+/// The `rice-pos` side tables: the per-position Rice parameters and
+/// the norm-delta parameter.
+fn read_k_tables(bits: &mut BitReader<'_>, header: &ContainerHeader) -> Result<(Vec<u32>, u32)> {
     let d = header.latent_dim as usize;
     let max_k = u32::from(header.bits) + 1;
-    let mut bits = BitReader::new(payload);
-
     let mut k_table = Vec::with_capacity(d);
-    let mut k = bits.read_bits(RICE_K_BITS)? as i64;
+    let mut k = bits.bits(RICE_K_BITS)? as i64;
     for j in 0..d {
         if j > 0 {
-            let delta_zz = read_rice(&mut bits, K_TABLE_DELTA_K)?;
-            k += unzigzag_signed(u64::from(delta_zz));
+            k += unzigzag_signed(u64::from(bits.rice(K_TABLE_DELTA_K)?));
         }
         if !(0..=i64::from(max_k)).contains(&k) {
             return Err(CodecError::Invalid(format!(
@@ -822,45 +927,108 @@ fn read_tiles_rice_pos(
         }
         k_table.push(k as u32);
     }
-    let norm_k = bits.read_bits(RICE_K_BITS)? as u32;
+    let norm_k = bits.bits(RICE_K_BITS)? as u32;
     if norm_k > MAX_NORM_K {
         return Err(CodecError::Invalid(format!(
             "norm-delta rice parameter {norm_k} exceeds the maximum {MAX_NORM_K}"
         )));
     }
+    Ok((k_table, norm_k))
+}
 
-    let mut pred = NORM_PRED_INIT;
-    let mut tiles = TileGrid {
-        occupied: Vec::with_capacity(header.tile_count()),
-        ..TileGrid::default()
+/// Read one occupied tile's symbols, Rice(k) for each `k` of `ks` in
+/// turn, into `row` as quantizer levels.
+#[inline]
+fn read_levels(
+    bits: &mut BitReader<'_>,
+    ks: impl Iterator<Item = u32>,
+    quantizer: &Quantizer,
+    row: &mut [u32],
+) -> Result<()> {
+    for (level, k) in row.iter_mut().zip(ks) {
+        let symbol = bits.rice(k)?;
+        if symbol >= quantizer.levels() {
+            return Err(CodecError::Invalid(format!(
+                "zigzag symbol {symbol} out of range for {}-bit quantizer",
+                quantizer.bits()
+            )));
+        }
+        *level = unzigzag(symbol, quantizer.zero_level());
+    }
+    Ok(())
+}
+
+/// Decode a Rice payload: v1 `rice` (per-tile Rice parameter, raw
+/// norms) or, with `per_position`, v2 `rice-pos` (side tables, norm
+/// deltas) — one serial pass of the word-level reader.
+fn read_tiles_rice(
+    header: &ContainerHeader,
+    quantizer: &Quantizer,
+    payload: &[u8],
+    per_position: bool,
+) -> Result<TileGrid> {
+    let d = header.latent_dim as usize;
+    let max_k = u32::from(header.bits) + 1;
+    let mut bits = BitReader::new(payload);
+    let (k_table, norm_k) = if per_position {
+        read_k_tables(&mut bits, header)?
+    } else {
+        (Vec::new(), 0)
     };
-    for _ in 0..header.tile_count() {
-        let occupied = bits.read_bit()?;
-        tiles.occupied.push(occupied);
-        if !occupied {
+    // An occupied tile costs its occupancy bit, a norm (16 bits raw or
+    // ≥ 1 bit Rice-coded), its scale, v1's 5-bit k and ≥ 1 bit per
+    // symbol, so at most `most` occupied tiles decode in full. The
+    // arrays hold one more, for a tile that runs out of input halfway:
+    // every index below stays in bounds, and memory stays bounded by
+    // the payload size.
+    let scale_bits = if header.per_tile_scale() { 32 } else { 0 };
+    let norm_bits = if per_position {
+        1
+    } else {
+        16 + RICE_K_BITS as usize
+    };
+    let tile_count = header.tile_count();
+    let most = payload.len() * 8 / (1 + norm_bits + scale_bits + d);
+    let rows = tile_count.min(most + 1);
+    let mut tiles = TileGrid {
+        occupied: vec![false; tile_count],
+        norms_q: vec![0; rows],
+        scales: vec![0.0; if header.per_tile_scale() { rows } else { 0 }],
+        levels: vec![0; rows * d],
+    };
+    let mut pred = NORM_PRED_INIT;
+    let mut o = 0;
+    for t in 0..tile_count {
+        if !bits.bit()? {
             continue;
         }
-        tiles
-            .norms_q
-            .push(apply_norm_delta(&mut pred, read_rice(&mut bits, norm_k)?)?);
+        tiles.occupied[t] = true;
+        tiles.norms_q[o] = if per_position {
+            apply_norm_delta(&mut pred, bits.rice(norm_k)?)?
+        } else {
+            bits.bits(16)? as u16
+        };
         if header.per_tile_scale() {
-            tiles
-                .scales
-                .push(validate_scale(bits.read_bits(32)? as u32)?);
+            tiles.scales[o] = validate_scale(bits.bits(32)? as u32)?;
         }
-        for &kj in &k_table {
-            let symbol = read_rice(&mut bits, kj)?;
-            if symbol >= levels {
+        let row = &mut tiles.levels[o * d..(o + 1) * d];
+        if per_position {
+            read_levels(&mut bits, k_table.iter().copied(), quantizer, row)?;
+        } else {
+            let k = bits.bits(RICE_K_BITS)? as u32;
+            if k > max_k {
                 return Err(CodecError::Invalid(format!(
-                    "zigzag symbol {symbol} out of range for {}-bit quantizer",
+                    "rice parameter {k} exceeds the maximum for {}-bit symbols",
                     header.bits
                 )));
             }
-            tiles
-                .levels
-                .push(crate::quantize::unzigzag(symbol, zero_level));
+            read_levels(&mut bits, std::iter::repeat_n(k, d), quantizer, row)?;
         }
+        o += 1;
     }
+    tiles.norms_q.truncate(o);
+    tiles.scales.truncate(o);
+    tiles.levels.truncate(o * d);
     Ok(tiles)
 }
 
@@ -923,9 +1091,7 @@ fn read_tiles_range(
                     header.bits
                 )));
             }
-            tiles
-                .levels
-                .push(crate::quantize::unzigzag(symbol, zero_level));
+            tiles.levels.push(unzigzag(symbol, zero_level));
         }
     }
     Ok(tiles)

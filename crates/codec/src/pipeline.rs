@@ -27,7 +27,7 @@
 //!   the backend rotates the panels in place; [`Codec::complete_encode`]
 //!   quantizes the kept rows into the container's flat
 //!   [`TileGrid`] arrays, which [`Container::to_bytes`] zigzags and
-//!   entropy-codes;
+//!   Rice-codes one fixed chunk of grid tiles per pool task;
 //! - **decode**: [`Container::from_bytes`] fills the flat arrays;
 //!   [`Codec::prepare_decode`] dequantizes them into the kept rows of
 //!   fresh panels; the backend rotates them in place;
@@ -36,12 +36,15 @@
 //!
 //! No stage allocates per tile. Each per-tile stage runs on the thread
 //! pool through `qn_linalg::parallel::par_map_chunked_into`, one panel
-//! per chunk (stitching: one band of tile rows per panel), so chunk
-//! boundaries depend only on the image and never on the thread count,
-//! and a one-panel image never forks. Only the entropy bitstream and
-//! the occupancy scan run serially. [`Codec::encode_image_with_stats`],
-//! [`Codec::decode_container`] and the server's batcher all run this
-//! one schedule: prepare → mesh pass → complete.
+//! per chunk (stitching: one band of tile rows per panel; the Rice
+//! writers: sixteen panels' worth of grid tiles), so chunk boundaries
+//! depend only on the image and never on the thread count, and a
+//! one-panel image never forks. What still runs serially: the occupancy
+//! scans, the splice of the coded chunks into the file, the CRC, the
+//! payload parse on decode, and the `range` coder.
+//! [`Codec::encode_image_with_stats`], [`Codec::decode_container`] and
+//! the server's batcher all run this one schedule: prepare → mesh pass
+//! → complete.
 
 use crate::container::{
     dequantize_norm, quantize_norm, Container, ContainerHeader, TileGrid, FLAG_INLINE_MODEL,

@@ -19,6 +19,7 @@
 //!   `max |a|` first, spending 32 bits/tile on the scale to win back
 //!   precision when a tile's energy concentrates in few latents.
 
+use crate::bitstream::{unzigzag_signed, zigzag_signed};
 use crate::error::{CodecError, Result};
 
 /// Highest supported bit depth (symbols fit comfortably in `u32`).
@@ -96,23 +97,20 @@ pub fn tile_scale(amps: impl IntoIterator<Item = f64>) -> f32 {
 
 /// Fold a level index around `zero_level` so near-zero amplitudes get
 /// small symbols: 0, +1, −1, +2, −2, … → 0, 1, 2, 3, 4, …
+///
+/// Branch-free: the signed zigzag of `level − zero_level`, so the
+/// entropy coders pay no misprediction on a latent's sign.
+#[inline]
 pub fn zigzag(level: u32, zero_level: u32) -> u32 {
-    if level >= zero_level {
-        2 * (level - zero_level)
-    } else {
-        2 * (zero_level - level) - 1
-    }
+    zigzag_signed(i64::from(level) - i64::from(zero_level)) as u32
 }
 
 /// Inverse of [`zigzag`]; saturates at level 0 rather than wrapping on
 /// corrupt symbols (the container layer separately validates symbol
-/// range).
+/// range). Branch-free, like [`zigzag`].
+#[inline]
 pub fn unzigzag(symbol: u32, zero_level: u32) -> u32 {
-    if symbol.is_multiple_of(2) {
-        zero_level + symbol / 2
-    } else {
-        zero_level.saturating_sub(symbol / 2 + 1)
-    }
+    (i64::from(zero_level) + unzigzag_signed(u64::from(symbol))).max(0) as u32
 }
 
 #[cfg(test)]
@@ -161,17 +159,66 @@ mod tests {
         assert_eq!(q.dequantize(u32::MAX), 1.0);
     }
 
+    /// The branchy fold the branch-free [`zigzag`] replaced — kept as
+    /// its oracle.
+    fn zigzag_branchy(level: u32, zero_level: u32) -> u32 {
+        if level >= zero_level {
+            2 * (level - zero_level)
+        } else {
+            2 * (zero_level - level) - 1
+        }
+    }
+
+    /// The branchy inverse the branch-free [`unzigzag`] replaced — kept
+    /// as its oracle.
+    fn unzigzag_branchy(symbol: u32, zero_level: u32) -> u32 {
+        if symbol.is_multiple_of(2) {
+            zero_level + symbol / 2
+        } else {
+            zero_level.saturating_sub(symbol / 2 + 1)
+        }
+    }
+
     #[test]
     fn zigzag_is_a_bijection_on_levels() {
-        let q = Quantizer::new(6).unwrap();
-        let zero = q.zero_level();
-        let mut seen = vec![false; q.levels() as usize];
-        for level in 0..q.levels() {
-            let z = zigzag(level, zero);
-            assert!(z < q.levels(), "zigzag output in range");
-            assert!(!seen[z as usize], "zigzag collision at {z}");
-            seen[z as usize] = true;
-            assert_eq!(unzigzag(z, zero), level);
+        for bits in 1..=MAX_BITS {
+            let q = Quantizer::new(bits).unwrap();
+            let zero = q.zero_level();
+            let mut seen = vec![false; q.levels() as usize];
+            for level in 0..q.levels() {
+                let z = zigzag(level, zero);
+                assert_eq!(z, zigzag_branchy(level, zero), "{bits} bits, level {level}");
+                assert!(z < q.levels(), "zigzag output in range");
+                assert!(!seen[z as usize], "zigzag collision at {z}");
+                seen[z as usize] = true;
+                assert_eq!(unzigzag(z, zero), level);
+            }
+        }
+    }
+
+    #[test]
+    fn unzigzag_matches_the_branchy_oracle_on_any_symbol() {
+        // Corrupt streams can carry any u32 before the range check, so
+        // the saturating contract must hold far outside the levels.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let seeded = std::iter::repeat_with(move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u32
+        });
+        let symbols: Vec<u32> = seeded.take(1_000_000).collect();
+        for bits in 1..=MAX_BITS {
+            let q = Quantizer::new(bits).unwrap();
+            let zero = q.zero_level();
+            let edges = [u32::MAX, u32::MAX - 1, q.levels(), q.levels() - 1, 0];
+            for &s in symbols.iter().chain(&edges) {
+                assert_eq!(
+                    unzigzag(s, zero),
+                    unzigzag_branchy(s, zero),
+                    "{bits} bits, symbol {s}"
+                );
+            }
         }
     }
 

@@ -369,8 +369,9 @@ fn v2_payload_flips_with_crc_refixed_never_panic() {
     // are then "authentic" as far as the format can tell, so the
     // entropy decoders themselves must absorb the damage — a typed
     // error or a structurally valid garbage decode, never a panic or
-    // an unbounded allocation.
-    for coder in [EntropyCoder::RicePos, EntropyCoder::Range] {
+    // an unbounded allocation. The v1 `rice` reader runs the same
+    // sweep.
+    for coder in EntropyCoder::ALL {
         let (codec, valid) = valid_fixture_with(coder);
         for pos in 0..valid.len() - 4 {
             let mut bytes = valid.clone();
