@@ -18,12 +18,7 @@
 //! per model, ever, instead of once per gate per panel per batch.
 //!
 //! [`BackendKind`] is the value-level selector (CLI flags, codec
-//! options) that maps onto shared backend instances. On top of the
-//! trait, [`MeshBatcher`] coalesces passes submitted by independent
-//! callers (e.g. concurrent server requests) into single backend
-//! passes by moving their panels into one slice — sound precisely
-//! because a backend's per-lane output never depends on which panels
-//! share the pass.
+//! options) that maps onto shared backend instances.
 //!
 //! # Why numeric compatibility is part of the trait contract
 //!
@@ -35,14 +30,10 @@
 //! conformance properties plus the golden bitstream vectors pin the
 //! resulting byte-compatibility in CI.
 
-mod batch;
 mod scalar;
 mod simd;
 pub mod tables;
 
-pub use batch::{
-    BatchHandle, BatchInfo, BatchKey, BatcherMetrics, FlushCause, MeshBatcher, MeshSource,
-};
 pub use qn_linalg::panel::DEFAULT_PANEL_WIDTH;
 pub use qn_linalg::Panel;
 pub use scalar::ScalarBackend;
@@ -58,9 +49,9 @@ use std::str::FromStr;
 ///
 /// A backend implements two methods: rotate every lane of every panel
 /// by `U` ([`MeshBackend::forward_panels`]) or by `U⁻¹`
-/// ([`MeshBackend::inverse_panels`]). Panels may differ in width (the
-/// last panel of a batch is usually narrower), and one call may carry
-/// panels from several callers (the [`MeshBatcher`] merges them), so a
+/// ([`MeshBackend::inverse_panels`]). One call carries one request's
+/// panels — a whole image's occupied tiles, offline or served — and
+/// panels may differ in width (the last one is usually narrower), so a
 /// lane's result must depend on nothing but that lane and the mesh.
 ///
 /// # Contract: `ZeroSignOnly` against the scalar reference

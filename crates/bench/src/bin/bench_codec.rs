@@ -3,8 +3,8 @@
 //! pool so the per-backend rows are true single-core numbers on any
 //! host — then sweeps a thread axis over the simd backend, prints a
 //! table, and writes the numbers to `BENCH_codec.json` at the workspace
-//! root — the machine-readable trail the ROADMAP's batching claims
-//! point at.
+//! root — the machine-readable trail the ROADMAP's codec throughput
+//! claims point at.
 //!
 //! Usage: `cargo run --release -p qn-bench --bin bench_codec [size]`
 //! (default image size 256; the tile grid is size²/16).

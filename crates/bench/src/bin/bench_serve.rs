@@ -1,9 +1,9 @@
 //! Serving-throughput recorder: drives real TCP clients against
 //! in-process `qn-serve` instances and measures requests/s, tiles/s
 //! and client-observed p50/p99 request latency at 1/4/16 concurrent
-//! clients, comparing per-request scalar dispatch (batching off)
-//! against cross-request simd batching — the number the ROADMAP's
-//! serving claims point at. Final rows measure the cost of the
+//! clients, comparing the `scalar` reference backend against the
+//! default `simd` one (each request runs its own mesh pass on either).
+//! Final rows measure the cost of the
 //! telemetry layer itself (instrumented server vs `metrics: false`)
 //! and of span tracing (untraced requests on a tracing-armed server,
 //! fully sampled requests, and a `tracing: false` server).
@@ -40,12 +40,6 @@ fn percentiles_ms(hist: &Histogram) -> (f64, f64) {
 
 const IMAGE_SIZE: usize = 64;
 
-struct Mode {
-    name: &'static str,
-    backend: BackendKind,
-    batch_tiles: usize,
-}
-
 fn main() {
     let per_client: usize = std::env::args()
         .nth(1)
@@ -61,19 +55,6 @@ fn main() {
     let model_bytes = encode_model(codec.model());
     let offline = codec.encode_image(&img, &opts).expect("offline encode");
     let tiles = IMAGE_SIZE.div_ceil(opts.tile_size) * IMAGE_SIZE.div_ceil(opts.tile_size);
-
-    let modes = [
-        Mode {
-            name: "scalar-per-request",
-            backend: BackendKind::Scalar,
-            batch_tiles: 1,
-        },
-        Mode {
-            name: "simd-batched",
-            backend: BackendKind::default(),
-            batch_tiles: ServerConfig::default().batch_tiles,
-        },
-    ];
 
     println!(
         "serve throughput, {IMAGE_SIZE}x{IMAGE_SIZE} image, {tiles} tiles/request, \
@@ -144,19 +125,18 @@ fn main() {
     };
 
     let mut entries = String::new();
-    for mode in &modes {
+    for backend in BackendKind::ALL {
         for clients in [1usize, 4, 16] {
             let server = spawn(ServerConfig {
                 addr: "127.0.0.1:0".into(),
-                backend: mode.backend,
-                batch_tiles: mode.batch_tiles,
+                backend,
                 ..ServerConfig::default()
             })
             .expect("spawn server");
             let addr = server.addr();
 
             // Pre-warm the zoo and pin correctness before timing.
-            warm(addr, mode.name);
+            warm(addr, backend.name());
 
             let requests = (clients * per_client) as f64;
             let (enc_s, enc_hist) = timed_run(addr, clients, false, false);
@@ -166,31 +146,35 @@ fn main() {
             let (p50_ms, p99_ms) = percentiles_ms(&enc_hist);
             println!(
                 "{:<20} {:>8} {:>12.1} {:>14.0} {:>10.2} {:>10.2} {:>12.1} {:>14.0}",
-                mode.name, clients, enc_rps, enc_tps, p50_ms, p99_ms, dec_rps, dec_tps
+                backend.name(),
+                clients,
+                enc_rps,
+                enc_tps,
+                p50_ms,
+                p99_ms,
+                dec_rps,
+                dec_tps
             );
             if !entries.is_empty() {
                 entries.push_str(",\n");
             }
             write!(
                 entries,
-                "    {{\"mode\": \"{}\", \"backend\": \"{}\", \"batched\": {}, \
-                 \"clients\": {clients}, \
+                "    {{\"mode\": \"{}\", \"clients\": {clients}, \
                  \"encode_requests_per_sec\": {enc_rps:.1}, \
                  \"encode_tiles_per_sec\": {enc_tps:.0}, \
                  \"encode_latency_p50_ms\": {p50_ms:.3}, \
                  \"encode_latency_p99_ms\": {p99_ms:.3}, \
                  \"decode_requests_per_sec\": {dec_rps:.1}, \
                  \"decode_tiles_per_sec\": {dec_tps:.0}}}",
-                mode.name,
-                mode.backend.name(),
-                mode.batch_tiles > 1,
+                backend.name(),
             )
             .expect("write entry");
             server.shutdown();
         }
     }
 
-    // The cost of telemetry itself: the default panel configuration at
+    // The cost of telemetry itself: the default configuration at
     // 4 clients, with the metrics layer on vs off. Recorded, not
     // asserted — single-machine noise swamps a sub-percent delta.
     let measure_metrics = |metrics: bool| -> f64 {
@@ -245,7 +229,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"serve_throughput\",\n  \"image\": \"{IMAGE_SIZE}x{IMAGE_SIZE}\",\n  \
          \"tiles_per_request\": {tiles},\n  \"requests_per_client\": {per_client},\n  \
-         \"threads\": {},\n  \"metrics_overhead\": {{\"clients\": 4, \
+         \"host_parallelism\": {},\n  \"metrics_overhead\": {{\"clients\": 4, \
          \"encode_rps_instrumented\": {rps_instrumented:.1}, \
          \"encode_rps_no_metrics\": {rps_bare:.1}, \
          \"overhead_pct\": {overhead_pct:.2}}},\n  \

@@ -42,9 +42,12 @@
 //! one-panel image never forks. What still runs serially: the occupancy
 //! scans, the splice of the coded chunks into the file, the CRC, the
 //! payload parse on decode, and the `range` coder.
-//! [`Codec::encode_image_with_stats`], [`Codec::decode_container`] and
-//! the server's batcher all run this one schedule: prepare → mesh pass
-//! → complete.
+//!
+//! Each direction has one schedule, prepare → mesh pass → complete:
+//! [`Codec::encode_image_timed`] and [`Codec::decode_container_timed`].
+//! Every other entry point wraps them, and so does the server, which
+//! runs each request's mesh pass inline. The `prepare_*`/`complete_*`
+//! halves stay public so each layer can be timed on its own.
 
 use crate::container::{
     dequantize_norm, quantize_norm, Container, ContainerHeader, TileGrid, FLAG_INLINE_MODEL,
@@ -86,7 +89,8 @@ pub struct EncodeTimings {
 /// [`EncodeTimings`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeTimings {
-    /// Container parse, including entropy decoding of the payload.
+    /// Container parse, including entropy decoding of the payload;
+    /// [`Codec::decode_container_timed`] leaves it to whoever parsed.
     pub parse_ns: u64,
     /// Dequantization into the kept rows of fresh panels
     /// ([`Codec::prepare_decode`]).
@@ -307,16 +311,14 @@ impl Codec {
         img: &GrayImage,
         opts: &CodecOptions,
     ) -> Result<(Vec<u8>, EncodeStats)> {
-        let (plan, mut panels) = self.prepare_encode(img, opts)?;
-        opts.backend
-            .backend()
-            .forward_panels(self.model.compression.mesh(), &mut panels);
-        self.complete_encode(plan, panels)
+        let (bytes, stats, _) = self.encode_image_timed(img, opts)?;
+        Ok((bytes, stats))
     }
 
-    /// [`Codec::encode_image_with_stats`] with per-stage wall-clock
-    /// accounting. The encoded bytes are identical to the untimed
-    /// paths — timing reads clocks, never data.
+    /// The encode schedule: [`Codec::prepare_encode`], the compression
+    /// mesh pass through [`CodecOptions::backend`], then
+    /// [`Codec::complete_encode`], with per-stage wall-clock accounting.
+    /// Timing reads clocks, never data.
     ///
     /// # Errors
     /// See [`Codec::encode_image`].
@@ -342,21 +344,22 @@ impl Codec {
     /// Everything *before* the encode's single mesh pass: find the
     /// occupied tiles and amplitude-encode each one into its panel lane,
     /// handing back the panels alongside the bookkeeping needed to
-    /// finish. Any executor may then run the compression mesh over the
-    /// panels — [`Codec::encode_image_with_stats`] applies
-    /// [`CodecOptions::backend`] in place, while a serving layer can
-    /// coalesce them with other requests' panels — and feed them (equal
+    /// finish. [`Codec::encode_image_timed`] then runs the compression
+    /// mesh over the panels in place and feeds them to
+    /// [`Codec::complete_encode`]; the halves are public so a caller
+    /// can time each layer on its own, with any backend (outputs equal
     /// up to zero signs by the backend contract, which the quantizer
-    /// erases) to [`Codec::complete_encode`].
+    /// erases).
     ///
     /// # Errors
-    /// [`CodecError::Invalid`] for empty images, zero/oversize tile
-    /// sizes, or unsupported bit depths.
+    /// [`CodecError::Invalid`] for models with complex gates, empty
+    /// images, zero/oversize tile sizes, or unsupported bit depths.
     pub fn prepare_encode(
         &self,
         img: &GrayImage,
         opts: &CodecOptions,
     ) -> Result<(EncodePlan, Vec<Panel>)> {
+        self.check_real()?;
         if img.is_empty() {
             return Err(CodecError::Invalid("cannot encode an empty image".into()));
         }
@@ -407,12 +410,9 @@ impl Codec {
     /// [`Codec::complete_encode`] with wall-clock accounting of its two
     /// stages: `quantize_ns` (latent scaling + level quantization) and
     /// `entropy_ns` (zigzag, entropy coding + container serialisation).
-    /// The `prepare_ns`/`mesh_ns` fields are left zero for the caller —
-    /// whoever ran the mesh pass — to fill in.
-    ///
-    /// # Errors
-    /// See [`Codec::complete_encode`].
-    pub fn complete_encode_timed(
+    /// `prepare_ns`/`mesh_ns` are left zero for
+    /// [`Codec::encode_image_timed`] to fill in.
+    fn complete_encode_timed(
         &self,
         plan: EncodePlan,
         panels: Vec<Panel>,
@@ -530,27 +530,30 @@ impl Codec {
     /// # Errors
     /// See [`Codec::decode_bytes`].
     pub fn decode_bytes_with(&self, bytes: &[u8], backend: BackendKind) -> Result<GrayImage> {
-        decode_parsed(self, &Container::from_bytes(bytes)?, backend)
+        Ok(self
+            .decode_container_timed(&Container::from_bytes(bytes)?, backend)?
+            .0)
     }
 
-    /// [`Codec::decode_bytes_with`] with per-stage wall-clock
-    /// accounting: container parse (including entropy decode),
-    /// dequantization, the reconstruction mesh pass, and the stitch.
-    /// The decoded image is identical to the untimed paths.
+    /// The decode schedule for a parsed container: check the model
+    /// identity, then [`Codec::prepare_decode`], the reconstruction mesh
+    /// pass through `backend`, and [`Codec::complete_decode`], with
+    /// per-stage wall-clock accounting. `parse_ns` is left zero: the
+    /// caller parsed the container and owns that measurement. Timing
+    /// reads clocks, never data.
     ///
     /// # Errors
-    /// See [`Codec::decode_bytes`].
-    pub fn decode_bytes_timed(
+    /// [`CodecError::ModelMismatch`] when the container was encoded
+    /// with a different model, plus the errors of
+    /// [`Codec::prepare_decode`].
+    pub fn decode_container_timed(
         &self,
-        bytes: &[u8],
+        container: &Container,
         backend: BackendKind,
     ) -> Result<(GrayImage, DecodeTimings)> {
+        self.check_container(container)?;
         let t = Instant::now();
-        let container = Container::from_bytes(bytes)?;
-        let parse_ns = elapsed_ns(t);
-        self.check_container(&container)?;
-        let t = Instant::now();
-        let (plan, mut panels) = self.prepare_decode(&container)?;
+        let (plan, mut panels) = self.prepare_decode(container)?;
         let prepare_ns = elapsed_ns(t);
         let t = Instant::now();
         backend
@@ -563,7 +566,7 @@ impl Codec {
         Ok((
             img,
             DecodeTimings {
-                parse_ns,
+                parse_ns: 0,
                 prepare_ns,
                 mesh_ns,
                 stitch_ns,
@@ -585,35 +588,34 @@ impl Codec {
         Ok(())
     }
 
-    /// Decode a parsed container against this codec's model.
-    ///
-    /// # Errors
-    /// [`CodecError::Invalid`] when the container geometry disagrees
-    /// with the model (latent dimension, state dimension).
-    pub fn decode_container(
-        &self,
-        container: &Container,
-        backend: BackendKind,
-    ) -> Result<GrayImage> {
-        let (plan, mut panels) = self.prepare_decode(container)?;
-        backend
-            .backend()
-            .forward_panels(self.model.reconstruction.mesh(), &mut panels);
-        self.complete_decode(plan, panels)
+    /// Reject models with complex gates: the mesh backends run real
+    /// amplitudes only. `.qnm` files may declare complex phases, so
+    /// this is input validation, checked before any mesh pass.
+    fn check_real(&self) -> Result<()> {
+        if !(self.model.compression.mesh().is_real() && self.model.reconstruction.mesh().is_real())
+        {
+            return Err(CodecError::Invalid(
+                "model has complex gates; the codec runs real meshes only".into(),
+            ));
+        }
+        Ok(())
     }
 
     /// Everything *before* the decode's single mesh pass: validate the
     /// container geometry against the model and dequantize every
     /// occupied tile into the kept rows of its panel lane (the other
-    /// rows stay zero: the re-embedded state). Any executor may then
-    /// run the reconstruction mesh over the panels and feed them to
+    /// rows stay zero: the re-embedded state).
+    /// [`Codec::decode_container_timed`] then runs the reconstruction
+    /// mesh over the panels and feeds them to
     /// [`Codec::complete_decode`].
     ///
     /// # Errors
-    /// [`CodecError::Invalid`] when the container geometry disagrees
-    /// with the model (latent dimension, state dimension) or its tile
-    /// arrays disagree with its header.
+    /// [`CodecError::Invalid`] for models with complex gates, or when
+    /// the container geometry disagrees with the model (latent
+    /// dimension, state dimension) or its tile arrays disagree with its
+    /// header.
     pub fn prepare_decode(&self, container: &Container) -> Result<(DecodePlan, Vec<Panel>)> {
+        self.check_real()?;
         let header = &container.header;
         let dim = self.model.dim();
         let tile_px = header.tile_size as usize * header.tile_size as usize;
@@ -942,8 +944,9 @@ pub fn decode_standalone(bytes: &[u8]) -> Result<GrayImage> {
 /// See [`decode_standalone`].
 pub fn decode_standalone_with(bytes: &[u8], backend: BackendKind) -> Result<GrayImage> {
     let container = Container::from_bytes(bytes)?;
-    let codec = codec_from_inline(&container)?;
-    decode_parsed(&codec, &container, backend)
+    Ok(codec_from_inline(&container)?
+        .decode_container_timed(&container, backend)?
+        .0)
 }
 
 /// Build a [`Codec`] from a container's embedded model — the model
@@ -960,13 +963,6 @@ pub fn codec_from_inline(container: &Container) -> Result<Codec> {
         )
     })?;
     Ok(Codec::new(model::decode_model(model_bytes)?))
-}
-
-/// The one decode implementation behind every entry point: verify the
-/// model identity, then decode.
-fn decode_parsed(codec: &Codec, container: &Container, backend: BackendKind) -> Result<GrayImage> {
-    codec.check_container(container)?;
-    codec.decode_container(container, backend)
 }
 
 /// Opaque bookkeeping between [`Codec::prepare_encode`] and
@@ -1232,14 +1228,15 @@ mod tests {
         // The stages actually ran (fields are populated, sum is sane).
         let _total = enc_t.prepare_ns + enc_t.mesh_ns + enc_t.quantize_ns + enc_t.entropy_ns;
         let plain_img = codec.decode_bytes(&plain).unwrap();
+        let container = Container::from_bytes(&plain).unwrap();
         let (timed_img, _dec_t) = codec
-            .decode_bytes_timed(&plain, BackendKind::default())
+            .decode_container_timed(&container, BackendKind::default())
             .unwrap();
         assert_eq!(timed_img, plain_img, "timed decode must not perturb pixels");
         // A wrong model still errors through the timed path.
         let other = spectral_codec(&datasets::grayscale_blobs(1, 32, 24, 78).remove(0), 8);
         assert!(matches!(
-            other.decode_bytes_timed(&plain, BackendKind::default()),
+            other.decode_container_timed(&container, BackendKind::default()),
             Err(CodecError::ModelMismatch { .. })
         ));
     }

@@ -16,7 +16,7 @@
 //! panics on user input.
 
 use qn_codec::{
-    decode_standalone_with, info, model, BackendKind, Codec, CodecOptions, EntropyCoder,
+    codec_from_inline, info, model, BackendKind, Codec, CodecOptions, Container, EntropyCoder,
 };
 use qn_core::config::{
     CompressionTargetKind, InitStrategy, NetworkConfig, OptimizerKind, SubspaceKind,
@@ -24,10 +24,11 @@ use qn_core::config::{
 use qn_core::trainer::Trainer;
 use qn_image::{metrics, pgm, tiles, GrayImage};
 use qn_serve::client::{model_encode_request, spectral_encode_request};
-use qn_serve::{Client, ServerConfig};
+use qn_serve::{stages, Client, ServerConfig};
+use qn_trace::{SpanId, TraceBuilder};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
 qnc — quantum-network image codec
@@ -43,7 +44,7 @@ USAGE:
                    [--layers-c N] [--layers-r N] [--iters N] [--seed S]
     qnc info       <file.qnc | file.qnm> [--json]
     qnc serve      [--addr HOST:PORT] [--store DIR] [--backend B]
-                   [--batch-tiles N] [--cache-models N]
+                   [--cache-models N]
                    [--read-timeout-ms T] [--log-level off|warn|info|debug]
                    [--workers N] [--max-inflight N] [--conn-inflight N]
                    [--max-conns N] [--shutdown-grace-ms T]
@@ -76,12 +77,11 @@ model from the input image itself and (unless --no-inline-model)
 embeds it in the container, so the .qnc decodes standalone. `train`
 distills a model from an image's tiles: spectral initialisation plus
 --iters gradient refinement steps (0 = spectral only). `serve` runs
-the batching codec server (default addr 127.0.0.1:7733, port 0 =
-ephemeral; --store names the model-zoo directory; a request's mesh
-pass runs on arrival unless a pass of its model is already running, in
-which case it merges with the requests queued behind that pass, up to
---batch-tiles tiles per pass (1 = never merge); --quiet drops the
-banner, --log-level gates the timestamped stderr event lines,
+the codec server (default addr 127.0.0.1:7733, port 0 = ephemeral;
+--store names the model-zoo directory; each request runs the offline
+codec schedule, its own mesh pass included, on a worker thread;
+--quiet drops the banner, --log-level gates the timestamped stderr
+event lines,
 --no-metrics disables telemetry, --metrics-dump-secs prints the
 telemetry snapshot as one JSON line per interval); `remote` runs
 compress/decompress/info/models/stats against it, with responses
@@ -91,11 +91,12 @@ compress --model` uploads the model to the server's zoo first.
 latency percentiles); --watch repeats it every SECS seconds.
 `compress`/`decompress` --timings print a per-stage wall-clock report
 (identical bytes — the timed path only reads clocks). --trace renders
-the request's span tree: offline it is rebuilt from the stage clocks;
-on `remote` commands the request carries a trace context, the server
-records the full tree (frame read, batcher wait with flush cause,
-mesh pass, codec stages, reply write) and the client fetches it back
-— bytes are identical with tracing on or off. `remote trace` lists
+the request's span tree: offline it holds the codec stages from the
+stage clocks; on `remote` commands the request carries a trace
+context, the server records the same codec stages (prepare,
+mesh_pass, quantize/entropy or stitch) between its frame read, parse
+and reply write, and the client fetches the tree back — bytes are
+identical with tracing on or off. `remote trace` lists
 the server's captured traces (recent ring, or the always-keep slow
 buffer with --slow; --id filters to one hex trace id). `serve
 --slow-ms` arms slow capture: requests at or over MS milliseconds are
@@ -149,7 +150,6 @@ impl Args {
             "--seed",
             "--addr",
             "--store",
-            "--batch-tiles",
             "--cache-models",
             "--read-timeout-ms",
             "--workers",
@@ -283,49 +283,26 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
 
     let img = read_image(Path::new(input))?;
     let (codec, model_source) = codec_for_compress(args, &img, tile, latent)?;
-    let (bytes, stats) = if args.has("--timings") || args.has("--trace") {
-        // The timed path produces identical bytes; it only reads clocks.
-        let trace_start = std::time::Instant::now();
-        let (bytes, stats, t) = codec
-            .encode_image_timed(&img, &opts)
-            .map_err(|e| format!("encoding: {e}"))?;
-        if args.has("--timings") {
-            println!(
-                "timings: prepare {:.3} ms, mesh {:.3} ms, quantize {:.3} ms, entropy {:.3} ms",
-                ms(t.prepare_ns),
-                ms(t.mesh_ns),
-                ms(t.quantize_ns),
-                ms(t.entropy_ns)
-            );
-        }
-        if args.has("--trace") {
-            // The same tree a traced `qnc remote compress` renders,
-            // rebuilt from the offline stage clocks (stages laid end to
-            // end; no batcher, so no batch_wait span).
-            let mut b =
-                qn_trace::TraceBuilder::with_anchor(fresh_trace_id(), "compress", trace_start);
-            let mut off = 0u64;
-            for (name, ns) in [
-                ("prepare", t.prepare_ns),
-                ("mesh_pass", t.mesh_ns),
-                ("quantize", t.quantize_ns),
-                ("entropy", t.entropy_ns),
-            ] {
-                let s = b.record(qn_trace::SpanId::ROOT, name, off, off + ns);
-                if name == "entropy" {
-                    b.attr(s, "coder", opts.entropy);
-                }
-                off += ns;
-            }
-            b.attr(qn_trace::SpanId::ROOT, "tiles", stats.tiles);
-            print!("{}", qn_trace::render_tree(&b.finish()));
-        }
-        (bytes, stats)
-    } else {
-        codec
-            .encode_image_with_stats(&img, &opts)
-            .map_err(|e| format!("encoding: {e}"))?
-    };
+    // The timed path is the encode schedule itself; it only reads clocks.
+    let trace_start = Instant::now();
+    let (bytes, stats, t) = codec
+        .encode_image_timed(&img, &opts)
+        .map_err(|e| format!("encoding: {e}"))?;
+    if args.has("--timings") {
+        println!(
+            "timings: prepare {:.3} ms, mesh {:.3} ms, quantize {:.3} ms, entropy {:.3} ms",
+            ms(t.prepare_ns),
+            ms(t.mesh_ns),
+            ms(t.quantize_ns),
+            ms(t.entropy_ns)
+        );
+    }
+    if args.has("--trace") {
+        // The codec stages a traced `qnc remote compress` renders.
+        let mut b = TraceBuilder::with_anchor(fresh_trace_id(), "compress", trace_start);
+        stages::record_encode(&mut b, 0, &t, &opts, stats.tiles);
+        print!("{}", qn_trace::render_tree(&b.finish()));
+    }
     std::fs::write(&output, &bytes).map_err(|e| format!("writing {}: {e}", output.display()))?;
 
     println!(
@@ -364,63 +341,44 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
     let backend = backend_choice(args)?;
 
-    let codec = match args.value(&["--model"]) {
+    let model = match args.value(&["--model"]) {
         Some(path) => Some(
             Codec::from_model_file(Path::new(path))
                 .map_err(|e| format!("loading model {path}: {e}"))?,
         ),
         None => None,
     };
-    let img = if args.has("--timings") || args.has("--trace") {
-        // Same decode, clocked per stage; a standalone container first
-        // rebuilds its codec from the inline model.
-        let codec = match codec {
-            Some(c) => c,
-            None => {
-                let container = qn_codec::Container::from_bytes(&bytes)
-                    .map_err(|e| format!("decoding: {e}"))?;
-                qn_codec::codec_from_inline(&container).map_err(|e| format!("decoding: {e}"))?
-            }
-        };
-        let trace_start = std::time::Instant::now();
-        let (img, t) = codec
-            .decode_bytes_timed(&bytes, backend)
-            .map_err(|e| format!("decoding: {e}"))?;
-        if args.has("--timings") {
-            println!(
-                "timings: parse {:.3} ms, prepare {:.3} ms, mesh {:.3} ms, stitch {:.3} ms",
-                ms(t.parse_ns),
-                ms(t.prepare_ns),
-                ms(t.mesh_ns),
-                ms(t.stitch_ns)
-            );
-        }
-        if args.has("--trace") {
-            let mut b =
-                qn_trace::TraceBuilder::with_anchor(fresh_trace_id(), "decompress", trace_start);
-            let mut off = 0u64;
-            for (name, ns) in [
-                ("parse", t.parse_ns),
-                ("prepare", t.prepare_ns),
-                ("mesh_pass", t.mesh_ns),
-                ("stitch", t.stitch_ns),
-            ] {
-                b.record(qn_trace::SpanId::ROOT, name, off, off + ns);
-                off += ns;
-            }
-            print!("{}", qn_trace::render_tree(&b.finish()));
-        }
-        img
-    } else {
-        match codec {
-            Some(codec) => codec
-                .decode_bytes_with(&bytes, backend)
-                .map_err(|e| format!("decoding: {e}"))?,
-            None => {
-                decode_standalone_with(&bytes, backend).map_err(|e| format!("decoding: {e}"))?
-            }
-        }
+    // One parse, timed; a standalone container then rebuilds its codec
+    // from the inline model, as the server does.
+    let trace_start = Instant::now();
+    let container = Container::from_bytes(&bytes).map_err(|e| format!("decoding: {e}"))?;
+    let since_start = || u64::try_from(trace_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let parse_ns = since_start();
+    let codec = match model {
+        Some(codec) => codec,
+        None => codec_from_inline(&container).map_err(|e| format!("decoding: {e}"))?,
     };
+    let decode_start = since_start();
+    let (img, t) = codec
+        .decode_container_timed(&container, backend)
+        .map_err(|e| format!("decoding: {e}"))?;
+    if args.has("--timings") {
+        println!(
+            "timings: parse {:.3} ms, prepare {:.3} ms, mesh {:.3} ms, stitch {:.3} ms",
+            ms(parse_ns),
+            ms(t.prepare_ns),
+            ms(t.mesh_ns),
+            ms(t.stitch_ns)
+        );
+    }
+    if args.has("--trace") {
+        // The parse and codec stages a traced `qnc remote decompress`
+        // renders.
+        let mut b = TraceBuilder::with_anchor(fresh_trace_id(), "decompress", trace_start);
+        b.record(SpanId::ROOT, "parse", 0, parse_ns);
+        stages::record_decode(&mut b, decode_start, &t, backend, container.tiles.len());
+        print!("{}", qn_trace::render_tree(&b.finish()));
+    }
 
     pgm::write_pgm(&img.clamped(), &output)
         .map_err(|e| format!("writing {}: {e}", output.display()))?;
@@ -595,7 +553,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         store_dir: args.value(&["--store"]).map(PathBuf::from),
         model_cache: args.numeric(&["--cache-models"], 16usize)?,
         backend: backend_choice(args)?,
-        batch_tiles: args.numeric(&["--batch-tiles"], 4096usize)?,
         read_timeout: Duration::from_millis(args.numeric(&["--read-timeout-ms"], 30_000u64)?),
         workers: args.numeric(&["--workers"], 0usize)?,
         max_inflight: args.numeric(&["--max-inflight"], 256usize)?,
@@ -630,10 +587,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if !args.has("--quiet") {
         let _ = writeln!(
             stdout,
-            "qn-serve listening on {}\n  backend {}, batch up to {} tiles per mesh pass (runs on arrival), model store: {store}\n  metrics {}, tracing {}, log level {}",
+            "qn-serve listening on {}\n  backend {}, one mesh pass per request, model store: {store}\n  metrics {}, tracing {}, log level {}",
             handle.addr(),
             config.backend,
-            config.batch_tiles,
             if config.metrics { "on" } else { "off" },
             match (config.tracing, config.slow_threshold.as_millis()) {
                 (false, _) => "off".to_string(),

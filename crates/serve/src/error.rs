@@ -31,8 +31,8 @@ pub enum ServeError {
         /// Human-readable message from the peer.
         message: String,
     },
-    /// A server-side invariant failed (e.g. the batcher was torn down
-    /// mid-request).
+    /// A server-side invariant failed (e.g. a request handler
+    /// panicked).
     Internal(String),
 }
 

@@ -1,11 +1,10 @@
-//! `qn-serve` — a long-running batching codec server.
+//! `qn-serve` — a long-running codec server.
 //!
 //! The offline `qnc` CLI pays the full model-build and dispatch cost on
-//! every invocation and batches mesh passes only *within* one image.
-//! This crate turns the codec into a service, the shape the companion
-//! work "Quantum Sparse Coding and Decoding Based on Quantum Network"
-//! (Ji et al., 2024) frames for the same mesh: one hot decoder shared
-//! by many encoded payloads.
+//! every invocation. This crate turns the codec into a service, the
+//! shape the companion work "Quantum Sparse Coding and Decoding Based
+//! on Quantum Network" (Ji et al., 2024) frames for the same mesh: one
+//! hot decoder shared by many encoded payloads.
 //!
 //! - [`protocol`] — the length-prefixed, versioned, CRC-checked binary
 //!   frame format (`ENCODE`/`DECODE`/`LOAD_MODEL`/`INFO`, typed error
@@ -14,11 +13,6 @@
 //!   `.qnm` files keyed by model id with an LRU-bounded in-memory
 //!   cache, so `.qnc` containers referencing a known model id decode
 //!   without inline models;
-//! - [`batcher`] — the micro-batching core: a request's mesh pass runs
-//!   on arrival, and requests that arrive while a pass of their model
-//!   runs are coalesced into one merged pass after it — sound because
-//!   backends are bit-identical per vector regardless of batch
-//!   composition;
 //! - [`reactor`] — the event-driven connection plumbing: a `poll(2)`
 //!   wrapper (two-symbol FFI, no async runtime in this offline
 //!   environment), a wakeup pipe, the per-connection incremental frame
@@ -27,29 +21,31 @@
 //!   socket (10k+ idle connections cost no threads), complete frames
 //!   are admission-checked (global and per-connection in-flight caps
 //!   answer typed `BUSY` instead of queueing unboundedly) and handed
-//!   to a bounded worker pool;
+//!   to a bounded worker pool, where each request runs the offline
+//!   codec schedule — mesh pass included — inline on its worker;
 //! - [`client`] — the blocking client used by `qnc remote` and tests;
 //! - [`metrics`] — the server's telemetry catalogue over
 //!   [`qn_metrics`]: per-opcode request/error counters, latency and
-//!   codec-stage histograms, batcher flush causes, zoo hit rates —
-//!   served over the `STATS` RPC;
+//!   codec-stage histograms, zoo hit rates — served over the `STATS`
+//!   RPC;
+//! - [`stages`] — the codec stages of a span tree, recorded from the
+//!   codec's stage timings for served and offline traces alike;
 //! - [`log`] — leveled, timestamped single-line stderr logging for the
 //!   `qnc serve` process.
 //!
 //! Per-request **span tracing** ([`qn_trace`]) rides the same wire: a
 //! client sets `REQ_STATUS_TRACED` and prefixes its payload with a
 //! 9-byte trace context (id + sampled flag), the server records the
-//! request's span tree (frame read, batcher wait with flush cause,
-//! mesh pass, codec stages, reply write) and serves it back over the
-//! `TRACE` RPC. Tracing never changes reply bytes, and untraced
-//! requests pay one branch per span site.
+//! request's span tree (frame read, parse, codec stages with the mesh
+//! pass, reply write) and serves it back over the `TRACE` RPC. Tracing
+//! never changes reply bytes, and untraced requests pay one branch per
+//! span site.
 //!
 //! Responses are **byte-identical** to offline `qnc` runs with the
-//! same model and options: the serve path reuses the codec's
-//! `prepare_*`/`complete_*` pipeline halves around the shared mesh
-//! pass, and the integration suite pins the equality.
+//! same model and options: the serve path calls the codec's own
+//! `encode_image_timed`/`decode_container_timed`, and the integration
+//! suite pins the equality.
 
-pub mod batcher;
 pub mod client;
 pub mod error;
 pub mod log;
@@ -57,9 +53,9 @@ pub mod metrics;
 pub mod protocol;
 pub mod reactor;
 pub mod server;
+pub mod stages;
 pub mod store;
 
-pub use batcher::TileBatcher;
 pub use client::Client;
 pub use error::ServeError;
 pub use log::{LogLevel, Logger};

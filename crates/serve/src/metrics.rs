@@ -16,10 +16,8 @@
 //! | `serve_inflight_requests` | gauge | — (ENCODE/DECODE requests from frame header to reply release) |
 //! | `serve_read_deadline_reaps_total` | counter | — |
 //! | `serve_busy_total` | counter | — (requests shed with a typed `BUSY` reply by the admission limits) |
-//! | `codec_stage_ns` | histogram | `op`+`stage`: encode `spectral`/`prepare`/`mesh`/`quantize`/`entropy`; decode `parse`/`prepare`/`mesh`/`stitch` |
+//! | `codec_stage_ns` | histogram | `op`+`stage`: encode `spectral`/`prepare`/`mesh`/`quantize`/`entropy`; decode `parse`/`prepare`/`mesh`/`stitch` (`mesh` is the request's own inline pass) |
 //! | `codec_coded_bytes_total` / `codec_decoded_bytes_total` | counter | `coder` = `rice`/`rice-pos`/`range` |
-//! | `batch_flush_tiles` | histogram | — (tiles per executed batch) |
-//! | `batch_flushes_total` | counter | `cause` = `eager` (ran on arrival) / `backlog` (ran by a handed-off waiter) / `full` |
 //! | `zoo_hits_total` / `zoo_misses_total` / `zoo_inserts_total` | counter | — |
 //! | `zoo_cached_models` | gauge | — |
 //! | `gate_table_cache_hits` / `gate_table_cache_misses` / `gate_table_cache_entries` | gauge | — (process-wide [`qn_backend::table_cache_stats`], synced at exposition) |
@@ -35,7 +33,6 @@
 
 use crate::protocol::{ErrorCode, Opcode};
 use crate::store::StoreMetrics;
-use qn_backend::BatcherMetrics;
 use qn_codec::{DecodeTimings, EncodeTimings, EntropyCoder};
 use qn_metrics::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
@@ -73,7 +70,6 @@ pub struct ServeMetrics {
     dec_stage: [Arc<Histogram>; 4],
     coded_bytes: [Arc<Counter>; 3],
     decoded_bytes: [Arc<Counter>; 3],
-    batcher: BatcherMetrics,
     store: StoreMetrics,
     /// Point-in-time mirrors of the process-wide gate-table cache
     /// counters ([`qn_backend::table_cache_stats`]), synced on every
@@ -108,7 +104,6 @@ impl ServeMetrics {
                 registry.counter_with(name, &[("coder", &label)])
             })
         };
-        let batcher = BatcherMetrics::new(&registry);
         let store = StoreMetrics::new(&registry);
         ServeMetrics {
             started: Instant::now(),
@@ -126,7 +121,6 @@ impl ServeMetrics {
             dec_stage: ["parse", "prepare", "mesh", "stitch"].map(dec),
             coded_bytes: per_coder("codec_coded_bytes_total"),
             decoded_bytes: per_coder("codec_decoded_bytes_total"),
-            batcher,
             store,
             table_hits: registry.gauge("gate_table_cache_hits"),
             table_misses: registry.gauge("gate_table_cache_misses"),
@@ -138,11 +132,6 @@ impl ServeMetrics {
     /// The registry backing every handle (for exposition).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Handles for the shared [`qn_backend::MeshBatcher`].
-    pub fn batcher_metrics(&self) -> BatcherMetrics {
-        self.batcher.clone()
     }
 
     /// Handles for the [`crate::store::ModelStore`].

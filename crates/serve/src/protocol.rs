@@ -475,8 +475,8 @@ impl FrameHeader {
         HEADER_LEN + self.payload_len + 4
     }
 
-    /// Whether the opcode submits tiles to the mesh batcher (counted
-    /// by the `serve_inflight_requests` gauge).
+    /// Whether the opcode runs a mesh pass (counted by the
+    /// `serve_inflight_requests` gauge).
     pub fn mesh_bound(&self) -> bool {
         matches!(
             Opcode::from_u8(self.opcode),

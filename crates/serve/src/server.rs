@@ -14,10 +14,14 @@
 //! (the global [`ServerConfig::max_inflight`] or per-connection
 //! [`ServerConfig::conn_inflight`] cap) answer a typed `BUSY` error
 //! and keep the connection: backpressure is explicit, never an
-//! unbounded queue into the batcher. Nothing a peer sends can panic a
-//! server thread.
+//! unbounded queue into the worker pool. Nothing a peer sends can panic
+//! a server thread, and a handler that panics anyway answers a typed
+//! `Internal` error and keeps its worker.
+//!
+//! A worker runs its request end to end: ENCODE and DECODE call the
+//! codec's own timed schedule, mesh pass included, exactly as offline
+//! `qnc` does, and record the stage spans from its timings.
 
-use crate::batcher::TileBatcher;
 use crate::error::{Result, ServeError};
 use crate::log::{LogLevel, Logger};
 use crate::metrics::ServeMetrics;
@@ -30,6 +34,7 @@ use crate::reactor::{
     earliest, read_available, write_queue, ConnShared, FrameAccumulator, FrameStep, Interest,
     Poller, Reply, WakePipe, Waker, WireReply, WriteProgress,
 };
+use crate::stages;
 use crate::store::ModelStore;
 use qn_backend::BackendKind;
 use qn_codec::pipeline::codec_from_inline;
@@ -38,6 +43,7 @@ use qn_trace::{fmt_ns, SpanId, TraceBuilder, Tracer};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -103,13 +109,8 @@ pub struct ServerConfig {
     /// Parsed models kept hot in RAM (least-recently-used beyond this;
     /// also the total retention bound when `store_dir` is `None`).
     pub model_cache: usize,
-    /// Backend every batched mesh pass runs through (default `simd`).
+    /// Backend every mesh pass runs through (default `simd`).
     pub backend: BackendKind,
-    /// Most tiles one merged mesh pass takes: requests that queue
-    /// behind a running pass of their model merge up to this many
-    /// tiles, and a group that reaches it runs at once. `1` disables
-    /// cross-request coalescing (per-request dispatch).
-    pub batch_tiles: usize,
     /// How long a connection may take to deliver the rest of a frame
     /// once its header has arrived (`Duration::ZERO` disables the
     /// timeout). Idle connections are never timed out — the deadline
@@ -119,11 +120,7 @@ pub struct ServerConfig {
     /// the `serve_inflight_requests` gauge forever.
     pub read_timeout: Duration,
     /// Request-handling worker threads. Zero (the default) sizes the
-    /// pool to `max(available_parallelism, 8)` — the floor matters on
-    /// small hosts because a worker whose request queued behind a
-    /// running pass of its model blocks until that pass hands it the
-    /// merged group, and a pool sized to the core count would then
-    /// leave other models' requests waiting in the job queue.
+    /// pool to `max(available_parallelism, 8)`.
     pub workers: usize,
     /// Global admission cap: requests admitted (parsed and handed to
     /// the worker pool, reply not yet fully written) beyond this answer
@@ -169,7 +166,6 @@ impl Default for ServerConfig {
             store_dir: None,
             model_cache: 16,
             backend: BackendKind::default(),
-            batch_tiles: 4096,
             read_timeout: Duration::from_secs(30),
             workers: 0,
             max_inflight: 256,
@@ -184,10 +180,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared server state: the zoo, the batcher and counters.
+/// Shared server state: the zoo, the configuration and counters.
 struct Shared {
     store: ModelStore,
-    batcher: TileBatcher,
     config: ServerConfig,
     requests: AtomicU64,
     /// Requests admitted past the backpressure gate: incremented by
@@ -434,11 +429,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     };
     let shared = Arc::new(Shared {
         store,
-        batcher: TileBatcher::with_metrics(
-            config.backend,
-            config.batch_tiles,
-            metrics.as_ref().map(|m| m.batcher_metrics()),
-        ),
         log: Logger::new(config.log_level),
         started: Instant::now(),
         config,
@@ -946,7 +936,7 @@ fn admit_frame(
         None
     };
     if let Some(cause) = shed_cause {
-        // Shed: the request never reaches the batcher, the connection
+        // Shed: the request never reaches a worker, the connection
         // stays usable, and the client sees a typed retryable error.
         drop(mesh_guard);
         let e = ServeError::Busy(cause);
@@ -1090,7 +1080,13 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
         }
         _ => None,
     };
-    let outcome = stripped.and_then(|_| dispatch(shared, op, frame.opcode, body, &mut tb));
+    // A panicking handler costs its request, never its worker thread.
+    let outcome = stripped.and_then(|_| {
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            dispatch(shared, op, frame.opcode, body, &mut tb)
+        }))
+        .unwrap_or_else(|_| Err(ServeError::Internal("the request handler panicked".into())))
+    });
     let reply = match outcome {
         Ok((op, payload)) => Frame::reply(op, request_id, payload),
         Err(e) => {
@@ -1286,7 +1282,11 @@ fn handle_encode(
         backend: shared.config.backend,
         entropy: req.entropy,
     };
-    let (bytes, _, timings) = shared.batcher.encode(&codec, &req.image, &opts, tb)?;
+    let start = tb.as_ref().map(TraceBuilder::elapsed_ns);
+    let (bytes, stats, timings) = codec.encode_image_timed(&req.image, &opts)?;
+    if let (Some(b), Some(start)) = (tb.as_mut(), start) {
+        stages::record_encode(b, start, &timings, &opts, stats.tiles);
+    }
     if let Some(m) = &shared.metrics {
         m.record_encode_timings(&timings);
         m.record_coded_bytes(req.entropy, bytes.len() as u64);
@@ -1350,8 +1350,12 @@ fn handle_decode(
     } else {
         shared.store.get(container.header.model_id)?
     };
-    codec.check_container(&container)?;
-    let (img, mut timings) = shared.batcher.decode(&codec, &container, tb)?;
+    let backend = shared.config.backend;
+    let start = tb.as_ref().map(TraceBuilder::elapsed_ns);
+    let (img, mut timings) = codec.decode_container_timed(&container, backend)?;
+    if let (Some(b), Some(start)) = (tb.as_mut(), start) {
+        stages::record_decode(b, start, &timings, backend, container.tiles.len());
+    }
     if let Some(m) = &shared.metrics {
         timings.parse_ns = parse_ns;
         m.record_decode_timings(&timings);
@@ -1391,8 +1395,7 @@ fn server_info_json(shared: &Shared) -> String {
         "{{\"format\":\"qn-serve\",\"protocol_version\":{PROTOCOL_VERSION},\
          \"server_version\":\"{}\",\"uptime_secs\":{},\"metrics\":{},\
          \"tracing\":{},\"slow_ms\":{},\
-         \"backend\":\"{}\",\"batch_tiles\":{},\
-         \"coalescing\":{},\"read_timeout_ms\":{},\
+         \"backend\":\"{}\",\"read_timeout_ms\":{},\
          \"workers\":{},\"max_inflight\":{},\"conn_inflight\":{},\"max_conns\":{},\
          \"models_cached\":{},\"store_dir\":{store_dir},\
          \"requests_served\":{}}}",
@@ -1402,8 +1405,6 @@ fn server_info_json(shared: &Shared) -> String {
         shared.tracer.is_some(),
         shared.config.slow_threshold.as_millis(),
         shared.config.backend,
-        shared.config.batch_tiles,
-        shared.batcher.coalesces(),
         shared.config.read_timeout.as_millis(),
         shared.config.workers,
         shared.config.max_inflight,

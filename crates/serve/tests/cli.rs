@@ -278,7 +278,7 @@ fn entropy_coders_are_selectable_and_decode_identically() {
 /// `--backend` selects the execution schedule without changing a single
 /// byte: `scalar` and `simd` compress to the same container, and each
 /// decodes the other's container to the identical image. Unknown
-/// backend names and `--serial` fail cleanly.
+/// backend names, `--serial` and `serve --batch-tiles` fail cleanly.
 #[test]
 fn backends_are_byte_compatible_end_to_end() {
     let dir = work_dir("backends");
@@ -364,6 +364,30 @@ fn backends_are_byte_compatible_end_to_end() {
     assert!(!out.status.success(), "--serial must be rejected");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("unknown flag --serial"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Nor is `--batch-tiles`: a served request runs its own mesh pass.
+    // A server that accepted it would serve forever, so give it a few
+    // seconds to exit.
+    let mut serve = qnc()
+        .args(["serve", "--addr", "127.0.0.1:0", "--batch-tiles", "1"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn qnc");
+    for _ in 0..500 {
+        if serve.try_wait().unwrap().is_some() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let _ = serve.kill();
+    let out = serve.wait_with_output().unwrap();
+    assert!(!out.status.success(), "--batch-tiles must be rejected");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag --batch-tiles"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
@@ -620,10 +644,34 @@ fn remote_models_lists_the_zoo() {
     assert!(listing.contains(&model_bytes.to_string()), "{listing}");
 }
 
+/// The codec-stage lines of the span tree in `stdout`, one `(depth,
+/// name, attribute keys)` per line; the root and the server's own
+/// frame read, parse, spectral fit and reply write are left out.
+fn codec_stages(stdout: &[u8]) -> Vec<(usize, String, Vec<String>)> {
+    let out = String::from_utf8_lossy(stdout);
+    out.lines()
+        .skip_while(|l| !l.starts_with("trace "))
+        .skip(1)
+        .take_while(|l| l.starts_with("  "))
+        .filter_map(|l| {
+            let depth = (l.len() - l.trim_start().len()) / 2;
+            let mut words = l.split_whitespace();
+            let name = words.next()?.to_string();
+            let keys = words
+                .filter_map(|w| Some(w.split_once('=')?.0.to_string()))
+                .collect();
+            Some((depth, name, keys))
+        })
+        .filter(|(_, name, _)| {
+            !["frame_read", "parse", "spectral", "reply_write"].contains(&name.as_str())
+        })
+        .collect()
+}
+
 /// `--trace` end to end: a remote compress prints the server's span
 /// tree for that exact request, `qnc remote trace` lists it again
-/// afterwards, and the offline `compress --trace` renders the same
-/// stage names locally.
+/// afterwards, and offline `compress/decompress --trace` render the
+/// same codec stages, in the same order, as the remote ones.
 #[test]
 fn trace_flag_prints_span_trees_locally_and_remotely() {
     let dir = work_dir("trace_cli");
@@ -643,16 +691,13 @@ fn trace_flag_prints_span_trees_locally_and_remotely() {
             .arg(&server.addr),
     );
     let tree = String::from_utf8_lossy(&out.stdout).to_string();
-    for stage in [
-        "encode",
-        "batch_wait",
-        "mesh_pass",
-        "entropy",
-        "reply_write",
-    ] {
+    for stage in ["encode", "mesh_pass", "entropy", "reply_write"] {
         assert!(tree.contains(stage), "stage {stage} missing from: {tree}");
     }
-    assert!(tree.contains("cause="), "flush-cause attr: {tree}");
+    assert!(tree.contains("\n  mesh_pass +"), "a root child: {tree}");
+    assert!(tree.contains("backend=simd"), "{tree}");
+    assert!(!tree.contains("cause="), "no flush cause: {tree}");
+    let remote_encode = codec_stages(&out.stdout);
 
     // The ring keeps it: `remote trace` lists at least that one trace.
     let out = run_ok(
@@ -666,8 +711,8 @@ fn trace_flag_prints_span_trees_locally_and_remotely() {
     assert!(listing.contains("encode"), "{listing}");
     assert!(listing.contains("trace(s)"), "{listing}");
 
-    // Offline `compress --trace` renders the same stage vocabulary
-    // without a server.
+    // Offline `compress --trace` renders the same codec stages without
+    // a server.
     let out = run_ok(
         qnc()
             .arg("compress")
@@ -678,9 +723,35 @@ fn trace_flag_prints_span_trees_locally_and_remotely() {
             .arg("--no-verify"),
     );
     let tree = String::from_utf8_lossy(&out.stdout).to_string();
-    for stage in ["compress", "prepare", "mesh_pass", "quantize", "entropy"] {
-        assert!(tree.contains(stage), "stage {stage} missing from: {tree}");
-    }
+    assert!(tree.contains("compress"), "{tree}");
+    let names: Vec<&str> = remote_encode.iter().map(|s| s.1.as_str()).collect();
+    assert_eq!(names, ["prepare", "mesh_pass", "quantize", "entropy"]);
+    assert_eq!(codec_stages(&out.stdout), remote_encode, "{tree}");
+
+    // And decompress: remote and offline trees of the same container.
+    let remote = run_ok(
+        qnc()
+            .arg("remote")
+            .arg("decompress")
+            .arg(dir.join("out.qnc"))
+            .arg("-o")
+            .arg(dir.join("remote.pgm"))
+            .arg("--trace")
+            .arg("--addr")
+            .arg(&server.addr),
+    );
+    let offline = run_ok(
+        qnc()
+            .arg("decompress")
+            .arg(dir.join("out.qnc"))
+            .arg("-o")
+            .arg(dir.join("offline.pgm"))
+            .arg("--trace"),
+    );
+    let remote_decode = codec_stages(&remote.stdout);
+    let names: Vec<&str> = remote_decode.iter().map(|s| s.1.as_str()).collect();
+    assert_eq!(names, ["prepare", "mesh_pass", "stitch"]);
+    assert_eq!(codec_stages(&offline.stdout), remote_decode);
 }
 
 /// `qnc eval` — the smoke sweep passes its pinned quality gates and

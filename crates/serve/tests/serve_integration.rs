@@ -1,18 +1,17 @@
 //! Integration suite: a real server on an ephemeral port, real TCP
 //! clients, and the acceptance property — **remote responses are
 //! byte-identical to offline `qnc` runs** with the same model and
-//! options, including under 16-way concurrent load where tiles from
-//! different requests coalesce into shared backend passes.
+//! options, including under 16-way concurrent load.
 
 use qn_backend::BackendKind;
 use qn_codec::model::encode_model;
 use qn_codec::{info, Codec, CodecOptions};
-use qn_image::datasets;
+use qn_image::{datasets, GrayImage};
 use qn_serve::client::{model_encode_request, spectral_encode_request};
 use qn_serve::{spawn, Client, ServerConfig, ServerHandle};
 use std::time::Duration;
 
-/// A server on an ephemeral port with batching on (the default).
+/// A server on an ephemeral port with the default configuration.
 fn boot(store_dir: Option<std::path::PathBuf>) -> ServerHandle {
     spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -103,13 +102,39 @@ fn sixteen_concurrent_clients_round_trip_byte_identically() {
     let offline = codec.encode_image(&img, &opts).unwrap();
     let offline_img = codec.decode_bytes(&offline).unwrap();
 
+    // The paper's own request shape too: 4x4 and 8x8 images (one and
+    // four tiles) under one shared model, by id.
+    let small: Vec<GrayImage> = [4, 8]
+        .map(|n| datasets::grayscale_blobs(1, n, n, 70 + n as u64).remove(0))
+        .to_vec();
+    let shared = Codec::spectral_for_images(&small, opts.tile_size, 8).unwrap();
+    let lean = CodecOptions {
+        inline_model: false,
+        ..opts.clone()
+    };
+    let small_offline: Vec<(Vec<u8>, GrayImage)> = small
+        .iter()
+        .map(|img| {
+            let bytes = shared.encode_image(img, &lean).unwrap();
+            let decoded = shared.decode_bytes(&bytes).unwrap();
+            (bytes, decoded)
+        })
+        .collect();
     let addr = server.addr();
+    let id = Client::connect(addr)
+        .unwrap()
+        .load_model(&encode_model(shared.model()))
+        .unwrap();
+
     let workers: Vec<_> = (0..16)
         .map(|worker| {
             let img = img.clone();
             let opts = opts.clone();
             let offline = offline.clone();
             let offline_img = offline_img.clone();
+            let small = small.clone();
+            let lean = lean.clone();
+            let small_offline = small_offline.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 for round in 0..3 {
@@ -127,6 +152,15 @@ fn sixteen_concurrent_clients_round_trip_byte_identically() {
                         decoded, offline_img,
                         "worker {worker} round {round}: decode"
                     );
+                    for (img, (want, want_img)) in small.iter().zip(&small_offline) {
+                        let n = img.width();
+                        let bytes = client
+                            .encode(&model_encode_request(img, &lean, id))
+                            .unwrap_or_else(|e| panic!("worker {worker} {n}x{n}: {e}"));
+                        assert_eq!(&bytes, want, "worker {worker} round {round}: {n}x{n}");
+                        let decoded = client.decode(&bytes).unwrap();
+                        assert_eq!(&decoded, want_img, "worker {worker} {n}x{n} decode");
+                    }
                 }
             })
         })
@@ -139,10 +173,9 @@ fn sixteen_concurrent_clients_round_trip_byte_identically() {
 
 #[test]
 fn solo_requests_flush_adaptively_well_under_the_deadline() {
-    // A solo request finds no pass of its model running, so its mesh
-    // pass runs on arrival: it never waits for batch-mates that never
-    // come. Its own work takes milliseconds, so only waiting on
-    // something else could take it past a second.
+    // A solo request runs its own mesh pass inline on its worker: there
+    // is nothing to wait for. Its own work takes milliseconds, so only
+    // waiting on something else could take it past a second.
     let bound = Duration::from_secs(1);
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -163,13 +196,13 @@ fn solo_requests_flush_adaptively_well_under_the_deadline() {
             .unwrap();
         let decoded = client.decode(&bytes).unwrap();
         let elapsed = t0.elapsed();
-        // Bytes stay identical — the eager flush changes latency only.
+        // Bytes stay identical to the offline run.
         assert_eq!(bytes, offline, "round {round}");
         assert_eq!(decoded, offline_img, "round {round}");
         assert!(
             elapsed < bound,
             "round {round}: solo encode+decode took {elapsed:?}, \
-             bound is {bound:?} — the eager flush is not engaging"
+             bound is {bound:?} — the request waited on something else"
         );
     }
 }
@@ -178,11 +211,9 @@ fn solo_requests_flush_adaptively_well_under_the_deadline() {
 fn overlapping_closed_loop_clients_never_pay_the_full_deadline() {
     // Two clients in a closed loop (each sends its next request as
     // soon as its reply lands), both encoding the same image, so their
-    // spectral models — and batch keys — coincide: a request that
-    // arrives while the other's mesh pass runs queues behind it and is
-    // handed its pass the moment that one ends. No request waits for
-    // anything but a running pass, so eight requests of a few
-    // milliseconds each stay far under two seconds.
+    // spectral models coincide. Each request runs its own mesh pass on
+    // its own worker, so neither waits on the other's, and eight
+    // requests of a few milliseconds each stay far under two seconds.
     let bound = Duration::from_secs(2);
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -220,7 +251,7 @@ fn overlapping_closed_loop_clients_never_pay_the_full_deadline() {
     assert!(
         elapsed < bound,
         "2 clients × {rounds} rounds took {elapsed:?} against a {bound:?} \
-         bound — some request waited on something other than a running pass"
+         bound — some request waited on another request's work"
     );
 }
 
@@ -286,8 +317,8 @@ fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
     // A peer that sends an ENCODE frame header and then stalls (or
     // drips bytes) must be reaped by the read timeout, releasing its
     // in-flight gauge unit, and must never slow anyone else down:
-    // another client's requests still run their mesh pass on arrival,
-    // well under a second.
+    // another client's requests still run at once, well under a
+    // second.
     use std::io::{Read as _, Write as _};
     let bound = Duration::from_secs(1);
     let timeout = Duration::from_millis(250);
@@ -346,7 +377,7 @@ fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    // ... and a fresh client runs its passes on arrival.
+    // ... and a fresh client's requests run at once.
     let img = datasets::grayscale_blobs(1, 24, 24, 43).remove(0);
     let opts = CodecOptions::default();
     let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
@@ -468,18 +499,15 @@ fn info_replies_share_the_cli_json() {
     let status = client.info(None).unwrap();
     assert!(status.contains("\"format\":\"qn-serve\""), "{status}");
     assert!(status.contains("\"backend\":\"simd\""), "{status}");
-    assert!(status.contains("\"coalescing\":true"), "{status}");
 }
 
 #[test]
 fn per_request_dispatch_servers_answer_the_same_bytes() {
-    // Batching off (one tile per pass) and the scalar backend:
-    // responses must still be byte-identical — scheduling is never
-    // observable.
+    // The scalar backend: responses must still be byte-identical —
+    // the backend is never observable.
     let server = spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
         backend: BackendKind::Scalar,
-        batch_tiles: 1,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -655,18 +683,6 @@ fn stats_counts_match_a_client_side_tally_under_sixteen_clients() {
         stat_int(&json, "codec_coded_bytes_total{coder=rice}") > 0,
         "{json}"
     );
-    // Flush-cause attribution is total: the per-cause counters sum to
-    // the number of executed batches.
-    let flushes = hist_count(&json, "batch_flush_tiles");
-    let by_cause: u64 = ["eager", "backlog", "full"]
-        .iter()
-        .map(|c| stat_int(&json, &format!("batch_flushes_total{{cause={c}}}")))
-        .sum();
-    assert_eq!(
-        by_cause, flushes,
-        "flush causes must sum to flushes: {json}"
-    );
-    assert!(flushes > 0, "{json}");
     // Every mesh-bound request released its in-flight gauge unit.
     assert_eq!(stat_int(&json, "serve_inflight_requests"), 0);
 

@@ -7,9 +7,9 @@
 //! afterwards.
 
 use qn_codec::bitstream::crc32;
-use qn_codec::{Codec, CodecOptions};
+use qn_codec::{Codec, CodecOptions, Container};
 use qn_image::datasets;
-use qn_serve::client::spectral_encode_request;
+use qn_serve::client::{model_encode_request, spectral_encode_request};
 use qn_serve::protocol::{ErrorCode, Frame, FrameError, Opcode, HEADER_LEN};
 use qn_serve::{spawn, Client, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
@@ -228,6 +228,34 @@ fn request_level_failures_keep_the_connection_alive() {
             assert_eq!(code, ErrorCode::Codec as u16)
         }
         other => panic!("garbage info: {other:?}"),
+    }
+
+    // A model with a complex gate parses, but the codec runs real
+    // meshes only: ENCODE by its id, and DECODE of a container carrying
+    // it inline, answer typed codec errors instead of reaching a mesh
+    // pass.
+    let mut complex = codec.model().clone();
+    complex.compression.mesh_mut().set_alpha_at(0, 0, 0.5);
+    let complex = Codec::new(complex);
+    let complex_bytes = qn_codec::model::encode_model(complex.model());
+    let id = client.load_model(&complex_bytes).unwrap();
+    let encode = client.encode(&model_encode_request(&img, &CodecOptions::default(), id));
+    let inline = codec.encode_image(&img, &CodecOptions::default()).unwrap();
+    let mut forged = Container::from_bytes(&inline).unwrap();
+    forged.header.model_id = id;
+    forged.inline_model = Some(complex_bytes);
+    let decode = client.decode(&forged.to_bytes().unwrap());
+    for (what, outcome) in [
+        ("encode", encode.map(|_| ())),
+        ("decode", decode.map(|_| ())),
+    ] {
+        match outcome {
+            Err(qn_serve::ServeError::Remote { code, message }) => {
+                assert_eq!(code, ErrorCode::Codec as u16, "{what}: {message}");
+                assert!(message.contains("complex"), "{what}: {message}");
+            }
+            other => panic!("complex-gate {what}: {other:?}"),
+        }
     }
 
     // The same connection still serves a healthy request after the

@@ -18,6 +18,30 @@ fn boot(config: ServerConfig) -> ServerHandle {
     .expect("spawn server")
 }
 
+/// A spectral encode's stages, in order.
+const ENCODE_STAGES: [&str; 8] = [
+    "frame_read",
+    "parse",
+    "spectral",
+    "prepare",
+    "mesh_pass",
+    "quantize",
+    "entropy",
+    "reply_write",
+];
+
+/// The names of a trace's spans below the root, asserting that every
+/// one is a direct child of the root.
+fn stage_names(t: &qn_trace::Trace) -> Vec<&str> {
+    t.spans[1..]
+        .iter()
+        .map(|s| {
+            assert_eq!(s.parent, Some(0), "span {} is not a root child", s.name);
+            s.name.as_str()
+        })
+        .collect()
+}
+
 #[test]
 fn traced_encode_round_trip_returns_a_well_formed_span_tree() {
     let server = boot(ServerConfig::default());
@@ -41,41 +65,18 @@ fn traced_encode_round_trip_returns_a_well_formed_span_tree() {
     let t = &traces[0];
     assert_eq!(t.id, ctx.id);
     assert_eq!(t.name(), "encode");
-    for name in [
-        "frame_read",
-        "parse",
-        "spectral",
-        "prepare",
-        "batch_wait",
-        "mesh_pass",
-        "quantize",
-        "entropy",
-        "reply_write",
-    ] {
-        assert!(t.span(name).is_some(), "span {name} missing: {json}");
-    }
+    assert_eq!(stage_names(t), ENCODE_STAGES, "{json}");
 
-    // Attribution: the batcher tells the request why its batch flushed
-    // and how many tiles rode the shared pass; 32x24 / 4x4 = 48 tiles.
+    // Attribution: 32x24 / 4x4 = 48 tiles, run in the request's own
+    // mesh pass, so no span carries a flush cause.
     assert_eq!(t.spans[0].attr("tiles"), Some("48"));
     assert_eq!(t.spans[0].attr("origin"), Some("client"));
-    let bw = t.span("batch_wait").unwrap();
-    assert!(
-        matches!(bw.attr("cause"), Some("eager" | "backlog" | "full")),
-        "flush cause attr: {:?}",
-        bw.attr("cause")
-    );
-    let batch_tiles: usize = bw.attr("batch_tiles").unwrap().parse().unwrap();
-    assert!(batch_tiles >= 48, "merged batch holds at least our tiles");
-    assert!(t.span("mesh_pass").unwrap().attr("backend").is_some());
+    assert!(t.spans.iter().all(|s| s.attr("cause").is_none()), "{json}");
+    assert_eq!(t.span("mesh_pass").unwrap().attr("backend"), Some("simd"));
     assert_eq!(t.span("entropy").unwrap().attr("coder"), Some("rice"));
 
-    // Structure: mesh_pass nests under batch_wait; every span sits
-    // inside the root, and the top-level stages sum to within the root
-    // duration (they are sequential).
-    let bw_idx = t.spans.iter().position(|s| s.name == "batch_wait").unwrap();
-    let mesh = t.span("mesh_pass").unwrap();
-    assert_eq!(mesh.parent, Some(bw_idx));
+    // Structure: every span sits inside the root, and the stages sum
+    // to within the root duration (they are sequential).
     for s in &t.spans {
         assert!(s.start_ns <= s.end_ns, "span {} runs backwards", s.name);
         assert!(
@@ -151,7 +152,7 @@ fn slow_capture_self_traces_untraced_requests() {
     let t = slow.last().unwrap();
     assert_eq!(t.name(), "encode");
     assert_eq!(t.spans[0].attr("origin"), Some("slow"));
-    assert!(t.span("batch_wait").is_some());
+    assert_eq!(stage_names(t), ENCODE_STAGES);
 
     // The same trace sits in the recent ring, and the id filter finds
     // exactly it in both modes.
@@ -222,8 +223,8 @@ fn concurrent_stats_and_trace_polls_never_skew_inflight_or_deadlock() {
         })
         .collect();
     // Pollers hammer STATS and TRACE while the encodes are in flight —
-    // neither touches the batcher, so they must never stall behind (or
-    // stall) a batch, and the in-flight gauge must stay consistent.
+    // neither runs a mesh pass, so they must never stall behind (or
+    // stall) an encode, and the in-flight gauge must stay consistent.
     let pollers: Vec<_> = (0..2)
         .map(|_| {
             std::thread::spawn(move || {

@@ -2,12 +2,11 @@
 //!
 //! [`qn-metrics`](../qn_metrics/index.html) answers "how is the server
 //! doing" in aggregate; this crate answers "why was *this* request
-//! slow". With cross-request batching a single request's latency mixes
-//! queue wait, flush-deadline wait, the shared mesh pass and entropy
-//! coding — separating those needs per-request attribution: a tree of
-//! named spans with monotonic start/end times, parent links, and
-//! key=value attributes (tile count, batch size, flush cause, backend
-//! kind, coder). Built under the same compat-shim discipline as the
+//! slow". A single request's latency mixes frame reads, queue wait,
+//! the spectral fit, the mesh pass and entropy coding — separating
+//! those needs per-request attribution: a tree of named spans with
+//! monotonic start/end times, parent links, and key=value attributes
+//! (tile count, backend kind, coder). Built under the same compat-shim discipline as the
 //! rest of the workspace: **std only**, no external crates.
 //!
 //! # Design
@@ -67,7 +66,7 @@ impl SpanId {
 /// span list (`None` only for the root).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Stage name, e.g. `"batch_wait"`.
+    /// Stage name, e.g. `"mesh_pass"`.
     pub name: String,
     /// Parent span index; `None` for the root.
     pub parent: Option<usize>,
@@ -675,10 +674,11 @@ pub fn fmt_ns(ns: u64) -> String {
 /// Render a trace as an indented ASCII span tree, one span per line:
 ///
 /// ```text
-/// trace 00000000000000ff encode 9ns
-///   frame_read +0ns 2ns
-///   batch_wait +2ns 5ns cause=deadline batch_tiles=4
-///     mesh_pass +4ns 2ns
+/// trace 00000000000000ff encode 9.2us
+///   frame_read +0ns 1.1us bytes=120
+///   prepare +2.0us 1.5us
+///   mesh_pass +3.5us 2.0us backend=simd
+///   entropy +5.5us 1.2us coder=rice
 /// ```
 ///
 /// Each line is `name +start duration` followed by `key=value`

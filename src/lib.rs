@@ -22,9 +22,10 @@
 //! - [`codec`](qn_codec) — the end-to-end file codec: model persistence
 //!   (`.qnm`), quantized latent bitstreams, the `.qnc` container, tiled
 //!   encode/decode.
-//! - [`serve`](qn_serve) — the batching codec server: binary wire
-//!   protocol, cross-request tile batching, the content-addressed model
-//!   zoo, and the `qnc` CLI (offline commands plus `serve`/`remote`).
+//! - [`serve`](qn_serve) — the codec server: binary wire protocol, a
+//!   reactor feeding workers that run each request's codec schedule
+//!   inline, the content-addressed model zoo, and the `qnc` CLI
+//!   (offline commands plus `serve`/`remote`).
 //! - [`eval`](qn_eval) — the rate–distortion evaluation subsystem:
 //!   dataset registry, operating-point sweeps, classical baselines at
 //!   matched rates, stable quality reports and CI quality gates.

@@ -9,7 +9,7 @@
 
 use qn::backend::BackendKind;
 use qn::codec::{
-    bitstream, container, decode_standalone, Codec, CodecError, CodecOptions, EntropyCoder,
+    bitstream, container, decode_standalone, model, Codec, CodecError, CodecOptions, EntropyCoder,
 };
 use qn::image::datasets;
 
@@ -475,4 +475,33 @@ fn wrong_model_is_a_model_mismatch_not_garbage() {
         other.decode_bytes(&bytes),
         Err(CodecError::ModelMismatch { .. })
     ));
+}
+
+#[test]
+fn complex_gate_models_fail_typed_on_every_entry_point() {
+    // A `.qnm` may declare complex phases, but the mesh backends run
+    // real amplitudes only: every entry point must reject such a model
+    // typed, before any mesh pass.
+    let (real, bytes) = valid_fixture();
+    let mut model = real.model().clone();
+    model.compression.mesh_mut().set_alpha_at(0, 0, 0.5);
+    let complex = Codec::new(model::decode_model(&model::encode_model(&model)).expect("parses"));
+    fn is_complex_error<T>(r: Result<T, CodecError>) -> bool {
+        matches!(r, Err(CodecError::Invalid(m)) if m.contains("complex"))
+    }
+    let img = datasets::grayscale_blobs(1, 16, 16, 99).remove(0);
+    assert!(is_complex_error(
+        complex.encode_image(&img, &CodecOptions::default())
+    ));
+    // The valid container, relabelled to the complex model and carrying
+    // it inline.
+    let mut forged = container::Container::from_bytes(&bytes).unwrap();
+    forged.header.model_id = complex.model_id();
+    forged.inline_model = Some(model::encode_model(complex.model()));
+    let forged = forged.to_bytes().unwrap();
+    assert!(is_complex_error(complex.decode_bytes(&forged)));
+    assert!(is_complex_error(
+        complex.decode_bytes_with(&forged, BackendKind::Scalar)
+    ));
+    assert!(is_complex_error(decode_standalone(&forged)));
 }
