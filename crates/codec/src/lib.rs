@@ -48,8 +48,8 @@ pub use entropy::EntropyCoder;
 pub use error::{CodecError, Result};
 pub use model::{load_model, save_model};
 pub use pipeline::{
-    codec_from_inline, decode_standalone, decode_standalone_with, Codec, CodecOptions, DecodePlan,
-    DecodeTimings, EncodePlan, EncodeStats, EncodeTimings,
+    codec_from_inline, decode_standalone, stage, Codec, CodecOptions, DecodePlan, EncodePlan,
+    EncodeStats,
 };
 pub use qn_backend::BackendKind;
 pub use quantize::Quantizer;

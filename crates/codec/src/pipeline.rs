@@ -44,10 +44,11 @@
 //! payload parse on decode, and the `range` coder.
 //!
 //! Each direction has one schedule, prepare → mesh pass → complete:
-//! [`Codec::encode_image_timed`] and [`Codec::decode_container_timed`].
-//! Every other entry point wraps them, and so does the server, which
-//! runs each request's mesh pass inline. The `prepare_*`/`complete_*`
-//! halves stay public so each layer can be timed on its own.
+//! [`Codec::encode_image_with_stats`] and [`Codec::decode_container`],
+//! which also return the time of each [`stage`] they ran. Every other
+//! entry point wraps them, and so does the server, which runs each
+//! request's mesh pass inline. The `prepare_*`/`complete_*` halves stay
+//! public so each layer can be timed on its own.
 
 use crate::container::{
     dequantize_norm, quantize_norm, Container, ContainerHeader, TileGrid, FLAG_INLINE_MODEL,
@@ -69,42 +70,30 @@ use qn_linalg::Panel;
 use std::path::Path;
 use std::time::Instant;
 
-/// Wall-clock nanoseconds spent in each encode stage. Produced by the
-/// `*_timed` pipeline entry points for observability (the `--timings`
-/// CLI report, the server's per-stage histograms); plain data with no
-/// telemetry dependency, and never an influence on encoded bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EncodeTimings {
-    /// Tile gather plus amplitude encoding ([`Codec::prepare_encode`]).
-    pub prepare_ns: u64,
-    /// The compression mesh pass.
-    pub mesh_ns: u64,
+/// The codec's stage names, spelled once: the encode runs `prepare`,
+/// `mesh_pass`, `quantize`, `entropy` ([`EncodeStats::stages`]), the
+/// decode `prepare`, `mesh_pass`, `stitch` ([`Codec::decode_container`]).
+pub mod stage {
+    /// Tile gather and amplitude encoding (Eq. 1), or dequantization
+    /// into the kept rows of fresh panels.
+    pub const PREPARE: &str = "prepare";
+    /// The compression or reconstruction mesh pass.
+    pub const MESH_PASS: &str = "mesh_pass";
     /// Latent scaling and level quantization into the tile arrays.
-    pub quantize_ns: u64,
+    pub const QUANTIZE: &str = "quantize";
     /// Zigzag mapping, entropy coding and container serialisation.
-    pub entropy_ns: u64,
+    pub const ENTROPY: &str = "entropy";
+    /// Norm scaling (Eq. 2) and stitching into the image.
+    pub const STITCH: &str = "stitch";
 }
 
-/// Wall-clock nanoseconds spent in each decode stage; see
-/// [`EncodeTimings`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeTimings {
-    /// Container parse, including entropy decoding of the payload;
-    /// [`Codec::decode_container_timed`] leaves it to whoever parsed.
-    pub parse_ns: u64,
-    /// Dequantization into the kept rows of fresh panels
-    /// ([`Codec::prepare_decode`]).
-    pub prepare_ns: u64,
-    /// The reconstruction mesh pass.
-    pub mesh_ns: u64,
-    /// Norm scaling and stitching into the image
-    /// ([`Codec::complete_decode`]).
-    pub stitch_ns: u64,
-}
-
-/// Nanoseconds since `t`, saturating at `u64::MAX`.
-fn elapsed_ns(t: Instant) -> u64 {
-    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// Run `f` as stage `name`: its result, and the stage with its
+/// wall-clock nanoseconds (saturating at `u64::MAX`).
+fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, (&'static str, u64)) {
+    let t = Instant::now();
+    let out = f();
+    let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    (out, (name, ns))
 }
 
 /// Knobs for [`Codec::encode_image`].
@@ -161,6 +150,10 @@ pub struct EncodeStats {
     /// Subtracting from [`EncodeStats::container_bytes`] isolates the
     /// per-image latent payload from the amortizable model cost.
     pub model_bytes: usize,
+    /// Wall-clock nanoseconds of each encode stage, in schedule order:
+    /// `prepare`, `mesh_pass`, `quantize`, `entropy` (see [`stage`]).
+    /// Observability only; never an influence on the bytes.
+    pub stages: [(&'static str, u64); 4],
 }
 
 impl EncodeStats {
@@ -302,7 +295,11 @@ impl Codec {
         Ok(self.encode_image_with_stats(img, opts)?.0)
     }
 
-    /// Compress, also returning size accounting.
+    /// The encode schedule: [`Codec::prepare_encode`], the compression
+    /// mesh pass through [`CodecOptions::backend`], then
+    /// [`Codec::complete_encode`]. Returns the bytes with their size
+    /// accounting and the time of every stage
+    /// ([`EncodeStats::stages`]).
     ///
     /// # Errors
     /// See [`Codec::encode_image`].
@@ -311,40 +308,22 @@ impl Codec {
         img: &GrayImage,
         opts: &CodecOptions,
     ) -> Result<(Vec<u8>, EncodeStats)> {
-        let (bytes, stats, _) = self.encode_image_timed(img, opts)?;
+        let (prepared, prepare) = timed(stage::PREPARE, || self.prepare_encode(img, opts));
+        let (plan, mut panels) = prepared?;
+        let ((), mesh_pass) = timed(stage::MESH_PASS, || {
+            opts.backend
+                .backend()
+                .forward_panels(self.model.compression.mesh(), &mut panels);
+        });
+        let (bytes, mut stats) = self.complete_encode(plan, panels)?;
+        stats.stages[..2].copy_from_slice(&[prepare, mesh_pass]);
         Ok((bytes, stats))
-    }
-
-    /// The encode schedule: [`Codec::prepare_encode`], the compression
-    /// mesh pass through [`CodecOptions::backend`], then
-    /// [`Codec::complete_encode`], with per-stage wall-clock accounting.
-    /// Timing reads clocks, never data.
-    ///
-    /// # Errors
-    /// See [`Codec::encode_image`].
-    pub fn encode_image_timed(
-        &self,
-        img: &GrayImage,
-        opts: &CodecOptions,
-    ) -> Result<(Vec<u8>, EncodeStats, EncodeTimings)> {
-        let t = Instant::now();
-        let (plan, mut panels) = self.prepare_encode(img, opts)?;
-        let prepare_ns = elapsed_ns(t);
-        let t = Instant::now();
-        opts.backend
-            .backend()
-            .forward_panels(self.model.compression.mesh(), &mut panels);
-        let mesh_ns = elapsed_ns(t);
-        let (bytes, stats, mut timings) = self.complete_encode_timed(plan, panels)?;
-        timings.prepare_ns = prepare_ns;
-        timings.mesh_ns = mesh_ns;
-        Ok((bytes, stats, timings))
     }
 
     /// Everything *before* the encode's single mesh pass: find the
     /// occupied tiles and amplitude-encode each one into its panel lane,
     /// handing back the panels alongside the bookkeeping needed to
-    /// finish. [`Codec::encode_image_timed`] then runs the compression
+    /// finish. [`Codec::encode_image_with_stats`] then runs the compression
     /// mesh over the panels in place and feeds them to
     /// [`Codec::complete_encode`]; the halves are public so a caller
     /// can time each layer on its own, with any backend (outputs equal
@@ -393,7 +372,9 @@ impl Codec {
     /// discarded ones, so reading the kept rows is bit-identical to
     /// projecting first) straight into the container's tile arrays,
     /// then entropy-code and serialise. `panels` must be the panels of
-    /// [`Codec::prepare_encode`], in order, after the mesh pass.
+    /// [`Codec::prepare_encode`], in order, after the mesh pass. Of
+    /// [`EncodeStats::stages`], only `quantize` and `entropy` ran here;
+    /// `prepare` and `mesh_pass` read zero.
     ///
     /// # Errors
     /// [`CodecError::Invalid`] when `panels` do not have the plan's
@@ -403,20 +384,6 @@ impl Codec {
         plan: EncodePlan,
         panels: Vec<Panel>,
     ) -> Result<(Vec<u8>, EncodeStats)> {
-        let (bytes, stats, _) = self.complete_encode_timed(plan, panels)?;
-        Ok((bytes, stats))
-    }
-
-    /// [`Codec::complete_encode`] with wall-clock accounting of its two
-    /// stages: `quantize_ns` (latent scaling + level quantization) and
-    /// `entropy_ns` (zigzag, entropy coding + container serialisation).
-    /// `prepare_ns`/`mesh_ns` are left zero for
-    /// [`Codec::encode_image_timed`] to fill in.
-    fn complete_encode_timed(
-        &self,
-        plan: EncodePlan,
-        panels: Vec<Panel>,
-    ) -> Result<(Vec<u8>, EncodeStats, EncodeTimings)> {
         check_panels(&panels, plan.norms.len(), self.model.dim())?;
         let opts = &plan.opts;
         let quantizer = Quantizer::new(opts.bits)?;
@@ -444,16 +411,15 @@ impl Codec {
             max_norm,
         };
 
-        let t = Instant::now();
         let occupied = plan.norms.len();
         let grid = plan.occupied.len();
-        let mut tiles = TileGrid {
-            occupied: plan.occupied,
-            norms_q: vec![0; occupied],
-            scales: vec![0.0; if opts.per_tile_scale { occupied } else { 0 }],
-            levels: vec![0; occupied * latent_dim],
-        };
-        {
+        let (tiles, quantize) = timed(stage::QUANTIZE, || {
+            let mut tiles = TileGrid {
+                occupied: plan.occupied,
+                norms_q: vec![0; occupied],
+                scales: vec![0.0; if opts.per_tile_scale { occupied } else { 0 }],
+                levels: vec![0; occupied * latent_dim],
+            };
             // One job per panel: its lanes' slices of every tile array.
             let w = DEFAULT_PANEL_WIDTH;
             let mut jobs: Vec<_> = panels
@@ -482,18 +448,19 @@ impl Codec {
                     job.run(&quantizer, &kept, max_norm);
                 }
             });
-        }
-        let quantize_ns = elapsed_ns(t);
+            tiles
+        });
 
-        let t = Instant::now();
-        let container = Container {
-            header,
-            inline_model: opts.inline_model.then(|| model::encode_model(&self.model)),
-            tiles,
-        };
-        let model_bytes = container.inline_model.as_ref().map_or(0, Vec::len);
-        let bytes = container.to_bytes()?;
-        let entropy_ns = elapsed_ns(t);
+        let (coded, entropy) = timed(stage::ENTROPY, || {
+            let container = Container {
+                header,
+                inline_model: opts.inline_model.then(|| model::encode_model(&self.model)),
+                tiles,
+            };
+            let model_bytes = container.inline_model.as_ref().map_or(0, Vec::len);
+            container.to_bytes().map(|bytes| (bytes, model_bytes))
+        });
+        let (bytes, model_bytes) = coded?;
         let stats = EncodeStats {
             tiles: grid,
             empty_tiles: grid - occupied,
@@ -501,17 +468,14 @@ impl Codec {
             container_bytes: bytes.len(),
             bits_per_pixel: bytes.len() as f64 * 8.0 / plan.raw_bytes as f64,
             model_bytes,
+            stages: [
+                (stage::PREPARE, 0),
+                (stage::MESH_PASS, 0),
+                quantize,
+                entropy,
+            ],
         };
-        Ok((
-            bytes,
-            stats,
-            EncodeTimings {
-                prepare_ns: 0,
-                mesh_ns: 0,
-                quantize_ns,
-                entropy_ns,
-            },
-        ))
+        Ok((bytes, stats))
     }
 
     /// Decompress `.qnc` bytes produced with this codec's model.
@@ -531,47 +495,37 @@ impl Codec {
     /// See [`Codec::decode_bytes`].
     pub fn decode_bytes_with(&self, bytes: &[u8], backend: BackendKind) -> Result<GrayImage> {
         Ok(self
-            .decode_container_timed(&Container::from_bytes(bytes)?, backend)?
+            .decode_container(&Container::from_bytes(bytes)?, backend)?
             .0)
     }
 
     /// The decode schedule for a parsed container: check the model
     /// identity, then [`Codec::prepare_decode`], the reconstruction mesh
-    /// pass through `backend`, and [`Codec::complete_decode`], with
-    /// per-stage wall-clock accounting. `parse_ns` is left zero: the
-    /// caller parsed the container and owns that measurement. Timing
-    /// reads clocks, never data.
+    /// pass through `backend`, and [`Codec::complete_decode`]. Returns
+    /// the image and the time of every stage, in schedule order:
+    /// `prepare`, `mesh_pass`, `stitch` (see [`stage`]). The parse is
+    /// not among them: the caller parsed the container and owns that
+    /// measurement.
     ///
     /// # Errors
     /// [`CodecError::ModelMismatch`] when the container was encoded
     /// with a different model, plus the errors of
     /// [`Codec::prepare_decode`].
-    pub fn decode_container_timed(
+    pub fn decode_container(
         &self,
         container: &Container,
         backend: BackendKind,
-    ) -> Result<(GrayImage, DecodeTimings)> {
+    ) -> Result<(GrayImage, [(&'static str, u64); 3])> {
         self.check_container(container)?;
-        let t = Instant::now();
-        let (plan, mut panels) = self.prepare_decode(container)?;
-        let prepare_ns = elapsed_ns(t);
-        let t = Instant::now();
-        backend
-            .backend()
-            .forward_panels(self.model.reconstruction.mesh(), &mut panels);
-        let mesh_ns = elapsed_ns(t);
-        let t = Instant::now();
-        let img = self.complete_decode(plan, panels)?;
-        let stitch_ns = elapsed_ns(t);
-        Ok((
-            img,
-            DecodeTimings {
-                parse_ns: 0,
-                prepare_ns,
-                mesh_ns,
-                stitch_ns,
-            },
-        ))
+        let (prepared, prepare) = timed(stage::PREPARE, || self.prepare_decode(container));
+        let (plan, mut panels) = prepared?;
+        let ((), mesh_pass) = timed(stage::MESH_PASS, || {
+            backend
+                .backend()
+                .forward_panels(self.model.reconstruction.mesh(), &mut panels);
+        });
+        let (img, stitch) = timed(stage::STITCH, || self.complete_decode(plan, panels));
+        Ok((img?, [prepare, mesh_pass, stitch]))
     }
 
     /// Verify that `container` was produced by this codec's model.
@@ -605,7 +559,7 @@ impl Codec {
     /// container geometry against the model and dequantize every
     /// occupied tile into the kept rows of its panel lane (the other
     /// rows stay zero: the re-embedded state).
-    /// [`Codec::decode_container_timed`] then runs the reconstruction
+    /// [`Codec::decode_container`] then runs the reconstruction
     /// mesh over the panels and feeds them to
     /// [`Codec::complete_decode`].
     ///
@@ -935,17 +889,9 @@ fn normalise_lanes(panel: &mut Panel, tile_px: usize, norms: &mut [f64]) {
 /// [`CodecError::Invalid`] when no model is embedded; otherwise all
 /// container/model parse errors.
 pub fn decode_standalone(bytes: &[u8]) -> Result<GrayImage> {
-    decode_standalone_with(bytes, BackendKind::default())
-}
-
-/// Standalone decode through an explicit execution backend.
-///
-/// # Errors
-/// See [`decode_standalone`].
-pub fn decode_standalone_with(bytes: &[u8], backend: BackendKind) -> Result<GrayImage> {
     let container = Container::from_bytes(bytes)?;
     Ok(codec_from_inline(&container)?
-        .decode_container_timed(&container, backend)?
+        .decode_container(&container, BackendKind::default())?
         .0)
 }
 
@@ -1215,28 +1161,32 @@ mod tests {
 
     #[test]
     fn timed_paths_are_byte_identical_to_untimed_ones() {
-        // The whole point of the timing layer: clocks are read, data
-        // is never touched. Durations themselves are wall-clock and
-        // deliberately not asserted.
+        // The whole point of the stage lists: clocks are read, data is
+        // never touched. Durations themselves are wall-clock and
+        // deliberately not asserted; names and their order are.
         let img = test_image();
         let codec = spectral_codec(&img, 8);
         let opts = CodecOptions::default();
-        let (plain, plain_stats) = codec.encode_image_with_stats(&img, &opts).unwrap();
-        let (timed, timed_stats, enc_t) = codec.encode_image_timed(&img, &opts).unwrap();
+        let plain = codec.encode_image(&img, &opts).unwrap();
+        let (timed, stats) = codec.encode_image_with_stats(&img, &opts).unwrap();
         assert_eq!(timed, plain, "timed encode must not perturb bytes");
-        assert_eq!(timed_stats.container_bytes, plain_stats.container_bytes);
-        // The stages actually ran (fields are populated, sum is sane).
-        let _total = enc_t.prepare_ns + enc_t.mesh_ns + enc_t.quantize_ns + enc_t.entropy_ns;
+        assert_eq!(stats.container_bytes, plain.len());
+        let names = stats.stages.map(|(name, _)| name);
+        assert_eq!(names, ["prepare", "mesh_pass", "quantize", "entropy"]);
         let plain_img = codec.decode_bytes(&plain).unwrap();
         let container = Container::from_bytes(&plain).unwrap();
-        let (timed_img, _dec_t) = codec
-            .decode_container_timed(&container, BackendKind::default())
+        let (timed_img, stages) = codec
+            .decode_container(&container, BackendKind::default())
             .unwrap();
         assert_eq!(timed_img, plain_img, "timed decode must not perturb pixels");
+        assert_eq!(
+            stages.map(|(name, _)| name),
+            ["prepare", "mesh_pass", "stitch"]
+        );
         // A wrong model still errors through the timed path.
         let other = spectral_codec(&datasets::grayscale_blobs(1, 32, 24, 78).remove(0), 8);
         assert!(matches!(
-            other.decode_container_timed(&container, BackendKind::default()),
+            other.decode_container(&container, BackendKind::default()),
             Err(CodecError::ModelMismatch { .. })
         ));
     }

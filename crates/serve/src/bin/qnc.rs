@@ -24,11 +24,12 @@ use qn_core::config::{
 use qn_core::trainer::Trainer;
 use qn_image::{metrics, pgm, tiles, GrayImage};
 use qn_serve::client::{model_encode_request, spectral_encode_request};
-use qn_serve::{stages, Client, ServerConfig};
-use qn_trace::{SpanId, TraceBuilder};
+use qn_serve::stages::{self, StageRecorder};
+use qn_serve::{Client, ServerConfig};
+use qn_trace::TraceBuilder;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const USAGE: &str = "\
 qnc — quantum-network image codec
@@ -89,14 +90,14 @@ byte-identical to the offline commands. `remote
 compress --model` uploads the model to the server's zoo first.
 `remote stats` prints the server's telemetry JSON (counters, gauges,
 latency percentiles); --watch repeats it every SECS seconds.
-`compress`/`decompress` --timings print a per-stage wall-clock report
-(identical bytes — the timed path only reads clocks). --trace renders
-the request's span tree: offline it holds the codec stages from the
-stage clocks; on `remote` commands the request carries a trace
-context, the server records the same codec stages (prepare,
-mesh_pass, quantize/entropy or stitch) between its frame read, parse
-and reply write, and the client fetches the tree back — bytes are
-identical with tracing on or off. `remote trace` lists
+`compress`/`decompress` --timings print the command's stages flat
+(name=time), --trace the same stages as a span tree: spectral (when
+compress fits its own model) or parse, then prepare, mesh_pass and
+quantize/entropy or stitch. On `remote` commands the request carries
+a trace context, the server records the same codec stages between its
+frame read, queue wait, parse and reply write, and the client fetches
+the tree back — bytes are identical with timing or tracing on or off.
+`remote trace` lists
 the server's captured traces (recent ring, or the always-keep slow
 buffer with --slow; --id filters to one hex trace id). `serve
 --slow-ms` arms slow capture: requests at or over MS milliseconds are
@@ -109,12 +110,6 @@ summary table (or the stable JSON with --json), writes the JSON report
 with -o, and with --check fails unless the pinned quality gates hold
 at the golden operating point. --timings adds wall-clock throughput
 (which makes the report run-dependent, so stable reports omit it).";
-
-/// Nanoseconds → milliseconds for the `--timings` stage reports.
-#[allow(clippy::cast_precision_loss)]
-fn ms(ns: u64) -> f64 {
-    ns as f64 / 1e6
-}
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
     eprintln!("qnc: {msg}");
@@ -245,20 +240,46 @@ fn entropy_choice(args: &Args) -> Result<EntropyCoder, String> {
 }
 
 /// The codec for `compress`: an explicit model file, or a spectral model
-/// distilled from the image itself.
+/// distilled from the image itself (recorded as the `spectral` stage).
 fn codec_for_compress(
     args: &Args,
     img: &GrayImage,
     tile: usize,
     latent: usize,
+    rec: &mut StageRecorder,
 ) -> Result<(Codec, &'static str), String> {
     match args.value(&["--model"]) {
         Some(path) => Codec::from_model_file(Path::new(path))
             .map(|c| (c, "file"))
             .map_err(|e| format!("loading model {path}: {e}")),
-        None => Codec::spectral_for_image(img, tile, latent)
+        None => rec
+            .time(stages::SPECTRAL, || {
+                Codec::spectral_for_image(img, tile, latent)
+            })
             .map(|c| (c, "spectral"))
             .map_err(|e| format!("building spectral model: {e}")),
+    }
+}
+
+/// A recorder for an offline command's stages, holding a span tree
+/// when `--timings` or `--trace` asks for them.
+fn offline_recorder(args: &Args, name: &str) -> StageRecorder<'static> {
+    let traced = args.has("--timings") || args.has("--trace");
+    StageRecorder::new(
+        None,
+        traced.then(|| TraceBuilder::new(fresh_trace_id(), name)),
+    )
+}
+
+/// Print an offline command's stages: flat with `--timings`, as a span
+/// tree with `--trace`.
+fn print_stages(args: &Args, rec: StageRecorder) {
+    let Some(trace) = rec.finish() else { return };
+    if args.has("--timings") {
+        println!("timings: {}", stages::flat(&trace));
+    }
+    if args.has("--trace") {
+        print!("{}", qn_trace::render_tree(&trace));
     }
 }
 
@@ -282,27 +303,14 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     };
 
     let img = read_image(Path::new(input))?;
-    let (codec, model_source) = codec_for_compress(args, &img, tile, latent)?;
-    // The timed path is the encode schedule itself; it only reads clocks.
-    let trace_start = Instant::now();
-    let (bytes, stats, t) = codec
-        .encode_image_timed(&img, &opts)
+    // The stages a traced `qnc remote compress` renders; timing only
+    // reads clocks.
+    let mut rec = offline_recorder(args, "compress");
+    let (codec, model_source) = codec_for_compress(args, &img, tile, latent, &mut rec)?;
+    let (bytes, stats) = rec
+        .encode(&codec, &img, &opts)
         .map_err(|e| format!("encoding: {e}"))?;
-    if args.has("--timings") {
-        println!(
-            "timings: prepare {:.3} ms, mesh {:.3} ms, quantize {:.3} ms, entropy {:.3} ms",
-            ms(t.prepare_ns),
-            ms(t.mesh_ns),
-            ms(t.quantize_ns),
-            ms(t.entropy_ns)
-        );
-    }
-    if args.has("--trace") {
-        // The codec stages a traced `qnc remote compress` renders.
-        let mut b = TraceBuilder::with_anchor(fresh_trace_id(), "compress", trace_start);
-        stages::record_encode(&mut b, 0, &t, &opts, stats.tiles);
-        print!("{}", qn_trace::render_tree(&b.finish()));
-    }
+    print_stages(args, rec);
     std::fs::write(&output, &bytes).map_err(|e| format!("writing {}: {e}", output.display()))?;
 
     println!(
@@ -348,37 +356,21 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
         ),
         None => None,
     };
-    // One parse, timed; a standalone container then rebuilds its codec
-    // from the inline model, as the server does.
-    let trace_start = Instant::now();
-    let container = Container::from_bytes(&bytes).map_err(|e| format!("decoding: {e}"))?;
-    let since_start = || u64::try_from(trace_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let parse_ns = since_start();
+    // One parse; a standalone container then rebuilds its codec from
+    // the inline model, as the server does. The parse and codec stages
+    // are the ones a traced `qnc remote decompress` renders.
+    let mut rec = offline_recorder(args, "decompress");
+    let container = rec
+        .time(stages::PARSE, || Container::from_bytes(&bytes))
+        .map_err(|e| format!("decoding: {e}"))?;
     let codec = match model {
         Some(codec) => codec,
         None => codec_from_inline(&container).map_err(|e| format!("decoding: {e}"))?,
     };
-    let decode_start = since_start();
-    let (img, t) = codec
-        .decode_container_timed(&container, backend)
+    let img = rec
+        .decode(&codec, &container, backend)
         .map_err(|e| format!("decoding: {e}"))?;
-    if args.has("--timings") {
-        println!(
-            "timings: parse {:.3} ms, prepare {:.3} ms, mesh {:.3} ms, stitch {:.3} ms",
-            ms(parse_ns),
-            ms(t.prepare_ns),
-            ms(t.mesh_ns),
-            ms(t.stitch_ns)
-        );
-    }
-    if args.has("--trace") {
-        // The parse and codec stages a traced `qnc remote decompress`
-        // renders.
-        let mut b = TraceBuilder::with_anchor(fresh_trace_id(), "decompress", trace_start);
-        b.record(SpanId::ROOT, "parse", 0, parse_ns);
-        stages::record_decode(&mut b, decode_start, &t, backend, container.tiles.len());
-        print!("{}", qn_trace::render_tree(&b.finish()));
-    }
+    print_stages(args, rec);
 
     pgm::write_pgm(&img.clamped(), &output)
         .map_err(|e| format!("writing {}: {e}", output.display()))?;

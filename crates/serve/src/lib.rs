@@ -26,25 +26,24 @@
 //! - [`client`] — the blocking client used by `qnc remote` and tests;
 //! - [`metrics`] — the server's telemetry catalogue over
 //!   [`qn_metrics`]: per-opcode request/error counters, latency and
-//!   codec-stage histograms, zoo hit rates — served over the `STATS`
+//!   per-stage histograms, zoo hit rates — served over the `STATS`
 //!   RPC;
-//! - [`stages`] — the codec stages of a span tree, recorded from the
-//!   codec's stage timings for served and offline traces alike;
+//! - [`stages`] — the stage vocabulary and the per-request recorder
+//!   behind histograms, span trees and `qnc --timings` alike;
 //! - [`log`] — leveled, timestamped single-line stderr logging for the
 //!   `qnc serve` process.
 //!
 //! Per-request **span tracing** ([`qn_trace`]) rides the same wire: a
 //! client sets `REQ_STATUS_TRACED` and prefixes its payload with a
 //! 9-byte trace context (id + sampled flag), the server records the
-//! request's span tree (frame read, parse, codec stages with the mesh
-//! pass, reply write) and serves it back over the `TRACE` RPC. Tracing
-//! never changes reply bytes, and untraced requests pay one branch per
-//! span site.
+//! request's span tree (frame read, queue wait, parse, codec stages
+//! with the mesh pass, reply write) and serves it back over the `TRACE`
+//! RPC. Tracing never changes reply bytes, and an untraced request
+//! records its stages into histograms only.
 //!
 //! Responses are **byte-identical** to offline `qnc` runs with the
 //! same model and options: the serve path calls the codec's own
-//! `encode_image_timed`/`decode_container_timed`, and the integration
-//! suite pins the equality.
+//! schedules, and the integration suite pins the equality.
 
 pub mod client;
 pub mod error;

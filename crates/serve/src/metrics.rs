@@ -16,24 +16,26 @@
 //! | `serve_inflight_requests` | gauge | — (ENCODE/DECODE requests from frame header to reply release) |
 //! | `serve_read_deadline_reaps_total` | counter | — |
 //! | `serve_busy_total` | counter | — (requests shed with a typed `BUSY` reply by the admission limits) |
-//! | `codec_stage_ns` | histogram | `op`+`stage`: encode `spectral`/`prepare`/`mesh`/`quantize`/`entropy`; decode `parse`/`prepare`/`mesh`/`stitch` (`mesh` is the request's own inline pass) |
+//! | `serve_stage_ns` | histogram | `op`+`stage`: encode `frame_read`/`queue_wait`/`parse`/`spectral`/`prepare`/`mesh_pass`/`quantize`/`entropy`/`reply_write`; decode `frame_read`/`queue_wait`/`parse`/`prepare`/`mesh_pass`/`stitch`/`reply_write` (every admitted ENCODE/DECODE, traced or not, under the span names of a traced request; see [`crate::stages`]) |
 //! | `codec_coded_bytes_total` / `codec_decoded_bytes_total` | counter | `coder` = `rice`/`rice-pos`/`range` |
 //! | `zoo_hits_total` / `zoo_misses_total` / `zoo_inserts_total` | counter | — |
 //! | `zoo_cached_models` | gauge | — |
 //! | `gate_table_cache_hits` / `gate_table_cache_misses` / `gate_table_cache_entries` | gauge | — (process-wide [`qn_backend::table_cache_stats`], synced at exposition) |
 //!
-//! Hot-path handles (per-opcode counters/histograms, per-coder byte
-//! counters) are pre-resolved into arrays at construction, so request
-//! handling never touches the registry mutex. Error counters resolve
-//! through the registry on demand — errors are cold.
+//! Hot-path handles (per-opcode counters/histograms, per-stage
+//! histograms, per-coder byte counters) are pre-resolved into arrays at
+//! construction, so request handling never touches the registry mutex.
+//! Error counters resolve through the registry on demand — errors are
+//! cold.
 //!
 //! Determinism: counters and gauges are exact (the integration suite
 //! asserts request counts under concurrency); durations are wall-clock
 //! and never asserted.
 
 use crate::protocol::{ErrorCode, Opcode};
+use crate::stages;
 use crate::store::StoreMetrics;
-use qn_codec::{DecodeTimings, EncodeTimings, EntropyCoder};
+use qn_codec::EntropyCoder;
 use qn_metrics::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,8 +68,10 @@ pub struct ServeMetrics {
     inflight: Arc<Gauge>,
     reaps: Arc<Counter>,
     busy: Arc<Counter>,
-    enc_stage: [Arc<Histogram>; 5],
-    dec_stage: [Arc<Histogram>; 4],
+    /// `serve_stage_ns`, in [`stages::ENCODE`] / [`stages::DECODE`]
+    /// order.
+    enc_stage: [Arc<Histogram>; stages::ENCODE.len()],
+    dec_stage: [Arc<Histogram>; stages::DECODE.len()],
     coded_bytes: [Arc<Counter>; 3],
     decoded_bytes: [Arc<Counter>; 3],
     store: StoreMetrics,
@@ -92,11 +96,8 @@ impl ServeMetrics {
         let req = |op: Opcode| registry.counter_with("serve_requests_total", &[("op", op.label())]);
         let lat =
             |op: Opcode| registry.histogram_with("serve_request_latency_ns", &[("op", op.label())]);
-        let enc = |stage: &str| {
-            registry.histogram_with("codec_stage_ns", &[("op", "encode"), ("stage", stage)])
-        };
-        let dec = |stage: &str| {
-            registry.histogram_with("codec_stage_ns", &[("op", "decode"), ("stage", stage)])
+        let stage = |op: Opcode, stage: &str| {
+            registry.histogram_with("serve_stage_ns", &[("op", op.label()), ("stage", stage)])
         };
         let per_coder = |name: &str| {
             EntropyCoder::ALL.map(|c| {
@@ -117,8 +118,8 @@ impl ServeMetrics {
             inflight: registry.gauge("serve_inflight_requests"),
             reaps: registry.counter("serve_read_deadline_reaps_total"),
             busy: registry.counter("serve_busy_total"),
-            enc_stage: ["spectral", "prepare", "mesh", "quantize", "entropy"].map(enc),
-            dec_stage: ["parse", "prepare", "mesh", "stitch"].map(dec),
+            enc_stage: stages::ENCODE.map(|s| stage(Opcode::Encode, s)),
+            dec_stage: stages::DECODE.map(|s| stage(Opcode::Decode, s)),
             coded_bytes: per_coder("codec_coded_bytes_total"),
             decoded_bytes: per_coder("codec_decoded_bytes_total"),
             store,
@@ -211,25 +212,18 @@ impl ServeMetrics {
         &self.inflight
     }
 
-    /// Record the spectral-fit stage (server-side model distillation).
-    pub fn record_spectral_ns(&self, ns: u64) {
-        self.enc_stage[0].observe(ns);
-    }
-
-    /// Record an encode's prepare/mesh/quantize/entropy stages.
-    pub fn record_encode_timings(&self, t: &EncodeTimings) {
-        self.enc_stage[1].observe(t.prepare_ns);
-        self.enc_stage[2].observe(t.mesh_ns);
-        self.enc_stage[3].observe(t.quantize_ns);
-        self.enc_stage[4].observe(t.entropy_ns);
-    }
-
-    /// Record a decode's parse/prepare/mesh/stitch stages.
-    pub fn record_decode_timings(&self, t: &DecodeTimings) {
-        self.dec_stage[0].observe(t.parse_ns);
-        self.dec_stage[1].observe(t.prepare_ns);
-        self.dec_stage[2].observe(t.mesh_ns);
-        self.dec_stage[3].observe(t.stitch_ns);
+    /// Record one ENCODE or DECODE stage into its
+    /// `serve_stage_ns{op,stage}` histogram. Other opcodes, and names
+    /// outside the op's vocabulary, have no series and record nothing.
+    pub fn record_stage(&self, op: Opcode, stage: &str, ns: u64) {
+        let (names, hists): (&[&str], &[Arc<Histogram>]) = match op {
+            Opcode::Encode => (&stages::ENCODE, &self.enc_stage),
+            Opcode::Decode => (&stages::DECODE, &self.dec_stage),
+            _ => return,
+        };
+        if let Some(i) = names.iter().position(|&name| name == stage) {
+            hists[i].observe(ns);
+        }
     }
 
     /// Count container bytes produced by an encode, per entropy coder.
@@ -329,32 +323,43 @@ mod tests {
     #[test]
     fn stage_and_coder_metrics_land_under_stable_keys() {
         let m = ServeMetrics::new();
-        m.record_spectral_ns(100);
-        m.record_encode_timings(&EncodeTimings {
-            prepare_ns: 1,
-            mesh_ns: 2,
-            quantize_ns: 3,
-            entropy_ns: 4,
-        });
-        m.record_decode_timings(&DecodeTimings {
-            parse_ns: 5,
-            prepare_ns: 6,
-            mesh_ns: 7,
-            stitch_ns: 8,
-        });
+        for (op, names) in [
+            (Opcode::Encode, &stages::ENCODE[..]),
+            (Opcode::Decode, &stages::DECODE[..]),
+        ] {
+            for (i, name) in names.iter().enumerate() {
+                m.record_stage(op, name, 100 + i as u64);
+            }
+        }
+        // No series outside the vocabulary: other opcodes, unknown
+        // names and the old `mesh` label record nothing.
+        m.record_stage(Opcode::Info, "parse", 1);
+        m.record_stage(Opcode::Encode, "mesh", 1);
+        m.record_stage(Opcode::Decode, "spectral", 1);
         m.record_coded_bytes(EntropyCoder::Range, 1000);
         m.record_decoded_bytes(EntropyCoder::Rice, 500);
         let json = m.registry().to_json();
         for key in [
-            "codec_stage_ns{op=encode,stage=spectral}",
-            "codec_stage_ns{op=encode,stage=mesh}",
-            "codec_stage_ns{op=decode,stage=parse}",
-            "codec_stage_ns{op=decode,stage=stitch}",
+            "serve_stage_ns{op=encode,stage=frame_read}",
+            "serve_stage_ns{op=encode,stage=queue_wait}",
+            "serve_stage_ns{op=encode,stage=spectral}",
+            "serve_stage_ns{op=encode,stage=mesh_pass}",
+            "serve_stage_ns{op=encode,stage=reply_write}",
+            "serve_stage_ns{op=decode,stage=parse}",
+            "serve_stage_ns{op=decode,stage=mesh_pass}",
+            "serve_stage_ns{op=decode,stage=stitch}",
         ] {
             assert!(
                 json.contains(&format!("\"{key}\":{{\"count\":1")),
                 "{key}: {json}"
             );
+        }
+        for absent in [
+            "stage=mesh}",
+            "serve_stage_ns{op=info",
+            "op=decode,stage=spectral",
+        ] {
+            assert!(!json.contains(absent), "{absent}: {json}");
         }
         assert!(
             json.contains("\"codec_coded_bytes_total{coder=range}\":1000"),

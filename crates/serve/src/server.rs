@@ -19,8 +19,11 @@
 //! `Internal` error and keeps its worker.
 //!
 //! A worker runs its request end to end: ENCODE and DECODE call the
-//! codec's own timed schedule, mesh pass included, exactly as offline
-//! `qnc` does, and record the stage spans from its timings.
+//! codec's own schedule, mesh pass included, exactly as offline `qnc`
+//! does. A [`StageRecorder`] times every stage of the request once —
+//! frame read, queue wait, parse, the codec's named stages, reply
+//! write — into the `serve_stage_ns` histograms, and into the span
+//! tree when the request is traced.
 
 use crate::error::{Result, ServeError};
 use crate::log::{LogLevel, Logger};
@@ -34,7 +37,7 @@ use crate::reactor::{
     earliest, read_available, write_queue, ConnShared, FrameAccumulator, FrameStep, Interest,
     Poller, Reply, WakePipe, Waker, WireReply, WriteProgress,
 };
-use crate::stages;
+use crate::stages::{self, span_ns, StageRecorder};
 use crate::store::ModelStore;
 use qn_backend::BackendKind;
 use qn_codec::pipeline::codec_from_inline;
@@ -53,16 +56,6 @@ use std::time::{Duration, Instant};
 /// Bytes a frame occupies on the wire: header + payload + CRC trailer.
 fn frame_wire_bytes(payload_len: usize) -> u64 {
     (HEADER_LEN + payload_len + 4) as u64
-}
-
-/// Saturating nanoseconds since `t`.
-fn elapsed_ns(t: Instant) -> u64 {
-    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Saturating nanoseconds between two instants.
-fn span_ns(from: Instant, to: Instant) -> u64 {
-    u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Unwritten reply bytes queued on one connection past which the
@@ -138,7 +131,7 @@ pub struct ServerConfig {
     /// their replies before force-closing the remaining connections.
     pub shutdown_grace: Duration,
     /// Collect and serve telemetry (the `STATS` opcode, request/latency
-    /// counters, codec-stage histograms). On by default; `false` makes
+    /// counters, per-stage histograms). On by default; `false` makes
     /// `STATS` answer a typed `BadRequest` and skips every metric
     /// update (the benchmarked no-op configuration).
     pub metrics: bool,
@@ -964,7 +957,8 @@ fn admit_frame(
                     );
                     b.attr(SpanId::ROOT, "origin", "client");
                     b.attr(SpanId::ROOT, "shed", "busy");
-                    let read = b.record(SpanId::ROOT, "frame_read", 0, span_ns(header_at, now));
+                    let read =
+                        b.record(SpanId::ROOT, stages::FRAME_READ, 0, span_ns(header_at, now));
                     b.attr(read, "bytes", frame_wire_bytes(frame.payload.len()));
                     tracer.record(b.finish());
                 }
@@ -1029,6 +1023,7 @@ fn close_conn(shared: &Arc<Shared>, conn: Conn, cause: &CloseCause) {
 /// Worker side: run one admitted request end to end and park its reply
 /// in the connection's outbox.
 fn process_job(shared: &Arc<Shared>, job: Job) {
+    let picked_up = Instant::now();
     let Job {
         chan,
         seq,
@@ -1052,9 +1047,9 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
     // Span recording is armed when the client asked for sampling, or
     // for mesh-bound requests whenever slow capture is on (a slow
     // request can only land in the slow buffer if its spans were
-    // built). Untraced requests skip every span site on a `None` check.
+    // built). Untraced requests still feed the stage histograms.
     let mesh_bound = matches!(op, Some(Opcode::Encode | Opcode::Decode));
-    let mut tb = match &shared.tracer {
+    let trace = match &shared.tracer {
         Some(_)
             if trace_ctx.is_some_and(|c| c.sampled)
                 || (mesh_bound && shared.config.slow_threshold > Duration::ZERO) =>
@@ -1069,21 +1064,18 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
             let mut b =
                 TraceBuilder::with_anchor(id, op.map_or("unknown", Opcode::label), header_at);
             b.attr(SpanId::ROOT, "origin", origin);
-            let read = b.record(
-                SpanId::ROOT,
-                "frame_read",
-                0,
-                span_ns(header_at, frame_done_at),
-            );
-            b.attr(read, "bytes", frame_wire_bytes(frame.payload.len()));
             Some(b)
         }
         _ => None,
     };
+    let mut rec = StageRecorder::new(shared.metrics.as_deref().zip(op), trace);
+    let read = rec.record(stages::FRAME_READ, header_at, frame_done_at);
+    rec.attr(read, "bytes", frame_wire_bytes(frame.payload.len()));
+    rec.record(stages::QUEUE_WAIT, frame_done_at, picked_up);
     // A panicking handler costs its request, never its worker thread.
     let outcome = stripped.and_then(|_| {
         panic::catch_unwind(AssertUnwindSafe(|| {
-            dispatch(shared, op, frame.opcode, body, &mut tb)
+            dispatch(shared, op, frame.opcode, body, &mut rec)
         }))
         .unwrap_or_else(|_| Err(ServeError::Internal("the request handler panicked".into())))
     });
@@ -1100,11 +1092,11 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
             Frame::error(request_id, e.code(), &e.to_string())
         }
     };
-    // Serialize here (the reply_write span covers building the wire
+    // Serialize here (the reply_write stage covers building the wire
     // bytes and handing them to the reactor; the socket write itself
     // is asynchronous). An over-limit reply (InvalidInput) is a
     // request-level outcome: tell the client with a typed frame.
-    let write_span = tb.as_mut().map(|b| b.begin(SpanId::ROOT, "reply_write"));
+    let write_start = Instant::now();
     let mut wire = Vec::with_capacity(HEADER_LEN + reply.payload.len() + 4);
     let mut reply_payload_len = reply.payload.len();
     if let Err(e) = reply.write_to(&mut wire) {
@@ -1115,32 +1107,24 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
             .write_to(&mut wire)
             .expect("error frames are always under the payload limit");
     }
-    if let (Some(b), Some(s)) = (tb.as_mut(), write_span) {
-        b.end(s);
-        b.attr(s, "bytes", frame_wire_bytes(reply_payload_len));
-    }
+    let write = rec.record(stages::REPLY_WRITE, write_start, Instant::now());
+    rec.attr(write, "bytes", frame_wire_bytes(reply_payload_len));
     // Finish and record the trace *before* parking the reply: a client
     // that sends TRACE right after receiving this reply on the same
     // connection is guaranteed to find its trace.
-    if let Some(b) = tb.take() {
-        let trace = b.finish();
+    if let Some(trace) = rec.finish() {
         let slow = shared.config.slow_threshold;
         if slow > Duration::ZERO
             && trace.duration_ns() >= u64::try_from(slow.as_nanos()).unwrap_or(u64::MAX)
         {
-            use std::fmt::Write as _;
-            let mut stages = String::new();
-            for i in trace.children(0) {
-                let s = &trace.spans[i];
-                let _ = write!(stages, " {}={}", s.name, fmt_ns(s.duration_ns()));
-            }
             shared.log.warn(
                 "slow",
                 format_args!(
-                    "peer={peer} id={} op={} total={}{stages}",
+                    "peer={peer} id={} op={} total={} {}",
                     trace.id_hex(),
                     trace.name(),
                     fmt_ns(trace.duration_ns()),
+                    stages::flat(&trace),
                 ),
             );
         }
@@ -1148,7 +1132,7 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
             tracer.record(trace);
         }
     }
-    let latency_ns = elapsed_ns(frame_done_at);
+    let latency_ns = span_ns(frame_done_at, Instant::now());
     if let Some(m) = &shared.metrics {
         m.record_latency(op, latency_ns);
     }
@@ -1179,18 +1163,17 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
 
 /// Route one well-framed request; every failure comes back typed.
 /// `payload` is the request body with any trace-context prefix already
-/// stripped; `tb` is the request's span builder (`None` unless
-/// sampled).
+/// stripped; `rec` records the request's stages.
 fn dispatch(
     shared: &Shared,
     op: Option<Opcode>,
     opcode_byte: u8,
     payload: &[u8],
-    tb: &mut Option<TraceBuilder>,
+    rec: &mut StageRecorder,
 ) -> Result<(Opcode, Vec<u8>)> {
     match op {
-        Some(Opcode::Encode) => handle_encode(shared, payload, tb),
-        Some(Opcode::Decode) => handle_decode(shared, payload, tb),
+        Some(Opcode::Encode) => handle_encode(shared, payload, rec),
+        Some(Opcode::Decode) => handle_decode(shared, payload, rec),
         Some(Opcode::LoadModel) => {
             let id = shared.store.insert_bytes(payload)?;
             Ok((Opcode::LoadModel, id.to_le_bytes().to_vec()))
@@ -1249,30 +1232,15 @@ fn handle_trace(shared: &Shared, payload: &[u8]) -> Result<(Opcode, Vec<u8>)> {
 fn handle_encode(
     shared: &Shared,
     payload: &[u8],
-    tb: &mut Option<TraceBuilder>,
+    rec: &mut StageRecorder,
 ) -> Result<(Opcode, Vec<u8>)> {
-    let parse_span = tb.as_mut().map(|b| b.begin(SpanId::ROOT, "parse"));
-    let req = EncodeRequest::from_payload(payload)?;
-    if let (Some(b), Some(s)) = (tb.as_mut(), parse_span) {
-        b.end(s);
-    }
+    let req = rec.time(stages::PARSE, || EncodeRequest::from_payload(payload))?;
     let codec: Arc<Codec> = if req.flags & ENC_FLAG_USE_MODEL_ID != 0 {
         shared.store.get(req.model_id)?
     } else {
-        let spectral_span = tb.as_mut().map(|b| b.begin(SpanId::ROOT, "spectral"));
-        let t = Instant::now();
-        let codec = Arc::new(Codec::spectral_for_image(
-            &req.image,
-            req.tile_size as usize,
-            req.latent_dim as usize,
-        )?);
-        if let Some(m) = &shared.metrics {
-            m.record_spectral_ns(elapsed_ns(t));
-        }
-        if let (Some(b), Some(s)) = (tb.as_mut(), spectral_span) {
-            b.end(s);
-        }
-        codec
+        Arc::new(rec.time(stages::SPECTRAL, || {
+            Codec::spectral_for_image(&req.image, req.tile_size as usize, req.latent_dim as usize)
+        })?)
     };
     let opts = CodecOptions {
         tile_size: req.tile_size as usize,
@@ -1282,13 +1250,8 @@ fn handle_encode(
         backend: shared.config.backend,
         entropy: req.entropy,
     };
-    let start = tb.as_ref().map(TraceBuilder::elapsed_ns);
-    let (bytes, stats, timings) = codec.encode_image_timed(&req.image, &opts)?;
-    if let (Some(b), Some(start)) = (tb.as_mut(), start) {
-        stages::record_encode(b, start, &timings, &opts, stats.tiles);
-    }
+    let (bytes, _) = rec.encode(&codec, &req.image, &opts)?;
     if let Some(m) = &shared.metrics {
-        m.record_encode_timings(&timings);
         m.record_coded_bytes(req.entropy, bytes.len() as u64);
     }
     Ok((Opcode::Encode, bytes))
@@ -1335,30 +1298,17 @@ fn check_container_dims(payload: &[u8]) -> Result<()> {
 fn handle_decode(
     shared: &Shared,
     payload: &[u8],
-    tb: &mut Option<TraceBuilder>,
+    rec: &mut StageRecorder,
 ) -> Result<(Opcode, Vec<u8>)> {
     check_container_dims(payload)?;
-    let parse_span = tb.as_mut().map(|b| b.begin(SpanId::ROOT, "parse"));
-    let t = Instant::now();
-    let container = Container::from_bytes(payload)?;
-    let parse_ns = elapsed_ns(t);
-    if let (Some(b), Some(s)) = (tb.as_mut(), parse_span) {
-        b.end(s);
-    }
+    let container = rec.time(stages::PARSE, || Container::from_bytes(payload))?;
     let codec: Arc<Codec> = if container.header.inline_model() {
         Arc::new(codec_from_inline(&container)?)
     } else {
         shared.store.get(container.header.model_id)?
     };
-    let backend = shared.config.backend;
-    let start = tb.as_ref().map(TraceBuilder::elapsed_ns);
-    let (img, mut timings) = codec.decode_container_timed(&container, backend)?;
-    if let (Some(b), Some(start)) = (tb.as_mut(), start) {
-        stages::record_decode(b, start, &timings, backend, container.tiles.len());
-    }
+    let img = rec.decode(&codec, &container, shared.config.backend)?;
     if let Some(m) = &shared.metrics {
-        timings.parse_ns = parse_ns;
-        m.record_decode_timings(&timings);
         if let Ok(coder) = container.header.entropy() {
             m.record_decoded_bytes(coder, payload.len() as u64);
         }

@@ -646,7 +646,8 @@ fn remote_models_lists_the_zoo() {
 
 /// The codec-stage lines of the span tree in `stdout`, one `(depth,
 /// name, attribute keys)` per line; the root and the server's own
-/// frame read, parse, spectral fit and reply write are left out.
+/// frame read, queue wait, parse, spectral fit and reply write are
+/// left out.
 fn codec_stages(stdout: &[u8]) -> Vec<(usize, String, Vec<String>)> {
     let out = String::from_utf8_lossy(stdout);
     out.lines()
@@ -663,8 +664,39 @@ fn codec_stages(stdout: &[u8]) -> Vec<(usize, String, Vec<String>)> {
             Some((depth, name, keys))
         })
         .filter(|(_, name, _)| {
-            !["frame_read", "parse", "spectral", "reply_write"].contains(&name.as_str())
+            ![
+                "frame_read",
+                "queue_wait",
+                "parse",
+                "spectral",
+                "reply_write",
+            ]
+            .contains(&name.as_str())
         })
+        .collect()
+}
+
+/// The names of the root's children in the span tree in `stdout`.
+fn root_children(stdout: &[u8]) -> Vec<String> {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .skip_while(|l| !l.starts_with("trace "))
+        .skip(1)
+        .filter(|l| l.starts_with("  ") && !l.starts_with("    "))
+        .filter_map(|l| Some(l.split_whitespace().next()?.to_string()))
+        .collect()
+}
+
+/// The stage names of the `timings: name=time …` line in `stdout`, in
+/// order.
+fn timings_stages(stdout: &[u8]) -> Vec<String> {
+    let out = String::from_utf8_lossy(stdout);
+    let line = out
+        .lines()
+        .find_map(|l| l.strip_prefix("timings: "))
+        .unwrap_or_else(|| panic!("no timings line in: {out}"));
+    line.split_whitespace()
+        .filter_map(|stage| Some(stage.split_once('=')?.0.to_string()))
         .collect()
 }
 
@@ -727,6 +759,20 @@ fn trace_flag_prints_span_trees_locally_and_remotely() {
     let names: Vec<&str> = remote_encode.iter().map(|s| s.1.as_str()).collect();
     assert_eq!(names, ["prepare", "mesh_pass", "quantize", "entropy"]);
     assert_eq!(codec_stages(&out.stdout), remote_encode, "{tree}");
+    // Without --model, compress fits its own model first.
+    let offline_encode = root_children(&out.stdout);
+    assert_eq!(offline_encode[0], "spectral", "{tree}");
+    // --timings is the same stages, flat: same names, same order.
+    let out = run_ok(
+        qnc()
+            .arg("compress")
+            .arg(&input)
+            .arg("-o")
+            .arg(dir.join("offline.qnc"))
+            .arg("--timings")
+            .arg("--no-verify"),
+    );
+    assert_eq!(timings_stages(&out.stdout), offline_encode);
 
     // And decompress: remote and offline trees of the same container.
     let remote = run_ok(
@@ -752,6 +798,17 @@ fn trace_flag_prints_span_trees_locally_and_remotely() {
     let names: Vec<&str> = remote_decode.iter().map(|s| s.1.as_str()).collect();
     assert_eq!(names, ["prepare", "mesh_pass", "stitch"]);
     assert_eq!(codec_stages(&offline.stdout), remote_decode);
+    let offline_decode = root_children(&offline.stdout);
+    assert_eq!(offline_decode, ["parse", "prepare", "mesh_pass", "stitch"]);
+    let timed = run_ok(
+        qnc()
+            .arg("decompress")
+            .arg(dir.join("out.qnc"))
+            .arg("-o")
+            .arg(dir.join("offline.pgm"))
+            .arg("--timings"),
+    );
+    assert_eq!(timings_stages(&timed.stdout), offline_decode);
 }
 
 /// `qnc eval` — the smoke sweep passes its pinned quality gates and

@@ -665,17 +665,17 @@ fn stats_counts_match_a_client_side_tally_under_sixteen_clients() {
     assert_eq!(stat_int(&json, "serve_connections_total"), 17);
     assert!(stat_int(&json, "serve_frame_bytes_in_total") > 0, "{json}");
     assert!(stat_int(&json, "serve_frame_bytes_out_total") > 0, "{json}");
-    // Codec stage histograms populated by the mesh-bound requests.
+    // Stage histograms populated by the mesh-bound requests.
     assert_eq!(
-        hist_count(&json, "codec_stage_ns{op=encode,stage=mesh}"),
+        hist_count(&json, "serve_stage_ns{op=encode,stage=mesh_pass}"),
         enc
     );
     assert_eq!(
-        hist_count(&json, "codec_stage_ns{op=decode,stage=parse}"),
+        hist_count(&json, "serve_stage_ns{op=decode,stage=parse}"),
         dec
     );
     assert_eq!(
-        hist_count(&json, "codec_stage_ns{op=encode,stage=spectral}"),
+        hist_count(&json, "serve_stage_ns{op=encode,stage=spectral}"),
         enc
     );
     // Every encode used the default rice coder.

@@ -19,8 +19,9 @@ fn boot(config: ServerConfig) -> ServerHandle {
 }
 
 /// A spectral encode's stages, in order.
-const ENCODE_STAGES: [&str; 8] = [
+const ENCODE_STAGES: [&str; 9] = [
     "frame_read",
+    "queue_wait",
     "parse",
     "spectral",
     "prepare",
@@ -263,7 +264,7 @@ fn concurrent_stats_and_trace_polls_never_skew_inflight_or_deadlock() {
 /// catalogue changes.
 #[test]
 fn prometheus_exposition_matches_golden_bytes() {
-    use qn_codec::{EncodeTimings, EntropyCoder};
+    use qn_codec::EntropyCoder;
     use qn_serve::{Opcode, ServeMetrics};
 
     let m = ServeMetrics::new();
@@ -274,12 +275,14 @@ fn prometheus_exposition_matches_golden_bytes() {
     m.record_frame_out(200);
     m.connection_opened();
     m.record_coded_bytes(EntropyCoder::Rice, 1234);
-    m.record_encode_timings(&EncodeTimings {
-        prepare_ns: 1_000,
-        mesh_ns: 2_000,
-        quantize_ns: 3_000,
-        entropy_ns: 4_000,
-    });
+    for (stage, ns) in [
+        ("prepare", 1_000),
+        ("mesh_pass", 2_000),
+        ("quantize", 3_000),
+        ("entropy", 4_000),
+    ] {
+        m.record_stage(Opcode::Encode, stage, ns);
+    }
     m.record_latency(Some(Opcode::Encode), 50_000);
     m.set_gate_table_stats(7, 2, 1);
     // registry().to_prometheus() skips the live gate-table re-sync the

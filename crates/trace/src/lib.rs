@@ -20,8 +20,8 @@
 //!   byte arrived), so a rendered trace is self-contained and
 //!   wall-clock-free. Retroactive spans ([`TraceBuilder::record`])
 //!   splice in stage timings measured elsewhere — e.g. the codec's
-//!   quantize/entropy breakdown — without nesting closures through
-//!   the pipeline.
+//!   named stage list (prepare, mesh pass, quantize, entropy) —
+//!   without nesting closures through the pipeline.
 //! - **Recent ring + slow keep.** The [`Tracer`] sink holds two
 //!   fixed-capacity buffers: a ring of the most recent completed
 //!   traces, and a separate buffer that only admits traces whose root
@@ -187,28 +187,29 @@ impl TraceBuilder {
         self.id
     }
 
-    /// Nanoseconds elapsed since the trace anchor.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.anchor.elapsed().as_nanos() as u64
+    /// Nanoseconds from the trace anchor to `at` (0 for instants
+    /// before the anchor), for spans measured as [`Instant`] pairs.
+    pub fn offset_ns(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.anchor).as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Open a child span of `parent` starting now.
     pub fn begin(&mut self, parent: SpanId, name: &str) -> SpanId {
-        let start = self.elapsed_ns();
+        let start = self.offset_ns(Instant::now());
         self.push(parent, name, start, None)
     }
 
     /// Close span `id` now. Closing an already-closed span keeps the
     /// first end time.
     pub fn end(&mut self, id: SpanId) {
-        let now = self.elapsed_ns();
+        let now = self.offset_ns(Instant::now());
         let span = &mut self.spans[id.0];
         span.end_ns.get_or_insert(now);
     }
 
     /// Splice in a span measured elsewhere, with explicit anchor
     /// offsets. Used to attach pre-measured stage timings (e.g. the
-    /// codec's quantize/entropy nanoseconds) without re-timing them.
+    /// codec's named stage list) without re-timing them.
     pub fn record(&mut self, parent: SpanId, name: &str, start_ns: u64, end_ns: u64) -> SpanId {
         self.push(parent, name, start_ns, Some(end_ns))
     }
@@ -222,7 +223,7 @@ impl TraceBuilder {
 
     /// Seal the trace: the root and any still-open span close now.
     pub fn finish(mut self) -> Trace {
-        let now = self.elapsed_ns();
+        let now = self.offset_ns(Instant::now());
         Trace {
             id: self.id,
             spans: self
