@@ -3,10 +3,11 @@
 //! and client-observed p50/p99 request latency at 1/4/16 concurrent
 //! clients, comparing the `scalar` reference backend against the
 //! default `simd` one (each request runs its own mesh pass on either).
-//! Final rows measure the cost of the
-//! telemetry layer itself (instrumented server vs `metrics: false`)
-//! and of span tracing (untraced requests on a tracing-armed server,
-//! fully sampled requests, and a `tracing: false` server).
+//! A final row measures the cost of sampled span tracing: one default
+//! server alternates untraced and fully sampled 4-client encode
+//! windows, and the row records both medians and interquartile ranges
+//! and how many pairs the sampled window lost. Metrics are always on,
+//! so their cost sits inside every row.
 //! Results land in `BENCH_serve.json` at the workspace root.
 //!
 //! Every configuration first asserts that the remote container is
@@ -38,7 +39,21 @@ fn percentiles_ms(hist: &Histogram) -> (f64, f64) {
     )
 }
 
+/// The first quartile, median and third quartile of `v` (linear
+/// interpolation between order statistics).
+fn quartiles(v: &[f64]) -> [f64; 3] {
+    let mut v = v.to_vec();
+    v.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| {
+        let at = q * (v.len() - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (at - lo as f64)
+    })
+}
+
 const IMAGE_SIZE: usize = 64;
+/// Untraced/sampled window pairs in the sampled-tracing row.
+const TRACING_PAIRS: usize = 20;
 
 fn main() {
     let per_client: usize = std::env::args()
@@ -174,71 +189,50 @@ fn main() {
         }
     }
 
-    // The cost of telemetry itself: the default configuration at
-    // 4 clients, with the metrics layer on vs off. Recorded, not
-    // asserted — single-machine noise swamps a sub-percent delta.
-    let measure_metrics = |metrics: bool| -> f64 {
-        let server = spawn(ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            metrics,
-            ..ServerConfig::default()
-        })
-        .expect("spawn server");
-        warm(server.addr(), "metrics-overhead");
-        let (secs, _) = timed_run(server.addr(), 4, false, false);
-        let rps = (4 * per_client) as f64 / secs;
-        server.shutdown();
-        rps
-    };
-    let rps_instrumented = measure_metrics(true);
-    let rps_bare = measure_metrics(false);
-    let overhead_pct = (rps_bare - rps_instrumented) / rps_bare * 100.0;
-    println!(
-        "metrics overhead (4 clients, encode): instrumented {rps_instrumented:.1} req/s, \
-         no-metrics {rps_bare:.1} req/s ({overhead_pct:+.2}%)"
-    );
-
-    // The cost of span tracing: untraced requests against a
-    // tracing-armed server pay one branch per span site; sampled
-    // requests pay full span recording; a `tracing: false` server is
-    // the floor. Recorded, not asserted, like the metrics row.
-    let measure_tracing = |tracing: bool, sampled: bool| -> f64 {
-        let server = spawn(ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            tracing,
-            ..ServerConfig::default()
-        })
-        .expect("spawn server");
-        warm(server.addr(), "tracing-overhead");
+    // The cost of sampled span tracing, on one default server:
+    // alternate untraced and fully sampled 4-client encode windows,
+    // swapping the order every pair so drift favours neither. Recorded,
+    // not asserted — the spread says whether the gap is real.
+    let server = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    warm(server.addr(), "sampled-tracing");
+    let window_rps = |sampled: bool| {
         let (secs, _) = timed_run(server.addr(), 4, false, sampled);
-        let rps = (4 * per_client) as f64 / secs;
-        server.shutdown();
-        rps
+        (4 * per_client) as f64 / secs
     };
-    let rps_no_tracing = measure_tracing(false, false);
-    let rps_untraced = measure_tracing(true, false);
-    let rps_sampled = measure_tracing(true, true);
-    let untraced_pct = (rps_no_tracing - rps_untraced) / rps_no_tracing * 100.0;
-    let sampled_pct = (rps_no_tracing - rps_sampled) / rps_no_tracing * 100.0;
+    let (mut untraced, mut sampled) = (Vec::new(), Vec::new());
+    for pair in 0..TRACING_PAIRS {
+        if pair % 2 == 0 {
+            untraced.push(window_rps(false));
+            sampled.push(window_rps(true));
+        } else {
+            sampled.push(window_rps(true));
+            untraced.push(window_rps(false));
+        }
+    }
+    server.shutdown();
+    let slower = untraced.iter().zip(&sampled).filter(|(u, s)| s < u).count();
+    let [u_q1, u_med, u_q3] = quartiles(&untraced);
+    let [s_q1, s_med, s_q3] = quartiles(&sampled);
     println!(
-        "tracing overhead (4 clients, encode): no-tracing {rps_no_tracing:.1} req/s, \
-         untraced {rps_untraced:.1} req/s ({untraced_pct:+.2}%), \
-         sampled {rps_sampled:.1} req/s ({sampled_pct:+.2}%)"
+        "sampled tracing (4 clients, encode, {TRACING_PAIRS} pairs): untraced median \
+         {u_med:.1} req/s (IQR {u_q1:.1}-{u_q3:.1}), sampled median {s_med:.1} req/s \
+         (IQR {s_q1:.1}-{s_q3:.1}), sampled slower in {slower}/{TRACING_PAIRS} pairs"
     );
 
     let json = format!(
         "{{\n  \"bench\": \"serve_throughput\",\n  \"image\": \"{IMAGE_SIZE}x{IMAGE_SIZE}\",\n  \
          \"tiles_per_request\": {tiles},\n  \"requests_per_client\": {per_client},\n  \
-         \"host_parallelism\": {},\n  \"metrics_overhead\": {{\"clients\": 4, \
-         \"encode_rps_instrumented\": {rps_instrumented:.1}, \
-         \"encode_rps_no_metrics\": {rps_bare:.1}, \
-         \"overhead_pct\": {overhead_pct:.2}}},\n  \
-         \"tracing_overhead\": {{\"clients\": 4, \
-         \"encode_rps_no_tracing\": {rps_no_tracing:.1}, \
-         \"encode_rps_untraced\": {rps_untraced:.1}, \
-         \"encode_rps_sampled\": {rps_sampled:.1}, \
-         \"untraced_overhead_pct\": {untraced_pct:.2}, \
-         \"sampled_overhead_pct\": {sampled_pct:.2}}},\n  \"results\": [\n{entries}\n  ]\n}}\n",
+         \"host_parallelism\": {},\n  \"sampled_tracing\": {{\"clients\": 4, \
+         \"pairs\": {TRACING_PAIRS}, \
+         \"encode_rps_untraced_median\": {u_med:.1}, \
+         \"encode_rps_untraced_iqr\": [{u_q1:.1}, {u_q3:.1}], \
+         \"encode_rps_sampled_median\": {s_med:.1}, \
+         \"encode_rps_sampled_iqr\": [{s_q1:.1}, {s_q3:.1}], \
+         \"sampled_slower_pairs\": {slower}}},\n  \"results\": [\n{entries}\n  ]\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
     let path = results_dir()

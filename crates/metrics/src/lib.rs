@@ -1,8 +1,7 @@
 //! `qn-metrics` — the zero-dependency telemetry core.
 //!
-//! Serving "heavy traffic from millions of users" starts with being
-//! able to *see* the server: request rates, error classes, queue
-//! behaviour, latency percentiles. This crate is the measurement
+//! A running server has to be *seen*: request rates, error classes,
+//! queue behaviour, latency percentiles. This crate is the measurement
 //! substrate the rest of the workspace instruments against, built
 //! under the same compat-shim discipline as everything else — **std
 //! only**, no external crates, so it works in the offline build
@@ -24,12 +23,12 @@
 //!   within one bucket's resolution (±50 %) everywhere else, which is
 //!   plenty for latency work where percentiles differ by orders of
 //!   magnitude.
-//! - **Byte-stable exposition.** [`Registry::to_json`] emits a
-//!   single-line JSON object with sorted keys and integer-only values
-//!   (no float formatting), so identical metric states serialise to
-//!   identical bytes on every platform — the property the stats tests
-//!   and the `STATS` RPC lean on. [`Registry::to_prometheus`] renders
-//!   the same state as Prometheus-style text for scrapers.
+//! - **One byte-stable exposition.** [`Registry::to_json`] is the only
+//!   renderer: a single-line JSON object with sorted keys and
+//!   integer-only values (no float formatting), so identical metric
+//!   states serialise to identical bytes on every platform — the
+//!   property the stats tests, the metric-catalogue golden and the
+//!   `STATS` RPC lean on.
 //!
 //! # Determinism caveat
 //!
@@ -262,11 +261,9 @@ impl Metric {
     }
 }
 
-/// One registered metric: base name, label pairs and the live handle.
+/// One registered metric: its canonical key and the live handle.
 #[derive(Debug, Clone)]
 struct Entry {
-    name: String,
-    labels: Vec<(String, String)>,
     /// Canonical exposition key: `name` or `name{k=v,k2=v2}` — also
     /// the identity registration dedupes on.
     key: String,
@@ -331,11 +328,6 @@ impl Registry {
         }
         let metric = make();
         entries.push(Entry {
-            name: name.to_string(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
             key,
             metric: metric.clone(),
         });
@@ -408,14 +400,6 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Entries sorted by canonical key — the one ordering every
-    /// exposition format uses.
-    fn sorted_entries(&self) -> Vec<Entry> {
-        let mut entries = self.entries.lock().expect("metrics registry lock").clone();
-        entries.sort_by(|a, b| a.key.cmp(&b.key));
-        entries
-    }
-
     /// Single-line JSON with sorted keys and integer-only values:
     ///
     /// ```text
@@ -429,7 +413,8 @@ impl Registry {
     /// Byte-stable: the same metric state always serialises to the
     /// same bytes (keys sorted, no floats, no timestamps).
     pub fn to_json(&self) -> String {
-        let entries = self.sorted_entries();
+        let mut entries = self.entries.lock().expect("metrics registry lock").clone();
+        entries.sort_by(|a, b| a.key.cmp(&b.key));
         let mut out = String::with_capacity(256 + entries.len() * 48);
         out.push('{');
         for (section, kind) in [
@@ -474,72 +459,6 @@ impl Registry {
             out.push('}');
         }
         out.push('}');
-        out
-    }
-
-    /// Prometheus-style text exposition: `# TYPE` lines per family,
-    /// labelled samples, histograms as cumulative `_bucket{le=...}`
-    /// series (occupied buckets plus `+Inf`) with `_sum` and `_count`.
-    pub fn to_prometheus(&self) -> String {
-        let entries = self.sorted_entries();
-        let mut out = String::with_capacity(256 + entries.len() * 96);
-        let mut last_family = String::new();
-        for e in &entries {
-            if e.name != last_family {
-                out.push_str("# TYPE ");
-                out.push_str(&e.name);
-                out.push(' ');
-                out.push_str(e.metric.kind());
-                out.push('\n');
-                last_family.clone_from(&e.name);
-            }
-            let labels = |extra: Option<(&str, String)>| -> String {
-                let mut pairs: Vec<String> = e
-                    .labels
-                    .iter()
-                    .map(|(k, v)| format!("{k}=\"{v}\""))
-                    .collect();
-                if let Some((k, v)) = extra {
-                    pairs.push(format!("{k}=\"{v}\""));
-                }
-                if pairs.is_empty() {
-                    String::new()
-                } else {
-                    format!("{{{}}}", pairs.join(","))
-                }
-            };
-            match &e.metric {
-                Metric::Counter(c) => {
-                    out.push_str(&format!("{}{} {}\n", e.name, labels(None), c.get()));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!("{}{} {}\n", e.name, labels(None), g.get()));
-                }
-                Metric::Histogram(h) => {
-                    let counts = h.bucket_counts();
-                    let mut cum = 0u64;
-                    for (i, &c) in counts.iter().enumerate() {
-                        if c == 0 {
-                            continue;
-                        }
-                        cum += c;
-                        let (_, hi) = Histogram::bucket_bounds(i);
-                        out.push_str(&format!(
-                            "{}_bucket{} {cum}\n",
-                            e.name,
-                            labels(Some(("le", hi.to_string())))
-                        ));
-                    }
-                    out.push_str(&format!(
-                        "{}_bucket{} {cum}\n",
-                        e.name,
-                        labels(Some(("le", "+Inf".to_string())))
-                    ));
-                    out.push_str(&format!("{}_sum{} {}\n", e.name, labels(None), h.sum()));
-                    out.push_str(&format!("{}_count{} {}\n", e.name, labels(None), h.count()));
-                }
-            }
-        }
         out
     }
 }
@@ -724,28 +643,6 @@ mod tests {
         );
         // Two identical states serialise to identical bytes.
         assert_eq!(build().to_json(), json);
-    }
-
-    #[test]
-    fn prometheus_exposition_carries_types_labels_and_cumulative_buckets() {
-        let r = Registry::new();
-        r.counter_with("requests_total", &[("op", "encode")]).add(5);
-        r.gauge("inflight").set(1);
-        let h = r.histogram("latency_ns");
-        h.observe(3); // bucket [2,3]
-        h.observe(3);
-        h.observe(900); // bucket [512,1023]
-        let text = r.to_prometheus();
-        assert!(text.contains("# TYPE requests_total counter"), "{text}");
-        assert!(text.contains("requests_total{op=\"encode\"} 5"), "{text}");
-        assert!(text.contains("# TYPE inflight gauge"), "{text}");
-        assert!(text.contains("inflight 1"), "{text}");
-        assert!(text.contains("# TYPE latency_ns histogram"), "{text}");
-        assert!(text.contains("latency_ns_bucket{le=\"3\"} 2"), "{text}");
-        assert!(text.contains("latency_ns_bucket{le=\"1023\"} 3"), "{text}");
-        assert!(text.contains("latency_ns_bucket{le=\"+Inf\"} 3"), "{text}");
-        assert!(text.contains("latency_ns_sum 906"), "{text}");
-        assert!(text.contains("latency_ns_count 3"), "{text}");
     }
 
     #[test]

@@ -49,8 +49,7 @@ USAGE:
                    [--read-timeout-ms T] [--log-level off|warn|info|debug]
                    [--workers N] [--max-inflight N] [--conn-inflight N]
                    [--max-conns N] [--shutdown-grace-ms T]
-                   [--quiet] [--no-metrics] [--metrics-dump-secs N]
-                   [--no-tracing] [--slow-ms MS]
+                   [--quiet] [--slow-ms MS]
     qnc remote compress   <input.pgm> -o <out.qnc> --addr HOST:PORT
                    [--model <m.qnm>] [--tile N] [--latent D] [--bits B]
                    [--entropy C] [--per-tile-scale] [--no-inline-model]
@@ -82,14 +81,13 @@ the codec server (default addr 127.0.0.1:7733, port 0 = ephemeral;
 --store names the model-zoo directory; each request runs the offline
 codec schedule, its own mesh pass included, on a worker thread;
 --quiet drops the banner, --log-level gates the timestamped stderr
-event lines,
---no-metrics disables telemetry, --metrics-dump-secs prints the
-telemetry snapshot as one JSON line per interval); `remote` runs
+event lines; every server records metrics and traces); `remote` runs
 compress/decompress/info/models/stats against it, with responses
 byte-identical to the offline commands. `remote
 compress --model` uploads the model to the server's zoo first.
 `remote stats` prints the server's telemetry JSON (counters, gauges,
-latency percentiles); --watch repeats it every SECS seconds.
+latency percentiles), the one way to read a running server's metrics;
+--watch repeats it every SECS seconds.
 `compress`/`decompress` --timings print the command's stages flat
 (name=time), --trace the same stages as a span tree: spectral (when
 compress fits its own model) or parse, then prepare, mesh_pass and
@@ -102,7 +100,7 @@ the server's captured traces (recent ring, or the always-keep slow
 buffer with --slow; --id filters to one hex trace id). `serve
 --slow-ms` arms slow capture: requests at or over MS milliseconds are
 kept in the slow buffer and logged as WARN lines with their stage
-breakdown; --no-tracing disables tracing entirely. `eval`
+breakdown. `eval`
 runs the rate-distortion sweep (datasets from the registry and/or a
 --dir of PGMs, grid spec like 'tile=4;d=2,4,8;bits=4,8' or
 smoke/default) with classical baselines at matched rates, prints the
@@ -152,7 +150,6 @@ impl Args {
             "--conn-inflight",
             "--max-conns",
             "--shutdown-grace-ms",
-            "--metrics-dump-secs",
             "--log-level",
             "--slow-ms",
             "--id",
@@ -171,8 +168,6 @@ impl Args {
             "--check",
             "--timings",
             "--quiet",
-            "--no-metrics",
-            "--no-tracing",
             "--trace",
             "--slow",
             "--help",
@@ -539,7 +534,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         Some(s) => qn_serve::LogLevel::parse(s)
             .ok_or_else(|| format!("--log-level takes off|warn|info|debug, got {s:?}"))?,
     };
-    let dump_secs: u64 = args.numeric(&["--metrics-dump-secs"], 0u64)?;
     let config = ServerConfig {
         addr: args.value(&["--addr"]).unwrap_or("127.0.0.1:7733").into(),
         store_dir: args.value(&["--store"]).map(PathBuf::from),
@@ -551,17 +545,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         conn_inflight: args.numeric(&["--conn-inflight"], 8usize)?,
         max_conns: args.numeric(&["--max-conns"], 0usize)?,
         shutdown_grace: Duration::from_millis(args.numeric(&["--shutdown-grace-ms"], 5_000u64)?),
-        metrics: !args.has("--no-metrics"),
         log_level,
-        tracing: !args.has("--no-tracing"),
         slow_threshold: Duration::from_millis(args.numeric(&["--slow-ms"], 0u64)?),
     };
-    if config.slow_threshold > Duration::ZERO && !config.tracing {
-        return Err("--slow-ms needs tracing; drop --no-tracing".into());
-    }
-    if dump_secs > 0 && !config.metrics {
-        return Err("--metrics-dump-secs needs metrics; drop --no-metrics".into());
-    }
     let store = config
         .store_dir
         .as_ref()
@@ -579,33 +565,20 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if !args.has("--quiet") {
         let _ = writeln!(
             stdout,
-            "qn-serve listening on {}\n  backend {}, one mesh pass per request, model store: {store}\n  metrics {}, tracing {}, log level {}",
+            "qn-serve listening on {}\n  backend {}, one mesh pass per request, model store: {store}\n  slow capture {}, log level {}",
             handle.addr(),
             config.backend,
-            if config.metrics { "on" } else { "off" },
-            match (config.tracing, config.slow_threshold.as_millis()) {
-                (false, _) => "off".to_string(),
-                (true, 0) => "on".to_string(),
-                (true, ms) => format!("on (slow >= {ms} ms)"),
+            match config.slow_threshold.as_millis() {
+                0 => "off".to_string(),
+                ms => format!(">= {ms} ms"),
             },
             config.log_level,
         );
         let _ = stdout.flush();
     }
-    // Serve until killed, optionally dumping the telemetry snapshot as
-    // one JSON line per interval.
-    match handle.metrics().filter(|_| dump_secs > 0) {
-        Some(m) => {
-            let m = std::sync::Arc::clone(m);
-            loop {
-                std::thread::sleep(Duration::from_secs(dump_secs));
-                let _ = writeln!(stdout, "{}", m.stats_json());
-                let _ = stdout.flush();
-            }
-        }
-        None => loop {
-            std::thread::sleep(Duration::from_secs(3600));
-        },
+    // Serve until killed; `qnc remote stats` reads the telemetry.
+    loop {
+        std::thread::sleep(Duration::from_secs(3600));
     }
 }
 

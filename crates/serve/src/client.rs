@@ -178,9 +178,7 @@ impl Client {
     }
 
     /// The server's telemetry snapshot as single-line JSON (counters,
-    /// gauges, histogram percentiles, uptime). Servers running with
-    /// metrics disabled answer a typed `BadRequest`; feature-detect via
-    /// the `metrics` field of [`Client::info`].
+    /// gauges, histogram percentiles, uptime).
     ///
     /// # Errors
     /// Transport and remote errors.
@@ -193,9 +191,6 @@ impl Client {
     /// Captured span traces as single-line JSON (parse with
     /// [`qn_trace::parse_traces`]): the recent ring, or the always-keep
     /// slow buffer with `slow`, optionally filtered to one trace id.
-    /// Servers running with tracing disabled answer a typed
-    /// `BadRequest`; feature-detect via the `tracing` field of
-    /// [`Client::info`].
     ///
     /// # Errors
     /// Transport and remote errors.

@@ -26,8 +26,8 @@
 //! - [`client`] — the blocking client used by `qnc remote` and tests;
 //! - [`metrics`] — the server's telemetry catalogue over
 //!   [`qn_metrics`]: per-opcode request/error counters, latency and
-//!   per-stage histograms, zoo hit rates — served over the `STATS`
-//!   RPC;
+//!   per-stage histograms, zoo hit rates — recorded by every server
+//!   and read out over the `STATS` RPC, the one way out;
 //! - [`stages`] — the stage vocabulary and the per-request recorder
 //!   behind histograms, span trees and `qnc --timings` alike;
 //! - [`log`] — leveled, timestamped single-line stderr logging for the
@@ -39,7 +39,8 @@
 //! request's span tree (frame read, queue wait, parse, codec stages
 //! with the mesh pass, reply write) and serves it back over the `TRACE`
 //! RPC. Tracing never changes reply bytes, and an untraced request
-//! records its stages into histograms only.
+//! records its stages into histograms only. Metrics and tracing have
+//! no off switch: `STATS` and `TRACE` answer on every server.
 //!
 //! Responses are **byte-identical** to offline `qnc` runs with the
 //! same model and options: the serve path calls the codec's own

@@ -1,7 +1,7 @@
 //! The server's telemetry surface: every metric the serving stack
-//! records, registered once in a single [`Registry`] and exposed
-//! through the `STATS` RPC, `qnc serve --metrics-dump-secs`, and
-//! `qnc remote stats`.
+//! records, registered once in a single [`Registry`]. Every server
+//! records them, and the `STATS` RPC (`qnc remote stats [--watch]`)
+//! is the one way to read them out of a running server.
 //!
 //! # Metric catalogue
 //!
@@ -20,7 +20,7 @@
 //! | `codec_coded_bytes_total` / `codec_decoded_bytes_total` | counter | `coder` = `rice`/`rice-pos`/`range` |
 //! | `zoo_hits_total` / `zoo_misses_total` / `zoo_inserts_total` | counter | — |
 //! | `zoo_cached_models` | gauge | — |
-//! | `gate_table_cache_hits` / `gate_table_cache_misses` / `gate_table_cache_entries` | gauge | — (process-wide [`qn_backend::table_cache_stats`], synced at exposition) |
+//! | `gate_table_cache_hits` / `gate_table_cache_misses` / `gate_table_cache_entries` | gauge | — (process-wide [`qn_backend::table_cache_stats`], synced on every `STATS` reply) |
 //!
 //! Hot-path handles (per-opcode counters/histograms, per-stage
 //! histograms, per-coder byte counters) are pre-resolved into arrays at
@@ -77,7 +77,7 @@ pub struct ServeMetrics {
     store: StoreMetrics,
     /// Point-in-time mirrors of the process-wide gate-table cache
     /// counters ([`qn_backend::table_cache_stats`]), synced on every
-    /// exposition so they sit next to the zoo hit/miss series.
+    /// `STATS` reply so they sit next to the zoo hit/miss series.
     table_hits: Arc<Gauge>,
     table_misses: Arc<Gauge>,
     table_entries: Arc<Gauge>,
@@ -237,42 +237,29 @@ impl ServeMetrics {
     }
 
     /// Mirror explicit gate-table cache readings into the registry's
-    /// gauges. Split from [`ServeMetrics::sync_gate_table_cache`] so
-    /// tests can pin exposition bytes without depending on the
-    /// process-wide cache state.
+    /// gauges. [`ServeMetrics::stats_json`] feeds it the live readings;
+    /// tests feed it fixed ones to pin the registry bytes without
+    /// depending on the process-wide cache state.
     pub fn set_gate_table_stats(&self, hits: u64, misses: u64, entries: u64) {
         self.table_hits.set(hits as i64);
         self.table_misses.set(misses as i64);
         self.table_entries.set(entries as i64);
     }
 
-    /// Refresh the gate-table cache gauges from the live process-wide
-    /// counters. Called on every exposition — the cache has no
-    /// registry hooks of its own (it predates `qn-metrics`), so its
-    /// counters are sampled rather than streamed.
-    pub fn sync_gate_table_cache(&self) {
-        let s = qn_backend::table_cache_stats();
-        self.set_gate_table_stats(s.hits, s.misses, s.entries as u64);
-    }
-
     /// The `STATS` reply payload: `uptime_secs` spliced ahead of the
     /// registry's byte-stable `counters`/`gauges`/`histograms`
-    /// sections, single line.
+    /// sections, single line. The gate-table cache gauges are sampled
+    /// from the live process-wide counters first — the cache has no
+    /// registry hooks of its own (it predates `qn-metrics`).
     pub fn stats_json(&self) -> String {
-        self.sync_gate_table_cache();
+        let cache = qn_backend::table_cache_stats();
+        self.set_gate_table_stats(cache.hits, cache.misses, cache.entries as u64);
         let registry_json = self.registry.to_json();
         format!(
             "{{\"uptime_secs\":{},{}",
             self.uptime_secs(),
             &registry_json[1..]
         )
-    }
-
-    /// The registry as Prometheus-style text, with the gate-table
-    /// cache gauges freshly synced.
-    pub fn prometheus(&self) -> String {
-        self.sync_gate_table_cache();
-        self.registry.to_prometheus()
     }
 }
 
@@ -392,14 +379,12 @@ mod tests {
         assert!(json.contains("\"gate_table_cache_hits\":10"), "{json}");
         assert!(json.contains("\"gate_table_cache_misses\":3"), "{json}");
         assert!(json.contains("\"gate_table_cache_entries\":2"), "{json}");
-        // The exposition entry points re-sample the live cache (the
-        // exact values race with concurrent tests exercising backends,
-        // so only presence is asserted here — serve_integration pins
-        // the live behaviour).
+        // STATS re-samples the live cache (the exact values race with
+        // concurrent tests exercising backends, so only presence is
+        // asserted here — serve_integration pins the live behaviour).
         let json = m.stats_json();
         assert!(json.contains("\"gate_table_cache_hits\":"), "{json}");
-        let text = m.prometheus();
-        assert!(text.contains("gate_table_cache_entries"), "{text}");
+        assert!(json.contains("\"gate_table_cache_entries\":"), "{json}");
     }
 
     #[test]

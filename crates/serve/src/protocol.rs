@@ -60,15 +60,14 @@
 //! `STATS`: an empty payload; the reply is the server's telemetry
 //! registry as single-line JSON (`uptime_secs` plus the
 //! `counters`/`gauges`/`histograms` sections of
-//! `qn_metrics::Registry::to_json`). Servers running with metrics
-//! disabled answer a typed `BadRequest` — clients feature-detect via
-//! the `metrics` field of the empty-payload `INFO` reply.
+//! `qn_metrics::Registry::to_json`). Every server answers it; the
+//! `metrics` field of the empty-payload `INFO` reply is always `true`,
+//! kept for clients that feature-detect.
 //! `TRACE`: an empty payload returns the recent-trace ring; a 9-byte
 //! payload (`mode u8` — 0 recent, 1 slow — then `trace id u64`, 0 =
 //! unfiltered) selects a buffer and optionally one id. The reply is
-//! `qn_trace::traces_json` bytes. Servers running with tracing off
-//! answer a typed `BadRequest`, feature-detected via the `tracing`
-//! field of the `INFO` reply.
+//! `qn_trace::traces_json` bytes. Every server answers it; the
+//! `tracing` field of the `INFO` reply is always `true`.
 //!
 //! # Trace context (request status bits)
 //!
@@ -118,10 +117,10 @@ pub enum Opcode {
     /// [`ModelEntry`] list — see [`model_list_to_payload`]).
     ListModels = 0x05,
     /// Report the server's telemetry registry as JSON (empty request
-    /// payload; `BadRequest` when the server runs with metrics off).
+    /// payload).
     Stats = 0x06,
     /// Fetch recent or slow request traces as JSON (optionally
-    /// filtered by trace id; `BadRequest` when tracing is off).
+    /// filtered by trace id).
     Trace = 0x07,
     /// Success reply to [`Opcode::Encode`].
     EncodeReply = 0x81,

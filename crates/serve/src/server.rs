@@ -24,6 +24,10 @@
 //! frame read, queue wait, parse, the codec's named stages, reply
 //! write — into the `serve_stage_ns` histograms, and into the span
 //! tree when the request is traced.
+//!
+//! Telemetry has no off switch: every server keeps its
+//! [`ServeMetrics`] and a [`Tracer`], and the `STATS` and `TRACE` RPCs
+//! always answer.
 
 use crate::error::{Result, ServeError};
 use crate::log::{LogLevel, Logger};
@@ -130,25 +134,16 @@ pub struct ServerConfig {
     /// How long shutdown waits for admitted requests to finish writing
     /// their replies before force-closing the remaining connections.
     pub shutdown_grace: Duration,
-    /// Collect and serve telemetry (the `STATS` opcode, request/latency
-    /// counters, per-stage histograms). On by default; `false` makes
-    /// `STATS` answer a typed `BadRequest` and skips every metric
-    /// update (the benchmarked no-op configuration).
-    pub metrics: bool,
     /// Server log verbosity on stderr. The library default is
     /// [`LogLevel::Off`] so embedded servers (tests, benches) stay
     /// silent; the `qnc serve` CLI defaults to `info`.
     pub log_level: LogLevel,
-    /// Record request span traces (the `TRACE` opcode, client `--trace`
-    /// round-trips). On by default; untraced requests pay one branch
-    /// per span site, and a request is only *recorded* when its trace
-    /// context asks for sampling (or slow capture is armed below).
-    /// `false` makes `TRACE` answer a typed `BadRequest`.
-    pub tracing: bool,
     /// Slow-request threshold (`--slow-ms`; zero = off, the default).
-    /// When set, every mesh-bound request is self-traced server-side;
-    /// traces at or over the threshold land in the always-keep slow
-    /// buffer and emit a WARN log line with the stage breakdown.
+    /// A request's spans are recorded when its trace context asks for
+    /// sampling; with a threshold set, every mesh-bound request is
+    /// also self-traced server-side, and traces at or over the
+    /// threshold land in the always-keep slow buffer and emit a WARN
+    /// log line with the stage breakdown.
     pub slow_threshold: Duration,
 }
 
@@ -165,15 +160,14 @@ impl Default for ServerConfig {
             conn_inflight: 8,
             max_conns: 0,
             shutdown_grace: Duration::from_secs(5),
-            metrics: true,
             log_level: LogLevel::Off,
-            tracing: true,
             slow_threshold: Duration::ZERO,
         }
     }
 }
 
-/// Shared server state: the zoo, the configuration and counters.
+/// Shared server state: the zoo, the configuration, counters and
+/// telemetry.
 struct Shared {
     store: ModelStore,
     config: ServerConfig,
@@ -189,13 +183,11 @@ struct Shared {
     /// Wakes the reactor's poll wait: workers after parking a reply,
     /// [`ServerHandle::stop`] after raising `shutdown`.
     waker: Arc<Waker>,
-    /// Telemetry, present unless [`ServerConfig::metrics`] is off.
-    metrics: Option<Arc<ServeMetrics>>,
-    /// Trace sink, present unless [`ServerConfig::tracing`] is off.
-    /// Holding `Some` alone records nothing: a request's spans are
-    /// built only when its context asks for sampling or slow capture
-    /// is armed.
-    tracer: Option<Arc<Tracer>>,
+    /// Telemetry; `STATS` serves its registry.
+    metrics: Arc<ServeMetrics>,
+    /// Trace sink. A request's spans are built only when its context
+    /// asks for sampling or slow capture is armed.
+    tracer: Tracer,
     /// Ids for server-originated (slow-capture) traces.
     self_trace_seq: AtomicU64,
     log: Logger,
@@ -229,11 +221,11 @@ struct MeshInflightGuard {
 }
 
 impl MeshInflightGuard {
-    /// `None` when metrics are off: the gauge is all this guards.
-    fn acquire(shared: &Shared) -> Option<MeshInflightGuard> {
-        let metrics = Arc::clone(shared.metrics.as_ref()?);
-        metrics.inflight().add(1);
-        Some(MeshInflightGuard { metrics })
+    fn acquire(shared: &Shared) -> MeshInflightGuard {
+        shared.metrics.inflight().add(1);
+        MeshInflightGuard {
+            metrics: Arc::clone(&shared.metrics),
+        }
     }
 }
 
@@ -339,18 +331,10 @@ impl ServerHandle {
         self.shared.requests.load(Ordering::Relaxed)
     }
 
-    /// The server's telemetry, unless spawned with
-    /// [`ServerConfig::metrics`] off. Drives `--metrics-dump-secs` and
-    /// lets embedding tests assert on counters directly.
-    pub fn metrics(&self) -> Option<&Arc<ServeMetrics>> {
-        self.shared.metrics.as_ref()
-    }
-
-    /// The server's trace sink, unless spawned with
-    /// [`ServerConfig::tracing`] off. Lets embedding tests assert on
-    /// recorded span trees directly.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.shared.tracer.as_ref()
+    /// The server's telemetry, the registry `STATS` serves. Lets
+    /// embedding tests assert on counters directly.
+    pub fn metrics(&self) -> &Arc<ServeMetrics> {
+        &self.shared.metrics
     }
 
     /// Stop the server: drain in-flight replies (bounded by
@@ -401,18 +385,10 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let wake = WakePipe::new()?;
     let waker = wake.waker();
-    let metrics = config.metrics.then(|| Arc::new(ServeMetrics::new()));
-    let mut store = ModelStore::new(config.store_dir.clone(), config.model_cache)?;
-    if let Some(m) = &metrics {
-        store = store.with_metrics(m.store_metrics());
-    }
-    let tracer = config.tracing.then(|| {
-        let t = Tracer::new(TRACE_RECENT_CAP, TRACE_SLOW_CAP);
-        if config.slow_threshold > Duration::ZERO {
-            t.set_slow_threshold(Some(config.slow_threshold));
-        }
-        Arc::new(t)
-    });
+    let metrics = Arc::new(ServeMetrics::new());
+    let store = ModelStore::new(config.store_dir.clone(), config.model_cache)?
+        .with_metrics(metrics.store_metrics());
+    let tracer = Tracer::new(TRACE_RECENT_CAP, TRACE_SLOW_CAP, config.slow_threshold);
     let worker_count = if config.workers > 0 {
         config.workers
     } else {
@@ -719,10 +695,8 @@ fn accept_burst(shared: &Arc<Shared>, listener: &TcpListener, conns: &mut Vec<Co
             let e = ServeError::Busy(format!(
                 "connection limit reached ({max_conns} open); retry shortly"
             ));
-            if let Some(m) = &shared.metrics {
-                m.record_error(ErrorCode::Busy);
-                m.record_busy();
-            }
+            shared.metrics.record_error(ErrorCode::Busy);
+            shared.metrics.record_busy();
             shared
                 .log
                 .info("busy", format_args!("peer={peer} cause=max_conns"));
@@ -744,9 +718,7 @@ fn accept_burst(shared: &Arc<Shared>, listener: &TcpListener, conns: &mut Vec<Co
                 .warn("accept", format_args!("peer={peer} nonblocking error={e}"));
             continue;
         }
-        if let Some(m) = &shared.metrics {
-            m.connection_opened();
-        }
+        shared.metrics.connection_opened();
         shared.log.info("connect", format_args!("peer={peer}"));
         conns.push(Conn::new(stream, peer));
     }
@@ -801,12 +773,9 @@ fn service_conn(
             ref mut inflight,
             ..
         } = *conn;
-        let metrics = shared.metrics.as_deref();
         let progress = write_queue(stream, wire, |reply| {
             *wire_bytes = wire_bytes.saturating_sub(reply.bytes.len());
-            if let Some(m) = metrics {
-                m.record_frame_out(reply.bytes.len() as u64);
-            }
+            shared.metrics.record_frame_out(reply.bytes.len() as u64);
             if reply.admission.is_some() {
                 *inflight = inflight.saturating_sub(1);
             }
@@ -855,7 +824,7 @@ fn pump_frames(shared: &Arc<Shared>, jobs: &Arc<JobQueue>, conn: &mut Conn, now:
                     conn.deadline = Some(now + shared.config.read_timeout);
                 }
                 if header.mesh_bound() {
-                    conn.mesh_guard = MeshInflightGuard::acquire(shared);
+                    conn.mesh_guard = Some(MeshInflightGuard::acquire(shared));
                 }
                 conn.header = Some(header);
             }
@@ -869,9 +838,7 @@ fn pump_frames(shared: &Arc<Shared>, jobs: &Arc<JobQueue>, conn: &mut Conn, now:
                 // after the replies of every valid frame before it),
                 // then close once it has flushed.
                 conn.abandon_partial_frame();
-                if let Some(m) = &shared.metrics {
-                    m.record_error(e.code());
-                }
+                shared.metrics.record_error(e.code());
                 shared.log.info(
                     "error",
                     format_args!("peer={} code={} detail={e}", conn.peer, e.code().label()),
@@ -904,10 +871,10 @@ fn admit_frame(
 ) {
     shared.requests.fetch_add(1, Ordering::Relaxed);
     let op = Opcode::from_u8(frame.opcode);
-    if let Some(m) = &shared.metrics {
-        m.record_request(op);
-        m.record_frame_in(frame_wire_bytes(frame.payload.len()));
-    }
+    shared.metrics.record_request(op);
+    shared
+        .metrics
+        .record_frame_in(frame_wire_bytes(frame.payload.len()));
     let seq = conn.next_assign;
     conn.next_assign += 1;
     let header_at = conn.header_at.take().unwrap_or(now);
@@ -933,10 +900,8 @@ fn admit_frame(
         // stays usable, and the client sees a typed retryable error.
         drop(mesh_guard);
         let e = ServeError::Busy(cause);
-        if let Some(m) = &shared.metrics {
-            m.record_error(ErrorCode::Busy);
-            m.record_busy();
-        }
+        shared.metrics.record_error(ErrorCode::Busy);
+        shared.metrics.record_busy();
         shared.log.info(
             "busy",
             format_args!(
@@ -947,21 +912,18 @@ fn admit_frame(
             ),
         );
         // A sampled request still leaves a (minimal) trace of the shed.
-        if let Some(tracer) = &shared.tracer {
-            if let Ok((Some(ctx), _)) = TraceContext::strip(frame.status, &frame.payload) {
-                if ctx.sampled {
-                    let mut b = TraceBuilder::with_anchor(
-                        ctx.id,
-                        op.map_or("unknown", Opcode::label),
-                        header_at,
-                    );
-                    b.attr(SpanId::ROOT, "origin", "client");
-                    b.attr(SpanId::ROOT, "shed", "busy");
-                    let read =
-                        b.record(SpanId::ROOT, stages::FRAME_READ, 0, span_ns(header_at, now));
-                    b.attr(read, "bytes", frame_wire_bytes(frame.payload.len()));
-                    tracer.record(b.finish());
-                }
+        if let Ok((Some(ctx), _)) = TraceContext::strip(frame.status, &frame.payload) {
+            if ctx.sampled {
+                let mut b = TraceBuilder::with_anchor(
+                    ctx.id,
+                    op.map_or("unknown", Opcode::label),
+                    header_at,
+                );
+                b.attr(SpanId::ROOT, "origin", "client");
+                b.attr(SpanId::ROOT, "shed", "busy");
+                let read = b.record(SpanId::ROOT, stages::FRAME_READ, 0, span_ns(header_at, now));
+                b.attr(read, "bytes", frame_wire_bytes(frame.payload.len()));
+                shared.tracer.record(b.finish(), |_| {});
             }
         }
         conn.chan.push_reply(
@@ -998,9 +960,7 @@ fn admit_frame(
 fn close_conn(shared: &Arc<Shared>, conn: Conn, cause: &CloseCause) {
     conn.chan.close();
     if let CloseCause::Reaped = cause {
-        if let Some(m) = &shared.metrics {
-            m.record_reap();
-        }
+        shared.metrics.record_reap();
         shared.log.info(
             "reap",
             format_args!(
@@ -1010,9 +970,7 @@ fn close_conn(shared: &Arc<Shared>, conn: Conn, cause: &CloseCause) {
             ),
         );
     }
-    if let Some(m) = &shared.metrics {
-        m.connection_closed();
-    }
+    shared.metrics.connection_closed();
     shared
         .log
         .info("disconnect", format_args!("peer={}", conn.peer));
@@ -1049,26 +1007,21 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
     // request can only land in the slow buffer if its spans were
     // built). Untraced requests still feed the stage histograms.
     let mesh_bound = matches!(op, Some(Opcode::Encode | Opcode::Decode));
-    let trace = match &shared.tracer {
-        Some(_)
-            if trace_ctx.is_some_and(|c| c.sampled)
-                || (mesh_bound && shared.config.slow_threshold > Duration::ZERO) =>
-        {
-            let (id, origin) = match trace_ctx {
-                Some(c) => (c.id, "client"),
-                None => (
-                    SELF_TRACE_ID_BASE | shared.self_trace_seq.fetch_add(1, Ordering::Relaxed),
-                    "slow",
-                ),
-            };
-            let mut b =
-                TraceBuilder::with_anchor(id, op.map_or("unknown", Opcode::label), header_at);
-            b.attr(SpanId::ROOT, "origin", origin);
-            Some(b)
-        }
-        _ => None,
-    };
-    let mut rec = StageRecorder::new(shared.metrics.as_deref().zip(op), trace);
+    let traced = trace_ctx.is_some_and(|c| c.sampled)
+        || (mesh_bound && shared.config.slow_threshold > Duration::ZERO);
+    let trace = traced.then(|| {
+        let (id, origin) = match trace_ctx {
+            Some(c) => (c.id, "client"),
+            None => (
+                SELF_TRACE_ID_BASE | shared.self_trace_seq.fetch_add(1, Ordering::Relaxed),
+                "slow",
+            ),
+        };
+        let mut b = TraceBuilder::with_anchor(id, op.map_or("unknown", Opcode::label), header_at);
+        b.attr(SpanId::ROOT, "origin", origin);
+        b
+    });
+    let mut rec = StageRecorder::new(op.map(|op| (&*shared.metrics, op)), trace);
     let read = rec.record(stages::FRAME_READ, header_at, frame_done_at);
     rec.attr(read, "bytes", frame_wire_bytes(frame.payload.len()));
     rec.record(stages::QUEUE_WAIT, frame_done_at, picked_up);
@@ -1082,9 +1035,7 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
     let reply = match outcome {
         Ok((op, payload)) => Frame::reply(op, request_id, payload),
         Err(e) => {
-            if let Some(m) = &shared.metrics {
-                m.record_error(e.code());
-            }
+            shared.metrics.record_error(e.code());
             shared.log.info(
                 "error",
                 format_args!("peer={peer} code={} detail={e}", e.code().label()),
@@ -1113,10 +1064,7 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
     // that sends TRACE right after receiving this reply on the same
     // connection is guaranteed to find its trace.
     if let Some(trace) = rec.finish() {
-        let slow = shared.config.slow_threshold;
-        if slow > Duration::ZERO
-            && trace.duration_ns() >= u64::try_from(slow.as_nanos()).unwrap_or(u64::MAX)
-        {
+        shared.tracer.record(trace, |trace| {
             shared.log.warn(
                 "slow",
                 format_args!(
@@ -1124,18 +1072,13 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
                     trace.id_hex(),
                     trace.name(),
                     fmt_ns(trace.duration_ns()),
-                    stages::flat(&trace),
+                    stages::flat(trace),
                 ),
             );
-        }
-        if let Some(tracer) = &shared.tracer {
-            tracer.record(trace);
-        }
+        });
     }
     let latency_ns = span_ns(frame_done_at, Instant::now());
-    if let Some(m) = &shared.metrics {
-        m.record_latency(op, latency_ns);
-    }
+    shared.metrics.record_latency(op, latency_ns);
     shared.log.debug(
         "request",
         format_args!(
@@ -1199,12 +1142,7 @@ fn dispatch(
                     payload.len()
                 )));
             }
-            let m = shared.metrics.as_ref().ok_or_else(|| {
-                ServeError::BadRequest(
-                    "metrics are disabled on this server (started with --no-metrics)".into(),
-                )
-            })?;
-            Ok((Opcode::Stats, m.stats_json().into_bytes()))
+            Ok((Opcode::Stats, shared.metrics.stats_json().into_bytes()))
         }
         Some(Opcode::Trace) => handle_trace(shared, payload),
         _ => Err(ServeError::BadRequest(format!(
@@ -1216,13 +1154,12 @@ fn dispatch(
 /// The `TRACE` RPC: recent or slow captured traces as JSON, optionally
 /// filtered to one id.
 fn handle_trace(shared: &Shared, payload: &[u8]) -> Result<(Opcode, Vec<u8>)> {
-    let tracer = shared.tracer.as_ref().ok_or_else(|| {
-        ServeError::BadRequest(
-            "tracing is disabled on this server (started with --no-tracing)".into(),
-        )
-    })?;
     let (slow, id) = parse_trace_request(payload)?;
-    let mut traces = if slow { tracer.slow() } else { tracer.recent() };
+    let mut traces = if slow {
+        shared.tracer.slow()
+    } else {
+        shared.tracer.recent()
+    };
     if let Some(id) = id {
         traces.retain(|t| t.id == id);
     }
@@ -1251,9 +1188,9 @@ fn handle_encode(
         entropy: req.entropy,
     };
     let (bytes, _) = rec.encode(&codec, &req.image, &opts)?;
-    if let Some(m) = &shared.metrics {
-        m.record_coded_bytes(req.entropy, bytes.len() as u64);
-    }
+    shared
+        .metrics
+        .record_coded_bytes(req.entropy, bytes.len() as u64);
     Ok((Opcode::Encode, bytes))
 }
 
@@ -1308,10 +1245,10 @@ fn handle_decode(
         shared.store.get(container.header.model_id)?
     };
     let img = rec.decode(&codec, &container, shared.config.backend)?;
-    if let Some(m) = &shared.metrics {
-        if let Ok(coder) = container.header.entropy() {
-            m.record_decoded_bytes(coder, payload.len() as u64);
-        }
+    if let Ok(coder) = container.header.entropy() {
+        shared
+            .metrics
+            .record_decoded_bytes(coder, payload.len() as u64);
     }
     Ok((Opcode::Decode, image_to_payload(&img)))
 }
@@ -1330,6 +1267,8 @@ fn handle_info(shared: &Shared, payload: &[u8]) -> Result<(Opcode, Vec<u8>)> {
 }
 
 /// Server status as single-line JSON (the empty-payload `INFO` reply).
+/// `metrics` and `tracing` are always `true`: protocol-v1 clients
+/// feature-detect `STATS` and `TRACE` through them.
 fn server_info_json(shared: &Shared) -> String {
     let store_dir = match shared.store.dir() {
         Some(d) => format!(
@@ -1343,16 +1282,14 @@ fn server_info_json(shared: &Shared) -> String {
     };
     format!(
         "{{\"format\":\"qn-serve\",\"protocol_version\":{PROTOCOL_VERSION},\
-         \"server_version\":\"{}\",\"uptime_secs\":{},\"metrics\":{},\
-         \"tracing\":{},\"slow_ms\":{},\
+         \"server_version\":\"{}\",\"uptime_secs\":{},\"metrics\":true,\
+         \"tracing\":true,\"slow_ms\":{},\
          \"backend\":\"{}\",\"read_timeout_ms\":{},\
          \"workers\":{},\"max_inflight\":{},\"conn_inflight\":{},\"max_conns\":{},\
          \"models_cached\":{},\"store_dir\":{store_dir},\
          \"requests_served\":{}}}",
         env!("CARGO_PKG_VERSION"),
         shared.started.elapsed().as_secs(),
-        shared.metrics.is_some(),
-        shared.tracer.is_some(),
         shared.config.slow_threshold.as_millis(),
         shared.config.backend,
         shared.config.read_timeout.as_millis(),

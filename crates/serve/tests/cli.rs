@@ -278,7 +278,9 @@ fn entropy_coders_are_selectable_and_decode_identically() {
 /// `--backend` selects the execution schedule without changing a single
 /// byte: `scalar` and `simd` compress to the same container, and each
 /// decodes the other's container to the identical image. Unknown
-/// backend names, `--serial` and `serve --batch-tiles` fail cleanly.
+/// backend names, `--serial` and the removed `serve` flags
+/// (`--batch-tiles`, `--no-metrics`, `--no-tracing`,
+/// `--metrics-dump-secs`) fail cleanly.
 #[test]
 fn backends_are_byte_compatible_end_to_end() {
     let dir = work_dir("backends");
@@ -368,29 +370,39 @@ fn backends_are_byte_compatible_end_to_end() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // Nor is `--batch-tiles`: a served request runs its own mesh pass.
-    // A server that accepted it would serve forever, so give it a few
-    // seconds to exit.
-    let mut serve = qnc()
-        .args(["serve", "--addr", "127.0.0.1:0", "--batch-tiles", "1"])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn qnc");
-    for _ in 0..500 {
-        if serve.try_wait().unwrap().is_some() {
-            break;
+    // Nor are the removed `serve` flags: a served request runs its own
+    // mesh pass (`--batch-tiles`), and telemetry has no off switch and
+    // one way out, the STATS RPC. A server that accepted one would
+    // serve forever, so give it a few seconds to exit.
+    for extra in [
+        &["--batch-tiles", "1"][..],
+        &["--no-metrics"],
+        &["--no-tracing"],
+        &["--metrics-dump-secs", "1"],
+    ] {
+        let mut serve = qnc()
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(extra)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn qnc");
+        for _ in 0..500 {
+            if serve.try_wait().unwrap().is_some() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        let _ = serve.kill();
+        let out = serve.wait_with_output().unwrap();
+        let flag = extra[0];
+        assert!(!out.status.success(), "{flag} must be rejected");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown flag {flag}")),
+            "{flag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
-    let _ = serve.kill();
-    let out = serve.wait_with_output().unwrap();
-    assert!(!out.status.success(), "--batch-tiles must be rejected");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown flag --batch-tiles"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
 
 #[test]

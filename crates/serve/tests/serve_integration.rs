@@ -172,7 +172,7 @@ fn sixteen_concurrent_clients_round_trip_byte_identically() {
 }
 
 #[test]
-fn solo_requests_flush_adaptively_well_under_the_deadline() {
+fn solo_requests_answer_well_under_a_second() {
     // A solo request runs its own mesh pass inline on its worker: there
     // is nothing to wait for. Its own work takes milliseconds, so only
     // waiting on something else could take it past a second.
@@ -208,7 +208,7 @@ fn solo_requests_flush_adaptively_well_under_the_deadline() {
 }
 
 #[test]
-fn overlapping_closed_loop_clients_never_pay_the_full_deadline() {
+fn overlapping_closed_loop_clients_never_wait_on_each_other() {
     // Two clients in a closed loop (each sends its next request as
     // soon as its reply lands), both encoding the same image, so their
     // spectral models coincide. Each request runs its own mesh pass on
@@ -313,7 +313,7 @@ fn every_entropy_coder_round_trips_byte_identically_over_the_wire() {
 }
 
 #[test]
-fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
+fn stalled_mid_frame_peer_is_reaped_and_releases_its_inflight_unit() {
     // A peer that sends an ENCODE frame header and then stalls (or
     // drips bytes) must be reaped by the read timeout, releasing its
     // in-flight gauge unit, and must never slow anyone else down:
@@ -328,7 +328,7 @@ fn stalled_mid_frame_peer_is_reaped_and_releases_the_eager_flush() {
         ..ServerConfig::default()
     })
     .unwrap();
-    let metrics = std::sync::Arc::clone(server.metrics().expect("metrics on"));
+    let metrics = std::sync::Arc::clone(server.metrics());
 
     // The stalling peer: a full 16-byte ENCODE header promising a
     // 4096-byte payload that never comes.
@@ -502,7 +502,7 @@ fn info_replies_share_the_cli_json() {
 }
 
 #[test]
-fn per_request_dispatch_servers_answer_the_same_bytes() {
+fn scalar_backend_servers_answer_the_same_bytes() {
     // The scalar backend: responses must still be byte-identical —
     // the backend is never observable.
     let server = spawn(ServerConfig {
@@ -557,41 +557,6 @@ fn stats_rejects_non_empty_payloads_with_a_typed_error() {
     }
     // The connection survives a request-level error.
     assert!(client.stats().unwrap().starts_with("{\"uptime_secs\":"));
-}
-
-#[test]
-fn metrics_disabled_servers_say_so_and_reject_stats() {
-    let server = spawn(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        metrics: false,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    assert!(server.metrics().is_none());
-    let mut client = Client::connect(server.addr()).unwrap();
-    // Feature detection: INFO carries metrics:false ...
-    let status = client.info(None).unwrap();
-    assert!(status.contains("\"metrics\":false"), "{status}");
-    assert!(status.contains("\"uptime_secs\":"), "{status}");
-    assert!(status.contains("\"server_version\":\""), "{status}");
-    // ... and STATS answers a typed BadRequest, not a close.
-    match client.stats().expect_err("STATS must fail without metrics") {
-        qn_serve::ServeError::Remote { code, message } => {
-            assert_eq!(code, qn_serve::ErrorCode::BadRequest as u16, "{message}");
-        }
-        other => panic!("expected a remote BadRequest, got {other}"),
-    }
-    // Disabled metrics never perturb the bytes either.
-    let img = datasets::grayscale_blobs(1, 16, 16, 21).remove(0);
-    let opts = CodecOptions::default();
-    let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
-    let offline = codec.encode_image(&img, &opts).unwrap();
-    assert_eq!(
-        client
-            .encode(&spectral_encode_request(&img, &opts, 8))
-            .unwrap(),
-        offline
-    );
 }
 
 #[test]
@@ -687,11 +652,7 @@ fn stats_counts_match_a_client_side_tally_under_sixteen_clients() {
     assert_eq!(stat_int(&json, "serve_inflight_requests"), 0);
 
     // The handle exposes the same registry the wire serves.
-    let handle_json = server
-        .metrics()
-        .expect("metrics on by default")
-        .registry()
-        .to_json();
+    let handle_json = server.metrics().registry().to_json();
     assert_eq!(
         stat_int(&handle_json, "serve_requests_total{op=encode}"),
         enc

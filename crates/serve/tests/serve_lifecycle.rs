@@ -98,7 +98,7 @@ fn connection_held_mid_frame_cannot_stall_shutdown() {
         ..ServerConfig::default()
     })
     .expect("spawn server");
-    let metrics = Arc::clone(server.metrics().expect("metrics on"));
+    let metrics = Arc::clone(server.metrics());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -152,7 +152,7 @@ fn read_deadline_never_leaks_into_the_next_frame() {
         ..ServerConfig::default()
     })
     .expect("spawn server");
-    let metrics = Arc::clone(server.metrics().expect("metrics on"));
+    let metrics = Arc::clone(server.metrics());
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))

@@ -1,7 +1,8 @@
 //! Tracing suite: wire-propagated trace context, the TRACE RPC, slow
-//! capture, and the two invariants the subsystem stands on —
-//! **tracing never perturbs encoded bytes**, and telemetry polls
-//! (STATS/TRACE) never interfere with in-flight encodes.
+//! capture, the metric catalogue golden, and telemetry polls
+//! (STATS/TRACE) never interfering with in-flight encodes. That
+//! tracing never perturbs encoded bytes is pinned in the root
+//! `tests/stage_vocabulary.rs`.
 
 use qn_codec::{Codec, CodecOptions};
 use qn_image::datasets;
@@ -99,41 +100,6 @@ fn traced_encode_round_trip_returns_a_well_formed_span_tree() {
 }
 
 #[test]
-fn tracing_never_perturbs_encoded_bytes() {
-    let img = datasets::grayscale_blobs(1, 32, 32, 7).remove(0);
-    let opts = CodecOptions::default();
-    let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
-    let offline = codec.encode_image(&img, &opts).unwrap();
-    let req = spectral_encode_request(&img, &opts, 8);
-    let ctx = TraceContext {
-        id: 0x1dea,
-        sampled: true,
-    };
-
-    let server = boot(ServerConfig::default());
-    let mut client = Client::connect(server.addr()).unwrap();
-    let untraced = client.encode(&req).unwrap();
-    let traced = client.encode_traced(&req, ctx).unwrap();
-    assert_eq!(untraced, offline, "untraced remote matches offline");
-    assert_eq!(traced, offline, "tracing must not change a single byte");
-
-    // Same request against a tracing-disabled server: the context is
-    // stripped and ignored, bytes still identical.
-    let quiet = boot(ServerConfig {
-        tracing: false,
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(quiet.addr()).unwrap();
-    assert_eq!(client.encode_traced(&req, ctx).unwrap(), offline);
-
-    // Traced decodes return the same pixels as untraced ones.
-    let mut client = Client::connect(server.addr()).unwrap();
-    let plain = client.decode(&offline).unwrap();
-    let traced = client.decode_traced(&offline, ctx).unwrap();
-    assert_eq!(plain, traced);
-}
-
-#[test]
 fn slow_capture_self_traces_untraced_requests() {
     // A 1 ns threshold makes every request slow; clients send no trace
     // context at all, so every captured trace is server-originated.
@@ -167,24 +133,18 @@ fn slow_capture_self_traces_untraced_requests() {
 }
 
 #[test]
-fn disabled_tracing_answers_typed_errors_and_info_advertises_it() {
-    let quiet = boot(ServerConfig {
-        tracing: false,
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(quiet.addr()).unwrap();
-    let err = client.trace(false, None).unwrap_err();
-    assert!(
-        err.to_string().contains("tracing is disabled"),
-        "got: {err}"
-    );
-    assert!(client.info(None).unwrap().contains("\"tracing\":false"));
-
-    let live = boot(ServerConfig::default());
-    let mut client = Client::connect(live.addr()).unwrap();
+fn every_server_answers_stats_and_trace_and_info_advertises_both() {
+    let server = boot(ServerConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    // Protocol-v1 clients feature-detect STATS and TRACE through INFO.
     let info = client.info(None).unwrap();
-    assert!(info.contains("\"tracing\":true"), "{info}");
-    assert!(info.contains("\"slow_ms\":0"), "{info}");
+    assert!(
+        info.contains("\"metrics\":true,\"tracing\":true,\"slow_ms\":0"),
+        "{info}"
+    );
+    assert!(info.contains("\"uptime_secs\":"), "{info}");
+    assert!(info.contains("\"server_version\":\""), "{info}");
+    assert!(client.stats().unwrap().starts_with("{\"uptime_secs\":"));
     // An empty recent ring is a well-formed empty reply, not an error.
     assert!(parse_traces(&client.trace(false, None).unwrap())
         .unwrap()
@@ -258,12 +218,13 @@ fn concurrent_stats_and_trace_polls_never_skew_inflight_or_deadlock() {
     assert!(recent.len() >= 18, "all traced encodes captured");
 }
 
-/// Golden test: the Prometheus exposition of a deterministic metrics
-/// state, byte for byte. Regenerate with `QN_BLESS=1 cargo test -p
-/// qn-serve --test serve_tracing prometheus` after intentional
-/// catalogue changes.
+/// Golden test: the metric catalogue — every series name, label set
+/// and histogram summary of a deterministic metrics state, as the
+/// registry's JSON, byte for byte. Regenerate with `QN_BLESS=1 cargo
+/// test -p qn-serve --test serve_tracing metric_catalogue` after
+/// intentional catalogue changes.
 #[test]
-fn prometheus_exposition_matches_golden_bytes() {
+fn metric_catalogue_json_matches_golden_bytes() {
     use qn_codec::EntropyCoder;
     use qn_serve::{Opcode, ServeMetrics};
 
@@ -284,14 +245,19 @@ fn prometheus_exposition_matches_golden_bytes() {
         m.record_stage(Opcode::Encode, stage, ns);
     }
     m.record_latency(Some(Opcode::Encode), 50_000);
+    // Six decode latencies over five buckets, two sharing one, so the
+    // pinned percentiles depend on bucket placement and interpolation.
+    for ns in [700, 3_000, 40_000, 50_000, 90_000, 2_000_000] {
+        m.record_latency(Some(Opcode::Decode), ns);
+    }
     m.set_gate_table_stats(7, 2, 1);
-    // registry().to_prometheus() skips the live gate-table re-sync the
-    // prometheus() entry point performs, keeping the bytes pinnable.
-    let actual = m.registry().to_prometheus();
+    // registry().to_json() skips the live gate-table re-sync and the
+    // uptime prefix of stats_json(), keeping the bytes pinnable.
+    let actual = m.registry().to_json();
 
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/prometheus_exposition.txt"
+        "/tests/golden/metric_catalogue.json"
     );
     if std::env::var_os("QN_BLESS").is_some() {
         std::fs::write(path, &actual).expect("bless golden");
@@ -299,7 +265,7 @@ fn prometheus_exposition_matches_golden_bytes() {
     let expected = std::fs::read_to_string(path).expect("golden file (bless with QN_BLESS=1)");
     assert_eq!(
         actual, expected,
-        "Prometheus exposition drifted from the golden bytes; \
+        "the metric catalogue drifted from the golden bytes; \
          bless with QN_BLESS=1 if the change is intentional"
     );
 }

@@ -15,18 +15,21 @@
 //!   value — no thread-locals, no global propagation machinery. The
 //!   instrumented path threads `Option<TraceBuilder>` along; untraced
 //!   requests pay one branch per span site and nothing else.
-//! - **Relative time.** Spans store nanosecond offsets from the trace
-//!   anchor (an [`Instant`] captured when the request's first header
-//!   byte arrived), so a rendered trace is self-contained and
-//!   wall-clock-free. Retroactive spans ([`TraceBuilder::record`])
-//!   splice in stage timings measured elsewhere — e.g. the codec's
-//!   named stage list (prepare, mesh pass, quantize, entropy) —
-//!   without nesting closures through the pipeline.
+//! - **Relative time, closed spans.** Spans store nanosecond offsets
+//!   from the trace anchor (an [`Instant`] captured when the request's
+//!   first header byte arrived), so a rendered trace is
+//!   self-contained and wall-clock-free. Every span is recorded whole
+//!   ([`TraceBuilder::record`]) from timings measured by the caller —
+//!   e.g. the codec's named stage list (prepare, mesh pass, quantize,
+//!   entropy) — so no span is ever left open; only the root closes, at
+//!   [`TraceBuilder::finish`].
 //! - **Recent ring + slow keep.** The [`Tracer`] sink holds two
 //!   fixed-capacity buffers: a ring of the most recent completed
 //!   traces, and a separate buffer that only admits traces whose root
-//!   duration meets a slow threshold — so one burst of fast traffic
-//!   cannot evict the slow outlier you are hunting.
+//!   duration meets the slow threshold fixed at construction — so one
+//!   burst of fast traffic cannot evict the slow outlier you are
+//!   hunting. The same comparison hands a slow trace to the caller's
+//!   slow hook (the server's WARN line).
 //! - **Byte-stable JSON.** [`traces_json`] emits a single line with a
 //!   fixed field order and integer-only numbers, so identical traces
 //!   serialise to identical bytes; [`parse_traces`] reads exactly that
@@ -40,7 +43,6 @@
 
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -54,11 +56,6 @@ pub struct SpanId(usize);
 impl SpanId {
     /// The root span of any trace.
     pub const ROOT: SpanId = SpanId(0);
-
-    /// The span's index into [`Trace::spans`].
-    pub fn index(self) -> usize {
-        self.0
-    }
 }
 
 /// One timed, named region of a trace. `start_ns`/`end_ns` are offsets
@@ -141,22 +138,16 @@ impl Trace {
     }
 }
 
-/// In-progress trace: spans open, end, gain attributes, and the whole
-/// tree is sealed with [`TraceBuilder::finish`].
+/// In-progress trace: closed spans are recorded and gain attributes,
+/// and the root closes when the tree is sealed with
+/// [`TraceBuilder::finish`].
 #[derive(Debug)]
 pub struct TraceBuilder {
     id: u64,
     anchor: Instant,
-    spans: Vec<BuildSpan>,
-}
-
-#[derive(Debug)]
-struct BuildSpan {
-    name: String,
-    parent: Option<usize>,
-    start_ns: u64,
-    end_ns: Option<u64>,
-    attrs: Vec<(String, String)>,
+    /// The tree so far, root first; the root's `end_ns` is set at
+    /// [`TraceBuilder::finish`].
+    spans: Vec<Span>,
 }
 
 impl TraceBuilder {
@@ -172,19 +163,14 @@ impl TraceBuilder {
         TraceBuilder {
             id,
             anchor,
-            spans: vec![BuildSpan {
+            spans: vec![Span {
                 name: name.to_string(),
                 parent: None,
                 start_ns: 0,
-                end_ns: None,
+                end_ns: 0,
                 attrs: Vec::new(),
             }],
         }
-    }
-
-    /// The trace id.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Nanoseconds from the trace anchor to `at` (0 for instants
@@ -193,25 +179,22 @@ impl TraceBuilder {
         u64::try_from(at.saturating_duration_since(self.anchor).as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Open a child span of `parent` starting now.
-    pub fn begin(&mut self, parent: SpanId, name: &str) -> SpanId {
-        let start = self.offset_ns(Instant::now());
-        self.push(parent, name, start, None)
-    }
-
-    /// Close span `id` now. Closing an already-closed span keeps the
-    /// first end time.
-    pub fn end(&mut self, id: SpanId) {
-        let now = self.offset_ns(Instant::now());
-        let span = &mut self.spans[id.0];
-        span.end_ns.get_or_insert(now);
-    }
-
-    /// Splice in a span measured elsewhere, with explicit anchor
-    /// offsets. Used to attach pre-measured stage timings (e.g. the
-    /// codec's named stage list) without re-timing them.
+    /// Record a child span of `parent` measured elsewhere, with
+    /// explicit anchor offsets (e.g. one entry of the codec's named
+    /// stage list).
+    ///
+    /// # Panics
+    /// If `parent` was not issued by this builder.
     pub fn record(&mut self, parent: SpanId, name: &str, start_ns: u64, end_ns: u64) -> SpanId {
-        self.push(parent, name, start_ns, Some(end_ns))
+        assert!(parent.0 < self.spans.len(), "parent span out of range");
+        self.spans.push(Span {
+            name: name.to_string(),
+            parent: Some(parent.0),
+            start_ns,
+            end_ns,
+            attrs: Vec::new(),
+        });
+        SpanId(self.spans.len() - 1)
     }
 
     /// Attach a `key=value` attribute to span `id`.
@@ -221,35 +204,13 @@ impl TraceBuilder {
             .push((key.to_string(), value.to_string()));
     }
 
-    /// Seal the trace: the root and any still-open span close now.
+    /// Seal the trace: the root closes now.
     pub fn finish(mut self) -> Trace {
-        let now = self.offset_ns(Instant::now());
+        self.spans[0].end_ns = self.offset_ns(Instant::now());
         Trace {
             id: self.id,
-            spans: self
-                .spans
-                .drain(..)
-                .map(|s| Span {
-                    name: s.name,
-                    parent: s.parent,
-                    start_ns: s.start_ns,
-                    end_ns: s.end_ns.unwrap_or(now),
-                    attrs: s.attrs,
-                })
-                .collect(),
+            spans: self.spans,
         }
-    }
-
-    fn push(&mut self, parent: SpanId, name: &str, start_ns: u64, end_ns: Option<u64>) -> SpanId {
-        assert!(parent.0 < self.spans.len(), "parent span out of range");
-        self.spans.push(BuildSpan {
-            name: name.to_string(),
-            parent: Some(parent.0),
-            start_ns,
-            end_ns,
-            attrs: Vec::new(),
-        });
-        SpanId(self.spans.len() - 1)
     }
 }
 
@@ -261,7 +222,7 @@ pub struct Tracer {
     recent_cap: usize,
     slow_cap: usize,
     /// Slow threshold in nanoseconds; 0 disables slow capture.
-    slow_threshold_ns: AtomicU64,
+    slow_threshold_ns: u64,
     buffers: Mutex<Buffers>,
 }
 
@@ -273,36 +234,30 @@ struct Buffers {
 
 impl Tracer {
     /// A tracer keeping up to `recent_cap` recent traces and
-    /// `slow_cap` slow traces. Slow capture starts disabled.
-    pub fn new(recent_cap: usize, slow_cap: usize) -> Tracer {
+    /// `slow_cap` traces whose root lasts at least `slow_threshold`
+    /// (`Duration::ZERO` disables slow capture).
+    pub fn new(recent_cap: usize, slow_cap: usize, slow_threshold: Duration) -> Tracer {
         Tracer {
             recent_cap: recent_cap.max(1),
             slow_cap: slow_cap.max(1),
-            slow_threshold_ns: AtomicU64::new(0),
+            slow_threshold_ns: u64::try_from(slow_threshold.as_nanos()).unwrap_or(u64::MAX),
             buffers: Mutex::new(Buffers::default()),
         }
     }
 
-    /// Set the slow threshold; `None` disables slow capture.
-    pub fn set_slow_threshold(&self, threshold: Option<Duration>) {
-        let ns = threshold.map_or(0, |d| d.as_nanos().min(u128::from(u64::MAX)) as u64);
-        self.slow_threshold_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// The slow threshold in nanoseconds (0 = disabled).
-    pub fn slow_threshold_ns(&self) -> u64 {
-        self.slow_threshold_ns.load(Ordering::Relaxed)
-    }
-
-    /// Record a completed trace: always into the recent ring (evicting
-    /// the oldest when full), and additionally into the slow buffer
-    /// when slow capture is on and the root duration meets the
-    /// threshold. The slow buffer is its own ring — fast traffic never
-    /// evicts a slow trace; only a newer slow trace does.
-    pub fn record(&self, trace: Trace) {
-        let threshold = self.slow_threshold_ns();
+    /// Record a completed trace into the recent ring (evicting the
+    /// oldest when full). A trace whose root meets the slow threshold
+    /// is first handed to `on_slow`, then also kept in the slow buffer:
+    /// one comparison decides both. The slow buffer is its own ring —
+    /// fast traffic never evicts a slow trace; only a newer slow trace
+    /// does.
+    pub fn record(&self, trace: Trace, on_slow: impl FnOnce(&Trace)) {
+        let slow = self.slow_threshold_ns > 0 && trace.duration_ns() >= self.slow_threshold_ns;
+        if slow {
+            on_slow(&trace);
+        }
         let mut buf = self.buffers.lock().unwrap();
-        if threshold > 0 && trace.duration_ns() >= threshold {
+        if slow {
             if buf.slow.len() == self.slow_cap {
                 buf.slow.pop_front();
             }
@@ -328,18 +283,6 @@ impl Tracer {
     /// Snapshot the slow buffer, oldest first.
     pub fn slow(&self) -> Vec<Trace> {
         self.buffers.lock().unwrap().slow.iter().cloned().collect()
-    }
-
-    /// Find the newest trace with `id`, searching the recent ring
-    /// first, then the slow buffer.
-    pub fn find(&self, id: u64) -> Option<Trace> {
-        let buf = self.buffers.lock().unwrap();
-        buf.recent
-            .iter()
-            .rev()
-            .find(|t| t.id == id)
-            .or_else(|| buf.slow.iter().rev().find(|t| t.id == id))
-            .cloned()
     }
 }
 
@@ -762,29 +705,24 @@ mod tests {
     #[test]
     fn builder_produces_a_well_formed_tree() {
         let mut tb = TraceBuilder::new(7, "encode");
-        let read = tb.begin(SpanId::ROOT, "read");
-        tb.end(read);
-        let wait = tb.begin(SpanId::ROOT, "wait");
+        let read = tb.record(SpanId::ROOT, "read", 0, 10);
+        let wait = tb.record(SpanId::ROOT, "wait", 10, 40);
         tb.attr(wait, "cause", "full");
-        let mesh = tb.begin(wait, "mesh");
-        tb.end(mesh);
-        tb.end(wait);
+        let mesh = tb.record(wait, "mesh", 20, 30);
         tb.attr(SpanId::ROOT, "tiles", 4);
         let t = tb.finish();
         assert_eq!(t.id, 7);
         assert_eq!(t.name(), "encode");
         assert_eq!(t.spans.len(), 4);
+        assert_eq!((read, wait, mesh), (SpanId(1), SpanId(2), SpanId(3)));
         assert_eq!(t.children(0), vec![1, 2]);
         assert_eq!(t.children(2), vec![3]);
         assert_eq!(t.span("wait").unwrap().attr("cause"), Some("full"));
         assert_eq!(t.spans[0].attr("tiles"), Some("4"));
-        // Monotonic offsets: every span starts no earlier than its
-        // parent and ends no later than the root's end.
-        for s in &t.spans[1..] {
-            let p = &t.spans[s.parent.unwrap()];
-            assert!(s.start_ns >= p.start_ns);
-            assert!(s.end_ns <= t.spans[0].end_ns);
-        }
+        // Spans keep the offsets they were recorded with.
+        let (wait, mesh) = (&t.spans[2], &t.spans[3]);
+        assert_eq!((wait.start_ns, wait.end_ns), (10, 40));
+        assert_eq!((mesh.start_ns, mesh.end_ns), (20, 30));
     }
 
     #[test]
@@ -801,17 +739,6 @@ mod tests {
         // The root closed at finish(): at or after the retro span's
         // recorded offsets were plausible, and ≥ 0 in any case.
         assert!(t.duration_ns() > 0);
-    }
-
-    #[test]
-    fn double_end_keeps_the_first_end_time() {
-        let mut tb = TraceBuilder::new(1, "t");
-        let s = tb.begin(SpanId::ROOT, "x");
-        tb.end(s);
-        let first = tb.spans[s.index()].end_ns;
-        thread::sleep(Duration::from_millis(1));
-        tb.end(s);
-        assert_eq!(tb.spans[s.index()].end_ns, first);
     }
 
     #[test]
@@ -877,58 +804,53 @@ mod tests {
 
     #[test]
     fn tracer_ring_evicts_oldest_recent() {
-        let tracer = Tracer::new(3, 2);
+        let tracer = Tracer::new(3, 2, Duration::ZERO);
         for id in 0..5u64 {
-            tracer.record(fixture(id));
+            tracer.record(fixture(id), |t| panic!("{} is not slow", t.id));
         }
         let ids: Vec<u64> = tracer.recent().iter().map(|t| t.id).collect();
-        assert_eq!(ids, vec![2, 3, 4]);
-        assert!(tracer.slow().is_empty(), "slow capture starts disabled");
-        assert_eq!(tracer.find(3).unwrap().id, 3);
-        assert!(tracer.find(0).is_none(), "evicted traces are gone");
+        assert_eq!(ids, vec![2, 3, 4], "evicted traces are gone");
+        assert!(
+            tracer.slow().is_empty(),
+            "a zero threshold captures nothing"
+        );
     }
 
     #[test]
     fn slow_buffer_keeps_slow_traces_across_fast_bursts() {
-        let tracer = Tracer::new(2, 4);
-        tracer.set_slow_threshold(Some(Duration::from_nanos(1_000)));
+        let tracer = Tracer::new(2, 4, Duration::from_nanos(1_000));
+        let mut flagged = Vec::new();
         let mut slow = fixture(0xabc);
         slow.spans[0].end_ns = 5_000; // 5µs root: over threshold
-        tracer.record(slow);
+        tracer.record(slow, |t| flagged.push(t.id));
         // A burst of fast traces (900ns roots, under threshold)
         // evicts it from the recent ring...
         for id in 1..=4u64 {
-            tracer.record(fixture(id));
+            tracer.record(fixture(id), |t| flagged.push(t.id));
         }
         let recent: Vec<u64> = tracer.recent().iter().map(|t| t.id).collect();
         assert_eq!(recent, vec![3, 4]);
         // ...but the slow buffer still has it.
         let slow_ids: Vec<u64> = tracer.slow().iter().map(|t| t.id).collect();
         assert_eq!(slow_ids, vec![0xabc]);
-        assert_eq!(tracer.find(0xabc).unwrap().id, 0xabc);
         // An exactly-at-threshold trace counts as slow.
         let mut edge = fixture(0xedbe);
         edge.spans[0].end_ns = 1_000;
-        tracer.record(edge);
+        tracer.record(edge, |t| flagged.push(t.id));
         assert_eq!(tracer.slow().len(), 2);
-        // Disabling the threshold stops new slow captures.
-        tracer.set_slow_threshold(None);
-        let mut late = fixture(9);
-        late.spans[0].end_ns = 9_000;
-        tracer.record(late);
-        assert_eq!(tracer.slow().len(), 2);
+        // The slow hook saw exactly the traces the slow buffer kept.
+        assert_eq!(flagged, vec![0xabc, 0xedbe]);
     }
 
     #[test]
     fn concurrent_recording_is_safe() {
-        let tracer = Arc::new(Tracer::new(64, 8));
-        tracer.set_slow_threshold(Some(Duration::from_nanos(1)));
+        let tracer = Arc::new(Tracer::new(64, 8, Duration::from_nanos(1)));
         let handles: Vec<_> = (0..8)
             .map(|t| {
                 let tracer = Arc::clone(&tracer);
                 thread::spawn(move || {
                     for i in 0..100u64 {
-                        tracer.record(fixture(t * 1_000 + i));
+                        tracer.record(fixture(t * 1_000 + i), |_| {});
                     }
                 })
             })

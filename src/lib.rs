@@ -31,7 +31,7 @@
 //!   matched rates, stable quality reports and CI quality gates.
 //! - [`metrics`](qn_metrics) — zero-dependency telemetry core: atomic
 //!   counters/gauges, log₂ latency histograms with percentile
-//!   estimation, byte-stable JSON and Prometheus-style exposition.
+//!   estimation, one byte-stable JSON exposition (the `STATS` reply).
 //! - [`trace`](qn_trace) — zero-dependency span tracing: per-request
 //!   trees of named, timed spans with attributes, recent/slow capture
 //!   buffers, byte-stable JSON and ASCII tree rendering.

@@ -1,8 +1,9 @@
 //! One stage vocabulary, served end to end: every stage a traced
 //! request shows as a child of its root span is also a
 //! `serve_stage_ns{op,stage}` series in STATS, the histograms count
-//! untraced requests exactly like traced ones, and a stage that fails
-//! ends where it failed, before the reply is written.
+//! untraced requests exactly like traced ones, a stage that fails
+//! ends where it failed, before the reply is written, and tracing
+//! never changes a reply byte.
 
 use qn::codec::{Codec, CodecOptions};
 use qn::image::{datasets, GrayImage};
@@ -175,4 +176,26 @@ fn a_failing_stage_ends_before_the_reply_is_written() {
             );
         }
     }
+}
+
+#[test]
+fn tracing_never_perturbs_encoded_bytes() {
+    let img = datasets::grayscale_blobs(1, 32, 32, 7).remove(0);
+    let opts = CodecOptions::default();
+    let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
+    let offline = codec.encode_image(&img, &opts).unwrap();
+    let req = spectral_encode_request(&img, &opts, 8);
+    let ctx = sampled(0x1dea);
+
+    let server = boot();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let untraced = client.encode(&req).unwrap();
+    let traced = client.encode_traced(&req, ctx).unwrap();
+    assert_eq!(untraced, offline, "untraced remote matches offline");
+    assert_eq!(traced, offline, "tracing must not change a single byte");
+
+    // Traced decodes return the same pixels as untraced ones.
+    let plain = client.decode(&offline).unwrap();
+    let traced = client.decode_traced(&offline, ctx).unwrap();
+    assert_eq!(plain, traced);
 }
