@@ -1,11 +1,13 @@
 //! Execution backends for interferometer-mesh passes.
 //!
 //! The codec, the trainer and every related mesh workload ultimately
-//! reduce to the same primitive: apply a [`Mesh`] (or its inverse) to a
-//! batch of real amplitude vectors. Batches travel as mode-major
-//! [`qn_linalg::Panel`]s — the layout the codec gathers tiles into —
-//! and this crate abstracts the in-place pass over them behind the
-//! [`MeshBackend`] trait, with one reference and one fast path:
+//! reduce to the same primitive: apply a [`Mesh`] forward to a batch of
+//! real amplitude vectors. (The paper decodes by running the trained
+//! `U_R` forward, never by inverting `U_C`, so there is no inverse
+//! pass.) Batches travel as mode-major [`qn_linalg::Panel`]s — the
+//! layout the codec gathers tiles into — and this crate abstracts the
+//! in-place pass over them behind the [`MeshBackend`] trait, with one
+//! reference and one fast path:
 //!
 //! - [`ScalarBackend`] — the reference and test oracle: lane-by-lane
 //!   dispatch with the exact semantics of `Mesh::forward_real`;
@@ -17,8 +19,12 @@
 //! ([`tables::cached_tables`]): per-gate `sin_cos` is evaluated once
 //! per model, ever, instead of once per gate per panel per batch.
 //!
-//! [`BackendKind`] is the value-level selector (CLI flags, codec
-//! options) that maps onto shared backend instances.
+//! [`BackendKind`] is the value-level selector that maps onto shared
+//! backend instances. It is a library-level choice only:
+//! `CodecOptions::backend` and `Codec::decode_bytes_with` take it, so
+//! tests and benchmarks can run the scalar oracle. Every user surface
+//! (the `qnc` commands, the server, the evaluation sweep) runs
+//! [`BackendKind::default`], `simd`.
 //!
 //! # Why numeric compatibility is part of the trait contract
 //!
@@ -42,26 +48,24 @@ pub use tables::{cached_tables, table_cache_stats, TableCacheStats};
 
 use qn_photonic::Mesh;
 use std::fmt;
-use std::str::FromStr;
 
-/// Executes mesh forward/inverse passes in place over batches of
-/// amplitude vectors held as the lanes of mode-major [`Panel`]s.
+/// Executes mesh forward passes in place over batches of amplitude
+/// vectors held as the lanes of mode-major [`Panel`]s.
 ///
-/// A backend implements two methods: rotate every lane of every panel
-/// by `U` ([`MeshBackend::forward_panels`]) or by `U⁻¹`
-/// ([`MeshBackend::inverse_panels`]). One call carries one request's
-/// panels — a whole image's occupied tiles, offline or served — and
-/// panels may differ in width (the last one is usually narrower), so a
-/// lane's result must depend on nothing but that lane and the mesh.
+/// A backend implements one method: rotate every lane of every panel
+/// by `U` ([`MeshBackend::forward_panels`]). One call carries one
+/// request's panels — a whole image's occupied tiles, offline or
+/// served — and panels may differ in width (the last one is usually
+/// narrower), so a lane's result must depend on nothing but that lane
+/// and the mesh.
 ///
 /// # Contract: `ZeroSignOnly` against the scalar reference
 ///
 /// For every implementation, every mesh `U`, and every panel slice,
 /// lane `l` of panel `p` after `forward_panels(U, panels)` must match
-/// `U.forward_real_copy(column)` for that lane's input column (and
-/// `inverse_panels` likewise against `U.inverse_real`), regardless of
-/// thread count, panel widths, panel count or internal blocking, as
-/// follows:
+/// `U.forward_real_copy(column)` for that lane's input column,
+/// regardless of thread count, panel widths, panel count or internal
+/// blocking, as follows:
 ///
 /// - every output compares equal under `f64 ==` — the absolute
 ///   difference is exactly `0.0`, a zero tolerance budget;
@@ -90,18 +94,12 @@ use std::str::FromStr;
 /// malformed *file* input must be rejected by the codec layer before
 /// reaching a backend.
 pub trait MeshBackend: fmt::Debug + Sync {
-    /// Stable human-readable name (used in logs and benchmarks).
-    fn name(&self) -> &'static str;
-
     /// Apply `mesh` forward to every lane of every panel, in place.
     fn forward_panels(&self, mesh: &Mesh, panels: &mut [Panel]);
-
-    /// Apply the exact inverse `U⁻¹` to every lane of every panel, in
-    /// place.
-    fn inverse_panels(&self, mesh: &Mesh, panels: &mut [Panel]);
 }
 
-/// Value-level backend selector for CLI flags and codec options.
+/// Value-level backend selector for codec options: the scalar oracle
+/// for tests and benchmarks, simd everywhere else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// Lane-by-lane dispatch on the calling thread: the reference.
@@ -128,7 +126,7 @@ impl BackendKind {
         }
     }
 
-    /// Stable name, accepted back by [`BackendKind::from_str`].
+    /// Stable name, used in test and benchmark output.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
@@ -140,20 +138,6 @@ impl BackendKind {
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(BackendKind::Scalar),
-            "simd" => Ok(BackendKind::Simd),
-            other => Err(format!(
-                "unknown backend {other:?} (expected scalar or simd)"
-            )),
-        }
     }
 }
 
@@ -178,44 +162,24 @@ mod tests {
             .collect()
     }
 
-    /// `xs` packed into `width`-lane panels, passed forward (or
-    /// inverse) through `backend`, and unpacked again.
-    fn run(
-        backend: &dyn MeshBackend,
-        m: &Mesh,
-        xs: &[Vec<f64>],
-        width: usize,
-        inverse: bool,
-    ) -> Vec<Vec<f64>> {
+    /// `xs` packed into `width`-lane panels, passed forward through
+    /// `backend`, and unpacked again.
+    fn run(backend: &dyn MeshBackend, m: &Mesh, xs: &[Vec<f64>], width: usize) -> Vec<Vec<f64>> {
         let mut panels = pack(xs, width);
-        if inverse {
-            backend.inverse_panels(m, &mut panels);
-        } else {
-            backend.forward_panels(m, &mut panels);
-        }
+        backend.forward_panels(m, &mut panels);
         unpack(&panels)
     }
 
     fn forward(backend: &dyn MeshBackend, m: &Mesh, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        run(backend, m, xs, DEFAULT_PANEL_WIDTH, false)
-    }
-
-    fn inverse(backend: &dyn MeshBackend, m: &Mesh, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        run(backend, m, xs, DEFAULT_PANEL_WIDTH, true)
+        run(backend, m, xs, DEFAULT_PANEL_WIDTH)
     }
 
     #[test]
-    fn every_kind_resolves_and_names_roundtrip() {
+    fn every_kind_has_a_stable_name_and_simd_is_the_default() {
+        let names: Vec<String> = BackendKind::ALL.iter().map(|k| k.to_string()).collect();
+        assert_eq!(names, ["scalar", "simd"]);
         for kind in BackendKind::ALL {
-            let backend = kind.backend();
-            assert_eq!(backend.name(), kind.name());
-            assert_eq!(kind.name().parse::<BackendKind>().unwrap(), kind);
             assert_eq!(kind.to_string(), kind.name());
-        }
-        for unknown in ["serial", "parallel", "scalar-parallel", "panel", "vector"] {
-            let err = unknown.parse::<BackendKind>().unwrap_err();
-            assert!(err.contains("unknown backend"), "{unknown}: {err}");
-            assert!(err.contains("scalar") && err.contains("simd"), "{err}");
         }
         assert_eq!(BackendKind::default(), BackendKind::Simd);
     }
@@ -227,7 +191,7 @@ mod tests {
         let reference = forward(BackendKind::Scalar.backend(), &m, &xs);
         for width in [1usize, 2, 3, 4, 5, 7, 8, 64] {
             for kind in BackendKind::ALL {
-                let got = run(kind.backend(), &m, &xs, width, false);
+                let got = run(kind.backend(), &m, &xs, width);
                 assert_eq!(got, reference, "{kind} width {width}");
             }
         }
@@ -254,21 +218,14 @@ mod tests {
         xs[0] = vec![0.0; 10];
         xs[1] = vec![-0.0; 10];
         for m in [m.clone(), m.reversed()] {
-            let scalar = BackendKind::Scalar.backend();
-            let reference = forward(scalar, &m, &xs);
-            let inv_reference = inverse(scalar, &m, &xs);
-            let simd = BackendKind::Simd.backend();
-            for (got, want) in [
-                (forward(simd, &m, &xs), reference),
-                (inverse(simd, &m, &xs), inv_reference),
-            ] {
-                for (g, w) in got.iter().zip(&want) {
-                    for (a, b) in g.iter().zip(w) {
-                        assert!((a - b).abs() == 0.0, "epsilon budget exceeded: {a} vs {b}");
-                        if a.to_bits() != b.to_bits() {
-                            assert_eq!(*a, 0.0, "non-zero bit divergence: {a} vs {b}");
-                            assert_eq!(*b, 0.0, "non-zero bit divergence: {a} vs {b}");
-                        }
+            let reference = forward(BackendKind::Scalar.backend(), &m, &xs);
+            let got = forward(BackendKind::Simd.backend(), &m, &xs);
+            for (g, w) in got.iter().zip(&reference) {
+                for (a, b) in g.iter().zip(w) {
+                    assert!((a - b).abs() == 0.0, "epsilon budget exceeded: {a} vs {b}");
+                    if a.to_bits() != b.to_bits() {
+                        assert_eq!(*a, 0.0, "non-zero bit divergence: {a} vs {b}");
+                        assert_eq!(*b, 0.0, "non-zero bit divergence: {a} vs {b}");
                     }
                 }
             }
@@ -287,28 +244,13 @@ mod tests {
                 .collect()
         };
         let reference = bits(xs.iter().map(|x| m.forward_real_copy(x)).collect());
-        let inverse_reference = bits(
-            xs.iter()
-                .map(|x| {
-                    let mut v = x.clone();
-                    m.inverse_real(&mut v);
-                    v
-                })
-                .collect(),
-        );
         for kind in BackendKind::ALL {
             // Widths ragged against the 23-vector batch.
             for width in [5usize, DEFAULT_PANEL_WIDTH] {
-                let b = kind.backend();
                 assert_eq!(
-                    bits(run(b, &m, &xs, width, false)),
+                    bits(run(kind.backend(), &m, &xs, width)),
                     reference,
-                    "{kind} forward"
-                );
-                assert_eq!(
-                    bits(run(b, &m, &xs, width, true)),
-                    inverse_reference,
-                    "{kind} inverse"
+                    "{kind} width {width}"
                 );
             }
         }
@@ -320,25 +262,7 @@ mod tests {
         for kind in BackendKind::ALL {
             let mut none: Vec<Panel> = Vec::new();
             kind.backend().forward_panels(&m, &mut none);
-            kind.backend().inverse_panels(&m, &mut none);
             assert!(none.is_empty());
-        }
-    }
-
-    #[test]
-    fn inverse_of_forward_restores_batch() {
-        let m = mesh(8, 3);
-        let xs = batch(8, 5);
-        for kind in BackendKind::ALL {
-            let b = kind.backend();
-            let mut panels = pack(&xs, 2);
-            b.forward_panels(&m, &mut panels);
-            b.inverse_panels(&m, &mut panels);
-            for (got, want) in unpack(&panels).iter().zip(&xs) {
-                for (a, b) in got.iter().zip(want) {
-                    assert!((a - b).abs() < 1e-12);
-                }
-            }
         }
     }
 

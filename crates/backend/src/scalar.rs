@@ -14,38 +14,21 @@ use qn_photonic::Mesh;
 #[derive(Debug, Clone, Copy)]
 pub struct ScalarBackend;
 
-/// Run `apply` over every lane of every panel through one reused
-/// vector.
-fn per_lane(panels: &mut [Panel], apply: impl Fn(&mut [f64])) {
-    let mut v = Vec::new();
-    for panel in panels {
-        for lane in 0..panel.width() {
-            v.clear();
-            v.extend((0..panel.dim()).map(|m| panel.get(m, lane)));
-            apply(&mut v);
-            panel.set_column(lane, &v);
-        }
-    }
-}
-
 impl MeshBackend for ScalarBackend {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
     fn forward_panels(&self, mesh: &Mesh, panels: &mut [Panel]) {
         if panels.is_empty() {
             return;
         }
         let tables = cached_tables(mesh);
-        per_lane(panels, |v| tables.forward_amps(v));
-    }
-
-    fn inverse_panels(&self, mesh: &Mesh, panels: &mut [Panel]) {
-        if panels.is_empty() {
-            return;
+        // One reused vector for every lane of every panel.
+        let mut v = Vec::new();
+        for panel in panels {
+            for lane in 0..panel.width() {
+                v.clear();
+                v.extend((0..panel.dim()).map(|m| panel.get(m, lane)));
+                tables.forward_amps(&mut v);
+                panel.set_column(lane, &v);
+            }
         }
-        let tables = cached_tables(mesh);
-        per_lane(panels, |v| tables.inverse_amps(v));
     }
 }

@@ -1,7 +1,7 @@
 //! The explicit-SIMD backend: pruned gate tables + lane-blocked
 //! rotations.
 //!
-//! The mesh pass runs [`qn_photonic::MeshTables`]' blocked kernels over
+//! The mesh pass runs [`qn_photonic::MeshTables`]' blocked kernel over
 //! the caller's mode-major [`qn_linalg::Panel`]s, in place: identity
 //! gates (`θ = ±0.0`, roughly half the gate slots of an ASAP-packed
 //! spectral model) are skipped outright, and the surviving rotations
@@ -30,10 +30,6 @@ use qn_photonic::Mesh;
 pub struct SimdBackend;
 
 impl MeshBackend for SimdBackend {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-
     fn forward_panels(&self, mesh: &Mesh, panels: &mut [Panel]) {
         if panels.is_empty() {
             return;
@@ -43,18 +39,6 @@ impl MeshBackend for SimdBackend {
             block
                 .iter_mut()
                 .for_each(|p| tables.forward_panel_blocked(p));
-        });
-    }
-
-    fn inverse_panels(&self, mesh: &Mesh, panels: &mut [Panel]) {
-        if panels.is_empty() {
-            return;
-        }
-        let tables = cached_tables(mesh);
-        par_map_chunked_into(panels, 1, |_, block| {
-            block
-                .iter_mut()
-                .for_each(|p| tables.inverse_panel_blocked(p));
         });
     }
 }

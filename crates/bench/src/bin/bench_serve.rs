@@ -1,12 +1,11 @@
 //! Serving-throughput recorder: drives real TCP clients against
 //! in-process `qn-serve` instances and measures requests/s, tiles/s
 //! and client-observed p50/p99 request latency at 1/4/16 concurrent
-//! clients, comparing the `scalar` reference backend against the
-//! default `simd` one (each request runs its own mesh pass on either).
-//! A final row measures the cost of sampled span tracing: one default
-//! server alternates untraced and fully sampled 4-client encode
-//! windows, and the row records both medians and interquartile ranges
-//! and how many pairs the sampled window lost. Metrics are always on,
+//! clients (each request runs its own mesh pass). A final row
+//! measures the cost of sampled span tracing: one default server
+//! alternates untraced and fully sampled 4-client encode windows, and
+//! the row records both medians and interquartile ranges and how many
+//! pairs the sampled window lost. Metrics are always on,
 //! so their cost sits inside every row.
 //! Results land in `BENCH_serve.json` at the workspace root.
 //!
@@ -18,7 +17,6 @@
 //! [requests-per-client]` (default 24; image 64×64 → 256 tiles per
 //! request).
 
-use qn_backend::BackendKind;
 use qn_bench::results_dir;
 use qn_codec::model::encode_model;
 use qn_codec::{Codec, CodecOptions};
@@ -76,15 +74,8 @@ fn main() {
          {per_client} requests/client"
     );
     println!(
-        "{:<20} {:>8} {:>12} {:>14} {:>10} {:>10} {:>12} {:>14}",
-        "mode",
-        "clients",
-        "enc req/s",
-        "enc tiles/s",
-        "p50 ms",
-        "p99 ms",
-        "dec req/s",
-        "dec tiles/s"
+        "{:>8} {:>12} {:>14} {:>10} {:>10} {:>12} {:>14}",
+        "clients", "enc req/s", "enc tiles/s", "p50 ms", "p99 ms", "dec req/s", "dec tiles/s"
     );
 
     // One timed sweep against a running server: wall-clock seconds plus
@@ -129,64 +120,53 @@ fn main() {
         });
         (start.elapsed().as_secs_f64(), hist)
     };
-    let warm = |addr: std::net::SocketAddr, name: &str| {
+    let warm = |addr: std::net::SocketAddr| {
         let mut warm = Client::connect(addr).expect("connect");
         let id = warm.load_model(&model_bytes).expect("load model");
         assert_eq!(id, codec.model_id());
         let remote = warm
             .encode(&model_encode_request(&img, &opts, id))
             .expect("warm encode");
-        assert_eq!(remote, offline, "{name}: remote bytes diverged");
+        assert_eq!(remote, offline, "remote bytes diverged");
     };
 
     let mut entries = String::new();
-    for backend in BackendKind::ALL {
-        for clients in [1usize, 4, 16] {
-            let server = spawn(ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                backend,
-                ..ServerConfig::default()
-            })
-            .expect("spawn server");
-            let addr = server.addr();
+    for clients in [1usize, 4, 16] {
+        let server = spawn(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServerConfig::default()
+        })
+        .expect("spawn server");
+        let addr = server.addr();
 
-            // Pre-warm the zoo and pin correctness before timing.
-            warm(addr, backend.name());
+        // Pre-warm the zoo and pin correctness before timing.
+        warm(addr);
 
-            let requests = (clients * per_client) as f64;
-            let (enc_s, enc_hist) = timed_run(addr, clients, false, false);
-            let (dec_s, _) = timed_run(addr, clients, true, false);
-            let (enc_rps, dec_rps) = (requests / enc_s, requests / dec_s);
-            let (enc_tps, dec_tps) = (enc_rps * tiles as f64, dec_rps * tiles as f64);
-            let (p50_ms, p99_ms) = percentiles_ms(&enc_hist);
-            println!(
-                "{:<20} {:>8} {:>12.1} {:>14.0} {:>10.2} {:>10.2} {:>12.1} {:>14.0}",
-                backend.name(),
-                clients,
-                enc_rps,
-                enc_tps,
-                p50_ms,
-                p99_ms,
-                dec_rps,
-                dec_tps
-            );
-            if !entries.is_empty() {
-                entries.push_str(",\n");
-            }
-            write!(
-                entries,
-                "    {{\"mode\": \"{}\", \"clients\": {clients}, \
-                 \"encode_requests_per_sec\": {enc_rps:.1}, \
-                 \"encode_tiles_per_sec\": {enc_tps:.0}, \
-                 \"encode_latency_p50_ms\": {p50_ms:.3}, \
-                 \"encode_latency_p99_ms\": {p99_ms:.3}, \
-                 \"decode_requests_per_sec\": {dec_rps:.1}, \
-                 \"decode_tiles_per_sec\": {dec_tps:.0}}}",
-                backend.name(),
-            )
-            .expect("write entry");
-            server.shutdown();
+        let requests = (clients * per_client) as f64;
+        let (enc_s, enc_hist) = timed_run(addr, clients, false, false);
+        let (dec_s, _) = timed_run(addr, clients, true, false);
+        let (enc_rps, dec_rps) = (requests / enc_s, requests / dec_s);
+        let (enc_tps, dec_tps) = (enc_rps * tiles as f64, dec_rps * tiles as f64);
+        let (p50_ms, p99_ms) = percentiles_ms(&enc_hist);
+        println!(
+            "{clients:>8} {enc_rps:>12.1} {enc_tps:>14.0} {p50_ms:>10.2} {p99_ms:>10.2} \
+             {dec_rps:>12.1} {dec_tps:>14.0}"
+        );
+        if !entries.is_empty() {
+            entries.push_str(",\n");
         }
+        write!(
+            entries,
+            "    {{\"clients\": {clients}, \
+             \"encode_requests_per_sec\": {enc_rps:.1}, \
+             \"encode_tiles_per_sec\": {enc_tps:.0}, \
+             \"encode_latency_p50_ms\": {p50_ms:.3}, \
+             \"encode_latency_p99_ms\": {p99_ms:.3}, \
+             \"decode_requests_per_sec\": {dec_rps:.1}, \
+             \"decode_tiles_per_sec\": {dec_tps:.0}}}",
+        )
+        .expect("write entry");
+        server.shutdown();
     }
 
     // The cost of sampled span tracing, on one default server:
@@ -198,7 +178,7 @@ fn main() {
         ..ServerConfig::default()
     })
     .expect("spawn server");
-    warm(server.addr(), "sampled-tracing");
+    warm(server.addr());
     let window_rps = |sampled: bool| {
         let (secs, _) = timed_run(server.addr(), 4, false, sampled);
         (4 * per_client) as f64 / secs

@@ -108,9 +108,10 @@ pub struct CodecOptions {
     pub per_tile_scale: bool,
     /// Embed the model file in the container so it decodes standalone.
     pub inline_model: bool,
-    /// Execution backend for the mesh passes (default `simd`; `scalar`
-    /// is the reference). This knob changes throughput only, never
-    /// bytes or pixels.
+    /// Execution backend for the mesh passes (default `simd`; tests and
+    /// benchmarks select `scalar`, the reference oracle — no `qnc`
+    /// command or server exposes the choice). This knob changes
+    /// throughput only, never bytes or pixels.
     pub backend: BackendKind,
     /// Entropy coder for the latent payload. `Rice` writes format v1
     /// (bit-exact with pre-v2 builds); `RicePos`/`Range` write format

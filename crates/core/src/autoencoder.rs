@@ -4,9 +4,7 @@ use crate::compression::CompressionNetwork;
 use crate::encoding;
 use crate::reconstruction::ReconstructionNetwork;
 use crate::Result;
-use qn_backend::MeshBackend;
 use qn_image::GrayImage;
-use qn_linalg::panel;
 
 /// The full quantum autoencoder of the paper's Fig. 1: both trained
 /// networks plus the encode/decode conversions.
@@ -53,42 +51,6 @@ impl QuantumAutoencoder {
         let compressed = self.compression.compress(&enc.amplitudes);
         let out = self.reconstruction.reconstruct(&compressed);
         encoding::decode_image(&out, enc.norm, img.width(), img.height())
-    }
-
-    /// Run a batch of raw data vectors through the full pipeline on an
-    /// explicit execution backend: both mesh passes are dispatched as
-    /// batches (`U_C` forward, then `U_R` forward on the projected
-    /// states), so the simd backend sweeps each layer across the whole
-    /// batch. Per-sample results are bit-identical to
-    /// [`QuantumAutoencoder::roundtrip`] under every backend: decoding
-    /// squares each amplitude, which erases the only difference (IEEE
-    /// zero signs) the `MeshBackend` contract allows.
-    ///
-    /// # Errors
-    /// Propagates encoding errors (zero vector, oversize data) from any
-    /// sample.
-    pub fn roundtrip_batch_with(
-        &self,
-        xs: &[Vec<f64>],
-        backend: &dyn MeshBackend,
-    ) -> Result<Vec<Vec<f64>>> {
-        let encoded = xs
-            .iter()
-            .map(|x| encoding::encode(x, self.dim()))
-            .collect::<Result<Vec<_>>>()?;
-        let amplitudes: Vec<Vec<f64>> = encoded.iter().map(|e| e.amplitudes.clone()).collect();
-        let panels = panel::pack(&amplitudes, panel::DEFAULT_PANEL_WIDTH);
-        let compressed = self.compression.compress_batch_with(&panels, backend);
-        let outs = panel::unpack(
-            &self
-                .reconstruction
-                .reconstruct_batch_with(&compressed, backend),
-        );
-        Ok(outs
-            .iter()
-            .zip(&encoded)
-            .map(|(out, enc)| encoding::decode(out, enc.norm, enc.data_len))
-            .collect())
     }
 
     /// The compressed representation of a data vector: the `d` kept
@@ -275,40 +237,6 @@ mod tests {
     fn zero_vector_is_rejected() {
         let ae = identity_autoencoder(4);
         assert!(ae.roundtrip(&[0.0; 4]).is_err());
-    }
-
-    #[test]
-    fn batched_roundtrip_matches_per_sample_roundtrip_on_every_backend() {
-        use qn_backend::BackendKind;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let comp = CompressionNetwork::new(
-            Mesh::random(8, 3, &mut rng),
-            5,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::TrashPenalty,
-        )
-        .unwrap();
-        let recon = ReconstructionNetwork::from_reversed_compression(&comp, 4);
-        let ae = QuantumAutoencoder::new(comp, recon);
-        let xs: Vec<Vec<f64>> = (0..9)
-            .map(|i| {
-                (0..8)
-                    .map(|j| 0.1 + ((i * 8 + j) as f64 * 0.23).cos().abs())
-                    .collect()
-            })
-            .collect();
-        let reference: Vec<Vec<f64>> = xs.iter().map(|x| ae.roundtrip(x).unwrap()).collect();
-        for kind in BackendKind::ALL {
-            let batched = ae.roundtrip_batch_with(&xs, kind.backend()).unwrap();
-            assert_eq!(batched, reference, "{kind}");
-        }
-        // A zero vector anywhere in the batch surfaces as an error.
-        let mut bad = xs;
-        bad[3] = vec![0.0; 8];
-        assert!(ae
-            .roundtrip_batch_with(&bad, BackendKind::Simd.backend())
-            .is_err());
     }
 
     #[test]

@@ -100,15 +100,8 @@ impl CompressionNetwork {
         out
     }
 
-    /// Batch forward pass through the default backend
-    /// ([`BackendKind::default`]) over panel-packed samples (see
-    /// [`qn_linalg::panel::pack`]).
-    pub fn forward_batch(&self, encoded: &[Panel]) -> Vec<Panel> {
-        self.forward_batch_with(encoded, BackendKind::default().backend())
-    }
-
-    /// Batch forward pass through an explicit execution backend: a copy
-    /// of `encoded` with `U_C` applied to every lane. Every backend
+    /// Batch forward pass through an execution backend: a copy of
+    /// `encoded` with `U_C` applied to every lane. Every backend
     /// matches [`CompressionNetwork::forward`] per lane up to the sign
     /// of IEEE zeros (the `MeshBackend` contract). Callers that own
     /// their panels apply [`MeshBackend::forward_panels`] in place.
@@ -119,17 +112,13 @@ impl CompressionNetwork {
     }
 
     /// Batch compression through the default backend
-    /// ([`BackendKind::default`]).
+    /// ([`BackendKind::default`]) over panel-packed samples (see
+    /// [`qn_linalg::panel::pack`]) — equal to
+    /// [`CompressionNetwork::compress`] per lane up to the sign of IEEE
+    /// zeros (the `MeshBackend` contract): the forward pass, then every
+    /// discarded mode's row zeroed.
     pub fn compress_batch(&self, encoded: &[Panel]) -> Vec<Panel> {
-        self.compress_batch_with(encoded, BackendKind::default().backend())
-    }
-
-    /// Batch compression through an explicit execution backend —
-    /// equal to [`CompressionNetwork::compress`] per lane up to the
-    /// sign of IEEE zeros (the `MeshBackend` contract): the forward
-    /// pass, then every discarded mode's row zeroed.
-    pub fn compress_batch_with(&self, encoded: &[Panel], backend: &dyn MeshBackend) -> Vec<Panel> {
-        let mut out = self.forward_batch_with(encoded, backend);
+        let mut out = self.forward_batch_with(encoded, BackendKind::default().backend());
         for panel in &mut out {
             for mode in (0..panel.dim()).filter(|&m| !self.projector.keeps(m)) {
                 panel.row_mut(mode).fill(0.0);
@@ -344,10 +333,14 @@ mod tests {
         use qn_linalg::panel::{pack, unpack};
         let net = network(CompressionTargetKind::TrashPenalty);
         let xs = inputs();
-        let batch = unpack(&net.forward_batch(&pack(&xs, 3)));
+        for kind in BackendKind::ALL {
+            let batch = unpack(&net.forward_batch_with(&pack(&xs, 3), kind.backend()));
+            for (i, x) in xs.iter().enumerate() {
+                assert_eq!(batch[i], net.forward(x), "{kind}");
+            }
+        }
         let compressed = unpack(&net.compress_batch(&pack(&xs, 3)));
         for (i, x) in xs.iter().enumerate() {
-            assert_eq!(batch[i], net.forward(x));
             assert_eq!(compressed[i], net.compress(x));
         }
     }

@@ -71,8 +71,9 @@ impl ReconstructionNetwork {
         self.reconstruct_batch_with(compressed, BackendKind::default().backend())
     }
 
-    /// Batch reconstruction through an explicit execution backend: a
-    /// copy of `compressed` with `U_R` applied to every lane — equal to
+    /// Batch reconstruction through an explicit execution backend (the
+    /// scalar oracle in tests and benchmarks): a copy of `compressed`
+    /// with `U_R` applied to every lane — equal to
     /// [`ReconstructionNetwork::reconstruct`] per lane up to the sign
     /// of IEEE zeros (the `MeshBackend` contract).
     pub fn reconstruct_batch_with(
@@ -217,7 +218,7 @@ mod tests {
         let recon = ReconstructionNetwork::from_reversed_compression(&comp, 3);
         let xs = unit_inputs(3);
         // Bypass projection: feed unprojected outputs.
-        let ys = unpack(&comp.forward_batch(&pack(&xs, 2)));
+        let ys: Vec<Vec<f64>> = xs.iter().map(|x| comp.forward(x)).collect();
         let loss = recon.loss(&ys, &xs);
         assert!(loss.sum < 1e-20);
         assert!((recon.mean_fidelity(&ys, &xs) - 1.0).abs() < 1e-12);
@@ -245,7 +246,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let mut recon = ReconstructionNetwork::new(Mesh::random_small(8, 4, 0.3, &mut rng));
         let xs = unit_inputs(4);
-        let ys = unpack(&comp.forward_batch(&pack(&xs, 2)));
+        let ys: Vec<Vec<f64>> = xs.iter().map(|x| comp.forward(x)).collect();
         let before = recon.loss(&ys, &xs).sum;
         for _ in 0..200 {
             let (_, grad) = recon.loss_and_gradient(&ys, &xs, GradientMethod::Analytic);

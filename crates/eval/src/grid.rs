@@ -17,7 +17,6 @@
 //! axis exists to measure exactly that rate delta). Both named grids
 //! sweep all three coders.
 
-use qn_backend::BackendKind;
 use qn_codec::EntropyCoder;
 
 /// One corner of the sweep: the codec settings a rate–distortion point
@@ -39,9 +38,9 @@ impl OperatingPoint {
     }
 }
 
-/// A full sweep grid: the cartesian product corners plus the backend
-/// every mesh pass runs through (backends are bit-compatible, so this
-/// only affects throughput measurements).
+/// A full sweep grid: the cartesian product corners and the entropy
+/// coders each corner is swept with. The sweep runs the default
+/// (`simd`) backend; backends are bit-compatible, so no grid names one.
 #[derive(Debug, Clone)]
 pub struct Grid {
     /// Stable name recorded in the report (`smoke`, `default`, `custom`).
@@ -50,8 +49,6 @@ pub struct Grid {
     pub points: Vec<OperatingPoint>,
     /// Entropy coders each point is swept with, in sweep order.
     pub coders: Vec<EntropyCoder>,
-    /// Execution backend for the quantum sweep.
-    pub backend: BackendKind,
 }
 
 impl Grid {
@@ -81,7 +78,6 @@ impl Grid {
             name: name.into(),
             points,
             coders: coders.to_vec(),
-            backend: BackendKind::default(),
         }
     }
 

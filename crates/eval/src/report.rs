@@ -102,8 +102,6 @@ pub struct DatasetReport {
 /// The full quality report — everything `BENCH_quality.json` holds.
 #[derive(Debug, Clone)]
 pub struct QualityReport {
-    /// Backend the quantum sweep ran through.
-    pub backend: String,
     /// Grid name (`smoke`, `default`, `custom`).
     pub grid: String,
     /// Dataset seed (0 = the canonical roster).
@@ -181,7 +179,6 @@ impl QualityReport {
             });
         }
         Ok(QualityReport {
-            backend: grid.backend.to_string(),
             grid: grid.name.clone(),
             seed,
             datasets: reports,
@@ -194,9 +191,9 @@ impl QualityReport {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
         s.push_str("  \"format\": \"qn-eval-quality\",\n");
-        // Schema version 2: points carry the entropy-coder axis.
-        s.push_str("  \"version\": 2,\n");
-        s.push_str(&format!("  \"backend\": \"{}\",\n", self.backend));
+        // Schema version 3: no `backend` key (version 2 added the
+        // entropy-coder axis to points).
+        s.push_str("  \"version\": 3,\n");
         s.push_str(&format!("  \"grid\": \"{}\",\n", self.grid));
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
         s.push_str(&format!(

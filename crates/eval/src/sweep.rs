@@ -18,7 +18,6 @@
 
 use crate::grid::{Grid, OperatingPoint};
 use crate::registry::Dataset;
-use qn_backend::BackendKind;
 use qn_codec::{model, Codec, CodecOptions, EntropyCoder};
 use qn_image::metrics;
 use std::time::Instant;
@@ -91,7 +90,9 @@ impl DistortionAccum {
     }
 }
 
-/// Measure the quantum codec at one operating point on one dataset.
+/// Measure the quantum codec at one operating point on one dataset,
+/// through the default (`simd`) backend — every backend yields the same
+/// bytes and pixels, so the point does not depend on it.
 ///
 /// # Errors
 /// Codec failures (invalid operating point for the dataset geometry,
@@ -100,12 +101,11 @@ pub fn quantum_point(
     dataset: &Dataset,
     point: OperatingPoint,
     entropy: EntropyCoder,
-    backend: BackendKind,
     timings: bool,
 ) -> Result<RdPoint, String> {
     let codec = Codec::spectral_for_images(&dataset.images, point.tile_size, point.latent_dim)
         .map_err(|e| format!("{}: spectral fit: {e}", dataset.name))?;
-    quantum_point_with(&codec, dataset, point, entropy, backend, timings)
+    quantum_point_with(&codec, dataset, point, entropy, timings)
 }
 
 /// [`quantum_point`] against an already-fitted codec — the sweep fits
@@ -117,7 +117,6 @@ fn quantum_point_with(
     dataset: &Dataset,
     point: OperatingPoint,
     entropy: EntropyCoder,
-    backend: BackendKind,
     timings: bool,
 ) -> Result<RdPoint, String> {
     let opts = CodecOptions {
@@ -125,8 +124,8 @@ fn quantum_point_with(
         bits: point.bits,
         per_tile_scale: false,
         inline_model: false,
-        backend,
         entropy,
+        ..CodecOptions::default()
     };
     let mut container_bytes = 0usize;
     let mut tiles = 0usize;
@@ -141,7 +140,7 @@ fn quantum_point_with(
         encode_seconds += t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
         let back = codec
-            .decode_bytes_with(&bytes, backend)
+            .decode_bytes(&bytes)
             .map_err(|e| format!("{}: decode: {e}", dataset.name))?;
         decode_seconds += t1.elapsed().as_secs_f64();
         container_bytes += bytes.len();
@@ -181,14 +180,7 @@ pub fn quantum_sweep(
         let codec = Codec::spectral_for_images(&dataset.images, p.tile_size, p.latent_dim)
             .map_err(|e| format!("{}: spectral fit: {e}", dataset.name))?;
         for &coder in &grid.coders {
-            out.push(quantum_point_with(
-                &codec,
-                dataset,
-                p,
-                coder,
-                grid.backend,
-                timings,
-            )?);
+            out.push(quantum_point_with(&codec, dataset, p, coder, timings)?);
         }
     }
     Ok(out)
@@ -211,8 +203,8 @@ mod tests {
             latent_dim: 8,
             bits: 8,
         };
-        let a = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, false).unwrap();
-        let b = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, false).unwrap();
+        let a = quantum_point(&ds, p, EntropyCoder::Rice, false).unwrap();
+        let b = quantum_point(&ds, p, EntropyCoder::Rice, false).unwrap();
         assert_eq!(a.bpp.to_bits(), b.bpp.to_bits());
         assert_eq!(a.psnr_db.to_bits(), b.psnr_db.to_bits());
         assert_eq!(a.ssim.to_bits(), b.ssim.to_bits());
@@ -221,23 +213,6 @@ mod tests {
         assert!(a.ssim > 0.5 && a.ssim <= 1.0, "ssim {}", a.ssim);
         assert!(a.side_bytes > 0);
         assert!(a.throughput.is_none(), "no timings unless requested");
-    }
-
-    #[test]
-    fn backends_agree_on_rd_points() {
-        // Backends differ at most in zero signs, which quantization
-        // erases, so RD numbers cannot depend on the backend — the
-        // quality mirror of the conformance suite.
-        let ds = blobs();
-        let p = OperatingPoint {
-            tile_size: 4,
-            latent_dim: 4,
-            bits: 6,
-        };
-        let simd = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, false).unwrap();
-        let scalar = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Scalar, false).unwrap();
-        assert_eq!(simd.bpp.to_bits(), scalar.bpp.to_bits());
-        assert_eq!(simd.psnr_db.to_bits(), scalar.psnr_db.to_bits());
     }
 
     #[test]
@@ -251,7 +226,6 @@ mod tests {
                 bits: 4,
             },
             EntropyCoder::Rice,
-            BackendKind::Simd,
             false,
         )
         .unwrap();
@@ -263,7 +237,6 @@ mod tests {
                 bits: 8,
             },
             EntropyCoder::Rice,
-            BackendKind::Simd,
             false,
         )
         .unwrap();
@@ -279,7 +252,7 @@ mod tests {
             latent_dim: 4,
             bits: 8,
         };
-        let timed = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, true).unwrap();
+        let timed = quantum_point(&ds, p, EntropyCoder::Rice, true).unwrap();
         let t = timed.throughput.expect("requested timings");
         assert!(t.encode_tiles_per_s > 0.0 && t.decode_tiles_per_s > 0.0);
     }
@@ -302,8 +275,8 @@ mod tests {
             ("lowrank", EntropyCoder::Range),
         ] {
             let ds = registry::builtin(ds_name, 0).unwrap();
-            let rice = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, false).unwrap();
-            let v2 = quantum_point(&ds, p, coder, BackendKind::Simd, false).unwrap();
+            let rice = quantum_point(&ds, p, EntropyCoder::Rice, false).unwrap();
+            let v2 = quantum_point(&ds, p, coder, false).unwrap();
             assert_eq!(
                 v2.psnr_db.to_bits(),
                 rice.psnr_db.to_bits(),
@@ -320,8 +293,8 @@ mod tests {
         // The headline gate: ≥ 5 % payload reduction on the golden
         // point (blobs, tile 4, d 8, 8 bits) from per-position coding.
         let ds = blobs();
-        let rice = quantum_point(&ds, p, EntropyCoder::Rice, BackendKind::Simd, false).unwrap();
-        let pos = quantum_point(&ds, p, EntropyCoder::RicePos, BackendKind::Simd, false).unwrap();
+        let rice = quantum_point(&ds, p, EntropyCoder::Rice, false).unwrap();
+        let pos = quantum_point(&ds, p, EntropyCoder::RicePos, false).unwrap();
         assert!(
             pos.bpp <= rice.bpp * 0.95,
             "rice-pos saved only {:.2} % at the golden point",

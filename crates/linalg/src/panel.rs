@@ -6,8 +6,7 @@
 //! modes `(k, k+1)` then touches exactly two contiguous rows, so one
 //! trigonometric evaluation sweeps the whole batch with a unit-stride,
 //! vectorizable inner loop — the storage layout behind `qn-backend`'s
-//! `SimdBackend`, whose rotations run through [`rotate_lanes_blocked`]
-//! and [`rotate_lanes_blocked_inverse`].
+//! `SimdBackend`, whose rotations run through [`rotate_lanes_blocked`].
 //!
 //! Panels are also the codec's tile carrier from pixels to bitstream:
 //! `qn-codec` gathers each occupied tile straight into a lane of a
@@ -226,40 +225,6 @@ pub fn rotate_lanes_blocked(row_a: &mut [f64], row_b: &mut [f64], s: f64, c: f64
         let y = *b;
         *a = c * x - s * y;
         *b = s * x + c * y;
-    }
-}
-
-/// Inverse beam-splitter rotation in [`LANE_BLOCK`]-wide blocks:
-/// `a' = c·a + s·b`, `b' = c·b − s·a` per lane — the blocked
-/// counterpart of the scalar inverse gate; see
-/// [`rotate_lanes_blocked`].
-///
-/// # Panics
-/// Panics when the rows disagree on length.
-#[inline]
-pub fn rotate_lanes_blocked_inverse(row_a: &mut [f64], row_b: &mut [f64], s: f64, c: f64) {
-    assert_eq!(row_a.len(), row_b.len(), "row length mismatch");
-    let mut chunks_a = row_a.chunks_exact_mut(LANE_BLOCK);
-    let mut chunks_b = row_b.chunks_exact_mut(LANE_BLOCK);
-    for (blk_a, blk_b) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        let mut xs = [0.0f64; LANE_BLOCK];
-        let mut ys = [0.0f64; LANE_BLOCK];
-        xs.copy_from_slice(blk_a);
-        ys.copy_from_slice(blk_b);
-        for l in 0..LANE_BLOCK {
-            blk_a[l] = c * xs[l] + s * ys[l];
-            blk_b[l] = c * ys[l] - s * xs[l];
-        }
-    }
-    for (a, b) in chunks_a
-        .into_remainder()
-        .iter_mut()
-        .zip(chunks_b.into_remainder().iter_mut())
-    {
-        let x = *a;
-        let y = *b;
-        *a = c * x + s * y;
-        *b = c * y - s * x;
     }
 }
 

@@ -1,47 +1,22 @@
-//! Deterministic parallel reduction helpers.
+//! Deterministic parallel helpers.
 //!
 //! Floating-point addition is not associative, so a naive
 //! `par_iter().sum()` produces results that depend on rayon's work split.
 //! Training runs must be bit-identical across thread counts for the
-//! experiments to be reproducible, so reductions here use *fixed* chunk
-//! boundaries: items are grouped into chunks of a static size, each chunk
-//! is summed sequentially (possibly on different workers), and the per-chunk
-//! partials are combined sequentially in index order. The result is
-//! identical to a plain sequential fold over the same chunking, regardless
-//! of how many threads rayon uses.
+//! experiments to be reproducible, so the reduction here uses *fixed*
+//! chunk boundaries: items are grouped into chunks of a static size, each
+//! chunk is summed sequentially (possibly on different workers), and the
+//! per-chunk partials are combined sequentially in index order. The result
+//! is identical to a plain sequential fold over the same chunking,
+//! regardless of how many threads rayon uses. The maps write each item or
+//! chunk to its own slot, so they are deterministic by construction.
 
 use rayon::prelude::*;
 
-/// Chunk size used by the deterministic reductions. Large enough to
+/// Chunk size used by [`par_sum_vectors`]. Large enough to
 /// amortise scheduling, small enough to expose parallelism for the
 /// batch sizes used in the experiments.
 pub const DET_CHUNK: usize = 64;
-
-/// Deterministic parallel sum of `f(i)` for `i` in `0..n`.
-///
-/// Equivalent to `(0..n).map(f).sum()` evaluated with fixed chunk
-/// boundaries of [`DET_CHUNK`]; the value does not depend on thread count.
-pub fn par_sum_indexed<F>(n: usize, f: F) -> f64
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    if n == 0 {
-        return 0.0;
-    }
-    let starts: Vec<usize> = (0..n).step_by(DET_CHUNK).collect();
-    let partials: Vec<f64> = starts
-        .par_iter()
-        .map(|&s| {
-            let end = (s + DET_CHUNK).min(n);
-            let mut acc = 0.0;
-            for i in s..end {
-                acc += f(i);
-            }
-            acc
-        })
-        .collect();
-    partials.iter().sum()
-}
 
 /// Deterministic parallel element-wise accumulation of vectors:
 /// returns `Σ_{i<n} f(i)` where each `f(i)` is a vector of length `len`.
@@ -91,37 +66,16 @@ where
     (0..n).into_par_iter().map(f).collect()
 }
 
-/// Parallel map over fixed-size chunks of `0..n`: calls `f(start, end)`
-/// once per half-open chunk `[start, end)` of at most `chunk` items (the
-/// last chunk may be ragged) and collects the results in chunk order.
+/// Parallel map over fixed-size chunks of the caller's preallocated
+/// `out` slice: calls `f(start, block)` once per half-open chunk
+/// `[start, end)` of at most `chunk` items (the last chunk may be
+/// ragged), with `block` the mutable sub-slice `out[start..end]` to
+/// fill.
 ///
-/// This is the scheduling substrate for panel-batched mesh execution:
-/// chunk boundaries depend only on `n` and `chunk`, never on the thread
-/// count, so any per-chunk computation that is itself deterministic
-/// yields a thread-count-invariant result.
-///
-/// # Panics
-/// Panics when `chunk` is zero.
-pub fn par_map_chunked<T, F>(n: usize, chunk: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync + Send,
-{
-    assert!(chunk > 0, "chunk size must be positive");
-    let starts: Vec<usize> = (0..n).step_by(chunk).collect();
-    starts
-        .into_par_iter()
-        .map(|s| f(s, (s + chunk).min(n)))
-        .collect()
-}
-
-/// Like [`par_map_chunked`], but the per-chunk results are written
-/// straight into the caller's preallocated `out` slice instead of being
-/// collected through per-chunk `Vec`s: `f(start, block)` receives the
-/// half-open chunk's start index and the mutable sub-slice
-/// `out[start..end]` to fill. Chunk boundaries depend only on
-/// `out.len()` and `chunk`, so the result is thread-count invariant
-/// whenever `f` is deterministic.
+/// This is the scheduling substrate for panel-batched mesh execution
+/// and the codec's per-panel stages: chunk boundaries depend only on
+/// `out.len()` and `chunk`, never on the thread count, so the result
+/// is thread-count invariant whenever `f` is deterministic.
 ///
 /// # Panics
 /// Panics when `chunk` is zero.
@@ -142,39 +96,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_sum_matches_sequential_chunked_sum() {
-        let n = 1000;
-        let f = |i: usize| (i as f64).sin() * 1e-3 + (i as f64) * 1e-6;
-        let par = par_sum_indexed(n, f);
-        // Sequential reference with identical chunking.
-        let mut seq = 0.0;
-        let mut s = 0;
-        while s < n {
-            let end = (s + DET_CHUNK).min(n);
-            let mut acc = 0.0;
-            for i in s..end {
-                acc += f(i);
-            }
-            seq += acc;
-            s = end;
-        }
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn par_sum_empty_is_zero() {
-        assert_eq!(par_sum_indexed(0, |_| 1.0), 0.0);
-    }
-
-    #[test]
-    fn par_sum_is_reproducible_across_invocations() {
-        let f = |i: usize| 1.0 / (i as f64 + 1.0);
-        let a = par_sum_indexed(5000, f);
-        let b = par_sum_indexed(5000, f);
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn par_sum_vectors_accumulates_elementwise() {
@@ -203,42 +124,29 @@ mod tests {
         assert_eq!(v, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }
 
+    /// The `(start, len)` of every chunk `par_map_chunked_into` hands
+    /// out over `n` items, in slot order.
+    fn chunk_spans(n: usize, chunk: usize) -> Vec<(usize, usize)> {
+        let mut spans = vec![(usize::MAX, 0); n];
+        par_map_chunked_into(&mut spans, chunk, |start, block| {
+            let len = block.len();
+            block.fill((start, len));
+        });
+        spans.dedup();
+        spans
+    }
+
     #[test]
-    fn par_map_chunked_covers_ragged_ranges() {
+    fn par_map_chunked_into_covers_ragged_ranges() {
         for (n, chunk) in [(10usize, 3usize), (9, 3), (1, 5), (64, 64), (65, 64)] {
-            let spans = par_map_chunked(n, chunk, |s, e| (s, e));
             // Chunks tile 0..n in order, each at most `chunk` long.
             let mut expect_start = 0;
-            for &(s, e) in &spans {
+            for (s, len) in chunk_spans(n, chunk) {
                 assert_eq!(s, expect_start);
-                assert!(e > s && e - s <= chunk);
-                expect_start = e;
+                assert!(len > 0 && len <= chunk);
+                expect_start = s + len;
             }
             assert_eq!(expect_start, n, "n={n} chunk={chunk}");
-        }
-    }
-
-    #[test]
-    fn par_map_chunked_empty_is_empty() {
-        assert!(par_map_chunked(0, 8, |s, e| (s, e)).is_empty());
-    }
-
-    #[test]
-    fn par_map_chunked_into_matches_the_collecting_variant() {
-        for (n, chunk) in [(137usize, 16usize), (10, 3), (1, 5), (64, 64), (65, 64)] {
-            let collected: Vec<usize> =
-                par_map_chunked(n, chunk, |s, e| (s..e).collect::<Vec<_>>())
-                    .into_iter()
-                    .flatten()
-                    .map(|i| i * 3)
-                    .collect();
-            let mut wrote = vec![0usize; n];
-            par_map_chunked_into(&mut wrote, chunk, |start, block| {
-                for (off, v) in block.iter_mut().enumerate() {
-                    *v = (start + off) * 3;
-                }
-            });
-            assert_eq!(wrote, collected, "n={n} chunk={chunk}");
         }
     }
 
@@ -249,8 +157,17 @@ mod tests {
     }
 
     #[test]
-    fn par_map_chunked_is_thread_count_invariant() {
-        let compute = || par_map_chunked(137, 16, |s, e| (s, e, (s..e).sum::<usize>()));
+    fn par_map_chunked_into_is_thread_count_invariant() {
+        let compute = || {
+            let mut out = vec![0usize; 137];
+            par_map_chunked_into(&mut out, 16, |start, block| {
+                let sum: usize = (start..start + block.len()).sum();
+                for (off, v) in block.iter_mut().enumerate() {
+                    *v = sum * 1000 + start + off;
+                }
+            });
+            out
+        };
         let base = compute();
         for threads in [1usize, 2, 3, 8] {
             let pool = rayon::ThreadPoolBuilder::new()

@@ -11,19 +11,22 @@
 //!
 //! # Contracts
 //!
-//! Two kernel families live here, with two contracts:
+//! Two kernels live here, with two contracts. Both run the mesh
+//! forward: the paper decodes by running the trained `U_R` forward,
+//! never by inverting `U_C`, so the tables carry no inverse pass
+//! (`Mesh::inverse_real` is the model's own math, not a table kernel).
 //!
-//! - **Exact kernels** ([`MeshTables::forward_amps`],
-//!   [`MeshTables::inverse_amps`]) replay *every* gate with the
-//!   identical `c·a − s·b` / `s·a + c·b` expressions the scalar
-//!   reference uses. `f64::sin_cos` is deterministic, so a cached value
-//!   is the same bit pattern as a recomputed one and these kernels are
-//!   **bit-identical** to `Mesh::forward_real` / `Mesh::inverse_real`.
-//! - **Pruned, lane-blocked kernels** ([`MeshTables::forward_panel_blocked`],
-//!   [`MeshTables::inverse_panel_blocked`]) sweep every lane of a
-//!   mode-major [`Panel`], skip identity gates — gates whose table
+//! - **The exact kernel** ([`MeshTables::forward_amps`]) replays
+//!   *every* gate with the identical `c·a − s·b` / `s·a + c·b`
+//!   expressions the scalar reference uses. `f64::sin_cos` is
+//!   deterministic, so a cached value is the same bit pattern as a
+//!   recomputed one and this kernel is **bit-identical** to
+//!   `Mesh::forward_real`.
+//! - **The pruned, lane-blocked kernel**
+//!   ([`MeshTables::forward_panel_blocked`]) sweeps every lane of a
+//!   mode-major [`Panel`], skips identity gates — gates whose table
 //!   entry is exactly `(sin, cos) = (0, 1)`, i.e. `θ = ±0.0` — and
-//!   rotate the lanes in explicit
+//!   rotates the lanes in explicit
 //!   [`LANE_BLOCK`](qn_linalg::panel::LANE_BLOCK)-wide blocks
 //!   (`qn_linalg::panel::rotate_lanes_blocked`). Skipping an identity
 //!   rotation leaves an amplitude's stored bits untouched, whereas the
@@ -39,7 +42,7 @@
 //! identity, so the build cost is paid once per mesh, not per batch.
 
 use crate::mesh::Mesh;
-use qn_linalg::panel::{rotate_lanes_blocked, rotate_lanes_blocked_inverse};
+use qn_linalg::panel::rotate_lanes_blocked;
 use qn_linalg::Panel;
 
 /// One gate's precomputed rotation: target mode pair `(mode, mode+1)`
@@ -165,23 +168,6 @@ impl MeshTables {
         }
     }
 
-    /// Apply the exact inverse `U⁻¹` to one amplitude vector —
-    /// bit-identical to [`Mesh::inverse_real`].
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn inverse_amps(&self, amps: &mut [f64]) {
-        assert_eq!(amps.len(), self.dim, "table dimension mismatch");
-        for layer in self.layers.iter().rev() {
-            for g in layer.gates.iter().rev() {
-                let a = amps[g.mode];
-                let b = amps[g.mode + 1];
-                amps[g.mode] = g.cos * a + g.sin * b;
-                amps[g.mode + 1] = g.cos * b - g.sin * a;
-            }
-        }
-    }
-
     /// Forward panel sweep with identity-gate pruning and explicit
     /// lane blocks — the `simd` backend's kernel. Outputs compare equal
     /// (`f64 ==`) to [`Mesh::forward_real`] on every lane; see the
@@ -195,21 +181,6 @@ impl MeshTables {
             for g in &layer.active {
                 let (row_a, row_b) = panel.row_pair_mut(g.mode);
                 rotate_lanes_blocked(row_a, row_b, g.sin, g.cos);
-            }
-        }
-    }
-
-    /// Inverse panel sweep with identity-gate pruning and explicit
-    /// lane blocks — see [`MeshTables::forward_panel_blocked`].
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn inverse_panel_blocked(&self, panel: &mut Panel) {
-        assert_eq!(panel.dim(), self.dim, "table dimension mismatch");
-        for layer in self.layers.iter().rev() {
-            for g in layer.active.iter().rev() {
-                let (row_a, row_b) = panel.row_pair_mut(g.mode);
-                rotate_lanes_blocked_inverse(row_a, row_b, g.sin, g.cos);
             }
         }
     }
@@ -280,17 +251,6 @@ mod tests {
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "forward_amps drifted"
                 );
-                let mut inv_ref = col.clone();
-                mesh.inverse_real(&mut inv_ref);
-                let mut inv_tab = col.clone();
-                tables.inverse_amps(&mut inv_tab);
-                assert!(
-                    inv_tab
-                        .iter()
-                        .zip(&inv_ref)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "inverse_amps drifted"
-                );
             }
         }
     }
@@ -305,20 +265,11 @@ mod tests {
                 let cols = columns(10, width);
                 let mut fwd = Panel::from_columns(&cols);
                 tables.forward_panel_blocked(&mut fwd);
-                let mut inv = Panel::from_columns(&cols);
-                tables.inverse_panel_blocked(&mut inv);
                 for (lane, col) in cols.iter().enumerate() {
                     assert_eq!(
                         fwd.column(lane),
                         mesh.forward_real_copy(col),
                         "forward width {width} lane {lane}"
-                    );
-                    let mut reference = col.clone();
-                    mesh.inverse_real(&mut reference);
-                    assert_eq!(
-                        inv.column(lane),
-                        reference,
-                        "inverse width {width} lane {lane}"
                     );
                 }
             }
@@ -362,21 +313,6 @@ mod tests {
             if a.to_bits() != b.to_bits() {
                 assert_eq!(*a, 0.0, "non-zero bit divergence");
                 assert_eq!(*b, 0.0, "non-zero bit divergence");
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_tables_undo_forward_tables() {
-        let mesh = sparse_mesh(8, 3);
-        let tables = mesh.tables();
-        let cols = columns(8, 6);
-        let mut panel = Panel::from_columns(&cols);
-        tables.forward_panel_blocked(&mut panel);
-        tables.inverse_panel_blocked(&mut panel);
-        for (lane, col) in cols.iter().enumerate() {
-            for (a, b) in panel.column(lane).iter().zip(col) {
-                assert!((a - b).abs() < 1e-12, "lane {lane}");
             }
         }
     }

@@ -6,7 +6,7 @@
 //! qnc train      <input.pgm> -o <model.qnm> [options]
 //! qnc info       <file.qnc | file.qnm> [--json]
 //! qnc serve      [--addr HOST:PORT] [--store DIR] [options]
-//! qnc remote     compress|decompress|info|models … --addr HOST:PORT
+//! qnc remote     compress|decompress|info|models|stats|trace … --addr HOST:PORT
 //! qnc eval       [--datasets LIST] [--grid SPEC] [--baselines LIST]
 //!                [-o report.json] [--json] [--check] [--timings]
 //! ```
@@ -15,9 +15,7 @@
 //! failure exits with a message on stderr and a non-zero status — no
 //! panics on user input.
 
-use qn_codec::{
-    codec_from_inline, info, model, BackendKind, Codec, CodecOptions, Container, EntropyCoder,
-};
+use qn_codec::{codec_from_inline, info, model, Codec, CodecOptions, Container, EntropyCoder};
 use qn_core::config::{
     CompressionTargetKind, InitStrategy, NetworkConfig, OptimizerKind, SubspaceKind,
 };
@@ -37,15 +35,14 @@ qnc — quantum-network image codec
 USAGE:
     qnc compress   <input.pgm> -o <out.qnc> [--model <m.qnm>] [--tile N]
                    [--latent D] [--bits B] [--entropy rice|rice-pos|range]
-                   [--per-tile-scale] [--no-inline-model] [--backend B]
-                   [--no-verify] [--timings] [--trace]
-    qnc decompress <input.qnc> -o <out.pgm> [--model <m.qnm>]
-                   [--backend B] [--timings] [--trace]
+                   [--per-tile-scale] [--no-inline-model] [--no-verify]
+                   [--timings] [--trace]
+    qnc decompress <input.qnc> -o <out.pgm> [--model <m.qnm>] [--timings]
+                   [--trace]
     qnc train      <input.pgm> -o <model.qnm> [--tile N] [--latent D]
                    [--layers-c N] [--layers-r N] [--iters N] [--seed S]
     qnc info       <file.qnc | file.qnm> [--json]
-    qnc serve      [--addr HOST:PORT] [--store DIR] [--backend B]
-                   [--cache-models N]
+    qnc serve      [--addr HOST:PORT] [--store DIR] [--cache-models N]
                    [--read-timeout-ms T] [--log-level off|warn|info|debug]
                    [--workers N] [--max-inflight N] [--conn-inflight N]
                    [--max-conns N] [--shutdown-grace-ms T]
@@ -61,14 +58,13 @@ USAGE:
     qnc remote stats      --addr HOST:PORT [--watch SECS]
     qnc remote trace      --addr HOST:PORT [--slow] [--id HEX] [--json]
     qnc eval       [--datasets a,b,c] [--dir PGM_DIR] [--grid SPEC]
-                   [--baselines svd,pca,csc|all|none] [--backend B]
-                   [-o report.json] [--json] [--seed S] [--check]
-                   [--timings]
+                   [--baselines svd,pca,csc|all|none] [-o report.json]
+                   [--json] [--seed S] [--check] [--timings]
 
-Defaults: tile 4, latent 8, bits 8, rice entropy coding, inline model,
-simd backend. Backends (--backend scalar|simd; scalar is the reference)
-change throughput only: both produce byte-identical containers and
-pixel-identical decodes. --entropy picks the latent bitstream coder: rice writes
+Defaults: tile 4, latent 8, bits 8, rice entropy coding, inline model.
+Every command runs the mesh passes on the simd backend, which writes
+the same bytes and pixels as the scalar reference the tests check it
+against. --entropy picks the latent bitstream coder: rice writes
 format v1 (readable by every build), rice-pos and range write format
 v2 (per-position Rice parameters / adaptive range coding + norm
 deltas — smaller files, identical pixels). `decompress` reads all
@@ -82,9 +78,9 @@ the codec server (default addr 127.0.0.1:7733, port 0 = ephemeral;
 codec schedule, its own mesh pass included, on a worker thread;
 --quiet drops the banner, --log-level gates the timestamped stderr
 event lines; every server records metrics and traces); `remote` runs
-compress/decompress/info/models/stats against it, with responses
-byte-identical to the offline commands. `remote
-compress --model` uploads the model to the server's zoo first.
+compress/decompress/info/models/stats/trace against it, with responses
+byte-identical to the offline commands. `remote compress --model`
+uploads the model to the server's zoo first.
 `remote stats` prints the server's telemetry JSON (counters, gauges,
 latency percentiles), the one way to read a running server's metrics;
 --watch repeats it every SECS seconds.
@@ -136,7 +132,6 @@ impl Args {
             "--tile",
             "--latent",
             "--bits",
-            "--backend",
             "--layers-c",
             "--layers-r",
             "--iters",
@@ -217,14 +212,6 @@ fn read_image(path: &Path) -> Result<GrayImage, String> {
     pgm::read_pgm(path).map_err(|e| format!("reading {}: {e}", path.display()))
 }
 
-/// Backend selection: `--backend scalar|simd`, default simd.
-fn backend_choice(args: &Args) -> Result<BackendKind, String> {
-    match args.value(&["--backend"]) {
-        Some(name) => name.parse(),
-        None => Ok(BackendKind::default()),
-    }
-}
-
 /// Entropy-coder selection: `--entropy rice|rice-pos|range`, default
 /// rice (the v1 bitstream every build reads).
 fn entropy_choice(args: &Args) -> Result<EntropyCoder, String> {
@@ -293,8 +280,8 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
         bits: args.numeric(&["--bits"], 8u8)?,
         per_tile_scale: args.has("--per-tile-scale"),
         inline_model: !args.has("--no-inline-model"),
-        backend: backend_choice(args)?,
         entropy: entropy_choice(args)?,
+        ..CodecOptions::default()
     };
 
     let img = read_image(Path::new(input))?;
@@ -322,7 +309,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
 
     if !args.has("--no-verify") {
         let back = codec
-            .decode_bytes_with(&bytes, opts.backend)
+            .decode_bytes(&bytes)
             .map_err(|e| format!("verify decode: {e}"))?;
         let psnr = metrics::psnr(&img, &back.clamped());
         println!(
@@ -342,7 +329,6 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
             .ok_or("decompress needs -o <out.pgm>")?,
     );
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
-    let backend = backend_choice(args)?;
 
     let model = match args.value(&["--model"]) {
         Some(path) => Some(
@@ -363,7 +349,7 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
         None => codec_from_inline(&container).map_err(|e| format!("decoding: {e}"))?,
     };
     let img = rec
-        .decode(&codec, &container, backend)
+        .decode(&codec, &container)
         .map_err(|e| format!("decoding: {e}"))?;
     print_stages(args, rec);
 
@@ -538,7 +524,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         addr: args.value(&["--addr"]).unwrap_or("127.0.0.1:7733").into(),
         store_dir: args.value(&["--store"]).map(PathBuf::from),
         model_cache: args.numeric(&["--cache-models"], 16usize)?,
-        backend: backend_choice(args)?,
         read_timeout: Duration::from_millis(args.numeric(&["--read-timeout-ms"], 30_000u64)?),
         workers: args.numeric(&["--workers"], 0usize)?,
         max_inflight: args.numeric(&["--max-inflight"], 256usize)?,
@@ -565,9 +550,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if !args.has("--quiet") {
         let _ = writeln!(
             stdout,
-            "qn-serve listening on {}\n  backend {}, one mesh pass per request, model store: {store}\n  slow capture {}, log level {}",
+            "qn-serve listening on {}\n  one mesh pass per request, model store: {store}\n  slow capture {}, log level {}",
             handle.addr(),
-            config.backend,
             match config.slow_threshold.as_millis() {
                 0 => "off".to_string(),
                 ms => format!(">= {ms} ms"),
@@ -592,7 +576,9 @@ fn remote_client(args: &Args) -> Result<Client, String> {
 
 fn cmd_remote(args: &Args) -> Result<(), String> {
     let Some((sub, rest)) = args.positional.split_first() else {
-        return Err("remote needs a subcommand: compress, decompress or info".into());
+        return Err(
+            "remote needs a subcommand: compress, decompress, info, models, stats or trace".into(),
+        );
     };
     match sub.as_str() {
         "compress" => remote_compress(args, rest),
@@ -755,8 +741,8 @@ fn remote_compress(args: &Args, positional: &[String]) -> Result<(), String> {
         bits: args.numeric(&["--bits"], 8u8)?,
         per_tile_scale: args.has("--per-tile-scale"),
         inline_model: !args.has("--no-inline-model"),
-        backend: BackendKind::default(), // server-side choice; irrelevant to bytes
         entropy: entropy_choice(args)?,
+        ..CodecOptions::default()
     };
     let img = read_image(Path::new(input))?;
     let mut client = remote_client(args)?;
@@ -863,8 +849,7 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     if let Some(dir) = args.value(&["--dir"]) {
         datasets.push(qn_eval::registry::from_pgm_dir(Path::new(dir))?);
     }
-    let mut grid = qn_eval::Grid::parse(args.value(&["--grid"]).unwrap_or("default"))?;
-    grid.backend = backend_choice(args)?;
+    let grid = qn_eval::Grid::parse(args.value(&["--grid"]).unwrap_or("default"))?;
     let baselines = qn_eval::BaselineSet::parse(args.value(&["--baselines"]).unwrap_or("all"))?;
     let report =
         qn_eval::QualityReport::build(&datasets, &grid, &baselines, args.has("--timings"), seed)?;

@@ -20,10 +20,12 @@
 //!
 //! A worker runs its request end to end: ENCODE and DECODE call the
 //! codec's own schedule, mesh pass included, exactly as offline `qnc`
-//! does. A [`StageRecorder`] times every stage of the request once —
-//! frame read, queue wait, parse, the codec's named stages, reply
-//! write — into the `serve_stage_ns` histograms, and into the span
-//! tree when the request is traced.
+//! does, on the default `simd` backend — the server offers no backend
+//! choice, and its replies are byte-identical to the scalar oracle's.
+//! A [`StageRecorder`] times every stage of the request once — frame
+//! read, queue wait, parse, the codec's named stages, reply write —
+//! into the `serve_stage_ns` histograms, and into the span tree when
+//! the request is traced.
 //!
 //! Telemetry has no off switch: every server keeps its
 //! [`ServeMetrics`] and a [`Tracer`], and the `STATS` and `TRACE` RPCs
@@ -43,7 +45,6 @@ use crate::reactor::{
 };
 use crate::stages::{self, span_ns, StageRecorder};
 use crate::store::ModelStore;
-use qn_backend::BackendKind;
 use qn_codec::pipeline::codec_from_inline;
 use qn_codec::{info, Codec, CodecOptions, Container};
 use qn_trace::{fmt_ns, SpanId, TraceBuilder, Tracer};
@@ -106,8 +107,6 @@ pub struct ServerConfig {
     /// Parsed models kept hot in RAM (least-recently-used beyond this;
     /// also the total retention bound when `store_dir` is `None`).
     pub model_cache: usize,
-    /// Backend every mesh pass runs through (default `simd`).
-    pub backend: BackendKind,
     /// How long a connection may take to deliver the rest of a frame
     /// once its header has arrived (`Duration::ZERO` disables the
     /// timeout). Idle connections are never timed out — the deadline
@@ -153,7 +152,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7733".into(),
             store_dir: None,
             model_cache: 16,
-            backend: BackendKind::default(),
             read_timeout: Duration::from_secs(30),
             workers: 0,
             max_inflight: 256,
@@ -1184,8 +1182,8 @@ fn handle_encode(
         bits: req.bits,
         per_tile_scale: req.flags & ENC_FLAG_PER_TILE_SCALE != 0,
         inline_model: req.flags & ENC_FLAG_INLINE_MODEL != 0,
-        backend: shared.config.backend,
         entropy: req.entropy,
+        ..CodecOptions::default()
     };
     let (bytes, _) = rec.encode(&codec, &req.image, &opts)?;
     shared
@@ -1244,7 +1242,7 @@ fn handle_decode(
     } else {
         shared.store.get(container.header.model_id)?
     };
-    let img = rec.decode(&codec, &container, shared.config.backend)?;
+    let img = rec.decode(&codec, &container)?;
     if let Ok(coder) = container.header.entropy() {
         shared
             .metrics
@@ -1283,15 +1281,13 @@ fn server_info_json(shared: &Shared) -> String {
     format!(
         "{{\"format\":\"qn-serve\",\"protocol_version\":{PROTOCOL_VERSION},\
          \"server_version\":\"{}\",\"uptime_secs\":{},\"metrics\":true,\
-         \"tracing\":true,\"slow_ms\":{},\
-         \"backend\":\"{}\",\"read_timeout_ms\":{},\
+         \"tracing\":true,\"slow_ms\":{},\"read_timeout_ms\":{},\
          \"workers\":{},\"max_inflight\":{},\"conn_inflight\":{},\"max_conns\":{},\
          \"models_cached\":{},\"store_dir\":{store_dir},\
          \"requests_served\":{}}}",
         env!("CARGO_PKG_VERSION"),
         shared.started.elapsed().as_secs(),
         shared.config.slow_threshold.as_millis(),
-        shared.config.backend,
         shared.config.read_timeout.as_millis(),
         shared.config.workers,
         shared.config.max_inflight,

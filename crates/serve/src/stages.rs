@@ -5,9 +5,8 @@
 
 use crate::metrics::ServeMetrics;
 use crate::protocol::Opcode;
-use qn_backend::BackendKind;
 use qn_codec::stage::{ENTROPY, MESH_PASS, PREPARE, QUANTIZE, STITCH};
-use qn_codec::{Codec, CodecOptions, Container, EncodeStats};
+use qn_codec::{BackendKind, Codec, CodecOptions, Container, EncodeStats};
 use qn_image::GrayImage;
 use qn_trace::{fmt_ns, SpanId, Trace, TraceBuilder};
 use std::fmt::Display;
@@ -132,9 +131,8 @@ impl<'a> StageRecorder<'a> {
         })
     }
 
-    /// Run the encode schedule and record its stages: `mesh_pass`
-    /// carries `backend`, `entropy` carries `coder`, and the root gains
-    /// `tiles`.
+    /// Run the encode schedule and record its stages: `entropy`
+    /// carries `coder`, and the root gains `tiles`.
     ///
     /// # Errors
     /// See [`Codec::encode_image`].
@@ -146,29 +144,21 @@ impl<'a> StageRecorder<'a> {
     ) -> qn_codec::Result<(Vec<u8>, EncodeStats)> {
         let from = Instant::now();
         let (bytes, stats) = codec.encode_image_with_stats(img, opts)?;
-        let [_, mesh, _, entropy] = self.record_all(from, stats.stages);
-        self.attr(mesh, "backend", opts.backend);
+        let [_, _, _, entropy] = self.record_all(from, stats.stages);
         self.attr(entropy, "coder", opts.entropy);
         self.attr(Some(SpanId::ROOT), "tiles", stats.tiles);
         Ok((bytes, stats))
     }
 
-    /// Run the decode schedule on a parsed container and record its
-    /// stages: `mesh_pass` carries `backend`, and the root gains
-    /// `tiles`.
+    /// Run the decode schedule on a parsed container through the
+    /// default backend and record its stages; the root gains `tiles`.
     ///
     /// # Errors
     /// See [`Codec::decode_container`].
-    pub fn decode(
-        &mut self,
-        codec: &Codec,
-        container: &Container,
-        backend: BackendKind,
-    ) -> qn_codec::Result<GrayImage> {
+    pub fn decode(&mut self, codec: &Codec, container: &Container) -> qn_codec::Result<GrayImage> {
         let from = Instant::now();
-        let (img, stages) = codec.decode_container(container, backend)?;
-        let [_, mesh, _] = self.record_all(from, stages);
-        self.attr(mesh, "backend", backend);
+        let (img, stages) = codec.decode_container(container, BackendKind::default())?;
+        self.record_all(from, stages);
         self.attr(Some(SpanId::ROOT), "tiles", container.tiles.len());
         Ok(img)
     }

@@ -275,134 +275,87 @@ fn entropy_coders_are_selectable_and_decode_identically() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown entropy coder"));
 }
 
-/// `--backend` selects the execution schedule without changing a single
-/// byte: `scalar` and `simd` compress to the same container, and each
-/// decodes the other's container to the identical image. Unknown
-/// backend names, `--serial` and the removed `serve` flags
-/// (`--batch-tiles`, `--no-metrics`, `--no-tracing`,
-/// `--metrics-dump-secs`) fail cleanly.
+/// Flags that no longer exist fail by name: `--backend` on every
+/// command that took it (each runs the simd backend; scalar is the
+/// test oracle, not an option), `--serial`, and the removed `serve`
+/// flags (`--batch-tiles`, `--no-metrics`, `--no-tracing`,
+/// `--metrics-dump-secs`). A server that accepted one would serve
+/// forever, so every command gets a few seconds to exit.
 #[test]
-fn backends_are_byte_compatible_end_to_end() {
-    let dir = work_dir("backends");
+fn removed_flags_are_rejected_by_name() {
+    let dir = work_dir("removed_flags");
     let input = dir.join("img.pgm");
-    write_dataset_image(&input, 48, 32, 29);
-
-    let backends = ["scalar", "simd"];
-    let mut containers = Vec::new();
-    for backend in backends {
-        let out = dir.join(format!("{backend}.qnc"));
-        run_ok(
-            qnc()
-                .arg("compress")
-                .arg(&input)
-                .arg("-o")
-                .arg(&out)
-                .arg("--backend")
-                .arg(backend)
-                .arg("--no-verify"),
-        );
-        containers.push(std::fs::read(&out).unwrap());
-    }
-    assert_eq!(containers[0], containers[1], "scalar vs simd container");
-
-    // Cross-decode: every container under every backend, one image.
-    let mut decodes = Vec::new();
-    for encoder in backends {
-        for decoder in backends {
-            let pgm = dir.join(format!("{encoder}-by-{decoder}.pgm"));
-            run_ok(
-                qnc()
-                    .arg("decompress")
-                    .arg(dir.join(format!("{encoder}.qnc")))
-                    .arg("-o")
-                    .arg(&pgm)
-                    .arg("--backend")
-                    .arg(decoder),
-            );
-            decodes.push((
-                format!("{encoder}->{decoder}"),
-                std::fs::read(&pgm).unwrap(),
-            ));
-        }
-    }
-    for (name, pgm) in &decodes[1..] {
-        assert_eq!(
-            pgm, &decodes[0].1,
-            "{name} decode must be byte-identical to {}",
-            decodes[0].0
-        );
-    }
-
-    // Unknown backends fail cleanly and name the two that exist.
-    for unknown in ["gpu", "panel", "scalar-parallel"] {
-        let out = qnc()
+    let container = dir.join("img.qnc");
+    let never = dir.join("never.out");
+    write_dataset_image(&input, 16, 16, 29);
+    run_ok(
+        qnc()
             .arg("compress")
             .arg(&input)
             .arg("-o")
-            .arg(dir.join("never.qnc"))
-            .arg("--backend")
-            .arg(unknown)
-            .output()
-            .expect("spawn qnc");
-        assert!(!out.status.success(), "--backend {unknown} must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown backend"), "{unknown}: {stderr}");
-        assert!(
-            stderr.contains("scalar") && stderr.contains("simd"),
-            "{unknown}: the error must name the backends: {stderr}"
-        );
-    }
-    assert!(!dir.join("never.qnc").exists());
-
-    // `--serial` is not a flag.
-    let out = qnc()
-        .arg("compress")
-        .arg(&input)
-        .arg("-o")
-        .arg(dir.join("never.qnc"))
-        .arg("--serial")
-        .output()
-        .expect("spawn qnc");
-    assert!(!out.status.success(), "--serial must be rejected");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown flag --serial"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+            .arg(&container)
+            .arg("--no-verify"),
     );
-
-    // Nor are the removed `serve` flags: a served request runs its own
-    // mesh pass (`--batch-tiles`), and telemetry has no off switch and
-    // one way out, the STATS RPC. A server that accepted one would
-    // serve forever, so give it a few seconds to exit.
-    for extra in [
-        &["--batch-tiles", "1"][..],
-        &["--no-metrics"],
-        &["--no-tracing"],
-        &["--metrics-dump-secs", "1"],
-    ] {
-        let mut serve = qnc()
-            .args(["serve", "--addr", "127.0.0.1:0"])
-            .args(extra)
+    let compress = |extra: &[&str]| {
+        let mut cmd = qnc();
+        cmd.arg("compress")
+            .arg(&input)
+            .arg("-o")
+            .arg(&never)
+            .args(extra);
+        cmd
+    };
+    let decompress = |extra: &[&str]| {
+        let mut cmd = qnc();
+        cmd.arg("decompress").arg(&container).arg("-o").arg(&never);
+        cmd.args(extra);
+        cmd
+    };
+    let serve = |extra: &[&str]| {
+        let mut cmd = qnc();
+        cmd.args(["serve", "--addr", "127.0.0.1:0"]).args(extra);
+        cmd
+    };
+    let eval = |extra: &[&str]| {
+        let mut cmd = qnc();
+        cmd.args(["eval", "--datasets", "blobs", "--grid", "smoke"]);
+        cmd.args(["--baselines", "none"]).args(extra);
+        cmd
+    };
+    let backend = ["--backend", "simd"];
+    let cases = [
+        (compress(&backend), "--backend"),
+        (decompress(&backend), "--backend"),
+        (serve(&backend), "--backend"),
+        (eval(&backend), "--backend"),
+        (compress(&["--serial"]), "--serial"),
+        (serve(&["--batch-tiles", "1"]), "--batch-tiles"),
+        (serve(&["--no-metrics"]), "--no-metrics"),
+        (serve(&["--no-tracing"]), "--no-tracing"),
+        (serve(&["--metrics-dump-secs", "1"]), "--metrics-dump-secs"),
+    ];
+    for (mut cmd, flag) in cases {
+        let mut child = cmd
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
             .expect("spawn qnc");
         for _ in 0..500 {
-            if serve.try_wait().unwrap().is_some() {
+            if child.try_wait().unwrap().is_some() {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        let _ = serve.kill();
-        let out = serve.wait_with_output().unwrap();
-        let flag = extra[0];
-        assert!(!out.status.success(), "{flag} must be rejected");
+        let _ = child.kill();
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{cmd:?} must be rejected");
         assert!(
-            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown flag {flag}")),
-            "{flag}: {}",
-            String::from_utf8_lossy(&out.stderr)
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{cmd:?}: {stderr}"
         );
     }
+    assert!(!never.exists());
 }
 
 #[test]
@@ -739,7 +692,7 @@ fn trace_flag_prints_span_trees_locally_and_remotely() {
         assert!(tree.contains(stage), "stage {stage} missing from: {tree}");
     }
     assert!(tree.contains("\n  mesh_pass +"), "a root child: {tree}");
-    assert!(tree.contains("backend=simd"), "{tree}");
+    assert!(!tree.contains("backend="), "no backend attribute: {tree}");
     assert!(!tree.contains("cause="), "no flush cause: {tree}");
     let remote_encode = codec_stages(&out.stdout);
 
@@ -917,6 +870,17 @@ fn usage_errors_exit_nonzero_with_help() {
 
     let out = qnc().arg("explode").output().expect("spawn qnc");
     assert!(!out.status.success());
+
+    // `remote` without a subcommand names all six.
+    let out = qnc().arg("remote").output().expect("spawn qnc");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(
+            "remote needs a subcommand: compress, decompress, info, models, stats or trace"
+        ),
+        "{stderr}"
+    );
 
     let out = qnc()
         .arg("compress")

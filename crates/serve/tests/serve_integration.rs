@@ -3,7 +3,6 @@
 //! byte-identical to offline `qnc` runs** with the same model and
 //! options, including under 16-way concurrent load.
 
-use qn_backend::BackendKind;
 use qn_codec::model::encode_model;
 use qn_codec::{info, Codec, CodecOptions};
 use qn_image::{datasets, GrayImage};
@@ -498,28 +497,8 @@ fn info_replies_share_the_cli_json() {
     // Server info: names the serving parameters.
     let status = client.info(None).unwrap();
     assert!(status.contains("\"format\":\"qn-serve\""), "{status}");
-    assert!(status.contains("\"backend\":\"simd\""), "{status}");
-}
-
-#[test]
-fn scalar_backend_servers_answer_the_same_bytes() {
-    // The scalar backend: responses must still be byte-identical —
-    // the backend is never observable.
-    let server = spawn(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        backend: BackendKind::Scalar,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let img = datasets::grayscale_blobs(1, 24, 24, 11).remove(0);
-    let opts = CodecOptions::default();
-    let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
-    let offline = codec.encode_image(&img, &opts).unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    let remote = client
-        .encode(&spectral_encode_request(&img, &opts, 8))
-        .unwrap();
-    assert_eq!(remote, offline);
+    // The server offers no backend choice, so INFO names none.
+    assert!(!status.contains("\"backend\""), "{status}");
 }
 
 /// Extract a plain integer counter/gauge value from the stats JSON.

@@ -74,7 +74,7 @@ fn traced_encode_round_trip_returns_a_well_formed_span_tree() {
     assert_eq!(t.spans[0].attr("tiles"), Some("48"));
     assert_eq!(t.spans[0].attr("origin"), Some("client"));
     assert!(t.spans.iter().all(|s| s.attr("cause").is_none()), "{json}");
-    assert_eq!(t.span("mesh_pass").unwrap().attr("backend"), Some("simd"));
+    assert_eq!(t.span("mesh_pass").unwrap().attr("backend"), None);
     assert_eq!(t.span("entropy").unwrap().attr("coder"), Some("rice"));
 
     // Structure: every span sits inside the root, and the stages sum

@@ -41,21 +41,11 @@ fn assert_zero_sign_only(got: &[Vec<f64>], want: &[Vec<f64>], what: &str) {
     }
 }
 
-/// `batch` packed into `width`-lane panels, passed forward (or inverse)
-/// through `backend` in place, and unpacked again.
-fn pass(
-    backend: &dyn MeshBackend,
-    m: &Mesh,
-    batch: &[Vec<f64>],
-    width: usize,
-    inverse: bool,
-) -> Vec<Vec<f64>> {
+/// `batch` packed into `width`-lane panels, passed forward through
+/// `backend` in place, and unpacked again.
+fn pass(backend: &dyn MeshBackend, m: &Mesh, batch: &[Vec<f64>], width: usize) -> Vec<Vec<f64>> {
     let mut panels = qn::linalg::panel::pack(batch, width);
-    if inverse {
-        backend.inverse_panels(m, &mut panels);
-    } else {
-        backend.forward_panels(m, &mut panels);
-    }
+    backend.forward_panels(m, &mut panels);
     qn::linalg::panel::unpack(&panels)
 }
 
@@ -223,33 +213,21 @@ proptest! {
             .collect();
         for m in [mesh.clone(), mesh.reversed()] {
             let reference: Vec<Vec<f64>> = batch.iter().map(|v| m.forward_real_copy(v)).collect();
-            let inv_reference: Vec<Vec<f64>> = batch
-                .iter()
-                .map(|v| {
-                    let mut v = v.clone();
-                    m.inverse_real(&mut v);
-                    v
-                })
-                .collect();
             let w = DEFAULT_PANEL_WIDTH;
             for kind in BackendKind::ALL {
-                let what = kind.name();
-                assert_zero_sign_only(&pass(kind.backend(), &m, &batch, w, false), &reference, what);
-                assert_zero_sign_only(&pass(kind.backend(), &m, &batch, w, true), &inv_reference, what);
+                assert_zero_sign_only(&pass(kind.backend(), &m, &batch, w), &reference, kind.name());
             }
             // The scalar reference reproduces the mesh bit for bit.
             let bits = |vs: &[Vec<f64>]| -> Vec<Vec<u64>> {
                 vs.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
             };
             let scalar = BackendKind::Scalar.backend();
-            prop_assert_eq!(bits(&pass(scalar, &m, &batch, w, false)), bits(&reference));
-            prop_assert_eq!(bits(&pass(scalar, &m, &batch, w, true)), bits(&inv_reference));
+            prop_assert_eq!(bits(&pass(scalar, &m, &batch, w)), bits(&reference));
             // Explicit panel widths exercise ragged last panels (the
             // batch length is rarely a multiple of `width`) and the
             // width-1 degenerate panel.
             let simd = SimdBackend;
-            assert_zero_sign_only(&pass(&simd, &m, &batch, width, false), &reference, "simd width");
-            assert_zero_sign_only(&pass(&simd, &m, &batch, width, true), &inv_reference, "simd width");
+            assert_zero_sign_only(&pass(&simd, &m, &batch, width), &reference, "simd width");
         }
     }
 
