@@ -1,5 +1,5 @@
-//! Reproduce **Fig. 4** (experiments E1–E5 in DESIGN.md): the full
-//! training run of the paper's Sec. IV.
+//! Reproduce **Fig. 4** (experiments E1–E5 below): the full training run
+//! of the paper's Sec. IV.
 //!
 //! Paper setting: 25 binary 4×4 images, N = 16, d = 4, l_C = 12,
 //! l_R = 14, 150 iterations. We run 300 iterations (the strict Eq. 10

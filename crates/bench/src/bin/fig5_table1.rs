@@ -9,7 +9,7 @@
 //! Absolute seconds are not comparable (MATLAB vs optimised Rust); the
 //! *shape* under test is: QN accuracy > CSC accuracy, QN final loss <
 //! CSC final loss, and QN cheaper per equal iteration budget. A PCA row
-//! (ref [11]'s classically-simulable content) is added as an extension.
+//! (ref \[11\]'s classically-simulable content) is added as an extension.
 //!
 //! Outputs: `results/fig5c_loss.csv`, `results/table1.csv`, stdout table.
 

@@ -1,9 +1,9 @@
 //! Shared utilities for the reproduction binaries: CSV writing, result
 //! directory resolution, and a plain-text table printer.
 //!
-//! Every binary in `src/bin/` regenerates one paper artefact (a table or
-//! figure series) and writes its data under `results/` at the workspace
-//! root — see `DESIGN.md` for the experiment index.
+//! `fig4` and `fig5_table1` regenerate the paper's Fig. 4, Fig. 5c and
+//! Table I and write their data under `results/` at the workspace root;
+//! the `bench_*` binaries write the checked-in `BENCH_*.json` files.
 
 use std::fs;
 use std::io::Write as _;

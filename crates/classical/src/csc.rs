@@ -2,10 +2,10 @@
 //!
 //! "In the CSC, we can use a sparse coding vector s and a dictionary D to
 //! express the input y, denoted as y = Ds"; the dictionary is 16×16 and
-//! learning is SVD-based (ref [23]). The pipeline alternates sparse
+//! learning is SVD-based (ref \[23\]). The pipeline alternates sparse
 //! coding (OMP with `sparsity` atoms — matched to the quantum network's
 //! `d` compression channels) and a dictionary update (K-SVD by default,
-//! MOD as ablation), recording the per-iteration training loss and total
+//! MOD as an alternative), recording the per-iteration training loss and total
 //! wall-clock time so the comparison rows of Table I can be regenerated.
 
 use crate::dictionary::Dictionary;
@@ -32,7 +32,7 @@ pub enum DictUpdate {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SparseCoder {
     /// FISTA ℓ₁ coding with the given λ and inner-iteration budget — the
-    /// faithful model of the paper's reference [23] (an LCA/memristive
+    /// faithful model of the paper's reference \[23\] (an LCA/memristive
     /// sparse-coding network solves exactly this LASSO objective, soft
     /// thresholding included). The shrinkage bias keeps the training loss
     /// strictly positive, which is what Fig. 5c shows for CSC. Default.
@@ -43,8 +43,7 @@ pub enum SparseCoder {
         inner_iterations: usize,
     },
     /// Orthogonal matching pursuit with the configured sparsity — a
-    /// *stronger* coder than the paper's; exercised by the strong-baseline
-    /// ablation.
+    /// *stronger* coder than the paper's.
     Omp,
     /// Plain matching pursuit.
     Mp,

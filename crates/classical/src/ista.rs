@@ -2,7 +2,7 @@
 //!
 //! Solves `min_s ½‖y − D s‖² + λ‖s‖₁` by iterative soft thresholding;
 //! FISTA adds Nesterov momentum. These are the convex alternatives to the
-//! greedy pursuits and are exercised by the coder ablation.
+//! greedy pursuits.
 
 use crate::dictionary::Dictionary;
 use qn_linalg::svd::spectral_norm;

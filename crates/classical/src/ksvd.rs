@@ -1,5 +1,5 @@
 //! K-SVD dictionary update (Aharon, Elad & Bruckstein) — the "SVD
-//! algorithm" behind the paper's CSC baseline (ref [23]).
+//! algorithm" behind the paper's CSC baseline (ref \[23\]).
 //!
 //! For each atom in turn: collect the samples that use it, form the
 //! residual matrix with that atom's contribution removed, and replace the

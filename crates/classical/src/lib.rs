@@ -1,7 +1,7 @@
 //! Classical baselines the paper compares against.
 //!
 //! Sec. IV-C compares the quantum network against a classical sparse
-//! coding (CSC) pipeline "based on the SVD algorithms" (ref [23]) with a
+//! coding (CSC) pipeline "based on the SVD algorithms" (ref \[23\]) with a
 //! 16×16 dictionary: inputs are expressed as `y = D s` with a learned
 //! dictionary `D` and sparse codes `s`. This crate implements that whole
 //! stack from scratch on top of `qn-linalg`:
@@ -16,7 +16,7 @@
 //! - [`csc`] — the full training pipeline with loss/time tracking, i.e.
 //!   the baseline column of Table I and the CSC curve of Fig. 5c;
 //! - [`pca`] — PCA compression (the classically-simulable content of the
-//!   quantum-PCA comparison the paper cites as ref [11]);
+//!   quantum-PCA comparison the paper cites as ref \[11\]);
 //! - [`svd_compress`] — plain low-rank SVD image compression.
 
 pub mod csc;

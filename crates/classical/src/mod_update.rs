@@ -3,7 +3,7 @@
 //! Given fixed sparse codes `S`, the dictionary minimising `‖Y − D S‖_F`
 //! is the least-squares solution `D = Y S⁺`, computed here via the SVD
 //! pseudo-inverse. Simpler than K-SVD (one global solve instead of
-//! per-atom rank-1 updates); exercised by the dictionary-update ablation.
+//! per-atom rank-1 updates).
 
 use crate::dictionary::Dictionary;
 use crate::mp::SparseCode;

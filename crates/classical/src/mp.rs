@@ -3,7 +3,7 @@
 //! The greedy baseline coder: repeatedly pick the atom most correlated
 //! with the residual and subtract its projection. Cheaper but weaker than
 //! [`crate::omp`]; included because the paper's reference list leans on
-//! pursuit methods (refs [1], [16]).
+//! pursuit methods (refs \[1\], \[16\]).
 
 use crate::dictionary::Dictionary;
 use qn_linalg::vector;

@@ -1,5 +1,5 @@
 //! PCA compression — the classically-simulable content of the
-//! quantum-PCA algorithm the paper cites for comparison (ref [11], Yu et
+//! quantum-PCA algorithm the paper cites for comparison (ref \[11\], Yu et
 //! al., "Quantum data compression by principal component analysis").
 //!
 //! qPCA's output on classical data *is* the principal subspace of the

@@ -472,7 +472,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// framing layers checksum header + payload with no copy.
 ///
 /// Slicing-by-8: each part runs eight bytes per step through
-/// [`CRC32_TABLES`], then its tail bytewise, so any split of the same
+/// `CRC32_TABLES`, then its tail bytewise, so any split of the same
 /// bytes into parts gives the same checksum.
 pub fn crc32_of_parts(parts: &[&[u8]]) -> u32 {
     let t = &CRC32_TABLES;

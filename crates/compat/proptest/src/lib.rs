@@ -217,7 +217,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Vector strategy (result of [`vec`]).
+    /// Vector strategy (result of [`vec()`]).
     pub struct VecStrategy<S, L> {
         element: S,
         size: L,

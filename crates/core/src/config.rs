@@ -14,8 +14,8 @@ pub enum SubspaceKind {
     KeepFirst,
 }
 
-/// Compression-target strategy for `L_C` (see `DESIGN.md` — the paper's
-/// Eq. 5 requires per-sample targets `b_i` but only gives one example).
+/// Compression-target strategy for `L_C` (the paper's Eq. 5 requires
+/// per-sample targets `b_i` but only gives one example).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompressionTargetKind {
     /// Penalise only the amplitude that leaks *outside* the kept subspace
@@ -130,13 +130,12 @@ impl NetworkConfig {
     /// The paper's Sec. IV-A structure: `N = 16`, `d = 4`, `l_C = 12`,
     /// `l_R = 14`, 150 iterations, tracked sample 25.
     ///
-    /// Two engineering deviations, both measured in the A1/optimizer
-    /// ablations and documented in `EXPERIMENTS.md`: the gradient defaults
-    /// to the exact reverse-mode method (the paper's forward difference
-    /// with Δ = 10⁻⁸ loses ~half the significant digits in f64), and the
+    /// Two engineering deviations: the gradient defaults to the exact
+    /// reverse-mode method (the paper's forward difference with Δ = 10⁻⁸,
+    /// Eq. 8, loses ~half the significant digits in f64), and the
     /// optimiser defaults to Adam at η = 0.05 (the paper's plain GD at
-    /// η = 0.01 plateaus far from the PCA bound on this landscape —
-    /// [`NetworkConfig::paper_exact`] reproduces that behaviour).
+    /// η = 0.01, Eq. 9, plateaus far from the PCA bound on this
+    /// landscape).
     pub fn paper_default() -> Self {
         NetworkConfig {
             dim: 16,
@@ -162,21 +161,6 @@ impl NetworkConfig {
             shots: 0,
             batch_size: None,
         }
-    }
-
-    /// The paper's training recipe taken literally: plain GD with
-    /// η = 0.01 (Eq. 9), forward-difference gradients with Δ = 10⁻⁸
-    /// (Eq. 8), gradients divided by M×N (Algorithm 1), and uniform-random
-    /// θ initialisation. Kept for the gradient/optimiser ablations, which
-    /// show this recipe converging far more slowly than the defaults.
-    pub fn paper_exact() -> Self {
-        let mut cfg = Self::paper_default();
-        cfg.learning_rate = 0.01;
-        cfg.gradient = GradientMethod::ForwardDifference { delta: 1e-8 };
-        cfg.optimizer = OptimizerKind::Gd;
-        cfg.normalize_gradient = true;
-        cfg.init = InitStrategy::RandomUniform;
-        cfg
     }
 
     /// Validate internal consistency.
@@ -249,13 +233,6 @@ impl NetworkConfig {
         self
     }
 
-    /// Builder: set gradient method.
-    #[must_use]
-    pub fn with_gradient(mut self, gradient: GradientMethod) -> Self {
-        self.gradient = gradient;
-        self
-    }
-
     /// Builder: set dimensions `(N, d)`.
     #[must_use]
     pub fn with_dims(mut self, dim: usize, compressed_dim: usize) -> Self {
@@ -283,13 +260,6 @@ impl NetworkConfig {
     #[must_use]
     pub fn with_init(mut self, init: InitStrategy) -> Self {
         self.init = init;
-        self
-    }
-
-    /// Builder: set optimiser.
-    #[must_use]
-    pub fn with_optimizer(mut self, optimizer: OptimizerKind) -> Self {
-        self.optimizer = optimizer;
         self
     }
 
@@ -328,20 +298,6 @@ mod tests {
         assert_eq!(c.layers_r, 14);
         assert_eq!(c.iterations, 150);
         assert_eq!(c.tracked_sample, 24); // "Figure 25" is index 24
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn paper_exact_matches_training_recipe() {
-        let c = NetworkConfig::paper_exact();
-        assert_eq!(c.learning_rate, 0.01); // η = 0.01
-        assert_eq!(c.optimizer, OptimizerKind::Gd); // Eq. 9
-        assert!(matches!(
-            c.gradient,
-            crate::gradient::GradientMethod::ForwardDifference { delta } if delta == 1e-8
-        )); // Eq. 8
-        assert!(c.normalize_gradient); // Algorithm 1's /(M×N)
-        assert_eq!(c.init, InitStrategy::RandomUniform);
         assert!(c.validate().is_ok());
     }
 

@@ -5,7 +5,7 @@
 //! - [`GradientMethod::ForwardDifference`] — the paper's Eq. 8:
 //!   `∂out/∂θ ≈ (T(θ+Δ)ψ − T(θ)ψ)/Δ` with Δ = 10⁻⁸. In f64 this loses
 //!   about half the significant digits (the classic forward-difference
-//!   trade-off), which is why it is kept only for paper-exact runs.
+//!   trade-off), which is why it is not the default.
 //! - [`GradientMethod::CentralDifference`] — second-order accurate probe.
 //! - [`GradientMethod::Analytic`] — exact reverse-mode differentiation
 //!   (backprop through the gate cascade): the derivative of an embedded
@@ -14,8 +14,8 @@
 //!   `O(P·N)` per sample instead of `O(P²·N)`.
 //!
 //! All methods parallelise with deterministic (thread-count-invariant)
-//! reductions; they agree to the accuracy each one promises, which the
-//! gradient-ablation experiment (A1) measures.
+//! reductions; they agree to the accuracy each one promises, which this
+//! module's tests check.
 //!
 //! The loss is `L = Σ_i Σ_j r_{ij}²` with `r = out − target` produced by a
 //! caller-supplied residual function, so the same machinery serves both

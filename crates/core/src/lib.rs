@@ -24,12 +24,10 @@
 //!
 //! Extensions beyond the paper's evaluation, each flagged in its module
 //! docs: [`spectral`] (PCA-optimal initialisation via Clements
-//! decomposition), [`complexnet`] (trainable phases α — the paper's
-//! stated future work), and shot-noise training through the trainer's
-//! own seeded multinomial sampler ([`config::NetworkConfig::shots`]).
+//! decomposition) and shot-noise training through the trainer's own
+//! seeded multinomial sampler ([`config::NetworkConfig::shots`]).
 
 pub mod autoencoder;
-pub mod complexnet;
 pub mod compression;
 pub mod config;
 pub mod encoding;

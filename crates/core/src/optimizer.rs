@@ -1,8 +1,8 @@
 //! Parameter-update rules.
 //!
 //! The paper uses plain gradient descent (Eq. 9:
-//! `θ(t+1) = θ(t) − η · ∂L/∂θ`); momentum and Adam are provided for the
-//! optimiser ablation.
+//! `θ(t+1) = θ(t) − η · ∂L/∂θ`); momentum and Adam are provided as
+//! alternatives, and Adam is the `paper_default` optimiser.
 
 use crate::config::OptimizerKind;
 

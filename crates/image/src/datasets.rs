@@ -13,8 +13,8 @@
 //!   off-subspace energy — which is why the trained loss is small but not
 //!   zero, matching the paper's observed `min L_C = 0.017`.
 //!
-//! Seeded generators for other sizes/ranks support the scaling and
-//! robustness experiments.
+//! Seeded generators for other sizes/ranks feed the evaluation datasets
+//! (`qn-eval`'s registry).
 
 use crate::image::GrayImage;
 use rand::rngs::StdRng;
@@ -80,7 +80,7 @@ pub fn structured_glyphs() -> Vec<GrayImage> {
 /// samples re-draw from the family with a fixed seed (only 15 distinct
 /// members exist). The whole set spans **exactly** a 4-dimensional pixel
 /// subspace, which is the precondition for the paper's observed near-zero
-/// losses and ≥97 % accuracy with `d = 4` — see `DESIGN.md`.
+/// losses and ≥97 % accuracy with `d = 4`.
 pub fn paper_binary_16(m: usize) -> Vec<GrayImage> {
     let pool = quadrant_unions();
     if m <= pool.len() {
@@ -97,9 +97,9 @@ pub fn paper_binary_16(m: usize) -> Vec<GrayImage> {
 
 /// The *hard* variant: the 15 quadrant unions plus the 10 structured
 /// glyphs, whose off-subspace energy (~14 %) makes lossless `d = 4`
-/// compression impossible. Used by the difficulty/robustness ablation to
-/// show how accuracy degrades with dataset incompressibility; for
-/// `m > 25` the list cycles.
+/// compression impossible. `fig5_table1` and the `paper-hard` eval
+/// dataset use it to show how accuracy degrades with dataset
+/// incompressibility; for `m > 25` the list cycles.
 pub fn paper_binary_16_hard(m: usize) -> Vec<GrayImage> {
     let mut pool = quadrant_unions();
     pool.extend(structured_glyphs());

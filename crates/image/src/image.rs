@@ -36,14 +36,17 @@ impl GrayImage {
     ///
     /// # Errors
     /// Returns [`ImageError`] when the pixel count does not match the
-    /// dimensions.
+    /// dimensions, or when `width × height` overflows.
     pub fn from_pixels(width: usize, height: usize, pixels: Vec<f64>) -> Result<Self, ImageError> {
-        if pixels.len() != width * height {
+        let count = width
+            .checked_mul(height)
+            .ok_or_else(|| ImageError(format!("{width}x{height} image is too large")))?;
+        if pixels.len() != count {
             return Err(ImageError(format!(
                 "{}x{} image needs {} pixels, got {}",
                 width,
                 height,
-                width * height,
+                count,
                 pixels.len()
             )));
         }
@@ -225,6 +228,9 @@ mod tests {
     fn from_pixels_validates_length() {
         assert!(GrayImage::from_pixels(2, 2, vec![0.0; 3]).is_err());
         assert!(GrayImage::from_pixels(2, 2, vec![0.0; 4]).is_ok());
+        // 2^(bits−1) × 2 wraps to 0: an empty buffer must not pass for it.
+        let err = GrayImage::from_pixels(usize::MAX / 2 + 1, 2, Vec::new()).unwrap_err();
+        assert!(err.0.contains("too large"), "{err}");
     }
 
     #[test]

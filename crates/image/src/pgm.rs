@@ -36,25 +36,34 @@ pub fn write_pgm(img: &GrayImage, path: &Path) -> std::io::Result<()> {
     f.write_all(to_pgm_string(img).as_bytes())
 }
 
-/// Parse a plain PGM (P2) string.
+/// Parse a plain PGM (P2) file's bytes. Tokens are ASCII, so the input
+/// is never decoded as a whole: a binary file is named by its magic.
 ///
 /// # Errors
-/// Returns [`ImageError`] for malformed content.
-pub fn from_pgm_string(s: &str) -> Result<GrayImage, ImageError> {
-    let mut tokens = s
-        .lines()
-        .filter(|l| !l.trim_start().starts_with('#'))
-        .flat_map(|l| l.split_whitespace());
+/// Returns [`ImageError`] for malformed content: a magic other than
+/// `P2`, a missing or non-numeric token, a zero maxval, a pixel count
+/// that overflows, or a sample above maxval.
+pub fn from_pgm_bytes(bytes: &[u8]) -> Result<GrayImage, ImageError> {
+    let mut tokens = bytes
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.trim_ascii_start().starts_with(b"#"))
+        .flat_map(|l| l.split(u8::is_ascii_whitespace))
+        .filter(|t| !t.is_empty());
     let magic = tokens
         .next()
         .ok_or_else(|| ImageError("empty PGM".into()))?;
-    if magic != "P2" {
-        return Err(ImageError(format!("unsupported PGM magic '{magic}'")));
+    if magic != b"P2" {
+        return Err(ImageError(format!(
+            "unsupported PGM magic '{}'",
+            String::from_utf8_lossy(magic)
+        )));
     }
     let mut next_num = |what: &str| -> Result<usize, ImageError> {
-        tokens
+        let token = tokens
             .next()
-            .ok_or_else(|| ImageError(format!("missing {what}")))?
+            .ok_or_else(|| ImageError(format!("missing {what}")))?;
+        std::str::from_utf8(token)
+            .map_err(|e| ImageError(format!("bad {what}: {e}")))?
             .parse::<usize>()
             .map_err(|e| ImageError(format!("bad {what}: {e}")))
     };
@@ -64,9 +73,18 @@ pub fn from_pgm_string(s: &str) -> Result<GrayImage, ImageError> {
     if maxval == 0 {
         return Err(ImageError("maxval must be positive".into()));
     }
-    let mut pixels = Vec::with_capacity(width * height);
-    for _ in 0..width * height {
-        pixels.push(next_num("pixel")? as f64 / maxval as f64);
+    let count = width
+        .checked_mul(height)
+        .ok_or_else(|| ImageError(format!("{width}x{height} image is too large")))?;
+    // Every sample takes at least one byte, so the input's length bounds
+    // what a truthful header can claim.
+    let mut pixels = Vec::with_capacity(count.min(bytes.len()));
+    for _ in 0..count {
+        let v = next_num("pixel")?;
+        if v > maxval {
+            return Err(ImageError(format!("pixel {v} exceeds maxval {maxval}")));
+        }
+        pixels.push(v as f64 / maxval as f64);
     }
     GrayImage::from_pixels(width, height, pixels)
 }
@@ -76,8 +94,8 @@ pub fn from_pgm_string(s: &str) -> Result<GrayImage, ImageError> {
 /// # Errors
 /// Returns [`ImageError`] for IO failures or malformed content.
 pub fn read_pgm(path: &Path) -> Result<GrayImage, ImageError> {
-    let s = fs::read_to_string(path).map_err(|e| ImageError(format!("read {path:?}: {e}")))?;
-    from_pgm_string(&s)
+    let bytes = fs::read(path).map_err(|e| ImageError(format!("read {path:?}: {e}")))?;
+    from_pgm_bytes(&bytes)
 }
 
 /// Read every `.pgm` file in a directory, sorted by file name so the
@@ -134,7 +152,7 @@ mod tests {
     fn pgm_roundtrip_preserves_quantised_pixels() {
         let img = GrayImage::from_pixels(3, 2, vec![0.0, 0.5, 1.0, 0.25, 0.75, 1.0]).unwrap();
         let s = to_pgm_string(&img);
-        let back = from_pgm_string(&s).unwrap();
+        let back = from_pgm_bytes(s.as_bytes()).unwrap();
         assert_eq!((back.width(), back.height()), (3, 2));
         for (a, b) in back.pixels().iter().zip(img.pixels()) {
             assert!((a - b).abs() <= 0.5 / 255.0 + 1e-12);
@@ -172,16 +190,33 @@ mod tests {
 
     #[test]
     fn pgm_parser_rejects_garbage() {
-        assert!(from_pgm_string("").is_err());
-        assert!(from_pgm_string("P5\n1 1\n255\n0").is_err());
-        assert!(from_pgm_string("P2\n2 2\n255\n0 0 0").is_err()); // missing pixel
-        assert!(from_pgm_string("P2\n1 1\n0\n0").is_err()); // bad maxval
+        let cases: [(&[u8], &str); 8] = [
+            (b"", "empty PGM"),
+            (b"P5\n1 1\n255\n0", "unsupported PGM magic 'P5'"),
+            // A binary P5 file is not UTF-8; it is still named by its magic.
+            (b"P5\n2 1\n255\n\xff\x80", "unsupported PGM magic 'P5'"),
+            (b"P2\n2 2\n255\n0 0 0", "missing pixel"),
+            (b"P2\n1 1\n0\n0", "maxval must be positive"),
+            // A header claiming 10^10 pixels must not reserve 80 GB.
+            (b"P2\n100000 100000\n255\n0 0 0\n", "missing pixel"),
+            // 2^32 × 2^32 wraps to 0 pixels in release builds.
+            (b"P2\n4294967296 4294967296\n255\n", "too large"),
+            (b"P2\n1 1\n255\n300", "pixel 300 exceeds maxval 255"),
+        ];
+        for (input, expected) in cases {
+            let err = from_pgm_bytes(input).unwrap_err();
+            assert!(
+                err.0.contains(expected),
+                "{:?}: got '{err}', want '{expected}'",
+                String::from_utf8_lossy(input)
+            );
+        }
     }
 
     #[test]
     fn pgm_parser_skips_comments() {
         let s = "P2\n# a comment\n1 1\n255\n128\n";
-        let img = from_pgm_string(s).unwrap();
+        let img = from_pgm_bytes(s.as_bytes()).unwrap();
         assert!((img.get(0, 0) - 128.0 / 255.0).abs() < 1e-12);
     }
 

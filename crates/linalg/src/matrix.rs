@@ -252,7 +252,7 @@ impl Matrix {
     }
 
     /// Matrix product `A B`. Parallelises over rows of `A` once the flop
-    /// count crosses [`PAR_FLOP_THRESHOLD`]; each output row is computed by
+    /// count crosses `PAR_FLOP_THRESHOLD`; each output row is computed by
     /// a single worker, so results are identical to the sequential path.
     ///
     /// # Errors

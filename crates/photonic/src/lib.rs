@@ -1,7 +1,7 @@
 //! Optical multiport-interferometer substrate.
 //!
 //! The paper implements its quantum network as an ideal lossless multiport
-//! optical interferometer (Sec. III-A, ref [19] = Clements et al., Optica
+//! optical interferometer (Sec. III-A, ref \[19\] = Clements et al., Optica
 //! 2016): a mesh of two-mode beam splitters `U(k,k+1)`, each coupling
 //! adjacent waveguide modes with reflectivity `cos θ` and phase `α`
 //! (fixed to 0 in the paper, making every gate a real Givens rotation).
@@ -13,18 +13,16 @@
 //!   (Fig. 3): each layer is a cascade of `N−1` adjacent-mode gates, and a
 //!   network is `l` such layers;
 //! - [`sequence::GateSequence`] — an arbitrary ordered gate list, the
-//!   common representation produced by the decomposition algorithms;
-//! - [`reck`] / [`clements`] — exact decompositions of orthogonal matrices
-//!   into adjacent-mode rotations (triangular and rectangular schemes),
-//!   used by the spectral-initialisation extension;
-//! - [`lossy`] — non-ideal propagation with per-gate amplitude loss, for
-//!   failure-injection studies.
+//!   representation the Clements decomposition produces;
+//! - [`clements`] — the exact rectangular decomposition of an orthogonal
+//!   matrix into adjacent-mode rotations, used by the
+//!   spectral-initialisation extension;
+//! - [`tables::MeshTables`] — per-layer gate tables for the codec's
+//!   mesh backends.
 
 pub mod beamsplitter;
 pub mod clements;
-pub mod lossy;
 pub mod mesh;
-pub mod reck;
 pub mod sequence;
 pub mod tables;
 

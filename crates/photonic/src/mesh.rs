@@ -502,8 +502,8 @@ impl Mesh {
         (Mesh { dim, layers }, seq.signs().map(|s| s.to_vec()))
     }
 
-    /// Flatten to a [`GateSequence`] (loses nothing; used for interop with
-    /// the decomposition tooling and the lossy propagation model).
+    /// Flatten to a [`GateSequence`] (loses nothing; [`Mesh::as_matrix`]
+    /// builds the mesh's matrix from it).
     pub fn to_sequence(&self) -> GateSequence {
         let mut seq = GateSequence::new(self.dim);
         for l in &self.layers {

@@ -1,11 +1,11 @@
 //! Ordered gate sequences.
 //!
-//! The decomposition algorithms ([`crate::reck`], [`crate::clements`])
-//! produce gates in patterns that do not fit the paper's rigid
-//! layer-of-`N−1`-gates structure, so this free-form representation is the
-//! lingua franca: an ordered list of beam splitters applied left-to-right
-//! to an amplitude vector, optionally followed by a diagonal of signs
-//! (for real orthogonal matrices) or phases.
+//! The Clements decomposition ([`crate::clements`]) produces gates in a
+//! pattern that does not fit the paper's rigid layer-of-`N−1`-gates
+//! structure, so this free-form representation sits between the two: an
+//! ordered list of beam splitters applied left-to-right to an amplitude
+//! vector, optionally followed by a diagonal of signs (for real orthogonal
+//! matrices) or phases.
 
 use crate::beamsplitter::BeamSplitter;
 use qn_linalg::Matrix;

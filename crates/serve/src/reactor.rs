@@ -384,9 +384,9 @@ impl ConnShared {
 /// Incremental frame accumulation over a nonblocking byte stream: the
 /// per-connection read buffer plus the parse cursor. The caller feeds
 /// bytes and asks for complete frames; header validation happens
-/// exactly once per frame via [`FrameHeader::parse`]
-/// (crate::protocol::FrameHeader), at the earliest moment the 16
-/// header bytes are present — which is when mesh-bound requests start
+/// exactly once per frame via
+/// [`FrameHeader::parse`](crate::protocol::FrameHeader::parse), at the
+/// earliest moment the 16 header bytes are present — which is when mesh-bound requests start
 /// counting as in flight and the read deadline arms.
 #[derive(Debug, Default)]
 pub struct FrameAccumulator {
@@ -404,7 +404,7 @@ pub struct FrameAccumulator {
 /// pending data.
 const COMPACT_CONSUMED_LIMIT: usize = 64 * 1024;
 
-/// One step of [`FrameAccumulator::next_frame`].
+/// One step of [`FrameAccumulator::step`].
 #[derive(Debug)]
 pub enum FrameStep {
     /// Not enough bytes buffered for the next header/frame.
@@ -421,7 +421,7 @@ pub enum FrameStep {
 impl FrameAccumulator {
     /// Append freshly read bytes, compacting first when the consumed
     /// prefix is the whole buffer (free) or has outgrown
-    /// [`COMPACT_CONSUMED_LIMIT`] (one memmove of the pending bytes —
+    /// `COMPACT_CONSUMED_LIMIT` (one memmove of the pending bytes —
     /// amortised O(1) per byte, and what keeps the buffer bounded by
     /// pending data instead of total traffic).
     pub fn extend(&mut self, bytes: &[u8]) {

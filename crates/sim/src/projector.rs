@@ -4,7 +4,7 @@
 //! subspace of the N-dimensional state space, with `P0 = I − P1` its
 //! complement (Sec. II-B, Fig. 2). The paper's 8-dimensional example keeps
 //! the *last* d basis states, so [`Projector::keep_last`] is the default
-//! used by `qn-core`; arbitrary masks are supported for ablations.
+//! used by `qn-core`; arbitrary masks are supported too.
 
 use crate::complex::Complex64;
 use crate::error::SimError;

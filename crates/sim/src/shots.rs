@@ -2,11 +2,11 @@
 //!
 //! The paper trains on exact simulated amplitudes, but a hardware run would
 //! estimate `|aⱼ|²` from a finite number of measurement shots. This module
-//! provides the shot-noise model used by the noise-robustness ablation:
-//! probabilities are estimated from multinomial counts, and amplitudes are
-//! recovered as `sign · √p̂` where the sign is taken from the exact state
-//! (sign recovery needs interference measurements that the paper's setup
-//! does not model; keeping the true sign isolates *magnitude* noise, which
+//! provides a shot-noise model: probabilities are estimated from
+//! multinomial counts, and amplitudes are recovered as `sign · √p̂` where
+//! the sign is taken from the exact state (sign recovery needs
+//! interference measurements that the paper's setup does not model;
+//! keeping the true sign isolates *magnitude* noise, which
 //! is the dominant effect for near-binary data).
 
 use crate::state::StateVector;

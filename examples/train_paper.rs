@@ -1,14 +1,14 @@
 //! The paper's full Sec. IV pipeline with live progress output —
 //! Fig. 1's four stages end to end, streaming per-iteration metrics
-//! through the observer hook and a crossbeam channel (the kind of
+//! through the observer hook and a bounded channel (the kind of
 //! monitoring a real training harness would attach).
 //!
 //! Run with: `cargo run --release --example train_paper`
 
-use crossbeam::channel;
 use qn::core::config::NetworkConfig;
 use qn::core::trainer::{IterationEvent, Trainer};
 use qn::image::{ascii, datasets, metrics};
+use std::sync::mpsc;
 use std::thread;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
 
     // Stream events to a printer thread so the training loop never blocks
     // on stdout.
-    let (tx, rx) = channel::bounded::<IterationEvent>(64);
+    let (tx, rx) = mpsc::sync_channel::<IterationEvent>(64);
     let printer = thread::spawn(move || {
         for ev in rx {
             if ev.iteration % 25 == 0 {

@@ -9,32 +9,32 @@
 //!
 //! ## Crates
 //!
-//! - [`core`](qn_core) — the paper's contribution: encoding, compression /
+//! - [`core`] — the paper's contribution: encoding, compression /
 //!   reconstruction networks, losses, gradients, the training loop.
-//! - [`backend`](qn_backend) — mesh execution backends: the scalar
-//!   reference and the default simd panel path behind one trait.
-//! - [`sim`](qn_sim) — hand-rolled state-vector simulator.
-//! - [`photonic`](qn_photonic) — interferometer meshes, Clements/Reck
-//!   decompositions.
-//! - [`linalg`](qn_linalg) — dense linear algebra (QR, Jacobi SVD/eig, LU).
-//! - [`classical`](qn_classical) — the CSC sparse-coding baseline and PCA.
-//! - [`image`](qn_image) — images, datasets, metrics, PGM/ASCII IO.
-//! - [`codec`](qn_codec) — the end-to-end file codec: model persistence
-//!   (`.qnm`), quantized latent bitstreams, the `.qnc` container, tiled
+//! - [`backend`] — mesh execution backends: the scalar reference and the
+//!   default simd panel path behind one trait.
+//! - [`sim`] — hand-rolled state-vector simulator.
+//! - [`photonic`] — interferometer meshes, the Clements decomposition and
+//!   per-layer gate tables.
+//! - [`linalg`] — dense linear algebra (QR, Jacobi SVD/eig, LU).
+//! - [`classical`] — the CSC sparse-coding baseline and PCA.
+//! - [`image`] — images, datasets, metrics, PGM/ASCII IO.
+//! - [`codec`] — the end-to-end file codec: model persistence (`.qnm`),
+//!   quantized latent bitstreams, the `.qnc` container, tiled
 //!   encode/decode.
-//! - [`serve`](qn_serve) — the codec server: binary wire protocol, a
-//!   reactor feeding workers that run each request's codec schedule
-//!   inline, the content-addressed model zoo, and the `qnc` CLI
-//!   (offline commands plus `serve`/`remote`).
-//! - [`eval`](qn_eval) — the rate–distortion evaluation subsystem:
-//!   dataset registry, operating-point sweeps, classical baselines at
-//!   matched rates, stable quality reports and CI quality gates.
-//! - [`metrics`](qn_metrics) — zero-dependency telemetry core: atomic
+//! - [`serve`] — the codec server: binary wire protocol, a reactor
+//!   feeding workers that run each request's codec schedule inline, the
+//!   content-addressed model zoo, and the `qnc` CLI (offline commands
+//!   plus `serve`/`remote`).
+//! - [`eval`] — the rate–distortion evaluation subsystem: dataset
+//!   registry, operating-point sweeps, classical baselines at matched
+//!   rates, stable quality reports and CI quality gates.
+//! - [`metrics`] — zero-dependency telemetry core: atomic
 //!   counters/gauges, log₂ latency histograms with percentile
 //!   estimation, one byte-stable JSON exposition (the `STATS` reply).
-//! - [`trace`](qn_trace) — zero-dependency span tracing: per-request
-//!   trees of named, timed spans with attributes, recent/slow capture
-//!   buffers, byte-stable JSON and ASCII tree rendering.
+//! - [`trace`] — zero-dependency span tracing: per-request trees of
+//!   named, timed spans with attributes, recent/slow capture buffers,
+//!   byte-stable JSON and ASCII tree rendering.
 //!
 //! ## Quickstart
 //!

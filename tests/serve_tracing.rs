@@ -1,7 +1,7 @@
 //! Tracing suite: wire-propagated trace context, the TRACE RPC, slow
 //! capture, the metric catalogue golden, and telemetry polls
 //! (STATS/TRACE) never interfering with in-flight encodes. That
-//! tracing never perturbs encoded bytes is pinned in the root
+//! tracing never perturbs encoded bytes is pinned in
 //! `tests/stage_vocabulary.rs`.
 
 use qn_codec::{Codec, CodecOptions};
@@ -221,8 +221,8 @@ fn concurrent_stats_and_trace_polls_never_skew_inflight_or_deadlock() {
 /// Golden test: the metric catalogue — every series name, label set
 /// and histogram summary of a deterministic metrics state, as the
 /// registry's JSON, byte for byte. Regenerate with `QN_BLESS=1 cargo
-/// test -p qn-serve --test serve_tracing metric_catalogue` after
-/// intentional catalogue changes.
+/// test --test serve_tracing metric_catalogue` after intentional
+/// catalogue changes.
 #[test]
 fn metric_catalogue_json_matches_golden_bytes() {
     use qn_codec::EntropyCoder;
