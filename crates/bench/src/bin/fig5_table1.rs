@@ -53,9 +53,10 @@ fn main() {
                 .snapped()
         })
         .collect();
-    let pca_accuracy = metrics::mean_pixel_accuracy(&pca_recons, &data, 0.01);
+    let pca_accuracy = metrics::mean_pixel_accuracy(&pca_recons, &data, metrics::ACCURACY_TOL);
     let pca_binarised: Vec<GrayImage> = pca_recons.iter().map(|r| r.thresholded(0.5)).collect();
-    let pca_accuracy_binary = metrics::mean_pixel_accuracy(&pca_binarised, &data, 0.01);
+    let pca_accuracy_binary =
+        metrics::mean_pixel_accuracy(&pca_binarised, &data, metrics::ACCURACY_TOL);
 
     // --- Fig 5c: compression-loss curves on a common iteration axis. ---
     let h = &qn_report.history;

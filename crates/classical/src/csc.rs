@@ -3,30 +3,20 @@
 //! "In the CSC, we can use a sparse coding vector s and a dictionary D to
 //! express the input y, denoted as y = Ds"; the dictionary is 16×16 and
 //! learning is SVD-based (ref \[23\]). The pipeline alternates sparse
-//! coding (OMP with `sparsity` atoms — matched to the quantum network's
-//! `d` compression channels) and a dictionary update (K-SVD by default,
-//! MOD as an alternative), recording the per-iteration training loss and total
-//! wall-clock time so the comparison rows of Table I can be regenerated.
+//! coding (FISTA ℓ₁ coding, or OMP with `sparsity` atoms — matched to the
+//! quantum network's `d` compression channels) and a K-SVD dictionary
+//! update, recording the per-iteration training loss and total wall-clock
+//! time so the comparison rows of Table I can be regenerated.
 
 use crate::dictionary::Dictionary;
 use crate::ista;
 use crate::ksvd::{ksvd_update, reconstruction_error};
-use crate::mod_update::mod_update;
-use crate::mp::{self, SparseCode};
+use crate::mp::SparseCode;
 use crate::omp;
 use qn_image::{metrics, GrayImage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-
-/// Dictionary-update algorithm selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DictUpdate {
-    /// K-SVD per-atom rank-1 updates (the paper's SVD-based reference).
-    Ksvd,
-    /// MOD global least-squares update.
-    Mod,
-}
 
 /// Sparse-coder selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,11 +35,11 @@ pub enum SparseCoder {
     /// Orthogonal matching pursuit with the configured sparsity — a
     /// *stronger* coder than the paper's.
     Omp,
-    /// Plain matching pursuit.
-    Mp,
 }
 
-/// Configuration of the CSC baseline.
+/// Configuration of the CSC baseline. Dictionaries are always learned
+/// by K-SVD (the paper's SVD-based reference) and accuracy uses Eq. 10's
+/// tolerance ([`metrics::ACCURACY_TOL`]).
 #[derive(Debug, Clone)]
 pub struct CscConfig {
     /// Number of dictionary atoms `K` (paper: 16, square dictionary).
@@ -60,17 +50,13 @@ pub struct CscConfig {
     pub coder: SparseCoder,
     /// Training iterations (matched to the QN's 150).
     pub iterations: usize,
-    /// Dictionary-update algorithm.
-    pub update: DictUpdate,
     /// RNG seed for dictionary initialisation.
     pub seed: u64,
-    /// Accuracy tolerance of Eq. 10.
-    pub accuracy_tol: f64,
 }
 
 impl CscConfig {
     /// The paper's comparison setting: 16×16 dictionary, sparsity 4,
-    /// 150 iterations, K-SVD updates.
+    /// FISTA coding, 150 iterations.
     pub fn paper_default() -> Self {
         CscConfig {
             atoms: 16,
@@ -80,9 +66,7 @@ impl CscConfig {
                 inner_iterations: 150,
             },
             iterations: 150,
-            update: DictUpdate::Ksvd,
             seed: 7,
-            accuracy_tol: 0.01,
         }
     }
 }
@@ -147,11 +131,6 @@ impl CscPipeline {
     fn code_batch(&self) -> Vec<SparseCode> {
         match self.config.coder {
             SparseCoder::Omp => omp::batch(&self.dict, &self.samples, self.config.sparsity, 1e-12),
-            SparseCoder::Mp => self
-                .samples
-                .iter()
-                .map(|y| mp::matching_pursuit(&self.dict, y, self.config.sparsity, 1e-12))
-                .collect(),
             SparseCoder::Fista {
                 lambda,
                 inner_iterations,
@@ -186,10 +165,7 @@ impl CscPipeline {
             let (snap, binary) = self.evaluate_accuracy(&codes);
             accuracy.push(snap);
             accuracy_binary.push(binary);
-            match self.config.update {
-                DictUpdate::Ksvd => ksvd_update(&mut self.dict, &mut codes, &self.samples),
-                DictUpdate::Mod => mod_update(&mut self.dict, &codes, &self.samples),
-            }
+            ksvd_update(&mut self.dict, &mut codes, &self.samples);
         }
         let max_accuracy = accuracy.iter().copied().fold(0.0, f64::max);
         let max_accuracy_binary = accuracy_binary.iter().copied().fold(0.0, f64::max);
@@ -231,8 +207,8 @@ impl CscPipeline {
         let snapped: Vec<GrayImage> = decoded.iter().map(GrayImage::snapped).collect();
         let binarised: Vec<GrayImage> = decoded.iter().map(|d| d.thresholded(0.5)).collect();
         (
-            metrics::mean_pixel_accuracy(&snapped, &self.images, self.config.accuracy_tol),
-            metrics::mean_pixel_accuracy(&binarised, &self.images, self.config.accuracy_tol),
+            metrics::mean_pixel_accuracy(&snapped, &self.images, metrics::ACCURACY_TOL),
+            metrics::mean_pixel_accuracy(&binarised, &self.images, metrics::ACCURACY_TOL),
         )
     }
 
@@ -243,7 +219,7 @@ impl CscPipeline {
             .iter()
             .map(|r| r.thresholded(0.5))
             .collect();
-        metrics::mean_pixel_accuracy(&recons, &self.images, self.config.accuracy_tol)
+        metrics::mean_pixel_accuracy(&recons, &self.images, metrics::ACCURACY_TOL)
     }
 }
 
@@ -304,16 +280,6 @@ mod tests {
         let recons = p.reconstruct_images();
         assert_eq!(recons.len(), 10);
         assert!(recons.iter().all(|r| r.width() == 4 && r.height() == 4));
-    }
-
-    #[test]
-    fn mod_update_variant_trains_too() {
-        let data = datasets::paper_binary_16(15);
-        let mut cfg = quick_config();
-        cfg.update = DictUpdate::Mod;
-        let mut p = CscPipeline::new(cfg, &data);
-        let report = p.train();
-        assert!(report.loss.last().unwrap() <= &report.loss[0]);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! - [`ista`] — ISTA/FISTA ℓ₁ sparse coders;
 //! - [`ksvd`] — K-SVD dictionary updates (the SVD-based learning of the
 //!   paper's reference);
-//! - [`mod_update`] — MOD (method of optimal directions) updates;
 //! - [`csc`] — the full training pipeline with loss/time tracking, i.e.
 //!   the baseline column of Table I and the CSC curve of Fig. 5c;
 //! - [`pca`] — PCA compression (the classically-simulable content of the
@@ -23,7 +22,6 @@ pub mod csc;
 pub mod dictionary;
 pub mod ista;
 pub mod ksvd;
-pub mod mod_update;
 pub mod mp;
 pub mod omp;
 pub mod pca;

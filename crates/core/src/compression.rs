@@ -2,7 +2,6 @@
 //! Sec. II-B, Eq. 3).
 
 use crate::config::{CompressionTargetKind, SubspaceKind};
-use crate::error::CoreError;
 use crate::gradient::{self, GradientMethod};
 use crate::loss::Loss;
 use crate::Result;
@@ -25,8 +24,7 @@ impl CompressionNetwork {
     /// strategy.
     ///
     /// # Errors
-    /// Returns [`CoreError::InvalidConfig`] when `d > N` or a custom
-    /// target has the wrong shape.
+    /// Returns [`crate::CoreError::Sim`] when `d > N`.
     pub fn new(
         mesh: Mesh,
         compressed_dim: usize,
@@ -38,13 +36,6 @@ impl CompressionNetwork {
             SubspaceKind::KeepLast => Projector::keep_last(n, compressed_dim)?,
             SubspaceKind::KeepFirst => Projector::keep_first(n, compressed_dim)?,
         };
-        if let CompressionTargetKind::Custom(ts) = &target {
-            if ts.iter().any(|t| t.len() != n) {
-                return Err(CoreError::InvalidConfig(
-                    "custom compression targets must have length N".to_string(),
-                ));
-            }
-        }
         Ok(CompressionNetwork {
             mesh,
             projector,
@@ -131,11 +122,10 @@ impl CompressionNetwork {
     /// strategy into `buf`.
     ///
     /// # Panics
-    /// Panics when a custom target is missing for `sample` or lengths
-    /// mismatch.
-    pub fn residual(&self, sample: usize, out: &[f64], buf: &mut [f64]) {
+    /// Panics when lengths mismatch.
+    pub fn residual(&self, out: &[f64], buf: &mut [f64]) {
         assert_eq!(out.len(), buf.len(), "residual: length mismatch");
-        match &self.target {
+        match self.target {
             CompressionTargetKind::TrashPenalty => {
                 for (j, (b, &o)) in buf.iter_mut().zip(out).enumerate() {
                     *b = if self.projector.keeps(j) { 0.0 } else { o };
@@ -147,20 +137,12 @@ impl CompressionNetwork {
                     *b = if self.projector.keeps(j) { o - amp } else { o };
                 }
             }
-            CompressionTargetKind::Custom(targets) => {
-                let t = &targets[sample];
-                for ((b, &o), &tj) in buf.iter_mut().zip(out).zip(t) {
-                    *b = o - tj;
-                }
-            }
         }
     }
 
     /// Compression loss `L_C` over a batch (Eq. 5, both normalisations).
     pub fn loss(&self, encoded: &[Vec<f64>]) -> Loss {
-        let sum = gradient::loss_only(&self.mesh, encoded, &|i, out, buf| {
-            self.residual(i, out, buf)
-        });
+        let sum = gradient::loss_only(&self.mesh, encoded, &|_, out, buf| self.residual(out, buf));
         Loss::from_sum(sum, encoded.len(), self.dim())
     }
 
@@ -173,7 +155,7 @@ impl CompressionNetwork {
         let (sum, grad) = gradient::loss_and_gradient(
             &self.mesh,
             encoded,
-            &|i, out, buf| self.residual(i, out, buf),
+            &|_, out, buf| self.residual(out, buf),
             method,
         );
         (Loss::from_sum(sum, encoded.len(), self.dim()), grad)
@@ -229,20 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_invalid_dims_and_targets() {
-        let mesh = Mesh::zeros(4, 1);
+    fn rejects_invalid_dims() {
         assert!(CompressionNetwork::new(
-            mesh.clone(),
+            Mesh::zeros(4, 1),
             5,
             SubspaceKind::KeepLast,
             CompressionTargetKind::TrashPenalty
-        )
-        .is_err());
-        assert!(CompressionNetwork::new(
-            mesh,
-            2,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::Custom(vec![vec![0.0; 3]])
         )
         .is_err());
     }
@@ -281,27 +255,11 @@ mod tests {
         let net = network(CompressionTargetKind::Uniform);
         let out = vec![0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0];
         let mut r = vec![0.0; 8];
-        net.residual(0, &out, &mut r);
+        net.residual(&out, &mut r);
         let amp = 1.0 / 3.0_f64.sqrt();
         assert!((r[5] - (1.0 - amp)).abs() < 1e-12);
         assert!((r[6] + amp).abs() < 1e-12);
         assert_eq!(r[0], 0.0);
-    }
-
-    #[test]
-    fn custom_targets_are_per_sample() {
-        let targets = vec![vec![0.0; 8], {
-            let mut t = vec![0.0; 8];
-            t[7] = 1.0;
-            t
-        }];
-        let net = network(CompressionTargetKind::Custom(targets));
-        let out = vec![0.0; 8];
-        let mut r = vec![0.0; 8];
-        net.residual(0, &out, &mut r);
-        assert!(r.iter().all(|&v| v == 0.0));
-        net.residual(1, &out, &mut r);
-        assert_eq!(r[7], -1.0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod tests {
         let e: CoreError = qn_sim::SimError::ZeroNorm.into();
         assert!(matches!(e, CoreError::Sim(_)));
         assert!(e.to_string().contains("zero norm"));
-        let e: CoreError = qn_linalg::LinalgError::Singular.into();
+        let e: CoreError = qn_linalg::LinalgError::InvalidArgument("empty".into()).into();
         assert!(matches!(e, CoreError::Linalg(_)));
         let e = CoreError::InvalidData("empty".into());
         assert!(e.to_string().contains("empty"));

@@ -5,13 +5,13 @@
 //! - [`GradientMethod::ForwardDifference`] — the paper's Eq. 8:
 //!   `∂out/∂θ ≈ (T(θ+Δ)ψ − T(θ)ψ)/Δ` with Δ = 10⁻⁸. In f64 this loses
 //!   about half the significant digits (the classic forward-difference
-//!   trade-off), which is why it is not the default.
+//!   trade-off), which is why the trainer does not use it.
 //! - [`GradientMethod::CentralDifference`] — second-order accurate probe.
 //! - [`GradientMethod::Analytic`] — exact reverse-mode differentiation
 //!   (backprop through the gate cascade): the derivative of an embedded
 //!   Givens rotation is its π/2-advanced block and zero elsewhere, so one
 //!   forward trace plus one adjoint sweep yields every ∂L/∂θ at cost
-//!   `O(P·N)` per sample instead of `O(P²·N)`.
+//!   `O(P·N)` per sample instead of `O(P²·N)`. The trainer uses this one.
 //!
 //! All methods parallelise with deterministic (thread-count-invariant)
 //! reductions; they agree to the accuracy each one promises, which this
@@ -19,7 +19,7 @@
 //!
 //! The loss is `L = Σ_i Σ_j r_{ij}²` with `r = out − target` produced by a
 //! caller-supplied residual function, so the same machinery serves both
-//! `L_C` (with trash/uniform/custom targets) and `L_R`.
+//! `L_C` (with the trash-penalty or uniform target) and `L_R`.
 
 use qn_linalg::parallel::{par_map_indexed, par_sum_vectors};
 use qn_photonic::Mesh;

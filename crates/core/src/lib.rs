@@ -17,15 +17,13 @@
 //!    converted back to classical pixels `x̂_i` (Eq. 2).
 //!
 //! Training ([`trainer`], Algorithm 1) is gradient descent on the gate
-//! angles θ, with the paper's finite-difference gradient (Eq. 8,
-//! Δ = 10⁻⁸) plus a central-difference variant and an exact reverse-mode
-//! (backprop) gradient as engineering upgrades — see
-//! [`gradient::GradientMethod`].
+//! angles θ with the exact reverse-mode (backprop) gradient, an
+//! engineering upgrade over the paper's forward difference (Eq. 8,
+//! Δ = 10⁻⁸), which [`gradient::GradientMethod`] keeps, with a central
+//! difference, as the reference the exact gradient is checked against.
 //!
-//! Extensions beyond the paper's evaluation, each flagged in its module
-//! docs: [`spectral`] (PCA-optimal initialisation via Clements
-//! decomposition) and shot-noise training through the trainer's own
-//! seeded multinomial sampler ([`config::NetworkConfig::shots`]).
+//! Extension beyond the paper's evaluation, flagged in its module docs:
+//! [`spectral`] (PCA-optimal initialisation via Clements decomposition).
 
 pub mod autoencoder;
 pub mod compression;

@@ -1,8 +1,8 @@
 //! Parameter-update rules.
 //!
 //! The paper uses plain gradient descent (Eq. 9:
-//! `θ(t+1) = θ(t) − η · ∂L/∂θ`); momentum and Adam are provided as
-//! alternatives, and Adam is the `paper_default` optimiser.
+//! `θ(t+1) = θ(t) − η · ∂L/∂θ`), which is what `qnc train` runs from its
+//! spectral start; Adam is the `paper_default` optimiser.
 
 use crate::config::OptimizerKind;
 
@@ -31,42 +31,6 @@ impl Optimizer for Gd {
 
     fn name(&self) -> &'static str {
         "gd"
-    }
-}
-
-/// Gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    /// Learning rate η.
-    pub learning_rate: f64,
-    /// Momentum coefficient β.
-    pub beta: f64,
-    velocity: Vec<f64>,
-}
-
-impl Momentum {
-    /// Create with zeroed velocity.
-    pub fn new(learning_rate: f64, beta: f64, dim: usize) -> Self {
-        Momentum {
-            learning_rate,
-            beta,
-            velocity: vec![0.0; dim],
-        }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
-        assert_eq!(params.len(), grad.len(), "momentum: length mismatch");
-        assert_eq!(params.len(), self.velocity.len(), "momentum: wrong dim");
-        for ((p, g), v) in params.iter_mut().zip(grad).zip(&mut self.velocity) {
-            *v = self.beta * *v + g;
-            *p -= self.learning_rate * *v;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "momentum"
     }
 }
 
@@ -125,7 +89,6 @@ impl Optimizer for Adam {
 pub fn build(kind: OptimizerKind, learning_rate: f64, dim: usize) -> Box<dyn Optimizer + Send> {
     match kind {
         OptimizerKind::Gd => Box::new(Gd { learning_rate }),
-        OptimizerKind::Momentum { beta } => Box::new(Momentum::new(learning_rate, beta, dim)),
         OptimizerKind::Adam { beta1, beta2 } => {
             Box::new(Adam::new(learning_rate, beta1, beta2, dim))
         }
@@ -158,19 +121,7 @@ mod tests {
     #[test]
     fn all_optimizers_converge_on_quadratic() {
         assert!(converges_on_quadratic(&mut Gd { learning_rate: 0.1 }, 200) < 1e-6);
-        assert!(converges_on_quadratic(&mut Momentum::new(0.05, 0.9, 3), 400) < 1e-6);
         assert!(converges_on_quadratic(&mut Adam::new(0.1, 0.9, 0.999, 3), 500) < 1e-3);
-    }
-
-    #[test]
-    fn momentum_accelerates_along_consistent_gradients() {
-        let mut m = Momentum::new(0.1, 0.9, 1);
-        let mut p = vec![0.0];
-        m.step(&mut p, &[1.0]);
-        let d1 = -p[0];
-        m.step(&mut p, &[1.0]);
-        let d2 = -p[0] - d1;
-        assert!(d2 > d1, "second step should be larger: {d1} vs {d2}");
     }
 
     #[test]
@@ -185,10 +136,6 @@ mod tests {
     #[test]
     fn build_dispatches() {
         assert_eq!(build(OptimizerKind::Gd, 0.1, 4).name(), "gd");
-        assert_eq!(
-            build(OptimizerKind::Momentum { beta: 0.9 }, 0.1, 4).name(),
-            "momentum"
-        );
         assert_eq!(
             build(
                 OptimizerKind::Adam {

@@ -24,7 +24,7 @@
 use crate::grid::OperatingPoint;
 use crate::registry::Dataset;
 use crate::sweep::{DistortionAccum, RdPoint};
-use qn_classical::csc::{CscConfig, CscPipeline, DictUpdate, SparseCoder};
+use qn_classical::csc::{CscConfig, CscPipeline, SparseCoder};
 use qn_classical::pca::Pca;
 use qn_classical::svd_compress;
 use qn_classical::Dictionary;
@@ -172,9 +172,7 @@ pub fn csc_point(dataset: &Dataset, sparsity: usize, bits: u8) -> Result<RdPoint
         sparsity,
         coder: SparseCoder::Omp,
         iterations: CSC_ITERATIONS,
-        update: DictUpdate::Ksvd,
         seed: 7,
-        accuracy_tol: 0.01,
     };
     let mut pipeline = CscPipeline::new(config, &dataset.images);
     pipeline.train();

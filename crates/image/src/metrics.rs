@@ -72,8 +72,12 @@ pub fn ssim(a: &GrayImage, b: &GrayImage) -> f64 {
         / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
 }
 
+/// Eq. 10's tolerance: a reconstructed pixel within 0.01 of its target
+/// counts as similar.
+pub const ACCURACY_TOL: f64 = 0.01;
+
 /// The paper's accuracy (Eq. 10): the fraction of pixel positions where
-/// `|x̂ − x| ≤ tol` (paper uses `tol = 0.01`), as a percentage. The paper
+/// `|x̂ − x| ≤ tol` (paper: [`ACCURACY_TOL`]), as a percentage. The paper
 /// applies its snap adjustment (≤0.01→0, ≥0.99→1) to the reconstruction
 /// before counting; pass the output of [`GrayImage::snapped`] to follow
 /// §IV-B exactly.

@@ -8,9 +8,6 @@ pub enum LinalgError {
     /// Operand shapes are incompatible (e.g. `A * B` with mismatched inner
     /// dimensions). Carries a human-readable description of the mismatch.
     ShapeMismatch(String),
-    /// The matrix is singular (or numerically singular) where an invertible
-    /// matrix was required.
-    Singular,
     /// An iterative algorithm failed to converge within its sweep budget.
     NoConvergence {
         /// Name of the algorithm that failed.
@@ -27,7 +24,6 @@ impl fmt::Display for LinalgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LinalgError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
-            LinalgError::Singular => write!(f, "matrix is singular"),
             LinalgError::NoConvergence {
                 algorithm,
                 iterations,
@@ -56,16 +52,18 @@ mod tests {
         };
         assert!(e.to_string().contains("jacobi-svd"));
         assert!(e.to_string().contains("60"));
-        assert_eq!(LinalgError::Singular.to_string(), "matrix is singular");
         let e = LinalgError::InvalidArgument("empty".into());
         assert!(e.to_string().contains("empty"));
     }
 
     #[test]
     fn errors_are_comparable() {
-        assert_eq!(LinalgError::Singular, LinalgError::Singular);
+        assert_eq!(
+            LinalgError::InvalidArgument("x".into()),
+            LinalgError::InvalidArgument("x".into())
+        );
         assert_ne!(
-            LinalgError::Singular,
+            LinalgError::ShapeMismatch("x".into()),
             LinalgError::InvalidArgument("x".into())
         );
     }

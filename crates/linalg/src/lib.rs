@@ -6,7 +6,7 @@
 //! dense linear-algebra stack. Everything here is hand-rolled: the target
 //! regime is small-to-medium matrices (N ≤ a few thousand), where robust
 //! textbook algorithms (Householder QR, one-sided Jacobi SVD, symmetric
-//! Jacobi eigensolver, partially-pivoted LU) are accurate and fast enough.
+//! Jacobi eigensolver) are accurate and fast enough.
 //!
 //! Parallelism follows the rayon idiom: matrix products parallelise over
 //! row blocks, and reductions use fixed chunk boundaries so results are
@@ -15,7 +15,6 @@
 pub mod error;
 pub mod givens;
 pub mod lstsq;
-pub mod lu;
 pub mod matrix;
 pub mod panel;
 pub mod parallel;
@@ -27,7 +26,6 @@ pub mod vector;
 
 pub use error::LinalgError;
 pub use givens::Givens;
-pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use panel::Panel;
 pub use qr::QrDecomposition;

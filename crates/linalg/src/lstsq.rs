@@ -1,26 +1,11 @@
 //! Least-squares solvers.
 //!
-//! `min_x ‖A x − b‖₂` via QR for well-conditioned systems (the OMP refit
-//! step) and via SVD with a rank cutoff for possibly-degenerate systems
-//! (the MOD dictionary update).
+//! `min_x ‖A x − b‖₂` via SVD with a rank cutoff, so possibly-degenerate
+//! systems get the minimum-norm solution (the OMP refit step).
 
 use crate::matrix::Matrix;
-use crate::qr::{qr_thin, solve_upper_triangular};
 use crate::svd::svd;
 use crate::Result;
-
-/// Least squares via thin QR. Requires `A` to have full column rank; use
-/// [`lstsq_svd`] otherwise.
-///
-/// # Errors
-/// Propagates QR errors and [`crate::LinalgError::Singular`] from the
-/// triangular solve when `A` is column-rank deficient.
-pub fn lstsq_qr(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let (q1, r1) = qr_thin(a)?;
-    // x solves R₁ x = Q₁ᵀ b.
-    let qtb = q1.matvec_t(b)?;
-    solve_upper_triangular(&r1, &qtb)
-}
 
 /// Minimum-norm least squares via the SVD pseudo-inverse, discarding
 /// singular values below `rcond * σ_max`.
@@ -41,36 +26,12 @@ pub fn lstsq_svd(a: &Matrix, b: &[f64], rcond: f64) -> Result<Vec<f64>> {
     d.v.matvec(&coeffs)
 }
 
-/// Solve `min_X ‖A X − B‖_F` column-by-column with the SVD pseudo-inverse.
-/// This is exactly the MOD dictionary-update subproblem transposed.
-///
-/// # Errors
-/// Propagates SVD errors.
-pub fn lstsq_svd_matrix(a: &Matrix, b: &Matrix, rcond: f64) -> Result<Matrix> {
-    let d = svd(a)?;
-    let smax = d.singular_values.first().copied().unwrap_or(0.0);
-    let cutoff = rcond * smax;
-    let k = d.singular_values.len();
-    // Pseudo-inverse applied to each column of B: X = V Σ⁺ Uᵀ B.
-    let utb = d.u.transpose().matmul(b)?;
-    let mut scaled = utb;
-    for i in 0..k {
-        let s = d.singular_values[i];
-        let f = if s > cutoff && s > 0.0 { 1.0 / s } else { 0.0 };
-        for j in 0..scaled.cols() {
-            let v = scaled.get(i, j) * f;
-            scaled.set(i, j, v);
-        }
-    }
-    d.v.matmul(&scaled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn qr_least_squares_overdetermined() {
+    fn svd_least_squares_overdetermined() {
         // Fit y = 2x + 1 through noisy-free points: exact solution expected.
         let a = Matrix::from_rows(&[
             vec![0.0, 1.0],
@@ -80,16 +41,16 @@ mod tests {
         ])
         .unwrap();
         let b = [1.0, 3.0, 5.0, 7.0];
-        let x = lstsq_qr(&a, &b).unwrap();
+        let x = lstsq_svd(&a, &b, 1e-12).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((x[1] - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn qr_least_squares_residual_is_orthogonal() {
+    fn svd_least_squares_residual_is_orthogonal() {
         let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 1.0], vec![1.0, 2.0]]).unwrap();
         let b = [0.0, 1.0, 5.0];
-        let x = lstsq_qr(&a, &b).unwrap();
+        let x = lstsq_svd(&a, &b, 1e-12).unwrap();
         let ax = a.matvec(&x).unwrap();
         let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
         // Residual ⟂ column space.
@@ -98,18 +59,8 @@ mod tests {
     }
 
     #[test]
-    fn svd_least_squares_matches_qr_when_full_rank() {
-        let a = Matrix::from_rows(&[vec![2.0, 0.5], vec![-1.0, 1.0], vec![0.3, 3.0]]).unwrap();
-        let b = [1.0, 0.0, -2.0];
-        let x1 = lstsq_qr(&a, &b).unwrap();
-        let x2 = lstsq_svd(&a, &b, 1e-12).unwrap();
-        assert!((x1[0] - x2[0]).abs() < 1e-10);
-        assert!((x1[1] - x2[1]).abs() < 1e-10);
-    }
-
-    #[test]
     fn svd_least_squares_handles_rank_deficiency() {
-        // Columns are parallel; QR path would hit a singular triangle.
+        // Columns are parallel: no full-rank solver applies.
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]).unwrap();
         let b = [1.0, 2.0, 3.0];
         let x = lstsq_svd(&a, &b, 1e-10).unwrap();
@@ -119,15 +70,5 @@ mod tests {
         }
         // Minimum-norm solution: x ∝ (1, 2).
         assert!((x[1] - 2.0 * x[0]).abs() < 1e-10);
-    }
-
-    #[test]
-    fn matrix_least_squares_solves_mod_update() {
-        // Find X minimising ‖A X − B‖_F; with invertible A it's exact.
-        let a = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![2.0, 4.0], vec![8.0, 12.0]]).unwrap();
-        let x = lstsq_svd_matrix(&a, &b, 1e-12).unwrap();
-        let expected = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 3.0]]).unwrap();
-        assert!(x.max_abs_diff(&expected).unwrap() < 1e-10);
     }
 }

@@ -387,29 +387,9 @@ impl Matrix {
         g.max_abs_diff(&id).is_some_and(|d| d <= tol)
     }
 
-    /// Extract the contiguous submatrix `[r0, r1) × [c0, c1)`.
-    ///
-    /// # Panics
-    /// Panics when the ranges exceed the matrix bounds.
-    pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
-        assert!(r0 <= r1 && r1 <= self.rows, "submatrix: bad row range");
-        assert!(c0 <= c1 && c1 <= self.cols, "submatrix: bad col range");
-        Matrix::from_fn(r1 - r0, c1 - c0, |i, j| self.get(r0 + i, c0 + j))
-    }
-
     /// Sum of the diagonal entries.
     pub fn trace(&self) -> f64 {
         (0..self.rows.min(self.cols)).map(|i| self.get(i, i)).sum()
-    }
-
-    /// Swap two rows in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        let (a, b) = (a.min(b), a.max(b));
-        let (head, tail) = self.data.split_at_mut(b * self.cols);
-        head[a * self.cols..(a + 1) * self.cols].swap_with_slice(&mut tail[..self.cols]);
     }
 }
 
@@ -592,21 +572,6 @@ mod tests {
         let rot = Matrix::from_rows(&[vec![0.6, -0.8], vec![0.8, 0.6]]).unwrap();
         assert!(rot.is_orthogonal(1e-14));
         assert!(!small().is_orthogonal(1e-6));
-    }
-
-    #[test]
-    fn submatrix_and_swap_rows() {
-        let m = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let s = m.submatrix(1, 3, 2, 4);
-        assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s.get(0, 0), 6.0);
-        assert_eq!(s.get(1, 1), 11.0);
-
-        let mut m2 = small();
-        m2.swap_rows(0, 1);
-        assert_eq!(m2.row(0), &[3.0, 4.0]);
-        m2.swap_rows(1, 1); // no-op path
-        assert_eq!(m2.row(1), &[1.0, 2.0]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Householder QR decomposition.
 //!
-//! Used for least-squares solves in the MOD dictionary update, for
-//! generating Haar-random orthogonal matrices, and as a building block in
-//! tests that need orthonormal bases.
+//! Used for generating Haar-random orthogonal matrices and as a building
+//! block in tests that need orthonormal bases.
 
 // Indexed loops with offset ranges mirror the textbook algorithms here;
 // iterator adaptors would obscure the pivoting/reflection structure.
@@ -92,48 +91,6 @@ pub fn qr(a: &Matrix) -> Result<QrDecomposition> {
     Ok(QrDecomposition { q, r })
 }
 
-/// Thin QR: returns `(Q₁, R₁)` with `Q₁` of shape `m × min(m,n)` having
-/// orthonormal columns and `R₁` upper-triangular `min(m,n) × n`.
-///
-/// # Errors
-/// Propagates errors from [`qr`].
-pub fn qr_thin(a: &Matrix) -> Result<(Matrix, Matrix)> {
-    let (m, n) = a.shape();
-    let k = m.min(n);
-    let QrDecomposition { q, r } = qr(a)?;
-    Ok((q.submatrix(0, m, 0, k), r.submatrix(0, k, 0, n)))
-}
-
-/// Solve the upper-triangular system `R x = b` by back substitution.
-///
-/// # Errors
-/// Returns [`LinalgError::Singular`] when a diagonal entry is (numerically)
-/// zero, and [`LinalgError::ShapeMismatch`] for inconsistent sizes.
-pub fn solve_upper_triangular(r: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let n = r.cols();
-    if r.rows() < n || b.len() < n {
-        return Err(LinalgError::ShapeMismatch(format!(
-            "solve_upper_triangular: R is {}x{}, b has {}",
-            r.rows(),
-            r.cols(),
-            b.len()
-        )));
-    }
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut s = b[i];
-        for j in (i + 1)..n {
-            s -= r.get(i, j) * x[j];
-        }
-        let d = r.get(i, i);
-        if d.abs() < 1e-300 {
-            return Err(LinalgError::Singular);
-        }
-        x[i] = s / d;
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,32 +156,5 @@ mod tests {
     #[test]
     fn qr_rejects_empty() {
         assert!(qr(&Matrix::zeros(0, 0)).is_err());
-    }
-
-    #[test]
-    fn thin_qr_shapes() {
-        let a = Matrix::from_fn(6, 2, |i, j| (i + j) as f64 + 1.0);
-        let (q1, r1) = qr_thin(&a).unwrap();
-        assert_eq!(q1.shape(), (6, 2));
-        assert_eq!(r1.shape(), (2, 2));
-        assert!(q1.is_orthogonal(1e-12));
-        assert_close(&q1.matmul(&r1).unwrap(), &a, 1e-12);
-    }
-
-    #[test]
-    fn back_substitution_solves() {
-        let r = Matrix::from_rows(&[vec![2.0, 1.0], vec![0.0, 3.0]]).unwrap();
-        let x = solve_upper_triangular(&r, &[5.0, 6.0]).unwrap();
-        assert!((x[1] - 2.0).abs() < 1e-14);
-        assert!((x[0] - 1.5).abs() < 1e-14);
-    }
-
-    #[test]
-    fn back_substitution_detects_singularity() {
-        let r = Matrix::from_rows(&[vec![1.0, 1.0], vec![0.0, 0.0]]).unwrap();
-        assert_eq!(
-            solve_upper_triangular(&r, &[1.0, 1.0]),
-            Err(LinalgError::Singular)
-        );
     }
 }

@@ -61,18 +61,13 @@ pub fn haar_orthogonal(n: usize, seed: u64) -> Matrix {
     q
 }
 
-/// Seeded RNG helper so callers never construct `StdRng` directly.
-pub fn rng_from_seed(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn gaussian_moments_are_sane() {
-        let mut rng = rng_from_seed(42);
+        let mut rng = StdRng::seed_from_u64(42);
         let n = 20_000;
         let xs = gaussian_vec(n, &mut rng);
         let mean = xs.iter().sum::<f64>() / n as f64;
@@ -101,14 +96,14 @@ mod tests {
 
     #[test]
     fn uniform_matrix_respects_bounds() {
-        let mut rng = rng_from_seed(3);
+        let mut rng = StdRng::seed_from_u64(3);
         let m = uniform_matrix(10, 10, -2.0, 5.0, &mut rng);
         assert!(m.data().iter().all(|&v| (-2.0..5.0).contains(&v)));
     }
 
     #[test]
     fn gaussian_matrix_shape() {
-        let mut rng = rng_from_seed(1);
+        let mut rng = StdRng::seed_from_u64(1);
         let m = gaussian_matrix(3, 4, &mut rng);
         assert_eq!(m.shape(), (3, 4));
     }

@@ -16,9 +16,7 @@
 //! panics on user input.
 
 use qn_codec::{codec_from_inline, info, model, Codec, CodecOptions, Container, EntropyCoder};
-use qn_core::config::{
-    CompressionTargetKind, InitStrategy, NetworkConfig, OptimizerKind, SubspaceKind,
-};
+use qn_core::config::{InitStrategy, NetworkConfig, OptimizerKind};
 use qn_core::trainer::Trainer;
 use qn_image::{metrics, pgm, tiles, GrayImage};
 use qn_serve::client::{model_encode_request, spectral_encode_request};
@@ -61,7 +59,8 @@ USAGE:
                    [--baselines svd,pca,csc|all|none] [-o report.json]
                    [--json] [--seed S] [--check] [--timings]
 
-Defaults: tile 4, latent 8, bits 8, rice entropy coding, inline model.
+Defaults: tile 4 (1..=64), latent 8, bits 8, rice entropy coding,
+inline model.
 Every command runs the mesh passes on the simd backend, which writes
 the same bytes and pixels as the scalar reference the tests check it
 against. --entropy picks the latent bitstream coder: rice writes
@@ -208,6 +207,19 @@ impl Args {
     }
 }
 
+/// `--tile N`: the tile edge in pixels (default 4), checked before any
+/// command sizes an `N²`-dimensional model by it. Every command takes
+/// the range the server accepts for a per-request model.
+fn tile_size(args: &Args) -> Result<usize, String> {
+    let max = usize::from(qn_serve::protocol::MAX_TILE_SIZE);
+    let tile = args.numeric(&["--tile"], 4)?;
+    if (1..=max).contains(&tile) {
+        Ok(tile)
+    } else {
+        Err(format!("--tile must be in 1..={max}, got {tile}"))
+    }
+}
+
 fn read_image(path: &Path) -> Result<GrayImage, String> {
     pgm::read_pgm(path).map_err(|e| format!("reading {}: {e}", path.display()))
 }
@@ -273,7 +285,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
         args.value(&["-o", "--output"])
             .ok_or("compress needs -o <out.qnc>")?,
     );
-    let tile: usize = args.numeric(&["--tile"], 4)?;
+    let tile = tile_size(args)?;
     let latent: usize = args.numeric(&["--latent"], 8)?;
     let opts = CodecOptions {
         tile_size: tile,
@@ -372,7 +384,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         args.value(&["-o", "--output"])
             .ok_or("train needs -o <model.qnm>")?,
     );
-    let tile: usize = args.numeric(&["--tile"], 4)?;
+    let tile = tile_size(args)?;
     let latent: usize = args.numeric(&["--latent"], 8)?;
     let iters: usize = args.numeric(&["--iters"], 0)?;
     let dim = tile * tile;
@@ -403,8 +415,6 @@ fn cmd_train(args: &Args) -> Result<(), String> {
             iterations: iters,
             seed: args.numeric(&["--seed"], 7u64)?,
             init: InitStrategy::Spectral,
-            target: CompressionTargetKind::TrashPenalty,
-            subspace: SubspaceKind::KeepLast,
             // Plain GD on sample-normalised gradients: the spectral
             // start is already near-optimal, and adaptive optimizers
             // (Adam normalises tiny gradients up to full-size steps)
@@ -413,7 +423,6 @@ fn cmd_train(args: &Args) -> Result<(), String> {
             optimizer: OptimizerKind::Gd,
             learning_rate: 0.05,
             normalize_gradient: true,
-            ..NetworkConfig::paper_default()
         };
         let mut trainer =
             Trainer::new(config, &samples).map_err(|e| format!("trainer setup: {e}"))?;
@@ -727,15 +736,8 @@ fn remote_compress(args: &Args, positional: &[String]) -> Result<(), String> {
         args.value(&["-o", "--output"])
             .ok_or("remote compress needs -o <out.qnc>")?,
     );
-    let tile: usize = args.numeric(&["--tile"], 4)?;
+    let tile = tile_size(args)?;
     let latent: usize = args.numeric(&["--latent"], 8)?;
-    let max_tile = usize::from(qn_serve::protocol::MAX_TILE_SIZE);
-    if tile == 0 || tile > max_tile {
-        return Err(format!(
-            "remote compress accepts --tile 1..={max_tile} (the server caps the \
-             per-request model dimension), got {tile}"
-        ));
-    }
     let opts = CodecOptions {
         tile_size: tile,
         bits: args.numeric(&["--bits"], 8u8)?,

@@ -891,4 +891,34 @@ fn usage_errors_exit_nonzero_with_help() {
         .expect("spawn qnc");
     assert!(!out.status.success());
     assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+
+    // A tile size outside 1..=64 is rejected up front, by name, on both
+    // offline commands that tile an image, before any model is sized by
+    // it.
+    let dir = work_dir("usage_errors");
+    let input = dir.join("img.pgm");
+    write_dataset_image(&input, 16, 16, 3);
+    for (command, output, tile, extra) in [
+        ("compress", "never.qnc", "0", &[][..]),
+        ("train", "never.qnm", "0", &["--iters", "2"][..]),
+        ("compress", "never.qnc", "65", &[][..]),
+    ] {
+        let out = qnc()
+            .arg(command)
+            .arg(&input)
+            .arg("-o")
+            .arg(dir.join(output))
+            .args(["--tile", tile])
+            .args(extra)
+            .output()
+            .expect("spawn qnc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{command} --tile {tile}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        assert!(stderr.contains("--tile"), "{command}: {stderr}");
+    }
 }

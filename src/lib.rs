@@ -16,7 +16,7 @@
 //! - [`sim`] — hand-rolled state-vector simulator.
 //! - [`photonic`] — interferometer meshes, the Clements decomposition and
 //!   per-layer gate tables.
-//! - [`linalg`] — dense linear algebra (QR, Jacobi SVD/eig, LU).
+//! - [`linalg`] — dense linear algebra (QR, Jacobi SVD/eig).
 //! - [`classical`] — the CSC sparse-coding baseline and PCA.
 //! - [`image`] — images, datasets, metrics, PGM/ASCII IO.
 //! - [`codec`] — the end-to-end file codec: model persistence (`.qnm`),

@@ -79,7 +79,7 @@ fn uniform_target_amplitudes_match_the_papers_numbers() {
     .expect("valid network");
     let out = vec![0.0; 8];
     let mut r = vec![0.0; 8];
-    net.residual(0, &out, &mut r);
+    net.residual(&out, &mut r);
     for rj in &r[4..8] {
         assert!((rj + 0.5).abs() < 1e-15, "amplitude target must be 0.5");
     }

@@ -1,6 +1,6 @@
 //! End-to-end integration: the full paper pipeline across all crates.
 
-use qn::core::config::NetworkConfig;
+use qn::core::config::{InitStrategy, NetworkConfig, OptimizerKind};
 use qn::core::trainer::Trainer;
 use qn::image::{datasets, metrics};
 
@@ -10,12 +10,31 @@ fn quick() -> NetworkConfig {
     NetworkConfig::paper_default().with_iterations(150)
 }
 
+/// The recipe `qnc train --iters N` runs: plain GD at η = 0.05 on
+/// sample-normalised gradients from the spectral start.
+fn refinement() -> NetworkConfig {
+    NetworkConfig {
+        dim: 16,
+        compressed_dim: 4,
+        layers_c: 12,
+        layers_r: 14,
+        learning_rate: 0.05,
+        iterations: 40,
+        seed: 7,
+        init: InitStrategy::Spectral,
+        optimizer: OptimizerKind::Gd,
+        normalize_gradient: true,
+    }
+}
+
 #[test]
 fn losses_fall_and_accuracy_rises_on_paper_dataset() {
     let data = datasets::paper_binary_16(25);
     let mut trainer = Trainer::new(quick(), &data).expect("valid configuration");
     let report = trainer.train().expect("training runs");
     let h = &report.history;
+    // Fig. 4e/f trace sample 25, i.e. index 24.
+    assert_eq!(h.tracked_sample, 24);
 
     // Both losses improve by at least 10×.
     assert!(
@@ -69,7 +88,6 @@ fn trained_autoencoder_reconstructs_unseen_family_members() {
     // initialisation pins the compression to the family's exact subspace,
     // making the generalisation property hold from the start and the
     // test independent of optimiser luck.
-    use qn::core::config::InitStrategy;
     // The first 12 unions include all four single quadrants, so they span
     // the full 4-dimensional family subspace.
     let train = datasets::quadrant_unions()[..12].to_vec();
@@ -117,18 +135,24 @@ fn compressed_representation_suffices_for_reconstruction() {
 
 #[test]
 fn training_is_bit_deterministic_across_runs() {
-    let data = datasets::paper_binary_16(25);
-    let r1 = Trainer::new(quick(), &data)
-        .expect("valid configuration")
-        .train()
-        .expect("training runs");
-    let r2 = Trainer::new(quick(), &data)
-        .expect("valid configuration")
-        .train()
-        .expect("training runs");
-    assert_eq!(r1.final_compression_loss, r2.final_compression_loss);
-    assert_eq!(r1.final_reconstruction_loss, r2.final_reconstruction_loss);
-    assert_eq!(r1.history.theta_c_trace, r2.history.theta_c_trace);
+    // Both recipes the repo runs: the paper's (`fig4`, `fig5_table1`) and
+    // `qnc train`'s refinement.
+    for (cfg, data) in [
+        (quick(), datasets::paper_binary_16(25)),
+        (refinement(), datasets::paper_binary_16_hard(25)),
+    ] {
+        let r1 = Trainer::new(cfg.clone(), &data)
+            .expect("valid configuration")
+            .train()
+            .expect("training runs");
+        let r2 = Trainer::new(cfg, &data)
+            .expect("valid configuration")
+            .train()
+            .expect("training runs");
+        assert_eq!(r1.final_compression_loss, r2.final_compression_loss);
+        assert_eq!(r1.final_reconstruction_loss, r2.final_reconstruction_loss);
+        assert_eq!(r1.history.theta_c_trace, r2.history.theta_c_trace);
+    }
 }
 
 #[test]
@@ -150,4 +174,35 @@ fn different_seeds_give_different_but_convergent_runs() {
     // …same destination (both near zero loss).
     assert!(r1.final_compression_loss < 1e-3);
     assert!(r2.final_compression_loss < 1e-3);
+}
+
+#[test]
+fn normalised_gradient_is_divided_by_samples_times_pixels() {
+    // Algorithm 1's normalisation, as `qnc train` runs it. Checked from a
+    // small random start: the spectral start's gradient is ~1e-14, all
+    // rounding.
+    let data = datasets::paper_binary_16_hard(25);
+    let run = |cfg: NetworkConfig| {
+        Trainer::new(cfg, &data)
+            .expect("valid configuration")
+            .train()
+            .expect("training runs")
+    };
+    let small = NetworkConfig {
+        init: InitStrategy::SmallRandom(0.3),
+        iterations: 1,
+        ..refinement()
+    };
+    let normalised = run(small.clone()).history.grad_norm_c[0];
+    let raw = run(NetworkConfig {
+        normalize_gradient: false,
+        ..small
+    })
+    .history
+    .grad_norm_c[0];
+    let expected = raw / (data.len() * 16) as f64;
+    assert!(
+        (normalised - expected).abs() <= 1e-12 * expected,
+        "normalised ‖∇L_C‖ {normalised} vs raw / (M·N) {expected}"
+    );
 }
