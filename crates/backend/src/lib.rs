@@ -90,9 +90,8 @@ use std::fmt;
 /// # Panics
 ///
 /// Implementations panic (like the scalar reference) when a panel's
-/// dimension differs from `mesh.dim()` or the mesh has complex gates;
-/// malformed *file* input must be rejected by the codec layer before
-/// reaching a backend.
+/// dimension differs from `mesh.dim()`; malformed *file* input must be
+/// rejected by the codec layer before reaching a backend.
 pub trait MeshBackend: fmt::Debug + Sync {
     /// Apply `mesh` forward to every lane of every panel, in place.
     fn forward_panels(&self, mesh: &Mesh, panels: &mut [Panel]);

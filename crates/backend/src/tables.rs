@@ -33,7 +33,7 @@ fn cache() -> &'static Mutex<CacheEntries> {
 }
 
 /// FNV-1a over the mesh's full parameter content: dimension, layer
-/// count, and every layer's cascade direction + θ/α bit patterns. The
+/// count, and every layer's cascade direction + θ bit patterns. The
 /// same 64-bit content-addressing scheme (and collision risk class) as
 /// the codec's model id.
 fn mesh_fingerprint(mesh: &Mesh) -> u64 {
@@ -56,19 +56,12 @@ fn mesh_fingerprint(mesh: &Mesh) -> u64 {
         for &t in layer.thetas() {
             eat(&t.to_bits().to_le_bytes());
         }
-        for &a in layer.alphas() {
-            eat(&a.to_bits().to_le_bytes());
-        }
     }
     h
 }
 
 /// The gate tables for `mesh`, from the shared cache — built on first
 /// sight, reused (and bumped to most-recently-used) afterwards.
-///
-/// # Panics
-/// Panics when the mesh has complex gates, like every `apply_real_*`
-/// path.
 pub fn cached_tables(mesh: &Mesh) -> Arc<MeshTables> {
     let key = mesh_fingerprint(mesh);
     {
@@ -81,8 +74,7 @@ pub fn cached_tables(mesh: &Mesh) -> Arc<MeshTables> {
             return tables;
         }
     }
-    // Build outside the lock: construction is the expensive part, and a
-    // complex-mesh panic must not poison the cache.
+    // Build outside the lock: construction is the expensive part.
     let tables = Arc::new(MeshTables::build(mesh));
     let mut entries = cache().lock().unwrap_or_else(|e| e.into_inner());
     // A racing builder may have inserted the same model meanwhile;

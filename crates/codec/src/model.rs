@@ -6,7 +6,7 @@
 //! offset  size  field
 //! 0       4     magic  "QNMD"
 //! 4       2     format version (current: 1)
-//! 6       2     flags: bit 0 = real model (all α ≡ 0; α arrays omitted)
+//! 6       2     flags: bit 0 = real model (required; see below)
 //!                      bit 1 = U_R derived (U_R is the exact inverse of
 //!                              U_C; only its layer count is stored)
 //! 8       4     state dimension N
@@ -22,24 +22,28 @@
 //!         repeat n_layers times:
 //!           order   u8   (0 = ascending cascade, 1 = descending)
 //!           theta   f64 × (N−1)   (raw IEEE-754 bits — bit-exact)
-//!           [flags bit 0 clear] alpha f64 × (N−1)
 //! ```
 //!
-//! The two flag bits are size optimisations the writer applies whenever
-//! they are exact: the paper's networks are real (bit 0 halves the
-//! file), and spectral/untrained-`U_R` models reconstruct with the
-//! reversed-negated compression mesh (bit 1 halves it again — the
-//! derivation is deterministic, so the loaded mesh is still bit-exact).
+//! Bit 0 is required. The paper fixes every beam-splitter phase at
+//! `α ≡ 0`, so a gate is a real rotation and the file stores only θ;
+//! the writer always sets the bit. A file with bit 0 clear declares a
+//! non-zero phase (an `α` array follows each layer's θ), and the reader
+//! rejects it with [`CodecError::Invalid`] before it builds any mesh.
+//!
+//! Bit 1 is a size optimisation the writer applies whenever it is
+//! exact: spectral/untrained-`U_R` models reconstruct with the
+//! reversed-negated compression mesh, so only its layer count is
+//! stored (the derivation is deterministic, so the loaded mesh is still
+//! bit-exact).
 //!
 //! # Versioning rules
 //!
 //! - Readers accept any file whose version ≤ their
 //!   [`MODEL_VERSION`] and must reject newer versions with
 //!   [`CodecError::UnsupportedVersion`] (no silent best-effort parses).
-//! - Any change to field meaning, order, or the parameter flattening
-//!   order of `QuantumAutoencoder::export_parameters` bumps the
-//!   version; reserved fields exist so small additions don't have to.
-//! - Angles and phases are stored as raw IEEE-754 bits, so
+//! - Any change to field meaning or order bumps the version; reserved
+//!   fields exist so small additions don't have to.
+//! - Angles are stored as raw IEEE-754 bits, so
 //!   save → load → save is byte-identical and a loaded model produces
 //!   **bit-exact** amplitudes relative to the model that was saved.
 //!
@@ -65,14 +69,16 @@ pub const MODEL_VERSION: u16 = 1;
 /// drive huge allocations.
 const MAX_REASONABLE: u32 = 1 << 20;
 
-/// Flag bit 0: every phase is zero; α arrays are omitted.
+/// Flag bit 0: the model is real (every phase `α ≡ 0`, none stored).
+/// Required: the writer always sets it, and the reader rejects a file
+/// without it.
 pub const MODEL_FLAG_REAL: u16 = 1 << 0;
 /// Flag bit 1: `U_R` is the exact inverse of `U_C` (reversed structure,
 /// negated angles, identity-padded to its layer count); only that layer
 /// count is stored.
 pub const MODEL_FLAG_DERIVED_R: u16 = 1 << 1;
 
-fn write_mesh(w: &mut ByteWriter, mesh: &Mesh, real: bool) {
+fn write_mesh(w: &mut ByteWriter, mesh: &Mesh) {
     w.put_u32(mesh.n_layers() as u32);
     for layer in mesh.layers() {
         w.put_u8(match layer.order() {
@@ -82,15 +88,10 @@ fn write_mesh(w: &mut ByteWriter, mesh: &Mesh, real: bool) {
         for &t in layer.thetas() {
             w.put_f64(t);
         }
-        if !real {
-            for &a in layer.alphas() {
-                w.put_f64(a);
-            }
-        }
     }
 }
 
-fn read_mesh(r: &mut ByteReader<'_>, dim: usize, real: bool) -> Result<Mesh> {
+fn read_mesh(r: &mut ByteReader<'_>, dim: usize) -> Result<Mesh> {
     let n_layers = r.get_u32("mesh layer count")?;
     if n_layers == 0 || n_layers > MAX_REASONABLE {
         return Err(CodecError::Invalid(format!(
@@ -112,16 +113,7 @@ fn read_mesh(r: &mut ByteReader<'_>, dim: usize, real: bool) -> Result<Mesh> {
         for _ in 0..dim - 1 {
             thetas.push(r.get_f64("layer theta")?);
         }
-        let alphas = if real {
-            vec![0.0; dim - 1]
-        } else {
-            let mut alphas = Vec::with_capacity(dim - 1);
-            for _ in 0..dim - 1 {
-                alphas.push(r.get_f64("layer alpha")?);
-            }
-            alphas
-        };
-        layers.push(MeshLayer::from_parts(dim, thetas, alphas, order));
+        layers.push(MeshLayer::from_parts(dim, thetas, order));
     }
     Ok(Mesh::from_layers(layers))
 }
@@ -138,12 +130,8 @@ fn reconstruction_is_derived(model: &QuantumAutoencoder) -> bool {
 
 /// Serialise the model body (everything except the trailing CRC).
 fn encode_body(model: &QuantumAutoencoder) -> Vec<u8> {
-    let real = model.compression.mesh().is_real() && model.reconstruction.mesh().is_real();
     let derived_r = reconstruction_is_derived(model);
-    let mut flags = 0u16;
-    if real {
-        flags |= MODEL_FLAG_REAL;
-    }
+    let mut flags = MODEL_FLAG_REAL;
     if derived_r {
         flags |= MODEL_FLAG_DERIVED_R;
     }
@@ -158,11 +146,11 @@ fn encode_body(model: &QuantumAutoencoder) -> Vec<u8> {
         SubspaceKind::KeepFirst => 1,
     });
     w.put_bytes(&[0, 0, 0]); // reserved
-    write_mesh(&mut w, model.compression.mesh(), real);
+    write_mesh(&mut w, model.compression.mesh());
     if derived_r {
         w.put_u32(model.reconstruction.mesh().n_layers() as u32);
     } else {
-        write_mesh(&mut w, model.reconstruction.mesh(), real);
+        write_mesh(&mut w, model.reconstruction.mesh());
     }
     w.finish()
 }
@@ -185,8 +173,8 @@ pub fn model_id(model: &QuantumAutoencoder) -> u64 {
 ///
 /// # Errors
 /// Typed [`CodecError`] for bad magic, unsupported versions, truncation,
-/// checksum mismatches, or inconsistent fields — never panics on
-/// arbitrary input.
+/// checksum mismatches, complex models (flag bit 0 clear), or
+/// inconsistent fields — never panics on arbitrary input.
 pub fn decode_model(bytes: &[u8]) -> Result<QuantumAutoencoder> {
     if bytes.len() < 4 {
         return Err(CodecError::Truncated {
@@ -230,7 +218,11 @@ pub fn decode_model(bytes: &[u8]) -> Result<QuantumAutoencoder> {
             flags & !known
         )));
     }
-    let real = flags & MODEL_FLAG_REAL != 0;
+    if flags & MODEL_FLAG_REAL == 0 {
+        return Err(CodecError::Invalid(
+            "model has complex gates (flag bit 0 clear); the codec runs real meshes only".into(),
+        ));
+    }
     let derived_r = flags & MODEL_FLAG_DERIVED_R != 0;
     let dim = r.get_u32("state dimension")?;
     let compressed_dim = r.get_u32("compressed dimension")?;
@@ -255,7 +247,7 @@ pub fn decode_model(bytes: &[u8]) -> Result<QuantumAutoencoder> {
     };
     r.get_bytes(3, "reserved header bytes")?;
 
-    let mesh_c = read_mesh(&mut r, dim as usize, real)?;
+    let mesh_c = read_mesh(&mut r, dim as usize)?;
     let compression = CompressionNetwork::new(
         mesh_c,
         compressed_dim as usize,
@@ -277,7 +269,7 @@ pub fn decode_model(bytes: &[u8]) -> Result<QuantumAutoencoder> {
         }
         ReconstructionNetwork::from_reversed_compression(&compression, layers_r as usize)
     } else {
-        ReconstructionNetwork::new(read_mesh(&mut r, dim as usize, real)?)
+        ReconstructionNetwork::new(read_mesh(&mut r, dim as usize)?)
     };
     if r.remaining() != 0 {
         return Err(CodecError::Invalid(format!(
@@ -329,12 +321,11 @@ mod tests {
         QuantumAutoencoder::new(compression, reconstruction)
     }
 
-    /// Independently-random `U_R` (not derivable) with non-zero phases
-    /// (not real): both flags clear, full layout exercised.
+    /// Independently-random `U_R` (not derivable): flag bit 1 clear,
+    /// both meshes stored in full.
     fn sample_model_full(seed: u64) -> QuantumAutoencoder {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut mesh_c = Mesh::random(8, 3, &mut rng);
-        mesh_c.set_alpha_at(1, 2, 0.7);
+        let mesh_c = Mesh::random(8, 3, &mut rng);
         let compression = CompressionNetwork::new(
             mesh_c,
             3,
@@ -358,18 +349,14 @@ mod tests {
             loaded.compression.subspace_kind(),
             model.compression.subspace_kind()
         );
-        assert_eq!(loaded.export_parameters(), model.export_parameters());
         assert_eq!(loaded.compression.mesh(), model.compression.mesh());
         assert_eq!(loaded.reconstruction.mesh(), model.reconstruction.mesh());
-        // Bit-exact forward amplitudes on an arbitrary input (real path;
-        // complex meshes are covered by the mesh equality above).
-        if model.compression.mesh().is_real() {
-            let x: Vec<f64> = (0..8).map(|i| ((i + 1) as f64 * 0.17).sin()).collect();
-            assert_eq!(
-                loaded.compression.forward(&x),
-                model.compression.forward(&x)
-            );
-        }
+        // Bit-exact forward amplitudes on an arbitrary input.
+        let x: Vec<f64> = (0..8).map(|i| ((i + 1) as f64 * 0.17).sin()).collect();
+        assert_eq!(
+            loaded.compression.forward(&x),
+            model.compression.forward(&x)
+        );
         // Re-encoding reproduces the identical file.
         assert_eq!(encode_model(&loaded), bytes);
     }
@@ -388,7 +375,7 @@ mod tests {
     fn size_flags_shrink_the_file() {
         let compact = encode_model(&sample_model(3)).len();
         let full = encode_model(&sample_model_full(3)).len();
-        // Same dim; compact drops α arrays and the whole U_R mesh.
+        // Same dim; compact drops the whole U_R mesh.
         assert!(
             compact * 2 < full,
             "compact {compact} bytes vs full {full} bytes"
@@ -483,7 +470,8 @@ mod tests {
         let model = sample_model(7);
         save_model(&path, &model).unwrap();
         let loaded = load_model(&path).unwrap();
-        assert_eq!(loaded.export_parameters(), model.export_parameters());
+        assert_eq!(loaded.compression.mesh(), model.compression.mesh());
+        assert_eq!(loaded.reconstruction.mesh(), model.reconstruction.mesh());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -252,7 +252,7 @@ impl Codec {
         let mut sample = vec![0.0; dim];
         let mut samples = 0usize;
         for img in images {
-            for panel in &gather_tiles(img, tile_size, dim).panels {
+            for panel in &gather_tiles(img, tile_size).panels {
                 for lane in 0..panel.width() {
                     for (m, x) in sample.iter_mut().enumerate() {
                         *x = panel.row(m)[lane];
@@ -291,7 +291,7 @@ impl Codec {
     ///
     /// # Errors
     /// [`CodecError::Invalid`] for empty images or tile sizes whose
-    /// pixel count exceeds the model's state dimension.
+    /// pixel count is not the model's state dimension.
     pub fn encode_image(&self, img: &GrayImage, opts: &CodecOptions) -> Result<Vec<u8>> {
         Ok(self.encode_image_with_stats(img, opts)?.0)
     }
@@ -332,14 +332,14 @@ impl Codec {
     /// erases).
     ///
     /// # Errors
-    /// [`CodecError::Invalid`] for models with complex gates, empty
-    /// images, zero/oversize tile sizes, or unsupported bit depths.
+    /// [`CodecError::Invalid`] for empty images, zero tile sizes, tiles
+    /// whose pixel count is not the model's state dimension, or
+    /// unsupported bit depths.
     pub fn prepare_encode(
         &self,
         img: &GrayImage,
         opts: &CodecOptions,
     ) -> Result<(EncodePlan, Vec<Panel>)> {
-        self.check_real()?;
         if img.is_empty() {
             return Err(CodecError::Invalid("cannot encode an empty image".into()));
         }
@@ -347,16 +347,16 @@ impl Codec {
             return Err(CodecError::Invalid("tile size must be positive".into()));
         }
         let dim = self.model.dim();
-        if opts.tile_size * opts.tile_size > dim {
+        if opts.tile_size * opts.tile_size != dim {
             return Err(CodecError::Invalid(format!(
-                "tile of {0}×{0} = {1} pixels exceeds the model's state dimension {2}",
+                "tile of {0}×{0} = {1} pixels does not match the model's state dimension {2}",
                 opts.tile_size,
                 opts.tile_size * opts.tile_size,
                 dim
             )));
         }
         Quantizer::new(opts.bits)?; // validate the bit depth up front
-        let gathered = gather_tiles(img, opts.tile_size, dim);
+        let gathered = gather_tiles(img, opts.tile_size);
         let plan = EncodePlan {
             occupied: gathered.occupied,
             norms: gathered.norms,
@@ -543,19 +543,6 @@ impl Codec {
         Ok(())
     }
 
-    /// Reject models with complex gates: the mesh backends run real
-    /// amplitudes only. `.qnm` files may declare complex phases, so
-    /// this is input validation, checked before any mesh pass.
-    fn check_real(&self) -> Result<()> {
-        if !(self.model.compression.mesh().is_real() && self.model.reconstruction.mesh().is_real())
-        {
-            return Err(CodecError::Invalid(
-                "model has complex gates; the codec runs real meshes only".into(),
-            ));
-        }
-        Ok(())
-    }
-
     /// Everything *before* the decode's single mesh pass: validate the
     /// container geometry against the model and dequantize every
     /// occupied tile into the kept rows of its panel lane (the other
@@ -565,18 +552,16 @@ impl Codec {
     /// [`Codec::complete_decode`].
     ///
     /// # Errors
-    /// [`CodecError::Invalid`] for models with complex gates, or when
-    /// the container geometry disagrees with the model (latent
-    /// dimension, state dimension) or its tile arrays disagree with its
-    /// header.
+    /// [`CodecError::Invalid`] when the container geometry disagrees
+    /// with the model (latent dimension, state dimension) or its tile
+    /// arrays disagree with its header.
     pub fn prepare_decode(&self, container: &Container) -> Result<(DecodePlan, Vec<Panel>)> {
-        self.check_real()?;
         let header = &container.header;
         let dim = self.model.dim();
         let tile_px = header.tile_size as usize * header.tile_size as usize;
-        if tile_px > dim {
+        if tile_px != dim {
             return Err(CodecError::Invalid(format!(
-                "container tile size {} exceeds the model's state dimension {dim}",
+                "container tile of {0}×{0} = {tile_px} pixels does not match the model's state dimension {dim}",
                 header.tile_size
             )));
         }
@@ -779,14 +764,15 @@ struct GatheredTiles {
 }
 
 /// The prepare gather: tile `img` at `tile_size`, and write every
-/// occupied tile's pixels — row-major with trailing zero padding, the
-/// order `tiles::tile` + `encoding::encode` produce — into its lane of
-/// a `dim`-mode panel, normalised in place. Norms and amplitudes are
-/// bit-identical to that unfused path: the occupancy test `|p| > 0`
-/// for some pixel is exactly "the Eq. 1 norm is not ≤ 0", and the norm
-/// replays `qn_linalg::vector::norm2`'s arithmetic lane by lane.
-fn gather_tiles(img: &GrayImage, tile_size: usize, dim: usize) -> GatheredTiles {
+/// occupied tile's pixels — row-major, the order `tiles::tile` +
+/// `encoding::encode` produce — into its lane of a `tile_size²`-mode
+/// panel, normalised in place. Norms and amplitudes are bit-identical
+/// to that unfused path: the occupancy test `|p| > 0` for some pixel is
+/// exactly "the Eq. 1 norm is not ≤ 0", and the norm replays
+/// `qn_linalg::vector::norm2`'s arithmetic lane by lane.
+fn gather_tiles(img: &GrayImage, tile_size: usize) -> GatheredTiles {
     let ts = tile_size;
+    let dim = ts * ts;
     let (width, height) = (img.width(), img.height());
     let tiles_x = width.div_ceil(ts).max(1);
     let tiles_y = height.div_ceil(ts).max(1);
@@ -820,7 +806,7 @@ fn gather_tiles(img: &GrayImage, tile_size: usize, dim: usize) -> GatheredTiles 
             *a = (ty * ts * width + tx * ts, span(tx, width), span(ty, height));
         }
         // Mode by mode: mode `py·ts + px` of a lane is its tile's pixel
-        // (px, py), or zero past the image edge and past the tile.
+        // (px, py), or zero past the image edge.
         let lanes = tiles.len();
         let mut data = Vec::with_capacity(dim * lanes);
         for m in 0..dim {
@@ -834,7 +820,7 @@ fn gather_tiles(img: &GrayImage, tile_size: usize, dim: usize) -> GatheredTiles 
             }));
         }
         let mut panel = Panel::from_mode_major(dim, lanes, data);
-        normalise_lanes(&mut panel, ts * ts, norms);
+        normalise_lanes(&mut panel, norms);
         panel
     });
     GatheredTiles {
@@ -844,23 +830,24 @@ fn gather_tiles(img: &GrayImage, tile_size: usize, dim: usize) -> GatheredTiles 
     }
 }
 
-/// Eq. 1 over the first `tile_px` rows of every lane: each lane's
-/// `qn_linalg::vector::norm2` (peak-scaled sum of squares, in mode
-/// order), written to `norms`, then the lane divided by it. Swept a
-/// row at a time, so the per-lane arithmetic is that of `norm2` while
-/// the loops run across contiguous lanes.
-fn normalise_lanes(panel: &mut Panel, tile_px: usize, norms: &mut [f64]) {
+/// Eq. 1 over every lane: each lane's `qn_linalg::vector::norm2`
+/// (peak-scaled sum of squares, in mode order), written to `norms`,
+/// then the lane divided by it. Swept a row at a time, so the per-lane
+/// arithmetic is that of `norm2` while the loops run across contiguous
+/// lanes.
+fn normalise_lanes(panel: &mut Panel, norms: &mut [f64]) {
+    let dim = panel.dim();
     let lanes = norms.len();
     let mut peak = [0.0f64; DEFAULT_PANEL_WIDTH];
     let peak = &mut peak[..lanes];
-    for m in 0..tile_px {
+    for m in 0..dim {
         for (pk, &v) in peak.iter_mut().zip(panel.row(m)) {
             *pk = pk.max(v.abs());
         }
     }
     let mut sum = [0.0f64; DEFAULT_PANEL_WIDTH];
     let sum = &mut sum[..lanes];
-    for m in 0..tile_px {
+    for m in 0..dim {
         for ((s, &pk), &v) in sum.iter_mut().zip(peak.iter()).zip(panel.row(m)) {
             *s += (v / pk) * (v / pk);
         }
@@ -876,7 +863,7 @@ fn normalise_lanes(panel: &mut Panel, tile_px: usize, norms: &mut [f64]) {
             pk * s.sqrt()
         };
     }
-    for m in 0..tile_px {
+    for m in 0..dim {
         for (a, &norm) in panel.row_mut(m).iter_mut().zip(norms.iter()) {
             *a /= norm;
         }

@@ -76,51 +76,6 @@ impl QuantumAutoencoder {
     pub fn compression_ratio(&self) -> f64 {
         (self.compression.compressed_dim() as f64 + 1.0) / self.dim() as f64
     }
-
-    /// Total trainable parameter count across both meshes (θ and α).
-    pub fn param_count(&self) -> usize {
-        2 * (self.compression.mesh().param_count() + self.reconstruction.mesh().param_count())
-    }
-
-    /// Export every trainable parameter as one flat vector, in the stable
-    /// order `θ_C ‖ α_C ‖ θ_R ‖ α_R` (each block layer-major). Model
-    /// persistence and external optimisers round-trip through this; the
-    /// order is part of the `qn-codec` model-file format and must not
-    /// change without a format-version bump.
-    pub fn export_parameters(&self) -> Vec<f64> {
-        let mut params = Vec::with_capacity(self.param_count());
-        params.extend(self.compression.mesh().thetas());
-        params.extend(self.compression.mesh().alphas());
-        params.extend(self.reconstruction.mesh().thetas());
-        params.extend(self.reconstruction.mesh().alphas());
-        params
-    }
-
-    /// Overwrite every trainable parameter from a flat vector produced by
-    /// [`QuantumAutoencoder::export_parameters`] on a structurally
-    /// identical autoencoder (same dims and layer counts).
-    ///
-    /// # Errors
-    /// Returns [`crate::CoreError::InvalidData`] on length mismatch.
-    pub fn import_parameters(&mut self, params: &[f64]) -> Result<()> {
-        if params.len() != self.param_count() {
-            return Err(crate::CoreError::InvalidData(format!(
-                "parameter vector has length {}, autoencoder needs {}",
-                params.len(),
-                self.param_count()
-            )));
-        }
-        let nc = self.compression.mesh().param_count();
-        let nr = self.reconstruction.mesh().param_count();
-        let (tc, rest) = params.split_at(nc);
-        let (ac, rest) = rest.split_at(nc);
-        let (tr, ar) = rest.split_at(nr);
-        self.compression.mesh_mut().set_thetas(tc);
-        self.compression.mesh_mut().set_alphas(ac);
-        self.reconstruction.mesh_mut().set_thetas(tr);
-        self.reconstruction.mesh_mut().set_alphas(ar);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -180,42 +135,6 @@ mod tests {
         assert_eq!(kept.len(), 3);
         assert!((norm - 5.0).abs() < 1e-12);
         assert!((ae.compression_ratio() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parameter_export_import_roundtrips() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let comp = CompressionNetwork::new(
-            Mesh::random(8, 3, &mut rng),
-            3,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::TrashPenalty,
-        )
-        .unwrap();
-        let recon = ReconstructionNetwork::new(Mesh::random(8, 4, &mut rng));
-        let ae = QuantumAutoencoder::new(comp, recon);
-        let params = ae.export_parameters();
-        assert_eq!(params.len(), ae.param_count());
-        assert_eq!(params.len(), 2 * (3 * 7 + 4 * 7));
-
-        // Import into a structurally identical zero autoencoder.
-        let comp0 = CompressionNetwork::new(
-            Mesh::zeros(8, 3),
-            3,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::TrashPenalty,
-        )
-        .unwrap();
-        let mut other =
-            QuantumAutoencoder::new(comp0, ReconstructionNetwork::new(Mesh::zeros(8, 4)));
-        other.import_parameters(&params).unwrap();
-        assert_eq!(other.export_parameters(), params);
-        let x = [0.3, -0.1, 0.5, 0.0, 0.2, 0.7, -0.4, 0.1];
-        assert_eq!(other.compression.forward(&x), ae.compression.forward(&x));
-
-        // Wrong lengths are rejected.
-        assert!(other.import_parameters(&params[1..]).is_err());
     }
 
     #[test]

@@ -1,94 +1,37 @@
 //! A single placed beam splitter.
 
-use qn_sim::complex::Complex64;
-use qn_sim::rotation;
-
 /// A beam splitter coupling modes `mode` and `mode + 1`, with reflectivity
-/// angle `theta` and phase `alpha` (paper Fig. 2).
+/// angle `theta` (paper Fig. 2).
 ///
-/// With `alpha == 0` the gate is the real Givens rotation the paper trains;
-/// the complex form supports the "fully complex network" extension.
+/// The paper fixes the phase at `α ≡ 0`, so every gate is the real Givens
+/// rotation `[[cos θ, −sin θ], [sin θ, cos θ]]` on its mode pair, and the
+/// type carries no phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeamSplitter {
     /// First of the two coupled modes (`0`-based).
     pub mode: usize,
     /// Reflectivity angle θ; reflectivity is `cos θ`.
     pub theta: f64,
-    /// Phase shift α; the paper fixes `α ≡ 0`.
-    pub alpha: f64,
 }
 
 impl BeamSplitter {
-    /// Real beam splitter (α = 0).
+    /// Beam splitter on modes `(mode, mode + 1)` with angle `theta`.
     pub fn real(mode: usize, theta: f64) -> Self {
-        BeamSplitter {
-            mode,
-            theta,
-            alpha: 0.0,
-        }
+        BeamSplitter { mode, theta }
     }
 
-    /// True when the gate is purely real.
-    pub fn is_real(&self) -> bool {
-        self.alpha == 0.0
-    }
-
-    /// Apply to a real amplitude vector in place.
+    /// Apply to a real amplitude vector in place, with the same
+    /// `c·a − s·b` / `s·a + c·b` expressions as every mesh pass.
     ///
     /// # Panics
-    /// Panics when the gate is complex (`alpha != 0`) — a complex gate
-    /// cannot act on real data — or when the mode is out of range.
+    /// Panics when the mode pair is out of range.
     #[inline]
     pub fn apply_real(&self, amps: &mut [f64]) {
-        assert!(
-            self.is_real(),
-            "complex beam splitter applied to real amplitudes"
-        );
-        rotation::apply_real(amps, self.mode, self.theta).expect("beam splitter mode out of range");
-    }
-
-    /// Apply the inverse to a real amplitude vector in place.
-    ///
-    /// # Panics
-    /// Same conditions as [`BeamSplitter::apply_real`].
-    #[inline]
-    pub fn apply_real_inverse(&self, amps: &mut [f64]) {
-        assert!(
-            self.is_real(),
-            "complex beam splitter applied to real amplitudes"
-        );
-        rotation::apply_real_inverse(amps, self.mode, self.theta)
-            .expect("beam splitter mode out of range");
-    }
-
-    /// Apply to a complex amplitude vector in place.
-    ///
-    /// # Panics
-    /// Panics when the mode is out of range.
-    #[inline]
-    pub fn apply_complex(&self, amps: &mut [Complex64]) {
-        rotation::apply_complex(amps, self.mode, self.theta, self.alpha)
-            .expect("beam splitter mode out of range");
-    }
-
-    /// Apply the inverse (conjugate transpose) to a complex vector.
-    ///
-    /// # Panics
-    /// Panics when the mode is out of range.
-    #[inline]
-    pub fn apply_complex_inverse(&self, amps: &mut [Complex64]) {
-        rotation::apply_complex_inverse(amps, self.mode, self.theta, self.alpha)
-            .expect("beam splitter mode out of range");
-    }
-
-    /// The 2×2 block matrix of the gate (paper Fig. 2 convention).
-    pub fn block(&self) -> [[Complex64; 2]; 2] {
+        let k = self.mode;
         let (s, c) = self.theta.sin_cos();
-        let phase = Complex64::from_polar(1.0, self.alpha);
-        [
-            [phase.scale(c), Complex64::from_real(-s)],
-            [phase.scale(s), Complex64::from_real(c)],
-        ]
+        let (a, b) = (amps[k], amps[k + 1]);
+        amps[k] = c * a - s * b;
+        amps[k + 1] = s * a + c * b;
     }
 
     /// Reflectivity `cos θ` of the splitter.
@@ -106,63 +49,17 @@ mod tests {
     #[test]
     fn real_constructor_and_reflectivity() {
         let bs = BeamSplitter::real(3, 0.5);
-        assert!(bs.is_real());
         assert_eq!(bs.mode, 3);
         assert!((bs.reflectivity() - 0.5_f64.cos()).abs() < TOL);
     }
 
     #[test]
-    fn apply_and_inverse_roundtrip() {
-        let bs = BeamSplitter::real(1, 0.87);
+    fn apply_rotates_its_mode_pair_only() {
+        let theta = 0.87_f64;
+        let bs = BeamSplitter::real(1, theta);
         let mut v = vec![0.2, -0.5, 0.7, 0.1];
-        let orig = v.clone();
         bs.apply_real(&mut v);
-        assert!((v[1] - orig[1]).abs() > 1e-3); // actually did something
-        bs.apply_real_inverse(&mut v);
-        for (a, b) in v.iter().zip(&orig) {
-            assert!((a - b).abs() < TOL);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "complex beam splitter")]
-    fn complex_gate_rejects_real_data() {
-        let bs = BeamSplitter {
-            mode: 0,
-            theta: 0.5,
-            alpha: 0.3,
-        };
-        bs.apply_real(&mut [1.0, 0.0]);
-    }
-
-    #[test]
-    fn block_is_unitary() {
-        let bs = BeamSplitter {
-            mode: 0,
-            theta: 0.7,
-            alpha: 1.2,
-        };
-        assert!(qn_sim::gates::is_unitary(&bs.block(), TOL));
-    }
-
-    #[test]
-    fn complex_apply_matches_block_matrix() {
-        let bs = BeamSplitter {
-            mode: 0,
-            theta: 0.9,
-            alpha: 0.4,
-        };
-        let b = bs.block();
-        let x = Complex64::new(0.3, -0.1);
-        let y = Complex64::new(0.5, 0.2);
-        let mut v = vec![x, y];
-        bs.apply_complex(&mut v);
-        let ex = b[0][0] * x + b[0][1] * y;
-        let ey = b[1][0] * x + b[1][1] * y;
-        assert!(v[0].approx_eq(ex, TOL));
-        assert!(v[1].approx_eq(ey, TOL));
-        bs.apply_complex_inverse(&mut v);
-        assert!(v[0].approx_eq(x, TOL));
-        assert!(v[1].approx_eq(y, TOL));
+        let (s, c) = theta.sin_cos();
+        assert_eq!(v, [0.2, c * -0.5 - s * 0.7, s * -0.5 + c * 0.7, 0.1]);
     }
 }

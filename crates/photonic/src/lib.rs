@@ -3,8 +3,10 @@
 //! The paper implements its quantum network as an ideal lossless multiport
 //! optical interferometer (Sec. III-A, ref \[19\] = Clements et al., Optica
 //! 2016): a mesh of two-mode beam splitters `U(k,k+1)`, each coupling
-//! adjacent waveguide modes with reflectivity `cos θ` and phase `α`
-//! (fixed to 0 in the paper, making every gate a real Givens rotation).
+//! adjacent waveguide modes with reflectivity `cos θ`. The paper fixes
+//! the beam-splitter phase at `α ≡ 0`, so every gate is a real Givens
+//! rotation; the types here carry only θ, and every pass runs on real
+//! amplitudes.
 //!
 //! This crate provides:
 //!

@@ -15,7 +15,6 @@
 use crate::beamsplitter::BeamSplitter;
 use crate::sequence::GateSequence;
 use qn_linalg::Matrix;
-use qn_sim::complex::Complex64;
 use rand::Rng;
 
 /// Gate application order within a layer.
@@ -33,8 +32,6 @@ pub struct MeshLayer {
     dim: usize,
     /// Reflectivity angles, `thetas[k]` for the gate on modes `(k, k+1)`.
     thetas: Vec<f64>,
-    /// Phases (`α ≡ 0` for the paper's real network).
-    alphas: Vec<f64>,
     order: GateOrder,
 }
 
@@ -45,44 +42,23 @@ impl MeshLayer {
         MeshLayer {
             dim,
             thetas: vec![0.0; dim - 1],
-            alphas: vec![0.0; dim - 1],
-            order: GateOrder::Ascending,
-        }
-    }
-
-    /// Layer from explicit angles (real gates, ascending order).
-    ///
-    /// # Panics
-    /// Panics when `thetas.len() != dim − 1`.
-    pub fn from_thetas(dim: usize, thetas: Vec<f64>) -> Self {
-        assert_eq!(thetas.len(), dim - 1, "layer needs dim−1 angles");
-        MeshLayer {
-            dim,
-            alphas: vec![0.0; dim - 1],
-            thetas,
             order: GateOrder::Ascending,
         }
     }
 
     /// Layer from a complete parameter set — the exact inverse of reading
-    /// [`MeshLayer::thetas`], [`MeshLayer::alphas`] and
-    /// [`MeshLayer::order`] back. This is the reconstruction path model
-    /// persistence (`qn-codec`) uses, so it must round-trip every layer a
-    /// trainer or decomposition can produce, including descending-cascade
-    /// layers from [`Mesh::reversed`].
+    /// [`MeshLayer::thetas`] and [`MeshLayer::order`] back. This is the
+    /// reconstruction path model persistence (`qn-codec`) uses, so it
+    /// must round-trip every layer a trainer or decomposition can
+    /// produce, including descending-cascade layers from
+    /// [`Mesh::reversed`].
     ///
     /// # Panics
-    /// Panics when `thetas` and `alphas` are not both `dim − 1` long.
-    pub fn from_parts(dim: usize, thetas: Vec<f64>, alphas: Vec<f64>, order: GateOrder) -> Self {
+    /// Panics when `thetas` is not `dim − 1` long.
+    pub fn from_parts(dim: usize, thetas: Vec<f64>, order: GateOrder) -> Self {
         assert!(dim >= 2, "a layer needs at least two modes");
         assert_eq!(thetas.len(), dim - 1, "layer needs dim−1 angles");
-        assert_eq!(alphas.len(), dim - 1, "layer needs dim−1 phases");
-        MeshLayer {
-            dim,
-            thetas,
-            alphas,
-            order,
-        }
+        MeshLayer { dim, thetas, order }
     }
 
     /// Number of modes.
@@ -105,11 +81,6 @@ impl MeshLayer {
         &self.thetas
     }
 
-    /// Borrow the phases.
-    pub fn alphas(&self) -> &[f64] {
-        &self.alphas
-    }
-
     /// Mode indices in application order.
     pub(crate) fn positions(&self) -> Box<dyn Iterator<Item = usize>> {
         match self.order {
@@ -128,18 +99,12 @@ impl MeshLayer {
         }
     }
 
-    /// True when every phase is zero.
-    pub fn is_real(&self) -> bool {
-        self.alphas.iter().all(|&a| a == 0.0)
-    }
-
     /// Apply the layer to real amplitudes in place.
     ///
     /// # Panics
-    /// Panics on dimension mismatch or complex gates.
+    /// Panics on dimension mismatch.
     pub fn apply_real(&self, amps: &mut [f64]) {
         assert_eq!(amps.len(), self.dim, "layer dimension mismatch");
-        assert!(self.is_real(), "complex layer applied to real amplitudes");
         for k in self.positions() {
             let (s, c) = self.thetas[k].sin_cos();
             let a = amps[k];
@@ -152,29 +117,15 @@ impl MeshLayer {
     /// Apply the layer inverse (inverse gates in reverse order).
     ///
     /// # Panics
-    /// Panics on dimension mismatch or complex gates.
+    /// Panics on dimension mismatch.
     pub fn apply_real_inverse(&self, amps: &mut [f64]) {
         assert_eq!(amps.len(), self.dim, "layer dimension mismatch");
-        assert!(self.is_real(), "complex layer applied to real amplitudes");
         for k in self.positions_rev() {
             let (s, c) = self.thetas[k].sin_cos();
             let a = amps[k];
             let b = amps[k + 1];
             amps[k] = c * a + s * b;
             amps[k + 1] = c * b - s * a;
-        }
-    }
-
-    /// Apply to complex amplitudes in place (used by the complex-network
-    /// extension; also valid for real layers).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn apply_complex(&self, amps: &mut [Complex64]) {
-        assert_eq!(amps.len(), self.dim, "layer dimension mismatch");
-        for k in self.positions() {
-            qn_sim::rotation::apply_complex(amps, k, self.thetas[k], self.alphas[k])
-                .expect("mode in range by construction");
         }
     }
 }
@@ -254,11 +205,6 @@ impl Mesh {
         self.layers.iter().map(|l| l.gate_count()).sum()
     }
 
-    /// True when every layer is real.
-    pub fn is_real(&self) -> bool {
-        self.layers.iter().all(|l| l.is_real())
-    }
-
     /// Flattened θ vector, layer-major.
     pub fn thetas(&self) -> Vec<f64> {
         self.layers
@@ -291,37 +237,10 @@ impl Mesh {
         self.layers[layer].thetas[gate] = theta;
     }
 
-    /// Flattened α vector, layer-major (complex-network extension).
-    pub fn alphas(&self) -> Vec<f64> {
-        self.layers
-            .iter()
-            .flat_map(|l| l.alphas.iter().copied())
-            .collect()
-    }
-
-    /// Overwrite all α from a flattened layer-major vector.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn set_alphas(&mut self, alphas: &[f64]) {
-        assert_eq!(alphas.len(), self.param_count(), "alpha length mismatch");
-        let mut it = alphas.iter();
-        for layer in &mut self.layers {
-            for a in &mut layer.alphas {
-                *a = *it.next().expect("length checked");
-            }
-        }
-    }
-
-    /// Set α of one gate.
-    pub fn set_alpha_at(&mut self, layer: usize, gate: usize, alpha: f64) {
-        self.layers[layer].alphas[gate] = alpha;
-    }
-
     /// Apply the full mesh to real amplitudes in place.
     ///
     /// # Panics
-    /// Panics on dimension mismatch or complex gates.
+    /// Panics on dimension mismatch.
     pub fn forward_real(&self, amps: &mut [f64]) {
         for layer in &self.layers {
             layer.apply_real(amps);
@@ -338,20 +257,10 @@ impl Mesh {
     /// Apply the exact inverse `U⁻¹` in place.
     ///
     /// # Panics
-    /// Panics on dimension mismatch or complex gates.
+    /// Panics on dimension mismatch.
     pub fn inverse_real(&self, amps: &mut [f64]) {
         for layer in self.layers.iter().rev() {
             layer.apply_real_inverse(amps);
-        }
-    }
-
-    /// Apply to complex amplitudes in place.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn forward_complex(&self, amps: &mut [Complex64]) {
-        for layer in &self.layers {
-            layer.apply_complex(amps);
         }
     }
 
@@ -367,7 +276,6 @@ impl Mesh {
             .map(|l| MeshLayer {
                 dim: l.dim,
                 thetas: l.thetas.clone(),
-                alphas: l.alphas.clone(),
                 order: match l.order {
                     GateOrder::Ascending => GateOrder::Descending,
                     GateOrder::Descending => GateOrder::Ascending,
@@ -412,46 +320,6 @@ impl Mesh {
         v
     }
 
-    /// Exact analytic derivative `∂(U v)/∂θ_{layer,gate}`.
-    ///
-    /// The derivative of a single embedded rotation is the rotation
-    /// advanced by π/2 on its 2×2 block and **zero** on every other mode,
-    /// so the product rule collapses to: propagate to the target gate,
-    /// substitute the derivative block (zeroing all other components),
-    /// then propagate the rest linearly.
-    pub fn forward_real_derivative(&self, amps: &[f64], layer: usize, gate: usize) -> Vec<f64> {
-        let mut v = amps.to_vec();
-        let mut hit = false;
-        for (li, l) in self.layers.iter().enumerate() {
-            if li != layer {
-                l.apply_real(&mut v);
-                continue;
-            }
-            for k in l.positions() {
-                if k == gate {
-                    let (s, c) = l.thetas[k].sin_cos();
-                    let a = v[k];
-                    let b = v[k + 1];
-                    // d/dθ of [cθ·a − sθ·b, sθ·a + cθ·b]
-                    let da = -s * a - c * b;
-                    let db = c * a - s * b;
-                    v.iter_mut().for_each(|x| *x = 0.0);
-                    v[k] = da;
-                    v[k + 1] = db;
-                    hit = true;
-                } else {
-                    let (s, c) = l.thetas[k].sin_cos();
-                    let a = v[k];
-                    let b = v[k + 1];
-                    v[k] = c * a - s * b;
-                    v[k + 1] = s * a + c * b;
-                }
-            }
-        }
-        assert!(hit, "derivative target ({layer},{gate}) out of range");
-        v
-    }
-
     /// The flat `(layer, mode)` gate order of the whole mesh, as applied
     /// to an amplitude vector. The flattened parameter index of gate
     /// `(layer, mode)` is `layer · (N−1) + mode`, matching
@@ -492,7 +360,6 @@ impl Mesh {
                 layers.push(MeshLayer::zeros(dim));
             }
             layers[slot].thetas[g.mode] = g.theta;
-            layers[slot].alphas[g.mode] = g.alpha;
             ready[g.mode] = slot + 1;
             ready[g.mode + 1] = slot + 1;
         }
@@ -508,11 +375,7 @@ impl Mesh {
         let mut seq = GateSequence::new(self.dim);
         for l in &self.layers {
             for k in l.positions() {
-                seq.push(BeamSplitter {
-                    mode: k,
-                    theta: l.thetas[k],
-                    alpha: l.alphas[k],
-                });
+                seq.push(BeamSplitter::real(k, l.thetas[k]));
             }
         }
         seq
@@ -643,26 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn analytic_derivative_matches_central_difference() {
-        let m = Mesh::random(8, 3, &mut rng());
-        let v: Vec<f64> = (0..8).map(|i| (i as f64 * 0.3).cos() * 0.35).collect();
-        let h = 1e-6;
-        for (layer, gate) in [(0usize, 0usize), (1, 4), (2, 6), (2, 0)] {
-            let exact = m.forward_real_derivative(&v, layer, gate);
-            let plus = m.forward_real_perturbed(&v, layer, gate, h);
-            let minus = m.forward_real_perturbed(&v, layer, gate, -h);
-            for i in 0..8 {
-                let fd = (plus[i] - minus[i]) / (2.0 * h);
-                assert!(
-                    (fd - exact[i]).abs() < 1e-8,
-                    "({layer},{gate}) component {i}: fd={fd} exact={}",
-                    exact[i]
-                );
-            }
-        }
-    }
-
-    #[test]
     fn to_sequence_matches_mesh() {
         let m = Mesh::random(6, 2, &mut rng());
         let seq = m.to_sequence();
@@ -675,32 +518,6 @@ mod tests {
         for (a, b) in v1.iter().zip(&v2) {
             assert!((a - b).abs() < TOL);
         }
-    }
-
-    #[test]
-    fn complex_forward_matches_real_for_real_mesh() {
-        let m = Mesh::random(5, 2, &mut rng());
-        let x = [0.1, -0.4, 0.3, 0.7, 0.05];
-        let mut rv = x.to_vec();
-        m.forward_real(&mut rv);
-        let mut cv: Vec<Complex64> = x.iter().map(|&r| Complex64::from_real(r)).collect();
-        m.forward_complex(&mut cv);
-        for (c, r) in cv.iter().zip(&rv) {
-            assert!((c.re - r).abs() < TOL);
-            assert!(c.im.abs() < TOL);
-        }
-    }
-
-    #[test]
-    fn complex_mesh_rejected_on_real_path() {
-        let mut m = Mesh::zeros(4, 1);
-        m.set_alpha_at(0, 1, 0.5);
-        assert!(!m.is_real());
-        let result = std::panic::catch_unwind(|| {
-            let mut v = vec![1.0, 0.0, 0.0, 0.0];
-            m.forward_real(&mut v);
-        });
-        assert!(result.is_err());
     }
 
     #[test]

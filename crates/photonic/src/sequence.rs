@@ -4,8 +4,8 @@
 //! pattern that does not fit the paper's rigid layer-of-`N−1`-gates
 //! structure, so this free-form representation sits between the two: an
 //! ordered list of beam splitters applied left-to-right to an amplitude
-//! vector, optionally followed by a diagonal of signs (for real orthogonal
-//! matrices) or phases.
+//! vector, optionally followed by a diagonal of signs (the part of a real
+//! orthogonal matrix the rotations cannot absorb).
 
 use crate::beamsplitter::BeamSplitter;
 use qn_linalg::Matrix;
@@ -86,7 +86,7 @@ impl GateSequence {
     /// Apply the whole sequence to a real amplitude vector in place.
     ///
     /// # Panics
-    /// Panics on dimension mismatch or complex gates.
+    /// Panics on dimension mismatch.
     pub fn apply_real(&self, amps: &mut [f64]) {
         assert_eq!(amps.len(), self.dim, "amplitude dimension mismatch");
         for g in &self.gates {
@@ -96,23 +96,6 @@ impl GateSequence {
             for (a, &s) in amps.iter_mut().zip(signs) {
                 *a *= s;
             }
-        }
-    }
-
-    /// Apply the inverse sequence (inverse gates in reverse order, signs
-    /// first since `D⁻¹ = D` for ±1 diagonals).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or complex gates.
-    pub fn apply_real_inverse(&self, amps: &mut [f64]) {
-        assert_eq!(amps.len(), self.dim, "amplitude dimension mismatch");
-        if let Some(signs) = &self.signs {
-            for (a, &s) in amps.iter_mut().zip(signs) {
-                *a *= s;
-            }
-        }
-        for g in self.gates.iter().rev() {
-            g.apply_real_inverse(amps);
         }
     }
 
@@ -167,22 +150,6 @@ mod tests {
         ab.apply_real(&mut v1);
         ba.apply_real(&mut v2);
         assert!((v1[2] - v2[2]).abs() > 1e-6);
-    }
-
-    #[test]
-    fn inverse_roundtrip_with_signs() {
-        let mut s = GateSequence::new(4);
-        s.push(BeamSplitter::real(0, 0.3));
-        s.push(BeamSplitter::real(2, -0.8));
-        s.push(BeamSplitter::real(1, 1.4));
-        s.set_signs(vec![1.0, -1.0, 1.0, -1.0]);
-        let orig = vec![0.4, -0.2, 0.6, 0.1];
-        let mut v = orig.clone();
-        s.apply_real(&mut v);
-        s.apply_real_inverse(&mut v);
-        for (a, b) in v.iter().zip(&orig) {
-            assert!((a - b).abs() < 1e-14);
-        }
     }
 
     #[test]

@@ -101,15 +101,7 @@ pub struct MeshTables {
 impl MeshTables {
     /// Evaluate `sin_cos` for every gate of `mesh`, in application
     /// order.
-    ///
-    /// # Panics
-    /// Panics when the mesh has complex gates — table-driven kernels
-    /// cover the paper's real network, like every `apply_real_*` path.
     pub fn build(mesh: &Mesh) -> MeshTables {
-        assert!(
-            mesh.is_real(),
-            "gate tables cover real meshes only (complex layer present)"
-        );
         let layers = mesh
             .layers()
             .iter()
@@ -189,9 +181,6 @@ impl MeshTables {
 impl Mesh {
     /// Build the precomputed gate tables for this mesh — one `sin_cos`
     /// per gate, ever. See [`MeshTables`].
-    ///
-    /// # Panics
-    /// Panics when the mesh has complex gates.
     pub fn tables(&self) -> MeshTables {
         MeshTables::build(self)
     }
@@ -315,12 +304,5 @@ mod tests {
                 assert_eq!(*b, 0.0, "non-zero bit divergence");
             }
         }
-    }
-
-    #[test]
-    fn complex_meshes_are_rejected() {
-        let mut mesh = Mesh::zeros(4, 1);
-        mesh.set_alpha_at(0, 1, 0.4);
-        assert!(std::panic::catch_unwind(|| mesh.tables()).is_err());
     }
 }

@@ -59,7 +59,7 @@ USAGE:
                    [--baselines svd,pca,csc|all|none] [-o report.json]
                    [--json] [--seed S] [--check] [--timings]
 
-Defaults: tile 4 (1..=64), latent 8, bits 8, rice entropy coding,
+Defaults: tile 4 (1..=16), latent 8, bits 8, rice entropy coding,
 inline model.
 Every command runs the mesh passes on the simd backend, which writes
 the same bytes and pixels as the scalar reference the tests check it

@@ -636,12 +636,15 @@ pub fn parse_trace_request(payload: &[u8]) -> Result<(bool, Option<u64>), ServeE
 }
 
 /// Hard cap on the tile size a remote `ENCODE` may request. The
-/// spectral path builds a model of dimension `tile_size²` from the
-/// request alone, so an unbounded value would let one small frame
-/// drive an enormous allocation (65535² ≈ 34 GB of padded tile) and
-/// O(tile⁶) eigensolver work. 64 (state dimension 4096) is far above
-/// any useful codec tile while keeping the worst case bounded.
-pub const MAX_TILE_SIZE: u16 = 64;
+/// spectral path fits a model of dimension `tile_size²` to each
+/// request, at O(tile⁶) cost. On a 2-core x86-64 host, the spectral
+/// fit and encode of one 64×64 image (`qnc compress --no-verify`) took
+/// 2 ms at tile 4, 15 ms at 8, 0.85 s at 16, 6.1 s at 24 and 79 s at
+/// 32, so at a cap of 32 or more a handful of small frames pins the
+/// worker pool for minutes. 16 (state dimension 256) bounds a fit at
+/// about a second and still covers every tile this workspace encodes
+/// with.
+pub const MAX_TILE_SIZE: u16 = 16;
 
 /// Option flag: spend 32 bits/tile on a per-tile amplitude scale.
 pub const ENC_FLAG_PER_TILE_SCALE: u8 = 1 << 0;

@@ -47,7 +47,7 @@ use crate::stages::{self, span_ns, StageRecorder};
 use crate::store::ModelStore;
 use qn_codec::pipeline::codec_from_inline;
 use qn_codec::{info, Codec, CodecOptions, Container};
-use qn_trace::{fmt_ns, SpanId, TraceBuilder, Tracer};
+use qn_trace::{fmt_ns, write_json_string, SpanId, TraceBuilder, Tracer};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -1268,16 +1268,11 @@ fn handle_info(shared: &Shared, payload: &[u8]) -> Result<(Opcode, Vec<u8>)> {
 /// `metrics` and `tracing` are always `true`: protocol-v1 clients
 /// feature-detect `STATS` and `TRACE` through them.
 fn server_info_json(shared: &Shared) -> String {
-    let store_dir = match shared.store.dir() {
-        Some(d) => format!(
-            "\"{}\"",
-            d.display()
-                .to_string()
-                .replace('\\', "\\\\")
-                .replace('"', "\\\"")
-        ),
-        None => "null".into(),
-    };
+    let mut store_dir = String::new();
+    match shared.store.dir() {
+        Some(d) => write_json_string(&mut store_dir, &d.display().to_string()),
+        None => store_dir.push_str("null"),
+    }
     format!(
         "{{\"format\":\"qn-serve\",\"protocol_version\":{PROTOCOL_VERSION},\
          \"server_version\":\"{}\",\"uptime_secs\":{},\"metrics\":true,\

@@ -892,7 +892,7 @@ fn usage_errors_exit_nonzero_with_help() {
     assert!(!out.status.success());
     assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
 
-    // A tile size outside 1..=64 is rejected up front, by name, on both
+    // A tile size outside 1..=16 is rejected up front, by name, on both
     // offline commands that tile an image, before any model is sized by
     // it.
     let dir = work_dir("usage_errors");
@@ -901,7 +901,7 @@ fn usage_errors_exit_nonzero_with_help() {
     for (command, output, tile, extra) in [
         ("compress", "never.qnc", "0", &[][..]),
         ("train", "never.qnm", "0", &["--iters", "2"][..]),
-        ("compress", "never.qnc", "65", &[][..]),
+        ("compress", "never.qnc", "17", &[][..]),
     ] {
         let out = qnc()
             .arg(command)

@@ -11,8 +11,9 @@
 //! with reflectivity `cos θ`, `θ ∈ [0, π/2]` nominal (training leaves θ
 //! unconstrained in ℝ; the paper observes trained values stabilise in
 //! `[0, 2π]`), and phase `α ∈ [0, 2π]`. The paper fixes `α ≡ 0`, making
-//! every gate a real Givens rotation; the complex form is kept for the
-//! "fully complex network" extension the paper's discussion proposes.
+//! every gate a real Givens rotation; the codec's real mesh passes live
+//! in `qn-photonic`. This module applies the general complex form to a
+//! simulator state, for [`crate::circuit::Op::ModeRotation`].
 //!
 //! Unlike qubit gates, a mode rotation touches exactly two amplitudes of
 //! the N-dimensional vector, so it works on vectors of *any* length, not
@@ -22,50 +23,6 @@
 use crate::complex::Complex64;
 use crate::error::SimError;
 use crate::Result;
-
-/// Apply the real mode rotation (α = 0) with angle `theta` between
-/// components `k` and `k+1` of `amps`, in place.
-///
-/// ```text
-/// | cos θ  −sin θ | | a_k   |
-/// | sin θ   cos θ | | a_k+1 |
-/// ```
-///
-/// # Errors
-/// Returns [`SimError::InvalidArgument`] when `k + 1 ≥ amps.len()`.
-#[inline]
-pub fn apply_real(amps: &mut [f64], k: usize, theta: f64) -> Result<()> {
-    if k + 1 >= amps.len() {
-        return Err(SimError::InvalidArgument(format!(
-            "mode rotation at k={k} out of range for dimension {}",
-            amps.len()
-        )));
-    }
-    let (s, c) = theta.sin_cos();
-    let a = amps[k];
-    let b = amps[k + 1];
-    amps[k] = c * a - s * b;
-    amps[k + 1] = s * a + c * b;
-    Ok(())
-}
-
-/// Inverse of [`apply_real`] (rotation by −θ).
-///
-/// # Errors
-/// Returns [`SimError::InvalidArgument`] when `k + 1 ≥ amps.len()`.
-#[inline]
-pub fn apply_real_inverse(amps: &mut [f64], k: usize, theta: f64) -> Result<()> {
-    apply_real(amps, k, -theta)
-}
-
-/// Derivative of the rotated pair with respect to θ. Because
-/// `dU/dθ = U(θ + π/2)` on the 2×2 block, the analytic gradient of a mesh
-/// is computed by substituting this for the gate — see
-/// `qn-core::gradient`.
-#[inline]
-pub fn apply_real_derivative(amps: &mut [f64], k: usize, theta: f64) -> Result<()> {
-    apply_real(amps, k, theta + std::f64::consts::FRAC_PI_2)
-}
 
 /// Apply the complex beam-splitter `U(k,k+1)` with reflectivity angle
 /// `theta` and phase `alpha`, in place (Fig. 2 of the paper; the Clements
@@ -124,60 +81,8 @@ mod tests {
 
     const TOL: f64 = 1e-14;
 
-    fn norm_sq(v: &[f64]) -> f64 {
-        v.iter().map(|x| x * x).sum()
-    }
-
-    #[test]
-    fn real_rotation_preserves_norm_and_other_components() {
-        let mut v = vec![0.5, -0.3, 0.7, 0.1];
-        let n0 = norm_sq(&v);
-        apply_real(&mut v, 1, 0.8).unwrap();
-        assert!((norm_sq(&v) - n0).abs() < TOL);
-        assert_eq!(v[0], 0.5);
-        assert_eq!(v[3], 0.1);
-    }
-
-    #[test]
-    fn real_rotation_quarter_turn() {
-        let mut v = vec![1.0, 0.0];
-        apply_real(&mut v, 0, std::f64::consts::FRAC_PI_2).unwrap();
-        assert!(v[0].abs() < TOL);
-        assert!((v[1] - 1.0).abs() < TOL);
-    }
-
-    #[test]
-    fn inverse_undoes_rotation() {
-        let mut v = vec![0.2, 0.9, -0.4];
-        let orig = v.clone();
-        apply_real(&mut v, 0, 1.234).unwrap();
-        apply_real_inverse(&mut v, 0, 1.234).unwrap();
-        for (a, b) in v.iter().zip(&orig) {
-            assert!((a - b).abs() < TOL);
-        }
-    }
-
-    #[test]
-    fn derivative_is_finite_difference_limit() {
-        let theta = 0.6;
-        let h = 1e-7;
-        let base = [0.3, -0.8];
-        let mut plus = base;
-        apply_real(&mut plus, 0, theta + h).unwrap();
-        let mut minus = base;
-        apply_real(&mut minus, 0, theta - h).unwrap();
-        let mut deriv = base;
-        apply_real_derivative(&mut deriv, 0, theta).unwrap();
-        for i in 0..2 {
-            let fd = (plus[i] - minus[i]) / (2.0 * h);
-            assert!((fd - deriv[i]).abs() < 1e-7, "component {i}");
-        }
-    }
-
     #[test]
     fn bounds_are_checked() {
-        let mut v = vec![1.0, 0.0];
-        assert!(apply_real(&mut v, 1, 0.1).is_err());
         let mut c = vec![ZERO; 2];
         assert!(apply_complex(&mut c, 1, 0.1, 0.0).is_err());
         assert!(apply_complex_inverse(&mut c, 5, 0.1, 0.0).is_err());
@@ -189,9 +94,9 @@ mod tests {
             .iter()
             .map(|&r| Complex64::from_real(r))
             .collect();
-        let mut rv = vec![0.6, -0.2, 0.5];
         apply_complex(&mut cv, 1, 0.9, 0.0).unwrap();
-        apply_real(&mut rv, 1, 0.9).unwrap();
+        let (s, c) = 0.9_f64.sin_cos();
+        let rv = [0.6, c * -0.2 - s * 0.5, s * -0.2 + c * 0.5];
         for (c, r) in cv.iter().zip(&rv) {
             assert!((c.re - r).abs() < TOL);
             assert!(c.im.abs() < TOL);
@@ -225,12 +130,13 @@ mod tests {
     #[test]
     fn rotation_works_on_non_power_of_two_dimensions() {
         // Optical modes need not come in powers of two.
-        let mut v = vec![1.0, 0.0, 0.0, 0.0, 0.0]; // 5 modes
-        apply_real(&mut v, 0, 0.5).unwrap();
-        apply_real(&mut v, 1, 0.5).unwrap();
-        apply_real(&mut v, 2, 0.5).unwrap();
-        apply_real(&mut v, 3, 0.5).unwrap();
-        assert!((norm_sq(&v) - 1.0).abs() < TOL);
-        assert!(v[4].abs() > 0.0); // amplitude has cascaded to the last mode
+        let mut v = vec![ZERO; 5]; // 5 modes
+        v[0] = Complex64::from_real(1.0);
+        for k in 0..4 {
+            apply_complex(&mut v, k, 0.5, 0.0).unwrap();
+        }
+        let norm_sq: f64 = v.iter().map(|a| a.norm_sq()).sum();
+        assert!((norm_sq - 1.0).abs() < TOL);
+        assert!(v[4].re.abs() > 0.0); // amplitude has cascaded to the last mode
     }
 }

@@ -341,7 +341,9 @@ fn write_trace_json(out: &mut String, t: &Trace) {
     out.push_str("]}");
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Append `s` to `out` as a JSON string literal, with quotes,
+/// backslashes and every control character escaped.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -35,8 +35,8 @@ fn main() {
     model::save_model(&model_path, codec.model()).expect("save model");
     let reloaded = model::load_model(&model_path).expect("load model");
     assert_eq!(
-        reloaded.export_parameters(),
-        codec.model().export_parameters(),
+        model::encode_model(&reloaded),
+        model::encode_model(codec.model()),
         "persistence must be bit-exact"
     );
     println!(

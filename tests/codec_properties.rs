@@ -82,7 +82,8 @@ proptest! {
         let ae = autoencoder_16(&thetas, d);
         let bytes = model::encode_model(&ae);
         let loaded = model::decode_model(&bytes).unwrap();
-        prop_assert_eq!(loaded.export_parameters(), ae.export_parameters());
+        prop_assert_eq!(loaded.compression.mesh(), ae.compression.mesh());
+        prop_assert_eq!(loaded.reconstruction.mesh(), ae.reconstruction.mesh());
         prop_assert_eq!(model::encode_model(&loaded), bytes);
         prop_assert_eq!(model::model_id(&loaded), model::model_id(&ae));
         // Identical amplitudes, bitwise, on an arbitrary probe.

@@ -9,9 +9,13 @@
 
 use qn::backend::BackendKind;
 use qn::codec::{
-    bitstream, container, decode_standalone, model, Codec, CodecError, CodecOptions, EntropyCoder,
+    bitstream, codec_from_inline, container, decode_standalone, info, model, Codec, CodecError,
+    CodecOptions, EntropyCoder,
 };
 use qn::image::datasets;
+
+mod common;
+use common::complex_model_file;
 
 /// A valid container (inline model, per-tile scales) plus its codec.
 fn valid_fixture() -> (Codec, Vec<u8>) {
@@ -479,29 +483,63 @@ fn wrong_model_is_a_model_mismatch_not_garbage() {
 
 #[test]
 fn complex_gate_models_fail_typed_on_every_entry_point() {
-    // A `.qnm` may declare complex phases, but the mesh backends run
-    // real amplitudes only: every entry point must reject such a model
-    // typed, before any mesh pass.
+    // The codec runs real meshes only, so the model parser refuses a
+    // `.qnm` whose real-model flag is clear, typed, on every path that
+    // loads a model.
     let (real, bytes) = valid_fixture();
-    let mut model = real.model().clone();
-    model.compression.mesh_mut().set_alpha_at(0, 0, 0.5);
-    let complex = Codec::new(model::decode_model(&model::encode_model(&model)).expect("parses"));
+    let complex = complex_model_file(&model::encode_model(real.model()));
     fn is_complex_error<T>(r: Result<T, CodecError>) -> bool {
         matches!(r, Err(CodecError::Invalid(m)) if m.contains("complex"))
     }
-    let img = datasets::grayscale_blobs(1, 16, 16, 99).remove(0);
-    assert!(is_complex_error(
-        complex.encode_image(&img, &CodecOptions::default())
-    ));
-    // The valid container, relabelled to the complex model and carrying
-    // it inline.
+    assert!(is_complex_error(model::decode_model(&complex)));
+    assert!(is_complex_error(info::file_info_json(&complex)));
+    let path = std::env::temp_dir().join(format!("qn_complex_{}.qnm", std::process::id()));
+    std::fs::write(&path, &complex).unwrap();
+    let from_file = Codec::from_model_file(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(is_complex_error(from_file));
+    // The valid container carrying the complex model inline.
     let mut forged = container::Container::from_bytes(&bytes).unwrap();
-    forged.header.model_id = complex.model_id();
-    forged.inline_model = Some(model::encode_model(complex.model()));
-    let forged = forged.to_bytes().unwrap();
-    assert!(is_complex_error(complex.decode_bytes(&forged)));
-    assert!(is_complex_error(
-        complex.decode_bytes_with(&forged, BackendKind::Scalar)
-    ));
-    assert!(is_complex_error(decode_standalone(&forged)));
+    forged.inline_model = Some(complex);
+    assert!(is_complex_error(codec_from_inline(&forged)));
+    assert!(is_complex_error(decode_standalone(
+        &forged.to_bytes().unwrap()
+    )));
+}
+
+#[test]
+fn tiles_must_match_the_model_dimension() {
+    // Each tile fills exactly the model's `dim` modes: a smaller tile
+    // would be padded to `dim`, multiplying an encode's memory by up to
+    // `dim` for a large zoo model.
+    let (codec, bytes) = valid_fixture();
+    assert_eq!(codec.model().dim(), 16);
+    let img = datasets::grayscale_blobs(1, 16, 16, 99).remove(0);
+    let opts = CodecOptions {
+        tile_size: 2,
+        ..CodecOptions::default()
+    };
+    let encoded = codec.encode_image(&img, &opts);
+    assert!(
+        matches!(encoded, Err(CodecError::Invalid(ref m)) if m.contains("tile")),
+        "{encoded:?}"
+    );
+    // The container relabelled to 2×2 tiles of an 8×8 image keeps its
+    // 4×4 tile grid, so it parses as before and only the geometry check
+    // can refuse it.
+    let mut relabelled = bytes;
+    relabelled[16..20].copy_from_slice(&8u32.to_le_bytes());
+    relabelled[20..24].copy_from_slice(&8u32.to_le_bytes());
+    relabelled[24..26].copy_from_slice(&2u16.to_le_bytes());
+    refix_crc(&mut relabelled);
+    container::Container::from_bytes(&relabelled).expect("relabelled container parses");
+    for decoded in [
+        codec.decode_bytes(&relabelled),
+        decode_standalone(&relabelled),
+    ] {
+        assert!(
+            matches!(decoded, Err(CodecError::Invalid(ref m)) if m.contains("tile")),
+            "{decoded:?}"
+        );
+    }
 }

@@ -6,7 +6,7 @@ use qn::core::config::{CompressionTargetKind, NetworkConfig, SubspaceKind};
 use qn::core::encoding;
 use qn::core::trainer::Trainer;
 use qn::image::datasets;
-use qn::photonic::Mesh;
+use qn::photonic::{GateSequence, Mesh};
 use qn::sim::{qubits_for_dim, Projector};
 
 #[test]
@@ -88,15 +88,17 @@ fn uniform_target_amplitudes_match_the_papers_numbers() {
 #[test]
 fn gate_is_a_real_rotation_with_cos_theta_reflectivity() {
     // Fig. 2: U(k,k+1) with α = 0 is [[cosθ, −sinθ], [sinθ, cosθ]].
+    // Read the 2×2 block off the operator a one-gate sequence applies.
     let theta = 0.7_f64;
     let bs = qn::photonic::BeamSplitter::real(0, theta);
-    let b = bs.block();
-    assert!((b[0][0].re - theta.cos()).abs() < 1e-15);
-    assert!((b[0][1].re + theta.sin()).abs() < 1e-15);
-    assert!((b[1][0].re - theta.sin()).abs() < 1e-15);
-    assert!((b[1][1].re - theta.cos()).abs() < 1e-15);
+    let mut seq = GateSequence::new(2);
+    seq.push(bs);
+    let b = seq.as_matrix();
+    assert!((b.get(0, 0) - theta.cos()).abs() < 1e-15);
+    assert!((b.get(0, 1) + theta.sin()).abs() < 1e-15);
+    assert!((b.get(1, 0) - theta.sin()).abs() < 1e-15);
+    assert!((b.get(1, 1) - theta.cos()).abs() < 1e-15);
     assert!((bs.reflectivity() - theta.cos()).abs() < 1e-15);
-    assert_eq!(b[0][0].im, 0.0);
 }
 
 #[test]

@@ -478,7 +478,11 @@ fn list_models_enumerates_the_zoo_with_sizes_and_residency() {
 
 #[test]
 fn info_replies_share_the_cli_json() {
-    let server = boot(None);
+    // The store dir is the one operator-supplied string in the server
+    // INFO reply: a tab, a newline, quotes and a backslash in it must
+    // come back escaped, not as raw bytes that break the JSON.
+    let dir = temp_dir("info\tstore\n\"quoted\"\\dir");
+    let server = boot(Some(dir.clone()));
     let img = datasets::grayscale_blobs(1, 16, 16, 3).remove(0);
     let codec = Codec::spectral_for_image(&img, 4, 8).unwrap();
     let container = codec.encode_image(&img, &CodecOptions::default()).unwrap();
@@ -499,6 +503,13 @@ fn info_replies_share_the_cli_json() {
     assert!(status.contains("\"format\":\"qn-serve\""), "{status}");
     // The server offers no backend choice, so INFO names none.
     assert!(!status.contains("\"backend\""), "{status}");
+    let parent = dir.parent().unwrap().display().to_string();
+    let pid = std::process::id();
+    let store_dir = format!(r#""store_dir":"{parent}/info\tstore\n\"quoted\"\\dir_{pid}""#);
+    assert!(status.contains(&store_dir), "{status}");
+    assert!(!status.chars().any(char::is_control), "{status:?}");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Extract a plain integer counter/gauge value from the stats JSON.

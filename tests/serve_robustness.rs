@@ -16,6 +16,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+mod common;
+use common::complex_model_file;
+
 fn boot() -> ServerHandle {
     spawn(ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -230,24 +233,21 @@ fn request_level_failures_keep_the_connection_alive() {
         other => panic!("garbage info: {other:?}"),
     }
 
-    // A model with a complex gate parses, but the codec runs real
-    // meshes only: ENCODE by its id, and DECODE of a container carrying
-    // it inline, answer typed codec errors instead of reaching a mesh
-    // pass.
-    let mut complex = codec.model().clone();
-    complex.compression.mesh_mut().set_alpha_at(0, 0, 0.5);
-    let complex = Codec::new(complex);
-    let complex_bytes = qn_codec::model::encode_model(complex.model());
-    let id = client.load_model(&complex_bytes).unwrap();
-    let encode = client.encode(&model_encode_request(&img, &CodecOptions::default(), id));
+    // A model file with a complex gate (real-model flag clear): the
+    // codec runs real meshes only, so LOAD_MODEL, INFO, and DECODE of a
+    // container carrying it inline answer typed codec errors at the
+    // model parse.
+    let complex = complex_model_file(&qn_codec::model::encode_model(codec.model()));
     let inline = codec.encode_image(&img, &CodecOptions::default()).unwrap();
     let mut forged = Container::from_bytes(&inline).unwrap();
-    forged.header.model_id = id;
-    forged.inline_model = Some(complex_bytes);
-    let decode = client.decode(&forged.to_bytes().unwrap());
+    forged.inline_model = Some(complex.clone());
     for (what, outcome) in [
-        ("encode", encode.map(|_| ())),
-        ("decode", decode.map(|_| ())),
+        ("load_model", client.load_model(&complex).map(|_| ())),
+        ("info", client.info(Some(&complex[..])).map(|_| ())),
+        (
+            "decode",
+            client.decode(&forged.to_bytes().unwrap()).map(|_| ()),
+        ),
     ] {
         match outcome {
             Err(qn_serve::ServeError::Remote { code, message }) => {
@@ -256,6 +256,35 @@ fn request_level_failures_keep_the_connection_alive() {
             }
             other => panic!("complex-gate {what}: {other:?}"),
         }
+    }
+
+    // A spectral ENCODE past the tile cap: its model would have
+    // dimension tile², fitted at O(tile⁶) per request.
+    let big_tile = CodecOptions {
+        tile_size: 17,
+        ..CodecOptions::default()
+    };
+    match client.encode(&spectral_encode_request(&img, &big_tile, 8)) {
+        Err(qn_serve::ServeError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::BadRequest as u16, "{message}");
+            assert!(message.contains("tile size"), "{message}");
+        }
+        other => panic!("tile 17 spectral encode: {other:?}"),
+    }
+
+    // A zoo model only encodes tiles of its own state dimension: a
+    // tile-8 model (dimension 64) refuses 4×4 tiles instead of padding
+    // each one to 64 modes.
+    let tile8 = Codec::spectral_for_image(&img, 8, 8).unwrap();
+    let id = client
+        .load_model(&qn_codec::model::encode_model(tile8.model()))
+        .unwrap();
+    match client.encode(&model_encode_request(&img, &CodecOptions::default(), id)) {
+        Err(qn_serve::ServeError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::Codec as u16, "{message}");
+            assert!(message.contains("state dimension"), "{message}");
+        }
+        other => panic!("tile-4 encode with a tile-8 model: {other:?}"),
     }
 
     // The same connection still serves a healthy request after the
