@@ -3,7 +3,9 @@
 //!
 //! `fig4` and `fig5_table1` regenerate the paper's Fig. 4, Fig. 5c and
 //! Table I and write their data under `results/` at the workspace root;
-//! the `bench_*` binaries write the checked-in `BENCH_*.json` files.
+//! the `bench_*` binaries write the checked-in `BENCH_codec.json`,
+//! `BENCH_serve.json` and `BENCH_load.json` (`qnc eval --check -o
+//! BENCH_quality.json` writes the quality trail).
 
 use std::fs;
 use std::io::Write as _;

@@ -61,11 +61,6 @@ impl Dictionary {
         &self.atoms
     }
 
-    /// Replace the atom matrix (columns are re-normalised).
-    pub fn set_matrix(&mut self, atoms: Matrix) {
-        *self = Dictionary::from_matrix(atoms);
-    }
-
     /// Atom `j` as a vector.
     pub fn atom(&self, j: usize) -> Vec<f64> {
         self.atoms.col(j)
@@ -98,20 +93,6 @@ impl Dictionary {
         self.atoms
             .matvec_t(r)
             .expect("residual length = signal dim")
-    }
-
-    /// Mutual coherence: the largest |inner product| between distinct
-    /// atoms (a standard dictionary quality measure).
-    pub fn coherence(&self) -> f64 {
-        let k = self.atom_count();
-        let g = self.atoms.gram();
-        let mut max = 0.0_f64;
-        for i in 0..k {
-            for j in (i + 1)..k {
-                max = max.max(g.get(i, j).abs());
-            }
-        }
-        max
     }
 }
 
@@ -169,17 +150,6 @@ mod tests {
         // First atoms are the normalised samples.
         assert!((d.atom(0)[0] - 1.0).abs() < 1e-12);
         assert!((d.atom(1)[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn identity_dictionary_has_zero_coherence() {
-        let d = Dictionary::from_matrix(Matrix::identity(5));
-        assert!(d.coherence() < 1e-15);
-        // Duplicated atom → coherence 1.
-        let mut m = Matrix::identity(3);
-        m.set_col(2, &[1.0, 0.0, 0.0]);
-        let d = Dictionary::from_matrix(m);
-        assert!((d.coherence() - 1.0).abs() < 1e-12);
     }
 
     #[test]

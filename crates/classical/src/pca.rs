@@ -17,10 +17,6 @@ pub struct Pca {
     components: Matrix,
     /// Mean vector subtracted before projection.
     mean: Vec<f64>,
-    /// Eigenvalues (variances) of the kept components, descending.
-    pub explained: Vec<f64>,
-    /// Sum of all eigenvalues (total variance).
-    pub total_variance: f64,
 }
 
 impl Pca {
@@ -71,18 +67,7 @@ impl Pca {
                 components.set(r, c, eig.eigenvectors.get(c, r));
             }
         }
-        let total_variance: f64 = eig.eigenvalues.iter().map(|&l| l.max(0.0)).sum();
-        Ok(Pca {
-            components,
-            mean,
-            explained: eig.eigenvalues[..d].to_vec(),
-            total_variance,
-        })
-    }
-
-    /// Number of kept components `d`.
-    pub fn components(&self) -> usize {
-        self.components.rows()
+        Ok(Pca { components, mean })
     }
 
     /// Project a sample to its `d` principal coordinates.
@@ -115,14 +100,6 @@ impl Pca {
     pub fn roundtrip(&self, x: &[f64]) -> Vec<f64> {
         self.reconstruct(&self.compress(x))
     }
-
-    /// Fraction of variance captured by the kept components.
-    pub fn explained_ratio(&self) -> f64 {
-        if self.total_variance <= 0.0 {
-            return 1.0;
-        }
-        self.explained.iter().map(|&l| l.max(0.0)).sum::<f64>() / self.total_variance
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +128,6 @@ mod tests {
     fn rank1_data_is_perfectly_reconstructed_with_one_component() {
         let data = line_data();
         let pca = Pca::fit(&data, 1).unwrap();
-        assert!((pca.explained_ratio() - 1.0).abs() < 1e-10);
         for x in &data {
             let back = pca.roundtrip(x);
             for (a, b) in back.iter().zip(x) {
@@ -197,7 +173,6 @@ mod tests {
     fn compress_has_d_coordinates() {
         let data = line_data();
         let pca = Pca::fit(&data, 2).unwrap();
-        assert_eq!(pca.components(), 2);
         assert_eq!(pca.compress(&data[0]).len(), 2);
         assert_eq!(pca.reconstruct(&[0.0, 0.0]).len(), 3);
     }

@@ -80,24 +80,6 @@ pub fn factor_dataset(images: &[GrayImage], r: usize) -> Result<(Matrix, Matrix)
     Ok((coeffs, basis))
 }
 
-/// Squared-error floor for every rank `1..=max_rank` (the singular-value
-/// tail sums) — used to plot compressibility curves.
-///
-/// # Errors
-/// Propagates SVD errors.
-pub fn error_floor(images: &[GrayImage], max_rank: usize) -> Result<Vec<f64>, LinalgError> {
-    if images.is_empty() {
-        return Err(LinalgError::InvalidArgument(
-            "svd_compress: empty dataset".into(),
-        ));
-    }
-    let rows: Vec<Vec<f64>> = images.iter().map(|i| i.to_vector()).collect();
-    let y = Matrix::from_rows(&rows)?;
-    let d = svd(&y)?;
-    let sq: Vec<f64> = d.singular_values.iter().map(|s| s * s).collect();
-    Ok((1..=max_rank).map(|r| sq.iter().skip(r).sum()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,22 +99,18 @@ mod tests {
     }
 
     #[test]
-    fn error_decreases_with_rank() {
-        let data = datasets::paper_binary_16_hard(25);
-        let floors = error_floor(&data, 8).unwrap();
-        for w in floors.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12);
-        }
-        // Hard dataset is NOT rank 4.
-        assert!(floors[3] > 0.1);
-    }
-
-    #[test]
     fn compress_error_matches_floor() {
         let data = datasets::paper_binary_16_hard(25);
         let (_, err) = compress_dataset(&data, 4).unwrap();
-        let floors = error_floor(&data, 4).unwrap();
-        assert!((err - floors[3]).abs() < 1e-8, "{err} vs {}", floors[3]);
+        // Eckart–Young: the rank-4 floor is the tail of the squared
+        // singular values.
+        let rows: Vec<Vec<f64>> = data.iter().map(|i| i.to_vector()).collect();
+        let sv = svd(&Matrix::from_rows(&rows).unwrap())
+            .unwrap()
+            .singular_values;
+        let floor: f64 = sv.iter().skip(4).map(|s| s * s).sum();
+        assert!(floor > 0.1, "the hard dataset is not rank 4");
+        assert!((err - floor).abs() < 1e-8, "{err} vs {floor}");
     }
 
     #[test]
@@ -157,7 +135,6 @@ mod tests {
     #[test]
     fn empty_input_errors() {
         assert!(compress_dataset(&[], 2).is_err());
-        assert!(error_floor(&[], 2).is_err());
         assert!(factor_dataset(&[], 2).is_err());
     }
 }

@@ -577,11 +577,6 @@ impl ByteWriter {
         self.bytes.is_empty()
     }
 
-    /// Borrow the buffer (for checksumming before finishing).
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
-    }
-
     /// Take the buffer.
     pub fn finish(self) -> Vec<u8> {
         self.bytes
@@ -599,11 +594,6 @@ impl<'a> ByteReader<'a> {
     /// Read from the start of `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
         ByteReader { bytes, pos: 0 }
-    }
-
-    /// Current cursor position.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     /// Bytes remaining.

@@ -11,7 +11,7 @@
 //!                              U_C; only its layer count is stored)
 //! 8       4     state dimension N
 //! 12      4     compressed dimension d
-//! 16      1     kept-subspace kind (0 = KeepLast, 1 = KeepFirst)
+//! 16      1     kept-subspace tag (must be 0: P1 keeps the last d modes)
 //! 17      3     reserved (must be 0)
 //! 20      …     mesh U_C   (layout below)
 //! …       …     [flags bit 1 clear] mesh U_R
@@ -29,6 +29,10 @@
 //! the writer always sets the bit. A file with bit 0 clear declares a
 //! non-zero phase (an `α` array follows each layer's θ), and the reader
 //! rejects it with [`CodecError::Invalid`] before it builds any mesh.
+//!
+//! The kept-subspace tag must be 0. `P1` keeps the last `d` modes (the
+//! paper's Fig. 2 convention), and the reader rejects any other tag with
+//! [`CodecError::Invalid`] before it reads a mesh.
 //!
 //! Bit 1 is a size optimisation the writer applies whenever it is
 //! exact: spectral/untrained-`U_R` models reconstruct with the
@@ -54,7 +58,7 @@
 use crate::bitstream::{crc32, fnv1a64, ByteReader, ByteWriter};
 use crate::error::{CodecError, Result};
 use qn_core::compression::CompressionNetwork;
-use qn_core::config::{CompressionTargetKind, SubspaceKind};
+use qn_core::config::CompressionTargetKind;
 use qn_core::reconstruction::ReconstructionNetwork;
 use qn_core::QuantumAutoencoder;
 use qn_photonic::{GateOrder, Mesh, MeshLayer};
@@ -77,6 +81,9 @@ pub const MODEL_FLAG_REAL: u16 = 1 << 0;
 /// negated angles, identity-padded to its layer count); only that layer
 /// count is stored.
 pub const MODEL_FLAG_DERIVED_R: u16 = 1 << 1;
+
+/// The one kept-subspace tag: `P1` keeps the last `d` modes.
+const SUBSPACE_KEEP_LAST: u8 = 0;
 
 fn write_mesh(w: &mut ByteWriter, mesh: &Mesh) {
     w.put_u32(mesh.n_layers() as u32);
@@ -141,10 +148,7 @@ fn encode_body(model: &QuantumAutoencoder) -> Vec<u8> {
     w.put_u16(flags);
     w.put_u32(model.dim() as u32);
     w.put_u32(model.compression.compressed_dim() as u32);
-    w.put_u8(match model.compression.subspace_kind() {
-        SubspaceKind::KeepLast => 0,
-        SubspaceKind::KeepFirst => 1,
-    });
+    w.put_u8(SUBSPACE_KEEP_LAST);
     w.put_bytes(&[0, 0, 0]); // reserved
     write_mesh(&mut w, model.compression.mesh());
     if derived_r {
@@ -173,8 +177,9 @@ pub fn model_id(model: &QuantumAutoencoder) -> u64 {
 ///
 /// # Errors
 /// Typed [`CodecError`] for bad magic, unsupported versions, truncation,
-/// checksum mismatches, complex models (flag bit 0 clear), or
-/// inconsistent fields — never panics on arbitrary input.
+/// checksum mismatches, complex models (flag bit 0 clear), a subspace
+/// tag other than 0, or inconsistent fields — never panics on arbitrary
+/// input.
 pub fn decode_model(bytes: &[u8]) -> Result<QuantumAutoencoder> {
     if bytes.len() < 4 {
         return Err(CodecError::Truncated {
@@ -236,22 +241,18 @@ pub fn decode_model(bytes: &[u8]) -> Result<QuantumAutoencoder> {
             "compressed dimension {compressed_dim} out of range for N={dim}"
         )));
     }
-    let subspace = match r.get_u8("subspace kind")? {
-        0 => SubspaceKind::KeepLast,
-        1 => SubspaceKind::KeepFirst,
-        other => {
-            return Err(CodecError::Invalid(format!(
-                "unknown subspace kind tag {other}"
-            )))
-        }
-    };
+    let subspace = r.get_u8("subspace tag")?;
+    if subspace != SUBSPACE_KEEP_LAST {
+        return Err(CodecError::Invalid(format!(
+            "subspace tag {subspace}: the codec keeps the last d modes only (tag {SUBSPACE_KEEP_LAST})"
+        )));
+    }
     r.get_bytes(3, "reserved header bytes")?;
 
     let mesh_c = read_mesh(&mut r, dim as usize)?;
     let compression = CompressionNetwork::new(
         mesh_c,
         compressed_dim as usize,
-        subspace,
         // Targets only matter during training; persisted models carry
         // inference state, so the standard target is restored.
         CompressionTargetKind::TrashPenalty,
@@ -301,7 +302,6 @@ pub fn load_model(path: &Path) -> Result<QuantumAutoencoder> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qn_core::config::SubspaceKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -310,13 +310,8 @@ mod tests {
     fn sample_model(seed: u64) -> QuantumAutoencoder {
         let mut rng = StdRng::seed_from_u64(seed);
         let mesh_c = Mesh::random(8, 3, &mut rng);
-        let compression = CompressionNetwork::new(
-            mesh_c,
-            3,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::TrashPenalty,
-        )
-        .unwrap();
+        let compression =
+            CompressionNetwork::new(mesh_c, 3, CompressionTargetKind::TrashPenalty).unwrap();
         let reconstruction = ReconstructionNetwork::from_reversed_compression(&compression, 5);
         QuantumAutoencoder::new(compression, reconstruction)
     }
@@ -326,13 +321,8 @@ mod tests {
     fn sample_model_full(seed: u64) -> QuantumAutoencoder {
         let mut rng = StdRng::seed_from_u64(seed);
         let mesh_c = Mesh::random(8, 3, &mut rng);
-        let compression = CompressionNetwork::new(
-            mesh_c,
-            3,
-            SubspaceKind::KeepFirst,
-            CompressionTargetKind::TrashPenalty,
-        )
-        .unwrap();
+        let compression =
+            CompressionNetwork::new(mesh_c, 3, CompressionTargetKind::TrashPenalty).unwrap();
         let reconstruction = ReconstructionNetwork::new(Mesh::random(8, 4, &mut rng));
         QuantumAutoencoder::new(compression, reconstruction)
     }
@@ -344,10 +334,6 @@ mod tests {
         assert_eq!(
             loaded.compression.compressed_dim(),
             model.compression.compressed_dim()
-        );
-        assert_eq!(
-            loaded.compression.subspace_kind(),
-            model.compression.subspace_kind()
         );
         assert_eq!(loaded.compression.mesh(), model.compression.mesh());
         assert_eq!(loaded.reconstruction.mesh(), model.reconstruction.mesh());

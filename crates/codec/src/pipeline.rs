@@ -59,7 +59,7 @@ use crate::error::{CodecError, Result};
 use crate::model;
 use crate::quantize::{tile_scale, Quantizer};
 use qn_backend::BackendKind;
-use qn_core::config::{CompressionTargetKind, SubspaceKind};
+use qn_core::config::CompressionTargetKind;
 use qn_core::reconstruction::ReconstructionNetwork;
 use qn_core::spectral::SecondMoment;
 use qn_core::{compression::CompressionNetwork, QuantumAutoencoder};
@@ -67,6 +67,7 @@ use qn_image::GrayImage;
 use qn_linalg::panel::DEFAULT_PANEL_WIDTH;
 use qn_linalg::parallel::par_map_chunked_into;
 use qn_linalg::Panel;
+use std::ops::Range;
 use std::path::Path;
 use std::time::Instant;
 
@@ -147,10 +148,6 @@ pub struct EncodeStats {
     pub container_bytes: usize,
     /// Container bits per pixel.
     pub bits_per_pixel: f64,
-    /// Bytes of the embedded model body (0 without an inline model).
-    /// Subtracting from [`EncodeStats::container_bytes`] isolates the
-    /// per-image latent payload from the amortizable model cost.
-    pub model_bytes: usize,
     /// Wall-clock nanoseconds of each encode stage, in schedule order:
     /// `prepare`, `mesh_pass`, `quantize`, `entropy` (see [`stage`]).
     /// Observability only; never an influence on the bytes.
@@ -161,13 +158,6 @@ impl EncodeStats {
     /// Compression ratio (raw ÷ compressed; > 1 means smaller).
     pub fn ratio(&self) -> f64 {
         self.raw_bytes as f64 / self.container_bytes as f64
-    }
-
-    /// Bits per pixel of the container *minus* the embedded model body —
-    /// the per-image rate once the model is amortized (equal to
-    /// [`EncodeStats::bits_per_pixel`] when no model is inlined).
-    pub fn payload_bits_per_pixel(&self) -> f64 {
-        (self.container_bytes - self.model_bytes) as f64 * 8.0 / self.raw_bytes as f64
     }
 }
 
@@ -265,19 +255,10 @@ impl Codec {
         let mesh_c = if samples == 0 {
             qn_photonic::Mesh::zeros(dim, 1)
         } else {
-            qn_core::spectral::spectral_mesh_of_moment(
-                &moment.matrix(),
-                latent_dim,
-                SubspaceKind::KeepLast,
-                1,
-            )?
+            qn_core::spectral::spectral_mesh_of_moment(&moment.matrix(), latent_dim, 1)?
         };
-        let compression = CompressionNetwork::new(
-            mesh_c,
-            latent_dim,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::TrashPenalty,
-        )?;
+        let compression =
+            CompressionNetwork::new(mesh_c, latent_dim, CompressionTargetKind::TrashPenalty)?;
         let n_layers = compression.mesh().n_layers();
         let reconstruction =
             ReconstructionNetwork::from_reversed_compression(&compression, n_layers);
@@ -389,7 +370,7 @@ impl Codec {
         let opts = &plan.opts;
         let quantizer = Quantizer::new(opts.bits)?;
         let latent_dim = self.model.compression.compressed_dim();
-        let kept = self.model.compression.projector().kept_indices();
+        let kept = self.model.compression.kept();
         let max_norm = plan.norms.iter().fold(0.0f64, |m, &n| m.max(n)) as f32;
 
         let mut flags = 0u16;
@@ -446,29 +427,27 @@ impl Codec {
                 .collect();
             par_map_chunked_into(&mut jobs, 1, |_, jobs| {
                 for job in jobs {
-                    job.run(&quantizer, &kept, max_norm);
+                    job.run(&quantizer, kept.clone(), max_norm);
                 }
             });
             tiles
         });
 
-        let (coded, entropy) = timed(stage::ENTROPY, || {
-            let container = Container {
+        let (bytes, entropy) = timed(stage::ENTROPY, || {
+            Container {
                 header,
                 inline_model: opts.inline_model.then(|| model::encode_model(&self.model)),
                 tiles,
-            };
-            let model_bytes = container.inline_model.as_ref().map_or(0, Vec::len);
-            container.to_bytes().map(|bytes| (bytes, model_bytes))
+            }
+            .to_bytes()
         });
-        let (bytes, model_bytes) = coded?;
+        let bytes = bytes?;
         let stats = EncodeStats {
             tiles: grid,
             empty_tiles: grid - occupied,
             raw_bytes: plan.raw_bytes,
             container_bytes: bytes.len(),
             bits_per_pixel: bytes.len() as f64 * 8.0 / plan.raw_bytes as f64,
-            model_bytes,
             stages: [
                 (stage::PREPARE, 0),
                 (stage::MESH_PASS, 0),
@@ -575,7 +554,7 @@ impl Codec {
         let tiles = &container.tiles;
         tiles.check(header)?;
         let quantizer = Quantizer::new(header.bits)?;
-        let kept = self.model.compression.projector().kept_indices();
+        let trash = self.model.compression.kept().start;
         let occupied = tiles.occupied_count();
 
         let mut norms = vec![0.0; occupied];
@@ -587,21 +566,18 @@ impl Codec {
             }
             let levels = &tiles.levels[o0 * d..(o0 + lanes) * d];
             let scales = tiles.scales.get(o0..o0 + lanes);
-            // Mode by mode: a kept mode's row holds the lanes'
-            // dequantized latents, every other row stays zero.
+            // The trash rows stay zero; the d kept rows (the last d)
+            // hold the lanes' dequantized latents, in order.
             let mut data = Vec::with_capacity(dim * lanes);
-            let mut kept_rows = kept.iter().enumerate().peekable();
-            for m in 0..dim {
-                match kept_rows.next_if(|&(_, &k)| k == m) {
-                    Some((j, _)) => data.extend((0..lanes).map(|lane| {
-                        let a = quantizer.dequantize(levels[lane * d + j]);
-                        match scales {
-                            Some(s) => a * f64::from(s[lane]),
-                            None => a,
-                        }
-                    })),
-                    None => data.extend(std::iter::repeat_n(0.0, lanes)),
-                }
+            data.resize(trash * lanes, 0.0);
+            for j in 0..d {
+                data.extend((0..lanes).map(|lane| {
+                    let a = quantizer.dequantize(levels[lane * d + j]);
+                    match scales {
+                        Some(s) => a * f64::from(s[lane]),
+                        None => a,
+                    }
+                }));
             }
             Panel::from_mode_major(dim, lanes, data)
         });
@@ -693,7 +669,7 @@ impl QuantizeJob<'_> {
     /// Quantize every lane's norm and its kept rows, optionally divided
     /// by the lane's peak — the exact arithmetic of quantizing a
     /// gathered latent vector.
-    fn run(&mut self, quantizer: &Quantizer, kept: &[usize], max_norm: f32) {
+    fn run(&mut self, quantizer: &Quantizer, kept: Range<usize>, max_norm: f32) {
         for (norm_q, &norm) in self.norms_q.iter_mut().zip(self.norms) {
             *norm_q = quantize_norm(norm, max_norm);
         }
@@ -702,10 +678,10 @@ impl QuantizeJob<'_> {
         for (lane, levels) in self.levels.chunks_exact_mut(d).enumerate() {
             let latent = |m: usize| amps[m * width + lane];
             let scale = self.scales.get_mut(lane).map(|s| {
-                *s = tile_scale(kept.iter().map(|&m| latent(m)));
+                *s = tile_scale(kept.clone().map(latent));
                 f64::from(*s)
             });
-            for (level, &m) in levels.iter_mut().zip(kept) {
+            for (level, m) in levels.iter_mut().zip(kept.clone()) {
                 let a = match scale {
                     Some(s) => latent(m) / s,
                     None => latent(m),
@@ -971,8 +947,7 @@ mod tests {
         };
         for img in &data {
             let (bytes, stats) = codec.encode_image_with_stats(img, &opts).unwrap();
-            assert_eq!(stats.model_bytes, 0);
-            assert!((stats.payload_bits_per_pixel() - stats.bits_per_pixel).abs() < 1e-12);
+            assert_eq!(stats.container_bytes, bytes.len());
             let back = codec.decode_bytes(&bytes).unwrap();
             let psnr = metrics::psnr(img, &back.clamped());
             assert!(psnr >= 30.0, "PSNR {psnr:.2} dB");
@@ -1014,16 +989,11 @@ mod tests {
                 let mesh_c = if inputs.is_empty() {
                     qn_photonic::Mesh::zeros(dim, 1)
                 } else {
-                    qn_core::spectral::spectral_mesh(&inputs, dim, d, SubspaceKind::KeepLast, 1)
-                        .unwrap()
+                    qn_core::spectral::spectral_mesh(&inputs, dim, d, 1).unwrap()
                 };
-                let compression = CompressionNetwork::new(
-                    mesh_c,
-                    d,
-                    SubspaceKind::KeepLast,
-                    CompressionTargetKind::TrashPenalty,
-                )
-                .unwrap();
+                let compression =
+                    CompressionNetwork::new(mesh_c, d, CompressionTargetKind::TrashPenalty)
+                        .unwrap();
                 let n_layers = compression.mesh().n_layers();
                 let reconstruction =
                     ReconstructionNetwork::from_reversed_compression(&compression, n_layers);
@@ -1042,12 +1012,10 @@ mod tests {
     fn stats_separate_model_bytes_from_payload() {
         let img = test_image();
         let codec = spectral_codec(&img, 8);
-        let (_, with_model) = codec
+        let (with_model, _) = codec
             .encode_image_with_stats(&img, &CodecOptions::default())
             .unwrap();
-        assert!(with_model.model_bytes > 0);
-        assert!(with_model.payload_bits_per_pixel() < with_model.bits_per_pixel);
-        let (lean_bytes, lean) = codec
+        let (lean, stats) = codec
             .encode_image_with_stats(
                 &img,
                 &CodecOptions {
@@ -1056,14 +1024,14 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(lean.model_bytes, 0);
+        assert_eq!(stats.container_bytes, lean.len());
         // The inline model accounts for (almost all of) the size gap:
         // the container layout only adds a small length field around it.
-        let gap = with_model.container_bytes - lean_bytes.len();
+        let model_bytes = model::encode_model(codec.model()).len();
+        let gap = with_model.len() - lean.len();
         assert!(
-            gap >= with_model.model_bytes && gap <= with_model.model_bytes + 16,
-            "container gap {gap} vs model {}",
-            with_model.model_bytes
+            gap >= model_bytes && gap <= model_bytes + 16,
+            "container gap {gap} vs model {model_bytes}"
         );
     }
 

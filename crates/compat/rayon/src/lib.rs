@@ -344,11 +344,6 @@ impl ThreadPool {
             result
         })
     }
-
-    /// The pool's worker count.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
 }
 
 /// The glob-import module mirroring `rayon::prelude`.
@@ -439,7 +434,6 @@ mod tests {
     #[test]
     fn install_scopes_thread_count() {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        assert_eq!(pool.current_num_threads(), 2);
         let sum: usize = pool.install(|| {
             let v: Vec<usize> = (0..100usize).into_par_iter().map(|i| i).collect();
             v.iter().sum()

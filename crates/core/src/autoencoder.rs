@@ -61,14 +61,7 @@ impl QuantumAutoencoder {
     pub fn compressed_representation(&self, x: &[f64]) -> Result<(Vec<f64>, f64)> {
         let enc = encoding::encode(x, self.dim())?;
         let compressed = self.compression.compress(&enc.amplitudes);
-        let kept: Vec<f64> = self
-            .compression
-            .projector()
-            .kept_indices()
-            .iter()
-            .map(|&j| compressed[j])
-            .collect();
-        Ok((kept, enc.norm))
+        Ok((compressed[self.compression.kept()].to_vec(), enc.norm))
     }
 
     /// Classical storage ratio: kept amplitudes + 1 norm vs original
@@ -81,7 +74,7 @@ impl QuantumAutoencoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CompressionTargetKind, SubspaceKind};
+    use crate::config::CompressionTargetKind;
     use qn_photonic::Mesh;
 
     /// Identity autoencoder: zero-angle meshes, full-dimension "compression".
@@ -89,7 +82,6 @@ mod tests {
         let comp = CompressionNetwork::new(
             Mesh::zeros(dim, 2),
             dim,
-            SubspaceKind::KeepLast,
             CompressionTargetKind::TrashPenalty,
         )
         .unwrap();
@@ -120,13 +112,9 @@ mod tests {
 
     #[test]
     fn compressed_representation_has_d_amplitudes() {
-        let comp = CompressionNetwork::new(
-            Mesh::zeros(8, 1),
-            3,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::TrashPenalty,
-        )
-        .unwrap();
+        let comp =
+            CompressionNetwork::new(Mesh::zeros(8, 1), 3, CompressionTargetKind::TrashPenalty)
+                .unwrap();
         let recon = ReconstructionNetwork::new(Mesh::zeros(8, 1));
         let ae = QuantumAutoencoder::new(comp, recon);
         let (kept, norm) = ae
@@ -138,21 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn subspace_kind_is_recorded() {
-        use crate::compression::CompressionNetwork;
-        for kind in [SubspaceKind::KeepLast, SubspaceKind::KeepFirst] {
-            let net = CompressionNetwork::new(
-                Mesh::zeros(4, 1),
-                2,
-                kind,
-                CompressionTargetKind::TrashPenalty,
-            )
-            .unwrap();
-            assert_eq!(net.subspace_kind(), kind);
-        }
-    }
-
-    #[test]
     fn zero_vector_is_rejected() {
         let ae = identity_autoencoder(4);
         assert!(ae.roundtrip(&[0.0; 4]).is_err());
@@ -160,13 +133,9 @@ mod tests {
 
     #[test]
     fn paper_ratio_is_5_over_16() {
-        let comp = CompressionNetwork::new(
-            Mesh::zeros(16, 1),
-            4,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::TrashPenalty,
-        )
-        .unwrap();
+        let comp =
+            CompressionNetwork::new(Mesh::zeros(16, 1), 4, CompressionTargetKind::TrashPenalty)
+                .unwrap();
         let ae = QuantumAutoencoder::new(comp, ReconstructionNetwork::new(Mesh::zeros(16, 1)));
         assert!((ae.compression_ratio() - 5.0 / 16.0).abs() < 1e-15);
     }

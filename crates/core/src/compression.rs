@@ -1,45 +1,44 @@
 //! The quantum compression network `U_C` with projector `P1` (paper
 //! Sec. II-B, Eq. 3).
 
-use crate::config::{CompressionTargetKind, SubspaceKind};
+use crate::config::CompressionTargetKind;
+use crate::error::CoreError;
 use crate::gradient::{self, GradientMethod};
 use crate::loss::Loss;
 use crate::Result;
 use qn_backend::{BackendKind, MeshBackend};
 use qn_linalg::Panel;
 use qn_photonic::Mesh;
-use qn_sim::Projector;
+use std::ops::Range;
 
 /// The compression half of the pipeline: `|Φ_i⟩ = P1 · U_C |ψ_i⟩`.
+///
+/// `P1` keeps the last `d` of the `N` modes, [`CompressionNetwork::kept`]
+/// — the paper's convention: its 8-dimensional example targets
+/// `b² = [0,0,0,0,.25,.25,.25,.25]` (Fig. 2).
 #[derive(Debug, Clone)]
 pub struct CompressionNetwork {
     mesh: Mesh,
-    projector: Projector,
-    subspace: SubspaceKind,
+    compressed_dim: usize,
     target: CompressionTargetKind,
 }
 
 impl CompressionNetwork {
-    /// Assemble from a mesh, a kept-subspace convention and a target
+    /// Assemble from a mesh, the compressed dimension `d` and a target
     /// strategy.
     ///
     /// # Errors
-    /// Returns [`crate::CoreError::Sim`] when `d > N`.
-    pub fn new(
-        mesh: Mesh,
-        compressed_dim: usize,
-        subspace: SubspaceKind,
-        target: CompressionTargetKind,
-    ) -> Result<Self> {
-        let n = mesh.dim();
-        let projector = match subspace {
-            SubspaceKind::KeepLast => Projector::keep_last(n, compressed_dim)?,
-            SubspaceKind::KeepFirst => Projector::keep_first(n, compressed_dim)?,
-        };
+    /// Returns [`CoreError::InvalidConfig`] when `d > N`.
+    pub fn new(mesh: Mesh, compressed_dim: usize, target: CompressionTargetKind) -> Result<Self> {
+        if compressed_dim > mesh.dim() {
+            return Err(CoreError::InvalidConfig(format!(
+                "cannot keep {compressed_dim} of {} modes",
+                mesh.dim()
+            )));
+        }
         Ok(CompressionNetwork {
             mesh,
-            projector,
-            subspace,
+            compressed_dim,
             target,
         })
     }
@@ -51,7 +50,13 @@ impl CompressionNetwork {
 
     /// Compressed dimension `d`.
     pub fn compressed_dim(&self) -> usize {
-        self.projector.keep_count()
+        self.compressed_dim
+    }
+
+    /// The modes `P1` keeps: the last `d`, `N − d..N`. Every mode before
+    /// `kept().start` is trash.
+    pub fn kept(&self) -> Range<usize> {
+        self.dim() - self.compressed_dim..self.dim()
     }
 
     /// Borrow the mesh (`U_C`).
@@ -64,17 +69,6 @@ impl CompressionNetwork {
         &mut self.mesh
     }
 
-    /// Borrow the projector (`P1`).
-    pub fn projector(&self) -> &Projector {
-        &self.projector
-    }
-
-    /// Which subspace convention `P1` keeps — needed by model persistence
-    /// (`qn-codec`) to rebuild the projector from a saved file.
-    pub fn subspace_kind(&self) -> SubspaceKind {
-        self.subspace
-    }
-
     /// Raw network output `U_C |ψ⟩` — the amplitudes `a_i` that are
     /// measured for the loss (Eq. 3 before projection).
     pub fn forward(&self, encoded: &[f64]) -> Vec<f64> {
@@ -85,9 +79,7 @@ impl CompressionNetwork {
     /// projected state feeds `U_R` directly).
     pub fn compress(&self, encoded: &[f64]) -> Vec<f64> {
         let mut out = self.mesh.forward_real_copy(encoded);
-        self.projector
-            .project_real(&mut out)
-            .expect("dimensions match by construction");
+        out[..self.kept().start].fill(0.0);
         out
     }
 
@@ -111,7 +103,7 @@ impl CompressionNetwork {
     pub fn compress_batch(&self, encoded: &[Panel]) -> Vec<Panel> {
         let mut out = self.forward_batch_with(encoded, BackendKind::default().backend());
         for panel in &mut out {
-            for mode in (0..panel.dim()).filter(|&m| !self.projector.keeps(m)) {
+            for mode in 0..self.kept().start {
                 panel.row_mut(mode).fill(0.0);
             }
         }
@@ -125,16 +117,17 @@ impl CompressionNetwork {
     /// Panics when lengths mismatch.
     pub fn residual(&self, out: &[f64], buf: &mut [f64]) {
         assert_eq!(out.len(), buf.len(), "residual: length mismatch");
+        let kept = self.kept();
         match self.target {
             CompressionTargetKind::TrashPenalty => {
                 for (j, (b, &o)) in buf.iter_mut().zip(out).enumerate() {
-                    *b = if self.projector.keeps(j) { 0.0 } else { o };
+                    *b = if kept.contains(&j) { 0.0 } else { o };
                 }
             }
             CompressionTargetKind::Uniform => {
-                let amp = 1.0 / (self.projector.keep_count() as f64).sqrt();
+                let amp = 1.0 / (self.compressed_dim as f64).sqrt();
                 for (j, (b, &o)) in buf.iter_mut().zip(out).enumerate() {
-                    *b = if self.projector.keeps(j) { o - amp } else { o };
+                    *b = if kept.contains(&j) { o - amp } else { o };
                 }
             }
         }
@@ -160,24 +153,6 @@ impl CompressionNetwork {
         );
         (Loss::from_sum(sum, encoded.len(), self.dim()), grad)
     }
-
-    /// Mean probability leaked outside the kept subspace over a batch —
-    /// the quantum-autoencoder figure of merit (0 = perfect compression).
-    pub fn mean_leakage(&self, encoded: &[Vec<f64>]) -> f64 {
-        if encoded.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = encoded
-            .iter()
-            .map(|e| {
-                let out = self.forward(e);
-                self.projector
-                    .leaked_probability(&out)
-                    .expect("dimensions match by construction")
-            })
-            .sum();
-        total / encoded.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +164,7 @@ mod tests {
     fn network(target: CompressionTargetKind) -> CompressionNetwork {
         let mut rng = StdRng::seed_from_u64(5);
         let mesh = Mesh::random(8, 3, &mut rng);
-        CompressionNetwork::new(mesh, 3, SubspaceKind::KeepLast, target).unwrap()
+        CompressionNetwork::new(mesh, 3, target).unwrap()
     }
 
     fn inputs() -> Vec<Vec<f64>> {
@@ -207,18 +182,15 @@ mod tests {
         let net = network(CompressionTargetKind::TrashPenalty);
         assert_eq!(net.dim(), 8);
         assert_eq!(net.compressed_dim(), 3);
-        assert_eq!(net.projector().kept_indices(), vec![5, 6, 7]);
+        assert_eq!(net.kept(), 5..8);
     }
 
     #[test]
     fn rejects_invalid_dims() {
-        assert!(CompressionNetwork::new(
-            Mesh::zeros(4, 1),
-            5,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::TrashPenalty
-        )
-        .is_err());
+        assert!(matches!(
+            CompressionNetwork::new(Mesh::zeros(4, 1), 5, CompressionTargetKind::TrashPenalty),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -243,11 +215,10 @@ mod tests {
             .iter()
             .map(|x| {
                 let out = net.forward(x);
-                net.projector().leaked_probability(&out).unwrap()
+                out[..net.kept().start].iter().map(|a| a * a).sum::<f64>()
             })
             .sum();
         assert!((loss.sum - leak_total).abs() < 1e-12);
-        assert!((net.mean_leakage(&xs) - leak_total / 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -267,7 +238,7 @@ mod tests {
         // A few GD steps on the trash penalty must shrink the leak.
         let mut net = network(CompressionTargetKind::TrashPenalty);
         let xs = inputs();
-        let before = net.mean_leakage(&xs);
+        let before = net.loss(&xs).sum;
         for _ in 0..50 {
             let (_, grad) = net.loss_and_gradient(&xs, GradientMethod::Analytic);
             let thetas: Vec<f64> = net
@@ -279,7 +250,7 @@ mod tests {
                 .collect();
             net.mesh_mut().set_thetas(&thetas);
         }
-        let after = net.mean_leakage(&xs);
+        let after = net.loss(&xs).sum;
         assert!(
             after < before * 0.5,
             "leakage did not halve: {before} → {after}"

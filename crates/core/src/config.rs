@@ -3,16 +3,6 @@
 use crate::error::CoreError;
 use crate::Result;
 
-/// Which subspace `P1` keeps (paper Fig. 2; the 8-dim example keeps the
-/// *last* d dimensions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubspaceKind {
-    /// Keep the last `d` basis states (paper convention; the trainer's).
-    KeepLast,
-    /// Keep the first `d` basis states.
-    KeepFirst,
-}
-
 /// Compression-target strategy for `L_C` (the paper's Eq. 5 requires
 /// per-sample targets `b_i` but only gives one example).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,14 +163,6 @@ impl NetworkConfig {
         self
     }
 
-    /// Builder: set layer counts `(l_C, l_R)`.
-    #[must_use]
-    pub fn with_layers(mut self, layers_c: usize, layers_r: usize) -> Self {
-        self.layers_c = layers_c;
-        self.layers_r = layers_r;
-        self
-    }
-
     /// Builder: set initialisation strategy.
     #[must_use]
     pub fn with_init(mut self, init: InitStrategy) -> Self {
@@ -210,7 +192,11 @@ mod tests {
         assert!(base.clone().with_dims(1, 1).validate().is_err());
         assert!(base.clone().with_dims(16, 0).validate().is_err());
         assert!(base.clone().with_dims(16, 17).validate().is_err());
-        assert!(base.clone().with_layers(0, 14).validate().is_err());
+        let no_layers = NetworkConfig {
+            layers_c: 0,
+            ..base.clone()
+        };
+        assert!(no_layers.validate().is_err());
         assert!(base.clone().with_learning_rate(0.0).validate().is_err());
         assert!(base.with_learning_rate(f64::NAN).validate().is_err());
     }
@@ -221,13 +207,11 @@ mod tests {
             .with_iterations(10)
             .with_seed(42)
             .with_learning_rate(0.1)
-            .with_dims(8, 2)
-            .with_layers(3, 4);
+            .with_dims(8, 2);
         assert_eq!(c.iterations, 10);
         assert_eq!(c.seed, 42);
         assert_eq!(c.learning_rate, 0.1);
         assert_eq!((c.dim, c.compressed_dim), (8, 2));
-        assert_eq!((c.layers_c, c.layers_r), (3, 4));
         assert!(c.validate().is_ok());
     }
 }

@@ -68,24 +68,6 @@ pub fn decode(amplitudes: &[f64], norm: f64, data_len: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Sign-preserving decode variant (`x̂_j = B_j · norm`), for data that can
-/// be negative — an engineering extension beyond Eq. 2.
-pub fn decode_signed(amplitudes: &[f64], norm: f64, data_len: usize) -> Vec<f64> {
-    amplitudes
-        .iter()
-        .take(data_len)
-        .map(|&b| b * norm)
-        .collect()
-}
-
-/// Encode a batch of vectors.
-///
-/// # Errors
-/// Propagates the first per-sample encoding error.
-pub fn encode_batch(xs: &[Vec<f64>], dim: usize) -> Result<Vec<EncodedSample>> {
-    xs.iter().map(|x| encode(x, dim)).collect()
-}
-
 /// Encode a batch of images (row-major flattening).
 ///
 /// # Errors
@@ -171,9 +153,6 @@ mod tests {
         let back = decode(&[-0.6, 0.8], 5.0, 2);
         assert!((back[0] - 3.0).abs() < TOL);
         assert!((back[1] - 4.0).abs() < TOL);
-        // Signed variant keeps them.
-        let signed = decode_signed(&[-0.6, 0.8], 5.0, 2);
-        assert!((signed[0] + 3.0).abs() < TOL);
     }
 
     #[test]
@@ -191,11 +170,6 @@ mod tests {
         for e in &encoded {
             assert!((vector::norm2(&e.amplitudes) - 1.0).abs() < TOL);
         }
-        // Batch of raw vectors too.
-        let xs = vec![vec![1.0, 0.0], vec![0.0, 2.0]];
-        let b = encode_batch(&xs, 2).unwrap();
-        assert_eq!(b.len(), 2);
-        assert!((b[1].norm - 2.0).abs() < TOL);
     }
 
     #[test]

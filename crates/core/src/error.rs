@@ -9,8 +9,6 @@ pub enum CoreError {
     InvalidConfig(String),
     /// The input data is unusable (wrong size, all-zero sample, …).
     InvalidData(String),
-    /// Forwarded simulator error.
-    Sim(qn_sim::SimError),
     /// Forwarded linear-algebra error.
     Linalg(qn_linalg::LinalgError),
 }
@@ -20,19 +18,12 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             CoreError::InvalidData(msg) => write!(f, "invalid data: {msg}"),
-            CoreError::Sim(e) => write!(f, "simulator error: {e}"),
             CoreError::Linalg(e) => write!(f, "linear algebra error: {e}"),
         }
     }
 }
 
 impl std::error::Error for CoreError {}
-
-impl From<qn_sim::SimError> for CoreError {
-    fn from(e: qn_sim::SimError) -> Self {
-        CoreError::Sim(e)
-    }
-}
 
 impl From<qn_linalg::LinalgError> for CoreError {
     fn from(e: qn_linalg::LinalgError) -> Self {
@@ -48,9 +39,6 @@ mod tests {
     fn display_and_conversions() {
         let e = CoreError::InvalidConfig("d > N".into());
         assert!(e.to_string().contains("d > N"));
-        let e: CoreError = qn_sim::SimError::ZeroNorm.into();
-        assert!(matches!(e, CoreError::Sim(_)));
-        assert!(e.to_string().contains("zero norm"));
         let e: CoreError = qn_linalg::LinalgError::InvalidArgument("empty".into()).into();
         assert!(matches!(e, CoreError::Linalg(_)));
         let e = CoreError::InvalidData("empty".into());

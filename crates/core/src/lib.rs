@@ -6,8 +6,8 @@
 //! 1. **Encode** (①, [`encoding`]): classical pixel vectors `x_i` become
 //!    probability amplitudes `A_i` of quantum states `|ψ_i⟩` (Eq. 1).
 //! 2. **Compress** (②, [`compression`]): `|ψ_i⟩` passes through the
-//!    trainable mesh `U_C` and the projector `P1` keeps a d-dimensional
-//!    subspace (Eq. 3). The compression loss drives amplitude out of the
+//!    trainable mesh `U_C` and the projector `P1` keeps its last d modes
+//!    (Eq. 3; the paper's Fig. 2 convention). The compression loss drives amplitude out of the
 //!    discarded subspace (Eq. 5, `L_C`).
 //! 3. **Reconstruct** (③, [`reconstruction`]): the compressed state passes
 //!    through a second trainable mesh `U_R` back to the full space

@@ -23,35 +23,6 @@ impl Loss {
             mean: sum / count,
         }
     }
-
-    /// The zero loss.
-    pub fn zero() -> Self {
-        Loss {
-            sum: 0.0,
-            mean: 0.0,
-        }
-    }
-}
-
-/// Squared-residual sum of one sample: `Σ_j (out_j − target_j)²`.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn sample_squared_error(out: &[f64], target: &[f64]) -> f64 {
-    assert_eq!(out.len(), target.len(), "loss: length mismatch");
-    out.iter().zip(target).map(|(o, t)| (o - t) * (o - t)).sum()
-}
-
-/// Fidelity loss `1 − ⟨out|target⟩²` for unit vectors — an alternative
-/// training objective (extension; the quantum-autoencoder literature's
-/// usual figure of merit).
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn fidelity_loss(out: &[f64], target: &[f64]) -> f64 {
-    assert_eq!(out.len(), target.len(), "fidelity: length mismatch");
-    let ip: f64 = out.iter().zip(target).map(|(a, b)| a * b).sum();
-    1.0 - ip * ip
 }
 
 #[cfg(test)]
@@ -63,32 +34,8 @@ mod tests {
         let l = Loss::from_sum(8.0, 4, 2);
         assert_eq!(l.sum, 8.0);
         assert_eq!(l.mean, 1.0);
-        let z = Loss::zero();
-        assert_eq!(z.sum, 0.0);
         // Degenerate sizes don't divide by zero.
         let d = Loss::from_sum(1.0, 0, 0);
         assert_eq!(d.mean, 1.0);
-    }
-
-    #[test]
-    fn squared_error_matches_hand_calculation() {
-        let e = sample_squared_error(&[1.0, 2.0], &[0.0, 4.0]);
-        assert_eq!(e, 1.0 + 4.0);
-        assert_eq!(sample_squared_error(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn fidelity_loss_extremes() {
-        let a = [1.0, 0.0];
-        assert!((fidelity_loss(&a, &[1.0, 0.0])).abs() < 1e-15);
-        assert!((fidelity_loss(&a, &[0.0, 1.0]) - 1.0).abs() < 1e-15);
-        // Sign-insensitive (global phase).
-        assert!((fidelity_loss(&a, &[-1.0, 0.0])).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn length_checked() {
-        sample_squared_error(&[1.0], &[1.0, 2.0]);
     }
 }

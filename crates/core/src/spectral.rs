@@ -14,7 +14,6 @@
 //! compression loss (and the subsequent retraining of `U_R`) is
 //! unaffected.
 
-use crate::config::SubspaceKind;
 use crate::Result;
 use qn_linalg::{sym_eig, Matrix};
 use qn_photonic::clements::clements_decompose;
@@ -85,47 +84,23 @@ fn second_moment(inputs: &[Vec<f64>], dim: usize) -> Matrix {
     s.matrix()
 }
 
-/// The PCA-optimal compression rotation: an orthogonal `U` whose rows map
-/// the top-d principal directions onto the kept basis states and the
+/// The PCA-optimal compression rotation of the second-moment matrix `s`:
+/// an orthogonal `U` whose rows map the top-d principal directions onto
+/// the kept basis states (the last `d`, as `P1` keeps them) and the
 /// remaining directions onto the trash states.
-///
-/// # Errors
-/// Propagates eigensolver failures.
-pub fn pca_rotation(
-    inputs: &[Vec<f64>],
-    dim: usize,
-    compressed_dim: usize,
-    subspace: SubspaceKind,
-) -> Result<Matrix> {
-    pca_rotation_of_moment(&second_moment(inputs, dim), compressed_dim, subspace)
-}
-
-/// [`pca_rotation`] from a precomputed second-moment matrix.
-fn pca_rotation_of_moment(
-    s: &Matrix,
-    compressed_dim: usize,
-    subspace: SubspaceKind,
-) -> Result<Matrix> {
+fn pca_rotation(s: &Matrix, compressed_dim: usize) -> Result<Matrix> {
     let dim = s.rows();
     let eig = sym_eig::sym_eig(s)?;
-    // Row r of U = eigenvector assigned to output dimension r.
-    // Kept dims receive the top-d eigenvectors (largest eigenvalues).
-    let kept: Vec<usize> = match subspace {
-        SubspaceKind::KeepLast => (dim - compressed_dim..dim).collect(),
-        SubspaceKind::KeepFirst => (0..compressed_dim).collect(),
-    };
+    // Row r of U = eigenvector assigned to output dimension r. The trash
+    // rows `..N − d` take eigenvectors d.. in order; the kept rows take
+    // the top d (largest eigenvalues).
+    let trash = dim - compressed_dim;
     let mut u = Matrix::zeros(dim, dim);
-    let mut next_top = 0; // next principal index for kept rows
-    let mut next_rest = compressed_dim; // remaining eigenvectors for trash rows
     for r in 0..dim {
-        let eig_idx = if kept.contains(&r) {
-            let i = next_top;
-            next_top += 1;
-            i
+        let eig_idx = if r < trash {
+            compressed_dim + r
         } else {
-            let i = next_rest;
-            next_rest += 1;
-            i
+            r - trash
         };
         for c in 0..dim {
             u.set(r, c, eig.eigenvectors.get(c, eig_idx));
@@ -143,15 +118,9 @@ pub fn spectral_mesh(
     inputs: &[Vec<f64>],
     dim: usize,
     compressed_dim: usize,
-    subspace: SubspaceKind,
     min_layers: usize,
 ) -> Result<Mesh> {
-    spectral_mesh_of_moment(
-        &second_moment(inputs, dim),
-        compressed_dim,
-        subspace,
-        min_layers,
-    )
+    spectral_mesh_of_moment(&second_moment(inputs, dim), compressed_dim, min_layers)
 }
 
 /// [`spectral_mesh`] from a precomputed second-moment matrix — for
@@ -163,11 +132,10 @@ pub fn spectral_mesh(
 pub fn spectral_mesh_of_moment(
     s: &Matrix,
     compressed_dim: usize,
-    subspace: SubspaceKind,
     min_layers: usize,
 ) -> Result<Mesh> {
     let dim = s.rows();
-    let u = pca_rotation_of_moment(s, compressed_dim, subspace)?;
+    let u = pca_rotation(s, compressed_dim)?;
     let seq = clements_decompose(&u, 1e-8)?;
     let (mesh, _signs) = Mesh::from_sequence_packed(&seq);
     if mesh.n_layers() >= min_layers {
@@ -269,7 +237,7 @@ mod tests {
     #[test]
     fn pca_rotation_is_orthogonal() {
         let inputs = encoded_inputs(&datasets::paper_binary_16(25));
-        let u = pca_rotation(&inputs, 16, 4, SubspaceKind::KeepLast).unwrap();
+        let u = pca_rotation(&second_moment(&inputs, 16), 4).unwrap();
         assert!(u.is_orthogonal(1e-9));
     }
 
@@ -280,14 +248,8 @@ mod tests {
         let inputs = encoded_inputs(&data);
         let bound = compression_loss_lower_bound(&inputs, 16, 4).unwrap();
         assert!(bound < 1e-12, "bound {bound}");
-        let mesh = spectral_mesh(&inputs, 16, 4, SubspaceKind::KeepLast, 12).unwrap();
-        let net = CompressionNetwork::new(
-            mesh,
-            4,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::TrashPenalty,
-        )
-        .unwrap();
+        let mesh = spectral_mesh(&inputs, 16, 4, 12).unwrap();
+        let net = CompressionNetwork::new(mesh, 4, CompressionTargetKind::TrashPenalty).unwrap();
         let loss = net.loss(&inputs);
         assert!(loss.sum < 1e-12, "spectral loss {}", loss.sum);
     }
@@ -298,14 +260,8 @@ mod tests {
         let inputs = encoded_inputs(&data);
         let bound = compression_loss_lower_bound(&inputs, 16, 4).unwrap();
         assert!(bound > 0.0); // structured glyphs add off-subspace energy
-        let mesh = spectral_mesh(&inputs, 16, 4, SubspaceKind::KeepLast, 12).unwrap();
-        let net = CompressionNetwork::new(
-            mesh,
-            4,
-            SubspaceKind::KeepLast,
-            CompressionTargetKind::TrashPenalty,
-        )
-        .unwrap();
+        let mesh = spectral_mesh(&inputs, 16, 4, 12).unwrap();
+        let net = CompressionNetwork::new(mesh, 4, CompressionTargetKind::TrashPenalty).unwrap();
         let loss = net.loss(&inputs);
         assert!(
             (loss.sum - bound).abs() < 1e-8,
@@ -317,23 +273,8 @@ mod tests {
     #[test]
     fn spectral_mesh_pads_to_min_layers() {
         let inputs = encoded_inputs(&datasets::paper_binary_16(25));
-        let mesh = spectral_mesh(&inputs, 16, 4, SubspaceKind::KeepLast, 40).unwrap();
+        let mesh = spectral_mesh(&inputs, 16, 4, 40).unwrap();
         assert_eq!(mesh.n_layers(), 40);
-    }
-
-    #[test]
-    fn keep_first_subspace_works_too() {
-        let data = datasets::low_rank_binary(25, 4, 4, 4, 22);
-        let inputs = encoded_inputs(&data);
-        let mesh = spectral_mesh(&inputs, 16, 4, SubspaceKind::KeepFirst, 12).unwrap();
-        let net = CompressionNetwork::new(
-            mesh,
-            4,
-            SubspaceKind::KeepFirst,
-            CompressionTargetKind::TrashPenalty,
-        )
-        .unwrap();
-        assert!(net.loss(&inputs).sum < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::autoencoder::QuantumAutoencoder;
 use crate::compression::CompressionNetwork;
-use crate::config::{CompressionTargetKind, InitStrategy, NetworkConfig, SubspaceKind};
+use crate::config::{CompressionTargetKind, InitStrategy, NetworkConfig};
 use crate::encoding::{self, EncodedSample};
 use crate::error::CoreError;
 use crate::gradient::GradientMethod;
@@ -135,14 +135,12 @@ impl Trainer {
                 &inputs,
                 config.dim,
                 config.compressed_dim,
-                SubspaceKind::KeepLast,
                 config.layers_c,
             )?,
         };
         let compression = CompressionNetwork::new(
             mesh_c,
             config.compressed_dim,
-            SubspaceKind::KeepLast,
             CompressionTargetKind::TrashPenalty,
         )?;
         // Paper Sec. II-C: U_R starts as the reversed U_C.

@@ -91,27 +91,15 @@ impl DistortionAccum {
 }
 
 /// Measure the quantum codec at one operating point on one dataset,
-/// through the default (`simd`) backend — every backend yields the same
-/// bytes and pixels, so the point does not depend on it.
+/// against an already-fitted codec, through the default (`simd`)
+/// backend — every backend yields the same bytes and pixels, so the
+/// point does not depend on it. The sweep fits one spectral model per
+/// geometry point and reuses it across the entropy axis (the model
+/// depends only on tile size and latent dimension, never on the coder).
 ///
 /// # Errors
-/// Codec failures (invalid operating point for the dataset geometry,
-/// spectral fit failures) as strings ready for CLI reporting.
-pub fn quantum_point(
-    dataset: &Dataset,
-    point: OperatingPoint,
-    entropy: EntropyCoder,
-    timings: bool,
-) -> Result<RdPoint, String> {
-    let codec = Codec::spectral_for_images(&dataset.images, point.tile_size, point.latent_dim)
-        .map_err(|e| format!("{}: spectral fit: {e}", dataset.name))?;
-    quantum_point_with(&codec, dataset, point, entropy, timings)
-}
-
-/// [`quantum_point`] against an already-fitted codec — the sweep fits
-/// one spectral model per geometry point and reuses it across the
-/// entropy axis (the model depends only on tile size and latent
-/// dimension, never on the coder).
+/// Codec failures (invalid operating point for the dataset geometry)
+/// as strings ready for CLI reporting.
 fn quantum_point_with(
     codec: &Codec,
     dataset: &Dataset,
@@ -193,6 +181,18 @@ mod tests {
 
     fn blobs() -> Dataset {
         registry::builtin("blobs", 0).unwrap()
+    }
+
+    /// One operating point with its own spectral fit.
+    fn quantum_point(
+        dataset: &Dataset,
+        point: OperatingPoint,
+        entropy: EntropyCoder,
+        timings: bool,
+    ) -> Result<RdPoint, String> {
+        let codec = Codec::spectral_for_images(&dataset.images, point.tile_size, point.latent_dim)
+            .map_err(|e| e.to_string())?;
+        quantum_point_with(&codec, dataset, point, entropy, timings)
     }
 
     #[test]

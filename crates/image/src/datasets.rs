@@ -106,32 +106,6 @@ pub fn paper_binary_16_hard(m: usize) -> Vec<GrayImage> {
     (0..m).map(|i| pool[i % pool.len()].clone()).collect()
 }
 
-/// Random binary images of the given size with on-pixel probability
-/// `density`, fully determined by `seed`.
-pub fn random_binary(
-    m: usize,
-    width: usize,
-    height: usize,
-    density: f64,
-    seed: u64,
-) -> Vec<GrayImage> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..m)
-        .map(|_| {
-            let pixels = (0..width * height)
-                .map(|_| {
-                    if rng.random::<f64>() < density {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            GrayImage::from_pixels(width, height, pixels).expect("length by construction")
-        })
-        .collect()
-}
-
 /// Binary images of exactly rank ≤ `rank`: random unions of `rank`
 /// disjoint base patterns that tile the image. Used by experiments that
 /// need *perfectly* compressible data.
@@ -289,17 +263,6 @@ mod tests {
         let g = structured_glyphs();
         assert_eq!(g.len(), 10);
         assert!(g.iter().all(|i| i.len() == 16 && i.is_binary(0.0)));
-    }
-
-    #[test]
-    fn random_binary_is_seeded() {
-        let a = random_binary(5, 8, 8, 0.4, 3);
-        let b = random_binary(5, 8, 8, 0.4, 3);
-        assert_eq!(a, b);
-        let c = random_binary(5, 8, 8, 0.4, 4);
-        assert_ne!(a, c);
-        let mean_density: f64 = a.iter().map(|i| i.density()).sum::<f64>() / 5.0;
-        assert!((mean_density - 0.4).abs() < 0.2);
     }
 
     #[test]

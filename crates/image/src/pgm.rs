@@ -128,22 +128,6 @@ pub fn read_pgm_dir(dir: &Path) -> Result<Vec<(String, GrayImage)>, ImageError> 
         .collect()
 }
 
-/// Serialise a binary image as plain PBM (P1); pixels are thresholded at
-/// 0.5 (PBM convention: 1 = black).
-pub fn to_pbm_string(img: &GrayImage) -> String {
-    let mut s = String::with_capacity(16 + img.len() * 2);
-    s.push_str("P1\n");
-    s.push_str(&format!("{} {}\n", img.width(), img.height()));
-    for y in 0..img.height() {
-        let row: Vec<&str> = (0..img.width())
-            .map(|x| if img.get(x, y) > 0.5 { "1" } else { "0" })
-            .collect();
-        s.push_str(&row.join(" "));
-        s.push('\n');
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,12 +214,5 @@ mod tests {
         let back = read_pgm(&path).unwrap();
         assert_eq!(back.thresholded(0.5), img);
         fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn pbm_binary_output() {
-        let img = GrayImage::from_pixels(2, 1, vec![0.9, 0.1]).unwrap();
-        let s = to_pbm_string(&img);
-        assert_eq!(s, "P1\n2 1\n1 0\n");
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! This is exactly the paper's beam-splitter gate `U(k,k+1)` with phase
 //! `α ≡ 0` (reflectivity `cos θ`): a real rotation between two adjacent
-//! modes of the interferometer. The same primitive also powers the QR and
-//! Jacobi algorithms in this crate.
+//! modes of the interferometer. The Clements decomposition in
+//! `qn-photonic` factors an orthogonal matrix into these rotations.
 
 use crate::matrix::Matrix;
 
@@ -31,61 +31,10 @@ impl Givens {
         Givens { c, s }
     }
 
-    /// Recover the angle in `(-π, π]`.
-    #[inline]
-    pub fn angle(&self) -> f64 {
-        self.s.atan2(self.c)
-    }
-
-    /// The rotation that zeroes `b` in the pair `(a, b)`:
-    /// `G · (a, b)ᵀ = (r, 0)ᵀ` with `r = hypot(a, b) ≥ 0`.
-    ///
-    /// Uses the numerically-stable formulation that avoids overflow.
-    pub fn zeroing(a: f64, b: f64) -> Self {
-        if b == 0.0 {
-            let c = if a >= 0.0 { 1.0 } else { -1.0 };
-            return Givens { c, s: 0.0 };
-        }
-        if a == 0.0 {
-            return Givens {
-                c: 0.0,
-                s: if b > 0.0 { -1.0 } else { 1.0 },
-            };
-        }
-        // c = a/r, s = -b/r gives G·(a,b)ᵀ = (+r, 0)ᵀ for every sign of a, b.
-        let r = a.hypot(b);
-        Givens {
-            c: a / r,
-            s: -b / r,
-        }
-    }
-
-    /// Inverse (transpose) rotation.
-    #[inline]
-    pub fn inverse(&self) -> Self {
-        Givens {
-            c: self.c,
-            s: -self.s,
-        }
-    }
-
     /// Apply to a coordinate pair, returning the rotated pair.
     #[inline]
     pub fn apply_pair(&self, x: f64, y: f64) -> (f64, f64) {
         (self.c * x - self.s * y, self.s * x + self.c * y)
-    }
-
-    /// Rotate coordinates `i` and `j` of vector `v` in place.
-    ///
-    /// # Panics
-    /// Panics when `i == j` or an index is out of bounds.
-    #[inline]
-    pub fn apply_vec(&self, v: &mut [f64], i: usize, j: usize) {
-        assert_ne!(i, j, "givens: identical indices");
-        let (xi, xj) = (v[i], v[j]);
-        let (a, b) = self.apply_pair(xi, xj);
-        v[i] = a;
-        v[j] = b;
     }
 
     /// Left-multiply matrix `m` by the rotation acting on rows `i`, `j`
@@ -132,61 +81,10 @@ mod tests {
     fn from_angle_roundtrip() {
         for &t in &[0.0, 0.3, -1.2, std::f64::consts::FRAC_PI_2] {
             let g = Givens::from_angle(t);
-            assert!((g.angle() - t).abs() < TOL);
+            let (c, s) = g.apply_pair(1.0, 0.0);
+            assert!((s.atan2(c) - t).abs() < TOL);
             assert!((g.c * g.c + g.s * g.s - 1.0).abs() < TOL);
         }
-    }
-
-    #[test]
-    fn zeroing_annihilates_second_component() {
-        for &(a, b) in &[
-            (3.0, 4.0),
-            (-3.0, 4.0),
-            (3.0, -4.0),
-            (-3.0, -4.0),
-            (0.0, 5.0),
-            (5.0, 0.0),
-            (-5.0, 0.0),
-            (1e-300, 1e-300),
-        ] {
-            let g = Givens::zeroing(a, b);
-            let (r, z) = g.apply_pair(a, b);
-            assert!(z.abs() <= 1e-12 * (1.0 + r.abs()), "z={z} for ({a},{b})");
-            assert!(r >= -TOL, "r should be non-negative, got {r}");
-            assert!((r - a.hypot(b)).abs() <= 1e-12 * (1.0 + r.abs()));
-        }
-    }
-
-    #[test]
-    fn zeroing_is_orthogonal() {
-        let g = Givens::zeroing(1.0, 2.0);
-        assert!((g.c * g.c + g.s * g.s - 1.0).abs() < TOL);
-    }
-
-    #[test]
-    fn inverse_undoes_rotation() {
-        let g = Givens::from_angle(0.7);
-        let (x, y) = g.apply_pair(1.0, 2.0);
-        let (x2, y2) = g.inverse().apply_pair(x, y);
-        assert!((x2 - 1.0).abs() < TOL && (y2 - 2.0).abs() < TOL);
-    }
-
-    #[test]
-    fn apply_vec_preserves_norm() {
-        let g = Givens::from_angle(1.1);
-        let mut v = vec![1.0, -2.0, 3.0, 0.5];
-        let n0 = crate::vector::norm2(&v);
-        g.apply_vec(&mut v, 1, 3);
-        assert!((crate::vector::norm2(&v) - n0).abs() < TOL);
-        // Untouched coordinates stay put.
-        assert_eq!(v[0], 1.0);
-        assert_eq!(v[2], 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical indices")]
-    fn apply_vec_rejects_equal_indices() {
-        Givens::from_angle(0.1).apply_vec(&mut [1.0, 2.0], 0, 0);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! initialisation via Clements decomposition) need a small but complete
 //! dense linear-algebra stack. Everything here is hand-rolled: the target
 //! regime is small-to-medium matrices (N ≤ a few thousand), where robust
-//! textbook algorithms (Householder QR, one-sided Jacobi SVD, symmetric
-//! Jacobi eigensolver) are accurate and fast enough.
+//! textbook algorithms (one-sided Jacobi SVD, symmetric Jacobi
+//! eigensolver) are accurate and fast enough.
 //!
 //! Parallelism follows the rayon idiom: matrix products parallelise over
 //! row blocks, and reductions use fixed chunk boundaries so results are
@@ -18,7 +18,6 @@ pub mod lstsq;
 pub mod matrix;
 pub mod panel;
 pub mod parallel;
-pub mod qr;
 pub mod random;
 pub mod svd;
 pub mod sym_eig;
@@ -28,12 +27,8 @@ pub use error::LinalgError;
 pub use givens::Givens;
 pub use matrix::Matrix;
 pub use panel::Panel;
-pub use qr::QrDecomposition;
 pub use svd::Svd;
 pub use sym_eig::SymEig;
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;
-
-/// Default absolute tolerance used by convergence tests in this crate.
-pub const DEFAULT_TOL: f64 = 1e-12;

@@ -31,15 +31,6 @@ impl Matrix {
         }
     }
 
-    /// Create a `rows × cols` matrix filled with a constant.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Identity matrix of size `n × n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -145,11 +136,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix, returning the flat row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Element accessor.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -190,15 +176,6 @@ impl Matrix {
         for (i, &x) in v.iter().enumerate() {
             self.set(i, j, x);
         }
-    }
-
-    /// Overwrite row `i` from a slice.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != cols`.
-    pub fn set_row(&mut self, i: usize, v: &[f64]) {
-        assert_eq!(v.len(), self.cols, "set_row: length mismatch");
-        self.row_mut(i).copy_from_slice(v);
     }
 
     /// Transposed copy.
@@ -348,18 +325,6 @@ impl Matrix {
         })
     }
 
-    /// Scale every element by `alpha` in place.
-    pub fn scale_mut(&mut self, alpha: f64) {
-        vector::scale(alpha, &mut self.data);
-    }
-
-    /// Scaled copy `alpha · A`.
-    pub fn scaled(&self, alpha: f64) -> Matrix {
-        let mut m = self.clone();
-        m.scale_mut(alpha);
-        m
-    }
-
     /// Frobenius norm `‖A‖_F`.
     pub fn frobenius_norm(&self) -> f64 {
         vector::norm2(&self.data)
@@ -385,11 +350,6 @@ impl Matrix {
         let g = self.gram();
         let id = Matrix::identity(self.cols);
         g.max_abs_diff(&id).is_some_and(|d| d <= tol)
-    }
-
-    /// Sum of the diagonal entries.
-    pub fn trace(&self) -> f64 {
-        (0..self.rows.min(self.cols)).map(|i| self.get(i, i)).sum()
     }
 }
 
@@ -438,7 +398,6 @@ mod tests {
         let id = Matrix::identity(3);
         assert_eq!(id.get(0, 0), 1.0);
         assert_eq!(id.get(0, 1), 0.0);
-        assert_eq!(id.trace(), 3.0);
 
         let f = Matrix::from_fn(2, 2, |i, j| (i * 10 + j) as f64);
         assert_eq!(f.get(1, 0), 10.0);
@@ -446,9 +405,6 @@ mod tests {
         let d = Matrix::from_diag(&[1.0, 2.0]);
         assert_eq!(d.get(1, 1), 2.0);
         assert_eq!(d.get(0, 1), 0.0);
-
-        let c = Matrix::filled(2, 2, 7.0);
-        assert!(c.data().iter().all(|&v| v == 7.0));
     }
 
     #[test]
@@ -474,7 +430,7 @@ mod tests {
         assert_eq!(m.col(0), vec![1.0, 3.0]);
         m.set_col(1, &[9.0, 8.0]);
         assert_eq!(m.col(1), vec![9.0, 8.0]);
-        m.set_row(0, &[5.0, 6.0]);
+        m.row_mut(0).copy_from_slice(&[5.0, 6.0]);
         assert_eq!(m.row(0), &[5.0, 6.0]);
         m.set(0, 0, -1.0);
         assert_eq!(m.get(0, 0), -1.0);
@@ -547,13 +503,12 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale() {
+    fn add_and_sub() {
         let a = small();
         let s = a.add(&a).unwrap();
         assert_eq!(s.get(1, 1), 8.0);
         let d = s.sub(&a).unwrap();
         assert_eq!(d, a);
-        assert_eq!(a.scaled(2.0), s);
         assert!(a.add(&Matrix::zeros(3, 3)).is_err());
     }
 

@@ -160,11 +160,6 @@ impl Panel {
             .map(|m| self.data[m * self.width + lane])
             .collect()
     }
-
-    /// Unpack every lane back into vectors, in lane order.
-    pub fn into_columns(self) -> Vec<Vec<f64>> {
-        (0..self.width).map(|lane| self.column(lane)).collect()
-    }
 }
 
 /// Pack equal-length vectors into panels of at most `width` lanes:
@@ -240,7 +235,7 @@ mod tests {
         assert_eq!(panel.width(), 2);
         assert_eq!(panel.column(0), cols[0]);
         assert_eq!(panel.column(1), cols[1]);
-        assert_eq!(panel.into_columns(), cols);
+        assert_eq!(unpack(&[panel]), cols);
     }
 
     #[test]

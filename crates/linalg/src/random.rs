@@ -6,7 +6,7 @@
 //! allowed dependency set).
 
 use crate::matrix::Matrix;
-use crate::qr::qr;
+use crate::sym_eig::sym_eig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,35 +30,14 @@ pub fn gaussian_matrix(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
         .expect("length matches by construction")
 }
 
-/// Matrix of iid uniform variates on `[lo, hi)`.
-pub fn uniform_matrix(rows: usize, cols: usize, lo: f64, hi: f64, rng: &mut impl Rng) -> Matrix {
-    Matrix::from_vec(
-        rows,
-        cols,
-        (0..rows * cols)
-            .map(|_| lo + (hi - lo) * rng.random::<f64>())
-            .collect(),
-    )
-    .expect("length matches by construction")
-}
-
-/// Haar-distributed random orthogonal matrix, generated as the Q factor of
-/// a Gaussian matrix with the sign convention fixed so the distribution is
-/// exactly Haar (Mezzadri, 2007: multiply each column by sign(R_ii)).
-pub fn haar_orthogonal(n: usize, seed: u64) -> Matrix {
+/// Seeded random orthogonal matrix: the eigenvectors of the symmetric
+/// part of an `n × n` Gaussian matrix. The distribution is not Haar;
+/// tests use it where any unstructured orthogonal matrix will do.
+pub fn random_orthogonal(n: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
-    let g = gaussian_matrix(n, n, &mut rng);
-    let d = qr(&g).expect("n>0 gaussian matrix");
-    let mut q = d.q;
-    for j in 0..n {
-        if d.r.get(j, j) < 0.0 {
-            for i in 0..n {
-                let v = -q.get(i, j);
-                q.set(i, j, v);
-            }
-        }
-    }
-    q
+    sym_eig(&gaussian_matrix(n, n, &mut rng))
+        .expect("n > 0 Gaussian matrix")
+        .eigenvectors
 }
 
 #[cfg(test)]
@@ -79,26 +58,19 @@ mod tests {
 
     #[test]
     fn seeded_generation_is_deterministic() {
-        let a = haar_orthogonal(8, 7);
-        let b = haar_orthogonal(8, 7);
+        let a = random_orthogonal(8, 7);
+        let b = random_orthogonal(8, 7);
         assert_eq!(a.max_abs_diff(&b), Some(0.0));
-        let c = haar_orthogonal(8, 8);
+        let c = random_orthogonal(8, 8);
         assert!(a.max_abs_diff(&c).unwrap() > 1e-3);
     }
 
     #[test]
-    fn haar_matrices_are_orthogonal() {
+    fn random_orthogonal_matrices_are_orthogonal() {
         for seed in 0..5 {
-            let q = haar_orthogonal(6, seed);
+            let q = random_orthogonal(6, seed);
             assert!(q.is_orthogonal(1e-12), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn uniform_matrix_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = uniform_matrix(10, 10, -2.0, 5.0, &mut rng);
-        assert!(m.data().iter().all(|&v| (-2.0..5.0).contains(&v)));
     }
 
     #[test]

@@ -27,22 +27,10 @@ pub fn norm2(x: &[f64]) -> f64 {
     max * sum.sqrt()
 }
 
-/// Squared Euclidean norm `‖x‖₂²` (no rescaling; used on unit-scale data).
-#[inline]
-pub fn norm2_sq(x: &[f64]) -> f64 {
-    x.iter().map(|&v| v * v).sum()
-}
-
 /// 1-norm `‖x‖₁`.
 #[inline]
 pub fn norm1(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
-}
-
-/// Infinity norm `‖x‖∞`.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
 }
 
 /// `y ← y + alpha * x` (the BLAS axpy).
@@ -81,17 +69,6 @@ pub fn normalize(x: &mut [f64]) -> f64 {
 pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), y.len(), "sub: length mismatch");
     x.iter().zip(y).map(|(a, b)| a - b).collect()
-}
-
-/// Euclidean distance `‖x − y‖₂`.
-#[inline]
-pub fn dist2(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dist2: length mismatch");
-    x.iter()
-        .zip(y)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f64>()
-        .sqrt()
 }
 
 /// Mean squared error between two vectors.
@@ -137,9 +114,7 @@ mod tests {
     #[test]
     fn norms() {
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm2_sq(&[3.0, 4.0]), 25.0);
         assert_eq!(norm1(&[-1.0, 2.0, -3.0]), 6.0);
-        assert_eq!(norm_inf(&[-1.0, 2.0, -3.0]), 3.0);
         assert_eq!(norm2(&[]), 0.0);
         assert_eq!(norm2(&[0.0, 0.0]), 0.0);
     }
@@ -174,8 +149,7 @@ mod tests {
     }
 
     #[test]
-    fn distance_and_mse() {
-        assert_eq!(dist2(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
+    fn mean_squared_error() {
         assert_eq!(mse(&[1.0, 2.0], &[1.0, 4.0]), 2.0);
         assert_eq!(mse(&[], &[]), 0.0);
     }

@@ -372,11 +372,6 @@ impl Registry {
         }
     }
 
-    /// The histogram registered under `name`. See [`Registry::counter`].
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with(name, &[])
-    }
-
     /// A labelled histogram. See [`Registry::counter`].
     pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         match self.register(name, labels, || {
@@ -649,7 +644,7 @@ mod tests {
     fn concurrent_observers_never_lose_counts() {
         let r = Arc::new(Registry::new());
         let c = r.counter("hits_total");
-        let h = r.histogram("lat_ns");
+        let h = r.histogram_with("lat_ns", &[]);
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let (c, h) = (Arc::clone(&c), Arc::clone(&h));

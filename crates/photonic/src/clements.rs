@@ -109,7 +109,7 @@ pub fn clements_decompose(u: &Matrix, tol: f64) -> Result<GateSequence, LinalgEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qn_linalg::random::haar_orthogonal;
+    use qn_linalg::random::random_orthogonal;
 
     fn roundtrip_error(u: &Matrix) -> f64 {
         let seq = clements_decompose(u, 1e-10).unwrap();
@@ -125,9 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn haar_random_matrices_roundtrip_exactly() {
+    fn random_orthogonal_matrices_roundtrip_exactly() {
         for (i, n) in [2usize, 3, 4, 5, 8, 16].iter().enumerate() {
-            let u = haar_orthogonal(*n, 4242 + i as u64);
+            let u = random_orthogonal(*n, 4242 + i as u64);
             let err = roundtrip_error(&u);
             assert!(err < 1e-10, "n={n}: error {err}");
         }
@@ -135,7 +135,7 @@ mod tests {
 
     #[test]
     fn gate_count_matches_triangular_bound() {
-        let u = haar_orthogonal(8, 77);
+        let u = random_orthogonal(8, 77);
         let seq = clements_decompose(&u, 1e-10).unwrap();
         assert_eq!(seq.len(), 8 * 7 / 2);
     }
@@ -145,7 +145,7 @@ mod tests {
         // Optical depth: longest chain of gates touching a common mode.
         // The rectangular pattern keeps it ≈ N (a triangle needs ≈ 2N−3).
         let n = 10;
-        let u = haar_orthogonal(n, 31);
+        let u = random_orthogonal(n, 31);
         let mut mode_depth = vec![0usize; n];
         for g in clements_decompose(&u, 1e-10).unwrap().gates() {
             let d = mode_depth[g.mode].max(mode_depth[g.mode + 1]) + 1;

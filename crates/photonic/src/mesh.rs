@@ -551,7 +551,7 @@ mod tests {
 
     #[test]
     fn packed_mesh_from_decomposition_matches_up_to_signs() {
-        let u = qn_linalg::random::haar_orthogonal(8, 21);
+        let u = qn_linalg::random::random_orthogonal(8, 21);
         let seq = crate::clements::clements_decompose(&u, 1e-10).unwrap();
         let (mesh, signs) = Mesh::from_sequence_packed(&seq);
         // mesh followed by the sign diagonal reproduces U exactly.

@@ -81,11 +81,6 @@ impl LayerTable {
     pub fn gates(&self) -> &[GateTable] {
         &self.gates
     }
-
-    /// The non-identity gates in application order.
-    pub fn active_gates(&self) -> &[GateTable] {
-        &self.active
-    }
 }
 
 /// Precomputed `(sin, cos)` tables for every `(layer, gate)` of a real

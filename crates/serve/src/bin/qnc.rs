@@ -101,8 +101,11 @@ runs the rate-distortion sweep (datasets from the registry and/or a
 smoke/default) with classical baselines at matched rates, prints the
 summary table (or the stable JSON with --json), writes the JSON report
 with -o, and with --check fails unless the pinned quality gates hold
-at the golden operating point. --timings adds wall-clock throughput
-(which makes the report run-dependent, so stable reports omit it).";
+at the golden operating point, checked before -o is written, so a
+failing check writes no report (`qnc eval --check -o
+BENCH_quality.json` regenerates the checked-in trail). --timings adds
+wall-clock throughput (which makes the report run-dependent, so stable
+reports omit it).";
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
     eprintln!("qnc: {msg}");
@@ -860,10 +863,7 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     } else {
         print!("{}", report.human_table());
     }
-    if let Some(out) = args.value(&["-o", "--output"]) {
-        std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-        eprintln!("eval: report -> {out}");
-    }
+    // Gates first: a report that fails --check is never written.
     if args.has("--check") {
         match qn_eval::gates::check(&report, &qn_eval::QualityGates::PINNED) {
             Ok(outcome) => eprintln!(
@@ -875,6 +875,10 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
             ),
             Err(violations) => return Err(violations.join("; ")),
         }
+    }
+    if let Some(out) = args.value(&["-o", "--output"]) {
+        std::fs::write(out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
+        eprintln!("eval: report -> {out}");
     }
     Ok(())
 }

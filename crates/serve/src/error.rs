@@ -97,17 +97,6 @@ impl ServeError {
             ServeError::Remote { .. } => ErrorCode::Internal, // client-side only
         }
     }
-
-    /// Whether this is a typed `BUSY` shed from the server — the one
-    /// error class where a client should back off and retry rather
-    /// than treat the request as failed.
-    pub fn is_busy(&self) -> bool {
-        match self {
-            ServeError::Busy(_) => true,
-            ServeError::Remote { code, .. } => *code == ErrorCode::Busy as u16,
-            _ => false,
-        }
-    }
 }
 
 /// Result alias used throughout the crate.
@@ -121,14 +110,13 @@ mod tests {
     fn busy_is_recognised_on_both_sides_of_the_wire() {
         let shed = ServeError::Busy("admission limit".into());
         assert_eq!(shed.code(), ErrorCode::Busy);
-        assert!(shed.is_busy());
         assert!(shed.to_string().contains("busy"));
-        let remote = ServeError::Remote {
-            code: ErrorCode::Busy as u16,
-            message: "server busy".into(),
-        };
-        assert!(remote.is_busy());
-        assert!(!ServeError::BadRequest("x".into()).is_busy());
+        // The client decodes the wire status back to the same code.
+        assert_eq!(
+            ErrorCode::from_u16(shed.code() as u16),
+            Some(ErrorCode::Busy)
+        );
+        assert_ne!(ServeError::BadRequest("x".into()).code(), ErrorCode::Busy);
     }
 
     #[test]

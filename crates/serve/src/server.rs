@@ -371,7 +371,7 @@ impl Drop for ServerHandle {
 /// # Errors
 /// Bind/listen failures, wakeup-pipe creation and zoo-directory
 /// creation failures.
-pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
+pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(
         config
             .addr
@@ -387,13 +387,13 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let store = ModelStore::new(config.store_dir.clone(), config.model_cache)?
         .with_metrics(metrics.store_metrics());
     let tracer = Tracer::new(TRACE_RECENT_CAP, TRACE_SLOW_CAP, config.slow_threshold);
-    let worker_count = if config.workers > 0 {
-        config.workers
-    } else {
-        std::thread::available_parallelism()
+    // Resolve "auto" once, so INFO reports the pool that runs.
+    if config.workers == 0 {
+        config.workers = std::thread::available_parallelism()
             .map_or(1, usize::from)
-            .max(8)
-    };
+            .max(8);
+    }
+    let worker_count = config.workers;
     let shared = Arc::new(Shared {
         store,
         log: Logger::new(config.log_level),

@@ -841,6 +841,36 @@ fn eval_smoke_is_gated_and_byte_stable() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// `qnc eval --check -o` checks the gates before it writes: a sweep
+/// that misses the golden point exits 2 and leaves no report behind.
+#[test]
+fn failing_eval_check_writes_no_report() {
+    let dir = work_dir("eval_check_fails");
+    let report = dir.join("f.json");
+    let _ = std::fs::remove_file(&report);
+    let out = qnc()
+        .arg("eval")
+        .arg("--datasets")
+        .arg("paper")
+        .arg("--grid")
+        .arg("smoke")
+        .arg("--baselines")
+        .arg("none")
+        .arg("--check")
+        .arg("-o")
+        .arg(&report)
+        .output()
+        .expect("spawn qnc");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("golden point"), "{stderr}");
+    assert!(
+        !report.exists(),
+        "a failing --check wrote {}",
+        report.display()
+    );
+}
+
 #[test]
 fn remote_against_a_dead_server_fails_cleanly() {
     let dir = work_dir("remote_dead");

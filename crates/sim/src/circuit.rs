@@ -5,7 +5,6 @@
 //! qubit gate set and the paper's mode rotations, so a whole compression
 //! network can be expressed — and unit-tested — as a single `Circuit`.
 
-use crate::error::SimError;
 use crate::gates;
 use crate::rotation;
 use crate::state::StateVector;
@@ -106,46 +105,6 @@ impl Circuit {
         }
         Ok(())
     }
-
-    /// The circuit applying the inverse operations in reverse order.
-    ///
-    /// # Errors
-    /// Returns [`SimError::InvalidArgument`] if the circuit contains an
-    /// op whose inverse is not representable (none currently).
-    pub fn inverse(&self) -> Result<Circuit> {
-        let mut ops = Vec::with_capacity(self.ops.len());
-        for op in self.ops.iter().rev() {
-            ops.push(match *op {
-                Op::H(q) => Op::H(q),
-                Op::X(q) => Op::X(q),
-                Op::Y(q) => Op::Y(q),
-                Op::Z(q) => Op::Z(q),
-                Op::Rx(q, t) => Op::Rx(q, -t),
-                Op::Ry(q, t) => Op::Ry(q, -t),
-                Op::Rz(q, t) => Op::Rz(q, -t),
-                Op::Phase(q, p) => Op::Phase(q, -p),
-                Op::Cnot(c, t) => Op::Cnot(c, t),
-                Op::Cz(a, b) => Op::Cz(a, b),
-                Op::Swap(a, b) => Op::Swap(a, b),
-                Op::ModeRotation { k, theta, alpha } => {
-                    if alpha != 0.0 {
-                        // U(θ,α)⁻¹ is not itself a U(θ',α') of this form;
-                        // only the real case inverts within the family.
-                        return Err(SimError::InvalidArgument(
-                            "cannot invert complex mode rotation within the gate family"
-                                .to_string(),
-                        ));
-                    }
-                    Op::ModeRotation {
-                        k,
-                        theta: -theta,
-                        alpha: 0.0,
-                    }
-                }
-            });
-        }
-        Ok(Circuit { ops })
-    }
 }
 
 #[cfg(test)]
@@ -183,37 +142,6 @@ mod tests {
         let p = s.probabilities();
         assert!((p[0] - 0.5).abs() < TOL);
         assert!((p[7] - 0.5).abs() < TOL);
-    }
-
-    #[test]
-    fn inverse_restores_initial_state() {
-        let mut c = Circuit::new();
-        c.push(Op::Ry(0, 0.7))
-            .push(Op::Rx(1, -0.4))
-            .push(Op::Cnot(0, 1))
-            .push(Op::Rz(0, 1.9))
-            .push(Op::Phase(1, 0.3))
-            .push(Op::Swap(0, 1))
-            .push(Op::ModeRotation {
-                k: 1,
-                theta: 0.8,
-                alpha: 0.0,
-            });
-        let mut s = StateVector::zero_state(2);
-        c.apply(&mut s).unwrap();
-        c.inverse().unwrap().apply(&mut s).unwrap();
-        assert!((s.probability(0).unwrap() - 1.0).abs() < TOL);
-    }
-
-    #[test]
-    fn inverse_of_complex_mode_rotation_is_rejected() {
-        let mut c = Circuit::new();
-        c.push(Op::ModeRotation {
-            k: 0,
-            theta: 0.5,
-            alpha: 0.2,
-        });
-        assert!(c.inverse().is_err());
     }
 
     #[test]

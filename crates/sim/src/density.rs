@@ -1,6 +1,6 @@
 //! Density matrices, partial trace and purity.
 //!
-//! Used by analysis code and tests to verify the compression network's
+//! Used by tests to verify the compression network's
 //! behaviour in proper quantum-information terms: the compressed state of a
 //! well-trained network keeps purity ≈ 1 after discarding the trash
 //! subspace, which is the quantum-autoencoder success criterion underlying
@@ -28,16 +28,6 @@ impl DensityMatrix {
             for j in 0..dim {
                 data[i * dim + j] = a[i] * a[j].conj();
             }
-        }
-        DensityMatrix { dim, data }
-    }
-
-    /// Maximally mixed state `I/dim`.
-    pub fn maximally_mixed(dim: usize) -> Self {
-        let mut data = vec![ZERO; dim * dim];
-        let p = Complex64::from_real(1.0 / dim as f64);
-        for i in 0..dim {
-            data[i * dim + i] = p;
         }
         DensityMatrix { dim, data }
     }
@@ -133,22 +123,6 @@ impl DensityMatrix {
             data: out,
         })
     }
-
-    /// Real part of the matrix as flat row-major data, with the largest
-    /// imaginary magnitude found. Useful for interop with `qn-linalg`'s
-    /// real symmetric eigensolver when the state is (near-)real.
-    pub fn real_part(&self) -> (Vec<f64>, f64) {
-        let mut max_im = 0.0_f64;
-        let re = self
-            .data
-            .iter()
-            .map(|z| {
-                max_im = max_im.max(z.im.abs());
-                z.re
-            })
-            .collect();
-        (re, max_im)
-    }
 }
 
 #[cfg(test)]
@@ -167,13 +141,6 @@ mod tests {
         assert!((rho.purity() - 1.0).abs() < TOL);
         assert!(rho.is_hermitian(TOL));
         assert!((rho.get(0, 1).re - 0.48).abs() < TOL);
-    }
-
-    #[test]
-    fn maximally_mixed_purity() {
-        let rho = DensityMatrix::maximally_mixed(4);
-        assert!((rho.purity() - 0.25).abs() < TOL);
-        assert!((rho.trace().re - 1.0).abs() < TOL);
     }
 
     #[test]
@@ -204,7 +171,7 @@ mod tests {
 
     #[test]
     fn partial_trace_validates_inputs() {
-        let rho = DensityMatrix::maximally_mixed(4);
+        let rho = DensityMatrix::from_pure(&StateVector::uniform(2));
         assert!(rho.partial_trace(&[2]).is_err());
         let bad = DensityMatrix {
             dim: 3,
@@ -220,18 +187,5 @@ mod tests {
         let reduced = rho.partial_trace(&[1]).unwrap();
         assert!((reduced.trace().re - 1.0).abs() < TOL);
         assert_eq!(reduced.dim(), 4);
-    }
-
-    #[test]
-    fn real_part_reports_imaginary_magnitude() {
-        let s =
-            StateVector::from_amplitudes(vec![Complex64::new(0.6, 0.0), Complex64::new(0.0, 0.8)])
-                .unwrap();
-        let rho = DensityMatrix::from_pure(&s);
-        let (_, max_im) = rho.real_part();
-        assert!(max_im > 0.4); // off-diagonals are imaginary
-        let real_state = StateVector::from_real(&[0.6, 0.8]).unwrap();
-        let (_, max_im) = DensityMatrix::from_pure(&real_state).real_part();
-        assert!(max_im < TOL);
     }
 }

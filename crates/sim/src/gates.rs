@@ -223,17 +223,6 @@ pub fn apply_swap(state: &mut StateVector, a: usize, b: usize) -> Result<()> {
     Ok(())
 }
 
-/// Compose `g ∘ f` as 2×2 matrices (apply `f` first).
-pub fn compose(g: &Gate2, f: &Gate2) -> Gate2 {
-    let mut out = [[ZERO; 2]; 2];
-    for (i, row) in out.iter_mut().enumerate() {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = g[i][0] * f[0][j] + g[i][1] * f[1][j];
-        }
-    }
-    out
-}
-
 /// True when `g` is unitary within `tol` (`g†g = I`).
 pub fn is_unitary(g: &Gate2, tol: f64) -> bool {
     let mut gtg = [[ZERO; 2]; 2];
@@ -389,21 +378,6 @@ mod tests {
         // Relative phase is e^{iθ}.
         let rel = s.amplitudes()[1] / s.amplitudes()[0];
         assert!((rel.arg() - 1.0).abs() < TOL);
-    }
-
-    #[test]
-    fn compose_matches_sequential_application() {
-        let f = ry(0.3);
-        let g = rx(0.9);
-        let gf = compose(&g, &f);
-        let mut s1 = StateVector::from_real(&[0.6, 0.8]).unwrap();
-        let mut s2 = s1.clone();
-        apply_single(&mut s1, 0, &f).unwrap();
-        apply_single(&mut s1, 0, &g).unwrap();
-        apply_single(&mut s2, 0, &gf).unwrap();
-        for (a, b) in s1.amplitudes().iter().zip(s2.amplitudes()) {
-            assert!(a.approx_eq(*b, TOL));
-        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Hand-rolled state-vector quantum simulator.
 //!
-//! This crate is the simulation substrate the paper's experiments run on:
-//! the paper evaluates its quantum network purely in (MATLAB) simulation,
-//! and the reproduction hint calls for a hand-rolled state vector. The
-//! crate provides:
+//! The paper evaluates its quantum network purely in (MATLAB)
+//! simulation. This crate is the reproduction's test oracle for that
+//! network: Tier-1 tests use it, through the umbrella crate's `qn::sim`,
+//! to check that the mesh acts on a state vector as the paper's quantum
+//! network does. No production crate links it. The crate provides:
 //!
 //! - [`complex::Complex64`] — a self-contained complex type (the
 //!   `num-complex` crate is outside the allowed dependency set);
@@ -16,11 +17,11 @@
 //!   adjacent computational-basis amplitudes. These are the paper's beam-
 //!   splitter gates, which act on the N-dimensional amplitude vector rather
 //!   than on a single qubit;
-//! - [`projector::Projector`] — the `P1`/`P0` subspace projections used for
-//!   compression;
+//! - [`projector::Projector`] — the `P1`/`P0` subspace projections that
+//!   the compression network's kept range is checked against;
 //! - [`density::DensityMatrix`] — density matrices with partial trace and
 //!   purity (used in analysis and tests);
-//! - [`shots`] — finite-shot amplitude estimation, for studying how
+//! - [`shots`] — finite-shot probability estimation, for studying how
 //!   measurement noise would affect training on real hardware.
 
 pub mod circuit;

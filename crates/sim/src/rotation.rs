@@ -47,33 +47,6 @@ pub fn apply_complex(amps: &mut [Complex64], k: usize, theta: f64, alpha: f64) -
     Ok(())
 }
 
-/// Apply the inverse (conjugate transpose) of the complex beam splitter.
-///
-/// # Errors
-/// Returns [`SimError::InvalidArgument`] when `k + 1 ≥ amps.len()`.
-#[inline]
-pub fn apply_complex_inverse(
-    amps: &mut [Complex64],
-    k: usize,
-    theta: f64,
-    alpha: f64,
-) -> Result<()> {
-    if k + 1 >= amps.len() {
-        return Err(SimError::InvalidArgument(format!(
-            "mode rotation at k={k} out of range for dimension {}",
-            amps.len()
-        )));
-    }
-    // U† = [[e^{-iα} cosθ, e^{-iα} sinθ], [−sinθ, cosθ]]
-    let (s, c) = theta.sin_cos();
-    let phase = Complex64::from_polar(1.0, -alpha);
-    let a = amps[k];
-    let b = amps[k + 1];
-    amps[k] = phase * (a.scale(c) + b.scale(s));
-    amps[k + 1] = b.scale(c) - a.scale(s);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +58,7 @@ mod tests {
     fn bounds_are_checked() {
         let mut c = vec![ZERO; 2];
         assert!(apply_complex(&mut c, 1, 0.1, 0.0).is_err());
-        assert!(apply_complex_inverse(&mut c, 5, 0.1, 0.0).is_err());
+        assert!(apply_complex(&mut c, 5, 0.1, 0.0).is_err());
     }
 
     #[test]
@@ -114,17 +87,6 @@ mod tests {
         apply_complex(&mut cv, 0, 1.1, 2.3).unwrap();
         let n1: f64 = cv.iter().map(|a| a.norm_sq()).sum();
         assert!((n0 - n1).abs() < TOL);
-    }
-
-    #[test]
-    fn complex_inverse_undoes_rotation() {
-        let mut cv: Vec<Complex64> = vec![Complex64::new(0.3, 0.4), Complex64::new(-0.5, 0.1)];
-        let orig = cv.clone();
-        apply_complex(&mut cv, 0, 0.7, 1.9).unwrap();
-        apply_complex_inverse(&mut cv, 0, 0.7, 1.9).unwrap();
-        for (a, b) in cv.iter().zip(&orig) {
-            assert!(a.approx_eq(*b, 1e-13));
-        }
     }
 
     #[test]

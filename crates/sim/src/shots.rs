@@ -2,12 +2,8 @@
 //!
 //! The paper trains on exact simulated amplitudes, but a hardware run would
 //! estimate `|aⱼ|²` from a finite number of measurement shots. This module
-//! provides a shot-noise model: probabilities are estimated from
-//! multinomial counts, and amplitudes are recovered as `sign · √p̂` where
-//! the sign is taken from the exact state (sign recovery needs
-//! interference measurements that the paper's setup does not model;
-//! keeping the true sign isolates *magnitude* noise, which
-//! is the dominant effect for near-binary data).
+//! provides that shot-noise model: probabilities are estimated from
+//! multinomial counts.
 
 use crate::state::StateVector;
 use rand::Rng;
@@ -23,27 +19,6 @@ pub fn estimate_probabilities(state: &StateVector, shots: usize, rng: &mut impl 
     counts.iter().map(|&c| c as f64 / shots as f64).collect()
 }
 
-/// Estimate real amplitudes under shot noise: `sign(a_j) · √p̂_j`.
-/// With `shots == 0`, returns the exact real parts.
-pub fn estimate_real_amplitudes(state: &StateVector, shots: usize, rng: &mut impl Rng) -> Vec<f64> {
-    let probs = estimate_probabilities(state, shots, rng);
-    state
-        .amplitudes()
-        .iter()
-        .zip(&probs)
-        .map(|(a, &p)| p.sqrt().copysign(if a.re == 0.0 { 1.0 } else { a.re }))
-        .collect()
-}
-
-/// Standard error of a probability estimate `p` from `shots` samples
-/// (binomial): `√(p(1−p)/shots)`.
-pub fn probability_std_error(p: f64, shots: usize) -> f64 {
-    if shots == 0 {
-        return 0.0;
-    }
-    (p * (1.0 - p) / shots as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,9 +31,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let p = estimate_probabilities(&s, 0, &mut rng);
         assert!((p[0] - 0.36).abs() < 1e-15);
-        let a = estimate_real_amplitudes(&s, 0, &mut rng);
-        assert!((a[0] - 0.6).abs() < 1e-15);
-        assert!((a[1] - 0.8).abs() < 1e-15);
+        assert!((p[1] - 0.64).abs() < 1e-15);
     }
 
     #[test]
@@ -73,23 +46,5 @@ mod tests {
         assert!(err_large <= err_small + 0.01);
         // Estimates are proper distributions.
         assert!((p_large.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn amplitude_signs_are_preserved() {
-        let s = StateVector::from_real(&[-0.6, 0.8]).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = estimate_real_amplitudes(&s, 10_000, &mut rng);
-        assert!(a[0] < 0.0);
-        assert!(a[1] > 0.0);
-    }
-
-    #[test]
-    fn std_error_shrinks_as_inverse_sqrt() {
-        let e1 = probability_std_error(0.5, 100);
-        let e2 = probability_std_error(0.5, 10_000);
-        assert!((e1 / e2 - 10.0).abs() < 1e-12);
-        assert_eq!(probability_std_error(0.5, 0), 0.0);
-        assert_eq!(probability_std_error(0.0, 100), 0.0);
     }
 }

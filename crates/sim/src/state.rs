@@ -188,25 +188,6 @@ impl StateVector {
         counts
     }
 
-    /// Expectation of a diagonal observable with eigenvalues `diag`.
-    ///
-    /// # Errors
-    /// Returns [`SimError::DimensionMismatch`] when lengths differ.
-    pub fn expectation_diagonal(&self, diag: &[f64]) -> Result<f64> {
-        if diag.len() != self.dim() {
-            return Err(SimError::DimensionMismatch {
-                expected: self.dim(),
-                got: diag.len(),
-            });
-        }
-        Ok(self
-            .amps
-            .iter()
-            .zip(diag)
-            .map(|(a, &d)| a.norm_sq() * d)
-            .sum())
-    }
-
     /// Tensor product `self ⊗ other` (self's qubits become the high bits).
     pub fn tensor(&self, other: &StateVector) -> StateVector {
         let mut amps = Vec::with_capacity(self.dim() * other.dim());
@@ -304,15 +285,6 @@ mod tests {
         // Determinism.
         let mut rng2 = StdRng::seed_from_u64(5);
         assert_eq!(counts, s.sample_counts(10_000, &mut rng2));
-    }
-
-    #[test]
-    fn expectation_of_diagonal_observable() {
-        let s = StateVector::from_real(&[0.6, 0.8]).unwrap();
-        // ⟨Z⟩ with Z = diag(1, −1): 0.36 − 0.64 = −0.28
-        let z = s.expectation_diagonal(&[1.0, -1.0]).unwrap();
-        assert!((z + 0.28).abs() < TOL);
-        assert!(s.expectation_diagonal(&[1.0]).is_err());
     }
 
     #[test]

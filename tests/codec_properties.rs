@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use qn::backend::{BackendKind, MeshBackend, SimdBackend, DEFAULT_PANEL_WIDTH};
 use qn::codec::{container, model, Codec, CodecError, CodecOptions, EntropyCoder, Quantizer};
 use qn::core::compression::CompressionNetwork;
-use qn::core::config::{CompressionTargetKind, SubspaceKind};
+use qn::core::config::CompressionTargetKind;
 use qn::core::reconstruction::ReconstructionNetwork;
 use qn::core::QuantumAutoencoder;
 use qn::image::{metrics, GrayImage};
@@ -60,13 +60,8 @@ fn pixel_vector(len: usize) -> impl Strategy<Value = Vec<f64>> {
 fn autoencoder_16(thetas: &[f64], d: usize) -> QuantumAutoencoder {
     let mut mesh = Mesh::zeros(16, 2);
     mesh.set_thetas(thetas);
-    let compression = CompressionNetwork::new(
-        mesh,
-        d,
-        SubspaceKind::KeepLast,
-        CompressionTargetKind::TrashPenalty,
-    )
-    .expect("valid dims");
+    let compression =
+        CompressionNetwork::new(mesh, d, CompressionTargetKind::TrashPenalty).expect("valid dims");
     let reconstruction = ReconstructionNetwork::from_reversed_compression(&compression, 2);
     QuantumAutoencoder::new(compression, reconstruction)
 }

@@ -30,3 +30,15 @@ pub fn complex_model_file(real: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
+
+/// `real` rewritten to declare kept-subspace tag 1 (keep the first `d`
+/// modes) instead of 0, with its CRC refixed.
+pub fn subspace_tag_one_model_file(real: &[u8]) -> Vec<u8> {
+    let mut out = real.to_vec();
+    assert_eq!(out[16], 0, "a model file keeps the last d modes");
+    out[16] = 1;
+    let body = out.len() - 4;
+    let crc = crc32(&out[..body]);
+    out[body..].copy_from_slice(&crc.to_le_bytes());
+    out
+}

@@ -15,7 +15,7 @@ use qn::codec::{
 use qn::image::datasets;
 
 mod common;
-use common::complex_model_file;
+use common::{complex_model_file, subspace_tag_one_model_file};
 
 /// A valid container (inline model, per-tile scales) plus its codec.
 fn valid_fixture() -> (Codec, Vec<u8>) {
@@ -481,6 +481,29 @@ fn wrong_model_is_a_model_mismatch_not_garbage() {
     ));
 }
 
+/// Every path that loads a model, fed `model_file`: the parser, `qnc
+/// info`'s JSON, `Codec::from_model_file`, and the valid `container`
+/// carrying it inline (`codec_from_inline`, `decode_standalone`).
+fn load_model_everywhere(
+    tag: &str,
+    container: &[u8],
+    model_file: &[u8],
+) -> Vec<Result<(), CodecError>> {
+    let path = std::env::temp_dir().join(format!("qn_{tag}_{}.qnm", std::process::id()));
+    std::fs::write(&path, model_file).unwrap();
+    let from_file = Codec::from_model_file(&path).map(|_| ());
+    std::fs::remove_file(&path).ok();
+    let mut forged = container::Container::from_bytes(container).unwrap();
+    forged.inline_model = Some(model_file.to_vec());
+    vec![
+        model::decode_model(model_file).map(|_| ()),
+        info::file_info_json(model_file).map(|_| ()),
+        from_file,
+        codec_from_inline(&forged).map(|_| ()),
+        decode_standalone(&forged.to_bytes().unwrap()).map(|_| ()),
+    ]
+}
+
 #[test]
 fn complex_gate_models_fail_typed_on_every_entry_point() {
     // The codec runs real meshes only, so the model parser refuses a
@@ -488,23 +511,27 @@ fn complex_gate_models_fail_typed_on_every_entry_point() {
     // loads a model.
     let (real, bytes) = valid_fixture();
     let complex = complex_model_file(&model::encode_model(real.model()));
-    fn is_complex_error<T>(r: Result<T, CodecError>) -> bool {
-        matches!(r, Err(CodecError::Invalid(m)) if m.contains("complex"))
+    for outcome in load_model_everywhere("complex", &bytes, &complex) {
+        assert!(
+            matches!(outcome, Err(CodecError::Invalid(ref m)) if m.contains("complex")),
+            "{outcome:?}"
+        );
     }
-    assert!(is_complex_error(model::decode_model(&complex)));
-    assert!(is_complex_error(info::file_info_json(&complex)));
-    let path = std::env::temp_dir().join(format!("qn_complex_{}.qnm", std::process::id()));
-    std::fs::write(&path, &complex).unwrap();
-    let from_file = Codec::from_model_file(&path);
-    std::fs::remove_file(&path).ok();
-    assert!(is_complex_error(from_file));
-    // The valid container carrying the complex model inline.
-    let mut forged = container::Container::from_bytes(&bytes).unwrap();
-    forged.inline_model = Some(complex);
-    assert!(is_complex_error(codec_from_inline(&forged)));
-    assert!(is_complex_error(decode_standalone(
-        &forged.to_bytes().unwrap()
-    )));
+}
+
+#[test]
+fn nonzero_subspace_tag_models_fail_typed_on_every_entry_point() {
+    // P1 keeps the last d modes by type, so the model parser refuses a
+    // `.qnm` whose subspace tag is not 0, typed, on every path that
+    // loads a model.
+    let (real, bytes) = valid_fixture();
+    let tag_one = subspace_tag_one_model_file(&model::encode_model(real.model()));
+    for outcome in load_model_everywhere("subspace_tag_one", &bytes, &tag_one) {
+        assert!(
+            matches!(outcome, Err(CodecError::Invalid(ref m)) if m.contains("subspace tag 1")),
+            "{outcome:?}"
+        );
+    }
 }
 
 #[test]

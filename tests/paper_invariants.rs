@@ -2,7 +2,7 @@
 //! equation by equation.
 
 use qn::core::compression::CompressionNetwork;
-use qn::core::config::{CompressionTargetKind, NetworkConfig, SubspaceKind};
+use qn::core::config::{CompressionTargetKind, NetworkConfig};
 use qn::core::encoding;
 use qn::core::trainer::Trainer;
 use qn::image::datasets;
@@ -70,13 +70,8 @@ fn uniform_target_amplitudes_match_the_papers_numbers() {
     // The paper's example target has probability 0.25 on each of the 4
     // kept dimensions, i.e. amplitude 1/√4 = 0.5.
     let mesh = Mesh::zeros(8, 1);
-    let net = CompressionNetwork::new(
-        mesh,
-        4,
-        SubspaceKind::KeepLast,
-        CompressionTargetKind::Uniform,
-    )
-    .expect("valid network");
+    let net =
+        CompressionNetwork::new(mesh, 4, CompressionTargetKind::Uniform).expect("valid network");
     let out = vec![0.0; 8];
     let mut r = vec![0.0; 8];
     net.residual(&out, &mut r);

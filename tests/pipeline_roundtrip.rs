@@ -122,9 +122,7 @@ fn compressed_representation_suffices_for_reconstruction() {
 
     // Re-embed the kept amplitudes at the kept indices and reconstruct.
     let mut state = vec![0.0; 16];
-    for (slot, &j) in ae.compression.projector().kept_indices().iter().enumerate() {
-        state[j] = kept[slot];
-    }
+    state[ae.compression.kept()].copy_from_slice(&kept);
     let out = ae.reconstruction.reconstruct(&state);
     let decoded = qn::core::encoding::decode(&out, norm, 16);
     let direct = ae.roundtrip(img.pixels()).expect("roundtrip");

@@ -8,7 +8,7 @@
 
 use qn_codec::bitstream::crc32;
 use qn_codec::{Codec, CodecOptions, Container};
-use qn_image::datasets;
+use qn_image::{datasets, GrayImage};
 use qn_serve::client::{model_encode_request, spectral_encode_request};
 use qn_serve::protocol::{ErrorCode, Frame, FrameError, Opcode, HEADER_LEN};
 use qn_serve::{spawn, Client, ServerConfig, ServerHandle};
@@ -17,7 +17,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 mod common;
-use common::complex_model_file;
+use common::{complex_model_file, subspace_tag_one_model_file};
 
 fn boot() -> ServerHandle {
     spawn(ServerConfig {
@@ -60,6 +60,37 @@ fn send_raw(server: &ServerHandle, bytes: &[u8]) -> Vec<u8> {
 /// Parse a single reply frame out of raw bytes.
 fn parse_reply(bytes: &[u8], tag: &str) -> Frame {
     Frame::read_from(&mut &bytes[..]).unwrap_or_else(|e| panic!("{tag}: unparseable reply: {e}"))
+}
+
+/// LOAD_MODEL, INFO, and DECODE of a container carrying `model_file`
+/// inline each answer a typed `Codec` error whose message contains
+/// `needle`.
+fn assert_model_refused(
+    client: &mut Client,
+    codec: &Codec,
+    img: &GrayImage,
+    model_file: &[u8],
+    needle: &str,
+) {
+    let inline = codec.encode_image(img, &CodecOptions::default()).unwrap();
+    let mut forged = Container::from_bytes(&inline).unwrap();
+    forged.inline_model = Some(model_file.to_vec());
+    for (what, outcome) in [
+        ("load_model", client.load_model(model_file).map(|_| ())),
+        ("info", client.info(Some(model_file)).map(|_| ())),
+        (
+            "decode",
+            client.decode(&forged.to_bytes().unwrap()).map(|_| ()),
+        ),
+    ] {
+        match outcome {
+            Err(qn_serve::ServeError::Remote { code, message }) => {
+                assert_eq!(code, ErrorCode::Codec as u16, "{what}: {message}");
+                assert!(message.contains(needle), "{what}: {message}");
+            }
+            other => panic!("{needle} {what}: {other:?}"),
+        }
+    }
 }
 
 fn expect_error(server: &ServerHandle, raw: &[u8], code: ErrorCode, tag: &str) {
@@ -238,25 +269,7 @@ fn request_level_failures_keep_the_connection_alive() {
     // container carrying it inline answer typed codec errors at the
     // model parse.
     let complex = complex_model_file(&qn_codec::model::encode_model(codec.model()));
-    let inline = codec.encode_image(&img, &CodecOptions::default()).unwrap();
-    let mut forged = Container::from_bytes(&inline).unwrap();
-    forged.inline_model = Some(complex.clone());
-    for (what, outcome) in [
-        ("load_model", client.load_model(&complex).map(|_| ())),
-        ("info", client.info(Some(&complex[..])).map(|_| ())),
-        (
-            "decode",
-            client.decode(&forged.to_bytes().unwrap()).map(|_| ()),
-        ),
-    ] {
-        match outcome {
-            Err(qn_serve::ServeError::Remote { code, message }) => {
-                assert_eq!(code, ErrorCode::Codec as u16, "{what}: {message}");
-                assert!(message.contains("complex"), "{what}: {message}");
-            }
-            other => panic!("complex-gate {what}: {other:?}"),
-        }
-    }
+    assert_model_refused(&mut client, &codec, &img, &complex, "complex");
 
     // A spectral ENCODE past the tile cap: its model would have
     // dimension tile², fitted at O(tile⁶) per request.
@@ -296,6 +309,67 @@ fn request_level_failures_keep_the_connection_alive() {
         client.decode(&bytes).unwrap(),
         codec.decode_bytes(&bytes).unwrap()
     );
+}
+
+#[test]
+fn nonzero_subspace_tag_models_answer_typed_codec_errors() {
+    // P1 keeps the last d modes by type: a model file whose subspace
+    // tag is 1 is refused at the model parse on every served path, and
+    // the connection keeps serving.
+    let server = boot();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let img = datasets::grayscale_blobs(1, 16, 16, 9).remove(0);
+    let codec = Codec::spectral_for_image(&img, 4, 8).unwrap();
+    let tag_one = subspace_tag_one_model_file(&qn_codec::model::encode_model(codec.model()));
+    assert_model_refused(&mut client, &codec, &img, &tag_one, "subspace tag 1");
+    let bytes = client
+        .encode(&spectral_encode_request(&img, &CodecOptions::default(), 8))
+        .unwrap();
+    assert_eq!(
+        client.decode(&bytes).unwrap(),
+        codec.decode_bytes(&bytes).unwrap()
+    );
+}
+
+#[test]
+fn connections_past_the_cap_get_one_typed_busy_frame_and_close() {
+    // max_conns 2: the third connection is answered at accept with a
+    // single BUSY error frame and closed, while the first two keep
+    // answering.
+    let server = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        max_conns: 2,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let mut open: Vec<Client> = (0..2)
+        .map(|_| Client::connect(server.addr()).unwrap())
+        .collect();
+    for client in &mut open {
+        client.info(None).expect("connection under the cap");
+    }
+    let mut third = TcpStream::connect(server.addr()).expect("connect");
+    third
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let reply = Frame::read_from(&mut third).expect("one error frame");
+    assert_eq!(reply.opcode, Opcode::ErrorReply as u8);
+    assert_eq!(reply.status, ErrorCode::Busy as u16);
+    let message = String::from_utf8_lossy(&reply.payload);
+    assert!(
+        message.contains("connection limit reached (2 open)"),
+        "{message}"
+    );
+    let mut rest = Vec::new();
+    assert_eq!(third.read_to_end(&mut rest).expect("clean close"), 0);
+    for client in &mut open {
+        client
+            .info(None)
+            .expect("connection under the cap still served");
+    }
+    let stats = server.metrics().stats_json();
+    assert!(stats.contains("\"serve_busy_total\":1"), "{stats}");
+    assert!(stats.contains("\"serve_open_connections\":2"), "{stats}");
 }
 
 #[test]
