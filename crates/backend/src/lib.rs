@@ -9,15 +9,17 @@
 //! in-place pass over them behind the [`MeshBackend`] trait, with one
 //! reference and one fast path:
 //!
-//! - [`ScalarBackend`] — the reference and test oracle: lane-by-lane
-//!   dispatch with the exact semantics of `Mesh::forward_real`;
-//! - [`SimdBackend`] — the production path (the default): identity
-//!   gates pruned and rotations swept across the panel lanes in
-//!   explicit blocks, with panels spread across threads.
+//! - [`ScalarBackend`] — the reference and test oracle: each lane run
+//!   through the mesh's own `Mesh::forward_real`;
+//! - [`SimdBackend`] — the production path (the default): the mesh's
+//!   gate tables (`Mesh::tables`) with identity gates pruned and
+//!   rotations swept across the panel lanes in explicit blocks, with
+//!   panels spread across threads.
 //!
-//! Both share the content-addressed gate-table cache
-//! ([`tables::cached_tables`]): per-gate `sin_cos` is evaluated once
-//! per model, ever, instead of once per gate per panel per batch.
+//! The gate tables belong to the mesh: per-gate `sin_cos` is evaluated
+//! once per mesh, on its first simd pass, instead of once per gate per
+//! panel. [`table_cache_stats`] counts the passes that found their
+//! mesh's tables built and the passes that built them.
 //!
 //! [`BackendKind`] is the value-level selector that maps onto shared
 //! backend instances. It is a library-level choice only:
@@ -38,13 +40,12 @@
 
 mod scalar;
 mod simd;
-pub mod tables;
 
 pub use qn_linalg::panel::DEFAULT_PANEL_WIDTH;
 pub use qn_linalg::Panel;
+pub use qn_photonic::{table_cache_stats, TableCacheStats};
 pub use scalar::ScalarBackend;
 pub use simd::SimdBackend;
-pub use tables::{cached_tables, table_cache_stats, TableCacheStats};
 
 use qn_photonic::Mesh;
 use std::fmt;

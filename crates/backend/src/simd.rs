@@ -1,7 +1,8 @@
 //! The explicit-SIMD backend: pruned gate tables + lane-blocked
 //! rotations.
 //!
-//! The mesh pass runs [`qn_photonic::MeshTables`]' blocked kernel over
+//! The mesh pass runs the blocked kernel of the mesh's own gate tables
+//! ([`qn_photonic::Mesh::tables`], built on the mesh's first pass) over
 //! the caller's mode-major [`qn_linalg::Panel`]s, in place: identity
 //! gates (`θ = ±0.0`, roughly half the gate slots of an ASAP-packed
 //! spectral model) are skipped outright, and the surviving rotations
@@ -18,13 +19,12 @@
 //! `1·a − 0·b` / `0·a + 1·b`, which can rewrite the *sign of an IEEE
 //! zero*, so values compare equal but zero signs may differ.
 
-use crate::tables::cached_tables;
 use crate::MeshBackend;
 use qn_linalg::parallel::par_map_chunked_into;
 use qn_linalg::Panel;
 use qn_photonic::Mesh;
 
-/// Lane-blocked, identity-pruned panel execution over cached gate
+/// Lane-blocked, identity-pruned panel execution over the mesh's gate
 /// tables — see the module docs for the kernel and its contract.
 #[derive(Debug, Clone, Copy)]
 pub struct SimdBackend;
@@ -34,7 +34,7 @@ impl MeshBackend for SimdBackend {
         if panels.is_empty() {
             return;
         }
-        let tables = cached_tables(mesh);
+        let tables = mesh.tables();
         par_map_chunked_into(panels, 1, |_, block| {
             block
                 .iter_mut()

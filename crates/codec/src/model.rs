@@ -379,6 +379,20 @@ mod tests {
     }
 
     #[test]
+    fn built_gate_tables_never_change_model_bytes_or_id() {
+        // The derived-U_R flag compares meshes; tables built on either
+        // mesh must not flip it, and with it the bytes and the id.
+        let model = sample_model(3);
+        let (bytes, id) = (encode_model(&model), model_id(&model));
+        assert!(reconstruction_is_derived(&model));
+        model.compression.mesh().tables();
+        model.reconstruction.mesh().tables();
+        assert!(reconstruction_is_derived(&model));
+        assert_eq!(encode_model(&model), bytes);
+        assert_eq!(model_id(&model), id);
+    }
+
+    #[test]
     fn truncation_anywhere_is_a_typed_error() {
         let bytes = encode_model(&sample_model(4));
         for cut in 0..bytes.len() {

@@ -224,11 +224,18 @@ impl Codec {
     /// # Errors
     /// See [`Codec::spectral_for_image`]; images may differ in size but
     /// every tile must fit the `tile_size²` state dimension.
+    /// [`CodecError::Invalid`] for a tile edge below 2: a mesh needs two
+    /// modes, and a `.qnm` refuses `N < 2`.
     pub fn spectral_for_images(
         images: &[GrayImage],
         tile_size: usize,
         latent_dim: usize,
     ) -> Result<Self> {
+        if tile_size < 2 {
+            return Err(CodecError::Invalid(format!(
+                "tile size must be at least 2 (a mesh needs two modes), got {tile_size}"
+            )));
+        }
         let dim = tile_size * tile_size;
         if latent_dim == 0 || latent_dim > dim {
             return Err(CodecError::Invalid(format!(

@@ -19,8 +19,9 @@
 //! - [`clements`] — the exact rectangular decomposition of an orthogonal
 //!   matrix into adjacent-mode rotations, used by the
 //!   spectral-initialisation extension;
-//! - [`tables::MeshTables`] — per-layer gate tables for the codec's
-//!   mesh backends.
+//! - [`tables::MeshTables`] — a mesh's precomputed gate tables, built
+//!   on first use and kept by the mesh ([`Mesh::tables`]) for the
+//!   codec's simd backend.
 
 pub mod beamsplitter;
 pub mod clements;
@@ -31,4 +32,4 @@ pub mod tables;
 pub use beamsplitter::BeamSplitter;
 pub use mesh::{GateOrder, Mesh, MeshLayer};
 pub use sequence::GateSequence;
-pub use tables::{GateTable, LayerTable, MeshTables};
+pub use tables::{table_cache_stats, MeshTables, TableCacheStats};

@@ -14,8 +14,10 @@
 
 use crate::beamsplitter::BeamSplitter;
 use crate::sequence::GateSequence;
+use crate::tables::{self, MeshTables};
 use qn_linalg::Matrix;
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Gate application order within a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,22 +83,12 @@ impl MeshLayer {
         &self.thetas
     }
 
-    /// Mode indices in application order.
-    pub(crate) fn positions(&self) -> Box<dyn Iterator<Item = usize>> {
-        match self.order {
-            GateOrder::Ascending => Box::new(0..self.dim - 1),
-            GateOrder::Descending => Box::new((0..self.dim - 1).rev()),
-        }
-    }
-
-    /// Mode indices in *reverse* application order (the inverse-pass
-    /// visit order) — avoids collecting [`MeshLayer::positions`] into a
-    /// scratch `Vec` on every inverse apply.
-    pub(crate) fn positions_rev(&self) -> Box<dyn Iterator<Item = usize>> {
-        match self.order {
-            GateOrder::Ascending => Box::new((0..self.dim - 1).rev()),
-            GateOrder::Descending => Box::new(0..self.dim - 1),
-        }
+    /// Mode indices in application order. Allocation-free: the scalar
+    /// reference walks it once per layer per lane.
+    pub(crate) fn positions(&self) -> impl Iterator<Item = usize> {
+        let last = self.dim - 2;
+        let descending = self.order == GateOrder::Descending;
+        (0..=last).map(move |k| if descending { last - k } else { k })
     }
 
     /// Apply the layer to real amplitudes in place.
@@ -113,37 +105,45 @@ impl MeshLayer {
             amps[k + 1] = s * a + c * b;
         }
     }
-
-    /// Apply the layer inverse (inverse gates in reverse order).
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn apply_real_inverse(&self, amps: &mut [f64]) {
-        assert_eq!(amps.len(), self.dim, "layer dimension mismatch");
-        for k in self.positions_rev() {
-            let (s, c) = self.thetas[k].sin_cos();
-            let a = amps[k];
-            let b = amps[k + 1];
-            amps[k] = c * a + s * b;
-            amps[k + 1] = c * b - s * a;
-        }
-    }
 }
 
 /// A multi-layer beam-splitter mesh — the paper's quantum network `U`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The mesh owns its gate tables ([`Mesh::tables`]): the interferometer
+/// is fixed per trained model, so each gate's `sin_cos` is a property
+/// of the mesh, evaluated on first use and dropped whenever an angle
+/// changes.
+#[derive(Debug, Clone)]
 pub struct Mesh {
     dim: usize,
     layers: Vec<MeshLayer>,
+    /// Built by the first [`Mesh::tables`] call, taken by every θ
+    /// setter.
+    tables: OnceLock<MeshTables>,
+}
+
+/// Meshes are equal when their structure and angles are. Whether either
+/// has built its gate tables is not part of the model: the codec
+/// compares meshes to decide whether `U_R` is stored or derived, so
+/// built tables must never change a model's bytes or id.
+impl PartialEq for Mesh {
+    fn eq(&self, other: &Mesh) -> bool {
+        self.dim == other.dim && self.layers == other.layers
+    }
 }
 
 impl Mesh {
-    /// Identity mesh: `n_layers` zero-angle layers on `dim` modes.
-    pub fn zeros(dim: usize, n_layers: usize) -> Self {
+    fn new(dim: usize, layers: Vec<MeshLayer>) -> Self {
         Mesh {
             dim,
-            layers: (0..n_layers).map(|_| MeshLayer::zeros(dim)).collect(),
+            layers,
+            tables: OnceLock::new(),
         }
+    }
+
+    /// Identity mesh: `n_layers` zero-angle layers on `dim` modes.
+    pub fn zeros(dim: usize, n_layers: usize) -> Self {
+        Mesh::new(dim, (0..n_layers).map(|_| MeshLayer::zeros(dim)).collect())
     }
 
     /// Mesh with θ drawn uniformly from `[0, 2π)` (the paper initialises θ
@@ -181,7 +181,7 @@ impl Mesh {
             layers.iter().all(|l| l.dim() == dim),
             "all layers must share a dimension"
         );
-        Mesh { dim, layers }
+        Mesh::new(dim, layers)
     }
 
     /// Number of modes `N`.
@@ -219,6 +219,7 @@ impl Mesh {
     /// Panics on length mismatch.
     pub fn set_thetas(&mut self, thetas: &[f64]) {
         assert_eq!(thetas.len(), self.param_count(), "theta length mismatch");
+        self.tables.take();
         let mut it = thetas.iter();
         for layer in &mut self.layers {
             for t in &mut layer.thetas {
@@ -234,7 +235,21 @@ impl Mesh {
 
     /// Set θ of one gate.
     pub fn set_theta_at(&mut self, layer: usize, gate: usize, theta: f64) {
+        self.tables.take();
         self.layers[layer].thetas[gate] = theta;
+    }
+
+    /// The mesh's gate tables ([`MeshTables`]): one `sin_cos` per gate,
+    /// evaluated by the first call after construction or after a θ
+    /// setter, then shared by every later call until an angle changes.
+    pub fn tables(&self) -> &MeshTables {
+        let mut built = false;
+        let tables = self.tables.get_or_init(|| {
+            built = true;
+            MeshTables::build(self)
+        });
+        tables::count_lookup(built);
+        tables
     }
 
     /// Apply the full mesh to real amplitudes in place.
@@ -252,16 +267,6 @@ impl Mesh {
         let mut v = amps.to_vec();
         self.forward_real(&mut v);
         v
-    }
-
-    /// Apply the exact inverse `U⁻¹` in place.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn inverse_real(&self, amps: &mut [f64]) {
-        for layer in self.layers.iter().rev() {
-            layer.apply_real_inverse(amps);
-        }
     }
 
     /// The mesh with gates connected in reverse order (paper Sec. II-C:
@@ -282,10 +287,7 @@ impl Mesh {
                 },
             })
             .collect();
-        Mesh {
-            dim: self.dim,
-            layers,
-        }
+        Mesh::new(self.dim, layers)
     }
 
     /// Forward pass with a single θ perturbed by `delta` — the
@@ -366,7 +368,7 @@ impl Mesh {
         if layers.is_empty() {
             layers.push(MeshLayer::zeros(dim));
         }
-        (Mesh { dim, layers }, seq.signs().map(|s| s.to_vec()))
+        (Mesh::new(dim, layers), seq.signs().map(|s| s.to_vec()))
     }
 
     /// Flatten to a [`GateSequence`] (loses nothing; [`Mesh::as_matrix`]
@@ -433,18 +435,6 @@ mod tests {
     fn mesh_matrix_is_orthogonal() {
         let m = Mesh::random(8, 3, &mut rng());
         assert!(m.as_matrix().is_orthogonal(1e-11));
-    }
-
-    #[test]
-    fn inverse_is_exact() {
-        let m = Mesh::random(10, 5, &mut rng());
-        let orig: Vec<f64> = (0..10).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut v = orig.clone();
-        m.forward_real(&mut v);
-        m.inverse_real(&mut v);
-        for (a, b) in v.iter().zip(&orig) {
-            assert!((a - b).abs() < TOL);
-        }
     }
 
     #[test]

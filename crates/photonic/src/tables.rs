@@ -1,115 +1,81 @@
-//! Precomputed per-layer gate tables — the mesh with its trigonometry
-//! hoisted out.
+//! Precomputed gate tables — the mesh with its trigonometry hoisted
+//! out.
 //!
-//! A [`crate::Mesh`] is static at inference time: the paper's `T_C`/`T_R`
-//! interferometer structure is fixed per model, yet the per-gate
-//! `sin_cos` used to be re-evaluated for every panel of every batch of
-//! every request. [`MeshTables`] evaluates each gate's `(sin θ, cos θ)`
-//! exactly once at build time and replays the cached values through
-//! table-driven apply kernels, so the hot loops contain only
-//! multiply/add work.
+//! A [`Mesh`] is static at inference time: the paper's `T_C`/`T_R`
+//! interferometer is fixed per trained model (Sec. III-A), so each
+//! gate's `(sin θ, cos θ)` is a property of the mesh. [`MeshTables`]
+//! evaluates every gate's `sin_cos` once, and the mesh keeps the
+//! result ([`Mesh::tables`]) until one of its angles changes, so every
+//! simd pass after a mesh's first runs trig-free.
 //!
-//! # Contracts
+//! # Contract
 //!
-//! Two kernels live here, with two contracts. Both run the mesh
-//! forward: the paper decodes by running the trained `U_R` forward,
-//! never by inverting `U_C`, so the tables carry no inverse pass
-//! (`Mesh::inverse_real` is the model's own math, not a table kernel).
+//! The tables carry one kernel, [`MeshTables::forward_panel_blocked`],
+//! and it runs the mesh forward: the paper decodes by running the
+//! trained `U_R` forward, never by inverting `U_C`. The exact reference
+//! is the mesh's own `Mesh::forward_real`, which evaluates `sin_cos`
+//! per gate; `f64::sin_cos` is deterministic, so a tabled value is the
+//! same bit pattern as a recomputed one.
 //!
-//! - **The exact kernel** ([`MeshTables::forward_amps`]) replays
-//!   *every* gate with the identical `c·a − s·b` / `s·a + c·b`
-//!   expressions the scalar reference uses. `f64::sin_cos` is
-//!   deterministic, so a cached value is the same bit pattern as a
-//!   recomputed one and this kernel is **bit-identical** to
-//!   `Mesh::forward_real`.
-//! - **The pruned, lane-blocked kernel**
-//!   ([`MeshTables::forward_panel_blocked`]) sweeps every lane of a
-//!   mode-major [`Panel`], skips identity gates — gates whose table
-//!   entry is exactly `(sin, cos) = (0, 1)`, i.e. `θ = ±0.0` — and
-//!   rotates the lanes in explicit
-//!   [`LANE_BLOCK`](qn_linalg::panel::LANE_BLOCK)-wide blocks
-//!   (`qn_linalg::panel::rotate_lanes_blocked`). Skipping an identity
-//!   rotation leaves an amplitude's stored bits untouched, whereas the
-//!   reference computes `1·a − 0·b` / `0·a + 1·b`, which can flip the
-//!   *sign of an IEEE zero* (e.g. `-0.0 − (-0.0) = +0.0`). Every output
-//!   therefore compares **equal under `f64 ==`** to the reference
-//!   (absolute difference exactly `0.0`), but is not guaranteed
-//!   bit-identical on zero amplitudes. Identity gates are common in
-//!   practice: ASAP-packed spectral meshes (the codec's default model
-//!   source) leave roughly half their gate slots at `θ = 0`.
+//! The kernel sweeps every lane of a mode-major [`Panel`], skips
+//! identity gates — gates whose table entry is exactly
+//! `(sin, cos) = (0, 1)`, i.e. `θ = ±0.0` — and rotates the lanes in
+//! explicit [`LANE_BLOCK`](qn_linalg::panel::LANE_BLOCK)-wide blocks
+//! (`qn_linalg::panel::rotate_lanes_blocked`). Skipping an identity
+//! rotation leaves an amplitude's stored bits untouched, whereas the
+//! reference computes `1·a − 0·b` / `0·a + 1·b`, which can flip the
+//! *sign of an IEEE zero* (e.g. `-0.0 − (-0.0) = +0.0`). Every output
+//! therefore compares **equal under `f64 ==`** to the reference
+//! (absolute difference exactly `0.0`), but is not guaranteed
+//! bit-identical on zero amplitudes. Identity gates are common in
+//! practice: ASAP-packed spectral meshes (the codec's default model
+//! source) leave roughly half their gate slots at `θ = 0`.
 //!
-//! `qn-backend` keys a content-addressed cache of these tables by model
-//! identity, so the build cost is paid once per mesh, not per batch.
+//! [`table_cache_stats`] counts, process-wide, the [`Mesh::tables`]
+//! calls that found their mesh's tables built and the ones that built
+//! them; every simd pass makes one such call.
 
 use crate::mesh::Mesh;
 use qn_linalg::panel::rotate_lanes_blocked;
 use qn_linalg::Panel;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One gate's precomputed rotation: target mode pair `(mode, mode+1)`
-/// and the cached `sin θ` / `cos θ`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateTable {
-    /// Lower mode index of the gate's `(k, k+1)` pair.
-    pub mode: usize,
-    /// Cached `sin θ` — bit-identical to `θ.sin_cos().0`.
-    pub sin: f64,
-    /// Cached `cos θ` — bit-identical to `θ.sin_cos().1`.
-    pub cos: f64,
+/// One active gate's precomputed rotation: target mode pair
+/// `(mode, mode+1)` and the cached `sin θ` / `cos θ`.
+#[derive(Debug, Clone, Copy)]
+struct GateTable {
+    mode: usize,
+    sin: f64,
+    cos: f64,
 }
 
-impl GateTable {
-    /// True when the cached rotation is exactly the identity
-    /// (`sin = ±0.0`, `cos = 1.0`), i.e. the gate came from `θ = ±0.0`.
-    #[inline]
-    pub fn is_identity(&self) -> bool {
-        self.sin == 0.0 && self.cos == 1.0
-    }
-}
-
-/// One layer's gates in application order (the layer's cascade
-/// direction is baked in at build time).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerTable {
-    /// Every gate, in the order `MeshLayer::apply_real` visits them.
-    gates: Vec<GateTable>,
-    /// The non-identity subset, same relative order.
-    active: Vec<GateTable>,
-}
-
-impl LayerTable {
-    /// All gates in application order.
-    pub fn gates(&self) -> &[GateTable] {
-        &self.gates
-    }
-}
-
-/// Precomputed `(sin, cos)` tables for every `(layer, gate)` of a real
-/// mesh, in application order. Build once per mesh (see
-/// [`Mesh::tables`]); apply to amplitude vectors or panels with zero
-/// trigonometry in the hot loop.
-#[derive(Debug, Clone, PartialEq)]
+/// Precomputed `(sin, cos)` of every non-identity gate of a real mesh,
+/// layer by layer in application order (each layer's cascade direction
+/// is baked in at build time). Built once per mesh by [`Mesh::tables`];
+/// applied to panels with zero trigonometry in the hot loop.
+#[derive(Debug, Clone)]
 pub struct MeshTables {
     dim: usize,
-    layers: Vec<LayerTable>,
+    /// Per layer, the gates that survive identity pruning.
+    layers: Vec<Vec<GateTable>>,
 }
 
 impl MeshTables {
     /// Evaluate `sin_cos` for every gate of `mesh`, in application
-    /// order.
-    pub fn build(mesh: &Mesh) -> MeshTables {
+    /// order, and keep the non-identity ones.
+    pub(crate) fn build(mesh: &Mesh) -> MeshTables {
         let layers = mesh
             .layers()
             .iter()
             .map(|layer| {
-                let gates: Vec<GateTable> = layer
+                layer
                     .positions()
                     .map(|k| {
                         let (sin, cos) = layer.thetas()[k].sin_cos();
                         GateTable { mode: k, sin, cos }
                     })
-                    .collect();
-                let active = gates.iter().copied().filter(|g| !g.is_identity()).collect();
-                LayerTable { gates, active }
+                    .filter(|g| !(g.sin == 0.0 && g.cos == 1.0))
+                    .collect()
             })
             .collect();
         MeshTables {
@@ -118,41 +84,14 @@ impl MeshTables {
         }
     }
 
-    /// Number of modes `N`.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Per-layer tables, forward layer order.
-    pub fn layers(&self) -> &[LayerTable] {
-        &self.layers
-    }
-
-    /// Total gates across all layers.
+    /// Total gates across all layers: `N − 1` per layer.
     pub fn gate_count(&self) -> usize {
-        self.layers.iter().map(|l| l.gates.len()).sum()
+        self.layers.len() * (self.dim - 1)
     }
 
     /// Gates that survive identity pruning.
     pub fn active_gate_count(&self) -> usize {
-        self.layers.iter().map(|l| l.active.len()).sum()
-    }
-
-    /// Apply the mesh forward to one amplitude vector — bit-identical
-    /// to [`Mesh::forward_real`].
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn forward_amps(&self, amps: &mut [f64]) {
-        assert_eq!(amps.len(), self.dim, "table dimension mismatch");
-        for layer in &self.layers {
-            for g in &layer.gates {
-                let a = amps[g.mode];
-                let b = amps[g.mode + 1];
-                amps[g.mode] = g.cos * a - g.sin * b;
-                amps[g.mode + 1] = g.sin * a + g.cos * b;
-            }
-        }
+        self.layers.iter().map(Vec::len).sum()
     }
 
     /// Forward panel sweep with identity-gate pruning and explicit
@@ -165,7 +104,7 @@ impl MeshTables {
     pub fn forward_panel_blocked(&self, panel: &mut Panel) {
         assert_eq!(panel.dim(), self.dim, "table dimension mismatch");
         for layer in &self.layers {
-            for g in &layer.active {
+            for g in layer {
                 let (row_a, row_b) = panel.row_pair_mut(g.mode);
                 rotate_lanes_blocked(row_a, row_b, g.sin, g.cos);
             }
@@ -173,11 +112,33 @@ impl MeshTables {
     }
 }
 
-impl Mesh {
-    /// Build the precomputed gate tables for this mesh — one `sin_cos`
-    /// per gate, ever. See [`MeshTables`].
-    pub fn tables(&self) -> MeshTables {
-        MeshTables::build(self)
+static HITS: AtomicU64 = AtomicU64::new(0);
+static MISSES: AtomicU64 = AtomicU64::new(0);
+
+/// Count one [`Mesh::tables`] call: a miss when it built the tables, a
+/// hit when it found them built.
+pub(crate) fn count_lookup(built: bool) {
+    let counter = if built { &MISSES } else { &HITS };
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Process-wide counts of [`Mesh::tables`] calls, which each simd pass
+/// makes once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableCacheStats {
+    /// Calls that found their mesh's tables already built.
+    pub hits: u64,
+    /// Calls that built them (a mesh's first pass, or its first after
+    /// a θ setter).
+    pub misses: u64,
+}
+
+/// Snapshot the process-wide hit and miss counts of [`Mesh::tables`]
+/// (surfaced by `qn-serve`'s STATS).
+pub fn table_cache_stats() -> TableCacheStats {
+    TableCacheStats {
+        hits: HITS.load(Ordering::Relaxed),
+        misses: MISSES.load(Ordering::Relaxed),
     }
 }
 
@@ -216,27 +177,46 @@ mod tests {
     }
 
     #[test]
-    fn exact_kernels_are_bit_identical_to_the_mesh() {
-        for mesh in [
-            Mesh::random(9, 4, &mut rng()),
-            Mesh::random(9, 4, &mut rng()).reversed(),
-            sparse_mesh(9, 3),
-        ] {
-            let tables = mesh.tables();
-            assert_eq!(tables.dim(), 9);
-            for col in columns(9, 5) {
-                let reference = mesh.forward_real_copy(&col);
-                let mut tabled = col.clone();
-                tables.forward_amps(&mut tabled);
-                assert!(
-                    tabled
-                        .iter()
-                        .zip(&reference)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "forward_amps drifted"
+    fn tables_are_built_once_per_mesh() {
+        let mesh = sparse_mesh(6, 2);
+        assert!(std::ptr::eq(mesh.tables(), mesh.tables()));
+    }
+
+    #[test]
+    fn theta_setters_drop_the_tables() {
+        // The first pass builds tables for the old angles; after every
+        // setter the next pass must run the new ones, lane for lane.
+        let cols = columns(8, 5);
+        let check = |mesh: &Mesh, what: &str| {
+            let mut panel = Panel::from_columns(&cols);
+            mesh.tables().forward_panel_blocked(&mut panel);
+            for (lane, col) in cols.iter().enumerate() {
+                assert_eq!(
+                    panel.column(lane),
+                    mesh.forward_real_copy(col),
+                    "{what} lane {lane}"
                 );
             }
-        }
+        };
+        let mut mesh = sparse_mesh(8, 3);
+        check(&mesh, "built");
+        let halved: Vec<f64> = mesh.thetas().iter().map(|t| t * 0.5 + 0.25).collect();
+        mesh.set_thetas(&halved);
+        check(&mesh, "set_thetas");
+        mesh.set_theta_at(1, 4, 1.0);
+        check(&mesh, "set_theta_at");
+        mesh.set_theta_at(2, 0, 0.0);
+        check(&mesh, "set_theta_at to identity");
+    }
+
+    #[test]
+    fn equality_ignores_built_tables() {
+        let built = sparse_mesh(5, 2);
+        let fresh = sparse_mesh(5, 2);
+        built.tables();
+        assert_eq!(built, fresh);
+        assert_eq!(fresh, built);
+        assert_ne!(built, fresh.reversed());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! | `codec_coded_bytes_total` / `codec_decoded_bytes_total` | counter | `coder` = `rice`/`rice-pos`/`range` |
 //! | `zoo_hits_total` / `zoo_misses_total` / `zoo_inserts_total` | counter | — |
 //! | `zoo_cached_models` | gauge | — |
-//! | `gate_table_cache_hits` / `gate_table_cache_misses` / `gate_table_cache_entries` | gauge | — (process-wide [`qn_backend::table_cache_stats`], synced on every `STATS` reply) |
+//! | `gate_table_cache_hits` / `gate_table_cache_misses` | gauge | — (process-wide [`qn_backend::table_cache_stats`]: simd passes that found their mesh's gate tables built / that built them; synced on every `STATS` reply) |
 //!
 //! Hot-path handles (per-opcode counters/histograms, per-stage
 //! histograms, per-coder byte counters) are pre-resolved into arrays at
@@ -75,12 +75,11 @@ pub struct ServeMetrics {
     coded_bytes: [Arc<Counter>; 3],
     decoded_bytes: [Arc<Counter>; 3],
     store: StoreMetrics,
-    /// Point-in-time mirrors of the process-wide gate-table cache
-    /// counters ([`qn_backend::table_cache_stats`]), synced on every
-    /// `STATS` reply so they sit next to the zoo hit/miss series.
+    /// Point-in-time mirrors of the process-wide gate-table counters
+    /// ([`qn_backend::table_cache_stats`]), synced on every `STATS`
+    /// reply so they sit next to the zoo hit/miss series.
     table_hits: Arc<Gauge>,
     table_misses: Arc<Gauge>,
-    table_entries: Arc<Gauge>,
 }
 
 impl Default for ServeMetrics {
@@ -125,7 +124,6 @@ impl ServeMetrics {
             store,
             table_hits: registry.gauge("gate_table_cache_hits"),
             table_misses: registry.gauge("gate_table_cache_misses"),
-            table_entries: registry.gauge("gate_table_cache_entries"),
             registry,
         }
     }
@@ -155,6 +153,12 @@ impl ServeMetrics {
             Some(i) => self.requests[i].inc(),
             None => self.requests_unknown.inc(),
         }
+    }
+
+    /// Requests counted so far, every `op` of `serve_requests_total`
+    /// summed (unrecognised opcodes included).
+    pub fn requests_total(&self) -> u64 {
+        self.requests.iter().map(|c| c.get()).sum::<u64>() + self.requests_unknown.get()
     }
 
     /// Count one typed error reply.
@@ -236,24 +240,23 @@ impl ServeMetrics {
         self.decoded_bytes[coder.wire_id() as usize].add(bytes);
     }
 
-    /// Mirror explicit gate-table cache readings into the registry's
-    /// gauges. [`ServeMetrics::stats_json`] feeds it the live readings;
-    /// tests feed it fixed ones to pin the registry bytes without
-    /// depending on the process-wide cache state.
-    pub fn set_gate_table_stats(&self, hits: u64, misses: u64, entries: u64) {
+    /// Mirror explicit gate-table readings into the registry's gauges.
+    /// [`ServeMetrics::stats_json`] feeds it the live readings; tests
+    /// feed it fixed ones to pin the registry bytes without depending
+    /// on the process-wide counters.
+    pub fn set_gate_table_stats(&self, hits: u64, misses: u64) {
         self.table_hits.set(hits as i64);
         self.table_misses.set(misses as i64);
-        self.table_entries.set(entries as i64);
     }
 
     /// The `STATS` reply payload: `uptime_secs` spliced ahead of the
     /// registry's byte-stable `counters`/`gauges`/`histograms`
-    /// sections, single line. The gate-table cache gauges are sampled
-    /// from the live process-wide counters first — the cache has no
-    /// registry hooks of its own (it predates `qn-metrics`).
+    /// sections, single line. The gate-table gauges are sampled from
+    /// the live process-wide counters first — the counters live with
+    /// the meshes, outside any registry.
     pub fn stats_json(&self) -> String {
-        let cache = qn_backend::table_cache_stats();
-        self.set_gate_table_stats(cache.hits, cache.misses, cache.entries as u64);
+        let tables = qn_backend::table_cache_stats();
+        self.set_gate_table_stats(tables.hits, tables.misses);
         let registry_json = self.registry.to_json();
         format!(
             "{{\"uptime_secs\":{},{}",
@@ -374,17 +377,16 @@ mod tests {
     #[test]
     fn gate_table_gauges_sync_on_exposition() {
         let m = ServeMetrics::new();
-        m.set_gate_table_stats(10, 3, 2);
+        m.set_gate_table_stats(10, 3);
         let json = m.registry().to_json();
         assert!(json.contains("\"gate_table_cache_hits\":10"), "{json}");
         assert!(json.contains("\"gate_table_cache_misses\":3"), "{json}");
-        assert!(json.contains("\"gate_table_cache_entries\":2"), "{json}");
-        // STATS re-samples the live cache (the exact values race with
-        // concurrent tests exercising backends, so only presence is
-        // asserted here — serve_integration pins the live behaviour).
+        // STATS re-samples the live counters; their exact values race
+        // with concurrent tests exercising backends, so only presence
+        // is asserted.
         let json = m.stats_json();
         assert!(json.contains("\"gate_table_cache_hits\":"), "{json}");
-        assert!(json.contains("\"gate_table_cache_entries\":"), "{json}");
+        assert!(json.contains("\"gate_table_cache_misses\":"), "{json}");
     }
 
     #[test]

@@ -169,7 +169,6 @@ impl Default for ServerConfig {
 struct Shared {
     store: ModelStore,
     config: ServerConfig,
-    requests: AtomicU64,
     /// Requests admitted past the backpressure gate: incremented by
     /// the reactor when a complete frame clears both caps, released
     /// (via [`AdmissionSlot`] drop) when the reply is fully written or
@@ -181,7 +180,8 @@ struct Shared {
     /// Wakes the reactor's poll wait: workers after parking a reply,
     /// [`ServerHandle::stop`] after raising `shutdown`.
     waker: Arc<Waker>,
-    /// Telemetry; `STATS` serves its registry.
+    /// Telemetry; `STATS` serves its registry, and INFO reads its
+    /// uptime and request count.
     metrics: Arc<ServeMetrics>,
     /// Trace sink. A request's spans are built only when its context
     /// asks for sampling or slow capture is armed.
@@ -189,7 +189,6 @@ struct Shared {
     /// Ids for server-originated (slow-capture) traces.
     self_trace_seq: AtomicU64,
     log: Logger,
-    started: Instant,
 }
 
 /// Releases one unit of the global admission count on drop. Acquired
@@ -324,9 +323,11 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Requests answered so far (success or typed error).
+    /// Requests received so far: every complete frame, counted on
+    /// arrival whatever its reply (success, typed error or `BUSY`) —
+    /// `serve_requests_total` summed over `op`.
     pub fn requests_served(&self) -> u64 {
-        self.shared.requests.load(Ordering::Relaxed)
+        self.shared.metrics.requests_total()
     }
 
     /// The server's telemetry, the registry `STATS` serves. Lets
@@ -397,9 +398,7 @@ pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
     let shared = Arc::new(Shared {
         store,
         log: Logger::new(config.log_level),
-        started: Instant::now(),
         config,
-        requests: AtomicU64::new(0),
         admitted: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
         waker,
@@ -867,7 +866,6 @@ fn admit_frame(
     frame: Frame,
     now: Instant,
 ) {
-    shared.requests.fetch_add(1, Ordering::Relaxed);
     let op = Opcode::from_u8(frame.opcode);
     shared.metrics.record_request(op);
     shared
@@ -1281,7 +1279,7 @@ fn server_info_json(shared: &Shared) -> String {
          \"models_cached\":{},\"store_dir\":{store_dir},\
          \"requests_served\":{}}}",
         env!("CARGO_PKG_VERSION"),
-        shared.started.elapsed().as_secs(),
+        shared.metrics.uptime_secs(),
         shared.config.slow_threshold.as_millis(),
         shared.config.read_timeout.as_millis(),
         shared.config.workers,
@@ -1289,6 +1287,6 @@ fn server_info_json(shared: &Shared) -> String {
         shared.config.conn_inflight,
         shared.config.max_conns,
         shared.store.cached_len(),
-        shared.requests.load(Ordering::Relaxed),
+        shared.metrics.requests_total(),
     )
 }

@@ -951,4 +951,35 @@ fn usage_errors_exit_nonzero_with_help() {
         assert!(!stderr.contains("panicked"), "{command}: {stderr}");
         assert!(stderr.contains("--tile"), "{command}: {stderr}");
     }
+
+    // Tile 1 is in range, but a spectral fit needs two modes: compress,
+    // train and an eval grid at tile 1 fail typed, never panic.
+    for (command, args) in [
+        (
+            "compress",
+            &["-o", "never.qnc", "--tile", "1", "--latent", "1"][..],
+        ),
+        (
+            "train",
+            &["-o", "never.qnm", "--tile", "1", "--latent", "1"][..],
+        ),
+        (
+            "eval",
+            &["--datasets", "blobs", "--grid", "tile=1;d=1;bits=8"][..],
+        ),
+    ] {
+        let mut cmd = qnc();
+        cmd.current_dir(&dir).arg(command);
+        if command != "eval" {
+            cmd.arg(&input);
+        }
+        let out = cmd.args(args).output().expect("spawn qnc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} at tile 1: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        assert!(
+            stderr.contains("tile size must be at least 2"),
+            "{command}: {stderr}"
+        );
+    }
 }

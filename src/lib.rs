@@ -15,8 +15,9 @@
 //!   default simd panel path behind one trait.
 //! - [`sim`] — hand-rolled state-vector simulator.
 //! - [`photonic`] — interferometer meshes, the Clements decomposition and
-//!   per-layer gate tables.
-//! - [`linalg`] — dense linear algebra (QR, Jacobi SVD/eig).
+//!   the gate tables each mesh keeps for the simd path.
+//! - [`linalg`] — dense linear algebra (Jacobi SVD and symmetric
+//!   eigensolver, SVD least squares, mode-major tile panels).
 //! - [`classical`] — the CSC sparse-coding baseline and PCA.
 //! - [`image`] — images, datasets, metrics, PGM/ASCII IO.
 //! - [`codec`] — the end-to-end file codec: model persistence (`.qnm`),

@@ -81,7 +81,8 @@ fn encode_and_decode_allocate_per_panel_not_per_tile() {
                 inline_model: false,
                 ..CodecOptions::default()
             };
-            // Warm the gate-table cache and any lazily built state.
+            // Build the meshes' gate tables and any other lazily built
+            // state.
             pair(&codec, &small, &opts);
             let (small_allocs, small_panels) = pair(&codec, &small, &opts);
             let (large_allocs, large_panels) = pair(&codec, &large, &opts);

@@ -228,6 +228,39 @@ proptest! {
     }
 
     #[test]
+    fn simd_pass_after_set_thetas_matches_forward_real(
+        first in proptest::collection::vec(angle(), 33),
+        second in proptest::collection::vec(angle(), 33),
+        theta_zeros in proptest::collection::vec(0u8..3, 33),
+        gate in 0usize..33,
+        data in proptest::collection::vec(-1.0..1.0f64, 120)
+    ) {
+        // The mesh keeps the gate tables its first simd pass builds;
+        // every θ setter must drop them, so the next pass runs the new
+        // angles. About a third of the new angles are identities, the
+        // gates simd prunes.
+        let mut mesh = Mesh::zeros(12, 3);
+        mesh.set_thetas(&first);
+        let batch: Vec<Vec<f64>> = data.chunks(12).map(<[f64]>::to_vec).collect();
+        let check = |mesh: &Mesh, what: &str| {
+            let reference: Vec<Vec<f64>> =
+                batch.iter().map(|v| mesh.forward_real_copy(v)).collect();
+            let simd = pass(&SimdBackend, mesh, &batch, DEFAULT_PANEL_WIDTH);
+            assert_zero_sign_only(&simd, &reference, what);
+        };
+        check(&mesh, "first angles");
+        let second: Vec<f64> = second
+            .iter()
+            .zip(&theta_zeros)
+            .map(|(&t, &z)| if z == 0 { 0.0 } else { t })
+            .collect();
+        mesh.set_thetas(&second);
+        check(&mesh, "after set_thetas");
+        mesh.set_theta_at(gate / 11, gate % 11, first[gate] + 1.0);
+        check(&mesh, "after set_theta_at");
+    }
+
+    #[test]
     fn containers_are_backend_independent(
         pixels in pixel_vector(96),
         d in 1usize..17,

@@ -4,7 +4,10 @@
 //! ones.
 
 use proptest::prelude::*;
+use qn::core::compression::CompressionNetwork;
+use qn::core::config::CompressionTargetKind;
 use qn::core::encoding;
+use qn::core::reconstruction::ReconstructionNetwork;
 use qn::linalg::vector;
 use qn::photonic::{GateSequence, Mesh};
 use qn::sim::{Projector, StateVector};
@@ -36,12 +39,17 @@ proptest! {
 
     #[test]
     fn mesh_inverse_is_exact(thetas in proptest::collection::vec(angle(), 14)) {
+        // The inverse the codec ships: U_R as the reversed U_C at
+        // negated angles (`ReconstructionNetwork::from_reversed_compression`).
         let mut mesh = Mesh::zeros(8, 2);
         mesh.set_thetas(&thetas);
+        let compression =
+            CompressionNetwork::new(mesh, 8, CompressionTargetKind::TrashPenalty).unwrap();
+        let inverse = ReconstructionNetwork::from_reversed_compression(&compression, 2);
         let orig: Vec<f64> = (0..8).map(|i| (i as f64 - 3.5) * 0.1).collect();
         let mut v = orig.clone();
-        mesh.forward_real(&mut v);
-        mesh.inverse_real(&mut v);
+        compression.mesh().forward_real(&mut v);
+        inverse.mesh().forward_real(&mut v);
         for (a, b) in v.iter().zip(&orig) {
             prop_assert!((a - b).abs() < 1e-10);
         }

@@ -332,6 +332,38 @@ fn nonzero_subspace_tag_models_answer_typed_codec_errors() {
 }
 
 #[test]
+fn one_pixel_tile_spectral_encodes_answer_typed_codec_errors() {
+    // A mesh needs two modes, so a spectral ENCODE at tile 1 is refused
+    // before any fit with a typed error, and the connection keeps
+    // serving.
+    let server = boot();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let img = datasets::grayscale_blobs(1, 8, 8, 5).remove(0);
+    let tile_one = CodecOptions {
+        tile_size: 1,
+        ..CodecOptions::default()
+    };
+    match client.encode(&spectral_encode_request(&img, &tile_one, 1)) {
+        Err(qn_serve::ServeError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::Codec as u16, "{message}");
+            assert!(
+                message.contains("tile size must be at least 2"),
+                "{message}"
+            );
+        }
+        other => panic!("tile 1: {other:?}"),
+    }
+    let bytes = client
+        .encode(&spectral_encode_request(&img, &CodecOptions::default(), 8))
+        .unwrap();
+    let codec = Codec::spectral_for_image(&img, 4, 8).unwrap();
+    assert_eq!(
+        client.decode(&bytes).unwrap(),
+        codec.decode_bytes(&bytes).unwrap()
+    );
+}
+
+#[test]
 fn connections_past_the_cap_get_one_typed_busy_frame_and_close() {
     // max_conns 2: the third connection is answered at accept with a
     // single BUSY error frame and closed, while the first two keep

@@ -250,7 +250,7 @@ fn metric_catalogue_json_matches_golden_bytes() {
     for ns in [700, 3_000, 40_000, 50_000, 90_000, 2_000_000] {
         m.record_latency(Some(Opcode::Decode), ns);
     }
-    m.set_gate_table_stats(7, 2, 1);
+    m.set_gate_table_stats(7, 2);
     // registry().to_json() skips the live gate-table re-sync and the
     // uptime prefix of stats_json(), keeping the bytes pinnable.
     let actual = m.registry().to_json();
