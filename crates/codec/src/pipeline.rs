@@ -45,10 +45,13 @@
 //!
 //! Each direction has one schedule, prepare → mesh pass → complete:
 //! [`Codec::encode_image_with_stats`] and [`Codec::decode_container`],
-//! which also return the time of each [`stage`] they ran. Every other
-//! entry point wraps them, and so does the server, which runs each
-//! request's mesh pass inline. The `prepare_*`/`complete_*` halves stay
-//! public so each layer can be timed on its own.
+//! which also return the time of each [`stage`] they ran. An encode
+//! that fits its own model, [`Codec::spectral_encode`], runs the same
+//! schedule with the fit between prepare and the mesh pass: the fit
+//! reads the prepared panels, so each tile is gathered once. Every
+//! other entry point wraps these, and so does the server, which runs
+//! each request's mesh pass inline. The `prepare_*`/`complete_*` halves
+//! stay public so each layer can be timed on its own.
 
 use crate::container::{
     dequantize_norm, quantize_norm, Container, ContainerHeader, TileGrid, FLAG_INLINE_MODEL,
@@ -72,12 +75,16 @@ use std::path::Path;
 use std::time::Instant;
 
 /// The codec's stage names, spelled once: the encode runs `prepare`,
-/// `mesh_pass`, `quantize`, `entropy` ([`EncodeStats::stages`]), the
-/// decode `prepare`, `mesh_pass`, `stitch` ([`Codec::decode_container`]).
+/// `mesh_pass`, `quantize`, `entropy` ([`EncodeStats::stages`]), with
+/// `spectral` after `prepare` when it fits its own model
+/// ([`Codec::spectral_encode`]); the decode runs `prepare`,
+/// `mesh_pass`, `stitch` ([`Codec::decode_container`]).
 pub mod stage {
     /// Tile gather and amplitude encoding (Eq. 1), or dequantization
     /// into the kept rows of fresh panels.
     pub const PREPARE: &str = "prepare";
+    /// The spectral model fit, from the panels `prepare` gathered.
+    pub const SPECTRAL: &str = "spectral";
     /// The compression or reconstruction mesh pass.
     pub const MESH_PASS: &str = "mesh_pass";
     /// Latent scaling and level quantization into the tile arrays.
@@ -136,7 +143,7 @@ impl Default for CodecOptions {
 
 /// Encode-side accounting, for logs, benchmarks and the rate–distortion
 /// evaluation harness.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct EncodeStats {
     /// Total tiles in the grid.
     pub tiles: usize,
@@ -148,10 +155,11 @@ pub struct EncodeStats {
     pub container_bytes: usize,
     /// Container bits per pixel.
     pub bits_per_pixel: f64,
-    /// Wall-clock nanoseconds of each encode stage, in schedule order:
-    /// `prepare`, `mesh_pass`, `quantize`, `entropy` (see [`stage`]).
+    /// Wall-clock nanoseconds of each encode stage that ran, in
+    /// schedule order: `prepare`, `spectral` (a spectral encode only),
+    /// `mesh_pass`, `quantize`, `entropy` (see [`stage`]).
     /// Observability only; never an influence on the bytes.
-    pub stages: [(&'static str, u64); 4],
+    pub stages: Vec<(&'static str, u64)>,
 }
 
 impl EncodeStats {
@@ -198,14 +206,13 @@ impl Codec {
     /// for this image's own tiles (spectral initialisation through the
     /// Clements decomposition) and whose reconstruction mesh is its
     /// exact inverse. Deterministic, training-free, and optimal in L2
-    /// among orthogonal compressions of this tile distribution — the
-    /// default model source for `qnc compress` when no model file is
-    /// given.
+    /// among orthogonal compressions of this tile distribution. To fit
+    /// and encode one image, [`Codec::spectral_encode`] does both from
+    /// one gather.
     ///
     /// # Errors
-    /// Propagates eigensolver/decomposition failures; an all-zero image
-    /// falls back to the identity mesh (every tile is then empty
-    /// anyway).
+    /// See [`Codec::spectral_for_images`]; an all-zero image falls back
+    /// to the identity mesh (every tile is then empty anyway).
     pub fn spectral_for_image(
         img: &GrayImage,
         tile_size: usize,
@@ -222,47 +229,36 @@ impl Codec {
     /// across every image it encodes.
     ///
     /// # Errors
-    /// See [`Codec::spectral_for_image`]; images may differ in size but
-    /// every tile must fit the `tile_size²` state dimension.
-    /// [`CodecError::Invalid`] for a tile edge below 2: a mesh needs two
-    /// modes, and a `.qnm` refuses `N < 2`.
+    /// [`CodecError::Invalid`] for a tile edge below 2 (a mesh needs two
+    /// modes, and a `.qnm` refuses `N < 2`), a latent dimension outside
+    /// `1..=tile_size²`, or a non-finite pixel; eigensolver and
+    /// decomposition failures. Images may differ in size.
     pub fn spectral_for_images(
         images: &[GrayImage],
         tile_size: usize,
         latent_dim: usize,
     ) -> Result<Self> {
-        if tile_size < 2 {
-            return Err(CodecError::Invalid(format!(
-                "tile size must be at least 2 (a mesh needs two modes), got {tile_size}"
-            )));
-        }
-        let dim = tile_size * tile_size;
-        if latent_dim == 0 || latent_dim > dim {
-            return Err(CodecError::Invalid(format!(
-                "latent dimension must be in 1..={dim}, got {latent_dim}"
-            )));
-        }
+        check_spectral(tile_size, latent_dim)?;
         // The fit sees exactly the states the encoder would: each
-        // image's occupied tiles from the prepare gather, in tile order,
-        // streamed into the second moment one lane at a time.
-        let mut moment = SecondMoment::new(dim);
-        let mut sample = vec![0.0; dim];
-        let mut samples = 0usize;
+        // image's occupied tiles from the prepare gather, in tile order.
+        let mut moment = SecondMoment::new(tile_size * tile_size);
         for img in images {
-            for panel in &gather_tiles(img, tile_size).panels {
-                for lane in 0..panel.width() {
-                    for (m, x) in sample.iter_mut().enumerate() {
-                        *x = panel.row(m)[lane];
-                    }
-                    moment.add(&sample);
-                    samples += 1;
-                }
+            for panel in &gather_tiles(img, tile_size)?.panels {
+                moment.add_panel(panel);
             }
         }
-        let mesh_c = if samples == 0 {
-            qn_photonic::Mesh::zeros(dim, 1)
+        Codec::fit(&moment, latent_dim)
+    }
+
+    /// The spectral codec of the tile states summed in `moment`: the
+    /// PCA-optimal compression mesh and its exact inverse, or the
+    /// identity mesh when the sum holds no state.
+    fn fit(moment: &SecondMoment, latent_dim: usize) -> Result<Self> {
+        let s = moment.matrix();
+        let mesh_c = if moment.samples() == 0 {
+            qn_photonic::Mesh::zeros(s.rows(), 1)
         } else {
-            qn_core::spectral::spectral_mesh_of_moment(&moment.matrix(), latent_dim, 1)?
+            qn_core::spectral::spectral_mesh_of_moment(&s, latent_dim, 1)?
         };
         let compression =
             CompressionNetwork::new(mesh_c, latent_dim, CompressionTargetKind::TrashPenalty)?;
@@ -273,6 +269,40 @@ impl Codec {
             compression,
             reconstruction,
         )))
+    }
+
+    /// Fit a spectral model to `img`'s own tiles and encode `img` with
+    /// it, in one schedule: `prepare`, `spectral`, `mesh_pass`,
+    /// `quantize`, `entropy` (see [`stage`]). The fit streams the panels
+    /// the prepare stage gathered, and the mesh pass then rotates those
+    /// same panels, so every tile is gathered and normalised once. The
+    /// codec is [`Codec::spectral_for_image`]`(img, opts.tile_size,
+    /// latent_dim)` and the bytes are what its [`Codec::encode_image`]
+    /// writes; the model source of `qnc compress` without a model file
+    /// and of every served ENCODE that names no model.
+    ///
+    /// # Errors
+    /// The errors of [`Codec::spectral_for_images`] and
+    /// [`Codec::encode_image`], with the tile and latent checks first.
+    pub fn spectral_encode(
+        img: &GrayImage,
+        latent_dim: usize,
+        opts: &CodecOptions,
+    ) -> Result<(Codec, Vec<u8>, EncodeStats)> {
+        check_spectral(opts.tile_size, latent_dim)?;
+        let dim = opts.tile_size * opts.tile_size;
+        let (prepared, prepare) = timed(stage::PREPARE, || prepare(img, opts, dim));
+        let (plan, panels) = prepared?;
+        let (codec, spectral) = timed(stage::SPECTRAL, || {
+            let mut moment = SecondMoment::new(dim);
+            for panel in &panels {
+                moment.add_panel(panel);
+            }
+            Codec::fit(&moment, latent_dim)
+        });
+        let codec = codec?;
+        let (bytes, stats) = codec.encode_prepared(plan, panels, &[prepare, spectral])?;
+        Ok((codec, bytes, stats))
     }
 
     /// Compress an image into `.qnc` bytes.
@@ -298,14 +328,27 @@ impl Codec {
         opts: &CodecOptions,
     ) -> Result<(Vec<u8>, EncodeStats)> {
         let (prepared, prepare) = timed(stage::PREPARE, || self.prepare_encode(img, opts));
-        let (plan, mut panels) = prepared?;
+        let (plan, panels) = prepared?;
+        self.encode_prepared(plan, panels, &[prepare])
+    }
+
+    /// The encode schedule from the prepared panels on: the compression
+    /// mesh pass, then [`Codec::complete_encode`]. `ran` are the stages
+    /// before the mesh pass, which lead [`EncodeStats::stages`].
+    fn encode_prepared(
+        &self,
+        plan: EncodePlan,
+        mut panels: Vec<Panel>,
+        ran: &[(&'static str, u64)],
+    ) -> Result<(Vec<u8>, EncodeStats)> {
         let ((), mesh_pass) = timed(stage::MESH_PASS, || {
-            opts.backend
+            plan.opts
+                .backend
                 .backend()
                 .forward_panels(self.model.compression.mesh(), &mut panels);
         });
         let (bytes, mut stats) = self.complete_encode(plan, panels)?;
-        stats.stages[..2].copy_from_slice(&[prepare, mesh_pass]);
+        stats.stages = [ran, &[mesh_pass], &stats.stages].concat();
         Ok((bytes, stats))
     }
 
@@ -321,39 +364,14 @@ impl Codec {
     ///
     /// # Errors
     /// [`CodecError::Invalid`] for empty images, zero tile sizes, tiles
-    /// whose pixel count is not the model's state dimension, or
-    /// unsupported bit depths.
+    /// whose pixel count is not the model's state dimension,
+    /// unsupported bit depths, or a non-finite pixel.
     pub fn prepare_encode(
         &self,
         img: &GrayImage,
         opts: &CodecOptions,
     ) -> Result<(EncodePlan, Vec<Panel>)> {
-        if img.is_empty() {
-            return Err(CodecError::Invalid("cannot encode an empty image".into()));
-        }
-        if opts.tile_size == 0 {
-            return Err(CodecError::Invalid("tile size must be positive".into()));
-        }
-        let dim = self.model.dim();
-        if opts.tile_size * opts.tile_size != dim {
-            return Err(CodecError::Invalid(format!(
-                "tile of {0}×{0} = {1} pixels does not match the model's state dimension {2}",
-                opts.tile_size,
-                opts.tile_size * opts.tile_size,
-                dim
-            )));
-        }
-        Quantizer::new(opts.bits)?; // validate the bit depth up front
-        let gathered = gather_tiles(img, opts.tile_size);
-        let plan = EncodePlan {
-            occupied: gathered.occupied,
-            norms: gathered.norms,
-            width: img.width() as u32,
-            height: img.height() as u32,
-            raw_bytes: img.len(),
-            opts: opts.clone(),
-        };
-        Ok((plan, gathered.panels))
+        prepare(img, opts, self.model.dim())
     }
 
     /// Everything *after* the encode's mesh pass: quantize the kept
@@ -361,9 +379,9 @@ impl Codec {
     /// discarded ones, so reading the kept rows is bit-identical to
     /// projecting first) straight into the container's tile arrays,
     /// then entropy-code and serialise. `panels` must be the panels of
-    /// [`Codec::prepare_encode`], in order, after the mesh pass. Of
-    /// [`EncodeStats::stages`], only `quantize` and `entropy` ran here;
-    /// `prepare` and `mesh_pass` read zero.
+    /// [`Codec::prepare_encode`], in order, after the mesh pass.
+    /// [`EncodeStats::stages`] lists the two stages that ran here,
+    /// `quantize` and `entropy`.
     ///
     /// # Errors
     /// [`CodecError::Invalid`] when `panels` do not have the plan's
@@ -455,12 +473,7 @@ impl Codec {
             raw_bytes: plan.raw_bytes,
             container_bytes: bytes.len(),
             bits_per_pixel: bytes.len() as f64 * 8.0 / plan.raw_bytes as f64,
-            stages: [
-                (stage::PREPARE, 0),
-                (stage::MESH_PASS, 0),
-                quantize,
-                entropy,
-            ],
+            stages: vec![quantize, entropy],
         };
         Ok((bytes, stats))
     }
@@ -701,10 +714,13 @@ impl QuantizeJob<'_> {
 
 /// Build the panels for `norms.len()` tiles on the pool, one
 /// [`DEFAULT_PANEL_WIDTH`]-lane panel per chunk (the last may be
-/// narrower): `fill(p, norms)` returns panel `p` and writes its lanes'
-/// norms.
-fn build_panels(norms: &mut [f64], fill: impl Fn(usize, &mut [f64]) -> Panel + Sync) -> Vec<Panel> {
-    let mut jobs: Vec<(&mut [f64], Option<Panel>)> = norms
+/// narrower): `fill(p, norms)` returns panel `p` (or what stands for
+/// it) and writes its lanes' norms.
+fn build_panels<T: Send>(
+    norms: &mut [f64],
+    fill: impl Fn(usize, &mut [f64]) -> T + Sync,
+) -> Vec<T> {
+    let mut jobs: Vec<(&mut [f64], Option<T>)> = norms
         .chunks_mut(DEFAULT_PANEL_WIDTH)
         .map(|norms| (norms, None))
         .collect();
@@ -737,6 +753,53 @@ fn check_panels(panels: &[Panel], occupied: usize, dim: usize) -> Result<()> {
     Ok(())
 }
 
+/// Reject a spectral fit's geometry before any work: a mesh needs two
+/// modes, and the latent dimension must be one of them.
+fn check_spectral(tile_size: usize, latent_dim: usize) -> Result<()> {
+    if tile_size < 2 {
+        return Err(CodecError::Invalid(format!(
+            "tile size must be at least 2 (a mesh needs two modes), got {tile_size}"
+        )));
+    }
+    let dim = tile_size * tile_size;
+    if latent_dim == 0 || latent_dim > dim {
+        return Err(CodecError::Invalid(format!(
+            "latent dimension must be in 1..={dim}, got {latent_dim}"
+        )));
+    }
+    Ok(())
+}
+
+/// The prepare stage for a `dim`-mode model: validate the image and
+/// options, then gather the occupied tiles into panels.
+fn prepare(img: &GrayImage, opts: &CodecOptions, dim: usize) -> Result<(EncodePlan, Vec<Panel>)> {
+    if img.is_empty() {
+        return Err(CodecError::Invalid("cannot encode an empty image".into()));
+    }
+    if opts.tile_size == 0 {
+        return Err(CodecError::Invalid("tile size must be positive".into()));
+    }
+    if opts.tile_size * opts.tile_size != dim {
+        return Err(CodecError::Invalid(format!(
+            "tile of {0}×{0} = {1} pixels does not match the model's state dimension {2}",
+            opts.tile_size,
+            opts.tile_size * opts.tile_size,
+            dim
+        )));
+    }
+    Quantizer::new(opts.bits)?; // validate the bit depth up front
+    let gathered = gather_tiles(img, opts.tile_size)?;
+    let plan = EncodePlan {
+        occupied: gathered.occupied,
+        norms: gathered.norms,
+        width: img.width() as u32,
+        height: img.height() as u32,
+        raw_bytes: img.len(),
+        opts: opts.clone(),
+    };
+    Ok((plan, gathered.panels))
+}
+
 /// An image's occupied tiles, amplitude-encoded into panel lanes.
 struct GatheredTiles {
     /// One flag per grid tile, row-major.
@@ -750,10 +813,16 @@ struct GatheredTiles {
 /// occupied tile's pixels — row-major, the order `tiles::tile` +
 /// `encoding::encode` produce — into its lane of a `tile_size²`-mode
 /// panel, normalised in place. Norms and amplitudes are bit-identical
-/// to that unfused path: the occupancy test `|p| > 0` for some pixel is
-/// exactly "the Eq. 1 norm is not ≤ 0", and the norm replays
-/// `qn_linalg::vector::norm2`'s arithmetic lane by lane.
-fn gather_tiles(img: &GrayImage, tile_size: usize) -> GatheredTiles {
+/// to that unfused path: on finite pixels the occupancy test `p ≠ 0`
+/// for some pixel is exactly "the Eq. 1 norm is not ≤ 0", and the norm
+/// replays `qn_linalg::vector::norm2`'s arithmetic lane by lane.
+///
+/// # Errors
+/// [`CodecError::Invalid`] when an occupied tile's norm is not finite
+/// and positive: a NaN or infinite pixel (a NaN counts as occupied, so
+/// a lone NaN in a black tile is caught too), or finite pixels so large
+/// that the norm overflows.
+fn gather_tiles(img: &GrayImage, tile_size: usize) -> Result<GatheredTiles> {
     let ts = tile_size;
     let dim = ts * ts;
     let (width, height) = (img.width(), img.height());
@@ -767,11 +836,8 @@ fn gather_tiles(img: &GrayImage, tile_size: usize) -> GatheredTiles {
     for ty in 0..tiles_y {
         for tx in 0..tiles_x {
             let (x0, span_w) = (tx * ts, span(tx, width));
-            let lit = (ty * ts..ty * ts + span(ty, height)).any(|y| {
-                src[y * width + x0..][..span_w]
-                    .iter()
-                    .any(|p| p.abs() > 0.0)
-            });
+            let lit = (ty * ts..ty * ts + span(ty, height))
+                .any(|y| src[y * width + x0..][..span_w].iter().any(|&p| p != 0.0));
             occupied.push(lit);
             if lit {
                 tile_of.push(ty * tiles_x + tx);
@@ -803,22 +869,34 @@ fn gather_tiles(img: &GrayImage, tile_size: usize) -> GatheredTiles {
             }));
         }
         let mut panel = Panel::from_mode_major(dim, lanes, data);
-        normalise_lanes(&mut panel, norms);
-        panel
+        if normalise_lanes(&mut panel, norms) {
+            return Ok(panel);
+        }
+        let lane = norms
+            .iter()
+            .position(|n| !(*n > 0.0 && *n < f64::INFINITY))
+            .expect("some lane's norm is unusable");
+        Err(CodecError::Invalid(format!(
+            "non-finite input: the tile at pixel ({}, {}) has norm {}; every pixel must be finite",
+            tiles[lane] % tiles_x * ts,
+            tiles[lane] / tiles_x * ts,
+            norms[lane]
+        )))
     });
-    GatheredTiles {
+    Ok(GatheredTiles {
         occupied,
         norms,
-        panels,
-    }
+        panels: panels.into_iter().collect::<Result<_>>()?,
+    })
 }
 
 /// Eq. 1 over every lane: each lane's `qn_linalg::vector::norm2`
 /// (peak-scaled sum of squares, in mode order), written to `norms`,
 /// then the lane divided by it. Swept a row at a time, so the per-lane
 /// arithmetic is that of `norm2` while the loops run across contiguous
-/// lanes.
-fn normalise_lanes(panel: &mut Panel, norms: &mut [f64]) {
+/// lanes. Returns whether every norm is finite and positive, checked
+/// as the norms are written rather than in a pass of its own.
+fn normalise_lanes(panel: &mut Panel, norms: &mut [f64]) -> bool {
     let dim = panel.dim();
     let lanes = norms.len();
     let mut peak = [0.0f64; DEFAULT_PANEL_WIDTH];
@@ -835,6 +913,7 @@ fn normalise_lanes(panel: &mut Panel, norms: &mut [f64]) {
             *s += (v / pk) * (v / pk);
         }
     }
+    let mut usable = true;
     for ((norm, &pk), &s) in norms.iter_mut().zip(peak.iter()).zip(sum.iter()) {
         *norm = if pk == 0.0 || !pk.is_finite() {
             if pk.is_finite() {
@@ -845,12 +924,14 @@ fn normalise_lanes(panel: &mut Panel, norms: &mut [f64]) {
         } else {
             pk * s.sqrt()
         };
+        usable &= *norm > 0.0 && *norm < f64::INFINITY;
     }
     for m in 0..dim {
         for (a, &norm) in panel.row_mut(m).iter_mut().zip(norms.iter()) {
             *a /= norm;
         }
     }
+    usable
 }
 
 /// Decode `.qnc` bytes that carry their model inline, with no external
@@ -1134,8 +1215,16 @@ mod tests {
         let (timed, stats) = codec.encode_image_with_stats(&img, &opts).unwrap();
         assert_eq!(timed, plain, "timed encode must not perturb bytes");
         assert_eq!(stats.container_bytes, plain.len());
-        let names = stats.stages.map(|(name, _)| name);
+        let names: Vec<_> = stats.stages.iter().map(|&(name, _)| name).collect();
         assert_eq!(names, ["prepare", "mesh_pass", "quantize", "entropy"]);
+        let (fitted, spectral, stats) = Codec::spectral_encode(&img, 8, &opts).unwrap();
+        assert_eq!(spectral, plain, "one-gather spectral encode");
+        assert_eq!(fitted.model_id(), codec.model_id());
+        let names: Vec<_> = stats.stages.iter().map(|&(name, _)| name).collect();
+        assert_eq!(
+            names,
+            ["prepare", "spectral", "mesh_pass", "quantize", "entropy"]
+        );
         let plain_img = codec.decode_bytes(&plain).unwrap();
         let container = Container::from_bytes(&plain).unwrap();
         let (timed_img, stages) = codec

@@ -15,9 +15,14 @@
 //! unaffected.
 
 use crate::Result;
-use qn_linalg::{sym_eig, Matrix};
+use qn_linalg::{sym_eig, Matrix, Panel};
 use qn_photonic::clements::clements_decompose;
 use qn_photonic::{Mesh, MeshLayer};
+
+/// Entries of one row that [`SecondMoment::add_panel`] keeps in local
+/// accumulators while it sweeps a panel's samples: sixteen `f64`s, two
+/// 512-bit vector registers (or four 256-bit ones).
+const ENTRY_BLOCK: usize = 16;
 
 /// Accumulates the second-moment matrix `S = Σ_i ψ_i ψ_iᵀ` of encoded
 /// samples, one sample at a time in the order given.
@@ -27,11 +32,25 @@ use qn_photonic::{Mesh, MeshLayer};
 /// each product `ψ_i[r]·ψ_i[c]` commutes exactly, and an accumulator
 /// that starts at `+0.0` never becomes `−0.0`, so the `±0` terms that
 /// the zero-skip adds to one triangle and not the other change nothing.
+///
+/// [`SecondMoment::add_panel`] adds a panel's lanes in lane order and
+/// leaves the sum bit-identical to [`SecondMoment::add`] on each lane:
+/// every entry still adds its samples one at a time, in sample order,
+/// skipping the samples whose row coordinate is zero. What it
+/// vectorises is the independent entries of one row, never the samples
+/// of one entry, since reassociating a sum would change its rounding.
 #[derive(Debug, Clone)]
 pub struct SecondMoment {
     /// Row-major `dim × dim`; only entries with `col ≥ row` are summed
     /// until [`SecondMoment::matrix`] mirrors them.
     acc: Matrix,
+    /// Samples added so far.
+    samples: usize,
+    /// Sample-major copy of the panel being added: `lanes[s·stride + m]`
+    /// is mode `m` of lane `s`, and the modes past `dim` up to the
+    /// `stride` (the next multiple of [`ENTRY_BLOCK`]) stay zero, so
+    /// every entry block reads a whole block. Reused across panels.
+    lanes: Vec<f64>,
 }
 
 impl SecondMoment {
@@ -39,6 +58,8 @@ impl SecondMoment {
     pub fn new(dim: usize) -> Self {
         SecondMoment {
             acc: Matrix::zeros(dim, dim),
+            samples: 0,
+            lanes: Vec::new(),
         }
     }
 
@@ -49,6 +70,7 @@ impl SecondMoment {
     pub fn add(&mut self, x: &[f64]) {
         let dim = self.acc.rows();
         assert_eq!(x.len(), dim, "second moment: sample length mismatch");
+        self.samples += 1;
         let acc = self.acc.data_mut();
         for (i, &xi) in x.iter().enumerate() {
             if xi == 0.0 {
@@ -59,6 +81,61 @@ impl SecondMoment {
                 *s += xi * xj;
             }
         }
+    }
+
+    /// Add `x xᵀ` for every lane `x` of a mode-major panel, in lane
+    /// order: bit-identical to [`SecondMoment::add`] on each lane.
+    ///
+    /// The panel is transposed into the reused sample-major buffer, and
+    /// each row's entries are then summed sixteen at a time in local
+    /// accumulators over all the panel's samples. Allocates only when
+    /// the panel is wider than every panel added before it.
+    ///
+    /// # Panics
+    /// Panics when the panel's dimension differs from the moment's.
+    pub fn add_panel(&mut self, panel: &Panel) {
+        let dim = self.acc.rows();
+        assert_eq!(panel.dim(), dim, "second moment: panel dimension mismatch");
+        self.samples += panel.width();
+        let stride = dim.next_multiple_of(ENTRY_BLOCK);
+        self.lanes.clear();
+        self.lanes.resize(stride * panel.width(), 0.0);
+        for m in 0..dim {
+            for (x, &v) in self.lanes.chunks_exact_mut(stride).zip(panel.row(m)) {
+                x[m] = v;
+            }
+        }
+        let acc = self.acc.data_mut();
+        for i in 0..dim {
+            // The blocks of row `i` start at the one holding the
+            // diagonal; entries left of it are summed in the locals but
+            // never stored, so the lower triangle stays as `add` leaves
+            // it.
+            for j0 in (i / ENTRY_BLOCK * ENTRY_BLOCK..dim).step_by(ENTRY_BLOCK) {
+                let (lo, hi) = (i.max(j0), dim.min(j0 + ENTRY_BLOCK));
+                let row = &mut acc[i * dim + lo..i * dim + hi];
+                let mut sums = [0.0f64; ENTRY_BLOCK];
+                sums[lo - j0..hi - j0].copy_from_slice(row);
+                for x in self.lanes.chunks_exact(stride) {
+                    let xi = x[i];
+                    if xi == 0.0 {
+                        continue;
+                    }
+                    let xj: &[f64; ENTRY_BLOCK] = x[j0..j0 + ENTRY_BLOCK]
+                        .try_into()
+                        .expect("the stride pads every sample to whole blocks");
+                    for (s, &v) in sums.iter_mut().zip(xj) {
+                        *s += xi * v;
+                    }
+                }
+                row.copy_from_slice(&sums[lo - j0..hi - j0]);
+            }
+        }
+    }
+
+    /// How many samples the sum holds.
+    pub fn samples(&self) -> usize {
+        self.samples
     }
 
     /// The symmetric matrix `S`.
@@ -231,6 +308,43 @@ mod tests {
                 bits(&want),
                 "case {case}: dim {dim}, {n} samples"
             );
+        }
+    }
+
+    #[test]
+    fn add_panel_is_bit_identical_to_adding_each_lane() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2028);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for dim in [4usize, 9, 16, 25, 64, 256] {
+            let mut by_lane = SecondMoment::new(dim);
+            let mut by_panel = SecondMoment::new(dim);
+            // Several panels into one sum, the narrowest and widest
+            // among them; about a third of the coordinates are exact
+            // zeros of either sign.
+            let widths = [1, 64, rng.random_range(2..64), rng.random_range(2..64), 1];
+            for (p, width) in widths.into_iter().enumerate() {
+                let lanes: Vec<Vec<f64>> = (0..width)
+                    .map(|_| {
+                        (0..dim)
+                            .map(|_| match rng.random_range(0..6u32) {
+                                0 => 0.0,
+                                1 => -0.0,
+                                _ => rng.random::<f64>() * 2.0 - 1.0,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                for x in &lanes {
+                    by_lane.add(x);
+                }
+                by_panel.add_panel(&Panel::from_columns(&lanes));
+                assert_eq!(
+                    bits(&by_panel.matrix()),
+                    bits(&by_lane.matrix()),
+                    "dim {dim}: panel {p} of {width} lanes"
+                );
+            }
         }
     }
 

@@ -84,9 +84,10 @@ uploads the model to the server's zoo first.
 latency percentiles), the one way to read a running server's metrics;
 --watch repeats it every SECS seconds.
 `compress`/`decompress` --timings print the command's stages flat
-(name=time), --trace the same stages as a span tree: spectral (when
-compress fits its own model) or parse, then prepare, mesh_pass and
-quantize/entropy or stitch. On `remote` commands the request carries
+(name=time), --trace the same stages as a span tree: parse (on
+decompress), prepare, spectral (when compress fits its own model, from
+the tiles prepare gathered), mesh_pass, then quantize/entropy or
+stitch. On `remote` commands the request carries
 a trace context, the server records the same codec stages between its
 frame read, queue wait, parse and reply write, and the client fetches
 the tree back — bytes are identical with timing or tracing on or off.
@@ -236,28 +237,6 @@ fn entropy_choice(args: &Args) -> Result<EntropyCoder, String> {
     }
 }
 
-/// The codec for `compress`: an explicit model file, or a spectral model
-/// distilled from the image itself (recorded as the `spectral` stage).
-fn codec_for_compress(
-    args: &Args,
-    img: &GrayImage,
-    tile: usize,
-    latent: usize,
-    rec: &mut StageRecorder,
-) -> Result<(Codec, &'static str), String> {
-    match args.value(&["--model"]) {
-        Some(path) => Codec::from_model_file(Path::new(path))
-            .map(|c| (c, "file"))
-            .map_err(|e| format!("loading model {path}: {e}")),
-        None => rec
-            .time(stages::SPECTRAL, || {
-                Codec::spectral_for_image(img, tile, latent)
-            })
-            .map(|c| (c, "spectral"))
-            .map_err(|e| format!("building spectral model: {e}")),
-    }
-}
-
 /// A recorder for an offline command's stages, holding a span tree
 /// when `--timings` or `--trace` asks for them.
 fn offline_recorder(args: &Args, name: &str) -> StageRecorder<'static> {
@@ -303,10 +282,24 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     // The stages a traced `qnc remote compress` renders; timing only
     // reads clocks.
     let mut rec = offline_recorder(args, "compress");
-    let (codec, model_source) = codec_for_compress(args, &img, tile, latent, &mut rec)?;
-    let (bytes, stats) = rec
-        .encode(&codec, &img, &opts)
-        .map_err(|e| format!("encoding: {e}"))?;
+    // An explicit model file, or a spectral model fitted to the image's
+    // own tiles inside the encode (recorded as the `spectral` stage).
+    let (codec, bytes, stats, model_source) = match args.value(&["--model"]) {
+        Some(path) => {
+            let codec = Codec::from_model_file(Path::new(path))
+                .map_err(|e| format!("loading model {path}: {e}"))?;
+            let (bytes, stats) = rec
+                .encode(&codec, &img, &opts)
+                .map_err(|e| format!("encoding: {e}"))?;
+            (codec, bytes, stats, "file")
+        }
+        None => {
+            let (codec, bytes, stats) = rec
+                .encode_spectral(&img, latent, &opts)
+                .map_err(|e| format!("encoding with a spectral model: {e}"))?;
+            (codec, bytes, stats, "spectral")
+        }
+    };
     print_stages(args, rec);
     std::fs::write(&output, &bytes).map_err(|e| format!("writing {}: {e}", output.display()))?;
 

@@ -16,7 +16,7 @@
 //! | `serve_inflight_requests` | gauge | — (ENCODE/DECODE requests from frame header to reply release) |
 //! | `serve_read_deadline_reaps_total` | counter | — |
 //! | `serve_busy_total` | counter | — (requests shed with a typed `BUSY` reply by the admission limits) |
-//! | `serve_stage_ns` | histogram | `op`+`stage`: encode `frame_read`/`queue_wait`/`parse`/`spectral`/`prepare`/`mesh_pass`/`quantize`/`entropy`/`reply_write`; decode `frame_read`/`queue_wait`/`parse`/`prepare`/`mesh_pass`/`stitch`/`reply_write` (every admitted ENCODE/DECODE, traced or not, under the span names of a traced request; see [`crate::stages`]) |
+//! | `serve_stage_ns` | histogram | `op`+`stage`: encode `frame_read`/`queue_wait`/`parse`/`prepare`/`spectral`/`mesh_pass`/`quantize`/`entropy`/`reply_write`; decode `frame_read`/`queue_wait`/`parse`/`prepare`/`mesh_pass`/`stitch`/`reply_write` (every admitted ENCODE/DECODE, traced or not, under the span names of a traced request; see [`crate::stages`]) |
 //! | `codec_coded_bytes_total` / `codec_decoded_bytes_total` | counter | `coder` = `rice`/`rice-pos`/`range` |
 //! | `zoo_hits_total` / `zoo_misses_total` / `zoo_inserts_total` | counter | — |
 //! | `zoo_cached_models` | gauge | — |

@@ -1168,13 +1168,6 @@ fn handle_encode(
     rec: &mut StageRecorder,
 ) -> Result<(Opcode, Vec<u8>)> {
     let req = rec.time(stages::PARSE, || EncodeRequest::from_payload(payload))?;
-    let codec: Arc<Codec> = if req.flags & ENC_FLAG_USE_MODEL_ID != 0 {
-        shared.store.get(req.model_id)?
-    } else {
-        Arc::new(rec.time(stages::SPECTRAL, || {
-            Codec::spectral_for_image(&req.image, req.tile_size as usize, req.latent_dim as usize)
-        })?)
-    };
     let opts = CodecOptions {
         tile_size: req.tile_size as usize,
         bits: req.bits,
@@ -1183,7 +1176,13 @@ fn handle_encode(
         entropy: req.entropy,
         ..CodecOptions::default()
     };
-    let (bytes, _) = rec.encode(&codec, &req.image, &opts)?;
+    let bytes = if req.flags & ENC_FLAG_USE_MODEL_ID != 0 {
+        let codec = shared.store.get(req.model_id)?;
+        rec.encode(&codec, &req.image, &opts)?.0
+    } else {
+        rec.encode_spectral(&req.image, req.latent_dim as usize, &opts)?
+            .1
+    };
     shared
         .metrics
         .record_coded_bytes(req.entropy, bytes.len() as u64);

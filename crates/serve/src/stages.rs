@@ -5,7 +5,7 @@
 
 use crate::metrics::ServeMetrics;
 use crate::protocol::Opcode;
-use qn_codec::stage::{ENTROPY, MESH_PASS, PREPARE, QUANTIZE, STITCH};
+use qn_codec::stage::{ENTROPY, MESH_PASS, PREPARE, QUANTIZE, SPECTRAL, STITCH};
 use qn_codec::{BackendKind, Codec, CodecOptions, Container, EncodeStats};
 use qn_image::GrayImage;
 use qn_trace::{fmt_ns, SpanId, Trace, TraceBuilder};
@@ -20,19 +20,18 @@ pub const FRAME_READ: &str = "frame_read";
 pub const QUEUE_WAIT: &str = "queue_wait";
 /// The ENCODE request payload or DECODE container parse.
 pub const PARSE: &str = "parse";
-/// The spectral model fit of an ENCODE that brings no model id.
-pub const SPECTRAL: &str = "spectral";
 /// Serialising the reply frame and handing it to the reactor.
 pub const REPLY_WRITE: &str = "reply_write";
 
-/// Every stage a served ENCODE records, in schedule order (`spectral`
-/// only when the request fits its own model).
+/// Every stage a served ENCODE records, in schedule order (`spectral`,
+/// the fit from the panels `prepare` gathered, only when the request
+/// fits its own model).
 pub(crate) const ENCODE: [&str; 9] = [
     FRAME_READ,
     QUEUE_WAIT,
     PARSE,
-    SPECTRAL,
     PREPARE,
+    SPECTRAL,
     MESH_PASS,
     QUANTIZE,
     ENTROPY,
@@ -117,22 +116,27 @@ impl<'a> StageRecorder<'a> {
     }
 
     /// Record the codec's stage list, laid end to end from `from`.
-    fn record_all<const N: usize>(
-        &mut self,
-        from: Instant,
-        stages: [(&'static str, u64); N],
-    ) -> [Option<SpanId>; N] {
+    /// Returns the last stage's span when the request is traced.
+    fn record_all(&mut self, from: Instant, stages: &[(&'static str, u64)]) -> Option<SpanId> {
         let mut at = from;
-        stages.map(|(name, ns)| {
+        let mut last = None;
+        for &(name, ns) in stages {
             let to = at + Duration::from_nanos(ns);
-            let span = self.record(name, at, to);
+            last = self.record(name, at, to);
             at = to;
-            span
-        })
+        }
+        last
     }
 
-    /// Run the encode schedule and record its stages: `entropy`
-    /// carries `coder`, and the root gains `tiles`.
+    /// Record an encode's stages: `entropy`, the last, carries `coder`,
+    /// and the root gains `tiles`.
+    fn record_encode(&mut self, from: Instant, stats: &EncodeStats, opts: &CodecOptions) {
+        let entropy = self.record_all(from, &stats.stages);
+        self.attr(entropy, "coder", opts.entropy);
+        self.attr(Some(SpanId::ROOT), "tiles", stats.tiles);
+    }
+
+    /// Run the encode schedule and record its stages.
     ///
     /// # Errors
     /// See [`Codec::encode_image`].
@@ -144,10 +148,25 @@ impl<'a> StageRecorder<'a> {
     ) -> qn_codec::Result<(Vec<u8>, EncodeStats)> {
         let from = Instant::now();
         let (bytes, stats) = codec.encode_image_with_stats(img, opts)?;
-        let [_, _, _, entropy] = self.record_all(from, stats.stages);
-        self.attr(entropy, "coder", opts.entropy);
-        self.attr(Some(SpanId::ROOT), "tiles", stats.tiles);
+        self.record_encode(from, &stats, opts);
         Ok((bytes, stats))
+    }
+
+    /// Run the spectral encode schedule, which fits its model from the
+    /// prepared panels, and record its stages, `spectral` among them.
+    ///
+    /// # Errors
+    /// See [`Codec::spectral_encode`].
+    pub fn encode_spectral(
+        &mut self,
+        img: &GrayImage,
+        latent_dim: usize,
+        opts: &CodecOptions,
+    ) -> qn_codec::Result<(Codec, Vec<u8>, EncodeStats)> {
+        let from = Instant::now();
+        let (codec, bytes, stats) = Codec::spectral_encode(img, latent_dim, opts)?;
+        self.record_encode(from, &stats, opts);
+        Ok((codec, bytes, stats))
     }
 
     /// Run the decode schedule on a parsed container through the
@@ -158,7 +177,7 @@ impl<'a> StageRecorder<'a> {
     pub fn decode(&mut self, codec: &Codec, container: &Container) -> qn_codec::Result<GrayImage> {
         let from = Instant::now();
         let (img, stages) = codec.decode_container(container, BackendKind::default())?;
-        self.record_all(from, stages);
+        self.record_all(from, &stages);
         self.attr(Some(SpanId::ROOT), "tiles", container.tiles.len());
         Ok(img)
     }

@@ -724,9 +724,13 @@ fn trace_flag_prints_span_trees_locally_and_remotely() {
     let names: Vec<&str> = remote_encode.iter().map(|s| s.1.as_str()).collect();
     assert_eq!(names, ["prepare", "mesh_pass", "quantize", "entropy"]);
     assert_eq!(codec_stages(&out.stdout), remote_encode, "{tree}");
-    // Without --model, compress fits its own model first.
+    // Without --model, compress fits its own model from the tiles
+    // prepare gathered: spectral sits between prepare and mesh_pass.
     let offline_encode = root_children(&out.stdout);
-    assert_eq!(offline_encode[0], "spectral", "{tree}");
+    let at = |stage: &str| offline_encode.iter().position(|s| s == stage);
+    assert_eq!(at("prepare"), Some(0), "{tree}");
+    assert_eq!(at("spectral"), Some(1), "{tree}");
+    assert_eq!(at("mesh_pass"), Some(2), "{tree}");
     // --timings is the same stages, flat: same names, same order.
     let out = run_ok(
         qnc()

@@ -5,9 +5,11 @@
 //! per panel (the panel itself, once per direction) plus a count that
 //! does not grow with the image. A counting global allocator measures
 //! a 256×256 and a 512×512 image (4096 and 16384 tiles) on both
-//! backends under all three entropy coders; going from the smaller to
-//! the larger may add at most four allocations per extra panel. (A
-//! `Vec` per tile in any stage would add thousands.)
+//! backends under all three entropy coders, with a fixed model and
+//! with the spectral encode that fits its model from its own gather;
+//! going from the smaller to the larger may add at most four
+//! allocations per extra panel. (A `Vec` per tile in any stage, the
+//! fit's second moment included, would add thousands.)
 //!
 //! This binary holds one test, so no other test allocates while it
 //! counts.
@@ -50,14 +52,22 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made by one encode/decode pair of `img`, and its panel
-/// count.
-fn pair(codec: &Codec, img: &GrayImage, opts: &CodecOptions) -> (usize, usize) {
+/// Allocations made by one encode/decode pair of `img` (with `codec`,
+/// or with a spectral model the encode fits from its own gather when
+/// `codec` is `None`), and its panel count.
+fn pair(codec: Option<&Codec>, img: &GrayImage, opts: &CodecOptions) -> (usize, usize) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let (bytes, stats) = codec.encode_image_with_stats(img, opts).expect("encode");
-    let decoded = codec
-        .decode_bytes_with(&bytes, opts.backend)
-        .expect("decode");
+    let (decoded, stats) = match codec {
+        Some(codec) => {
+            let (bytes, stats) = codec.encode_image_with_stats(img, opts).expect("encode");
+            (codec.decode_bytes_with(&bytes, opts.backend), stats)
+        }
+        None => {
+            let (codec, bytes, stats) = Codec::spectral_encode(img, 8, opts).expect("encode");
+            (codec.decode_bytes_with(&bytes, opts.backend), stats)
+        }
+    };
+    let decoded = decoded.expect("decode");
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         (decoded.width(), decoded.height()),
@@ -81,29 +91,31 @@ fn encode_and_decode_allocate_per_panel_not_per_tile() {
                 inline_model: false,
                 ..CodecOptions::default()
             };
-            // Build the meshes' gate tables and any other lazily built
-            // state.
-            pair(&codec, &small, &opts);
-            let (small_allocs, small_panels) = pair(&codec, &small, &opts);
-            let (large_allocs, large_panels) = pair(&codec, &large, &opts);
-            assert_eq!(
-                small_panels,
-                4096 / DEFAULT_PANEL_WIDTH,
-                "every tile is lit"
-            );
-            assert_eq!(
-                large_panels,
-                16384 / DEFAULT_PANEL_WIDTH,
-                "every tile is lit"
-            );
-            let extra = large_allocs.saturating_sub(small_allocs);
-            let budget = 4 * (large_panels - small_panels);
-            assert!(
-                extra <= budget,
-                "{backend} {entropy}: {small_allocs} → {large_allocs} allocations, {extra} more \
-                 for {} more panels (budget {budget})",
-                large_panels - small_panels
-            );
+            for (model, codec) in [("fixed model", Some(&codec)), ("spectral fit", None)] {
+                // Build the meshes' gate tables and any other lazily
+                // built state.
+                pair(codec, &small, &opts);
+                let (small_allocs, small_panels) = pair(codec, &small, &opts);
+                let (large_allocs, large_panels) = pair(codec, &large, &opts);
+                assert_eq!(
+                    small_panels,
+                    4096 / DEFAULT_PANEL_WIDTH,
+                    "every tile is lit"
+                );
+                assert_eq!(
+                    large_panels,
+                    16384 / DEFAULT_PANEL_WIDTH,
+                    "every tile is lit"
+                );
+                let extra = large_allocs.saturating_sub(small_allocs);
+                let budget = 4 * (large_panels - small_panels);
+                assert!(
+                    extra <= budget,
+                    "{model}, {backend} {entropy}: {small_allocs} → {large_allocs} allocations, \
+                     {extra} more for {} more panels (budget {budget})",
+                    large_panels - small_panels
+                );
+            }
         }
     }
 }

@@ -384,3 +384,108 @@ fn codec_output_is_thread_count_invariant() {
         }
     }
 }
+
+/// The one-gather spectral encode fits its model from the panels its
+/// prepare stage gathered and rotates those same panels: it must write
+/// the bytes, and fit the model, that a separate
+/// `Codec::spectral_for_image` followed by `encode_image` does. Covered:
+/// smooth blobs, a sparse image with empty tiles across panel seams, an
+/// all-black image (the identity fallback) and unaligned geometries
+/// whose edge tiles are clipped, at tiles 2, 3, 4 and 8, under every
+/// entropy coder with and without per-tile scales, the model inline.
+#[test]
+fn spectral_encode_matches_fit_then_encode() {
+    use qn::image::datasets::grayscale_blobs;
+    let mut sparse = grayscale_blobs(1, 48, 40, 7).remove(0);
+    for y in 0..40 {
+        for x in 0..48 {
+            if (x / 4 + 2 * (y / 4)) % 3 == 0 {
+                sparse.set(x, y, 0.0);
+            }
+        }
+    }
+    let images = [
+        ("blobs 40x32", grayscale_blobs(1, 40, 32, 42).remove(0)),
+        ("sparse 48x40", sparse),
+        ("black 9x7", GrayImage::zeros(9, 7)),
+        ("unaligned 13x9", grayscale_blobs(1, 13, 9, 21).remove(0)),
+        ("unaligned 67x35", grayscale_blobs(1, 67, 35, 5).remove(0)),
+    ];
+    for (name, img) in &images {
+        for (tile, latent) in [(2usize, 2usize), (3, 4), (4, 8), (8, 8)] {
+            let reference = Codec::spectral_for_image(img, tile, latent).expect("spectral model");
+            for entropy in EntropyCoder::ALL {
+                for per_tile_scale in [false, true] {
+                    let opts = CodecOptions {
+                        tile_size: tile,
+                        entropy,
+                        per_tile_scale,
+                        ..CodecOptions::default()
+                    };
+                    let what = format!("{name} tile {tile} {entropy} scale={per_tile_scale}");
+                    let want = reference.encode_image(img, &opts).expect("encode");
+                    let (codec, bytes, stats) =
+                        Codec::spectral_encode(img, latent, &opts).expect("spectral encode");
+                    assert_eq!(codec.model_id(), reference.model_id(), "{what}: model");
+                    assert_eq!(bytes, want, "{what}: container");
+                    assert_eq!(stats.container_bytes, bytes.len(), "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// A pixel that is NaN or infinite has no amplitude encoding, so every
+/// spectral fit and encode refuses it with a typed `Invalid` that names
+/// the non-finite input, before any model work. That includes a NaN in
+/// an otherwise black tile, which the occupancy scan must not mistake
+/// for an empty tile.
+#[test]
+fn non_finite_pixels_are_refused_by_the_fit_and_both_encodes() {
+    use qn::image::datasets::grayscale_blobs;
+    let clean = grayscale_blobs(1, 32, 32, 3).remove(0);
+    let fixed = Codec::spectral_for_image(&clean, 4, 8).expect("spectral model");
+    let poisoned = |x: usize, y: usize, v: f64, black_tile: bool| {
+        let mut img = clean.clone();
+        if black_tile {
+            for py in y / 4 * 4..y / 4 * 4 + 4 {
+                for px in x / 4 * 4..x / 4 * 4 + 4 {
+                    img.set(px, py, 0.0);
+                }
+            }
+        }
+        img.set(x, y, v);
+        img
+    };
+    let cases = [
+        ("NaN", poisoned(5, 9, f64::NAN, false)),
+        ("+inf", poisoned(30, 2, f64::INFINITY, false)),
+        ("-inf", poisoned(0, 31, f64::NEG_INFINITY, false)),
+        ("NaN in a black tile", poisoned(17, 13, f64::NAN, true)),
+    ];
+    let opts = CodecOptions::default();
+    let refused = |what: &str, result: Result<(), CodecError>| match result {
+        Err(CodecError::Invalid(message)) => {
+            assert!(message.contains("non-finite"), "{what}: {message}")
+        }
+        other => panic!("{what}: expected a typed non-finite error, got {other:?}"),
+    };
+    for (name, img) in &cases {
+        refused(
+            &format!("{name}: spectral fit"),
+            Codec::spectral_for_image(img, 4, 8).map(drop),
+        );
+        refused(
+            &format!("{name}: dataset fit"),
+            Codec::spectral_for_images(&[clean.clone(), img.clone()], 4, 8).map(drop),
+        );
+        refused(
+            &format!("{name}: spectral encode"),
+            Codec::spectral_encode(img, 8, &opts).map(drop),
+        );
+        refused(
+            &format!("{name}: fixed-model encode"),
+            fixed.encode_image(img, &opts).map(drop),
+        );
+    }
+}

@@ -364,6 +364,55 @@ fn one_pixel_tile_spectral_encodes_answer_typed_codec_errors() {
 }
 
 #[test]
+fn non_finite_pixels_answer_typed_codec_errors() {
+    // ENCODE frames carry raw f64 pixels, so a NaN or an infinity can
+    // arrive. A spectral ENCODE and an ENCODE by model id both refuse
+    // it with a typed codec error naming the non-finite input (a NaN
+    // in an otherwise black tile included), and the connection keeps
+    // serving.
+    let server = boot();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let img = datasets::grayscale_blobs(1, 16, 16, 9).remove(0);
+    let codec = Codec::spectral_for_image(&img, 4, 8).unwrap();
+    let id = client
+        .load_model(&qn_codec::model::encode_model(codec.model()))
+        .unwrap();
+    let opts = CodecOptions::default();
+    let mut black_tile = img.clone();
+    for (x, y) in (8..12).flat_map(|x| (4..8).map(move |y| (x, y))) {
+        black_tile.set(x, y, 0.0);
+    }
+    for (name, base, v) in [
+        ("NaN", &img, f64::NAN),
+        ("+inf", &img, f64::INFINITY),
+        ("-inf", &img, f64::NEG_INFINITY),
+        ("NaN in a black tile", &black_tile, f64::NAN),
+    ] {
+        let mut bad = base.clone();
+        bad.set(9, 6, v);
+        for (path, request) in [
+            ("spectral", spectral_encode_request(&bad, &opts, 8)),
+            ("model id", model_encode_request(&bad, &opts, id)),
+        ] {
+            match client.encode(&request) {
+                Err(qn_serve::ServeError::Remote { code, message }) => {
+                    assert_eq!(code, ErrorCode::Codec as u16, "{name}, {path}: {message}");
+                    assert!(message.contains("non-finite"), "{name}, {path}: {message}");
+                }
+                other => panic!("{name}, {path}: {other:?}"),
+            }
+        }
+    }
+    let bytes = client
+        .encode(&spectral_encode_request(&img, &opts, 8))
+        .unwrap();
+    assert_eq!(
+        client.decode(&bytes).unwrap(),
+        codec.decode_bytes(&bytes).unwrap()
+    );
+}
+
+#[test]
 fn connections_past_the_cap_get_one_typed_busy_frame_and_close() {
     // max_conns 2: the third connection is answered at accept with a
     // single BUSY error frame and closed, while the first two keep

@@ -24,8 +24,8 @@ const ENCODE_STAGES: [&str; 9] = [
     "frame_read",
     "queue_wait",
     "parse",
-    "spectral",
     "prepare",
+    "spectral",
     "mesh_pass",
     "quantize",
     "entropy",

@@ -78,7 +78,7 @@ fn every_root_child_stage_has_a_stats_series() {
 
     let stats = client.stats().unwrap();
     for (trace_id, op, first_codec_stage) in [
-        (0x51, "encode", "spectral"),
+        (0x51, "encode", "prepare"),
         (0x52, "encode", "prepare"),
         (0x53, "decode", "prepare"),
     ] {
