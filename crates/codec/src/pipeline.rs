@@ -36,12 +36,14 @@
 //!
 //! No stage allocates per tile. Each per-tile stage runs on the thread
 //! pool through `qn_linalg::parallel::par_map_chunked_into`, one panel
-//! per chunk (stitching: one band of tile rows per panel; the Rice
-//! writers: sixteen panels' worth of grid tiles), so chunk boundaries
-//! depend only on the image and never on the thread count, and a
-//! one-panel image never forks. What still runs serially: the occupancy
-//! scans, the splice of the coded chunks into the file, the CRC, the
-//! payload parse on decode, and the `range` coder.
+//! per chunk (stitching: one band of tile rows per panel; the encode's
+//! occupancy scan: bands of whole tile rows of at least a panel's worth
+//! of tiles; the Rice writers: sixteen panels' worth of grid tiles), so
+//! chunk boundaries depend only on the image and never on the thread
+//! count, and an image of at most one panel's tiles never forks. What
+//! still runs serially: the decode's count of occupied tiles per row,
+//! the splice of the coded chunks into the file, the CRC, the payload
+//! parse on decode, and the `range` coder.
 //!
 //! Each direction has one schedule, prepare → mesh pass → complete:
 //! [`Codec::encode_image_with_stats`] and [`Codec::decode_container`],
@@ -688,25 +690,44 @@ struct QuantizeJob<'a> {
 impl QuantizeJob<'_> {
     /// Quantize every lane's norm and its kept rows, optionally divided
     /// by the lane's peak — the exact arithmetic of quantizing a
-    /// gathered latent vector.
+    /// gathered latent vector. Swept a kept row at a time across the
+    /// contiguous lanes, so the quantizer runs vectorized; each lane's
+    /// peak still folds its kept rows in mode order.
     fn run(&mut self, quantizer: &Quantizer, kept: Range<usize>, max_norm: f32) {
         for (norm_q, &norm) in self.norms_q.iter_mut().zip(self.norms) {
             *norm_q = quantize_norm(norm, max_norm);
         }
-        let (amps, width) = (self.panel.as_slice(), self.panel.width());
-        let d = kept.len().max(1);
-        for (lane, levels) in self.levels.chunks_exact_mut(d).enumerate() {
-            let latent = |m: usize| amps[m * width + lane];
-            let scale = self.scales.get_mut(lane).map(|s| {
-                *s = tile_scale(kept.clone().map(latent));
-                f64::from(*s)
-            });
-            for (level, m) in levels.iter_mut().zip(kept.clone()) {
-                let a = match scale {
-                    Some(s) => latent(m) / s,
-                    None => latent(m),
-                };
-                *level = quantizer.quantize(a);
+        let lanes = self.panel.width();
+        let d = kept.len();
+        let scaled = !self.scales.is_empty();
+        let mut scale = [0.0f64; DEFAULT_PANEL_WIDTH];
+        let scale = &mut scale[..lanes];
+        if scaled {
+            for m in kept.clone() {
+                for (peak, &a) in scale.iter_mut().zip(self.panel.row(m)) {
+                    *peak = peak.max(a.abs());
+                }
+            }
+            for (s, stored) in scale.iter_mut().zip(self.scales.iter_mut()) {
+                *stored = tile_scale(*s);
+                *s = f64::from(*stored);
+            }
+        }
+        let mut row_levels = [0u32; DEFAULT_PANEL_WIDTH];
+        let row_levels = &mut row_levels[..lanes];
+        for (j, m) in kept.enumerate() {
+            let row = self.panel.row(m);
+            if scaled {
+                for ((level, &a), &s) in row_levels.iter_mut().zip(row).zip(scale.iter()) {
+                    *level = quantizer.quantize(a / s);
+                }
+            } else {
+                for (level, &a) in row_levels.iter_mut().zip(row) {
+                    *level = quantizer.quantize(a);
+                }
+            }
+            for (lane, &level) in row_levels.iter().enumerate() {
+                self.levels[lane * d + j] = level;
             }
         }
     }
@@ -830,20 +851,33 @@ fn gather_tiles(img: &GrayImage, tile_size: usize) -> Result<GatheredTiles> {
     let tiles_y = height.div_ceil(ts).max(1);
     let src = img.pixels();
     let span = |t: usize, extent: usize| ts.min(extent.saturating_sub(t * ts));
-    // The occupancy scan stops at a tile's first non-zero pixel.
-    let mut occupied = Vec::with_capacity(tiles_x * tiles_y);
-    let mut tile_of = Vec::new();
-    for ty in 0..tiles_y {
-        for tx in 0..tiles_x {
-            let (x0, span_w) = (tx * ts, span(tx, width));
-            let lit = (ty * ts..ty * ts + span(ty, height))
-                .any(|y| src[y * width + x0..][..span_w].iter().any(|&p| p != 0.0));
-            occupied.push(lit);
-            if lit {
-                tile_of.push(ty * tiles_x + tx);
+    // The occupancy scan runs on the pool in bands of whole tile rows,
+    // each holding at least a panel's worth of tiles, so an image of at
+    // most one panel's tiles scans on the calling thread. A tile's scan
+    // stops at its first non-zero pixel.
+    let mut occupied = vec![false; tiles_x * tiles_y];
+    let band = DEFAULT_PANEL_WIDTH.div_ceil(tiles_x) * tiles_x;
+    par_map_chunked_into(&mut occupied, band, |first, flags| {
+        for (ty, row) in (first / tiles_x..).zip(flags.chunks_mut(tiles_x)) {
+            let rows = ty * ts..ty * ts + span(ty, height);
+            for (tx, lit) in row.iter_mut().enumerate() {
+                let (x0, span_w) = (tx * ts, span(tx, width));
+                *lit = rows
+                    .clone()
+                    .any(|y| src[y * width + x0..][..span_w].iter().any(|&p| p != 0.0));
             }
         }
+    });
+    // The lit tiles' grid indices, compacted without a branch per tile:
+    // every index is written, and only a lit one is kept.
+    let lit = occupied.iter().filter(|&&o| o).count();
+    let mut tile_of = vec![0; lit + 1];
+    let mut slot = 0;
+    for (t, &o) in occupied.iter().enumerate() {
+        tile_of[slot] = t;
+        slot += usize::from(o);
     }
+    tile_of.truncate(lit);
     let mut norms = vec![0.0; tile_of.len()];
     let panels = build_panels(&mut norms, |p, norms| {
         let tiles = &tile_of[p * DEFAULT_PANEL_WIDTH..][..norms.len()];
@@ -1272,6 +1306,73 @@ mod tests {
         for (y, x) in (0..16).flat_map(|y| (0..16).map(move |x| (y, x))) {
             if x >= 4 || y >= 4 {
                 assert_eq!(back.get(x, y), 0.0, "empty tile pixel ({x},{y})");
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_rows_match_quantizing_each_lane() {
+        // Amplitudes at level centres and decision boundaries, ±1 ulp,
+        // signed zeros, out-of-range and non-finite values, and seeded
+        // ones, in panels of 64 and of 37 lanes.
+        let quantizer = Quantizer::new(6).unwrap();
+        let step = quantizer.max_error();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut values = vec![0.0, -0.0, 1.0, -1.0, 1.5, -3.0, f64::NAN, f64::INFINITY];
+        for level in 0..quantizer.levels() {
+            let centre = quantizer.dequantize(level);
+            for a in [centre, centre + step] {
+                values.extend([a, a.next_up(), a.next_down()]);
+            }
+        }
+        values.extend((0..600).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 0.8 - 0.4
+        }));
+        let (dim, kept) = (16, 10..16);
+        let d = kept.len();
+        for lanes in [DEFAULT_PANEL_WIDTH, 37] {
+            for (p, data) in values.chunks(dim * lanes).enumerate() {
+                let mut data = data.to_vec();
+                data.resize(dim * lanes, 0.25 * p as f64);
+                let panel = Panel::from_mode_major(dim, lanes, data);
+                let norms = vec![0.5; lanes];
+                for scaled in [false, true] {
+                    let mut norms_q = vec![0; lanes];
+                    let mut levels = vec![0; lanes * d];
+                    let mut scales = vec![0.0f32; if scaled { lanes } else { 0 }];
+                    QuantizeJob {
+                        panel: &panel,
+                        norms: &norms,
+                        norms_q: &mut norms_q,
+                        levels: &mut levels,
+                        scales: &mut scales,
+                    }
+                    .run(&quantizer, kept.clone(), 1.0);
+                    for lane in 0..lanes {
+                        let latent = |m: usize| panel.as_slice()[m * lanes + lane];
+                        let scale = scaled.then(|| {
+                            let peak = kept.clone().fold(0.0f64, |pk, m| pk.max(latent(m).abs()));
+                            tile_scale(peak)
+                        });
+                        if let Some(s) = scale {
+                            assert_eq!(scales[lane].to_bits(), s.to_bits(), "lane {lane} scale");
+                        }
+                        for (j, m) in kept.clone().enumerate() {
+                            let a = match scale {
+                                Some(s) => latent(m) / f64::from(s),
+                                None => latent(m),
+                            };
+                            assert_eq!(
+                                levels[lane * d + j],
+                                quantizer.quantize(a),
+                                "{lanes} lanes, panel {p}, lane {lane}, mode {m}, scaled {scaled}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

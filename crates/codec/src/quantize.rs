@@ -25,6 +25,9 @@ use crate::error::{CodecError, Result};
 /// Highest supported bit depth (symbols fit comfortably in `u32`).
 pub const MAX_BITS: u8 = 16;
 
+/// 2^52: the unit in the last place of an f64 in `[2^52, 2^53)` is 1.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
 /// Uniform scalar quantizer over `[-1, 1]` with `2^bits` levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quantizer {
@@ -66,12 +69,19 @@ impl Quantizer {
         (self.levels - 1).div_ceil(2)
     }
 
-    /// Quantize one amplitude (clamped to `[-1, 1]`).
+    /// Quantize one amplitude (clamped to `[-1, 1]`; a NaN maps to the
+    /// top level).
     pub fn quantize(&self, a: f64) -> u32 {
         let unit = (a.clamp(-1.0, 1.0) + 1.0) / 2.0;
         let level = (unit * f64::from(self.levels - 1)).round();
-        // Clamp defensively against rounding at the top edge.
-        level.min(f64::from(self.levels - 1)).max(0.0) as u32
+        // Clamp defensively against rounding at the top edge; `min`
+        // also sends a NaN to the top level.
+        let level = level.min(f64::from(self.levels - 1)).max(0.0);
+        // `level` is an integer in [0, 2^16 − 1], so adding 2^52 lands
+        // it exactly in the low mantissa bits: the value a saturating
+        // `as u32` gives, without the per-lane NaN test and branch that
+        // cast compiles to, so loops over lanes vectorize.
+        (level + TWO_POW_52).to_bits() as u32
     }
 
     /// Reconstruct the amplitude at a level's bin center.
@@ -87,11 +97,10 @@ impl Quantizer {
     }
 }
 
-/// Per-tile normalisation scale: the peak |amplitude|, floored so a
-/// (theoretically impossible, but defensively handled) all-zero latent
-/// block never divides by zero.
-pub fn tile_scale(amps: impl IntoIterator<Item = f64>) -> f32 {
-    let peak = amps.into_iter().fold(0.0f64, |m, a| m.max(a.abs()));
+/// Per-tile normalisation scale from the tile's peak |amplitude|,
+/// floored so a (theoretically impossible, but defensively handled)
+/// all-zero latent block never divides by zero.
+pub fn tile_scale(peak: f64) -> f32 {
     (peak.max(1e-9)) as f32
 }
 
@@ -135,6 +144,73 @@ mod tests {
         // Out-of-range inputs clamp instead of wrapping.
         assert_eq!(q.quantize(-7.0), 0);
         assert_eq!(q.quantize(7.0), 255);
+    }
+
+    /// The saturating conversion [`Quantizer::quantize`] used before
+    /// its exact bit-level one — kept as its oracle.
+    fn quantize_saturating(q: &Quantizer, a: f64) -> u32 {
+        let unit = (a.clamp(-1.0, 1.0) + 1.0) / 2.0;
+        let level = (unit * f64::from(q.levels() - 1)).round();
+        level.min(f64::from(q.levels() - 1)).max(0.0) as u32
+    }
+
+    #[test]
+    fn quantize_matches_the_saturating_oracle() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Amplitudes in and just past [-1, 1], and arbitrary bit
+        // patterns (NaNs, infinities, subnormals, huge values).
+        let seeded: Vec<f64> = (0..20_000)
+            .map(|i| {
+                let r = next();
+                if i % 2 == 0 {
+                    (r >> 11) as f64 / (1u64 << 53) as f64 * 2.5 - 1.25
+                } else {
+                    f64::from_bits(r)
+                }
+            })
+            .collect();
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for bits in 1..=MAX_BITS {
+            let q = Quantizer::new(bits).unwrap();
+            let check = |a: f64| {
+                assert_eq!(
+                    q.quantize(a),
+                    quantize_saturating(&q, a),
+                    "{bits} bits, amplitude {a:e} ({:#x})",
+                    a.to_bits()
+                );
+            };
+            for level in 0..q.levels() {
+                // Each level's centre and the decision boundary above
+                // it, each ±1 ulp.
+                let centre = q.dequantize(level);
+                let boundary = centre + q.max_error();
+                for a in [centre, boundary] {
+                    check(a);
+                    check(a.next_up());
+                    check(a.next_down());
+                }
+            }
+            specials.iter().chain(&seeded).for_each(|&a| check(a));
+        }
     }
 
     #[test]
@@ -231,7 +307,7 @@ mod tests {
 
     #[test]
     fn tile_scale_tracks_peak() {
-        assert!((tile_scale([0.1, -0.6, 0.3]) - 0.6).abs() < 1e-7);
-        assert!(tile_scale([0.0, 0.0]) > 0.0, "floored, never zero");
+        assert!((tile_scale(0.6) - 0.6).abs() < 1e-7);
+        assert!(tile_scale(0.0) > 0.0, "floored, never zero");
     }
 }
