@@ -18,8 +18,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Thread counts swept over the simd backend. Counts above the
-/// host's parallelism still run (the pool spawns that many workers);
-/// their rows record what oversubscription costs.
+/// host's parallelism still run (a pool of n threads starts n − 1
+/// helpers when it is built, and each call runs on its caller and
+/// them); their rows record what oversubscription costs.
 const THREAD_AXIS: [usize; 4] = [1, 2, 4, 8];
 
 /// Median-of-runs timing for one closure, in seconds per call.

@@ -49,7 +49,7 @@ pub use error::{CodecError, Result};
 pub use model::{load_model, save_model};
 pub use pipeline::{
     codec_from_inline, decode_standalone, stage, Codec, CodecOptions, DecodePlan, EncodePlan,
-    EncodeStats,
+    EncodeStats, MAX_TILE_SIZE,
 };
 pub use qn_backend::BackendKind;
 pub use quantize::Quantizer;

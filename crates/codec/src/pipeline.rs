@@ -774,6 +774,17 @@ fn check_panels(panels: &[Panel], occupied: usize, dim: usize) -> Result<()> {
     Ok(())
 }
 
+/// Hard cap on the tile size a `qnc` command, an evaluation grid or a
+/// served `ENCODE` may ask for. The spectral path fits a model of
+/// dimension `tile_size²` to each image, at O(tile⁶) cost. On a 2-core
+/// x86-64 host, the spectral fit and encode of one 64×64 image (`qnc
+/// compress --no-verify`) took 2 ms at tile 4, 15 ms at 8, 0.85 s at 16,
+/// 6.1 s at 24 and 79 s at 32, so at a cap of 32 or more a handful of
+/// small frames pins a server's worker pool for minutes. 16 (state
+/// dimension 256) bounds a fit at about a second and still covers every
+/// tile this workspace encodes with.
+pub const MAX_TILE_SIZE: u16 = 16;
+
 /// Reject a spectral fit's geometry before any work: a mesh needs two
 /// modes, and the latent dimension must be one of them.
 fn check_spectral(tile_size: usize, latent_dim: usize) -> Result<()> {

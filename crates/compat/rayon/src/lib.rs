@@ -1,13 +1,15 @@
 //! Offline stand-in for the `rayon` crate.
 //!
-//! Implements exactly the parallel-iterator subset this workspace uses,
-//! on a persistent fork-join pool:
+//! Implements exactly the subset this workspace uses, on a persistent
+//! fork-join pool:
 //!
-//! - `slice.par_iter().map(f).collect::<Vec<_>>()`
-//! - `range.into_par_iter().map(f).collect::<Vec<_>>()`
-//! - `slice.par_chunks_mut(n).for_each(f)` (plus `.enumerate()`)
+//! - `slice.par_chunks_mut(n).enumerate().for_each(f)`, the one
+//!   parallel call
 //! - `ThreadPoolBuilder::new().num_threads(n).build()?.install(f)`
 //! - `current_num_threads()`
+//!
+//! Each is a subset of real rayon's API, so code that builds against
+//! this crate builds against the real one.
 //!
 //! # The pool
 //!
@@ -18,16 +20,18 @@
 //! joins them when it is dropped. Idle helpers park on a condition
 //! variable and never spin; no parallel call spawns a thread.
 //!
-//! A parallel call over `n` items splits them into contiguous blocks
-//! of `n.div_ceil(workers)` items, `workers` being the current pool's
-//! thread count capped at `n`: the split depends on the pool size and
-//! the item count only, so a deterministic closure gives the same
-//! result however the blocks are scheduled. The caller claims block 0,
-//! publishes the rest to the pool's helpers, runs blocks until none is
-//! left unclaimed, and then waits only for the blocks a helper already
-//! took. So a call never has more than `workers` participants, and
-//! when every helper is busy (many server workers calling at once) it
-//! runs serially on its caller instead of queueing behind the others.
+//! A parallel call over `n` chunks splits the slice into at most
+//! `workers` contiguous blocks of `n.div_ceil(workers)` chunks each,
+//! `workers` being the current pool's thread count capped at `n`: the
+//! split depends on the pool size and the chunk count only, so a
+//! deterministic closure gives the same result however the blocks are
+//! scheduled. A call with a single block runs on its caller and never
+//! forks. Otherwise the caller claims block 0, publishes the rest to
+//! the pool's helpers, runs blocks until none is left unclaimed, and
+//! then waits only for the blocks a helper already took. So a call
+//! never has more than `workers` participants, and when every helper
+//! is busy (many server workers calling at once) it runs serially on
+//! its caller instead of queueing behind the others.
 //!
 //! A panic in a block is caught where it happens and resumed on the
 //! caller once every block of the call has finished; the helper that
@@ -41,7 +45,6 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -310,206 +313,67 @@ fn fork_join<F: Fn(usize) + Sync>(blocks: usize, f: &F) {
     }
 }
 
-/// Split `items` into contiguous blocks of `n.div_ceil(workers)` and run
-/// `body(start, block)` on each, in parallel on the current pool;
-/// returns the blocks' results in order. A single block runs on the
-/// caller without forking.
-fn run_blocks<T, R, F>(items: Vec<T>, body: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, Vec<T>) -> R + Sync,
-{
-    let n = items.len();
-    let workers = if n <= 1 {
-        1
-    } else {
-        current_num_threads().min(n)
-    };
-    if workers <= 1 {
-        return vec![body(0, items)];
-    }
-    let chunk = n.div_ceil(workers);
-    let mut blocks = Vec::with_capacity(workers);
-    let mut items = items;
-    while items.len() > chunk {
-        let rest = items.split_off(chunk);
-        blocks.push(Mutex::new(std::mem::replace(&mut items, rest)));
-    }
-    blocks.push(Mutex::new(items));
-    let results: Vec<Mutex<Option<R>>> = blocks.iter().map(|_| Mutex::new(None)).collect();
-    fork_join(blocks.len(), &|b| {
-        let block = std::mem::take(&mut *lock(&blocks[b]));
-        let result = body(b * chunk, block);
-        *lock(&results[b]) = Some(result);
-    });
-    results
-        .into_iter()
-        .map(|r| {
-            r.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("fork_join ran every block")
-        })
-        .collect()
-}
-
-/// Run `f` over every item of `items` (with its index) in parallel.
-fn parallel_for_each_indexed<T, F>(items: Vec<T>, f: F)
-where
-    T: Send,
-    F: Fn(usize, T) + Sync,
-{
-    run_blocks(items, |start, block| {
-        for (k, item) in block.into_iter().enumerate() {
-            f(start + k, item);
-        }
-    });
-}
-
-/// A materialised "parallel iterator": items are known up front and every
-/// adaptor either stays lazy per-index (`map`) or executes the fork-join.
-pub struct ParIter<I> {
-    items: Vec<I>,
-}
-
-impl<I: Send> ParIter<I> {
-    /// Parallel map; evaluation happens at `collect`/`for_each`.
-    pub fn map<U, F>(self, f: F) -> ParMap<I, F>
-    where
-        U: Send,
-        F: Fn(I) -> U + Sync,
-    {
-        ParMap {
-            items: self.items,
-            f,
-        }
-    }
-
-    /// Pair every item with its index.
-    pub fn enumerate(self) -> ParEnumerate<I> {
-        ParEnumerate { items: self.items }
-    }
-
-    /// Consume the items in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(I) + Sync,
-    {
-        parallel_for_each_indexed(self.items, |_, item| f(item));
-    }
-}
-
-/// Lazy parallel map (result of [`ParIter::map`]).
-pub struct ParMap<I, F> {
-    items: Vec<I>,
-    f: F,
-}
-
-impl<I, U, F> ParMap<I, F>
-where
-    I: Send,
-    U: Send,
-    F: Fn(I) -> U + Sync,
-{
-    /// Execute the map across workers and collect in index order.
-    pub fn collect<C: From<Vec<U>>>(self) -> C {
-        let f = &self.f;
-        let mut parts = run_blocks(self.items, |_, block| {
-            block.into_iter().map(f).collect::<Vec<U>>()
-        });
-        if parts.len() == 1 {
-            return C::from(parts.pop().expect("one block"));
-        }
-        C::from(parts.into_iter().flatten().collect())
-    }
-
-    /// Execute the map for its side effects.
-    pub fn for_each<G>(self, g: G)
-    where
-        G: Fn(U) + Sync,
-    {
-        let f = self.f;
-        parallel_for_each_indexed(self.items, |_, item| g(f(item)));
-    }
-}
-
-/// Enumerated parallel iterator (result of [`ParIter::enumerate`]).
-pub struct ParEnumerate<I> {
-    items: Vec<I>,
-}
-
-impl<I: Send> ParEnumerate<I> {
-    /// Consume `(index, item)` pairs in parallel.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, I)) + Sync,
-    {
-        parallel_for_each_indexed(self.items, |i, item| f((i, item)));
-    }
-}
-
-/// `.par_iter()` on slices and vectors.
-pub trait IntoParallelRefIterator<'a> {
-    /// Shared-reference item type.
-    type Item: Send + 'a;
-    /// Build the parallel iterator.
-    fn par_iter(&'a self) -> ParIter<Self::Item>;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParIter<&'a T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-/// `.into_par_iter()` on owning collections and ranges.
-pub trait IntoParallelIterator {
-    /// Owned item type.
-    type Item: Send;
-    /// Build the parallel iterator.
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl IntoParallelIterator for Range<usize> {
-    type Item = usize;
-    fn into_par_iter(self) -> ParIter<usize> {
-        ParIter {
-            items: self.collect(),
-        }
-    }
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
-}
-
 /// `.par_chunks_mut()` on mutable slices.
 pub trait ParallelSliceMut<T: Send> {
-    /// Split into mutable chunks of `size` (last may be shorter).
-    fn par_chunks_mut(&mut self, size: usize) -> ParIter<&mut [T]>;
+    /// Split into mutable chunks of `chunk_size` items (the last may be
+    /// shorter), to be consumed in parallel.
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ChunksMut<'_, T>;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, size: usize) -> ParIter<&mut [T]> {
-        assert!(size > 0, "chunk size must be positive");
-        ParIter {
-            items: self.chunks_mut(size).collect(),
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ChunksMut<'_, T> {
+        assert!(chunk_size > 0, "chunk size must be positive");
+        ChunksMut {
+            slice: self,
+            chunk_size,
         }
+    }
+}
+
+/// A slice's mutable chunks (result of
+/// [`ParallelSliceMut::par_chunks_mut`]).
+pub struct ChunksMut<'a, T> {
+    slice: &'a mut [T],
+    chunk_size: usize,
+}
+
+impl<'a, T: Send> ChunksMut<'a, T> {
+    /// Pair every chunk with its index.
+    pub fn enumerate(self) -> Enumerate<'a, T> {
+        Enumerate(self)
+    }
+}
+
+/// Indexed mutable chunks (result of [`ChunksMut::enumerate`]).
+pub struct Enumerate<'a, T>(ChunksMut<'a, T>);
+
+impl<'a, T: Send> Enumerate<'a, T> {
+    /// Run `f` on every `(index, chunk)` pair, in blocks on the current
+    /// pool (see the module docs).
+    pub fn for_each<F>(self, f: F)
+    where
+        F: Fn((usize, &'a mut [T])) + Sync + Send,
+    {
+        let ChunksMut { slice, chunk_size } = self.0;
+        let n = slice.len().div_ceil(chunk_size);
+        let workers = current_num_threads().min(n);
+        if workers <= 1 {
+            slice.chunks_mut(chunk_size).enumerate().for_each(f);
+            return;
+        }
+        let per_block = n.div_ceil(workers);
+        // Each block's lock is taken once, by the one participant that
+        // claimed the block.
+        let blocks: Vec<Mutex<&mut [T]>> = slice
+            .chunks_mut(per_block * chunk_size)
+            .map(Mutex::new)
+            .collect();
+        fork_join(blocks.len(), &|b| {
+            let block = std::mem::take(&mut *lock(&blocks[b]));
+            for (k, chunk) in block.chunks_mut(chunk_size).enumerate() {
+                f((b * per_block + k, chunk));
+            }
+        });
     }
 }
 
@@ -599,36 +463,40 @@ impl Drop for ThreadPool {
 
 /// The glob-import module mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
+    pub use crate::ParallelSliceMut;
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
     use std::thread::ThreadId;
+    use std::time::Duration;
 
-    #[test]
-    fn par_iter_map_collect_preserves_order() {
-        let v: Vec<usize> = (0..1000).collect();
-        let doubled: Vec<usize> = v.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    /// `(0..n).map(f)`, one item per chunk.
+    fn par_map<T: Send + Default + Clone>(
+        n: usize,
+        f: impl Fn(usize) -> T + Sync + Send,
+    ) -> Vec<T> {
+        let mut out = vec![T::default(); n];
+        out.par_chunks_mut(1)
+            .enumerate()
+            .for_each(|(i, slot)| slot[0] = f(i));
+        out
     }
 
-    #[test]
-    fn into_par_iter_on_ranges() {
-        let squares: Vec<usize> = (0usize..257).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(squares.len(), 257);
-        assert_eq!(squares[16], 256);
+    /// The running thread, as a [`par_map`] body that records where
+    /// each chunk ran.
+    fn this_thread(_chunk: usize) -> Option<ThreadId> {
+        Some(thread::current().id())
     }
 
     #[test]
     fn par_chunks_mut_covers_every_element() {
         let mut data = vec![0u64; 1003];
-        data.par_chunks_mut(64).for_each(|chunk| {
+        data.par_chunks_mut(64).enumerate().for_each(|(_, chunk)| {
             for v in chunk {
                 *v += 1;
             }
@@ -658,30 +526,9 @@ mod tests {
         // of at most one id, since no call spawns a thread.
         let mut others = HashSet::new();
         for _ in 0..50 {
-            let mut data = [0u8; 2];
-            let ids = Mutex::new(Vec::new());
-            pool.install(|| {
-                data.par_chunks_mut(1).enumerate().for_each(|(i, _)| {
-                    ids.lock().unwrap().push((i, thread::current().id()));
-                });
-            });
-            let mut ids = ids.into_inner().unwrap();
-            ids.sort_by_key(|&(i, _)| i);
-            assert_eq!(ids.len(), 2);
-            assert_eq!(ids[0].1, caller, "block 0 runs on the caller");
-            // The collecting map splits the same way.
-            let mapped: Vec<(usize, ThreadId)> = pool.install(|| {
-                (0..2usize)
-                    .into_par_iter()
-                    .map(|i| (i, thread::current().id()))
-                    .collect()
-            });
-            assert_eq!(mapped[0].1, caller);
-            others.extend(
-                [ids[1].1, mapped[1].1]
-                    .into_iter()
-                    .filter(|&id| id != caller),
-            );
+            let ids = pool.install(|| par_map(2, this_thread));
+            assert_eq!(ids[0], Some(caller), "block 0 runs on the caller");
+            others.extend(ids[1].filter(|&id| id != caller));
         }
         assert!(
             others.len() <= 1,
@@ -693,8 +540,8 @@ mod tests {
         let mut one = [0u8; 4];
         let seen = Mutex::new(None);
         wide.install(|| {
-            one.par_chunks_mut(4).for_each(|_| {
-                *seen.lock().unwrap() = Some(thread::current().id());
+            one.par_chunks_mut(4).enumerate().for_each(|_| {
+                *seen.lock().unwrap() = this_thread(0);
             });
         });
         assert_eq!(seen.into_inner().unwrap(), Some(caller));
@@ -705,45 +552,64 @@ mod tests {
         let caller = thread::current().id();
         let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         assert!(pool.helpers.is_empty(), "a 1-thread pool has no helper");
-        let ids: Vec<ThreadId> = pool.install(|| {
-            (0..64usize)
-                .into_par_iter()
-                .map(|_| thread::current().id())
-                .collect()
-        });
-        assert!(ids.iter().all(|&id| id == caller));
-        let mut data = [0u8; 64];
-        pool.install(|| {
-            data.par_chunks_mut(1).for_each(|b| {
-                assert_eq!(thread::current().id(), caller);
-                b[0] = 1;
-            });
-        });
-        assert!(data.iter().all(|&b| b == 1));
+        let ids = pool.install(|| par_map(64, this_thread));
+        assert!(ids.iter().all(|&id| id == Some(caller)));
     }
 
-    /// Run a two-block call on `pool` whose block 1 must run on the
-    /// helper: block 0 holds the caller until block 1 has started.
-    /// Returns block 1's thread. `block1` runs inside block 1.
-    fn on_the_helper(pool: &ThreadPool, block1: impl Fn() + Sync) -> ThreadId {
-        let (started, wait) = mpsc::channel::<ThreadId>();
+    /// Run an `n`-chunk call on the 2-thread `pool` whose chunk 0 holds
+    /// the caller until chunk `n.div_ceil(2)`, the first of the second
+    /// block, has started elsewhere; `body(i)` then runs in every chunk
+    /// `i`. Returns the thread that ran each chunk. A split that puts
+    /// that chunk in the caller's block fails on the timeout instead of
+    /// hanging.
+    fn split_across(pool: &ThreadPool, n: usize, body: impl Fn(usize) + Sync) -> Vec<ThreadId> {
+        let second = n.div_ceil(2);
+        let (started, wait) = mpsc::channel();
         let wait = Mutex::new(wait);
-        let helper = Mutex::new(None);
+        let mut ids = vec![None; n];
         pool.install(|| {
-            (0..2usize).into_par_iter().for_each(|i| {
-                if i == 0 {
-                    let id = wait.lock().unwrap().recv().expect("block 1 started");
-                    *helper.lock().unwrap() = Some(id);
-                } else {
-                    started.send(thread::current().id()).unwrap();
-                    block1();
+            ids.par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
+                slot[0] = this_thread(i);
+                if i == second {
+                    started.send(()).unwrap();
                 }
+                if i == 0 {
+                    wait.lock()
+                        .unwrap()
+                        .recv_timeout(Duration::from_secs(10))
+                        .unwrap_or_else(|_| panic!("chunk {second} did not start beside chunk 0"));
+                }
+                body(i);
             });
         });
-        helper
-            .into_inner()
-            .unwrap()
-            .expect("block 1 reported its thread")
+        ids.into_iter()
+            .map(|id| id.expect("every chunk ran"))
+            .collect()
+    }
+
+    /// Run a two-chunk call on the 2-thread `pool` whose chunk 1 runs
+    /// `block1` on the helper; returns the helper's thread.
+    fn on_the_helper(pool: &ThreadPool, block1: impl Fn() + Sync) -> ThreadId {
+        split_across(pool, 2, |i| {
+            if i == 1 {
+                block1();
+            }
+        })[1]
+    }
+
+    #[test]
+    fn a_two_thread_pool_splits_the_chunks_at_their_half() {
+        let caller = thread::current().id();
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        for n in [2usize, 5, 64] {
+            let second = n.div_ceil(2);
+            let ids = split_across(&pool, n, |_| {});
+            assert_ne!(ids[second], caller, "n={n}: the helper runs block 1");
+            for (i, &id) in ids.iter().enumerate() {
+                let expected = if i < second { caller } else { ids[second] };
+                assert_eq!(id, expected, "n={n}: chunk {i} ran on the wrong thread");
+            }
+        }
     }
 
     #[test]
@@ -775,8 +641,7 @@ mod tests {
         let inner = Mutex::new(Vec::new());
         on_the_helper(&pool, || {
             assert_eq!(current_num_threads(), 2, "the helper runs in its pool");
-            let v: Vec<usize> = (0..10usize).into_par_iter().map(|i| i * i).collect();
-            *inner.lock().unwrap() = v;
+            *inner.lock().unwrap() = par_map(10, |i| i * i);
         });
         assert_eq!(
             inner.into_inner().unwrap(),
@@ -784,22 +649,13 @@ mod tests {
         );
         // Three levels deep, on every participant.
         let total: usize = pool.install(|| {
-            let sums: Vec<usize> = (0..4usize)
-                .into_par_iter()
-                .map(|a| {
-                    let inner: Vec<usize> = (0..4usize)
-                        .into_par_iter()
-                        .map(|b| {
-                            let leaf: Vec<usize> = (0..4usize)
-                                .into_par_iter()
-                                .map(|c| a * 16 + b * 4 + c)
-                                .collect();
-                            leaf.iter().sum()
-                        })
-                        .collect();
-                    inner.iter().sum()
-                })
-                .collect();
+            let sums = par_map(4, |a| {
+                let inner = par_map(4, |b| {
+                    let leaf = par_map(4, |c| a * 16 + b * 4 + c);
+                    leaf.iter().sum::<usize>()
+                });
+                inner.iter().sum::<usize>()
+            });
             sums.iter().sum()
         });
         assert_eq!(total, (0..64).sum());
@@ -836,11 +692,13 @@ mod tests {
     #[test]
     fn install_scopes_thread_count() {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let outside = current_num_threads();
         let sum: usize = pool.install(|| {
-            let v: Vec<usize> = (0..100usize).into_par_iter().map(|i| i).collect();
-            v.iter().sum()
+            assert_eq!(current_num_threads(), 2);
+            par_map(100, |i| i).iter().sum()
         });
         assert_eq!(sum, 4950);
+        assert_eq!(current_num_threads(), outside, "install restores the pool");
     }
 
     #[test]
@@ -851,11 +709,10 @@ mod tests {
         let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
         let max_inner = AtomicUsize::new(0);
         pool.install(|| {
-            (0..8usize).into_par_iter().for_each(|_| {
+            par_map(8, |_| {
                 max_inner.fetch_max(current_num_threads(), Ordering::Relaxed);
                 // The nested parallel call itself must also work.
-                let v: Vec<usize> = (0..4usize).into_par_iter().map(|i| i).collect();
-                assert_eq!(v, vec![0, 1, 2, 3]);
+                assert_eq!(par_map(4, |i| i), vec![0, 1, 2, 3]);
             });
         });
         assert_eq!(
@@ -867,12 +724,7 @@ mod tests {
 
     #[test]
     fn results_identical_across_pool_sizes() {
-        let compute = || -> Vec<f64> {
-            (0..500usize)
-                .into_par_iter()
-                .map(|i| (i as f64).sqrt().sin())
-                .collect()
-        };
+        let compute = || par_map(500, |i| (i as f64).sqrt().sin());
         let base = compute();
         for threads in [1usize, 2, 3, 8] {
             let pool = ThreadPoolBuilder::new()

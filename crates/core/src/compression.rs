@@ -3,7 +3,7 @@
 
 use crate::config::CompressionTargetKind;
 use crate::error::CoreError;
-use crate::gradient::{self, GradientMethod};
+use crate::gradient;
 use crate::loss::Loss;
 use crate::Result;
 use qn_backend::{BackendKind, MeshBackend};
@@ -139,18 +139,11 @@ impl CompressionNetwork {
         Loss::from_sum(sum, encoded.len(), self.dim())
     }
 
-    /// Loss and gradient w.r.t. θ over a batch.
-    pub fn loss_and_gradient(
-        &self,
-        encoded: &[Vec<f64>],
-        method: GradientMethod,
-    ) -> (Loss, Vec<f64>) {
-        let (sum, grad) = gradient::loss_and_gradient(
-            &self.mesh,
-            encoded,
-            &|_, out, buf| self.residual(out, buf),
-            method,
-        );
+    /// Loss and exact gradient w.r.t. θ over a batch.
+    pub fn loss_and_gradient(&self, encoded: &[Vec<f64>]) -> (Loss, Vec<f64>) {
+        let (sum, grad) = gradient::loss_and_gradient(&self.mesh, encoded, &|_, out, buf| {
+            self.residual(out, buf)
+        });
         (Loss::from_sum(sum, encoded.len(), self.dim()), grad)
     }
 }
@@ -240,7 +233,7 @@ mod tests {
         let xs = inputs();
         let before = net.loss(&xs).sum;
         for _ in 0..50 {
-            let (_, grad) = net.loss_and_gradient(&xs, GradientMethod::Analytic);
+            let (_, grad) = net.loss_and_gradient(&xs);
             let thetas: Vec<f64> = net
                 .mesh()
                 .thetas()

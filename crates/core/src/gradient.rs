@@ -1,86 +1,29 @@
 //! Gradients of mesh losses with respect to the gate angles θ.
 //!
-//! Three methods:
+//! [`loss_and_gradient`] is exact reverse-mode differentiation
+//! (backprop through the gate cascade): the derivative of an embedded
+//! Givens rotation is its π/2-advanced block and zero elsewhere, so one
+//! forward trace plus one adjoint sweep yields every ∂L/∂θ at cost
+//! `O(P·N)` per sample instead of the `O(P²·N)` of a difference
+//! quotient. Samples run in parallel with a deterministic
+//! (thread-count-invariant) reduction.
 //!
-//! - [`GradientMethod::ForwardDifference`] — the paper's Eq. 8:
-//!   `∂out/∂θ ≈ (T(θ+Δ)ψ − T(θ)ψ)/Δ` with Δ = 10⁻⁸. In f64 this loses
-//!   about half the significant digits (the classic forward-difference
-//!   trade-off), which is why the trainer does not use it.
-//! - [`GradientMethod::CentralDifference`] — second-order accurate probe.
-//! - [`GradientMethod::Analytic`] — exact reverse-mode differentiation
-//!   (backprop through the gate cascade): the derivative of an embedded
-//!   Givens rotation is its π/2-advanced block and zero elsewhere, so one
-//!   forward trace plus one adjoint sweep yields every ∂L/∂θ at cost
-//!   `O(P·N)` per sample instead of `O(P²·N)`. The trainer uses this one.
-//!
-//! All methods parallelise with deterministic (thread-count-invariant)
-//! reductions; they agree to the accuracy each one promises, which this
-//! module's tests check.
+//! The paper's Eq. 8 probes the gradient with a forward difference,
+//! `∂out/∂θ ≈ (T(θ+Δ)ψ − T(θ)ψ)/Δ` with Δ = 10⁻⁸, which in f64 loses
+//! about half the significant digits (the classic forward-difference
+//! trade-off). This module's tests keep that forward difference, and a
+//! central one, as the oracle the exact gradient is checked against.
 //!
 //! The loss is `L = Σ_i Σ_j r_{ij}²` with `r = out − target` produced by a
 //! caller-supplied residual function, so the same machinery serves both
 //! `L_C` (with the trash-penalty or uniform target) and `L_R`.
 
-use qn_linalg::parallel::{par_map_indexed, par_sum_vectors};
+use qn_linalg::parallel::par_sum_vectors;
 use qn_photonic::Mesh;
-
-/// Gradient computation method.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GradientMethod {
-    /// Forward difference with step `delta` (paper: Δ = 10⁻⁸).
-    ForwardDifference {
-        /// Finite-difference step Δ.
-        delta: f64,
-    },
-    /// Central difference with step `delta` (recommended: 10⁻⁶).
-    CentralDifference {
-        /// Finite-difference step Δ.
-        delta: f64,
-    },
-    /// Exact reverse-mode (backprop) gradient.
-    Analytic,
-}
-
-impl GradientMethod {
-    /// The paper's exact setting (Eq. 8: forward difference, Δ = 10⁻⁸).
-    pub fn paper() -> Self {
-        GradientMethod::ForwardDifference { delta: 1e-8 }
-    }
-}
 
 /// Residual callback: given `(sample index, mesh output)`, write
 /// `r = out − target` into the buffer (same length as `out`).
 pub type ResidualFn<'a> = &'a (dyn Fn(usize, &[f64], &mut [f64]) + Sync);
-
-/// Compute `L = Σ_i ‖r_i‖²` and `∇_θ L` for a mesh over a batch of input
-/// amplitude vectors.
-///
-/// Returns `(loss_sum, gradient)` with the gradient laid out layer-major
-/// like [`Mesh::thetas`].
-///
-/// # Panics
-/// Panics when inputs have the wrong dimension.
-pub fn loss_and_gradient(
-    mesh: &Mesh,
-    inputs: &[Vec<f64>],
-    residual: ResidualFn<'_>,
-    method: GradientMethod,
-) -> (f64, Vec<f64>) {
-    let n = mesh.dim();
-    assert!(
-        inputs.iter().all(|x| x.len() == n),
-        "input dimension mismatch"
-    );
-    match method {
-        GradientMethod::Analytic => analytic(mesh, inputs, residual),
-        GradientMethod::ForwardDifference { delta } => {
-            finite_difference(mesh, inputs, residual, delta, false)
-        }
-        GradientMethod::CentralDifference { delta } => {
-            finite_difference(mesh, inputs, residual, delta, true)
-        }
-    }
-}
 
 /// Loss only (no gradient): `Σ_i ‖r_i‖²`.
 pub fn loss_only(mesh: &Mesh, inputs: &[Vec<f64>], residual: ResidualFn<'_>) -> f64 {
@@ -94,10 +37,26 @@ pub fn loss_only(mesh: &Mesh, inputs: &[Vec<f64>], residual: ResidualFn<'_>) -> 
     partials[0]
 }
 
-/// Reverse-mode gradient. One forward trace + one adjoint sweep per
-/// sample; samples run in parallel with a deterministic reduction.
-fn analytic(mesh: &Mesh, inputs: &[Vec<f64>], residual: ResidualFn<'_>) -> (f64, Vec<f64>) {
+/// Compute `L = Σ_i ‖r_i‖²` and its exact gradient `∇_θ L` for a mesh
+/// over a batch of input amplitude vectors: one forward trace and one
+/// adjoint sweep per sample, samples in parallel with a deterministic
+/// reduction.
+///
+/// Returns `(loss_sum, gradient)` with the gradient laid out layer-major
+/// like [`Mesh::thetas`].
+///
+/// # Panics
+/// Panics when inputs have the wrong dimension.
+pub fn loss_and_gradient(
+    mesh: &Mesh,
+    inputs: &[Vec<f64>],
+    residual: ResidualFn<'_>,
+) -> (f64, Vec<f64>) {
     let n = mesh.dim();
+    assert!(
+        inputs.iter().all(|x| x.len() == n),
+        "input dimension mismatch"
+    );
     let p = mesh.param_count();
     let gates = mesh.flat_gates();
     let gates_per_layer = n - 1;
@@ -153,61 +112,6 @@ fn analytic(mesh: &Mesh, inputs: &[Vec<f64>], residual: ResidualFn<'_>) -> (f64,
     (loss, grad)
 }
 
-/// Finite-difference gradient following the paper's chain rule (Eq. 7):
-/// `∂L/∂θ = Σ_i 2 rᵢ · ∂outᵢ/∂θ`, with the output derivative probed by a
-/// forward or central difference. Parallelises over parameters.
-fn finite_difference(
-    mesh: &Mesh,
-    inputs: &[Vec<f64>],
-    residual: ResidualFn<'_>,
-    delta: f64,
-    central: bool,
-) -> (f64, Vec<f64>) {
-    let n = mesh.dim();
-    let p = mesh.param_count();
-    let gates_per_layer = n - 1;
-
-    // Base outputs and residuals, shared by every parameter probe.
-    let outs: Vec<Vec<f64>> = par_map_indexed(inputs.len(), |i| mesh.forward_real_copy(&inputs[i]));
-    let residuals: Vec<Vec<f64>> = par_map_indexed(inputs.len(), |i| {
-        let mut r = vec![0.0; n];
-        residual(i, &outs[i], &mut r);
-        r
-    });
-    let loss: f64 = residuals
-        .iter()
-        .map(|r| r.iter().map(|v| v * v).sum::<f64>())
-        .sum();
-
-    let grad = par_map_indexed(p, |flat| {
-        let layer = flat / gates_per_layer;
-        let k = flat % gates_per_layer;
-        let mut g = 0.0;
-        for (i, input) in inputs.iter().enumerate() {
-            let plus = mesh.forward_real_perturbed(input, layer, k, delta);
-            let dout: Vec<f64> = if central {
-                let minus = mesh.forward_real_perturbed(input, layer, k, -delta);
-                plus.iter()
-                    .zip(&minus)
-                    .map(|(pl, mi)| (pl - mi) / (2.0 * delta))
-                    .collect()
-            } else {
-                plus.iter()
-                    .zip(&outs[i])
-                    .map(|(pl, o)| (pl - o) / delta)
-                    .collect()
-            };
-            g += residuals[i]
-                .iter()
-                .zip(&dout)
-                .map(|(r, d)| 2.0 * r * d)
-                .sum::<f64>();
-        }
-        g
-    });
-    (loss, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,18 +145,66 @@ mod tests {
         }
     }
 
+    /// The difference-quotient oracle for [`loss_and_gradient`], by the
+    /// paper's chain rule (Eq. 7): `∂L/∂θ = Σ_i 2 rᵢ · ∂outᵢ/∂θ`, with
+    /// the output derivative probed on a cloned mesh by a forward
+    /// difference (the paper's Eq. 8) or a central one.
+    fn finite_difference(
+        mesh: &Mesh,
+        inputs: &[Vec<f64>],
+        residual: ResidualFn<'_>,
+        delta: f64,
+        central: bool,
+    ) -> (f64, Vec<f64>) {
+        let n = mesh.dim();
+        let outputs =
+            |m: &Mesh| -> Vec<Vec<f64>> { inputs.iter().map(|x| m.forward_real_copy(x)).collect() };
+        let probe = |layer: usize, k: usize, step: f64| {
+            let mut m = mesh.clone();
+            m.set_theta_at(layer, k, mesh.theta_at(layer, k) + step);
+            outputs(&m)
+        };
+        let outs = outputs(mesh);
+        let residuals: Vec<Vec<f64>> = outs
+            .iter()
+            .enumerate()
+            .map(|(i, out)| {
+                let mut r = vec![0.0; n];
+                residual(i, out, &mut r);
+                r
+            })
+            .collect();
+        let loss = residuals
+            .iter()
+            .map(|r| r.iter().map(|v| v * v).sum::<f64>())
+            .sum();
+        let grad = (0..mesh.param_count())
+            .map(|flat| {
+                let (layer, k) = (flat / (n - 1), flat % (n - 1));
+                let plus = probe(layer, k, delta);
+                let (base, width) = if central {
+                    (probe(layer, k, -delta), 2.0 * delta)
+                } else {
+                    (outs.clone(), delta)
+                };
+                residuals
+                    .iter()
+                    .flatten()
+                    .zip(plus.iter().flatten().zip(base.iter().flatten()))
+                    .map(|(r, (pl, b))| 2.0 * r * ((pl - b) / width))
+                    .sum()
+            })
+            .collect();
+        (loss, grad)
+    }
+
     #[test]
     fn analytic_matches_central_difference() {
         let mesh = test_mesh();
         let inputs = test_inputs();
         let res = trash_residual();
-        let (l1, g1) = loss_and_gradient(&mesh, &inputs, &res, GradientMethod::Analytic);
-        let (l2, g2) = loss_and_gradient(
-            &mesh,
-            &inputs,
-            &res,
-            GradientMethod::CentralDifference { delta: 1e-6 },
-        );
+        let (l1, g1) = loss_and_gradient(&mesh, &inputs, &res);
+        let (l2, g2) = finite_difference(&mesh, &inputs, &res, 1e-6, true);
         assert!((l1 - l2).abs() < 1e-12);
         for (a, b) in g1.iter().zip(&g2) {
             assert!((a - b).abs() < 1e-7, "analytic {a} vs central {b}");
@@ -264,8 +216,8 @@ mod tests {
         let mesh = test_mesh();
         let inputs = test_inputs();
         let res = trash_residual();
-        let (_, exact) = loss_and_gradient(&mesh, &inputs, &res, GradientMethod::Analytic);
-        let (_, fd) = loss_and_gradient(&mesh, &inputs, &res, GradientMethod::paper());
+        let (_, exact) = loss_and_gradient(&mesh, &inputs, &res);
+        let (_, fd) = finite_difference(&mesh, &inputs, &res, 1e-8, false);
         // Δ = 1e-8 forward difference: ~1e-7 absolute error expected.
         for (a, b) in exact.iter().zip(&fd) {
             assert!((a - b).abs() < 1e-5, "exact {a} vs paper-fd {b}");
@@ -278,7 +230,7 @@ mod tests {
         let mesh = test_mesh();
         let inputs = test_inputs();
         let res = trash_residual();
-        let (_, grad) = loss_and_gradient(&mesh, &inputs, &res, GradientMethod::Analytic);
+        let (_, grad) = loss_and_gradient(&mesh, &inputs, &res);
         let h = 1e-6;
         for flat in [0usize, 7, 10, 20] {
             let (layer, k) = (flat / 7, flat % 7);
@@ -302,7 +254,7 @@ mod tests {
         let mesh = test_mesh();
         let inputs = test_inputs();
         let res = |_i: usize, _out: &[f64], r: &mut [f64]| r.iter_mut().for_each(|v| *v = 0.0);
-        let (l, g) = loss_and_gradient(&mesh, &inputs, &res, GradientMethod::Analytic);
+        let (l, g) = loss_and_gradient(&mesh, &inputs, &res);
         assert_eq!(l, 0.0);
         assert!(g.iter().all(|&v| v == 0.0));
     }
@@ -313,7 +265,7 @@ mod tests {
         let mesh = test_mesh();
         let inputs = test_inputs();
         let res = trash_residual();
-        let (l0, g) = loss_and_gradient(&mesh, &inputs, &res, GradientMethod::Analytic);
+        let (l0, g) = loss_and_gradient(&mesh, &inputs, &res);
         let mut stepped = mesh.clone();
         let thetas: Vec<f64> = mesh
             .thetas()
@@ -337,13 +289,8 @@ mod tests {
                 *rj = out[j] - targets[i][j];
             }
         };
-        let (_, g1) = loss_and_gradient(&mesh, &inputs, &res, GradientMethod::Analytic);
-        let (_, g2) = loss_and_gradient(
-            &mesh,
-            &inputs,
-            &res,
-            GradientMethod::CentralDifference { delta: 1e-6 },
-        );
+        let (_, g1) = loss_and_gradient(&mesh, &inputs, &res);
+        let (_, g2) = finite_difference(&mesh, &inputs, &res, 1e-6, true);
         for (a, b) in g1.iter().zip(&g2) {
             assert!((a - b).abs() < 1e-7);
         }
@@ -354,8 +301,8 @@ mod tests {
         let mesh = test_mesh();
         let inputs = test_inputs();
         let res = trash_residual();
-        let (l1, g1) = loss_and_gradient(&mesh, &inputs, &res, GradientMethod::Analytic);
-        let (l2, g2) = loss_and_gradient(&mesh, &inputs, &res, GradientMethod::Analytic);
+        let (l1, g1) = loss_and_gradient(&mesh, &inputs, &res);
+        let (l2, g2) = loss_and_gradient(&mesh, &inputs, &res);
         assert_eq!(l1, l2);
         assert_eq!(g1, g2);
     }
@@ -366,13 +313,8 @@ mod tests {
         let mesh = test_mesh().reversed();
         let inputs = test_inputs();
         let res = trash_residual();
-        let (_, g1) = loss_and_gradient(&mesh, &inputs, &res, GradientMethod::Analytic);
-        let (_, g2) = loss_and_gradient(
-            &mesh,
-            &inputs,
-            &res,
-            GradientMethod::CentralDifference { delta: 1e-6 },
-        );
+        let (_, g1) = loss_and_gradient(&mesh, &inputs, &res);
+        let (_, g2) = finite_difference(&mesh, &inputs, &res, 1e-6, true);
         for (a, b) in g1.iter().zip(&g2) {
             assert!((a - b).abs() < 1e-7);
         }

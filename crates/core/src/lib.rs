@@ -17,10 +17,11 @@
 //!    converted back to classical pixels `x̂_i` (Eq. 2).
 //!
 //! Training ([`trainer`], Algorithm 1) is gradient descent on the gate
-//! angles θ with the exact reverse-mode (backprop) gradient, an
-//! engineering upgrade over the paper's forward difference (Eq. 8,
-//! Δ = 10⁻⁸), which [`gradient::GradientMethod`] keeps, with a central
-//! difference, as the reference the exact gradient is checked against.
+//! angles θ with the exact reverse-mode (backprop) gradient
+//! ([`gradient::loss_and_gradient`]), an engineering upgrade over the
+//! paper's forward difference (Eq. 8, Δ = 10⁻⁸). The gradient module's
+//! tests keep that forward difference, with a central one, as the
+//! oracle the exact gradient is checked against.
 //!
 //! Extension beyond the paper's evaluation, flagged in its module docs:
 //! [`spectral`] (PCA-optimal initialisation via Clements decomposition).

@@ -1,7 +1,7 @@
 //! The quantum reconstruction network `U_R` (paper Sec. II-C, Eq. 4).
 
 use crate::compression::CompressionNetwork;
-use crate::gradient::{self, GradientMethod};
+use crate::gradient;
 use crate::loss::Loss;
 use qn_backend::{BackendKind, MeshBackend};
 use qn_linalg::Panel;
@@ -101,7 +101,7 @@ impl ReconstructionNetwork {
         Loss::from_sum(sum, compressed.len(), self.dim())
     }
 
-    /// Loss and gradient w.r.t. θ.
+    /// Loss and exact gradient w.r.t. θ.
     ///
     /// # Panics
     /// Panics when batch lengths differ.
@@ -109,23 +109,17 @@ impl ReconstructionNetwork {
         &self,
         compressed: &[Vec<f64>],
         targets: &[Vec<f64>],
-        method: GradientMethod,
     ) -> (Loss, Vec<f64>) {
         assert_eq!(
             compressed.len(),
             targets.len(),
             "loss_and_gradient: batch sizes differ"
         );
-        let (sum, grad) = gradient::loss_and_gradient(
-            &self.mesh,
-            compressed,
-            &|i, out, buf| {
-                for (j, b) in buf.iter_mut().enumerate() {
-                    *b = out[j] - targets[i][j];
-                }
-            },
-            method,
-        );
+        let (sum, grad) = gradient::loss_and_gradient(&self.mesh, compressed, &|i, out, buf| {
+            for (j, b) in buf.iter_mut().enumerate() {
+                *b = out[j] - targets[i][j];
+            }
+        });
         (Loss::from_sum(sum, compressed.len(), self.dim()), grad)
     }
 }
@@ -228,7 +222,7 @@ mod tests {
         let ys: Vec<Vec<f64>> = xs.iter().map(|x| comp.forward(x)).collect();
         let before = recon.loss(&ys, &xs).sum;
         for _ in 0..200 {
-            let (_, grad) = recon.loss_and_gradient(&ys, &xs, GradientMethod::Analytic);
+            let (_, grad) = recon.loss_and_gradient(&ys, &xs);
             let thetas: Vec<f64> = recon
                 .mesh()
                 .thetas()

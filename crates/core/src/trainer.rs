@@ -2,7 +2,7 @@
 //!
 //! Each iteration measures the output states, computes the losses of
 //! Eq. 5 over the whole training set, obtains their exact reverse-mode
-//! gradients ([`GradientMethod::Analytic`]) and applies one update
+//! gradients ([`crate::gradient::loss_and_gradient`]) and applies one update
 //! (Eq. 9 or the configured optimiser) to `U_C`, then to `U_R`.
 //! The trainer records everything the paper's Fig. 4 plots: per-iteration
 //! losses (4c), reconstruction accuracy (4d), the tracked sample's
@@ -14,7 +14,6 @@ use crate::compression::CompressionNetwork;
 use crate::config::{CompressionTargetKind, InitStrategy, NetworkConfig};
 use crate::encoding::{self, EncodedSample};
 use crate::error::CoreError;
-use crate::gradient::GradientMethod;
 use crate::loss::Loss;
 use crate::optimizer::{self, Optimizer};
 use crate::reconstruction::ReconstructionNetwork;
@@ -258,9 +257,7 @@ impl Trainer {
 
     /// One gradient step on `U_C`. Returns (loss, gradient norm).
     fn step_compression(&mut self, opt: &mut dyn Optimizer) -> (Loss, f64) {
-        let (loss, mut grad) = self
-            .compression
-            .loss_and_gradient(&self.inputs, GradientMethod::Analytic);
+        let (loss, mut grad) = self.compression.loss_and_gradient(&self.inputs);
         self.normalise(&mut grad);
         (loss, descend(self.compression.mesh_mut(), &grad, opt))
     }
@@ -268,11 +265,9 @@ impl Trainer {
     /// One gradient step on `U_R`. Returns (loss, gradient norm).
     fn step_reconstruction(&mut self, opt: &mut dyn Optimizer) -> (Loss, f64) {
         let compressed = compress_samples(&self.compression, &self.inputs);
-        let (loss, mut grad) = self.reconstruction.loss_and_gradient(
-            &compressed,
-            &self.inputs,
-            GradientMethod::Analytic,
-        );
+        let (loss, mut grad) = self
+            .reconstruction
+            .loss_and_gradient(&compressed, &self.inputs);
         self.normalise(&mut grad);
         (loss, descend(self.reconstruction.mesh_mut(), &grad, opt))
     }

@@ -17,7 +17,7 @@
 //! axis exists to measure exactly that rate delta). Both named grids
 //! sweep all three coders.
 
-use qn_codec::EntropyCoder;
+use qn_codec::{EntropyCoder, MAX_TILE_SIZE};
 
 /// One corner of the sweep: the codec settings a rate–distortion point
 /// is measured at.
@@ -100,8 +100,10 @@ impl Grid {
     /// per axis (entropy values: `rice`, `rice-pos`, `range`).
     ///
     /// # Errors
-    /// Describes the offending clause; rejects empty grids (e.g. every
-    /// `d` exceeding `tile²`).
+    /// Describes the offending clause; rejects a tile outside
+    /// `1..=`[`MAX_TILE_SIZE`], the range every command takes, before
+    /// any corner is sized by it, and empty grids (e.g. every `d`
+    /// exceeding `tile²`).
     pub fn parse(spec: &str) -> Result<Self, String> {
         match spec {
             "smoke" => return Ok(Grid::smoke()),
@@ -127,7 +129,19 @@ impl Grid {
                     .collect()
             };
             match key.trim() {
-                "tile" => tiles = parse_list("tile")?.iter().map(|&v| v as usize).collect(),
+                "tile" => {
+                    let max = u64::from(MAX_TILE_SIZE);
+                    tiles = parse_list("tile")?
+                        .into_iter()
+                        .map(|v| {
+                            if (1..=max).contains(&v) {
+                                Ok(v as usize)
+                            } else {
+                                Err(format!("grid tile must be in 1..={max}, got {v}"))
+                            }
+                        })
+                        .collect::<Result<_, _>>()?;
+                }
                 "d" => dims = parse_list("d")?.iter().map(|&v| v as usize).collect(),
                 "bits" => {
                     bits = parse_list("bits")?
@@ -226,6 +240,15 @@ mod tests {
         assert!(Grid::parse("tile=2;d=5;bits=8").is_err());
         assert!(Grid::parse("potato").is_err());
         assert!(Grid::parse("speed=11").is_err());
+    }
+
+    #[test]
+    fn tiles_outside_the_command_range_are_refused() {
+        assert_eq!(Grid::parse("tile=1,16").unwrap().points.len(), 1);
+        for bad in ["0", "17", "65536", "4294967296", "18446744073709551615"] {
+            let err = Grid::parse(&format!("tile={bad};d=8")).unwrap_err();
+            assert_eq!(err, format!("grid tile must be in 1..=16, got {bad}"));
+        }
     }
 
     #[test]

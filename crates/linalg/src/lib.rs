@@ -8,9 +8,10 @@
 //! textbook algorithms (one-sided Jacobi SVD, symmetric Jacobi
 //! eigensolver) are accurate and fast enough.
 //!
-//! Parallelism follows the rayon idiom: matrix products parallelise over
-//! row blocks, and reductions use fixed chunk boundaries so results are
-//! deterministic regardless of thread count.
+//! [`parallel`] is the one module in the workspace that forks: its
+//! helpers split work at fixed chunk boundaries, so results are
+//! deterministic regardless of thread count. Everything else here runs
+//! on its caller.
 
 pub mod error;
 pub mod givens;

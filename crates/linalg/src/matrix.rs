@@ -2,16 +2,13 @@
 //!
 //! `Matrix` is the workhorse container of the workspace. Storage is a flat
 //! `Vec<f64>` in row-major order, so a row is a contiguous slice — the
-//! layout the matvec/matmul kernels and rayon's row-parallel splits want.
+//! layout the matvec/matmul kernels want. Nothing here forks: the
+//! products are small, and only tests and the decompositions'
+//! `reconstruct` multiply matrices.
 
 use crate::error::LinalgError;
 use crate::vector;
 use crate::Result;
-use rayon::prelude::*;
-
-/// Minimum number of f64 multiply-adds before a product is parallelised.
-/// Below this, rayon's scheduling overhead exceeds the work.
-const PAR_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,9 +225,7 @@ impl Matrix {
         Ok(y)
     }
 
-    /// Matrix product `A B`. Parallelises over rows of `A` once the flop
-    /// count crosses `PAR_FLOP_THRESHOLD`; each output row is computed by
-    /// a single worker, so results are identical to the sequential path.
+    /// Matrix product `A B`, one output row at a time.
     ///
     /// # Errors
     /// Returns [`LinalgError::ShapeMismatch`] on inner-dimension mismatch.
@@ -242,24 +237,12 @@ impl Matrix {
             )));
         }
         let mut out = Matrix::zeros(self.rows, other.cols);
-        let flops = self.rows * self.cols * other.cols;
-        if flops >= PAR_FLOP_THRESHOLD {
-            let cols = self.cols;
-            out.data
-                .par_chunks_mut(other.cols)
-                .enumerate()
-                .for_each(|(i, out_row)| {
-                    let a_row = &self.data[i * cols..(i + 1) * cols];
-                    mat_row_kernel(a_row, other, out_row);
-                });
-        } else {
-            for i in 0..self.rows {
-                let (a_row, out_row) = (
-                    &self.data[i * self.cols..(i + 1) * self.cols],
-                    &mut out.data[i * other.cols..(i + 1) * other.cols],
-                );
-                mat_row_kernel(a_row, other, out_row);
-            }
+        for i in 0..self.rows {
+            let (a_row, out_row) = (
+                &self.data[i * self.cols..(i + 1) * self.cols],
+                &mut out.data[i * other.cols..(i + 1) * other.cols],
+            );
+            mat_row_kernel(a_row, other, out_row);
         }
         Ok(out)
     }
@@ -475,8 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_parallel_matches_sequential() {
-        // Big enough to cross the parallel threshold.
+    fn matmul_matches_the_triple_loop() {
         let n = 96;
         let a = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 13) % 17) as f64 - 8.0);
         let b = Matrix::from_fn(n, n, |i, j| ((i * 3 + j * 5) % 11) as f64 - 5.0);

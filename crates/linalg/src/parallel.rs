@@ -1,15 +1,20 @@
-//! Deterministic parallel helpers.
+//! Deterministic parallel helpers: the one module that forks.
 //!
-//! Floating-point addition is not associative, so a naive
-//! `par_iter().sum()` produces results that depend on rayon's work split.
+//! Every parallel call in the workspace goes through
+//! [`par_map_chunked_into`], which splits the caller's output slice
+//! into fixed chunks and runs them on the rayon pool; the other two
+//! helpers are built on it.
+//!
+//! Floating-point addition is not associative, so a reduction whose
+//! grouping followed the work split would depend on the thread count.
 //! Training runs must be bit-identical across thread counts for the
-//! experiments to be reproducible, so the reduction here uses *fixed*
+//! experiments to be reproducible, so [`par_sum_vectors`] uses *fixed*
 //! chunk boundaries: items are grouped into chunks of a static size, each
 //! chunk is summed sequentially (possibly on different workers), and the
 //! per-chunk partials are combined sequentially in index order. The result
 //! is identical to a plain sequential fold over the same chunking,
-//! regardless of how many threads rayon uses. The maps write each item or
-//! chunk to its own slot, so they are deterministic by construction.
+//! regardless of how many threads the pool has. The maps write each item
+//! or chunk to its own slot, so they are deterministic by construction.
 
 use rayon::prelude::*;
 
@@ -19,35 +24,26 @@ use rayon::prelude::*;
 pub const DET_CHUNK: usize = 64;
 
 /// Deterministic parallel element-wise accumulation of vectors:
-/// returns `Σ_{i<n} f(i)` where each `f(i)` is a vector of length `len`.
+/// returns `Σ_{i<n} f(i)`, where `f(i, acc)` adds item `i`'s vector into
+/// the length-`len` accumulator `acc`.
 ///
 /// Per-chunk partial vectors are produced in parallel, then combined
 /// sequentially in chunk order, so the result is thread-count invariant.
-///
-/// # Panics
-/// Panics if any `f(i)` has length different from `len`.
 pub fn par_sum_vectors<F>(n: usize, len: usize, f: F) -> Vec<f64>
 where
     F: Fn(usize, &mut [f64]) + Sync,
 {
-    if n == 0 {
-        return vec![0.0; len];
-    }
-    let starts: Vec<usize> = (0..n).step_by(DET_CHUNK).collect();
-    let partials: Vec<Vec<f64>> = starts
-        .par_iter()
-        .map(|&s| {
-            let end = (s + DET_CHUNK).min(n);
-            let mut acc = vec![0.0; len];
-            for i in s..end {
-                f(i, &mut acc);
-            }
-            acc
-        })
-        .collect();
+    let mut partials = vec![Vec::new(); n.div_ceil(DET_CHUNK)];
+    par_map_chunked_into(&mut partials, 1, |c, slot| {
+        let start = c * DET_CHUNK;
+        let mut acc = vec![0.0; len];
+        for i in start..(start + DET_CHUNK).min(n) {
+            f(i, &mut acc);
+        }
+        slot[0] = acc;
+    });
     let mut out = vec![0.0; len];
     for p in partials {
-        assert_eq!(p.len(), len, "par_sum_vectors: length mismatch");
         for (o, v) in out.iter_mut().zip(&p) {
             *o += v;
         }
@@ -55,15 +51,19 @@ where
     out
 }
 
-/// Parallel map with order-preserving collection: `(0..n).map(f)` computed
-/// on the rayon pool. Each element is independent, so this is
-/// deterministic by construction.
+/// Parallel map with order-preserving collection: `(0..n).map(f)`
+/// computed on the rayon pool, one item per chunk. Each element is
+/// independent, so this is deterministic by construction.
 pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync + Send,
 {
-    (0..n).into_par_iter().map(f).collect()
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    par_map_chunked_into(&mut out, 1, |i, slot| slot[0] = Some(f(i)));
+    out.into_iter()
+        .map(|v| v.expect("every chunk ran"))
+        .collect()
 }
 
 /// Parallel map over fixed-size chunks of the caller's preallocated
@@ -84,10 +84,6 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync + Send,
 {
-    assert!(chunk > 0, "chunk size must be positive");
-    if out.is_empty() {
-        return;
-    }
     out.par_chunks_mut(chunk)
         .enumerate()
         .for_each(|(i, block)| f(i * chunk, block));

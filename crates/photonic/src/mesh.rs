@@ -290,38 +290,6 @@ impl Mesh {
         Mesh::new(self.dim, layers)
     }
 
-    /// Forward pass with a single θ perturbed by `delta` — the
-    /// finite-difference probe `T_C(θ + Δ)` of the paper's Eq. (8),
-    /// computed without mutating or cloning the mesh.
-    pub fn forward_real_perturbed(
-        &self,
-        amps: &[f64],
-        layer: usize,
-        gate: usize,
-        delta: f64,
-    ) -> Vec<f64> {
-        let mut v = amps.to_vec();
-        for (li, l) in self.layers.iter().enumerate() {
-            if li != layer {
-                l.apply_real(&mut v);
-                continue;
-            }
-            for k in l.positions() {
-                let theta = if k == gate {
-                    l.thetas[k] + delta
-                } else {
-                    l.thetas[k]
-                };
-                let (s, c) = theta.sin_cos();
-                let a = v[k];
-                let b = v[k + 1];
-                v[k] = c * a - s * b;
-                v[k + 1] = s * a + c * b;
-            }
-        }
-        v
-    }
-
     /// The flat `(layer, mode)` gate order of the whole mesh, as applied
     /// to an amplitude vector. The flattened parameter index of gate
     /// `(layer, mode)` is `layer · (N−1) + mode`, matching
@@ -479,20 +447,6 @@ mod tests {
         rinv.set_thetas(&negated);
         let prod = m.as_matrix().matmul(&rinv.as_matrix()).unwrap();
         assert!(prod.max_abs_diff(&Matrix::identity(6)).unwrap() < 1e-11);
-    }
-
-    #[test]
-    fn perturbed_forward_matches_mutated_mesh() {
-        let m = Mesh::random(8, 3, &mut rng());
-        let v: Vec<f64> = (0..8).map(|i| ((i + 1) as f64).recip()).collect();
-        let delta = 0.123;
-        let fast = m.forward_real_perturbed(&v, 1, 4, delta);
-        let mut m2 = m.clone();
-        m2.set_theta_at(1, 4, m.theta_at(1, 4) + delta);
-        let slow = m2.forward_real_copy(&v);
-        for (a, b) in fast.iter().zip(&slow) {
-            assert!((a - b).abs() < TOL);
-        }
     }
 
     #[test]

@@ -215,7 +215,7 @@ impl Args {
 /// command sizes an `N²`-dimensional model by it. Every command takes
 /// the range the server accepts for a per-request model.
 fn tile_size(args: &Args) -> Result<usize, String> {
-    let max = usize::from(qn_serve::protocol::MAX_TILE_SIZE);
+    let max = usize::from(qn_codec::MAX_TILE_SIZE);
     let tile = args.numeric(&["--tile"], 4)?;
     if (1..=max).contains(&tile) {
         Ok(tile)
@@ -839,6 +839,8 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
         ));
     }
     let seed: u64 = args.numeric(&["--seed"], 0u64)?;
+    let grid = qn_eval::Grid::parse(args.value(&["--grid"]).unwrap_or("default"))?;
+    let baselines = qn_eval::BaselineSet::parse(args.value(&["--baselines"]).unwrap_or("all"))?;
     let mut datasets = match args.value(&["--datasets"]) {
         Some(roster) => qn_eval::registry::resolve(roster, seed)?,
         None if args.value(&["--dir"]).is_some() => Vec::new(),
@@ -847,8 +849,6 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     if let Some(dir) = args.value(&["--dir"]) {
         datasets.push(qn_eval::registry::from_pgm_dir(Path::new(dir))?);
     }
-    let grid = qn_eval::Grid::parse(args.value(&["--grid"]).unwrap_or("default"))?;
-    let baselines = qn_eval::BaselineSet::parse(args.value(&["--baselines"]).unwrap_or("all"))?;
     let report =
         qn_eval::QualityReport::build(&datasets, &grid, &baselines, args.has("--timings"), seed)?;
     if args.has("--json") {

@@ -86,7 +86,7 @@
 
 use crate::error::ServeError;
 use qn_codec::bitstream::{crc32, crc32_of_parts};
-use qn_codec::EntropyCoder;
+use qn_codec::{EntropyCoder, MAX_TILE_SIZE};
 use qn_image::GrayImage;
 use std::io::{Read, Write};
 
@@ -634,17 +634,6 @@ pub fn parse_trace_request(payload: &[u8]) -> Result<(bool, Option<u64>), ServeE
         ))),
     }
 }
-
-/// Hard cap on the tile size a remote `ENCODE` may request. The
-/// spectral path fits a model of dimension `tile_size²` to each
-/// request, at O(tile⁶) cost. On a 2-core x86-64 host, the spectral
-/// fit and encode of one 64×64 image (`qnc compress --no-verify`) took
-/// 2 ms at tile 4, 15 ms at 8, 0.85 s at 16, 6.1 s at 24 and 79 s at
-/// 32, so at a cap of 32 or more a handful of small frames pins the
-/// worker pool for minutes. 16 (state dimension 256) bounds a fit at
-/// about a second and still covers every tile this workspace encodes
-/// with.
-pub const MAX_TILE_SIZE: u16 = 16;
 
 /// Option flag: spend 32 bits/tile on a per-tile amplitude scale.
 pub const ENC_FLAG_PER_TILE_SCALE: u8 = 1 << 0;

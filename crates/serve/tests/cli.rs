@@ -927,8 +927,8 @@ fn usage_errors_exit_nonzero_with_help() {
     assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
 
     // A tile size outside 1..=16 is rejected up front, by name, on both
-    // offline commands that tile an image, before any model is sized by
-    // it.
+    // offline commands that tile an image and in an eval grid, before
+    // any model is sized by it.
     let dir = work_dir("usage_errors");
     let input = dir.join("img.pgm");
     write_dataset_image(&input, 16, 16, 3);
@@ -954,6 +954,19 @@ fn usage_errors_exit_nonzero_with_help() {
         );
         assert!(!stderr.contains("panicked"), "{command}: {stderr}");
         assert!(stderr.contains("--tile"), "{command}: {stderr}");
+    }
+    // In a grid, 17 would fit a 289-mode model and 2³² overflows tile².
+    for tile in ["17", "4294967296"] {
+        let out = qnc()
+            .args(["eval", "--datasets", "blobs", "--baselines", "none"])
+            .arg("--grid")
+            .arg(format!("tile={tile};d=8;bits=8"))
+            .output()
+            .expect("spawn qnc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "eval tile={tile}: {stderr}");
+        assert!(!stderr.contains("panicked"), "eval tile={tile}: {stderr}");
+        assert!(stderr.contains("1..=16"), "eval tile={tile}: {stderr}");
     }
 
     // Tile 1 is in range, but a spectral fit needs two modes: compress,

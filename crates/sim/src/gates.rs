@@ -1,21 +1,16 @@
 //! Qubit gates applied by bit-twiddling over the amplitude array.
 //!
 //! A single-qubit gate on qubit `q` mixes amplitude pairs whose indices
-//! differ only in bit `q`. The loop enumerates each pair once; for large
-//! registers the pairs are processed in parallel with rayon (each pair is
-//! touched by exactly one worker, so the parallel path is deterministic).
+//! differ only in bit `q`. The loop enumerates each pair once, on the
+//! caller: the simulator is a test oracle, so it never forks.
 
 use crate::complex::{Complex64, ONE, ZERO};
 use crate::error::SimError;
 use crate::state::StateVector;
 use crate::Result;
-use rayon::prelude::*;
 
 /// A 2×2 complex gate matrix, row-major: `[[m00, m01], [m10, m11]]`.
 pub type Gate2 = [[Complex64; 2]; 2];
-
-/// Registers with at least this many qubits use the rayon-parallel path.
-const PAR_QUBIT_THRESHOLD: usize = 14;
 
 /// Hadamard gate.
 pub fn hadamard() -> Gate2 {
@@ -105,39 +100,17 @@ fn check_qubit(state: &StateVector, qubit: usize) -> Result<()> {
 /// Returns [`SimError::QubitOutOfRange`] for a bad qubit index.
 pub fn apply_single(state: &mut StateVector, qubit: usize, g: &Gate2) -> Result<()> {
     check_qubit(state, qubit)?;
-    let n = state.n_qubits();
-    let dim = state.dim();
     let stride = 1usize << qubit;
     let g = *g;
-    let amps = state.amplitudes_mut();
-
-    // Enumerate indices with bit `qubit` = 0; the partner has the bit set.
-    let pair_body = |amps: &mut [Complex64], i0: usize| {
-        let i1 = i0 | stride;
-        let a0 = amps[i0];
-        let a1 = amps[i1];
-        amps[i0] = g[0][0] * a0 + g[0][1] * a1;
-        amps[i1] = g[1][0] * a0 + g[1][1] * a1;
-    };
-
-    if n >= PAR_QUBIT_THRESHOLD {
-        // Split into independent blocks of 2*stride amplitudes: each block
-        // contains `stride` pairs and no pair crosses a block boundary.
-        amps.par_chunks_mut(2 * stride).for_each(|chunk| {
-            for off in 0..stride {
-                let a0 = chunk[off];
-                let a1 = chunk[off + stride];
-                chunk[off] = g[0][0] * a0 + g[0][1] * a1;
-                chunk[off + stride] = g[1][0] * a0 + g[1][1] * a1;
-            }
-        });
-    } else {
-        let mut base = 0usize;
-        while base < dim {
-            for off in 0..stride {
-                pair_body(amps, base + off);
-            }
-            base += 2 * stride;
+    // Blocks of 2·stride amplitudes: each holds `stride` pairs (the index
+    // with bit `qubit` clear, then its partner with the bit set), and no
+    // pair crosses a block boundary.
+    for block in state.amplitudes_mut().chunks_mut(2 * stride) {
+        let (low, high) = block.split_at_mut(stride);
+        for (a0, a1) in low.iter_mut().zip(high) {
+            let (x0, x1) = (*a0, *a1);
+            *a0 = g[0][0] * x0 + g[0][1] * x1;
+            *a1 = g[1][0] * x0 + g[1][1] * x1;
         }
     }
     Ok(())
@@ -381,12 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_sequential() {
-        // 15 qubits crosses PAR_QUBIT_THRESHOLD; compare against a 13-qubit
-        // register extended by the same operations? Instead: apply to the
-        // same state with a gate on a high and a low qubit and verify norm
-        // and a few amplitudes against the dense definition.
-        let n = PAR_QUBIT_THRESHOLD + 1;
+    fn gates_on_the_lowest_and_highest_qubit_of_a_large_register() {
+        // A gate on a high and a low qubit of a 15-qubit register: check
+        // the norm and a few amplitudes against the dense definition.
+        let n = 15;
         let mut s = StateVector::zero_state(n);
         apply_single(&mut s, 0, &hadamard()).unwrap();
         apply_single(&mut s, n - 1, &hadamard()).unwrap();

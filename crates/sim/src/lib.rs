@@ -10,8 +10,8 @@
 //!   `num-complex` crate is outside the allowed dependency set);
 //! - [`state::StateVector`] — an n-qubit (2ⁿ-amplitude) state with norms,
 //!   fidelity, probabilities and seeded measurement sampling;
-//! - [`gates`] — the standard gate set applied by bit-twiddling, with a
-//!   rayon-parallel path for large registers;
+//! - [`gates`] — the standard gate set applied by bit-twiddling, on the
+//!   caller (the simulator never forks);
 //! - [`circuit::Circuit`] — gate sequences with parameterised rotations;
 //! - [`rotation`] — *mode rotations* `U(k,k+1)`: Givens rotations between
 //!   adjacent computational-basis amplitudes. These are the paper's beam-
