@@ -24,9 +24,9 @@
 //!   amplitude-encoded straight into mode-major panels → `U_C`/`P1` in
 //!   place → quantize + entropy-code, and the reverse through `U_R`,
 //!   every per-tile stage on the thread pool one panel at a time, with
-//!   the mesh passes dispatched through a selectable
-//!   `qn_backend::MeshBackend` (the `simd` panel path by default, the
-//!   `scalar` reference on request — same bytes either way);
+//!   the mesh passes run by the selected [`BackendKind`] (the mesh's
+//!   own `simd` panel pass by default, the `scalar` reference on
+//!   request — same bytes either way);
 //! - the `qnc` binary — `compress` / `decompress` / `train` / `info`
 //!   over PGM files.
 //!

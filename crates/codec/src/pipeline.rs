@@ -8,13 +8,14 @@
 //! [`QuantumAutoencoder`] (loaded from a `.qnm` file, trained in
 //! process, or PCA-spectrally initialised from the image itself) and
 //! converts `GrayImage`s to `.qnc` bytes and back. The mesh passes that
-//! dominate runtime are dispatched as whole-image batches through a
-//! [`qn_backend::MeshBackend`] selected by [`CodecOptions::backend`]:
-//! the `simd` panel path by default, or the `scalar` per-lane
-//! reference. Backends may differ only in the sign of IEEE zeros, which
-//! the magnitude quantizer and the pixel decode erase, so the bytes a
-//! container holds — and the pixels it decodes to — never depend on the
-//! backend.
+//! dominate runtime run as whole-image batches through the
+//! [`BackendKind`] in [`CodecOptions::backend`]: by default the mesh's
+//! own panel pass,
+//! [`Mesh::forward_panels`](qn_photonic::Mesh::forward_panels), or the
+//! `scalar` per-lane reference. The two may differ only in the sign of
+//! IEEE zeros, which the magnitude quantizer and the pixel decode erase,
+//! so the bytes a container holds — and the pixels it decodes to —
+//! never depend on the choice.
 //!
 //! # Tiles travel as panels
 //!
@@ -24,13 +25,13 @@
 //!
 //! - **encode**: [`Codec::prepare_encode`] finds the occupied tiles and
 //!   gathers and normalises each one straight into its lane (Eq. 1);
-//!   the backend rotates the panels in place; [`Codec::complete_encode`]
+//!   the mesh pass rotates the panels in place; [`Codec::complete_encode`]
 //!   quantizes the kept rows into the container's flat
 //!   [`TileGrid`] arrays, which [`Container::to_bytes`] zigzags and
 //!   Rice-codes one fixed chunk of grid tiles per pool task;
 //! - **decode**: [`Container::from_bytes`] fills the flat arrays;
 //!   [`Codec::prepare_decode`] dequantizes them into the kept rows of
-//!   fresh panels; the backend rotates them in place;
+//!   fresh panels; the mesh pass rotates them in place;
 //!   [`Codec::complete_decode`] applies Eq. 2 while stitching the lanes
 //!   into the image.
 //!
@@ -118,10 +119,10 @@ pub struct CodecOptions {
     pub per_tile_scale: bool,
     /// Embed the model file in the container so it decodes standalone.
     pub inline_model: bool,
-    /// Execution backend for the mesh passes (default `simd`; tests and
-    /// benchmarks select `scalar`, the reference oracle — no `qnc`
-    /// command or server exposes the choice). This knob changes
-    /// throughput only, never bytes or pixels.
+    /// Which mesh pass to run (default `simd`, the mesh's own panel
+    /// pass; tests and benchmarks select `scalar`, the reference oracle
+    /// — no `qnc` command or server exposes the choice). This knob
+    /// changes throughput only, never bytes or pixels.
     pub backend: BackendKind,
     /// Entropy coder for the latent payload. `Rice` writes format v1
     /// (bit-exact with pre-v2 builds); `RicePos`/`Range` write format
@@ -346,7 +347,6 @@ impl Codec {
         let ((), mesh_pass) = timed(stage::MESH_PASS, || {
             plan.opts
                 .backend
-                .backend()
                 .forward_panels(self.model.compression.mesh(), &mut panels);
         });
         let (bytes, mut stats) = self.complete_encode(plan, panels)?;
@@ -360,9 +360,9 @@ impl Codec {
     /// finish. [`Codec::encode_image_with_stats`] then runs the compression
     /// mesh over the panels in place and feeds them to
     /// [`Codec::complete_encode`]; the halves are public so a caller
-    /// can time each layer on its own, with any backend (outputs equal
-    /// up to zero signs by the backend contract, which the quantizer
-    /// erases).
+    /// can time each layer on its own, with either mesh pass (outputs
+    /// equal up to zero signs by the `ZeroSignOnly` contract, which the
+    /// quantizer erases).
     ///
     /// # Errors
     /// [`CodecError::Invalid`] for empty images, zero tile sizes, tiles
@@ -489,9 +489,9 @@ impl Codec {
         self.decode_bytes_with(bytes, BackendKind::default())
     }
 
-    /// Decompress through an explicit execution backend. Backends
-    /// differ at most in the sign of IEEE zeros, which decoding erases,
-    /// so every [`BackendKind`] yields the identical image.
+    /// Decompress through an explicit mesh pass. The two differ at most
+    /// in the sign of IEEE zeros, which decoding erases, so every
+    /// [`BackendKind`] yields the identical image.
     ///
     /// # Errors
     /// See [`Codec::decode_bytes`].
@@ -522,9 +522,7 @@ impl Codec {
         let (prepared, prepare) = timed(stage::PREPARE, || self.prepare_decode(container));
         let (plan, mut panels) = prepared?;
         let ((), mesh_pass) = timed(stage::MESH_PASS, || {
-            backend
-                .backend()
-                .forward_panels(self.model.reconstruction.mesh(), &mut panels);
+            backend.forward_panels(self.model.reconstruction.mesh(), &mut panels);
         });
         let (img, stitch) = timed(stage::STITCH, || self.complete_decode(plan, panels));
         Ok((img?, [prepare, mesh_pass, stitch]))

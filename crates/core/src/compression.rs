@@ -6,7 +6,7 @@ use crate::error::CoreError;
 use crate::gradient;
 use crate::loss::Loss;
 use crate::Result;
-use qn_backend::{BackendKind, MeshBackend};
+use qn_backend::BackendKind;
 use qn_linalg::Panel;
 use qn_photonic::Mesh;
 use std::ops::Range;
@@ -83,25 +83,26 @@ impl CompressionNetwork {
         out
     }
 
-    /// Batch forward pass through an execution backend: a copy of
-    /// `encoded` with `U_C` applied to every lane. Every backend
-    /// matches [`CompressionNetwork::forward`] per lane up to the sign
-    /// of IEEE zeros (the `MeshBackend` contract). Callers that own
-    /// their panels apply [`MeshBackend::forward_panels`] in place.
-    pub fn forward_batch_with(&self, encoded: &[Panel], backend: &dyn MeshBackend) -> Vec<Panel> {
+    /// Batch forward pass through either mesh pass (the scalar oracle
+    /// in tests and benchmarks): a copy of `encoded` with `U_C` applied
+    /// to every lane. Both match [`CompressionNetwork::forward`] per
+    /// lane up to the sign of IEEE zeros (the `ZeroSignOnly` contract
+    /// on [`Mesh::forward_panels`]). Callers that own their panels run
+    /// [`Mesh::forward_panels`] in place.
+    pub fn forward_batch_with(&self, encoded: &[Panel], backend: BackendKind) -> Vec<Panel> {
         let mut out = encoded.to_vec();
         backend.forward_panels(&self.mesh, &mut out);
         out
     }
 
-    /// Batch compression through the default backend
-    /// ([`BackendKind::default`]) over panel-packed samples (see
+    /// Batch compression over panel-packed samples (see
     /// [`qn_linalg::panel::pack`]) — equal to
     /// [`CompressionNetwork::compress`] per lane up to the sign of IEEE
-    /// zeros (the `MeshBackend` contract): the forward pass, then every
-    /// discarded mode's row zeroed.
+    /// zeros: [`Mesh::forward_panels`], then every discarded mode's row
+    /// zeroed.
     pub fn compress_batch(&self, encoded: &[Panel]) -> Vec<Panel> {
-        let mut out = self.forward_batch_with(encoded, BackendKind::default().backend());
+        let mut out = encoded.to_vec();
+        self.mesh.forward_panels(&mut out);
         for panel in &mut out {
             for mode in 0..self.kept().start {
                 panel.row_mut(mode).fill(0.0);
@@ -256,7 +257,7 @@ mod tests {
         let net = network(CompressionTargetKind::TrashPenalty);
         let xs = inputs();
         for kind in BackendKind::ALL {
-            let batch = unpack(&net.forward_batch_with(&pack(&xs, 3), kind.backend()));
+            let batch = unpack(&net.forward_batch_with(&pack(&xs, 3), kind));
             for (i, x) in xs.iter().enumerate() {
                 assert_eq!(batch[i], net.forward(x), "{kind}");
             }

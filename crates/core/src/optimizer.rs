@@ -6,91 +6,85 @@
 
 use crate::config::OptimizerKind;
 
+/// Adam's denominator guard ε.
+const ADAM_EPS: f64 = 1e-8;
+
 /// A stateful first-order optimiser over a flat parameter vector.
-pub trait Optimizer {
+#[derive(Debug, Clone)]
+pub enum Optimizer {
+    /// Plain gradient descent (paper Eq. 9).
+    Gd {
+        /// Learning rate η.
+        learning_rate: f64,
+    },
+    /// Adam (Kingma & Ba) with bias correction.
+    Adam {
+        /// Learning rate η.
+        learning_rate: f64,
+        /// First-moment decay β₁.
+        beta1: f64,
+        /// Second-moment decay β₂.
+        beta2: f64,
+        /// First-moment estimate, one entry per parameter.
+        m: Vec<f64>,
+        /// Second-moment estimate, one entry per parameter.
+        v: Vec<f64>,
+        /// Steps taken.
+        t: u64,
+    },
+}
+
+impl Optimizer {
+    /// The optimiser `kind` names over `dim` parameters, Adam's moments
+    /// zeroed.
+    pub fn new(kind: OptimizerKind, learning_rate: f64, dim: usize) -> Self {
+        match kind {
+            OptimizerKind::Gd => Optimizer::Gd { learning_rate },
+            OptimizerKind::Adam { beta1, beta2 } => Optimizer::Adam {
+                learning_rate,
+                beta1,
+                beta2,
+                m: vec![0.0; dim],
+                v: vec![0.0; dim],
+                t: 0,
+            },
+        }
+    }
+
     /// Apply one update step in place.
-    fn step(&mut self, params: &mut [f64], grad: &[f64]);
-    /// The optimiser's display name (for experiment tables).
-    fn name(&self) -> &'static str;
-}
-
-/// Plain gradient descent (paper Eq. 9).
-#[derive(Debug, Clone)]
-pub struct Gd {
-    /// Learning rate η.
-    pub learning_rate: f64,
-}
-
-impl Optimizer for Gd {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
-        assert_eq!(params.len(), grad.len(), "gd: length mismatch");
-        for (p, g) in params.iter_mut().zip(grad) {
-            *p -= self.learning_rate * g;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "gd"
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate η.
-    pub learning_rate: f64,
-    /// First-moment decay β₁.
-    pub beta1: f64,
-    /// Second-moment decay β₂.
-    pub beta2: f64,
-    eps: f64,
-    m: Vec<f64>,
-    v: Vec<f64>,
-    t: u64,
-}
-
-impl Adam {
-    /// Create with zeroed moments.
-    pub fn new(learning_rate: f64, beta1: f64, beta2: f64, dim: usize) -> Self {
-        Adam {
-            learning_rate,
-            beta1,
-            beta2,
-            eps: 1e-8,
-            m: vec![0.0; dim],
-            v: vec![0.0; dim],
-            t: 0,
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
-        assert_eq!(params.len(), grad.len(), "adam: length mismatch");
-        assert_eq!(params.len(), self.m.len(), "adam: wrong dim");
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, (p, g)) in params.iter_mut().zip(grad).enumerate() {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let mhat = self.m[i] / bc1;
-            let vhat = self.v[i] / bc2;
-            *p -= self.learning_rate * mhat / (vhat.sqrt() + self.eps);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "adam"
-    }
-}
-
-/// Instantiate an optimiser from its config description.
-pub fn build(kind: OptimizerKind, learning_rate: f64, dim: usize) -> Box<dyn Optimizer + Send> {
-    match kind {
-        OptimizerKind::Gd => Box::new(Gd { learning_rate }),
-        OptimizerKind::Adam { beta1, beta2 } => {
-            Box::new(Adam::new(learning_rate, beta1, beta2, dim))
+    ///
+    /// # Panics
+    /// Panics when `params` and `grad` differ in length, or (Adam) when
+    /// they differ from the optimiser's dimension.
+    pub fn step(&mut self, params: &mut [f64], grad: &[f64]) {
+        match self {
+            Optimizer::Gd { learning_rate } => {
+                assert_eq!(params.len(), grad.len(), "gd: length mismatch");
+                for (p, g) in params.iter_mut().zip(grad) {
+                    *p -= *learning_rate * g;
+                }
+            }
+            Optimizer::Adam {
+                learning_rate,
+                beta1,
+                beta2,
+                m,
+                v,
+                t,
+            } => {
+                assert_eq!(params.len(), grad.len(), "adam: length mismatch");
+                assert_eq!(params.len(), m.len(), "adam: wrong dim");
+                *t += 1;
+                let bc1 = 1.0 - beta1.powi(*t as i32);
+                let bc2 = 1.0 - beta2.powi(*t as i32);
+                for (i, (p, g)) in params.iter_mut().zip(grad).enumerate() {
+                    m[i] = *beta1 * m[i] + (1.0 - *beta1) * g;
+                    v[i] = *beta2 * v[i] + (1.0 - *beta2) * g * g;
+                    let mhat = m[i] / bc1;
+                    let vhat = v[i] / bc2;
+                    *p -= *learning_rate * mhat / (vhat.sqrt() + ADAM_EPS);
+                }
+            }
         }
     }
 }
@@ -99,8 +93,13 @@ pub fn build(kind: OptimizerKind, learning_rate: f64, dim: usize) -> Box<dyn Opt
 mod tests {
     use super::*;
 
+    const ADAM: OptimizerKind = OptimizerKind::Adam {
+        beta1: 0.9,
+        beta2: 0.999,
+    };
+
     /// Quadratic bowl: L = ½‖p‖², ∇ = p. Everything should converge to 0.
-    fn converges_on_quadratic(opt: &mut dyn Optimizer, iters: usize) -> f64 {
+    fn converges_on_quadratic(mut opt: Optimizer, iters: usize) -> f64 {
         let mut p = vec![1.0, -2.0, 0.5];
         for _ in 0..iters {
             let g = p.clone();
@@ -111,42 +110,38 @@ mod tests {
 
     #[test]
     fn gd_step_matches_eq9() {
-        let mut gd = Gd { learning_rate: 0.1 };
+        let mut gd = Optimizer::new(OptimizerKind::Gd, 0.1, 2);
         let mut p = vec![1.0, 2.0];
         gd.step(&mut p, &[10.0, -10.0]);
         assert_eq!(p, vec![0.0, 3.0]);
-        assert_eq!(gd.name(), "gd");
     }
 
     #[test]
     fn all_optimizers_converge_on_quadratic() {
-        assert!(converges_on_quadratic(&mut Gd { learning_rate: 0.1 }, 200) < 1e-6);
-        assert!(converges_on_quadratic(&mut Adam::new(0.1, 0.9, 0.999, 3), 500) < 1e-3);
+        let gd = Optimizer::new(OptimizerKind::Gd, 0.1, 3);
+        assert!(converges_on_quadratic(gd, 200) < 1e-6);
+        assert!(converges_on_quadratic(Optimizer::new(ADAM, 0.1, 3), 500) < 1e-3);
     }
 
     #[test]
     fn adam_normalises_gradient_scale() {
         // First Adam step size is ≈ lr regardless of gradient magnitude.
-        let mut a = Adam::new(0.1, 0.9, 0.999, 1);
+        let mut a = Optimizer::new(ADAM, 0.1, 1);
         let mut p = vec![0.0];
         a.step(&mut p, &[1000.0]);
         assert!((p[0] + 0.1).abs() < 1e-3);
     }
 
     #[test]
-    fn build_dispatches() {
-        assert_eq!(build(OptimizerKind::Gd, 0.1, 4).name(), "gd");
-        assert_eq!(
-            build(
-                OptimizerKind::Adam {
-                    beta1: 0.9,
-                    beta2: 0.999
-                },
-                0.1,
-                4
-            )
-            .name(),
-            "adam"
-        );
+    fn new_dispatches_on_the_kind() {
+        assert!(matches!(
+            Optimizer::new(OptimizerKind::Gd, 0.1, 4),
+            Optimizer::Gd { learning_rate } if learning_rate == 0.1
+        ));
+        assert!(matches!(
+            Optimizer::new(ADAM, 0.1, 4),
+            Optimizer::Adam { beta1, beta2, ref m, t: 0, .. }
+                if beta1 == 0.9 && beta2 == 0.999 && m.len() == 4
+        ));
     }
 }

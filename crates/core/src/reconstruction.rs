@@ -3,7 +3,7 @@
 use crate::compression::CompressionNetwork;
 use crate::gradient;
 use crate::loss::Loss;
-use qn_backend::{BackendKind, MeshBackend};
+use qn_backend::BackendKind;
 use qn_linalg::Panel;
 use qn_photonic::{Mesh, MeshLayer};
 
@@ -65,22 +65,21 @@ impl ReconstructionNetwork {
         self.mesh.forward_real_copy(compressed)
     }
 
-    /// Batch reconstruction through the default backend
-    /// ([`BackendKind::default`]) over panel-packed states.
+    /// Batch reconstruction over panel-packed states:
+    /// [`Mesh::forward_panels`] on a copy of `compressed`.
     pub fn reconstruct_batch(&self, compressed: &[Panel]) -> Vec<Panel> {
-        self.reconstruct_batch_with(compressed, BackendKind::default().backend())
+        let mut out = compressed.to_vec();
+        self.mesh.forward_panels(&mut out);
+        out
     }
 
-    /// Batch reconstruction through an explicit execution backend (the
-    /// scalar oracle in tests and benchmarks): a copy of `compressed`
-    /// with `U_R` applied to every lane — equal to
+    /// Batch reconstruction through either mesh pass (the scalar oracle
+    /// in tests and benchmarks): a copy of `compressed` with `U_R`
+    /// applied to every lane — equal to
     /// [`ReconstructionNetwork::reconstruct`] per lane up to the sign
-    /// of IEEE zeros (the `MeshBackend` contract).
-    pub fn reconstruct_batch_with(
-        &self,
-        compressed: &[Panel],
-        backend: &dyn MeshBackend,
-    ) -> Vec<Panel> {
+    /// of IEEE zeros (the `ZeroSignOnly` contract on
+    /// [`Mesh::forward_panels`]).
+    pub fn reconstruct_batch_with(&self, compressed: &[Panel], backend: BackendKind) -> Vec<Panel> {
         let mut out = compressed.to_vec();
         backend.forward_panels(&self.mesh, &mut out);
         out

@@ -15,7 +15,7 @@ use crate::config::{CompressionTargetKind, InitStrategy, NetworkConfig};
 use crate::encoding::{self, EncodedSample};
 use crate::error::CoreError;
 use crate::loss::Loss;
-use crate::optimizer::{self, Optimizer};
+use crate::optimizer::Optimizer;
 use crate::reconstruction::ReconstructionNetwork;
 use crate::spectral;
 use crate::Result;
@@ -198,20 +198,20 @@ impl Trainer {
             tracked_sample: self.tracked,
             ..TrainingHistory::default()
         };
-        let mut opt_c = optimizer::build(
+        let mut opt_c = Optimizer::new(
             self.config.optimizer,
             self.config.learning_rate,
             self.compression.mesh().param_count(),
         );
-        let mut opt_r = optimizer::build(
+        let mut opt_r = Optimizer::new(
             self.config.optimizer,
             self.config.learning_rate,
             self.reconstruction.mesh().param_count(),
         );
 
         for it in 0..self.config.iterations {
-            let (loss_c, gn_c) = self.step_compression(opt_c.as_mut());
-            let (loss_r, gn_r) = self.step_reconstruction(opt_r.as_mut());
+            let (loss_c, gn_c) = self.step_compression(&mut opt_c);
+            let (loss_r, gn_r) = self.step_reconstruction(&mut opt_r);
             let (accuracy, accuracy_binary) = self.evaluate_accuracy();
             history.compression_loss.push(loss_c);
             history.reconstruction_loss.push(loss_r);
@@ -256,14 +256,14 @@ impl Trainer {
     }
 
     /// One gradient step on `U_C`. Returns (loss, gradient norm).
-    fn step_compression(&mut self, opt: &mut dyn Optimizer) -> (Loss, f64) {
+    fn step_compression(&mut self, opt: &mut Optimizer) -> (Loss, f64) {
         let (loss, mut grad) = self.compression.loss_and_gradient(&self.inputs);
         self.normalise(&mut grad);
         (loss, descend(self.compression.mesh_mut(), &grad, opt))
     }
 
     /// One gradient step on `U_R`. Returns (loss, gradient norm).
-    fn step_reconstruction(&mut self, opt: &mut dyn Optimizer) -> (Loss, f64) {
+    fn step_reconstruction(&mut self, opt: &mut Optimizer) -> (Loss, f64) {
         let compressed = compress_samples(&self.compression, &self.inputs);
         let (loss, mut grad) = self
             .reconstruction
@@ -318,7 +318,7 @@ fn compress_samples(compression: &CompressionNetwork, samples: &[Vec<f64>]) -> V
 }
 
 /// One optimiser step on `mesh`'s angles down `grad`. Returns ‖grad‖₂.
-fn descend(mesh: &mut Mesh, grad: &[f64], opt: &mut dyn Optimizer) -> f64 {
+fn descend(mesh: &mut Mesh, grad: &[f64], opt: &mut Optimizer) -> f64 {
     let mut thetas = mesh.thetas();
     opt.step(&mut thetas, grad);
     mesh.set_thetas(&thetas);

@@ -5,12 +5,13 @@
 //! `m` are contiguous (`data[m·width + lane]`). A beam-splitter gate on
 //! modes `(k, k+1)` then touches exactly two contiguous rows, so one
 //! trigonometric evaluation sweeps the whole batch with a unit-stride,
-//! vectorizable inner loop — the storage layout behind `qn-backend`'s
-//! `SimdBackend`, whose rotations run through [`rotate_lanes_blocked`].
+//! vectorizable inner loop — the storage layout behind `qn-photonic`'s
+//! `Mesh::forward_panels`, whose rotations run through
+//! [`rotate_lanes_blocked`].
 //!
 //! Panels are also the codec's tile carrier from pixels to bitstream:
 //! `qn-codec` gathers each occupied tile straight into a lane of a
-//! [`DEFAULT_PANEL_WIDTH`]-lane panel, the mesh backends rotate the
+//! [`DEFAULT_PANEL_WIDTH`]-lane panel, the mesh pass rotates the
 //! panels in place, and quantization and stitching read the lanes
 //! back out, so no stage allocates per tile. [`pack`] and [`unpack`]
 //! convert vector batches at the boundary of callers that hold a few

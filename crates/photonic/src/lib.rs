@@ -20,8 +20,10 @@
 //!   matrix into adjacent-mode rotations, used by the
 //!   spectral-initialisation extension;
 //! - [`tables::MeshTables`] — a mesh's precomputed gate tables, built
-//!   on first use and kept by the mesh ([`Mesh::tables`]) for the
-//!   codec's simd backend.
+//!   on first use and kept by the mesh ([`Mesh::tables`]) for its panel
+//!   pass, [`Mesh::forward_panels`]: the production mesh pass of the
+//!   codec, identity gates pruned and lanes rotated in explicit blocks,
+//!   held to the `ZeroSignOnly` contract against [`Mesh::forward_real`].
 
 pub mod beamsplitter;
 pub mod clements;

@@ -15,7 +15,8 @@
 use crate::beamsplitter::BeamSplitter;
 use crate::sequence::GateSequence;
 use crate::tables::{self, MeshTables};
-use qn_linalg::Matrix;
+use qn_linalg::parallel::par_map_chunked_into;
+use qn_linalg::{Matrix, Panel};
 use rand::Rng;
 use std::sync::OnceLock;
 
@@ -269,6 +270,57 @@ impl Mesh {
         v
     }
 
+    /// Apply the mesh forward to every lane of every panel, in place —
+    /// the production pass the codec runs on encode (`U_C`) and on
+    /// decode (`U_R`; the paper decodes by running the trained `U_R`
+    /// forward, so there is no inverse pass).
+    ///
+    /// A non-empty call looks up the gate tables once ([`Mesh::tables`])
+    /// and runs their blocked kernel over the panels on the thread pool,
+    /// one panel per chunk; a single panel runs on the calling thread,
+    /// and an empty slice does nothing. Identity gates (`θ = ±0.0`,
+    /// roughly half the gate slots of an ASAP-packed spectral model)
+    /// are skipped, and the surviving rotations sweep the lanes in
+    /// explicit [`LANE_BLOCK`](qn_linalg::panel::LANE_BLOCK)-wide
+    /// blocks. One call carries one request's panels, and panels may
+    /// differ in width (the last one is usually narrower), so a lane's
+    /// result depends on nothing but that lane and the mesh.
+    ///
+    /// # Contract: `ZeroSignOnly` against [`Mesh::forward_real`]
+    ///
+    /// For every mesh and every panel slice, lane `l` of panel `p` after
+    /// the pass matches [`Mesh::forward_real_copy`] of that lane's input
+    /// column, whatever the thread count, panel widths or panel count:
+    ///
+    /// - every output compares equal under `f64 ==` — the absolute
+    ///   difference is exactly `0.0`, a zero tolerance budget;
+    /// - bits may differ only where both values are IEEE zeros.
+    ///
+    /// Skipping an identity gate keeps an amplitude's stored bits where
+    /// the reference computes `1·a − 0·b` / `0·a + 1·b`, which can
+    /// rewrite `-0.0` to `+0.0`. On meshes without identity gates the
+    /// pass is bit-identical to the reference. Quantization and the
+    /// pixel decode cannot tell `-0.0` from `+0.0`, so `.qnc` containers
+    /// encode and decode byte-identically under this pass and under the
+    /// per-lane reference; this crate's tests, the codec conformance
+    /// properties and the golden vectors enforce all of it.
+    ///
+    /// # Panics
+    /// Panics when a panel's dimension differs from [`Mesh::dim`], like
+    /// the reference; malformed file input must be rejected before it
+    /// reaches a mesh.
+    pub fn forward_panels(&self, panels: &mut [Panel]) {
+        if panels.is_empty() {
+            return;
+        }
+        let tables = self.tables();
+        par_map_chunked_into(panels, 1, |_, block| {
+            block
+                .iter_mut()
+                .for_each(|p| tables.forward_panel_blocked(p));
+        });
+    }
+
     /// The mesh with gates connected in reverse order (paper Sec. II-C:
     /// "the reconstruction network U_R can be the combination of the
     /// quantum gates in the compression network, connected in reverse
@@ -360,6 +412,7 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qn_linalg::panel::{pack, unpack, DEFAULT_PANEL_WIDTH};
     use qn_linalg::vector::norm2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -519,5 +572,117 @@ mod tests {
         let d = m.as_matrix().max_abs_diff(&Matrix::identity(8)).unwrap();
         assert!(d < 0.1);
         assert!(d > 0.0);
+    }
+
+    fn mesh(dim: usize, layers: usize) -> Mesh {
+        Mesh::random(dim, layers, &mut StdRng::seed_from_u64(314))
+    }
+
+    fn batch(dim: usize, n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                (0..dim)
+                    .map(|j| ((i * dim + j) as f64 * 0.29).sin())
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `xs` packed into `width`-lane panels, passed through
+    /// [`Mesh::forward_panels`], and unpacked again.
+    fn run(m: &Mesh, xs: &[Vec<f64>], width: usize) -> Vec<Vec<f64>> {
+        let mut panels = pack(xs, width);
+        m.forward_panels(&mut panels);
+        unpack(&panels)
+    }
+
+    /// The per-lane reference, [`Mesh::forward_real`].
+    fn reference(m: &Mesh, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        xs.iter().map(|x| m.forward_real_copy(x)).collect()
+    }
+
+    #[test]
+    fn panel_widths_including_one_agree_with_scalar() {
+        let m = mesh(6, 2);
+        let xs = batch(6, 7);
+        let want = reference(&m, &xs);
+        for width in [1usize, 2, 3, 4, 5, 7, 8, 64] {
+            assert_eq!(run(&m, &xs, width), want, "width {width}");
+        }
+    }
+
+    #[test]
+    fn simd_epsilon_budget_is_exactly_zero_and_divergence_is_zero_signs_only() {
+        // The ZeroSignOnly contract, pinned bit-by-bit: on a mesh that
+        // mixes identity (θ = 0) and active gates — the shape
+        // ASAP-packed spectral models have — every panel output must
+        // (a) compare equal to the per-lane reference under `==`
+        //     (absolute difference exactly 0.0: a zero epsilon budget),
+        // (b) differ in bits only where both values are IEEE zeros.
+        let mut m = mesh(10, 4);
+        let thetas: Vec<f64> = m
+            .thetas()
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| if i % 2 == 0 { 0.0 } else { t })
+            .collect();
+        m.set_thetas(&thetas);
+        // Zero amplitudes included so zero-sign handling is exercised.
+        let mut xs = batch(10, 23);
+        xs[0] = vec![0.0; 10];
+        xs[1] = vec![-0.0; 10];
+        for m in [m.clone(), m.reversed()] {
+            let want = reference(&m, &xs);
+            let got = run(&m, &xs, DEFAULT_PANEL_WIDTH);
+            for (g, w) in got.iter().zip(&want) {
+                for (a, b) in g.iter().zip(w) {
+                    assert!((a - b).abs() == 0.0, "epsilon budget exceeded: {a} vs {b}");
+                    if a.to_bits() != b.to_bits() {
+                        assert_eq!(*a, 0.0, "non-zero bit divergence: {a} vs {b}");
+                        assert_eq!(*b, 0.0, "non-zero bit divergence: {a} vs {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_backends_match_the_scalar_reference_bitwise() {
+        // A random mesh has no identity gates, so the pass prunes
+        // nothing and must reproduce the reference bit for bit.
+        let m = mesh(10, 3);
+        let xs = batch(10, 23);
+        let bits = |vs: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            vs.iter()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let want = bits(reference(&m, &xs));
+        // Widths ragged against the 23-vector batch.
+        for width in [5usize, DEFAULT_PANEL_WIDTH] {
+            assert_eq!(bits(run(&m, &xs, width)), want, "width {width}");
+        }
+    }
+
+    #[test]
+    fn empty_panel_slices_are_a_no_op() {
+        let mut none: Vec<Panel> = Vec::new();
+        mesh(4, 1).forward_panels(&mut none);
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn mismatched_panel_dimensions_panic_like_the_scalar_path() {
+        mesh(6, 1).forward_panels(&mut [Panel::zeros(5, 3)]);
+    }
+
+    #[test]
+    fn descending_order_meshes_are_supported() {
+        // Reversed meshes flip each layer's cascade direction — the
+        // panel sweep must follow the same gate order.
+        let m = mesh(9, 2).reversed();
+        let xs = batch(9, 13);
+        assert_eq!(run(&m, &xs, DEFAULT_PANEL_WIDTH), reference(&m, &xs));
     }
 }

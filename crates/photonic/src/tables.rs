@@ -6,16 +6,15 @@
 //! gate's `(sin θ, cos θ)` is a property of the mesh. [`MeshTables`]
 //! evaluates every gate's `sin_cos` once, and the mesh keeps the
 //! result ([`Mesh::tables`]) until one of its angles changes, so every
-//! simd pass after a mesh's first runs trig-free.
+//! [`Mesh::forward_panels`] pass after a mesh's first runs trig-free.
 //!
 //! # Contract
 //!
-//! The tables carry one kernel, [`MeshTables::forward_panel_blocked`],
-//! and it runs the mesh forward: the paper decodes by running the
-//! trained `U_R` forward, never by inverting `U_C`. The exact reference
-//! is the mesh's own `Mesh::forward_real`, which evaluates `sin_cos`
-//! per gate; `f64::sin_cos` is deterministic, so a tabled value is the
-//! same bit pattern as a recomputed one.
+//! The tables carry one kernel, the forward panel sweep behind
+//! [`Mesh::forward_panels`]. The exact reference is the mesh's own
+//! `Mesh::forward_real`, which evaluates `sin_cos` per gate;
+//! `f64::sin_cos` is deterministic, so a tabled value is the same bit
+//! pattern as a recomputed one.
 //!
 //! The kernel sweeps every lane of a mode-major [`Panel`], skips
 //! identity gates — gates whose table entry is exactly
@@ -27,13 +26,14 @@
 //! *sign of an IEEE zero* (e.g. `-0.0 − (-0.0) = +0.0`). Every output
 //! therefore compares **equal under `f64 ==`** to the reference
 //! (absolute difference exactly `0.0`), but is not guaranteed
-//! bit-identical on zero amplitudes. Identity gates are common in
-//! practice: ASAP-packed spectral meshes (the codec's default model
-//! source) leave roughly half their gate slots at `θ = 0`.
+//! bit-identical on zero amplitudes (the `ZeroSignOnly` contract on
+//! [`Mesh::forward_panels`]). Identity gates are common in practice:
+//! ASAP-packed spectral meshes (the codec's default model source)
+//! leave roughly half their gate slots at `θ = 0`.
 //!
 //! [`table_cache_stats`] counts, process-wide, the [`Mesh::tables`]
 //! calls that found their mesh's tables built and the ones that built
-//! them; every simd pass makes one such call.
+//! them; every non-empty [`Mesh::forward_panels`] call makes one.
 
 use crate::mesh::Mesh;
 use qn_linalg::panel::rotate_lanes_blocked;
@@ -95,13 +95,13 @@ impl MeshTables {
     }
 
     /// Forward panel sweep with identity-gate pruning and explicit
-    /// lane blocks — the `simd` backend's kernel. Outputs compare equal
-    /// (`f64 ==`) to [`Mesh::forward_real`] on every lane; see the
-    /// module docs for the exact (zero-sign) contract.
+    /// lane blocks — the kernel of [`Mesh::forward_panels`]. Outputs
+    /// compare equal (`f64 ==`) to [`Mesh::forward_real`] on every
+    /// lane; see the module docs for the exact (zero-sign) contract.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    pub fn forward_panel_blocked(&self, panel: &mut Panel) {
+    pub(crate) fn forward_panel_blocked(&self, panel: &mut Panel) {
         assert_eq!(panel.dim(), self.dim, "table dimension mismatch");
         for layer in &self.layers {
             for g in layer {
@@ -122,8 +122,8 @@ pub(crate) fn count_lookup(built: bool) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Process-wide counts of [`Mesh::tables`] calls, which each simd pass
-/// makes once.
+/// Process-wide counts of [`Mesh::tables`] calls, which each non-empty
+/// [`Mesh::forward_panels`] call makes once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableCacheStats {
     /// Calls that found their mesh's tables already built.

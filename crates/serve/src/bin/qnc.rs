@@ -459,6 +459,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
             let c = qn_codec::Container::from_bytes(&bytes)
                 .map_err(|e| format!("parsing container: {e}"))?;
             let h = &c.header;
+            let entropy = h.entropy().map_err(|e| format!("parsing container: {e}"))?;
             println!("qnc container v{}", h.version);
             println!("  image        {}x{} px", h.width, h.height);
             println!(
@@ -469,6 +470,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
                 h.tile_count()
             );
             println!("  latents      d={} @ {} bits", h.latent_dim, h.bits);
+            println!("  entropy      {entropy}");
             println!("  model id     {:#018x}", h.model_id);
             println!("  per-tile scale  {}", h.per_tile_scale());
             println!(

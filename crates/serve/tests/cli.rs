@@ -163,6 +163,28 @@ fn info_reports_both_formats() {
     let text = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(text.contains("qnc container v1"), "got: {text}");
     assert!(text.contains("32x32 px"));
+    let names_coder = |text: &str, coder: &str| {
+        text.lines()
+            .any(|l| l.split_whitespace().eq(["entropy", coder]))
+    };
+    assert!(names_coder(&text, "rice"), "got: {text}");
+
+    // A v2 container's plain view names its coder, as `--json` does.
+    let v2 = dir.join("out-rice-pos.qnc");
+    run_ok(
+        qnc()
+            .arg("compress")
+            .arg(&input)
+            .arg("-o")
+            .arg(&v2)
+            .arg("--entropy")
+            .arg("rice-pos")
+            .arg("--no-verify"),
+    );
+    let out = run_ok(qnc().arg("info").arg(&v2));
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(text.contains("qnc container v2"), "got: {text}");
+    assert!(names_coder(&text, "rice-pos"), "got: {text}");
 
     let out = run_ok(qnc().arg("info").arg(&model));
     let text = String::from_utf8_lossy(&out.stdout).to_string();

@@ -11,8 +11,9 @@
 //!
 //! - [`core`] — the paper's contribution: encoding, compression /
 //!   reconstruction networks, losses, gradients, the training loop.
-//! - [`backend`] — mesh execution backends: the scalar reference and the
-//!   default simd panel path behind one trait.
+//! - [`backend`] — `BackendKind`, which runs either mesh pass: the
+//!   mesh's own simd panel pass (the default) or the per-lane scalar
+//!   reference.
 //! - [`sim`] — hand-rolled state-vector simulator.
 //! - [`photonic`] — interferometer meshes, the Clements decomposition and
 //!   the gate tables each mesh keeps for the simd path.

@@ -14,9 +14,10 @@
 //! This binary holds one test, so no other test allocates while it
 //! counts.
 
-use qn::backend::{BackendKind, DEFAULT_PANEL_WIDTH};
+use qn::backend::BackendKind;
 use qn::codec::{Codec, CodecOptions, EntropyCoder};
 use qn::image::{datasets, GrayImage};
+use qn::linalg::panel::DEFAULT_PANEL_WIDTH;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 

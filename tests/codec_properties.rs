@@ -8,13 +8,14 @@
 //! byte-identical containers.
 
 use proptest::prelude::*;
-use qn::backend::{BackendKind, MeshBackend, SimdBackend, DEFAULT_PANEL_WIDTH};
+use qn::backend::BackendKind;
 use qn::codec::{container, model, Codec, CodecError, CodecOptions, EntropyCoder, Quantizer};
 use qn::core::compression::CompressionNetwork;
 use qn::core::config::CompressionTargetKind;
 use qn::core::reconstruction::ReconstructionNetwork;
 use qn::core::QuantumAutoencoder;
 use qn::image::{metrics, GrayImage};
+use qn::linalg::panel::DEFAULT_PANEL_WIDTH;
 use qn::photonic::Mesh;
 
 /// Mesh angles covering the full parameter range.
@@ -22,9 +23,9 @@ fn angle() -> impl Strategy<Value = f64> {
     -10.0..10.0f64
 }
 
-/// Assert the `MeshBackend` contract on one batch: every output equals
-/// the reference under `f64 ==` (a zero epsilon budget), and its bits
-/// differ only where both values are IEEE zeros.
+/// Assert the mesh pass's `ZeroSignOnly` contract on one batch: every
+/// output equals the reference under `f64 ==` (a zero epsilon budget),
+/// and its bits differ only where both values are IEEE zeros.
 fn assert_zero_sign_only(got: &[Vec<f64>], want: &[Vec<f64>], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: batch length");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -43,7 +44,7 @@ fn assert_zero_sign_only(got: &[Vec<f64>], want: &[Vec<f64>], what: &str) {
 
 /// `batch` packed into `width`-lane panels, passed forward through
 /// `backend` in place, and unpacked again.
-fn pass(backend: &dyn MeshBackend, m: &Mesh, batch: &[Vec<f64>], width: usize) -> Vec<Vec<f64>> {
+fn pass(backend: BackendKind, m: &Mesh, batch: &[Vec<f64>], width: usize) -> Vec<Vec<f64>> {
     let mut panels = qn::linalg::panel::pack(batch, width);
     backend.forward_panels(m, &mut panels);
     qn::linalg::panel::unpack(&panels)
@@ -211,19 +212,19 @@ proptest! {
             let reference: Vec<Vec<f64>> = batch.iter().map(|v| m.forward_real_copy(v)).collect();
             let w = DEFAULT_PANEL_WIDTH;
             for kind in BackendKind::ALL {
-                assert_zero_sign_only(&pass(kind.backend(), &m, &batch, w), &reference, kind.name());
+                assert_zero_sign_only(&pass(kind, &m, &batch, w), &reference, kind.name());
             }
             // The scalar reference reproduces the mesh bit for bit.
             let bits = |vs: &[Vec<f64>]| -> Vec<Vec<u64>> {
                 vs.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
             };
-            let scalar = BackendKind::Scalar.backend();
+            let scalar = BackendKind::Scalar;
             prop_assert_eq!(bits(&pass(scalar, &m, &batch, w)), bits(&reference));
             // Explicit panel widths exercise ragged last panels (the
             // batch length is rarely a multiple of `width`) and the
             // width-1 degenerate panel.
-            let simd = SimdBackend;
-            assert_zero_sign_only(&pass(&simd, &m, &batch, width), &reference, "simd width");
+            let simd = BackendKind::Simd;
+            assert_zero_sign_only(&pass(simd, &m, &batch, width), &reference, "simd width");
         }
     }
 
@@ -245,7 +246,7 @@ proptest! {
         let check = |mesh: &Mesh, what: &str| {
             let reference: Vec<Vec<f64>> =
                 batch.iter().map(|v| mesh.forward_real_copy(v)).collect();
-            let simd = pass(&SimdBackend, mesh, &batch, DEFAULT_PANEL_WIDTH);
+            let simd = pass(BackendKind::Simd, mesh, &batch, DEFAULT_PANEL_WIDTH);
             assert_zero_sign_only(&simd, &reference, what);
         };
         check(&mesh, "first angles");
