@@ -603,11 +603,30 @@ mod tests {
 
     #[test]
     fn panel_widths_including_one_agree_with_scalar() {
-        let m = mesh(6, 2);
-        let xs = batch(6, 7);
-        let want = reference(&m, &xs);
-        for width in [1usize, 2, 3, 4, 5, 7, 8, 64] {
-            assert_eq!(run(&m, &xs, width), want, "width {width}");
+        // Ascending and descending (reversed) cascades, and a mesh whose
+        // identity gates (every third θ zero) the pass prunes, at widths
+        // below, at and above the 8-lane block, ragged against 13
+        // vectors. Outputs compare equal under `==` (ZeroSignOnly).
+        let mut sparse = mesh(10, 4);
+        let thetas: Vec<f64> = sparse
+            .thetas()
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| if i % 3 == 0 { 0.0 } else { t })
+            .collect();
+        sparse.set_thetas(&thetas);
+        let meshes = [
+            mesh(6, 2),
+            mesh(9, 2).reversed(),
+            sparse.clone(),
+            sparse.reversed(),
+        ];
+        for (i, m) in meshes.iter().enumerate() {
+            let xs = batch(m.dim(), 13);
+            let want = reference(m, &xs);
+            for width in [1usize, 2, 3, 4, 5, 7, 8, 11, 64] {
+                assert_eq!(run(m, &xs, width), want, "mesh {i}, width {width}");
+            }
         }
     }
 
@@ -675,14 +694,5 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn mismatched_panel_dimensions_panic_like_the_scalar_path() {
         mesh(6, 1).forward_panels(&mut [Panel::zeros(5, 3)]);
-    }
-
-    #[test]
-    fn descending_order_meshes_are_supported() {
-        // Reversed meshes flip each layer's cascade direction — the
-        // panel sweep must follow the same gate order.
-        let m = mesh(9, 2).reversed();
-        let xs = batch(9, 13);
-        assert_eq!(run(&m, &xs, DEFAULT_PANEL_WIDTH), reference(&m, &xs));
     }
 }

@@ -220,27 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernels_equal_the_reference_on_every_lane() {
-        // Widths below, at and above the 8-lane block: remainder lanes
-        // included.
-        for width in [1usize, 3, 4, 5, 8, 11] {
-            for mesh in [sparse_mesh(10, 4), sparse_mesh(10, 4).reversed()] {
-                let tables = mesh.tables();
-                let cols = columns(10, width);
-                let mut fwd = Panel::from_columns(&cols);
-                tables.forward_panel_blocked(&mut fwd);
-                for (lane, col) in cols.iter().enumerate() {
-                    assert_eq!(
-                        fwd.column(lane),
-                        mesh.forward_real_copy(col),
-                        "forward width {width} lane {lane}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn pruning_skips_exactly_the_identity_gates() {
         let mesh = sparse_mesh(7, 3);
         let tables = mesh.tables();

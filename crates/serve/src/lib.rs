@@ -16,7 +16,9 @@
 //! - [`reactor`] — the event-driven connection plumbing: a `poll(2)`
 //!   wrapper (two-symbol FFI, no async runtime in this offline
 //!   environment), a wakeup pipe, the per-connection incremental frame
-//!   state machine and the sequence-ordered reply outbox;
+//!   state machine, and the nonblocking reads and reply writes (workers
+//!   send each reply on its connection's own channel, and the reactor
+//!   releases them in request order);
 //! - [`server`] — the connection core: one reactor thread owns every
 //!   socket (10k+ idle connections cost no threads), complete frames
 //!   are admission-checked (global and per-connection in-flight caps

@@ -11,20 +11,22 @@
 //! bytes accumulate per connection in a state machine built on
 //! [`FrameHeader::parse`](crate::protocol::FrameHeader::parse) — the
 //! exact validation path blocking readers use — and complete frames
-//! are handed to a bounded worker pool. Workers never touch sockets:
-//! replies come back through each connection's ordered outbox and the
-//! reactor writes them out under `POLLOUT`, so a slow-reading peer
+//! are handed to a bounded worker pool. Workers never touch sockets or
+//! connection state: each sends its finished [`Reply`] on its
+//! connection's own `std::sync::mpsc` channel and wakes the reactor,
+//! which writes replies out under `POLLOUT`, so a slow-reading peer
 //! stalls only its own connection, never a worker.
 //!
 //! # Ordering
 //!
 //! Every parsed frame gets a per-connection sequence number and every
 //! frame produces exactly one reply (success, typed error, or `BUSY`).
-//! The outbox releases replies strictly in sequence order, so a
-//! pipelining client sees replies in request order and a stream-level
-//! error always flushes *after* the replies to the valid frames that
-//! preceded it — the same observable order the old sequential loop
-//! produced.
+//! Worker replies arrive on the channel in completion order; the
+//! reactor parks them, together with the `BUSY` and stream-error
+//! replies it makes itself, in the connection's private map and
+//! releases them strictly in sequence order. So a pipelining client
+//! sees replies in request order, and a stream-level error always
+//! flushes *after* the replies to the valid frames that preceded it.
 //!
 //! # Deadlines and lifecycle
 //!
@@ -38,11 +40,9 @@
 //! and force-closes whatever remains.
 
 use crate::protocol::HEADER_LEN;
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::os::fd::{AsRawFd, FromRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -285,8 +285,9 @@ impl WakePipe {
     }
 }
 
-/// One finished reply, parked in a connection's outbox until the
-/// reactor can write it in sequence order.
+/// One finished reply: sent by a worker on its connection's channel
+/// (or made by the reactor itself), then held by the reactor until
+/// every reply before it in sequence order has been released.
 pub struct Reply {
     /// Complete wire bytes of the reply frame.
     pub bytes: Vec<u8>,
@@ -308,76 +309,6 @@ impl std::fmt::Debug for Reply {
             .field("admission", &self.admission.is_some())
             .field("close_after", &self.close_after)
             .finish()
-    }
-}
-
-/// Per-connection state shared between the reactor and the workers:
-/// the ordered outbox of finished replies. Everything else about a
-/// connection is reactor-private.
-#[derive(Debug)]
-pub struct ConnShared {
-    outbox: Mutex<Outbox>,
-    /// Set by workers after parking a reply so the reactor can skip
-    /// the outbox lock for the (vast) majority of idle connections.
-    dirty: AtomicBool,
-}
-
-#[derive(Debug, Default)]
-struct Outbox {
-    /// The connection died; park nothing, drop replies on arrival
-    /// (their admission slots release on drop).
-    closed: bool,
-    /// Finished replies keyed by frame sequence number, released to
-    /// the wire strictly in order.
-    ready: BTreeMap<u64, Reply>,
-}
-
-impl ConnShared {
-    /// Fresh shared state for one accepted connection.
-    pub fn new() -> Arc<ConnShared> {
-        Arc::new(ConnShared {
-            outbox: Mutex::new(Outbox::default()),
-            dirty: AtomicBool::new(false),
-        })
-    }
-
-    /// Park a finished reply for in-order delivery. Returns `false`
-    /// when the connection is already gone (the reply is dropped and
-    /// its admission slot released here).
-    pub fn push_reply(&self, seq: u64, reply: Reply) -> bool {
-        let mut box_ = self.outbox.lock().expect("outbox poisoned");
-        if box_.closed {
-            return false;
-        }
-        box_.ready.insert(seq, reply);
-        drop(box_);
-        self.dirty.store(true, Ordering::Release);
-        true
-    }
-
-    /// Reactor side: take every reply that is next in sequence order.
-    pub fn take_in_order(&self, next: &mut u64) -> Vec<Reply> {
-        self.dirty.store(false, Ordering::Release);
-        let mut box_ = self.outbox.lock().expect("outbox poisoned");
-        let mut out = Vec::new();
-        while let Some(reply) = box_.ready.remove(next) {
-            out.push(reply);
-            *next += 1;
-        }
-        out
-    }
-
-    /// Whether a worker parked a reply since the last drain.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty.load(Ordering::Acquire)
-    }
-
-    /// Mark the connection dead and drop any parked replies (releasing
-    /// their admission slots).
-    pub fn close(&self) {
-        let mut box_ = self.outbox.lock().expect("outbox poisoned");
-        box_.closed = true;
-        box_.ready.clear();
     }
 }
 
@@ -483,7 +414,7 @@ impl FrameAccumulator {
 /// A reply frame mid-write: wire bytes plus the write cursor.
 #[derive(Debug)]
 pub struct WireReply {
-    /// The parked reply being written.
+    /// The released reply being written.
     pub reply: Reply,
     /// Bytes already written.
     pub cursor: usize,
@@ -741,32 +672,5 @@ mod tests {
             acc.step(None),
             FrameStep::Violation(FrameError::TooLarge(_))
         ));
-    }
-
-    #[test]
-    fn outbox_releases_replies_in_sequence_order() {
-        let shared = ConnShared::new();
-        let park = |seq: u64| {
-            shared.push_reply(
-                seq,
-                Reply {
-                    bytes: vec![seq as u8],
-                    admission: None,
-                    close_after: false,
-                },
-            )
-        };
-        assert!(park(2));
-        let mut next = 0u64;
-        assert!(shared.take_in_order(&mut next).is_empty(), "gap at 0");
-        assert!(park(0));
-        let got = shared.take_in_order(&mut next);
-        assert_eq!(got.len(), 1, "seq 1 still missing");
-        assert!(park(1));
-        let got = shared.take_in_order(&mut next);
-        assert_eq!(got.len(), 2, "1 then the parked 2");
-        assert_eq!(next, 3);
-        shared.close();
-        assert!(!park(3), "closed outboxes drop replies");
     }
 }

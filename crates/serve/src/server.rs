@@ -1,7 +1,8 @@
-//! The connection core: one reactor thread owns every socket through
-//! `poll(2)` (see [`crate::reactor`]), complete frames are
-//! admission-checked and handed to a bounded worker pool, and replies
-//! come back through per-connection sequence-ordered outboxes. Idle
+//! The connection core: one reactor thread owns every socket and all
+//! per-connection state through `poll(2)` (see [`crate::reactor`]),
+//! complete frames are admission-checked and handed to a bounded worker
+//! pool, and each worker sends its reply on its connection's own
+//! channel, which the reactor releases in request order. Idle
 //! connections cost no threads; a slow-reading peer stalls only its
 //! own connection.
 //!
@@ -37,23 +38,24 @@ use crate::metrics::ServeMetrics;
 use crate::protocol::{
     image_to_payload, parse_trace_request, EncodeRequest, ErrorCode, Frame, FrameHeader, Opcode,
     TraceContext, ENC_FLAG_INLINE_MODEL, ENC_FLAG_PER_TILE_SCALE, ENC_FLAG_USE_MODEL_ID,
-    HEADER_LEN, PROTOCOL_VERSION,
+    HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use crate::reactor::{
-    earliest, read_available, write_queue, ConnShared, FrameAccumulator, FrameStep, Interest,
-    Poller, Reply, WakePipe, Waker, WireReply, WriteProgress,
+    earliest, read_available, write_queue, FrameAccumulator, FrameStep, Interest, Poller, Reply,
+    WakePipe, Waker, WireReply, WriteProgress,
 };
 use crate::stages::{self, span_ns, StageRecorder};
 use crate::store::ModelStore;
 use qn_codec::pipeline::codec_from_inline;
 use qn_codec::{info, Codec, CodecOptions, Container};
 use qn_trace::{fmt_ns, write_json_string, SpanId, TraceBuilder, Tracer};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -177,7 +179,7 @@ struct Shared {
     /// [`ServerConfig::max_inflight`].
     admitted: AtomicUsize,
     shutdown: AtomicBool,
-    /// Wakes the reactor's poll wait: workers after parking a reply,
+    /// Wakes the reactor's poll wait: workers after sending a reply,
     /// [`ServerHandle::stop`] after raising `shutdown`.
     waker: Arc<Waker>,
     /// Telemetry; `STATS` serves its registry, and INFO reads its
@@ -234,8 +236,8 @@ impl Drop for MeshInflightGuard {
 
 /// One admitted request on its way to a worker.
 struct Job {
-    /// The connection's outbox, for the seq-ordered reply.
-    chan: Arc<ConnShared>,
+    /// The connection's reply channel.
+    reply_to: Sender<(u64, Reply)>,
     /// This frame's position in its connection's reply order.
     seq: u64,
     frame: Frame,
@@ -385,8 +387,11 @@ pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
     let wake = WakePipe::new()?;
     let waker = wake.waker();
     let metrics = Arc::new(ServeMetrics::new());
-    let store = ModelStore::new(config.store_dir.clone(), config.model_cache)?
-        .with_metrics(metrics.store_metrics());
+    let store = ModelStore::new(
+        config.store_dir.clone(),
+        config.model_cache,
+        metrics.store_metrics(),
+    )?;
     let tracer = Tracer::new(TRACE_RECENT_CAP, TRACE_SLOW_CAP, config.slow_threshold);
     // Resolve "auto" once, so INFO reports the pool that runs.
     if config.workers == 0 {
@@ -437,27 +442,29 @@ pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// Reactor-private per-connection state. Everything workers need is
-/// behind the [`ConnShared`] outbox; the socket, read buffer, frame
-/// state machine and wire queue belong to the reactor alone.
+/// One connection, owned by the reactor alone: the socket, read
+/// buffer, frame being read, reply order and wire queue. Workers hold
+/// only a clone of `reply_to`; a reply sent after the connection has
+/// gone fails to send and is dropped in the worker.
 struct Conn {
     stream: TcpStream,
     peer: Arc<str>,
-    chan: Arc<ConnShared>,
+    /// Cloned into every [`Job`]: workers send `(seq, reply)` here.
+    reply_to: Sender<(u64, Reply)>,
+    /// Worker replies, in the order they finished.
+    replies: Receiver<(u64, Reply)>,
+    /// Replies not yet released, by sequence number: worker replies
+    /// taken off `replies`, and the reactor's own `BUSY` and
+    /// stream-error replies.
+    ready: BTreeMap<u64, Reply>,
     acc: FrameAccumulator,
-    /// Validated header of the frame currently accumulating.
-    header: Option<FrameHeader>,
-    header_at: Option<Instant>,
-    /// Frame-completion deadline, armed at header arrival.
-    deadline: Option<Instant>,
-    /// In-flight gauge unit of an accumulating mesh-bound frame,
-    /// parked here between header and completion.
-    mesh_guard: Option<MeshInflightGuard>,
+    /// The frame whose header has arrived and whose rest has not.
+    partial: Option<PartialFrame>,
     /// Sequence number the next parsed frame gets.
     next_assign: u64,
     /// Sequence number the next wire-bound reply must carry.
     next_release: u64,
-    /// Replies released from the outbox, in order, mid-write.
+    /// Replies released in sequence order, mid-write.
     wire: VecDeque<WireReply>,
     /// Total bytes of replies in `wire` not yet fully written (a
     /// reply's bytes count until it pops). Drives the
@@ -472,17 +479,31 @@ struct Conn {
     slot: Option<usize>,
 }
 
+/// What the reactor learned at a frame's header, kept until the frame
+/// completes or is abandoned. Dropping it releases the in-flight gauge
+/// unit of a half-read mesh-bound frame.
+struct PartialFrame {
+    /// The validated header.
+    header: FrameHeader,
+    /// When the header arrived (trace anchor).
+    header_at: Instant,
+    /// Frame-completion deadline; `None` with the read timeout off.
+    deadline: Option<Instant>,
+    /// In-flight gauge unit, for mesh-bound opcodes.
+    mesh_guard: Option<MeshInflightGuard>,
+}
+
 impl Conn {
     fn new(stream: TcpStream, peer: Arc<str>) -> Conn {
+        let (reply_to, replies) = mpsc::channel();
         Conn {
             stream,
             peer,
-            chan: ConnShared::new(),
+            reply_to,
+            replies,
+            ready: BTreeMap::new(),
             acc: FrameAccumulator::default(),
-            header: None,
-            header_at: None,
-            deadline: None,
-            mesh_guard: None,
+            partial: None,
             next_assign: 0,
             next_release: 0,
             wire: VecDeque::new(),
@@ -491,16 +512,6 @@ impl Conn {
             read_closed: false,
             slot: None,
         }
-    }
-
-    /// Drop any half-read frame (peer EOF / server drain): its bytes
-    /// can never complete, and a parked mesh guard must not keep
-    /// counting it in flight.
-    fn abandon_partial_frame(&mut self) {
-        self.header = None;
-        self.header_at = None;
-        self.deadline = None;
-        self.mesh_guard = None;
     }
 
     /// Every assigned frame's reply has fully reached the socket.
@@ -558,7 +569,7 @@ fn reactor_loop(
             // flush; half-read frames can never complete.
             for conn in &mut conns {
                 conn.read_closed = true;
-                conn.abandon_partial_frame();
+                conn.partial = None;
             }
         }
 
@@ -605,7 +616,7 @@ fn reactor_loop(
         }
         for conn in &conns {
             if !conn.write_backlogged() {
-                wake_at = earliest(wake_at, conn.deadline);
+                wake_at = earliest(wake_at, conn.partial.as_ref().and_then(|p| p.deadline));
             }
         }
         let timeout = if entered_drain {
@@ -629,7 +640,7 @@ fn reactor_loop(
             }
         }
 
-        // Service every connection: read & parse, drain outboxes,
+        // Service every connection: read & parse, release replies,
         // write, reap deadlines, close the finished.
         let now = Instant::now();
         let mut i = 0;
@@ -746,19 +757,19 @@ fn service_conn(
                     // its requests, shut down its write side and read
                     // every reply back).
                     conn.read_closed = true;
-                    conn.abandon_partial_frame();
+                    conn.partial = None;
                 }
             }
             Err(_) => return Some(CloseCause::Dropped),
         }
     }
 
-    // Release worker replies that are next in sequence order.
-    if conn.chan.is_dirty() {
-        for reply in conn.chan.take_in_order(&mut conn.next_release) {
-            conn.wire_bytes += reply.bytes.len();
-            conn.wire.push_back(WireReply { reply, cursor: 0 });
-        }
+    // Release every reply that is next in sequence order.
+    conn.ready.extend(conn.replies.try_iter());
+    while let Some(reply) = conn.ready.remove(&conn.next_release) {
+        conn.next_release += 1;
+        conn.wire_bytes += reply.bytes.len();
+        conn.wire.push_back(WireReply { reply, cursor: 0 });
     }
     // Push the wire queue whether or not POLLOUT fired: most replies
     // go out on the first attempt without ever registering for write.
@@ -785,17 +796,18 @@ fn service_conn(
     }
 
     // Frame-completion deadline: the peer started a frame and never
-    // finished it (stall or byte-drip) — reap, releasing the parked
-    // mesh guard a stalled peer would otherwise pin. The clock only
-    // runs while the reactor is willing to read: a pass that touched
+    // finished it (stall or byte-drip) — reap, releasing the partial
+    // frame's mesh guard a stalled peer would otherwise pin. The clock
+    // only runs while the reactor is willing to read: a pass that touched
     // a write-backlogged state (including the pass whose write drain
     // just cleared it — reads resume one pass later) re-arms the
     // deadline instead, so the throttle window is never counted
     // against the peer's frame-completion time.
-    if let Some(deadline) = conn.deadline {
-        if was_backlogged || conn.write_backlogged() {
-            conn.deadline = Some(now + shared.config.read_timeout);
-        } else if now >= deadline {
+    let backlogged = was_backlogged || conn.write_backlogged();
+    if let Some(deadline) = conn.partial.as_mut().and_then(|p| p.deadline.as_mut()) {
+        if backlogged {
+            *deadline = now + shared.config.read_timeout;
+        } else if now >= *deadline {
             return Some(CloseCause::Reaped);
         }
     }
@@ -810,31 +822,34 @@ fn service_conn(
 /// the worker pool or answering typed `BUSY`/stream errors in place.
 fn pump_frames(shared: &Arc<Shared>, jobs: &Arc<JobQueue>, conn: &mut Conn, now: Instant) {
     loop {
-        match conn.acc.step(conn.header.as_ref()) {
+        match conn.acc.step(conn.partial.as_ref().map(|p| &p.header)) {
             FrameStep::NeedMore => return,
             FrameStep::Header(header) => {
                 // A header means the frame is certainly coming: arm
                 // the completion deadline and, for mesh-bound opcodes,
                 // count the request in flight.
-                conn.header_at = Some(now);
-                if shared.config.read_timeout > Duration::ZERO {
-                    conn.deadline = Some(now + shared.config.read_timeout);
-                }
-                if header.mesh_bound() {
-                    conn.mesh_guard = Some(MeshInflightGuard::acquire(shared));
-                }
-                conn.header = Some(header);
+                let timeout = shared.config.read_timeout;
+                conn.partial = Some(PartialFrame {
+                    header_at: now,
+                    deadline: (timeout > Duration::ZERO).then(|| now + timeout),
+                    mesh_guard: header
+                        .mesh_bound()
+                        .then(|| MeshInflightGuard::acquire(shared)),
+                    header,
+                });
             }
             FrameStep::Frame(frame) => {
-                conn.header = None;
-                conn.deadline = None;
-                admit_frame(shared, jobs, conn, frame, now);
+                let partial = conn
+                    .partial
+                    .take()
+                    .expect("a frame completes only after its header");
+                admit_frame(shared, jobs, conn, frame, partial, now);
             }
             FrameStep::Violation(e) => {
                 // Framing is unrecoverable: typed error (sequenced
                 // after the replies of every valid frame before it),
                 // then close once it has flushed.
-                conn.abandon_partial_frame();
+                conn.partial = None;
                 shared.metrics.record_error(e.code());
                 shared.log.info(
                     "error",
@@ -842,7 +857,7 @@ fn pump_frames(shared: &Arc<Shared>, jobs: &Arc<JobQueue>, conn: &mut Conn, now:
                 );
                 let seq = conn.next_assign;
                 conn.next_assign += 1;
-                conn.chan.push_reply(
+                conn.ready.insert(
                     seq,
                     Reply {
                         bytes: Frame::error(0, e.code(), &e.to_string()).to_bytes(),
@@ -864,6 +879,7 @@ fn admit_frame(
     jobs: &Arc<JobQueue>,
     conn: &mut Conn,
     frame: Frame,
+    partial: PartialFrame,
     now: Instant,
 ) {
     let op = Opcode::from_u8(frame.opcode);
@@ -873,8 +889,11 @@ fn admit_frame(
         .record_frame_in(frame_wire_bytes(frame.payload.len()));
     let seq = conn.next_assign;
     conn.next_assign += 1;
-    let header_at = conn.header_at.take().unwrap_or(now);
-    let mesh_guard = conn.mesh_guard.take();
+    let PartialFrame {
+        header_at,
+        mesh_guard,
+        ..
+    } = partial;
 
     let conn_cap = shared.config.conn_inflight;
     let global_cap = shared.config.max_inflight;
@@ -922,7 +941,7 @@ fn admit_frame(
                 shared.tracer.record(b.finish(), |_| {});
             }
         }
-        conn.chan.push_reply(
+        conn.ready.insert(
             seq,
             Reply {
                 bytes: Frame::error(frame.request_id, ErrorCode::Busy, &e.to_string()).to_bytes(),
@@ -939,7 +958,7 @@ fn admit_frame(
     };
     conn.inflight += 1;
     jobs.push(Job {
-        chan: Arc::clone(&conn.chan),
+        reply_to: conn.reply_to.clone(),
         seq,
         frame,
         peer: Arc::clone(&conn.peer),
@@ -950,11 +969,11 @@ fn admit_frame(
     });
 }
 
-/// Tear one connection down: mark the outbox closed (late worker
-/// replies are dropped, their admission slots released), balance the
-/// gauge and log the disconnect.
+/// Tear one connection down: balance the gauge and log the
+/// disconnect. Dropping the connection drops its reply receiver, so a
+/// worker still running one of its requests fails to send the reply and
+/// drops it, releasing its admission slot.
 fn close_conn(shared: &Arc<Shared>, conn: Conn, cause: &CloseCause) {
-    conn.chan.close();
     if let CloseCause::Reaped = cause {
         shared.metrics.record_reap();
         shared.log.info(
@@ -970,16 +989,17 @@ fn close_conn(shared: &Arc<Shared>, conn: Conn, cause: &CloseCause) {
     shared
         .log
         .info("disconnect", format_args!("peer={}", conn.peer));
-    // `conn` drops here: wire queue (and any admission slots inside),
-    // parked mesh guard, and the socket itself.
+    // `conn` drops here: the replies received or still in its channel
+    // and its wire queue (with their admission slots), the half-read
+    // frame's mesh guard, and the socket itself.
 }
 
-/// Worker side: run one admitted request end to end and park its reply
-/// in the connection's outbox.
+/// Worker side: run one admitted request end to end and send its reply
+/// on the connection's channel.
 fn process_job(shared: &Arc<Shared>, job: Job) {
     let picked_up = Instant::now();
     let Job {
-        chan,
+        reply_to,
         seq,
         frame,
         peer,
@@ -1039,24 +1059,23 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
             Frame::error(request_id, e.code(), &e.to_string())
         }
     };
-    // Serialize here (the reply_write stage covers building the wire
-    // bytes and handing them to the reactor; the socket write itself
-    // is asynchronous). An over-limit reply (InvalidInput) is a
-    // request-level outcome: tell the client with a typed frame.
+    // Serialize here, once (the reply_write stage covers building the
+    // wire bytes and handing them to the reactor; the socket write
+    // itself is asynchronous). An over-limit reply is a request-level
+    // outcome: tell the client with a typed frame.
     let write_start = Instant::now();
-    let mut wire = Vec::with_capacity(HEADER_LEN + reply.payload.len() + 4);
-    let mut reply_payload_len = reply.payload.len();
-    if let Err(e) = reply.write_to(&mut wire) {
-        wire.clear();
-        let fallback = Frame::error(request_id, ErrorCode::Internal, &e.to_string());
-        reply_payload_len = fallback.payload.len();
-        fallback
-            .write_to(&mut wire)
-            .expect("error frames are always under the payload limit");
-    }
+    let wire = if reply.payload.len() > MAX_PAYLOAD {
+        let message = format!(
+            "reply payload of {} bytes exceeds the {MAX_PAYLOAD}-byte protocol limit",
+            reply.payload.len()
+        );
+        Frame::error(request_id, ErrorCode::Internal, &message).to_bytes()
+    } else {
+        reply.to_bytes()
+    };
     let write = rec.record(stages::REPLY_WRITE, write_start, Instant::now());
-    rec.attr(write, "bytes", frame_wire_bytes(reply_payload_len));
-    // Finish and record the trace *before* parking the reply: a client
+    rec.attr(write, "bytes", wire.len() as u64);
+    // Finish and record the trace *before* sending the reply: a client
     // that sends TRACE right after receiving this reply on the same
     // connection is guaranteed to find its trace.
     if let Some(trace) = rec.finish() {
@@ -1085,19 +1104,16 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
     // Released before the reply, so a client that reads its reply and
     // then polls STATS never sees its own request still in flight.
     drop(mesh_guard);
-    let delivered = chan.push_reply(
-        seq,
-        Reply {
-            bytes: wire,
-            admission: Some(Box::new(admission)),
-            close_after: false,
-        },
-    );
-    if delivered {
+    let reply = Reply {
+        bytes: wire,
+        admission: Some(Box::new(admission)),
+        close_after: false,
+    };
+    // A failed send means the connection died while we worked: the
+    // reply, and its admission slot, drop right here.
+    if reply_to.send((seq, reply)).is_ok() {
         shared.waker.wake();
     }
-    // !delivered: the connection died while we worked; the reply is
-    // dropped and the admission slot released right here.
 }
 
 /// Route one well-framed request; every failure comes back typed.

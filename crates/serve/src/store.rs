@@ -73,16 +73,21 @@ pub struct ModelStore {
     capacity: usize,
     /// Most-recently-used at the back.
     cache: Mutex<Vec<(u64, Arc<Codec>)>>,
-    metrics: Option<StoreMetrics>,
+    metrics: StoreMetrics,
 }
 
 impl ModelStore {
     /// A store over `dir` (created if missing; `None` = in-memory only)
-    /// holding at most `capacity` parsed models in RAM.
+    /// holding at most `capacity` parsed models in RAM, counting its
+    /// hits, misses, inserts and residency into `metrics`.
     ///
     /// # Errors
     /// Directory-creation failures.
-    pub fn new(dir: Option<PathBuf>, capacity: usize) -> std::io::Result<Self> {
+    pub fn new(
+        dir: Option<PathBuf>,
+        capacity: usize,
+        metrics: StoreMetrics,
+    ) -> std::io::Result<Self> {
         if let Some(dir) = &dir {
             std::fs::create_dir_all(dir)?;
         }
@@ -90,16 +95,8 @@ impl ModelStore {
             dir,
             capacity: capacity.max(1),
             cache: Mutex::new(Vec::new()),
-            metrics: None,
+            metrics,
         })
-    }
-
-    /// Attach zoo telemetry (hit/miss/insert counters and the residency
-    /// gauge). Builder-style; metered stores behave identically.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: StoreMetrics) -> Self {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// The backing directory, if any.
@@ -144,9 +141,7 @@ impl ModelStore {
             }
         }
         self.touch(id, Arc::new(codec));
-        if let Some(m) = &self.metrics {
-            m.inserts.inc();
-        }
+        self.metrics.inserts.inc();
         Ok(id)
     }
 
@@ -163,17 +158,13 @@ impl ModelStore {
                 let entry = cache.remove(at);
                 let codec = Arc::clone(&entry.1);
                 cache.push(entry);
-                if let Some(m) = &self.metrics {
-                    m.hits.inc();
-                }
+                self.metrics.hits.inc();
                 return Ok(codec);
             }
         }
         // A miss is counted here, whatever the disk outcome: the metric
         // tracks RAM-cache effectiveness, not zoo completeness.
-        if let Some(m) = &self.metrics {
-            m.misses.inc();
-        }
+        self.metrics.misses.inc();
         let path = self.model_path(id).ok_or(ServeError::UnknownModel(id))?;
         let bytes = match std::fs::read(&path) {
             Ok(bytes) => bytes,
@@ -261,9 +252,7 @@ impl ModelStore {
         while cache.len() > self.capacity {
             cache.remove(0);
         }
-        if let Some(m) = &self.metrics {
-            m.cached_models.set(cache.len() as i64);
-        }
+        self.metrics.cached_models.set(cache.len() as i64);
     }
 }
 
@@ -272,6 +261,10 @@ mod tests {
     use super::*;
     use qn_codec::model::encode_model;
     use qn_image::datasets;
+
+    fn metrics() -> StoreMetrics {
+        StoreMetrics::new(&Registry::new())
+    }
 
     fn model_bytes(seed: u64) -> (u64, Vec<u8>) {
         let img = datasets::grayscale_blobs(1, 16, 16, seed).remove(0);
@@ -290,14 +283,14 @@ mod tests {
     #[test]
     fn insert_then_get_roundtrips_and_persists() {
         let dir = temp_dir("roundtrip");
-        let store = ModelStore::new(Some(dir.clone()), 4).unwrap();
+        let store = ModelStore::new(Some(dir.clone()), 4, metrics()).unwrap();
         let (id, bytes) = model_bytes(1);
         assert_eq!(store.insert_bytes(&bytes).unwrap(), id);
         assert!(store.model_path(id).unwrap().exists());
         assert_eq!(store.get(id).unwrap().model_id(), id);
 
         // A fresh store over the same directory finds it on disk.
-        let cold = ModelStore::new(Some(dir), 4).unwrap();
+        let cold = ModelStore::new(Some(dir), 4, metrics()).unwrap();
         assert_eq!(cold.cached_len(), 0);
         assert_eq!(cold.get(id).unwrap().model_id(), id);
         assert_eq!(cold.cached_len(), 1);
@@ -306,7 +299,7 @@ mod tests {
     #[test]
     fn lru_evicts_in_use_order_but_disk_retains() {
         let dir = temp_dir("lru");
-        let store = ModelStore::new(Some(dir), 2).unwrap();
+        let store = ModelStore::new(Some(dir), 2, metrics()).unwrap();
         let ids: Vec<u64> = (0..3)
             .map(|s| {
                 let (id, bytes) = model_bytes(s + 10);
@@ -323,7 +316,7 @@ mod tests {
     #[test]
     fn unknown_and_corrupt_models_fail_typed() {
         let dir = temp_dir("corrupt");
-        let store = ModelStore::new(Some(dir), 2).unwrap();
+        let store = ModelStore::new(Some(dir), 2, metrics()).unwrap();
         assert!(matches!(
             store.get(0xDEAD),
             Err(ServeError::UnknownModel(0xDEAD))
@@ -345,7 +338,7 @@ mod tests {
     #[test]
     fn list_enumerates_disk_and_cache_with_residency_flags() {
         let dir = temp_dir("list");
-        let store = ModelStore::new(Some(dir.clone()), 2).unwrap();
+        let store = ModelStore::new(Some(dir.clone()), 2, metrics()).unwrap();
         assert_eq!(store.list().unwrap(), vec![], "fresh zoo is empty");
         let mut ids: Vec<u64> = (0..3)
             .map(|s| {
@@ -375,7 +368,7 @@ mod tests {
 
         // A directory-less store lists its cache (all resident by
         // definition).
-        let mem = ModelStore::new(None, 4).unwrap();
+        let mem = ModelStore::new(None, 4, metrics()).unwrap();
         let (id, bytes) = model_bytes(50);
         mem.insert_bytes(&bytes).unwrap();
         let listed = mem.list().unwrap();
@@ -390,7 +383,7 @@ mod tests {
         // Directory-less store: the cache IS the zoo, so eviction is
         // observable as UnknownModel. A get() must refresh recency —
         // inserting C after touching A evicts B, not A.
-        let store = ModelStore::new(None, 2).unwrap();
+        let store = ModelStore::new(None, 2, metrics()).unwrap();
         let (id_a, bytes_a) = model_bytes(60);
         let (id_b, bytes_b) = model_bytes(61);
         let (id_c, bytes_c) = model_bytes(62);
@@ -414,7 +407,7 @@ mod tests {
     #[test]
     fn garbage_in_the_zoo_dir_is_skipped_by_list_not_fatal() {
         let dir = temp_dir("garbage");
-        let store = ModelStore::new(Some(dir.clone()), 4).unwrap();
+        let store = ModelStore::new(Some(dir.clone()), 4, metrics()).unwrap();
         let (id, bytes) = model_bytes(70);
         store.insert_bytes(&bytes).unwrap();
         // Foreign shapes a hostile or confused operator can drop in:
@@ -435,7 +428,7 @@ mod tests {
     #[test]
     fn id_mismatch_corruption_is_not_cached_and_stays_typed() {
         let dir = temp_dir("mismatch");
-        let store = ModelStore::new(Some(dir), 4).unwrap();
+        let store = ModelStore::new(Some(dir), 4, metrics()).unwrap();
         let (id_a, bytes_a) = model_bytes(80);
         let (_, bytes_b) = model_bytes(81);
         store.insert_bytes(&bytes_a).unwrap();
@@ -464,9 +457,7 @@ mod tests {
         let registry = Registry::new();
         let metrics = StoreMetrics::new(&registry);
         let dir = temp_dir("metrics");
-        let store = ModelStore::new(Some(dir), 2)
-            .unwrap()
-            .with_metrics(metrics.clone());
+        let store = ModelStore::new(Some(dir), 2, metrics.clone()).unwrap();
         let (id_a, bytes_a) = model_bytes(100);
         let (id_b, bytes_b) = model_bytes(101);
         let (_, bytes_c) = model_bytes(102);
@@ -492,7 +483,7 @@ mod tests {
 
     #[test]
     fn memory_only_store_serves_inserts_but_knows_nothing_else() {
-        let store = ModelStore::new(None, 2).unwrap();
+        let store = ModelStore::new(None, 2, metrics()).unwrap();
         let (id, bytes) = model_bytes(5);
         assert_eq!(store.insert_bytes(&bytes).unwrap(), id);
         assert_eq!(store.get(id).unwrap().model_id(), id);

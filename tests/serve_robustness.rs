@@ -628,15 +628,62 @@ fn pipelined_replies(server: &ServerHandle, frames: &[Frame]) -> (TcpStream, Vec
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
+    let replies = pipeline_on(&mut stream, frames);
+    (stream, replies)
+}
+
+/// Pipeline `frames` in one write on `stream` and read `frames.len()`
+/// replies back, in the order they arrive.
+fn pipeline_on(stream: &mut TcpStream, frames: &[Frame]) -> Vec<Frame> {
     let mut wire = Vec::new();
     for f in frames {
         wire.extend_from_slice(&f.to_bytes());
     }
     stream.write_all(&wire).expect("write pipelined frames");
-    let replies = (0..frames.len())
-        .map(|i| Frame::read_from(&mut stream).unwrap_or_else(|e| panic!("reply #{i}: {e}")))
-        .collect();
-    (stream, replies)
+    (0..frames.len())
+        .map(|i| Frame::read_from(stream).unwrap_or_else(|e| panic!("reply #{i}: {e}")))
+        .collect()
+}
+
+#[test]
+fn a_slow_reply_is_not_overtaken_by_a_fast_one_pipelined_behind_it() {
+    // A spectral ENCODE (a d = 32 fit on 64-dimensional tiles, then
+    // the encode) is still running on one worker when the INFO
+    // pipelined behind it has finished on another. The reactor must
+    // hold the INFO reply until the ENCODE reply has gone out. Five
+    // rounds on one connection, so one lucky schedule cannot pass it.
+    let server = boot();
+    let img = datasets::grayscale_blobs(1, 64, 64, 13).remove(0);
+    let opts = CodecOptions {
+        tile_size: 8,
+        ..CodecOptions::default()
+    };
+    let encode = spectral_encode_request(&img, &opts, 32).to_payload();
+    let round = |id: u32| {
+        [
+            Frame::request(Opcode::Encode, id, encode.clone()),
+            Frame::request(Opcode::Info, id + 1, Vec::new()),
+        ]
+    };
+    let (mut stream, mut replies) = pipelined_replies(&server, &round(0));
+    for r in 1..5u32 {
+        replies.extend(pipeline_on(&mut stream, &round(2 * r)));
+    }
+    let ids: Vec<u32> = replies.iter().map(|f| f.request_id).collect();
+    assert_eq!(
+        ids,
+        (0..10).collect::<Vec<u32>>(),
+        "replies in request order"
+    );
+    for reply in &replies {
+        assert_eq!(
+            reply.status,
+            0,
+            "request {} failed: {}",
+            reply.request_id,
+            String::from_utf8_lossy(&reply.payload)
+        );
+    }
 }
 
 #[test]
