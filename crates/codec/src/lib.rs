@@ -34,6 +34,10 @@
 //! corrupt or truncated bytes never panic. See the workspace README for
 //! the byte-level format specifications and versioning rules.
 
+// One `unsafe` block in the crate: the CRC-32 fold kernel's dispatch in
+// `bitstream`, behind a run-time CPU feature check.
+#![deny(unsafe_code)]
+
 pub mod bitstream;
 pub mod container;
 pub mod entropy;

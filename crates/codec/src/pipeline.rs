@@ -43,7 +43,9 @@
 //! chunk boundaries depend only on the image and never on the thread
 //! count, and an image of at most one panel's tiles never forks. What
 //! still runs serially: the decode's count of occupied tiles per row,
-//! the splice of the coded chunks into the file, the CRC, the payload
+//! the splice of the coded chunks into the file, the CRC (a
+//! carry-less-multiply fold at memory speed where the CPU has
+//! `pclmulqdq`, see [`crate::bitstream::crc32_of_parts`]), the payload
 //! parse on decode, and the `range` coder.
 //!
 //! Each direction has one schedule, prepare → mesh pass → complete:

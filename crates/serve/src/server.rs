@@ -1218,14 +1218,11 @@ const MAX_DECODE_PIXELS: u64 = ((crate::protocol::MAX_PAYLOAD - 8) / 8) as u64;
 /// allocation-bomb header is never materialised. Applies only to
 /// structurally authentic bytes (magic, length and CRC check out);
 /// anything else passes through for the full parser's precise typed
-/// error.
+/// error. The dimensions are read first, so an in-limit container is
+/// checksummed once, by the parser, not twice.
 fn check_container_dims(payload: &[u8]) -> Result<()> {
     use qn_codec::bitstream::crc32;
     if payload.len() < 40 || payload[..4] != qn_codec::container::CONTAINER_MAGIC {
-        return Ok(());
-    }
-    let (body, crc_bytes) = payload.split_at(payload.len() - 4);
-    if u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")) != crc32(body) {
         return Ok(());
     }
     let width = u64::from(u32::from_le_bytes(
@@ -1234,13 +1231,17 @@ fn check_container_dims(payload: &[u8]) -> Result<()> {
     let height = u64::from(u32::from_le_bytes(
         payload[20..24].try_into().expect("4 bytes"),
     ));
-    if width.saturating_mul(height) > MAX_DECODE_PIXELS {
-        return Err(ServeError::BadRequest(format!(
-            "container declares a {width}x{height} image; this server decodes at most \
-             {MAX_DECODE_PIXELS} pixels per request (the reply-frame limit)"
-        )));
+    if width.saturating_mul(height) <= MAX_DECODE_PIXELS {
+        return Ok(());
     }
-    Ok(())
+    let (body, crc_bytes) = payload.split_at(payload.len() - 4);
+    if u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")) != crc32(body) {
+        return Ok(());
+    }
+    Err(ServeError::BadRequest(format!(
+        "container declares a {width}x{height} image; this server decodes at most \
+         {MAX_DECODE_PIXELS} pixels per request (the reply-frame limit)"
+    )))
 }
 
 fn handle_decode(

@@ -235,27 +235,6 @@ fn request_level_failures_keep_the_connection_alive() {
     let reply = client.roundtrip_raw_opcode(Opcode::Encode as u8, tile_bomb);
     assert_eq!(reply.status, ErrorCode::BadRequest as u16);
 
-    // Decode dimension bomb: a structurally plausible container
-    // declaring a 131072×131072 image (only empty-tile bits, so the
-    // tile count passes the payload-bits check) must be rejected by
-    // the serving pixel limit before any tile vector or untile buffer
-    // is allocated. The dims sit at fixed offsets 16..24.
-    let mut dim_bomb = codec.encode_image(&img, &CodecOptions::default()).unwrap();
-    dim_bomb[16..20].copy_from_slice(&(1u32 << 17).to_le_bytes());
-    dim_bomb[20..24].copy_from_slice(&(1u32 << 17).to_le_bytes());
-    let body = dim_bomb.len() - 4;
-    let crc = qn_codec::bitstream::crc32(&dim_bomb[..body]).to_le_bytes();
-    dim_bomb[body..].copy_from_slice(&crc);
-    for op in [Opcode::Decode, Opcode::Info] {
-        let reply = client.roundtrip_raw_opcode(op as u8, dim_bomb.clone());
-        assert_eq!(
-            reply.status,
-            ErrorCode::BadRequest as u16,
-            "{op:?} dim bomb: {}",
-            String::from_utf8_lossy(&reply.payload)
-        );
-    }
-
     // INFO on unrecognised bytes.
     match client.info(Some(b"neither format")) {
         Err(qn_serve::ServeError::Remote { code, .. }) => {
@@ -309,6 +288,54 @@ fn request_level_failures_keep_the_connection_alive() {
         client.decode(&bytes).unwrap(),
         codec.decode_bytes(&bytes).unwrap()
     );
+}
+
+#[test]
+fn decode_dimension_bombs_are_refused_only_when_authentic() {
+    let server = boot();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let img = datasets::grayscale_blobs(1, 16, 16, 21).remove(0);
+    let codec = Codec::spectral_for_image(&img, 4, 8).unwrap();
+
+    // Decode dimension bomb: a structurally plausible container
+    // declaring a 131072×131072 image (only empty-tile bits, so the
+    // tile count passes the payload-bits check) must be rejected by
+    // the serving pixel limit before any tile vector or untile buffer
+    // is allocated. The dims sit at fixed offsets 16..24.
+    let mut dim_bomb = codec.encode_image(&img, &CodecOptions::default()).unwrap();
+    dim_bomb[16..20].copy_from_slice(&(1u32 << 17).to_le_bytes());
+    dim_bomb[20..24].copy_from_slice(&(1u32 << 17).to_le_bytes());
+    let body = dim_bomb.len() - 4;
+    let crc = crc32(&dim_bomb[..body]).to_le_bytes();
+    dim_bomb[body..].copy_from_slice(&crc);
+    for op in [Opcode::Decode, Opcode::Info] {
+        let reply = client.roundtrip_raw_opcode(op as u8, dim_bomb.clone());
+        assert_eq!(
+            reply.status,
+            ErrorCode::BadRequest as u16,
+            "{op:?} dim bomb: {}",
+            String::from_utf8_lossy(&reply.payload)
+        );
+    }
+
+    // The same bomb with one body byte flipped is not authentic, so the
+    // pixel limit does not apply to it: the parser's checksum error
+    // answers, as for any corrupt container. The limit reads the
+    // dimensions before it checksums, and only bytes whose checksum
+    // holds get its BadRequest.
+    let mut flipped = dim_bomb.clone();
+    flipped[body - 1] ^= 0x01;
+    for op in [Opcode::Decode, Opcode::Info] {
+        let reply = client.roundtrip_raw_opcode(op as u8, flipped.clone());
+        let message = String::from_utf8_lossy(&reply.payload);
+        assert_eq!(
+            reply.status,
+            ErrorCode::Codec as u16,
+            "{op:?} flipped dim bomb: {message}"
+        );
+        assert!(message.contains("checksum"), "{op:?}: {message}");
+    }
+    assert_alive(&server, "after dimension bombs");
 }
 
 #[test]
