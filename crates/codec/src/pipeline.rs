@@ -50,13 +50,16 @@
 //!
 //! Each direction has one schedule, prepare → mesh pass → complete:
 //! [`Codec::encode_image_with_stats`] and [`Codec::decode_container`],
-//! which also return the time of each [`stage`] they ran. An encode
-//! that fits its own model, [`Codec::spectral_encode`], runs the same
-//! schedule with the fit between prepare and the mesh pass: the fit
-//! reads the prepared panels, so each tile is gathered once. Every
-//! other entry point wraps these, and so does the server, which runs
-//! each request's mesh pass inline. The `prepare_*`/`complete_*` halves
-//! stay public so each layer can be timed on its own.
+//! which run each [`stage`] through the caller's [`Stages`]: the server
+//! and `qnc` pass a recorder that times every stage where it runs,
+//! whether it succeeds or fails, and every other caller passes `()`, so
+//! the codec itself reads no clock. An encode that fits its own model,
+//! [`Codec::spectral_encode`], runs the same schedule with the fit
+//! between prepare and the mesh pass: the fit reads the prepared
+//! panels, so each tile is gathered once. Every other entry point wraps
+//! these, and so does the server, which runs each request's mesh pass
+//! inline. The `prepare_*`/`complete_*` halves stay public so each
+//! layer can be timed on its own.
 
 use crate::container::{
     dequantize_norm, quantize_norm, Container, ContainerHeader, TileGrid, FLAG_INLINE_MODEL,
@@ -75,13 +78,14 @@ use qn_image::GrayImage;
 use qn_linalg::panel::DEFAULT_PANEL_WIDTH;
 use qn_linalg::parallel::par_map_chunked_into;
 use qn_linalg::Panel;
+use stage::Stages;
 use std::ops::Range;
 use std::path::Path;
-use std::time::Instant;
 
-/// The codec's stage names, spelled once: the encode runs `prepare`,
-/// `mesh_pass`, `quantize`, `entropy` ([`EncodeStats::stages`]), with
-/// `spectral` after `prepare` when it fits its own model
+/// The codec's stages, named once, and the [`Stages`] they run
+/// through: the encode runs `prepare`, `mesh_pass`, `quantize`,
+/// `entropy` ([`Codec::encode_image_with_stats`]), with `spectral`
+/// after `prepare` when it fits its own model
 /// ([`Codec::spectral_encode`]); the decode runs `prepare`,
 /// `mesh_pass`, `stitch` ([`Codec::decode_container`]).
 pub mod stage {
@@ -98,15 +102,23 @@ pub mod stage {
     pub const ENTROPY: &str = "entropy";
     /// Norm scaling (Eq. 2) and stitching into the image.
     pub const STITCH: &str = "stitch";
-}
 
-/// Run `f` as stage `name`: its result, and the stage with its
-/// wall-clock nanoseconds (saturating at `u64::MAX`).
-fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, (&'static str, u64)) {
-    let t = Instant::now();
-    let out = f();
-    let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    (out, (name, ns))
+    /// What a schedule runs its stages through, one call per stage in
+    /// schedule order. A runner never touches a stage's work, so bytes
+    /// and pixels cannot depend on it: `()` runs each stage and nothing
+    /// more, and a caller's recorder (the server's and `qnc`'s) also
+    /// times it, whether it returns `Ok` or `Err`.
+    pub trait Stages {
+        /// Run `work` as stage `name` and return what it returns,
+        /// `Ok` or `Err`.
+        fn run<T>(&mut self, name: &'static str, work: impl FnOnce() -> T) -> T;
+    }
+
+    impl Stages for () {
+        fn run<T>(&mut self, _name: &'static str, work: impl FnOnce() -> T) -> T {
+            work()
+        }
+    }
 }
 
 /// Knobs for [`Codec::encode_image`].
@@ -146,8 +158,9 @@ impl Default for CodecOptions {
     }
 }
 
-/// Encode-side accounting, for logs, benchmarks and the rate–distortion
-/// evaluation harness.
+/// Encode-side size accounting, for logs, benchmarks and the
+/// rate–distortion evaluation harness. Stage times are the caller's to
+/// take, through the [`Stages`] it hands the schedule.
 #[derive(Debug, Clone)]
 pub struct EncodeStats {
     /// Total tiles in the grid.
@@ -160,11 +173,6 @@ pub struct EncodeStats {
     pub container_bytes: usize,
     /// Container bits per pixel.
     pub bits_per_pixel: f64,
-    /// Wall-clock nanoseconds of each encode stage that ran, in
-    /// schedule order: `prepare`, `spectral` (a spectral encode only),
-    /// `mesh_pass`, `quantize`, `entropy` (see [`stage`]).
-    /// Observability only; never an influence on the bytes.
-    pub stages: Vec<(&'static str, u64)>,
 }
 
 impl EncodeStats {
@@ -277,10 +285,11 @@ impl Codec {
     }
 
     /// Fit a spectral model to `img`'s own tiles and encode `img` with
-    /// it, in one schedule: `prepare`, `spectral`, `mesh_pass`,
-    /// `quantize`, `entropy` (see [`stage`]). The fit streams the panels
-    /// the prepare stage gathered, and the mesh pass then rotates those
-    /// same panels, so every tile is gathered and normalised once. The
+    /// it, in one schedule whose stages run through `stages`:
+    /// `prepare`, `spectral`, `mesh_pass`, `quantize`, `entropy` (see
+    /// [`stage`]). The fit streams the panels the prepare stage
+    /// gathered, and the mesh pass then rotates those same panels, so
+    /// every tile is gathered and normalised once. The
     /// codec is [`Codec::spectral_for_image`]`(img, opts.tile_size,
     /// latent_dim)` and the bytes are what its [`Codec::encode_image`]
     /// writes; the model source of `qnc compress` without a model file
@@ -293,20 +302,19 @@ impl Codec {
         img: &GrayImage,
         latent_dim: usize,
         opts: &CodecOptions,
+        stages: &mut impl Stages,
     ) -> Result<(Codec, Vec<u8>, EncodeStats)> {
         check_spectral(opts.tile_size, latent_dim)?;
         let dim = opts.tile_size * opts.tile_size;
-        let (prepared, prepare) = timed(stage::PREPARE, || prepare(img, opts, dim));
-        let (plan, panels) = prepared?;
-        let (codec, spectral) = timed(stage::SPECTRAL, || {
+        let (plan, panels) = stages.run(stage::PREPARE, || prepare(img, opts, dim))?;
+        let codec = stages.run(stage::SPECTRAL, || {
             let mut moment = SecondMoment::new(dim);
             for panel in &panels {
                 moment.add_panel(panel);
             }
             Codec::fit(&moment, latent_dim)
-        });
-        let codec = codec?;
-        let (bytes, stats) = codec.encode_prepared(plan, panels, &[prepare, spectral])?;
+        })?;
+        let (bytes, stats) = codec.encode_prepared(plan, panels, stages)?;
         Ok((codec, bytes, stats))
     }
 
@@ -316,14 +324,13 @@ impl Codec {
     /// [`CodecError::Invalid`] for empty images or tile sizes whose
     /// pixel count is not the model's state dimension.
     pub fn encode_image(&self, img: &GrayImage, opts: &CodecOptions) -> Result<Vec<u8>> {
-        Ok(self.encode_image_with_stats(img, opts)?.0)
+        Ok(self.encode_image_with_stats(img, opts, &mut ())?.0)
     }
 
     /// The encode schedule: [`Codec::prepare_encode`], the compression
     /// mesh pass through [`CodecOptions::backend`], then
-    /// [`Codec::complete_encode`]. Returns the bytes with their size
-    /// accounting and the time of every stage
-    /// ([`EncodeStats::stages`]).
+    /// [`Codec::complete_encode`], each stage run through `stages`.
+    /// Returns the bytes with their size accounting.
     ///
     /// # Errors
     /// See [`Codec::encode_image`].
@@ -331,29 +338,26 @@ impl Codec {
         &self,
         img: &GrayImage,
         opts: &CodecOptions,
+        stages: &mut impl Stages,
     ) -> Result<(Vec<u8>, EncodeStats)> {
-        let (prepared, prepare) = timed(stage::PREPARE, || self.prepare_encode(img, opts));
-        let (plan, panels) = prepared?;
-        self.encode_prepared(plan, panels, &[prepare])
+        let (plan, panels) = stages.run(stage::PREPARE, || self.prepare_encode(img, opts))?;
+        self.encode_prepared(plan, panels, stages)
     }
 
     /// The encode schedule from the prepared panels on: the compression
-    /// mesh pass, then [`Codec::complete_encode`]. `ran` are the stages
-    /// before the mesh pass, which lead [`EncodeStats::stages`].
+    /// mesh pass, then [`Codec::complete_encode`]'s stages.
     fn encode_prepared(
         &self,
         plan: EncodePlan,
         mut panels: Vec<Panel>,
-        ran: &[(&'static str, u64)],
+        stages: &mut impl Stages,
     ) -> Result<(Vec<u8>, EncodeStats)> {
-        let ((), mesh_pass) = timed(stage::MESH_PASS, || {
+        stages.run(stage::MESH_PASS, || {
             plan.opts
                 .backend
                 .forward_panels(self.model.compression.mesh(), &mut panels);
         });
-        let (bytes, mut stats) = self.complete_encode(plan, panels)?;
-        stats.stages = [ran, &[mesh_pass], &stats.stages].concat();
-        Ok((bytes, stats))
+        self.finish_encode(plan, panels, stages)
     }
 
     /// Everything *before* the encode's single mesh pass: find the
@@ -383,9 +387,9 @@ impl Codec {
     /// discarded ones, so reading the kept rows is bit-identical to
     /// projecting first) straight into the container's tile arrays,
     /// then entropy-code and serialise. `panels` must be the panels of
-    /// [`Codec::prepare_encode`], in order, after the mesh pass.
-    /// [`EncodeStats::stages`] lists the two stages that ran here,
-    /// `quantize` and `entropy`.
+    /// [`Codec::prepare_encode`], in order, after the mesh pass. These
+    /// are the schedule's `quantize` and `entropy` stages, run here
+    /// untimed.
     ///
     /// # Errors
     /// [`CodecError::Invalid`] when `panels` do not have the plan's
@@ -394,6 +398,17 @@ impl Codec {
         &self,
         plan: EncodePlan,
         panels: Vec<Panel>,
+    ) -> Result<(Vec<u8>, EncodeStats)> {
+        self.finish_encode(plan, panels, &mut ())
+    }
+
+    /// [`Codec::complete_encode`], its `quantize` and `entropy` stages
+    /// run through `stages`.
+    fn finish_encode(
+        &self,
+        plan: EncodePlan,
+        panels: Vec<Panel>,
+        stages: &mut impl Stages,
     ) -> Result<(Vec<u8>, EncodeStats)> {
         check_panels(&panels, plan.norms.len(), self.model.dim())?;
         let opts = &plan.opts;
@@ -424,7 +439,7 @@ impl Codec {
 
         let occupied = plan.norms.len();
         let grid = plan.occupied.len();
-        let (tiles, quantize) = timed(stage::QUANTIZE, || {
+        let tiles = stages.run(stage::QUANTIZE, || {
             let mut tiles = TileGrid {
                 occupied: plan.occupied,
                 norms_q: vec![0; occupied],
@@ -462,22 +477,20 @@ impl Codec {
             tiles
         });
 
-        let (bytes, entropy) = timed(stage::ENTROPY, || {
+        let bytes = stages.run(stage::ENTROPY, || {
             Container {
                 header,
                 inline_model: opts.inline_model.then(|| model::encode_model(&self.model)),
                 tiles,
             }
             .to_bytes()
-        });
-        let bytes = bytes?;
+        })?;
         let stats = EncodeStats {
             tiles: grid,
             empty_tiles: grid - occupied,
             raw_bytes: plan.raw_bytes,
             container_bytes: bytes.len(),
             bits_per_pixel: bytes.len() as f64 * 8.0 / plan.raw_bytes as f64,
-            stages: vec![quantize, entropy],
         };
         Ok((bytes, stats))
     }
@@ -498,18 +511,15 @@ impl Codec {
     /// # Errors
     /// See [`Codec::decode_bytes`].
     pub fn decode_bytes_with(&self, bytes: &[u8], backend: BackendKind) -> Result<GrayImage> {
-        Ok(self
-            .decode_container(&Container::from_bytes(bytes)?, backend)?
-            .0)
+        self.decode_container(&Container::from_bytes(bytes)?, backend, &mut ())
     }
 
     /// The decode schedule for a parsed container: check the model
     /// identity, then [`Codec::prepare_decode`], the reconstruction mesh
-    /// pass through `backend`, and [`Codec::complete_decode`]. Returns
-    /// the image and the time of every stage, in schedule order:
-    /// `prepare`, `mesh_pass`, `stitch` (see [`stage`]). The parse is
-    /// not among them: the caller parsed the container and owns that
-    /// measurement.
+    /// pass through `backend`, and [`Codec::complete_decode`], run
+    /// through `stages` as `prepare`, `mesh_pass`, `stitch` (see
+    /// [`stage`]). The parse is not among them: the caller parsed the
+    /// container and owns that stage.
     ///
     /// # Errors
     /// [`CodecError::ModelMismatch`] when the container was encoded
@@ -519,15 +529,14 @@ impl Codec {
         &self,
         container: &Container,
         backend: BackendKind,
-    ) -> Result<(GrayImage, [(&'static str, u64); 3])> {
+        stages: &mut impl Stages,
+    ) -> Result<GrayImage> {
         self.check_container(container)?;
-        let (prepared, prepare) = timed(stage::PREPARE, || self.prepare_decode(container));
-        let (plan, mut panels) = prepared?;
-        let ((), mesh_pass) = timed(stage::MESH_PASS, || {
+        let (plan, mut panels) = stages.run(stage::PREPARE, || self.prepare_decode(container))?;
+        stages.run(stage::MESH_PASS, || {
             backend.forward_panels(self.model.reconstruction.mesh(), &mut panels);
         });
-        let (img, stitch) = timed(stage::STITCH, || self.complete_decode(plan, panels));
-        Ok((img?, [prepare, mesh_pass, stitch]))
+        stages.run(stage::STITCH, || self.complete_decode(plan, panels))
     }
 
     /// Verify that `container` was produced by this codec's model.
@@ -987,9 +996,7 @@ fn normalise_lanes(panel: &mut Panel, norms: &mut [f64]) -> bool {
 /// container/model parse errors.
 pub fn decode_standalone(bytes: &[u8]) -> Result<GrayImage> {
     let container = Container::from_bytes(bytes)?;
-    Ok(codec_from_inline(&container)?
-        .decode_container(&container, BackendKind::default())?
-        .0)
+    codec_from_inline(&container)?.decode_container(&container, BackendKind::default(), &mut ())
 }
 
 /// Build a [`Codec`] from a container's embedded model — the model
@@ -1058,7 +1065,7 @@ mod tests {
         let img = test_image();
         let codec = spectral_codec(&img, 8);
         let (bytes, stats) = codec
-            .encode_image_with_stats(&img, &CodecOptions::default())
+            .encode_image_with_stats(&img, &CodecOptions::default(), &mut ())
             .unwrap();
         let back = codec.decode_bytes(&bytes).unwrap();
         assert_eq!((back.width(), back.height()), (32, 24));
@@ -1079,7 +1086,7 @@ mod tests {
             ..CodecOptions::default()
         };
         for img in &data {
-            let (bytes, stats) = codec.encode_image_with_stats(img, &opts).unwrap();
+            let (bytes, stats) = codec.encode_image_with_stats(img, &opts, &mut ()).unwrap();
             assert_eq!(stats.container_bytes, bytes.len());
             let back = codec.decode_bytes(&bytes).unwrap();
             let psnr = metrics::psnr(img, &back.clamped());
@@ -1146,7 +1153,7 @@ mod tests {
         let img = test_image();
         let codec = spectral_codec(&img, 8);
         let (with_model, _) = codec
-            .encode_image_with_stats(&img, &CodecOptions::default())
+            .encode_image_with_stats(&img, &CodecOptions::default(), &mut ())
             .unwrap();
         let (lean, stats) = codec
             .encode_image_with_stats(
@@ -1155,6 +1162,7 @@ mod tests {
                     inline_model: false,
                     ..CodecOptions::default()
                 },
+                &mut (),
             )
             .unwrap();
         assert_eq!(stats.container_bytes, lean.len());
@@ -1176,7 +1184,7 @@ mod tests {
             inline_model: false,
             ..CodecOptions::default()
         };
-        let (bytes, stats) = codec.encode_image_with_stats(&img, &opts).unwrap();
+        let (bytes, stats) = codec.encode_image_with_stats(&img, &opts, &mut ()).unwrap();
         assert!(
             bytes.len() < img.len(),
             "container {} bytes ≥ raw {} bytes",
@@ -1248,42 +1256,54 @@ mod tests {
         ));
     }
 
+    /// A stage runner that notes each stage's name as it runs it.
+    #[derive(Default)]
+    struct Names(Vec<&'static str>);
+
+    impl Stages for Names {
+        fn run<T>(&mut self, name: &'static str, work: impl FnOnce() -> T) -> T {
+            self.0.push(name);
+            work()
+        }
+    }
+
     #[test]
     fn timed_paths_are_byte_identical_to_untimed_ones() {
-        // The whole point of the stage lists: clocks are read, data is
-        // never touched. Durations themselves are wall-clock and
-        // deliberately not asserted; names and their order are.
+        // The whole point of the stage runner: a recorder sees each
+        // stage, data is never touched. A recorder's durations are
+        // wall-clock and deliberately not asserted; names and their
+        // order are.
         let img = test_image();
         let codec = spectral_codec(&img, 8);
         let opts = CodecOptions::default();
         let plain = codec.encode_image(&img, &opts).unwrap();
-        let (timed, stats) = codec.encode_image_with_stats(&img, &opts).unwrap();
+        let mut names = Names::default();
+        let (timed, stats) = codec
+            .encode_image_with_stats(&img, &opts, &mut names)
+            .unwrap();
         assert_eq!(timed, plain, "timed encode must not perturb bytes");
         assert_eq!(stats.container_bytes, plain.len());
-        let names: Vec<_> = stats.stages.iter().map(|&(name, _)| name).collect();
-        assert_eq!(names, ["prepare", "mesh_pass", "quantize", "entropy"]);
-        let (fitted, spectral, stats) = Codec::spectral_encode(&img, 8, &opts).unwrap();
+        assert_eq!(names.0, ["prepare", "mesh_pass", "quantize", "entropy"]);
+        let mut names = Names::default();
+        let (fitted, spectral, _) = Codec::spectral_encode(&img, 8, &opts, &mut names).unwrap();
         assert_eq!(spectral, plain, "one-gather spectral encode");
         assert_eq!(fitted.model_id(), codec.model_id());
-        let names: Vec<_> = stats.stages.iter().map(|&(name, _)| name).collect();
         assert_eq!(
-            names,
+            names.0,
             ["prepare", "spectral", "mesh_pass", "quantize", "entropy"]
         );
         let plain_img = codec.decode_bytes(&plain).unwrap();
         let container = Container::from_bytes(&plain).unwrap();
-        let (timed_img, stages) = codec
-            .decode_container(&container, BackendKind::default())
+        let mut names = Names::default();
+        let timed_img = codec
+            .decode_container(&container, BackendKind::default(), &mut names)
             .unwrap();
         assert_eq!(timed_img, plain_img, "timed decode must not perturb pixels");
-        assert_eq!(
-            stages.map(|(name, _)| name),
-            ["prepare", "mesh_pass", "stitch"]
-        );
+        assert_eq!(names.0, ["prepare", "mesh_pass", "stitch"]);
         // A wrong model still errors through the timed path.
         let other = spectral_codec(&datasets::grayscale_blobs(1, 32, 24, 78).remove(0), 8);
         assert!(matches!(
-            other.decode_container(&container, BackendKind::default()),
+            other.decode_container(&container, BackendKind::default(), &mut Names::default()),
             Err(CodecError::ModelMismatch { .. })
         ));
     }
@@ -1310,7 +1330,7 @@ mod tests {
             inline_model: false,
             ..CodecOptions::default()
         };
-        let (bytes, stats) = codec.encode_image_with_stats(&img, &opts).unwrap();
+        let (bytes, stats) = codec.encode_image_with_stats(&img, &opts, &mut ()).unwrap();
         assert_eq!(stats.tiles, 16);
         assert_eq!(stats.empty_tiles, 15);
         let back = codec.decode_bytes(&bytes).unwrap();

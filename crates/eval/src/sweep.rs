@@ -123,7 +123,7 @@ fn quantum_point_with(
     for img in &dataset.images {
         let t0 = Instant::now();
         let (bytes, stats) = codec
-            .encode_image_with_stats(img, &opts)
+            .encode_image_with_stats(img, &opts, &mut ())
             .map_err(|e| format!("{}: encode: {e}", dataset.name))?;
         encode_seconds += t0.elapsed().as_secs_f64();
         let t1 = Instant::now();

@@ -15,7 +15,10 @@
 //! failure exits with a message on stderr and a non-zero status — no
 //! panics on user input.
 
-use qn_codec::{codec_from_inline, info, model, Codec, CodecOptions, Container, EntropyCoder};
+use qn_codec::stage::Stages;
+use qn_codec::{
+    codec_from_inline, info, model, BackendKind, Codec, CodecOptions, Container, EntropyCoder,
+};
 use qn_core::config::{InitStrategy, NetworkConfig, OptimizerKind};
 use qn_core::trainer::Trainer;
 use qn_image::{metrics, pgm, tiles, GrayImage};
@@ -288,18 +291,18 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
         Some(path) => {
             let codec = Codec::from_model_file(Path::new(path))
                 .map_err(|e| format!("loading model {path}: {e}"))?;
-            let (bytes, stats) = rec
-                .encode(&codec, &img, &opts)
+            let (bytes, stats) = codec
+                .encode_image_with_stats(&img, &opts, &mut rec)
                 .map_err(|e| format!("encoding: {e}"))?;
             (codec, bytes, stats, "file")
         }
         None => {
-            let (codec, bytes, stats) = rec
-                .encode_spectral(&img, latent, &opts)
+            let (codec, bytes, stats) = Codec::spectral_encode(&img, latent, &opts, &mut rec)
                 .map_err(|e| format!("encoding with a spectral model: {e}"))?;
             (codec, bytes, stats, "spectral")
         }
     };
+    rec.codec_attrs(stats.tiles, Some(opts.entropy));
     print_stages(args, rec);
     std::fs::write(&output, &bytes).map_err(|e| format!("writing {}: {e}", output.display()))?;
 
@@ -350,15 +353,16 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
     // are the ones a traced `qnc remote decompress` renders.
     let mut rec = offline_recorder(args, "decompress");
     let container = rec
-        .time(stages::PARSE, || Container::from_bytes(&bytes))
+        .run(stages::PARSE, || Container::from_bytes(&bytes))
         .map_err(|e| format!("decoding: {e}"))?;
     let codec = match model {
         Some(codec) => codec,
         None => codec_from_inline(&container).map_err(|e| format!("decoding: {e}"))?,
     };
-    let img = rec
-        .decode(&codec, &container)
+    let img = codec
+        .decode_container(&container, BackendKind::default(), &mut rec)
         .map_err(|e| format!("decoding: {e}"))?;
+    rec.codec_attrs(container.tiles.len(), None);
     print_stages(args, rec);
 
     pgm::write_pgm(&img.clamped(), &output)

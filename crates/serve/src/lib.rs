@@ -14,7 +14,7 @@
 //!   cache, so `.qnc` containers referencing a known model id decode
 //!   without inline models;
 //! - [`reactor`] — the event-driven connection plumbing: a `poll(2)`
-//!   wrapper (two-symbol FFI, no async runtime in this offline
+//!   wrapper (three-symbol FFI, no async runtime in this offline
 //!   environment), a wakeup pipe, the per-connection incremental frame
 //!   state machine, and the nonblocking reads and reply writes (workers
 //!   send each reply on its connection's own channel, and the reactor
@@ -31,7 +31,8 @@
 //!   per-stage histograms, zoo hit rates — recorded by every server
 //!   and read out over the `STATS` RPC, the one way out;
 //! - [`stages`] — the stage vocabulary and the per-request recorder
-//!   behind histograms, span trees and `qnc --timings` alike;
+//!   behind histograms, span trees and `qnc --timings` alike, which the
+//!   codec's schedules run their stages through;
 //! - [`log`] — leveled, timestamped single-line stderr logging for the
 //!   `qnc serve` process.
 //!

@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | `serve_requests_total` | counter | `op` = `encode`/`decode`/`load_model`/`info`/`list_models`/`stats`/`trace`/`unknown` |
 //! | `serve_errors_total` | counter | `code` = [`ErrorCode::label`] |
-//! | `serve_request_latency_ns` | histogram | `op` (whole request: frame fully read → reply written) |
+//! | `serve_request_latency_ns` | histogram | `op` (frame fully read → reply frame serialized, before the reactor receives it) |
 //! | `serve_frame_bytes_in_total` / `serve_frame_bytes_out_total` | counter | — |
 //! | `serve_connections_total` | counter | — |
 //! | `serve_open_connections` | gauge | — |
@@ -170,8 +170,9 @@ impl ServeMetrics {
             .inc();
     }
 
-    /// Record a whole-request latency (frame fully read → reply
-    /// written; excludes the peer's own frame-delivery time).
+    /// Record a request's latency: frame fully read → reply frame
+    /// serialized, before the reactor receives it (so neither the
+    /// peer's own frame delivery nor the socket write is in it).
     pub fn record_latency(&self, op: Option<Opcode>, ns: u64) {
         if let Some(i) = op.and_then(Self::op_index) {
             self.latency[i].observe(ns);

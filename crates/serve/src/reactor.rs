@@ -5,8 +5,8 @@
 //! # Shape
 //!
 //! One reactor thread multiplexes the listener, a wakeup pipe and all
-//! client sockets (nonblocking) through `poll(2)` — a two-symbol FFI
-//! surface (`poll`, `pipe`), no `libc` crate, no async runtime
+//! client sockets (nonblocking) through `poll(2)` — a three-symbol FFI
+//! surface (`poll`, `pipe`, `fcntl`), no `libc` crate, no async runtime
 //! (compat-shim discipline: crates.io is unreachable here). Frame
 //! bytes accumulate per connection in a state machine built on
 //! [`FrameHeader::parse`](crate::protocol::FrameHeader::parse) — the
@@ -43,7 +43,7 @@ use crate::protocol::HEADER_LEN;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::os::fd::{AsRawFd, FromRawFd, RawFd};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // The three-symbol FFI surface. `nfds_t` is `c_ulong` on Linux; the
@@ -215,10 +215,11 @@ pub struct WakePipe {
     writer: Arc<Waker>,
 }
 
-/// The clonable write end of a [`WakePipe`].
+/// The shared write end of a [`WakePipe`]. Any number of threads write
+/// through `&File` at once: a one-byte pipe write is atomic.
 #[derive(Debug)]
 pub struct Waker {
-    writer: Mutex<File>,
+    writer: File,
 }
 
 impl Waker {
@@ -227,9 +228,7 @@ impl Waker {
     /// is fine, because a full pipe genuinely means a wakeup is
     /// already pending. A closed pipe means the reactor is gone.
     pub fn wake(&self) {
-        if let Ok(mut w) = self.writer.lock() {
-            let _ = w.write(&[1u8]);
-        }
+        let _ = (&self.writer).write(&[1u8]);
     }
 }
 
@@ -246,16 +245,14 @@ impl WakePipe {
         // SAFETY: pipe(2) returned two fresh descriptors we now own.
         let (reader, writer) = unsafe { (File::from_raw_fd(fds[0]), File::from_raw_fd(fds[1])) };
         // Both ends nonblocking: a blocking write end would stall
-        // workers (Mutex held) whenever replies outpace the reactor's
-        // drain and the pipe fills; a blocking read end would let
-        // `drain`'s catch-up loop hang once the pipe empties.
+        // workers whenever replies outpace the reactor's drain and the
+        // pipe fills; a blocking read end would let `drain`'s catch-up
+        // loop hang once the pipe empties.
         set_nonblocking(reader.as_raw_fd())?;
         set_nonblocking(writer.as_raw_fd())?;
         Ok(WakePipe {
             reader,
-            writer: Arc::new(Waker {
-                writer: Mutex::new(writer),
-            }),
+            writer: Arc::new(Waker { writer }),
         })
     }
 

@@ -24,9 +24,9 @@
 //! does, on the default `simd` backend — the server offers no backend
 //! choice, and its replies are byte-identical to the scalar oracle's.
 //! A [`StageRecorder`] times every stage of the request once — frame
-//! read, queue wait, parse, the codec's named stages, reply write —
-//! into the `serve_stage_ns` histograms, and into the span tree when
-//! the request is traced.
+//! read, queue wait, parse, the codec's named stages (the schedule runs
+//! them through the recorder), reply write — into the `serve_stage_ns`
+//! histograms, and into the span tree when the request is traced.
 //!
 //! Telemetry has no off switch: every server keeps its
 //! [`ServeMetrics`] and a [`Tracer`], and the `STATS` and `TRACE` RPCs
@@ -47,7 +47,8 @@ use crate::reactor::{
 use crate::stages::{self, span_ns, StageRecorder};
 use crate::store::ModelStore;
 use qn_codec::pipeline::codec_from_inline;
-use qn_codec::{info, Codec, CodecOptions, Container};
+use qn_codec::stage::Stages;
+use qn_codec::{info, BackendKind, Codec, CodecOptions, Container};
 use qn_trace::{fmt_ns, write_json_string, SpanId, TraceBuilder, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -1183,7 +1184,7 @@ fn handle_encode(
     payload: &[u8],
     rec: &mut StageRecorder,
 ) -> Result<(Opcode, Vec<u8>)> {
-    let req = rec.time(stages::PARSE, || EncodeRequest::from_payload(payload))?;
+    let req = rec.run(stages::PARSE, || EncodeRequest::from_payload(payload))?;
     let opts = CodecOptions {
         tile_size: req.tile_size as usize,
         bits: req.bits,
@@ -1192,13 +1193,15 @@ fn handle_encode(
         entropy: req.entropy,
         ..CodecOptions::default()
     };
-    let bytes = if req.flags & ENC_FLAG_USE_MODEL_ID != 0 {
+    let (bytes, stats) = if req.flags & ENC_FLAG_USE_MODEL_ID != 0 {
         let codec = shared.store.get(req.model_id)?;
-        rec.encode(&codec, &req.image, &opts)?.0
+        codec.encode_image_with_stats(&req.image, &opts, rec)?
     } else {
-        rec.encode_spectral(&req.image, req.latent_dim as usize, &opts)?
-            .1
+        let (_, bytes, stats) =
+            Codec::spectral_encode(&req.image, req.latent_dim as usize, &opts, rec)?;
+        (bytes, stats)
     };
+    rec.codec_attrs(stats.tiles, Some(opts.entropy));
     shared
         .metrics
         .record_coded_bytes(req.entropy, bytes.len() as u64);
@@ -1250,13 +1253,14 @@ fn handle_decode(
     rec: &mut StageRecorder,
 ) -> Result<(Opcode, Vec<u8>)> {
     check_container_dims(payload)?;
-    let container = rec.time(stages::PARSE, || Container::from_bytes(payload))?;
+    let container = rec.run(stages::PARSE, || Container::from_bytes(payload))?;
     let codec: Arc<Codec> = if container.header.inline_model() {
         Arc::new(codec_from_inline(&container)?)
     } else {
         shared.store.get(container.header.model_id)?
     };
-    let img = rec.decode(&codec, &container)?;
+    let img = codec.decode_container(&container, BackendKind::default(), rec)?;
+    rec.codec_attrs(container.tiles.len(), None);
     if let Ok(coder) = container.header.entropy() {
         shared
             .metrics

@@ -1,16 +1,17 @@
 //! The stage vocabulary: the serving stage names (the codec names its
 //! own in [`qn_codec::stage`]) and the [`StageRecorder`] that times each
 //! stage of a request once, for histograms, span trees and offline
-//! `qnc --timings`/`--trace` alike.
+//! `qnc --timings`/`--trace` alike. The codec's schedules run their
+//! stages through the recorder itself ([`Stages`]), so a codec stage is
+//! timed where it runs, like every serving stage.
 
 use crate::metrics::ServeMetrics;
 use crate::protocol::Opcode;
-use qn_codec::stage::{ENTROPY, MESH_PASS, PREPARE, QUANTIZE, SPECTRAL, STITCH};
-use qn_codec::{BackendKind, Codec, CodecOptions, Container, EncodeStats};
-use qn_image::GrayImage;
+use qn_codec::stage::{Stages, ENTROPY, MESH_PASS, PREPARE, QUANTIZE, SPECTRAL, STITCH};
+use qn_codec::EntropyCoder;
 use qn_trace::{fmt_ns, SpanId, Trace, TraceBuilder};
 use std::fmt::Display;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The reactor reading the request frame, first header byte to last
 /// payload byte.
@@ -65,22 +66,29 @@ pub(crate) fn span_ns(from: Instant, to: Instant) -> u64 {
     u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// One request's stages. Each stage is timed once and ends when its
-/// work returns, with `Ok` or `Err`. With metrics it lands in the op's
-/// `serve_stage_ns{op,stage}` histogram; when the request is traced it
-/// also becomes a child of the root span. An untraced recorder holds no
-/// trace and allocates nothing.
+/// One request's stages. Each stage is timed once, from when its work
+/// starts to when it returns, with `Ok` or `Err`: the codec's too, as
+/// its schedules run them through this recorder ([`Stages::run`]). With
+/// metrics a stage lands in the op's `serve_stage_ns{op,stage}`
+/// histogram; when the request is traced it also becomes a child of the
+/// root span. An untraced recorder holds no trace and allocates nothing.
 #[derive(Debug)]
 pub struct StageRecorder<'a> {
     metrics: Option<(&'a ServeMetrics, Opcode)>,
     trace: Option<TraceBuilder>,
+    /// The span of the stage recorded last, when traced.
+    last: Option<SpanId>,
 }
 
 impl<'a> StageRecorder<'a> {
     /// A recorder feeding `metrics` (the histograms of an op) and, when
     /// the request is traced, `trace`.
     pub fn new(metrics: Option<(&'a ServeMetrics, Opcode)>, trace: Option<TraceBuilder>) -> Self {
-        StageRecorder { metrics, trace }
+        StageRecorder {
+            metrics,
+            trace,
+            last: None,
+        }
     }
 
     /// Record stage `name`, which ran from `from` to `to`. Returns its
@@ -97,15 +105,8 @@ impl<'a> StageRecorder<'a> {
         }
         let tb = self.trace.as_mut()?;
         let start = tb.offset_ns(from);
-        Some(tb.record(SpanId::ROOT, name, start, start.saturating_add(ns)))
-    }
-
-    /// Run `f` as stage `name`; the stage ends when `f` returns.
-    pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        let from = Instant::now();
-        let out = f();
-        self.record(name, from, Instant::now());
-        out
+        self.last = Some(tb.record(SpanId::ROOT, name, start, start.saturating_add(ns)));
+        self.last
     }
 
     /// Attach `key=value` to `span` (nothing when untraced).
@@ -115,75 +116,28 @@ impl<'a> StageRecorder<'a> {
         }
     }
 
-    /// Record the codec's stage list, laid end to end from `from`.
-    /// Returns the last stage's span when the request is traced.
-    fn record_all(&mut self, from: Instant, stages: &[(&'static str, u64)]) -> Option<SpanId> {
-        let mut at = from;
-        let mut last = None;
-        for &(name, ns) in stages {
-            let to = at + Duration::from_nanos(ns);
-            last = self.record(name, at, to);
-            at = to;
+    /// Attach the attributes of the codec schedule that just ran
+    /// through this recorder: the root's `tiles` and, after an encode,
+    /// `coder` on its `entropy` span, the last stage it ran.
+    pub fn codec_attrs(&mut self, tiles: usize, coder: Option<EntropyCoder>) {
+        if let Some(coder) = coder {
+            self.attr(self.last, "coder", coder);
         }
-        last
-    }
-
-    /// Record an encode's stages: `entropy`, the last, carries `coder`,
-    /// and the root gains `tiles`.
-    fn record_encode(&mut self, from: Instant, stats: &EncodeStats, opts: &CodecOptions) {
-        let entropy = self.record_all(from, &stats.stages);
-        self.attr(entropy, "coder", opts.entropy);
-        self.attr(Some(SpanId::ROOT), "tiles", stats.tiles);
-    }
-
-    /// Run the encode schedule and record its stages.
-    ///
-    /// # Errors
-    /// See [`Codec::encode_image`].
-    pub fn encode(
-        &mut self,
-        codec: &Codec,
-        img: &GrayImage,
-        opts: &CodecOptions,
-    ) -> qn_codec::Result<(Vec<u8>, EncodeStats)> {
-        let from = Instant::now();
-        let (bytes, stats) = codec.encode_image_with_stats(img, opts)?;
-        self.record_encode(from, &stats, opts);
-        Ok((bytes, stats))
-    }
-
-    /// Run the spectral encode schedule, which fits its model from the
-    /// prepared panels, and record its stages, `spectral` among them.
-    ///
-    /// # Errors
-    /// See [`Codec::spectral_encode`].
-    pub fn encode_spectral(
-        &mut self,
-        img: &GrayImage,
-        latent_dim: usize,
-        opts: &CodecOptions,
-    ) -> qn_codec::Result<(Codec, Vec<u8>, EncodeStats)> {
-        let from = Instant::now();
-        let (codec, bytes, stats) = Codec::spectral_encode(img, latent_dim, opts)?;
-        self.record_encode(from, &stats, opts);
-        Ok((codec, bytes, stats))
-    }
-
-    /// Run the decode schedule on a parsed container through the
-    /// default backend and record its stages; the root gains `tiles`.
-    ///
-    /// # Errors
-    /// See [`Codec::decode_container`].
-    pub fn decode(&mut self, codec: &Codec, container: &Container) -> qn_codec::Result<GrayImage> {
-        let from = Instant::now();
-        let (img, stages) = codec.decode_container(container, BackendKind::default())?;
-        self.record_all(from, &stages);
-        self.attr(Some(SpanId::ROOT), "tiles", container.tiles.len());
-        Ok(img)
+        self.attr(Some(SpanId::ROOT), "tiles", tiles);
     }
 
     /// Seal the span tree; `None` when the request was not traced.
     pub fn finish(self) -> Option<Trace> {
         self.trace.map(TraceBuilder::finish)
+    }
+}
+
+impl Stages for StageRecorder<'_> {
+    /// Run `work` as stage `name`; the stage ends when `work` returns.
+    fn run<T>(&mut self, name: &'static str, work: impl FnOnce() -> T) -> T {
+        let from = Instant::now();
+        let out = work();
+        self.record(name, from, Instant::now());
+        out
     }
 }

@@ -20,9 +20,9 @@
 //!   first header byte arrived), so a rendered trace is
 //!   self-contained and wall-clock-free. Every span is recorded whole
 //!   ([`TraceBuilder::record`]) from timings measured by the caller —
-//!   e.g. the codec's named stage list (prepare, mesh pass, quantize,
-//!   entropy) — so no span is ever left open; only the root closes, at
-//!   [`TraceBuilder::finish`].
+//!   e.g. each codec stage (prepare, mesh pass, quantize, entropy),
+//!   which the caller's recorder times as it runs — so no span is ever
+//!   left open; only the root closes, at [`TraceBuilder::finish`].
 //! - **Recent ring + slow keep.** The [`Tracer`] sink holds two
 //!   fixed-capacity buffers: a ring of the most recent completed
 //!   traces, and a separate buffer that only admits traces whose root
@@ -180,8 +180,8 @@ impl TraceBuilder {
     }
 
     /// Record a child span of `parent` measured elsewhere, with
-    /// explicit anchor offsets (e.g. one entry of the codec's named
-    /// stage list).
+    /// explicit anchor offsets (e.g. one codec stage, timed by the
+    /// caller's recorder as it ran).
     ///
     /// # Panics
     /// If `parent` was not issued by this builder.

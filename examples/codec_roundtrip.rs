@@ -52,7 +52,9 @@ fn main() {
             inline_model: false,
             ..CodecOptions::default()
         };
-        let (bytes, stats) = codec.encode_image_with_stats(&img, &opts).expect("encode");
+        let (bytes, stats) = codec
+            .encode_image_with_stats(&img, &opts, &mut ())
+            .expect("encode");
         let back = codec.decode_bytes(&bytes).expect("decode").clamped();
         println!(
             "{bits}-bit latents: {:>6} bytes  {:.3} bpp  ratio {:.2}x  PSNR {:.2} dB  SSIM {:.4}",
@@ -66,7 +68,7 @@ fn main() {
 
     // The standalone container: model embedded, decodes with no state.
     let (bytes, stats) = codec
-        .encode_image_with_stats(&img, &CodecOptions::default())
+        .encode_image_with_stats(&img, &CodecOptions::default(), &mut ())
         .expect("encode standalone");
     let back = qn::codec::decode_standalone(&bytes).expect("standalone decode");
     let qnc_path = dir.join("image.qnc");

@@ -60,11 +60,14 @@ fn pair(codec: Option<&Codec>, img: &GrayImage, opts: &CodecOptions) -> (usize, 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let (decoded, stats) = match codec {
         Some(codec) => {
-            let (bytes, stats) = codec.encode_image_with_stats(img, opts).expect("encode");
+            let (bytes, stats) = codec
+                .encode_image_with_stats(img, opts, &mut ())
+                .expect("encode");
             (codec.decode_bytes_with(&bytes, opts.backend), stats)
         }
         None => {
-            let (codec, bytes, stats) = Codec::spectral_encode(img, 8, opts).expect("encode");
+            let (codec, bytes, stats) =
+                Codec::spectral_encode(img, 8, opts, &mut ()).expect("encode");
             (codec.decode_bytes_with(&bytes, opts.backend), stats)
         }
     };

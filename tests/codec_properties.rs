@@ -425,8 +425,8 @@ fn spectral_encode_matches_fit_then_encode() {
                     };
                     let what = format!("{name} tile {tile} {entropy} scale={per_tile_scale}");
                     let want = reference.encode_image(img, &opts).expect("encode");
-                    let (codec, bytes, stats) =
-                        Codec::spectral_encode(img, latent, &opts).expect("spectral encode");
+                    let (codec, bytes, stats) = Codec::spectral_encode(img, latent, &opts, &mut ())
+                        .expect("spectral encode");
                     assert_eq!(codec.model_id(), reference.model_id(), "{what}: model");
                     assert_eq!(bytes, want, "{what}: container");
                     assert_eq!(stats.container_bytes, bytes.len(), "{what}");
@@ -482,7 +482,7 @@ fn non_finite_pixels_are_refused_by_the_fit_and_both_encodes() {
         );
         refused(
             &format!("{name}: spectral encode"),
-            Codec::spectral_encode(img, 8, &opts).map(drop),
+            Codec::spectral_encode(img, 8, &opts, &mut ()).map(drop),
         );
         refused(
             &format!("{name}: fixed-model encode"),

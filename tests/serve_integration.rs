@@ -599,9 +599,10 @@ fn stats_counts_match_a_client_side_tally_under_sixteen_clients() {
     let (enc, dec, info_n, list_n) = (32u64, 16u64, 16u64, 16u64);
 
     // Request counters increment before the reply is written, so after
-    // the workers join they are exact. Latency records after the reply
-    // leaves, so the last write on each connection may still be racing
-    // the stats read — poll briefly for the histograms to catch up.
+    // the workers join they are exact. Latency records once the reply
+    // frame is serialized, before the reactor receives it, so the
+    // histograms are exact by then too; the loop re-reads STATS only
+    // while they are not.
     let mut client = Client::connect(addr).unwrap();
     let mut stats_calls = 0u64;
     let json = loop {

@@ -2,10 +2,11 @@
 //! request shows as a child of its root span is also a
 //! `serve_stage_ns{op,stage}` series in STATS, the histograms count
 //! untraced requests exactly like traced ones, a stage that fails
-//! ends where it failed, before the reply is written, and tracing
-//! never changes a reply byte.
+//! (a codec stage included) is recorded and ends where it failed,
+//! before the reply is written, and tracing never changes a reply byte.
 
-use qn::codec::{Codec, CodecOptions};
+use qn::codec::model::encode_model;
+use qn::codec::{Codec, CodecOptions, Container};
 use qn::image::{datasets, GrayImage};
 use qn::serve::client::{model_encode_request, spectral_encode_request};
 use qn::serve::{spawn, Client, Opcode, ServeError, ServerConfig, ServerHandle, TraceContext};
@@ -147,10 +148,50 @@ fn histograms_count_untraced_and_traced_requests_alike() {
 fn a_failing_stage_ends_before_the_reply_is_written() {
     let server = boot();
     let mut client = Client::connect(server.addr()).unwrap();
-    for (op, id) in [(Opcode::Encode, 0xe1), (Opcode::Decode, 0xd1)] {
+    let opts = CodecOptions::default();
+    let img = image(9);
+    // A 16-mode zoo model, and three requests the codec refuses in its
+    // `prepare` stage: a NaN pixel, a 3×3 tile for the 16-mode model,
+    // and a CRC-valid container whose inline model compresses to 4
+    // latents while its tiles carry 8.
+    let codec = Codec::spectral_for_image(&img, opts.tile_size, 8).unwrap();
+    let model_id = client.load_model(&encode_model(codec.model())).unwrap();
+    let mut nan = img.clone();
+    nan.set(5, 5, f64::NAN);
+    let tile_3 = CodecOptions {
+        tile_size: 3,
+        ..opts.clone()
+    };
+    let narrow = Codec::spectral_for_image(&img, opts.tile_size, 4).unwrap();
+    let mut container = Container::from_bytes(&codec.encode_image(&img, &opts).unwrap()).unwrap();
+    container.inline_model = Some(encode_model(narrow.model()));
+    container.header.model_id = narrow.model_id();
+    let cases = [
+        (Opcode::Encode, 0xe1, vec![1, 2, 3], "parse"),
+        (Opcode::Decode, 0xd1, vec![1, 2, 3], "parse"),
+        (
+            Opcode::Encode,
+            0xe2,
+            spectral_encode_request(&nan, &opts, 8).to_payload(),
+            "prepare",
+        ),
+        (
+            Opcode::Encode,
+            0xe3,
+            model_encode_request(&img, &tile_3, model_id).to_payload(),
+            "prepare",
+        ),
+        (
+            Opcode::Decode,
+            0xd2,
+            container.to_bytes().unwrap(),
+            "prepare",
+        ),
+    ];
+    for (op, id, payload, failing) in cases {
         let err = client
-            .roundtrip_traced(op, sampled(id), vec![1, 2, 3])
-            .expect_err("a 3-byte payload cannot parse");
+            .roundtrip_traced(op, sampled(id), payload)
+            .expect_err("the request must fail");
         assert!(matches!(err, ServeError::Remote { .. }), "{err}");
 
         let t = fetch_trace(&mut client, id);
@@ -159,22 +200,28 @@ fn a_failing_stage_ends_before_the_reply_is_written() {
             children
                 .iter()
                 .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("{op:?}: no {name} span in {children:?}"))
+                .unwrap_or_else(|| panic!("{op:?} {id:#x}: no {name} span in {children:?}"))
         };
         assert!(
-            span("parse").end_ns <= span("reply_write").start_ns,
-            "{op:?}: parse must end before the reply is written: {children:?}"
+            span(failing).end_ns <= span("reply_write").start_ns,
+            "{op:?} {id:#x}: {failing} must end before the reply is written: {children:?}"
         );
         let mut by_start = children.clone();
         by_start.sort_by_key(|s| s.start_ns);
         for pair in by_start.windows(2) {
             assert!(
                 pair[0].end_ns <= pair[1].start_ns,
-                "{op:?}: {} overlaps {}: {children:?}",
+                "{op:?} {id:#x}: {} overlaps {}: {children:?}",
                 pair[0].name,
                 pair[1].name
             );
         }
+    }
+    // Each request that failed inside the codec counts in `prepare`.
+    let stats = client.stats().unwrap();
+    for (op, requests) in [("encode", 2), ("decode", 1)] {
+        let key = stage_key(op, "prepare");
+        assert_eq!(hist_count(&stats, &key), Some(requests), "{key}: {stats}");
     }
 }
 
