@@ -56,4 +56,7 @@ pub use pipeline::{
     EncodeStats, MAX_TILE_SIZE,
 };
 pub use qn_backend::BackendKind;
+/// Tiles per panel, the codec's unit of work: an image of at most this
+/// many tiles runs as one panel and never forks onto the pool.
+pub use qn_linalg::panel::DEFAULT_PANEL_WIDTH;
 pub use quantize::Quantizer;

@@ -15,16 +15,19 @@
 //!   without inline models;
 //! - [`reactor`] — the event-driven connection plumbing: a `poll(2)`
 //!   wrapper (three-symbol FFI, no async runtime in this offline
-//!   environment), a wakeup pipe, the per-connection incremental frame
-//!   state machine, and the nonblocking reads and reply writes (workers
-//!   send each reply on its connection's own channel, and the reactor
-//!   releases them in request order);
-//! - [`server`] — the connection core: one reactor thread owns every
-//!   socket (10k+ idle connections cost no threads), complete frames
-//!   are admission-checked (global and per-connection in-flight caps
-//!   answer typed `BUSY` instead of queueing unboundedly) and handed
-//!   to a bounded worker pool, where each request runs the offline
-//!   codec schedule — mesh pass included — inline on its worker;
+//!   environment), a wakeup pipe per reactor, the per-connection
+//!   incremental frame state machine, and the nonblocking reads and
+//!   reply writes (inline and worker replies alike are released in
+//!   request order);
+//! - [`server`] — the connection core: one reactor thread per core,
+//!   each owning the sockets reactor 0 hands it round-robin (10k+ idle
+//!   connections cost no threads). Complete frames are
+//!   admission-checked (global and per-connection in-flight caps answer
+//!   typed `BUSY` instead of queueing unboundedly). A one-panel ENCODE
+//!   or DECODE by a cached model id then runs the offline codec
+//!   schedule on the reactor that read it; everything else goes to a
+//!   bounded worker pool, where each request runs the same schedule —
+//!   mesh pass included — on its worker;
 //! - [`client`] — the blocking client used by `qnc remote` and tests;
 //! - [`metrics`] — the server's telemetry catalogue over
 //!   [`qn_metrics`]: per-opcode request/error counters, latency and

@@ -367,17 +367,26 @@ impl Frame {
 
     /// Serialise to complete wire bytes (header + payload + CRC).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(HEADER_LEN + self.payload.len() + 4);
-        bytes.extend_from_slice(&FRAME_MAGIC);
-        bytes.push(PROTOCOL_VERSION);
-        bytes.push(self.opcode);
-        bytes.extend_from_slice(&self.status.to_le_bytes());
-        bytes.extend_from_slice(&self.request_id.to_le_bytes());
-        bytes.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&self.payload);
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
+        frame_bytes(
+            self.opcode,
+            self.status,
+            self.request_id,
+            self.payload.len(),
+            |bytes| bytes.extend_from_slice(&self.payload),
+        )
+    }
+
+    /// The wire bytes of the `DECODE` reply carrying `img`: the bytes of
+    /// `Frame::reply(Opcode::Decode, request_id, image_to_payload(img))`,
+    /// with the pixels written straight into the one frame buffer.
+    pub(crate) fn image_reply_bytes(request_id: u32, img: &GrayImage) -> Vec<u8> {
+        frame_bytes(
+            Opcode::DecodeReply as u8,
+            0,
+            request_id,
+            image_payload_len(img),
+            |bytes| put_image(bytes, img),
+        )
     }
 
     /// Write the frame to a stream.
@@ -418,6 +427,29 @@ impl Frame {
         let stored = u32::from_le_bytes(crc_bytes);
         header.finish(payload, stored)
     }
+}
+
+/// Complete wire bytes of one frame in a buffer sized once: the header,
+/// then the `payload_len` bytes `put_payload` appends, then the CRC.
+fn frame_bytes(
+    opcode: u8,
+    status: u16,
+    request_id: u32,
+    payload_len: usize,
+    put_payload: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(HEADER_LEN + payload_len + 4);
+    bytes.extend_from_slice(&FRAME_MAGIC);
+    bytes.push(PROTOCOL_VERSION);
+    bytes.push(opcode);
+    bytes.extend_from_slice(&status.to_le_bytes());
+    bytes.extend_from_slice(&request_id.to_le_bytes());
+    bytes.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    put_payload(&mut bytes);
+    debug_assert_eq!(bytes.len(), HEADER_LEN + payload_len);
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
 }
 
 /// A validated frame header — the fixed 16-byte prefix with its magic,
@@ -667,7 +699,7 @@ pub struct EncodeRequest {
 impl EncodeRequest {
     /// Serialise to a frame payload.
     pub fn to_payload(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(24 + self.image.len() * 8);
+        let mut p = Vec::with_capacity(16 + image_payload_len(&self.image));
         p.extend_from_slice(&self.tile_size.to_le_bytes());
         p.push(self.bits);
         p.push(self.flags);
@@ -675,11 +707,7 @@ impl EncodeRequest {
         p.push(self.entropy.wire_id());
         p.push(0); // reserved
         p.extend_from_slice(&self.model_id.to_le_bytes());
-        p.extend_from_slice(&(self.image.width() as u32).to_le_bytes());
-        p.extend_from_slice(&(self.image.height() as u32).to_le_bytes());
-        for &px in self.image.pixels() {
-            p.extend_from_slice(&px.to_bits().to_le_bytes());
-        }
+        put_image(&mut p, &self.image);
         p
     }
 
@@ -752,13 +780,26 @@ impl EncodeRequest {
 /// Serialise an image as a `width u32, height u32, f64 pixels` payload
 /// (the `DECODE` reply format).
 pub fn image_to_payload(img: &GrayImage) -> Vec<u8> {
-    let mut p = Vec::with_capacity(8 + img.len() * 8);
-    p.extend_from_slice(&(img.width() as u32).to_le_bytes());
-    p.extend_from_slice(&(img.height() as u32).to_le_bytes());
-    for &px in img.pixels() {
-        p.extend_from_slice(&px.to_bits().to_le_bytes());
-    }
+    let mut p = Vec::with_capacity(image_payload_len(img));
+    put_image(&mut p, img);
     p
+}
+
+/// Bytes of `img` as an image payload.
+pub(crate) fn image_payload_len(img: &GrayImage) -> usize {
+    8 + img.len() * 8
+}
+
+/// Append `img` as an image payload: its dimensions, then every pixel's
+/// bits, written in place rather than pushed one pixel at a time.
+fn put_image(bytes: &mut Vec<u8>, img: &GrayImage) {
+    bytes.extend_from_slice(&(img.width() as u32).to_le_bytes());
+    bytes.extend_from_slice(&(img.height() as u32).to_le_bytes());
+    let at = bytes.len();
+    bytes.resize(at + img.len() * 8, 0);
+    for (dst, &px) in bytes[at..].chunks_exact_mut(8).zip(img.pixels()) {
+        dst.copy_from_slice(&px.to_bits().to_le_bytes());
+    }
 }
 
 /// Parse an image payload, returning any trailing bytes.

@@ -1,32 +1,41 @@
-//! The event-driven connection core: a `poll(2)`-based reactor that
-//! owns every socket, so 10k+ mostly-idle connections cost one thread
-//! instead of one thread each.
+//! The event-driven connection core: `poll(2)`-based reactors, one per
+//! core, each owning its sockets, so 10k+ mostly-idle connections cost
+//! a thread per core instead of one thread each.
 //!
 //! # Shape
 //!
-//! One reactor thread multiplexes the listener, a wakeup pipe and all
+//! The server runs one reactor thread per unit of
+//! `available_parallelism`. Each multiplexes its own wakeup pipe and
 //! client sockets (nonblocking) through `poll(2)` — a three-symbol FFI
 //! surface (`poll`, `pipe`, `fcntl`), no `libc` crate, no async runtime
-//! (compat-shim discipline: crates.io is unreachable here). Frame
-//! bytes accumulate per connection in a state machine built on
+//! (compat-shim discipline: crates.io is unreachable here). Reactor 0
+//! also owns the listener and hands accepted sockets out round-robin,
+//! keeping its own share; a connection stays on its reactor for life.
+//! Frame bytes accumulate per connection in a state machine built on
 //! [`FrameHeader::parse`](crate::protocol::FrameHeader::parse) — the
-//! exact validation path blocking readers use — and complete frames
-//! are handed to a bounded worker pool. Workers never touch sockets or
-//! connection state: each sends its finished [`Reply`] on its
-//! connection's own `std::sync::mpsc` channel and wakes the reactor,
-//! which writes replies out under `POLLOUT`, so a slow-reading peer
-//! stalls only its own connection, never a worker.
+//! exact validation path blocking readers use. A complete frame that
+//! is one default panel of codec work against a model already in RAM
+//! (an ENCODE by model id, or a DECODE without an inline model) runs to
+//! completion on the reactor that read it, with no queue hop and no
+//! wakeup. Every other frame goes to a bounded worker pool. Workers
+//! never touch sockets or connection state: each sends its finished
+//! [`Reply`] on its connection's own `std::sync::mpsc` channel and
+//! wakes that connection's reactor, which writes replies out under
+//! `POLLOUT`, so a slow-reading peer stalls only its own connection,
+//! never a worker.
 //!
 //! # Ordering
 //!
 //! Every parsed frame gets a per-connection sequence number and every
 //! frame produces exactly one reply (success, typed error, or `BUSY`).
 //! Worker replies arrive on the channel in completion order; the
-//! reactor parks them, together with the `BUSY` and stream-error
-//! replies it makes itself, in the connection's private map and
-//! releases them strictly in sequence order. So a pipelining client
-//! sees replies in request order, and a stream-level error always
-//! flushes *after* the replies to the valid frames that preceded it.
+//! reactor parks them, together with the replies it makes itself
+//! (inline requests', `BUSY` and stream errors), in the connection's
+//! private map and releases them strictly in sequence order. Both paths
+//! release through that map, so a pipelining client sees replies in
+//! request order whichever thread ran each request, and a stream-level
+//! error always flushes *after* the replies to the valid frames that
+//! preceded it.
 //!
 //! # Deadlines and lifecycle
 //!
@@ -34,10 +43,10 @@
 //! when a header parses, checked against the earliest-deadline poll
 //! timeout, and an expiry reaps the connection (idle connections are
 //! never timed out — the clock only runs between header and frame
-//! completion). Shutdown writes a byte into the wakeup pipe (no
-//! self-connect hack, works on wildcard binds), the reactor stops
-//! accepting, drains in-flight replies within a bounded grace period
-//! and force-closes whatever remains.
+//! completion). Shutdown writes a byte into every wakeup pipe (no
+//! self-connect hack, works on wildcard binds); reactor 0 stops
+//! accepting, and each reactor drains its in-flight replies within a
+//! bounded grace period and force-closes whatever remains.
 
 use crate::protocol::HEADER_LEN;
 use std::fs::File;
@@ -204,9 +213,10 @@ impl Poller {
     }
 }
 
-/// A self-wakeup pipe: the reactor parks in `poll` on the read end;
-/// any thread (a worker with a finished reply, `ServerHandle::stop`)
-/// writes one byte to interrupt the wait. This replaces the old
+/// A self-wakeup pipe, one per reactor: the reactor parks in `poll` on
+/// the read end; any thread (a worker with a finished reply, reactor 0
+/// handing over a socket, `ServerHandle::stop`) writes one byte to
+/// interrupt the wait. This replaces the old
 /// self-connect shutdown hack, which connected to the *listen*
 /// address and therefore hung on wildcard (`0.0.0.0`) binds.
 #[derive(Debug)]
@@ -283,8 +293,9 @@ impl WakePipe {
 }
 
 /// One finished reply: sent by a worker on its connection's channel
-/// (or made by the reactor itself), then held by the reactor until
-/// every reply before it in sequence order has been released.
+/// (or made by the reactor itself, inline requests' replies included),
+/// then held by the reactor until every reply before it in sequence
+/// order has been released.
 pub struct Reply {
     /// Complete wire bytes of the reply frame.
     pub bytes: Vec<u8>,

@@ -1,10 +1,14 @@
-//! The connection core: one reactor thread owns every socket and all
-//! per-connection state through `poll(2)` (see [`crate::reactor`]),
-//! complete frames are admission-checked and handed to a bounded worker
-//! pool, and each worker sends its reply on its connection's own
-//! channel, which the reactor releases in request order. Idle
-//! connections cost no threads; a slow-reading peer stalls only its
-//! own connection.
+//! The connection core: one reactor thread per core, each owning its
+//! connections and all their state through `poll(2)` (see
+//! [`crate::reactor`]). Reactor 0 also owns the listener and hands
+//! accepted sockets out round-robin. Complete frames are
+//! admission-checked. A cheap ENCODE or DECODE (one default panel of
+//! work against a model the zoo holds in RAM) then runs to completion
+//! on the reactor that read it; everything else goes to a bounded
+//! worker pool, and each worker sends its reply on its connection's own
+//! channel and wakes that connection's reactor. Both paths release
+//! replies in request order. Idle connections cost no threads; a
+//! slow-reading peer stalls only its own connection.
 //!
 //! Error discipline: request-level failures (corrupt containers,
 //! unknown models, malformed payloads) answer a typed error frame and
@@ -17,16 +21,18 @@
 //! and keep the connection: backpressure is explicit, never an
 //! unbounded queue into the worker pool. Nothing a peer sends can panic
 //! a server thread, and a handler that panics anyway answers a typed
-//! `Internal` error and keeps its worker.
+//! `Internal` error and keeps its reactor or worker.
 //!
-//! A worker runs its request end to end: ENCODE and DECODE call the
+//! One request runner serves both paths: ENCODE and DECODE call the
 //! codec's own schedule, mesh pass included, exactly as offline `qnc`
 //! does, on the default `simd` backend — the server offers no backend
 //! choice, and its replies are byte-identical to the scalar oracle's.
 //! A [`StageRecorder`] times every stage of the request once — frame
 //! read, queue wait, parse, the codec's named stages (the schedule runs
 //! them through the recorder), reply write — into the `serve_stage_ns`
-//! histograms, and into the span tree when the request is traced.
+//! histograms, and into the span tree when the request is traced. An
+//! inline request's queue wait runs from frame completion to the start
+//! of its run on the reactor.
 //!
 //! Telemetry has no off switch: every server keeps its
 //! [`ServeMetrics`] and a [`Tracer`], and the `STATS` and `TRACE` RPCs
@@ -36,7 +42,7 @@ use crate::error::{Result, ServeError};
 use crate::log::{LogLevel, Logger};
 use crate::metrics::ServeMetrics;
 use crate::protocol::{
-    image_to_payload, parse_trace_request, EncodeRequest, ErrorCode, Frame, FrameHeader, Opcode,
+    image_payload_len, parse_trace_request, EncodeRequest, ErrorCode, Frame, FrameHeader, Opcode,
     TraceContext, ENC_FLAG_INLINE_MODEL, ENC_FLAG_PER_TILE_SCALE, ENC_FLAG_USE_MODEL_ID,
     HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
@@ -46,9 +52,11 @@ use crate::reactor::{
 };
 use crate::stages::{self, span_ns, StageRecorder};
 use crate::store::ModelStore;
+use qn_codec::container::{CONTAINER_MAGIC, FLAG_INLINE_MODEL};
 use qn_codec::pipeline::codec_from_inline;
 use qn_codec::stage::Stages;
-use qn_codec::{info, BackendKind, Codec, CodecOptions, Container};
+use qn_codec::{info, BackendKind, Codec, CodecOptions, Container, DEFAULT_PANEL_WIDTH};
+use qn_image::GrayImage;
 use qn_trace::{fmt_ns, write_json_string, SpanId, TraceBuilder, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -118,8 +126,12 @@ pub struct ServerConfig {
     /// partial-frame buffer of up to the declared payload, and a unit of
     /// the `serve_inflight_requests` gauge forever.
     pub read_timeout: Duration,
-    /// Request-handling worker threads. Zero (the default) sizes the
-    /// pool to `max(available_parallelism, 8)`.
+    /// Request-handling worker threads: they run every request that
+    /// does not run inline on its reactor (fits, inline-model decodes,
+    /// images past one panel, requests naming a model not in RAM, and
+    /// every other opcode). Zero (the default) sizes the pool to
+    /// `max(available_parallelism, 8)`. The reactor count is not
+    /// configurable: one per unit of `available_parallelism`.
     pub workers: usize,
     /// Global admission cap: requests admitted (parsed and handed to
     /// the worker pool, reply not yet fully written) beyond this answer
@@ -129,9 +141,10 @@ pub struct ServerConfig {
     /// many in-flight requests gets typed `BUSY` replies instead of
     /// monopolising the worker pool. Zero = unlimited.
     pub conn_inflight: usize,
-    /// Open-connection cap: accepts beyond this answer one typed
-    /// `BUSY` error frame and close. Zero (the default) = unlimited
-    /// (the process fd limit is then the real bound).
+    /// Open-connection cap, over every reactor: accepts beyond this
+    /// answer one typed `BUSY` error frame and close. Zero (the
+    /// default) = unlimited (the process fd limit is then the real
+    /// bound).
     pub max_conns: usize,
     /// How long shutdown waits for admitted requests to finish writing
     /// their replies before force-closing the remaining connections.
@@ -172,17 +185,21 @@ impl Default for ServerConfig {
 struct Shared {
     store: ModelStore,
     config: ServerConfig,
-    /// Requests admitted past the backpressure gate: incremented by
-    /// the reactor when a complete frame clears both caps, released
+    /// Requests admitted past the backpressure gate: taken by the
+    /// reactor that read a complete frame clearing both caps, released
     /// (via [`AdmissionSlot`] drop) when the reply is fully written or
-    /// its connection dies. Only the reactor increments, so a
-    /// load-then-add admission check cannot overshoot
-    /// [`ServerConfig::max_inflight`].
+    /// its connection dies. Every reactor admits, so the cap check and
+    /// the increment are one compare-and-swap ([`try_admit`]), which
+    /// cannot overshoot [`ServerConfig::max_inflight`].
     admitted: AtomicUsize,
+    /// Open connections over every reactor: counted by reactor 0 at
+    /// accept, where it is checked against [`ServerConfig::max_conns`],
+    /// and released in [`close_conn`] by the connection's own reactor.
+    /// Only reactor 0 increments, so its check cannot overshoot.
+    open_conns: AtomicUsize,
     shutdown: AtomicBool,
-    /// Wakes the reactor's poll wait: workers after sending a reply,
-    /// [`ServerHandle::stop`] after raising `shutdown`.
-    waker: Arc<Waker>,
+    /// One port per reactor, by index; reactor 0 owns the listener.
+    reactors: Vec<ReactorPort>,
     /// Telemetry; `STATS` serves its registry, and INFO reads its
     /// uptime and request count.
     metrics: Arc<ServeMetrics>,
@@ -194,8 +211,34 @@ struct Shared {
     log: Logger,
 }
 
+/// An accepted socket and its peer's address.
+type Accepted = (TcpStream, Arc<str>);
+
+/// How other threads reach one reactor.
+struct ReactorPort {
+    /// Sockets reactor 0 accepted for this reactor, not yet adopted.
+    /// `None` once the reactor has exited: reactor 0 then keeps what it
+    /// accepts for it.
+    inbox: Mutex<Option<Vec<Accepted>>>,
+    /// Wakes the reactor's poll wait: reactor 0 after a hand-out,
+    /// workers after sending a reply, [`ServerHandle::stop`] after
+    /// raising `shutdown`.
+    waker: Arc<Waker>,
+}
+
+/// Take one unit of `admitted` unless `cap` units are already out
+/// (`cap` zero = unlimited). One compare-and-swap, so any number of
+/// threads admitting at once never push the count past the cap.
+fn try_admit(admitted: &AtomicUsize, cap: usize) -> bool {
+    admitted
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+            (cap == 0 || n < cap).then_some(n + 1)
+        })
+        .is_ok()
+}
+
 /// Releases one unit of the global admission count on drop. Acquired
-/// by the reactor at frame admission, carried through the job into the
+/// by a reactor at frame admission, carried with the request into its
 /// reply, dropped when the reply has fully reached the socket (or the
 /// connection died first) — so `admitted` measures end-to-end
 /// in-flight work, not just queue occupancy.
@@ -235,12 +278,8 @@ impl Drop for MeshInflightGuard {
     }
 }
 
-/// One admitted request on its way to a worker.
-struct Job {
-    /// The connection's reply channel.
-    reply_to: Sender<(u64, Reply)>,
-    /// This frame's position in its connection's reply order.
-    seq: u64,
+/// One admitted request, as [`run_request`] takes it on either path.
+struct Request {
     frame: Frame,
     peer: Arc<str>,
     /// When the frame's header arrived (trace anchor).
@@ -253,7 +292,19 @@ struct Job {
     mesh_guard: Option<MeshInflightGuard>,
 }
 
-/// The bounded handoff between the reactor and the worker pool.
+/// An admitted request that does not run inline, on its way to a
+/// worker: the request plus where its reply goes.
+struct Job {
+    /// The connection's reply channel.
+    reply_to: Sender<(u64, Reply)>,
+    /// The waker of the reactor that owns the connection.
+    waker: Arc<Waker>,
+    /// This frame's position in its connection's reply order.
+    seq: u64,
+    request: Request,
+}
+
+/// The bounded handoff between the reactors and the worker pool.
 struct JobQueue {
     state: Mutex<JobQueueState>,
     cond: Condvar,
@@ -309,13 +360,13 @@ impl JobQueue {
 }
 
 /// A running server. Dropping the handle (or calling
-/// [`ServerHandle::shutdown`]) stops the reactor, drains in-flight
+/// [`ServerHandle::shutdown`]) stops the reactors, drains in-flight
 /// replies within [`ServerConfig::shutdown_grace`] and joins every
 /// server thread — no connection handler outlives the handle.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    reactor: Option<JoinHandle<()>>,
+    reactors: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     jobs: Arc<JobQueue>,
 }
@@ -347,15 +398,17 @@ impl ServerHandle {
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // A byte into the wakeup pipe interrupts the reactor's poll
+        // A byte into each wakeup pipe interrupts every reactor's poll
         // wait wherever it is parked — unlike the old self-connect
         // trick, this cannot hang on a wildcard (0.0.0.0) bind where
         // the listen address is not connectable.
-        self.shared.waker.wake();
-        if let Some(reactor) = self.reactor.take() {
+        for port in &self.shared.reactors {
+            port.waker.wake();
+        }
+        for reactor in self.reactors.drain(..) {
             let _ = reactor.join();
         }
-        // The reactor has drained (or force-closed) every connection;
+        // The reactors have drained (or force-closed) every connection;
         // now the workers can be released.
         self.jobs.close();
         for worker in self.workers.drain(..) {
@@ -370,11 +423,13 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Bind and start serving on background threads.
+/// Bind and start serving on background threads: one reactor per unit
+/// of `available_parallelism` (`qn-serve-reactor-{k}`) and the
+/// configured workers (`qn-serve-worker-{i}`).
 ///
 /// # Errors
-/// Bind/listen failures, wakeup-pipe creation and zoo-directory
-/// creation failures.
+/// Bind/listen failures, wakeup-pipe creation, zoo-directory creation
+/// and thread-spawn failures.
 pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(
         config
@@ -385,8 +440,9 @@ pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
     )?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let wake = WakePipe::new()?;
-    let waker = wake.waker();
+    let pipes = (0..std::thread::available_parallelism().map_or(1, usize::from))
+        .map(|_| WakePipe::new())
+        .collect::<std::io::Result<Vec<_>>>()?;
     let metrics = Arc::new(ServeMetrics::new());
     let store = ModelStore::new(
         config.store_dir.clone(),
@@ -406,18 +462,33 @@ pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
         log: Logger::new(config.log_level),
         config,
         admitted: AtomicUsize::new(0),
+        open_conns: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
-        waker,
+        reactors: pipes
+            .iter()
+            .map(|pipe| ReactorPort {
+                inbox: Mutex::new(Some(Vec::new())),
+                waker: pipe.waker(),
+            })
+            .collect(),
         metrics,
         tracer,
         self_trace_seq: AtomicU64::new(1),
     });
     let jobs = Arc::new(JobQueue::new());
-    let mut workers = Vec::with_capacity(worker_count);
+    // Every thread is joined through the handle, so a failed spawn
+    // below stops the threads started before it.
+    let mut handle = ServerHandle {
+        addr,
+        shared: Arc::clone(&shared),
+        reactors: Vec::with_capacity(pipes.len()),
+        workers: Vec::with_capacity(worker_count),
+        jobs: Arc::clone(&jobs),
+    };
     for i in 0..worker_count {
         let shared = Arc::clone(&shared);
         let jobs = Arc::clone(&jobs);
-        workers.push(
+        handle.workers.push(
             std::thread::Builder::new()
                 .name(format!("qn-serve-worker-{i}"))
                 .spawn(move || {
@@ -427,36 +498,38 @@ pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
                 })?,
         );
     }
-    let reactor = {
+    let mut listener = Some(listener);
+    for (k, wake) in pipes.into_iter().enumerate() {
         let shared = Arc::clone(&shared);
         let jobs = Arc::clone(&jobs);
-        std::thread::Builder::new()
-            .name("qn-serve-reactor".into())
-            .spawn(move || reactor_loop(&shared, listener, wake, &jobs))?
-    };
-    Ok(ServerHandle {
-        addr,
-        shared,
-        reactor: Some(reactor),
-        workers,
-        jobs,
-    })
+        // Reactor 0 takes the listener.
+        let listener = listener.take();
+        handle.reactors.push(
+            std::thread::Builder::new()
+                .name(format!("qn-serve-reactor-{k}"))
+                .spawn(move || reactor_loop(&shared, k, listener, wake, &jobs))?,
+        );
+    }
+    Ok(handle)
 }
 
-/// One connection, owned by the reactor alone: the socket, read
+/// One connection, owned by one reactor for life: the socket, read
 /// buffer, frame being read, reply order and wire queue. Workers hold
-/// only a clone of `reply_to`; a reply sent after the connection has
-/// gone fails to send and is dropped in the worker.
+/// only clones of `reply_to` and `waker`; a reply sent after the
+/// connection has gone fails to send and is dropped in the worker.
 struct Conn {
     stream: TcpStream,
     peer: Arc<str>,
     /// Cloned into every [`Job`]: workers send `(seq, reply)` here.
     reply_to: Sender<(u64, Reply)>,
+    /// The owning reactor's waker, cloned into every [`Job`] beside
+    /// `reply_to`.
+    waker: Arc<Waker>,
     /// Worker replies, in the order they finished.
     replies: Receiver<(u64, Reply)>,
     /// Replies not yet released, by sequence number: worker replies
-    /// taken off `replies`, and the reactor's own `BUSY` and
-    /// stream-error replies.
+    /// taken off `replies`, and the reactor's own: inline requests'
+    /// replies, `BUSY` and stream errors.
     ready: BTreeMap<u64, Reply>,
     acc: FrameAccumulator,
     /// The frame whose header has arrived and whose rest has not.
@@ -495,12 +568,13 @@ struct PartialFrame {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, peer: Arc<str>) -> Conn {
+    fn new(stream: TcpStream, peer: Arc<str>, waker: Arc<Waker>) -> Conn {
         let (reply_to, replies) = mpsc::channel();
         Conn {
             stream,
             peer,
             reply_to,
+            waker,
             replies,
             ready: BTreeMap::new(),
             acc: FrameAccumulator::default(),
@@ -539,23 +613,26 @@ enum CloseCause {
     Dropped,
 }
 
-/// The reactor: owns the listener, the wakeup pipe and every
-/// connection; never blocks anywhere but `poll`.
+/// Reactor `index`: owns its wakeup pipe and its connections (and, for
+/// reactor 0, the listener); never blocks anywhere but `poll`.
 fn reactor_loop(
     shared: &Arc<Shared>,
-    listener: TcpListener,
+    index: usize,
+    mut listener: Option<TcpListener>,
     mut wake: WakePipe,
     jobs: &Arc<JobQueue>,
 ) {
+    let port = &shared.reactors[index];
     let mut poller = Poller::new();
     let mut conns: Vec<Conn> = Vec::new();
-    let mut listener = Some(listener);
     // Set once shutdown is observed: the drain deadline after which
     // remaining connections are force-closed.
     let mut drain_deadline: Option<Instant> = None;
     // Set after a persistent accept failure: the listener stays
     // unregistered until this instant (see [`ACCEPT_BACKOFF`]).
     let mut accept_backoff: Option<Instant> = None;
+    // Accepted sockets so far: the round-robin cursor of reactor 0.
+    let mut accepted = 0usize;
 
     loop {
         // Entering drain mode can make connections closable with no
@@ -571,6 +648,16 @@ fn reactor_loop(
             for conn in &mut conns {
                 conn.read_closed = true;
                 conn.partial = None;
+            }
+        }
+        // Adopt the sockets reactor 0 handed over, drain iterations
+        // included, so every accepted socket has an owner at shutdown
+        // (one adopted while draining is read no more, like the rest).
+        if let Some(inbox) = port.inbox.lock().expect("inbox poisoned").as_mut() {
+            for (stream, peer) in inbox.drain(..) {
+                let mut conn = Conn::new(stream, peer, Arc::clone(&port.waker));
+                conn.read_closed = drain_deadline.is_some();
+                conns.push(conn);
             }
         }
 
@@ -634,9 +721,9 @@ fn reactor_loop(
             wake.drain();
         }
 
-        // Accept burst.
+        // Accept burst (reactor 0).
         if let (Some(l), Some(slot)) = (&listener, listen_slot) {
-            if poller.readiness(slot).any() && accept_burst(shared, l, &mut conns) {
+            if poller.readiness(slot).any() && accept_burst(shared, l, &mut conns, &mut accepted) {
                 accept_backoff = Some(Instant::now() + ACCEPT_BACKOFF);
             }
         }
@@ -656,10 +743,13 @@ fn reactor_loop(
         }
 
         if let Some(grace) = drain_deadline {
-            if conns.is_empty() {
-                return;
-            }
-            if Instant::now() >= grace {
+            if conns.is_empty() || Instant::now() >= grace {
+                // Retire the inbox, so reactor 0 keeps whatever it
+                // still accepts, and close what it held with the rest.
+                let left = port.inbox.lock().expect("inbox poisoned").take();
+                for (stream, peer) in left.into_iter().flatten() {
+                    conns.push(Conn::new(stream, peer, Arc::clone(&port.waker)));
+                }
                 for conn in conns.drain(..) {
                     close_conn(shared, conn, &CloseCause::Dropped);
                 }
@@ -669,10 +759,43 @@ fn reactor_loop(
     }
 }
 
+/// Give an accepted socket to the next reactor in round-robin order:
+/// into its inbox, with a wakeup, or into `conns` when it is reactor 0
+/// itself or has already exited.
+fn hand_out(
+    shared: &Shared,
+    conns: &mut Vec<Conn>,
+    accepted: &mut usize,
+    stream: TcpStream,
+    peer: Arc<str>,
+) {
+    let k = *accepted % shared.reactors.len();
+    *accepted = accepted.wrapping_add(1);
+    if k != 0 {
+        let port = &shared.reactors[k];
+        if let Some(inbox) = port.inbox.lock().expect("inbox poisoned").as_mut() {
+            inbox.push((stream, peer));
+            port.waker.wake();
+            return;
+        }
+    }
+    conns.push(Conn::new(
+        stream,
+        peer,
+        Arc::clone(&shared.reactors[0].waker),
+    ));
+}
+
 /// Accept until `WouldBlock`, shedding over-cap connections with one
-/// typed `BUSY` frame. Returns `true` when a persistent accept
-/// failure was hit and the caller should back the listener off.
-fn accept_burst(shared: &Arc<Shared>, listener: &TcpListener, conns: &mut Vec<Conn>) -> bool {
+/// typed `BUSY` frame and handing the rest out ([`hand_out`]). Returns
+/// `true` when a persistent accept failure was hit and the caller
+/// should back the listener off.
+fn accept_burst(
+    shared: &Arc<Shared>,
+    listener: &TcpListener,
+    conns: &mut Vec<Conn>,
+    accepted: &mut usize,
+) -> bool {
     loop {
         let (stream, peer_addr) = match listener.accept() {
             Ok(accepted) => accepted,
@@ -700,7 +823,7 @@ fn accept_burst(shared: &Arc<Shared>, listener: &TcpListener, conns: &mut Vec<Co
         };
         let peer: Arc<str> = peer_addr.to_string().into();
         let max_conns = shared.config.max_conns;
-        if max_conns > 0 && conns.len() >= max_conns {
+        if max_conns > 0 && shared.open_conns.load(Ordering::SeqCst) >= max_conns {
             let e = ServeError::Busy(format!(
                 "connection limit reached ({max_conns} open); retry shortly"
             ));
@@ -727,9 +850,10 @@ fn accept_burst(shared: &Arc<Shared>, listener: &TcpListener, conns: &mut Vec<Co
                 .warn("accept", format_args!("peer={peer} nonblocking error={e}"));
             continue;
         }
+        shared.open_conns.fetch_add(1, Ordering::SeqCst);
         shared.metrics.connection_opened();
         shared.log.info("connect", format_args!("peer={peer}"));
-        conns.push(Conn::new(stream, peer));
+        hand_out(shared, conns, accepted, stream, peer);
     }
 }
 
@@ -819,8 +943,8 @@ fn service_conn(
     None
 }
 
-/// Parse every complete frame buffered on `conn`, admitting each to
-/// the worker pool or answering typed `BUSY`/stream errors in place.
+/// Parse every complete frame buffered on `conn`, admitting each
+/// ([`admit_frame`]) or answering a stream error in place.
 fn pump_frames(shared: &Arc<Shared>, jobs: &Arc<JobQueue>, conn: &mut Conn, now: Instant) {
     loop {
         match conn.acc.step(conn.partial.as_ref().map(|p| &p.header)) {
@@ -873,8 +997,9 @@ fn pump_frames(shared: &Arc<Shared>, jobs: &Arc<JobQueue>, conn: &mut Conn, now:
     }
 }
 
-/// A complete frame: count it, check both backpressure gates, and
-/// either hand it to the worker pool or answer typed `BUSY`.
+/// A complete frame: count it, check both backpressure gates, and then
+/// run it here ([`runs_inline`]), hand it to the worker pool, or answer
+/// typed `BUSY`.
 fn admit_frame(
     shared: &Arc<Shared>,
     jobs: &Arc<JobQueue>,
@@ -904,7 +1029,7 @@ fn admit_frame(
              read a reply before sending more",
             conn.inflight
         ))
-    } else if global_cap > 0 && shared.admitted.load(Ordering::SeqCst) >= global_cap {
+    } else if !try_admit(&shared.admitted, global_cap) {
         Some(format!(
             "server is at its admission limit ({global_cap} requests in flight); retry shortly"
         ))
@@ -953,24 +1078,85 @@ fn admit_frame(
         return;
     }
 
-    shared.admitted.fetch_add(1, Ordering::SeqCst);
+    // `try_admit` took the admission unit above.
     let admission = AdmissionSlot {
         shared: Arc::clone(shared),
     };
     conn.inflight += 1;
-    jobs.push(Job {
-        reply_to: conn.reply_to.clone(),
-        seq,
-        frame,
+    let request = Request {
         peer: Arc::clone(&conn.peer),
         header_at,
         frame_done_at: now,
         admission,
         mesh_guard,
-    });
+        frame,
+    };
+    if runs_inline(shared, &request.frame) {
+        // No queue hop and no wakeup: the reply waits in `ready` for
+        // its turn, like every other.
+        conn.ready.insert(seq, run_request(shared, request));
+    } else {
+        jobs.push(Job {
+            reply_to: conn.reply_to.clone(),
+            waker: Arc::clone(&conn.waker),
+            seq,
+            request,
+        });
+    }
 }
 
-/// Tear one connection down: balance the gauge and log the
+/// Largest tile edge a request may use and still run inline: 16 modes,
+/// the paper's 4×4 tiles.
+const INLINE_MAX_TILE: u64 = 4;
+
+/// The `n`-byte little-endian field at `at` of `body`, if it holds one.
+fn le_field(body: &[u8], at: usize, n: usize) -> Option<u64> {
+    let bytes = body.get(at..at + n)?;
+    Some(bytes.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b)))
+}
+
+/// Whether an admitted frame runs inline on the reactor that read it.
+/// It must need no fit and no model parse (an ENCODE by model id, or a
+/// DECODE of a container without an inline model), be one default
+/// panel of work (tiles of at most [`INLINE_MAX_TILE`] pixels, at most
+/// [`DEFAULT_PANEL_WIDTH`] of them, so the codec never forks), and name
+/// a model the zoo holds in RAM, so a reactor never waits on the pool or
+/// the disk. Reads fixed offsets of the body only: anything short or
+/// malformed goes to the workers, which answer it as before.
+fn runs_inline(shared: &Shared, frame: &Frame) -> bool {
+    let Ok((_, body)) = TraceContext::strip(frame.status, &frame.payload) else {
+        return false;
+    };
+    // ENCODE: tile size at bytes 0..2 and flags at 3. DECODE (a
+    // container): flags at 6..8 and tile size at 24..26. Both put the
+    // model id at 8..16 and the width and height at 16..24.
+    let (by_model_id, tile_at) = match Opcode::from_u8(frame.opcode) {
+        Some(Opcode::Encode) => (
+            le_field(body, 3, 1).is_some_and(|f| f & u64::from(ENC_FLAG_USE_MODEL_ID) != 0),
+            0,
+        ),
+        Some(Opcode::Decode) => (
+            body.starts_with(&CONTAINER_MAGIC)
+                && le_field(body, 6, 2).is_some_and(|f| f & u64::from(FLAG_INLINE_MODEL) == 0),
+            24,
+        ),
+        _ => return false,
+    };
+    let (Some(tile), Some(id), Some(width), Some(height)) = (
+        le_field(body, tile_at, 2),
+        le_field(body, 8, 8),
+        le_field(body, 16, 4),
+        le_field(body, 20, 4),
+    ) else {
+        return false;
+    };
+    by_model_id
+        && (1..=INLINE_MAX_TILE).contains(&tile)
+        && width.div_ceil(tile).saturating_mul(height.div_ceil(tile)) <= DEFAULT_PANEL_WIDTH as u64
+        && shared.store.cached(id)
+}
+
+/// Tear one connection down: balance the gauges and log the
 /// disconnect. Dropping the connection drops its reply receiver, so a
 /// worker still running one of its requests fails to send the reply and
 /// drops it, releasing its admission slot.
@@ -986,6 +1172,7 @@ fn close_conn(shared: &Arc<Shared>, conn: Conn, cause: &CloseCause) {
             ),
         );
     }
+    shared.open_conns.fetch_sub(1, Ordering::SeqCst);
     shared.metrics.connection_closed();
     shared
         .log
@@ -995,20 +1182,36 @@ fn close_conn(shared: &Arc<Shared>, conn: Conn, cause: &CloseCause) {
     // frame's mesh guard, and the socket itself.
 }
 
-/// Worker side: run one admitted request end to end and send its reply
-/// on the connection's channel.
+/// Worker side: run one request that did not run inline, send its
+/// reply on the connection's channel and wake the connection's reactor.
 fn process_job(shared: &Arc<Shared>, job: Job) {
-    let picked_up = Instant::now();
     let Job {
         reply_to,
+        waker,
         seq,
+        request,
+    } = job;
+    let reply = run_request(shared, request);
+    // A failed send means the connection died while we worked: the
+    // reply, and its admission slot, drop right here.
+    if reply_to.send((seq, reply)).is_ok() {
+        waker.wake();
+    }
+}
+
+/// Run one admitted request end to end and serialize its reply: the
+/// one request runner, on a reactor for inline requests and on a worker
+/// for the rest. Its queue wait runs from frame completion to now.
+fn run_request(shared: &Shared, request: Request) -> Reply {
+    let picked_up = Instant::now();
+    let Request {
         frame,
         peer,
         header_at,
         frame_done_at,
         admission,
         mesh_guard,
-    } = job;
+    } = request;
     let op = Opcode::from_u8(frame.opcode);
     let request_id = frame.request_id;
     // Split off the trace-context prefix (if any) before the payload
@@ -1042,43 +1245,34 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
     let read = rec.record(stages::FRAME_READ, header_at, frame_done_at);
     rec.attr(read, "bytes", frame_wire_bytes(frame.payload.len()));
     rec.record(stages::QUEUE_WAIT, frame_done_at, picked_up);
-    // A panicking handler costs its request, never its worker thread.
+    // A panicking handler costs its request, never its thread.
     let outcome = stripped.and_then(|_| {
         panic::catch_unwind(AssertUnwindSafe(|| {
             dispatch(shared, op, frame.opcode, body, &mut rec)
         }))
         .unwrap_or_else(|_| Err(ServeError::Internal("the request handler panicked".into())))
     });
-    let reply = match outcome {
-        Ok((op, payload)) => Frame::reply(op, request_id, payload),
-        Err(e) => {
-            shared.metrics.record_error(e.code());
-            shared.log.info(
-                "error",
-                format_args!("peer={peer} code={} detail={e}", e.code().label()),
-            );
-            Frame::error(request_id, e.code(), &e.to_string())
-        }
-    };
+    let outcome = outcome.map_err(|e| {
+        shared.metrics.record_error(e.code());
+        shared.log.info(
+            "error",
+            format_args!("peer={peer} code={} detail={e}", e.code().label()),
+        );
+        Frame::error(request_id, e.code(), &e.to_string())
+    });
     // Serialize here, once (the reply_write stage covers building the
     // wire bytes and handing them to the reactor; the socket write
-    // itself is asynchronous). An over-limit reply is a request-level
-    // outcome: tell the client with a typed frame.
+    // itself is asynchronous).
     let write_start = Instant::now();
-    let wire = if reply.payload.len() > MAX_PAYLOAD {
-        let message = format!(
-            "reply payload of {} bytes exceeds the {MAX_PAYLOAD}-byte protocol limit",
-            reply.payload.len()
-        );
-        Frame::error(request_id, ErrorCode::Internal, &message).to_bytes()
-    } else {
-        reply.to_bytes()
+    let wire = match outcome {
+        Ok((op, body)) => reply_bytes(op, request_id, body),
+        Err(error) => error.to_bytes(),
     };
     let write = rec.record(stages::REPLY_WRITE, write_start, Instant::now());
     rec.attr(write, "bytes", wire.len() as u64);
-    // Finish and record the trace *before* sending the reply: a client
-    // that sends TRACE right after receiving this reply on the same
-    // connection is guaranteed to find its trace.
+    // Finish and record the trace *before* releasing the reply: a
+    // client that sends TRACE right after receiving this reply on the
+    // same connection is guaranteed to find its trace.
     if let Some(trace) = rec.finish() {
         shared.tracer.record(trace, |trace| {
             shared.log.warn(
@@ -1105,15 +1299,36 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
     // Released before the reply, so a client that reads its reply and
     // then polls STATS never sees its own request still in flight.
     drop(mesh_guard);
-    let reply = Reply {
+    Reply {
         bytes: wire,
         admission: Some(Box::new(admission)),
         close_after: false,
+    }
+}
+
+/// What a request handler hands back for its success reply.
+enum ReplyBody {
+    /// A finished payload.
+    Bytes(Vec<u8>),
+    /// A decoded image, written straight into its reply frame.
+    Image(GrayImage),
+}
+
+/// The wire bytes of a success reply. An over-limit reply is a
+/// request-level outcome: the client gets a typed frame.
+fn reply_bytes(op: Opcode, request_id: u32, body: ReplyBody) -> Vec<u8> {
+    let len = match &body {
+        ReplyBody::Bytes(payload) => payload.len(),
+        ReplyBody::Image(img) => image_payload_len(img),
     };
-    // A failed send means the connection died while we worked: the
-    // reply, and its admission slot, drop right here.
-    if reply_to.send((seq, reply)).is_ok() {
-        shared.waker.wake();
+    if len > MAX_PAYLOAD {
+        let message =
+            format!("reply payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte protocol limit");
+        return Frame::error(request_id, ErrorCode::Internal, &message).to_bytes();
+    }
+    match body {
+        ReplyBody::Bytes(payload) => Frame::reply(op, request_id, payload).to_bytes(),
+        ReplyBody::Image(img) => Frame::image_reply_bytes(request_id, &img),
     }
 }
 
@@ -1126,15 +1341,18 @@ fn dispatch(
     opcode_byte: u8,
     payload: &[u8],
     rec: &mut StageRecorder,
-) -> Result<(Opcode, Vec<u8>)> {
-    match op {
-        Some(Opcode::Encode) => handle_encode(shared, payload, rec),
-        Some(Opcode::Decode) => handle_decode(shared, payload, rec),
+) -> Result<(Opcode, ReplyBody)> {
+    let (op, bytes) = match op {
+        Some(Opcode::Encode) => handle_encode(shared, payload, rec)?,
+        Some(Opcode::Decode) => {
+            let img = handle_decode(shared, payload, rec)?;
+            return Ok((Opcode::Decode, ReplyBody::Image(img)));
+        }
         Some(Opcode::LoadModel) => {
             let id = shared.store.insert_bytes(payload)?;
-            Ok((Opcode::LoadModel, id.to_le_bytes().to_vec()))
+            (Opcode::LoadModel, id.to_le_bytes().to_vec())
         }
-        Some(Opcode::Info) => handle_info(shared, payload),
+        Some(Opcode::Info) => handle_info(shared, payload)?,
         Some(Opcode::ListModels) => {
             if !payload.is_empty() {
                 return Err(ServeError::BadRequest(format!(
@@ -1143,10 +1361,10 @@ fn dispatch(
                 )));
             }
             let entries = shared.store.list()?;
-            Ok((
+            (
                 Opcode::ListModels,
                 crate::protocol::model_list_to_payload(&entries),
-            ))
+            )
         }
         Some(Opcode::Stats) => {
             if !payload.is_empty() {
@@ -1155,13 +1373,16 @@ fn dispatch(
                     payload.len()
                 )));
             }
-            Ok((Opcode::Stats, shared.metrics.stats_json().into_bytes()))
+            (Opcode::Stats, shared.metrics.stats_json().into_bytes())
         }
-        Some(Opcode::Trace) => handle_trace(shared, payload),
-        _ => Err(ServeError::BadRequest(format!(
-            "opcode {opcode_byte:#04x} names no request this build understands"
-        ))),
-    }
+        Some(Opcode::Trace) => handle_trace(shared, payload)?,
+        _ => {
+            return Err(ServeError::BadRequest(format!(
+                "opcode {opcode_byte:#04x} names no request this build understands"
+            )))
+        }
+    };
+    Ok((op, ReplyBody::Bytes(bytes)))
 }
 
 /// The `TRACE` RPC: recent or slow captured traces as JSON, optionally
@@ -1247,11 +1468,9 @@ fn check_container_dims(payload: &[u8]) -> Result<()> {
     )))
 }
 
-fn handle_decode(
-    shared: &Shared,
-    payload: &[u8],
-    rec: &mut StageRecorder,
-) -> Result<(Opcode, Vec<u8>)> {
+/// A DECODE: the decoded image, which the reply frame is built from
+/// inside `reply_write`.
+fn handle_decode(shared: &Shared, payload: &[u8], rec: &mut StageRecorder) -> Result<GrayImage> {
     check_container_dims(payload)?;
     let container = rec.run(stages::PARSE, || Container::from_bytes(payload))?;
     let codec: Arc<Codec> = if container.header.inline_model() {
@@ -1266,7 +1485,7 @@ fn handle_decode(
             .metrics
             .record_decoded_bytes(coder, payload.len() as u64);
     }
-    Ok((Opcode::Decode, image_to_payload(&img)))
+    Ok(img)
 }
 
 fn handle_info(shared: &Shared, payload: &[u8]) -> Result<(Opcode, Vec<u8>)> {
@@ -1295,18 +1514,68 @@ fn server_info_json(shared: &Shared) -> String {
         "{{\"format\":\"qn-serve\",\"protocol_version\":{PROTOCOL_VERSION},\
          \"server_version\":\"{}\",\"uptime_secs\":{},\"metrics\":true,\
          \"tracing\":true,\"slow_ms\":{},\"read_timeout_ms\":{},\
-         \"workers\":{},\"max_inflight\":{},\"conn_inflight\":{},\"max_conns\":{},\
-         \"models_cached\":{},\"store_dir\":{store_dir},\
+         \"workers\":{},\"reactors\":{},\"max_inflight\":{},\"conn_inflight\":{},\
+         \"max_conns\":{},\"models_cached\":{},\"store_dir\":{store_dir},\
          \"requests_served\":{}}}",
         env!("CARGO_PKG_VERSION"),
         shared.metrics.uptime_secs(),
         shared.config.slow_threshold.as_millis(),
         shared.config.read_timeout.as_millis(),
         shared.config.workers,
+        shared.reactors.len(),
         shared.config.max_inflight,
         shared.config.conn_inflight,
         shared.config.max_conns,
         shared.store.cached_len(),
         shared.metrics.requests_total(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn admission_never_overshoots_its_cap_under_contention() {
+        // Every reactor admits, so the cap check and the increment must
+        // be one step. Two units stay out throughout, so 8 threads, each
+        // running 10,000 admit/release cycles against a cap of 3, all
+        // contend for the last unit: no admitted thread may ever see
+        // more than 3 units out, and every unit comes back.
+        const CAP: usize = 3;
+        let admitted = AtomicUsize::new(0);
+        assert!(try_admit(&admitted, CAP) && try_admit(&admitted, CAP));
+        let peak = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..10_000 {
+                        if try_admit(&admitted, CAP) {
+                            peak.fetch_max(admitted.load(Ordering::SeqCst), Ordering::SeqCst);
+                            admitted.fetch_sub(1, Ordering::SeqCst);
+                        }
+                        // A pause before the next try, so a release is
+                        // not retaken at once by the releasing core.
+                        for _ in 0..128 {
+                            std::hint::spin_loop();
+                        }
+                    }
+                });
+            }
+        });
+        assert!(!try_admit(&admitted, 2), "at a cap of 2 with 2 out");
+        admitted.fetch_sub(2, Ordering::SeqCst);
+        assert_eq!(
+            peak.into_inner(),
+            CAP,
+            "the last unit was taken, never more"
+        );
+        assert_eq!(admitted.load(Ordering::SeqCst), 0, "every unit released");
+        // A zero cap is unlimited.
+        let many = AtomicUsize::new(1000);
+        assert!(try_admit(&many, 0));
+        assert_eq!(many.into_inner(), 1001);
+    }
 }

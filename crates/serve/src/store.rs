@@ -114,6 +114,15 @@ impl ModelStore {
         self.cache.lock().expect("store lock").len()
     }
 
+    /// Whether model `id` is parsed in RAM right now: a peek that
+    /// counts no hit or miss, refreshes no recency and never reads the
+    /// disk. The reactor asks this before running a request inline,
+    /// so a cold model is loaded on a worker, never on a reactor.
+    pub(crate) fn cached(&self, id: u64) -> bool {
+        let cache = self.cache.lock().expect("store lock");
+        cache.iter().any(|(k, _)| *k == id)
+    }
+
     /// Verify, persist and cache a `.qnm` file; returns its id.
     /// Idempotent: re-inserting an existing model only refreshes the
     /// cache.
@@ -308,8 +317,11 @@ mod tests {
             })
             .collect();
         assert_eq!(store.cached_len(), 2, "capacity bound");
-        // The first model fell out of RAM but reloads from the zoo.
+        // The first model fell out of RAM (a peek does not reload it)
+        // but `get` reloads it from the zoo.
+        assert!(!store.cached(ids[0]));
         assert_eq!(store.get(ids[0]).unwrap().model_id(), ids[0]);
+        assert!(store.cached(ids[0]));
         assert_eq!(store.cached_len(), 2);
     }
 
@@ -468,6 +480,10 @@ mod tests {
         store.get(id_a).unwrap(); // RAM hit
         assert_eq!(metrics.hits().get(), 1);
         assert_eq!(metrics.misses().get(), 0);
+        // A peek counts nothing, either way.
+        assert!(store.cached(id_a));
+        assert!(!store.cached(0xF00D));
+        assert_eq!((metrics.hits().get(), metrics.misses().get()), (1, 0));
         store.insert_bytes(&bytes_c).unwrap(); // evicts B from RAM
         assert_eq!(metrics.cached_models().get(), 2, "capacity bound");
         store.get(id_b).unwrap(); // miss → disk reload

@@ -7,7 +7,10 @@ use qn_codec::model::encode_model;
 use qn_codec::{info, Codec, CodecOptions};
 use qn_image::{datasets, GrayImage};
 use qn_serve::client::{model_encode_request, spectral_encode_request};
+use qn_serve::protocol::{image_to_payload, Frame, Opcode};
 use qn_serve::{spawn, Client, ServerConfig, ServerHandle};
+use std::io::Read;
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// A server on an ephemeral port with the default configuration.
@@ -251,6 +254,36 @@ fn overlapping_closed_loop_clients_never_wait_on_each_other() {
         elapsed < bound,
         "2 clients × {rounds} rounds took {elapsed:?} against a {bound:?} \
          bound — some request waited on another request's work"
+    );
+}
+
+#[test]
+fn decode_reply_bytes_are_the_frame_of_the_image_payload() {
+    // The server writes a DECODE reply straight from the decoded image
+    // into one frame buffer; on the wire it is exactly the reply frame
+    // around `image_to_payload`, here for a ragged 203x141 image.
+    let server = boot(None);
+    let img = datasets::grayscale_blobs(1, 203, 141, 5).remove(0);
+    let codec = Codec::spectral_for_image(&img, 4, 8).unwrap();
+    let container = codec.encode_image(&img, &CodecOptions::default()).unwrap();
+    let want = Frame::reply(
+        Opcode::Decode,
+        41,
+        image_to_payload(&codec.decode_bytes(&container).unwrap()),
+    )
+    .to_bytes();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    Frame::request(Opcode::Decode, 41, container)
+        .write_to(&mut stream)
+        .unwrap();
+    let mut got = vec![0u8; want.len()];
+    stream.read_exact(&mut got).unwrap();
+    assert!(
+        got == want,
+        "the served DECODE reply differs from its frame"
     );
 }
 
@@ -509,11 +542,14 @@ fn info_replies_share_the_cli_json() {
     assert!(status.contains(&store_dir), "{status}");
     assert!(!status.chars().any(char::is_control), "{status:?}");
     // A default server reports the worker pool it runs, not the "auto"
-    // zero of its configuration.
-    let auto = std::thread::available_parallelism()
-        .map_or(1, usize::from)
-        .max(8);
+    // zero of its configuration, and one reactor per core.
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let auto = cores.max(8);
     assert!(status.contains(&format!("\"workers\":{auto},")), "{status}");
+    assert!(
+        status.contains(&format!("\"reactors\":{cores},")),
+        "{status}"
+    );
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 

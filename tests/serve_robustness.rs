@@ -714,6 +714,120 @@ fn a_slow_reply_is_not_overtaken_by_a_fast_one_pipelined_behind_it() {
 }
 
 #[test]
+fn inline_and_pooled_replies_keep_request_order_on_every_reactor() {
+    // Replies come from two places: a one-panel ENCODE or DECODE by a
+    // cached model id runs inline on the reactor that read it, and
+    // everything else runs on a worker. Two connections per reactor each
+    // pipeline a seeded mix of both, so an inline reply is often ready
+    // long before a slow pooled reply sent ahead of it; each connection
+    // must still get exactly its request ids back, in order, each with
+    // its expected status and bytes. No caps, so nothing is shed.
+    let server = spawn(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        conn_inflight: 0,
+        max_inflight: 0,
+        ..ServerConfig::default()
+    })
+    .expect("spawn server");
+    let zoo_img = datasets::grayscale_blobs(1, 32, 32, 17).remove(0);
+    let zoo_opts = CodecOptions {
+        inline_model: false,
+        ..CodecOptions::default()
+    };
+    let zoo = Codec::spectral_for_image(&zoo_img, zoo_opts.tile_size, 8).unwrap();
+    let id = Client::connect(server.addr())
+        .unwrap()
+        .load_model(&qn_codec::model::encode_model(zoo.model()))
+        .unwrap();
+    let zoo_container = zoo.encode_image(&zoo_img, &zoo_opts).unwrap();
+    let zoo_pixels =
+        qn_serve::protocol::image_to_payload(&zoo.decode_bytes(&zoo_container).unwrap());
+    let slow_img = datasets::grayscale_blobs(1, 64, 64, 13).remove(0);
+    let slow_opts = CodecOptions {
+        tile_size: 8,
+        ..CodecOptions::default()
+    };
+    let slow_container = Codec::spectral_for_image(&slow_img, 8, 32)
+        .unwrap()
+        .encode_image(&slow_img, &slow_opts)
+        .unwrap();
+    // (opcode, payload, expected status, expected reply payload).
+    let zoo_encode = model_encode_request(&zoo_img, &zoo_opts, id).to_payload();
+    let slow_encode = spectral_encode_request(&slow_img, &slow_opts, 32).to_payload();
+    let kinds = [
+        (Opcode::Encode, zoo_encode, 0, Some(&zoo_container[..])),
+        (
+            Opcode::Decode,
+            zoo_container.clone(),
+            0,
+            Some(&zoo_pixels[..]),
+        ),
+        (Opcode::Encode, slow_encode, 0, Some(&slow_container[..])),
+        (Opcode::Info, Vec::new(), 0, None),
+        (Opcode::Decode, vec![1, 2, 3], ErrorCode::Codec as u16, None),
+    ];
+    let inline = |kind: usize| kind < 2;
+
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut rng = 0x5eed_0123_4567_89ab_u64;
+    let mut conns: Vec<(TcpStream, Vec<usize>)> = Vec::new();
+    for c in 0..2 * cores {
+        let kinds_drawn: Vec<usize> = (0..12)
+            .map(|_| {
+                // xorshift64: a fixed, seeded draw per connection.
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % 5) as usize
+            })
+            .collect();
+        assert!(
+            kinds_drawn
+                .iter()
+                .skip_while(|&&k| inline(k))
+                .any(|&k| inline(k)),
+            "connection {c}: the seed must put an inline request behind a pooled one"
+        );
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut wire = Vec::new();
+        for (i, &k) in kinds_drawn.iter().enumerate() {
+            let (op, payload, ..) = &kinds[k];
+            let request_id = (c * 100 + i) as u32;
+            wire.extend_from_slice(&Frame::request(*op, request_id, payload.clone()).to_bytes());
+        }
+        stream.write_all(&wire).expect("write pipelined frames");
+        conns.push((stream, kinds_drawn));
+    }
+    for (c, (stream, kinds_drawn)) in conns.iter_mut().enumerate() {
+        for (i, &k) in kinds_drawn.iter().enumerate() {
+            let reply = Frame::read_from(stream)
+                .unwrap_or_else(|e| panic!("connection {c}, reply #{i}: {e}"));
+            let (op, _, status, payload) = &kinds[k];
+            assert_eq!(
+                reply.request_id,
+                (c * 100 + i) as u32,
+                "connection {c}: replies in request order"
+            );
+            assert_eq!(
+                reply.status,
+                *status,
+                "connection {c}, {op:?} #{i}: {}",
+                String::from_utf8_lossy(&reply.payload)
+            );
+            if let Some(payload) = payload {
+                assert!(
+                    reply.payload == *payload,
+                    "connection {c}, {op:?} #{i}: reply bytes differ from offline"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn saturated_global_admission_sheds_typed_busy_and_recovers() {
     // max_inflight 1: the first frame of a pipelined pair takes the
     // only admission slot (released when its reply is fully written,
