@@ -45,8 +45,6 @@ pub struct TrainingHistory {
     pub accuracy_binary: Vec<f64>,
     /// ‖∇L_C‖₂ per iteration (Fig. 4g shows gradients dropping to 0).
     pub grad_norm_c: Vec<f64>,
-    /// ‖∇L_R‖₂ per iteration.
-    pub grad_norm_r: Vec<f64>,
     /// Index of the sample whose amplitudes are traced.
     pub tracked_sample: usize,
     /// Compression-network output amplitudes of the tracked sample per
@@ -57,8 +55,6 @@ pub struct TrainingHistory {
     pub reconstructed_trace: Vec<Vec<f64>>,
     /// Full θ snapshot of `U_C` per iteration (Fig. 4g).
     pub theta_c_trace: Vec<Vec<f64>>,
-    /// Full θ snapshot of `U_R` per iteration.
-    pub theta_r_trace: Vec<Vec<f64>>,
 }
 
 /// Final outcome of a training run.
@@ -81,19 +77,6 @@ pub struct TrainReport {
     pub final_accuracy_binary: f64,
     /// Wall-clock training time in seconds (Table I's "CPU runs").
     pub train_seconds: f64,
-}
-
-/// Per-iteration event passed to training observers.
-#[derive(Debug, Clone, Copy)]
-pub struct IterationEvent {
-    /// Iteration index (0-based).
-    pub iteration: usize,
-    /// Compression loss at this iteration.
-    pub loss_c: Loss,
-    /// Reconstruction loss at this iteration.
-    pub loss_r: Loss,
-    /// Accuracy (%) at this iteration.
-    pub accuracy: f64,
 }
 
 /// Trains the compression and reconstruction networks on an image set.
@@ -179,20 +162,9 @@ impl Trainer {
     /// Train for the configured number of iterations.
     ///
     /// # Errors
-    /// Currently infallible after construction, but kept fallible for
-    /// forward compatibility with fallible observers.
+    /// Currently infallible: [`Trainer::new`] has already validated the
+    /// configuration and the data.
     pub fn train(&mut self) -> Result<TrainReport> {
-        self.train_with_observer(|_| {})
-    }
-
-    /// Train, invoking `observer` after every iteration.
-    ///
-    /// # Errors
-    /// See [`Trainer::train`].
-    pub fn train_with_observer(
-        &mut self,
-        mut observer: impl FnMut(IterationEvent),
-    ) -> Result<TrainReport> {
         let start = Instant::now();
         let mut history = TrainingHistory {
             tracked_sample: self.tracked,
@@ -209,14 +181,13 @@ impl Trainer {
             self.reconstruction.mesh().param_count(),
         );
 
-        for it in 0..self.config.iterations {
+        for _ in 0..self.config.iterations {
             let (loss_c, gn_c) = self.step_compression(&mut opt_c);
-            let (loss_r, gn_r) = self.step_reconstruction(&mut opt_r);
+            let loss_r = self.step_reconstruction(&mut opt_r);
             let (accuracy, accuracy_binary) = self.evaluate_accuracy();
             history.compression_loss.push(loss_c);
             history.reconstruction_loss.push(loss_r);
             history.grad_norm_c.push(gn_c);
-            history.grad_norm_r.push(gn_r);
             history.accuracy.push(accuracy);
             history.accuracy_binary.push(accuracy_binary);
             let tracked = &self.inputs[self.tracked];
@@ -228,15 +199,6 @@ impl Trainer {
                     .reconstruct(&self.compression.compress(tracked)),
             );
             history.theta_c_trace.push(self.compression.mesh().thetas());
-            history
-                .theta_r_trace
-                .push(self.reconstruction.mesh().thetas());
-            observer(IterationEvent {
-                iteration: it,
-                loss_c,
-                loss_r,
-                accuracy,
-            });
         }
 
         let final_accuracy = history.accuracy.last().copied().unwrap_or(0.0);
@@ -262,14 +224,15 @@ impl Trainer {
         (loss, descend(self.compression.mesh_mut(), &grad, opt))
     }
 
-    /// One gradient step on `U_R`. Returns (loss, gradient norm).
-    fn step_reconstruction(&mut self, opt: &mut Optimizer) -> (Loss, f64) {
+    /// One gradient step on `U_R`. Returns the loss.
+    fn step_reconstruction(&mut self, opt: &mut Optimizer) -> Loss {
         let compressed = compress_samples(&self.compression, &self.inputs);
         let (loss, mut grad) = self
             .reconstruction
             .loss_and_gradient(&compressed, &self.inputs);
         self.normalise(&mut grad);
-        (loss, descend(self.reconstruction.mesh_mut(), &grad, opt))
+        descend(self.reconstruction.mesh_mut(), &grad, opt);
+        loss
     }
 
     /// Divide `grad` by `M × N` when the config asks for Algorithm 1's
@@ -380,9 +343,7 @@ mod tests {
         assert_eq!(h.compressed_trace.len(), 5);
         assert_eq!(h.reconstructed_trace.len(), 5);
         assert_eq!(h.theta_c_trace.len(), 5);
-        assert_eq!(h.theta_r_trace.len(), 5);
         assert_eq!(h.theta_c_trace[0].len(), 12 * 15);
-        assert_eq!(h.theta_r_trace[0].len(), 14 * 15);
         assert_eq!(h.compressed_trace[0].len(), 16);
         // Tracked sample clamped into range.
         assert_eq!(h.tracked_sample, 9);
@@ -399,16 +360,6 @@ mod tests {
             r2.history.compression_loss.last().unwrap().sum
         );
         assert_eq!(r1.final_accuracy, r2.final_accuracy);
-    }
-
-    #[test]
-    fn observer_sees_every_iteration() {
-        let data = datasets::paper_binary_16(6);
-        let cfg = quick_config().with_iterations(7);
-        let mut t = Trainer::new(cfg, &data).unwrap();
-        let mut seen = Vec::new();
-        t.train_with_observer(|ev| seen.push(ev.iteration)).unwrap();
-        assert_eq!(seen, (0..7).collect::<Vec<_>>());
     }
 
     #[test]

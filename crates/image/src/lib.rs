@@ -10,7 +10,6 @@ pub mod ascii;
 pub mod datasets;
 pub mod image;
 pub mod metrics;
-pub mod noise;
 pub mod pgm;
 pub mod tiles;
 

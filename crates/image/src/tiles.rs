@@ -105,24 +105,6 @@ pub fn untile(tiling: &Tiling, patches: &[GrayImage]) -> GrayImage {
     out
 }
 
-/// Apply a patch transformation to every tile and reassemble — the
-/// "compress each block" pattern in one call. Patches whose transform
-/// fails (e.g. all-zero patches that cannot be amplitude-encoded) pass
-/// through unchanged.
-pub fn map_tiles(
-    img: &GrayImage,
-    tile_size: usize,
-    mut f: impl FnMut(&GrayImage) -> Option<GrayImage>,
-) -> GrayImage {
-    let tiling = tile(img, tile_size);
-    let patches: Vec<GrayImage> = tiling
-        .tiles
-        .iter()
-        .map(|p| f(p).unwrap_or_else(|| p.clone()))
-        .collect();
-    untile(&tiling, &patches)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,25 +145,6 @@ mod tests {
         let t = tile(&img, 4);
         assert_eq!(t.tiles[0].pixels().iter().sum::<f64>(), 0.0);
         assert_eq!(t.tiles[1].get(1, 1), 1.0);
-    }
-
-    #[test]
-    fn map_tiles_applies_transform() {
-        let img = gradient_image(8, 8);
-        let inverted = map_tiles(&img, 4, |p| {
-            let inv: Vec<f64> = p.pixels().iter().map(|v| 1.0 - v).collect();
-            Some(GrayImage::from_pixels(4, 4, inv).expect("4x4"))
-        });
-        for (a, b) in inverted.pixels().iter().zip(img.pixels()) {
-            assert!((a - (1.0 - b)).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn map_tiles_falls_back_on_failure() {
-        let img = gradient_image(4, 4);
-        let same = map_tiles(&img, 4, |_| None);
-        assert_eq!(same, img);
     }
 
     #[test]

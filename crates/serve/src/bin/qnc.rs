@@ -45,9 +45,8 @@ USAGE:
     qnc info       <file.qnc | file.qnm> [--json]
     qnc serve      [--addr HOST:PORT] [--store DIR] [--cache-models N]
                    [--read-timeout-ms T] [--log-level off|warn|info|debug]
-                   [--workers N] [--max-inflight N] [--conn-inflight N]
-                   [--max-conns N] [--shutdown-grace-ms T]
-                   [--quiet] [--slow-ms MS]
+                   [--max-inflight N] [--conn-inflight N] [--max-conns N]
+                   [--shutdown-grace-ms T] [--quiet] [--slow-ms MS]
     qnc remote compress   <input.pgm> -o <out.qnc> --addr HOST:PORT
                    [--model <m.qnm>] [--tile N] [--latent D] [--bits B]
                    [--entropy C] [--per-tile-scale] [--no-inline-model]
@@ -77,7 +76,9 @@ distills a model from an image's tiles: spectral initialisation plus
 --iters gradient refinement steps (0 = spectral only). `serve` runs
 the codec server (default addr 127.0.0.1:7733, port 0 = ephemeral;
 --store names the model-zoo directory; each request runs the offline
-codec schedule, its own mesh pass included, on a worker thread;
+codec schedule, its own mesh pass included, on the reactor that read
+it (one reactor per core; a one-panel ENCODE or DECODE by a cached
+model id) or on one of max(cores, 8) worker threads;
 --quiet drops the banner, --log-level gates the timestamped stderr
 event lines; every server records metrics and traces); `remote` runs
 compress/decompress/info/models/stats/trace against it, with responses
@@ -146,7 +147,6 @@ impl Args {
             "--store",
             "--cache-models",
             "--read-timeout-ms",
-            "--workers",
             "--max-inflight",
             "--conn-inflight",
             "--max-conns",
@@ -536,7 +536,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         store_dir: args.value(&["--store"]).map(PathBuf::from),
         model_cache: args.numeric(&["--cache-models"], 16usize)?,
         read_timeout: Duration::from_millis(args.numeric(&["--read-timeout-ms"], 30_000u64)?),
-        workers: args.numeric(&["--workers"], 0usize)?,
         max_inflight: args.numeric(&["--max-inflight"], 256usize)?,
         conn_inflight: args.numeric(&["--conn-inflight"], 8usize)?,
         max_conns: args.numeric(&["--max-conns"], 0usize)?,

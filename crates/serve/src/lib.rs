@@ -13,12 +13,11 @@
 //!   `.qnm` files keyed by model id with an LRU-bounded in-memory
 //!   cache, so `.qnc` containers referencing a known model id decode
 //!   without inline models;
-//! - [`reactor`] — the event-driven connection plumbing: a `poll(2)`
-//!   wrapper (three-symbol FFI, no async runtime in this offline
-//!   environment), a wakeup pipe per reactor, the per-connection
-//!   incremental frame state machine, and the nonblocking reads and
-//!   reply writes (inline and worker replies alike are released in
-//!   request order);
+//! - `reactor` (crate-private) — the event-driven connection plumbing:
+//!   a `poll(2)` wrapper (three-symbol FFI, no async runtime in this
+//!   offline environment), a wakeup pipe per reactor, the
+//!   per-connection incremental frame state machine, and the
+//!   nonblocking reads;
 //! - [`server`] — the connection core: one reactor thread per core,
 //!   each owning the sockets reactor 0 hands it round-robin (10k+ idle
 //!   connections cost no threads). Complete frames are
@@ -27,7 +26,8 @@
 //!   or DECODE by a cached model id then runs the offline codec
 //!   schedule on the reactor that read it; everything else goes to a
 //!   bounded worker pool, where each request runs the same schedule —
-//!   mesh pass included — on its worker;
+//!   mesh pass included — on its worker. Inline and worker replies
+//!   alike are released in request order;
 //! - [`client`] — the blocking client used by `qnc remote` and tests;
 //! - [`metrics`] — the server's telemetry catalogue over
 //!   [`qn_metrics`]: per-opcode request/error counters, latency and
@@ -57,7 +57,7 @@ pub mod error;
 pub mod log;
 pub mod metrics;
 pub mod protocol;
-pub mod reactor;
+mod reactor;
 pub mod server;
 pub mod stages;
 pub mod store;

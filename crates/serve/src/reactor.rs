@@ -19,7 +19,7 @@
 //! completion on the reactor that read it, with no queue hop and no
 //! wakeup. Every other frame goes to a bounded worker pool. Workers
 //! never touch sockets or connection state: each sends its finished
-//! [`Reply`] on its connection's own `std::sync::mpsc` channel and
+//! reply on its connection's own `std::sync::mpsc` channel and
 //! wakes that connection's reactor, which writes replies out under
 //! `POLLOUT`, so a slow-reading peer stalls only its own connection,
 //! never a worker.
@@ -183,12 +183,7 @@ impl Poller {
     /// # Errors
     /// The raw `poll(2)` failure, with `EINTR` retried internally.
     pub fn poll(&mut self, timeout: Option<Duration>) -> std::io::Result<usize> {
-        let timeout_ms: std::ffi::c_int = match timeout {
-            // Round up so a 0.4 ms deadline does not spin at 0 ms.
-            Some(t) => std::ffi::c_int::try_from(t.as_millis().saturating_add(1))
-                .unwrap_or(std::ffi::c_int::MAX),
-            None => -1,
-        };
+        let timeout_ms = poll_timeout_ms(timeout);
         loop {
             let n = unsafe {
                 poll(
@@ -211,6 +206,16 @@ impl Poller {
     pub fn readiness(&self, slot: usize) -> Readiness {
         Readiness::from_revents(self.fds[slot].revents)
     }
+}
+
+/// `poll(2)`'s millisecond timeout for `timeout`: whole milliseconds,
+/// rounded up so a deadline 0.4 ms away waits 1 ms instead of spinning
+/// at 0, and exact otherwise (`ZERO` does not block, 5 ms waits 5 ms);
+/// saturates at `c_int::MAX`. `None` is `-1`, wait indefinitely.
+fn poll_timeout_ms(timeout: Option<Duration>) -> std::ffi::c_int {
+    timeout.map_or(-1, |t| {
+        std::ffi::c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(std::ffi::c_int::MAX)
+    })
 }
 
 /// A self-wakeup pipe, one per reactor: the reactor parks in `poll` on
@@ -292,34 +297,6 @@ impl WakePipe {
     }
 }
 
-/// One finished reply: sent by a worker on its connection's channel
-/// (or made by the reactor itself, inline requests' replies included),
-/// then held by the reactor until every reply before it in sequence
-/// order has been released.
-pub struct Reply {
-    /// Complete wire bytes of the reply frame.
-    pub bytes: Vec<u8>,
-    /// The admission slot this reply's request holds; dropped (and the
-    /// global in-flight count released) once the reply is fully
-    /// written — or discarded with the connection. Carried as a boxed
-    /// droppable so the reactor stays independent of the server's
-    /// accounting types.
-    pub admission: Option<Box<dyn Send>>,
-    /// Close the connection once this reply has flushed (stream-level
-    /// errors: framing is lost, nothing after this is parseable).
-    pub close_after: bool,
-}
-
-impl std::fmt::Debug for Reply {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Reply")
-            .field("bytes", &self.bytes.len())
-            .field("admission", &self.admission.is_some())
-            .field("close_after", &self.close_after)
-            .finish()
-    }
-}
-
 /// Incremental frame accumulation over a nonblocking byte stream: the
 /// per-connection read buffer plus the parse cursor. The caller feeds
 /// bytes and asks for complete frames; header validation happens
@@ -374,11 +351,6 @@ impl FrameAccumulator {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet consumed by a complete frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.consumed
-    }
-
     /// Advance the state machine one step. `header` carries the
     /// already-validated header of the in-progress frame (from a prior
     /// `Header` step); pass `None` to (re)parse one.
@@ -417,56 +389,6 @@ impl FrameAccumulator {
             Err(e) => FrameStep::Violation(e),
         }
     }
-}
-
-/// A reply frame mid-write: wire bytes plus the write cursor.
-#[derive(Debug)]
-pub struct WireReply {
-    /// The released reply being written.
-    pub reply: Reply,
-    /// Bytes already written.
-    pub cursor: usize,
-}
-
-/// Outcome of pushing one connection's wire queue toward the socket.
-#[derive(Debug, PartialEq, Eq)]
-pub enum WriteProgress {
-    /// Everything queued has been written.
-    Drained,
-    /// The socket stopped accepting bytes (register for `POLLOUT`).
-    Blocked,
-    /// The peer is gone; close the connection.
-    Broken,
-    /// A reply with `close_after` finished writing; close now.
-    CloseRequested,
-}
-
-/// Write as much of `queue` as the nonblocking stream accepts,
-/// invoking `on_written` with each fully flushed reply.
-pub fn write_queue(
-    stream: &std::net::TcpStream,
-    queue: &mut std::collections::VecDeque<WireReply>,
-    mut on_written: impl FnMut(&Reply),
-) -> WriteProgress {
-    while let Some(front) = queue.front_mut() {
-        while front.cursor < front.reply.bytes.len() {
-            match (&mut (&*stream)).write(&front.reply.bytes[front.cursor..]) {
-                Ok(0) => return WriteProgress::Broken,
-                Ok(n) => front.cursor += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return WriteProgress::Blocked
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return WriteProgress::Broken,
-            }
-        }
-        let done = queue.pop_front().expect("front exists");
-        on_written(&done.reply);
-        if done.reply.close_after {
-            return WriteProgress::CloseRequested;
-        }
-    }
-    WriteProgress::Drained
 }
 
 /// Read what the nonblocking stream offers into the accumulator, up
@@ -513,6 +435,13 @@ mod tests {
     use super::*;
     use crate::protocol::{Frame, FrameError, Opcode};
 
+    impl FrameAccumulator {
+        /// Bytes buffered but not yet consumed by a complete frame.
+        fn pending(&self) -> usize {
+            self.buf.len() - self.consumed
+        }
+    }
+
     #[test]
     fn wake_pipe_interrupts_a_poll_wait() {
         let mut pipe = WakePipe::new().unwrap();
@@ -533,6 +462,18 @@ mod tests {
         );
         pipe.drain();
         t.join().unwrap();
+    }
+
+    #[test]
+    fn poll_timeouts_round_up_to_whole_milliseconds() {
+        let ms = |ns: u64| poll_timeout_ms(Some(Duration::from_nanos(ns)));
+        assert_eq!(ms(0), 0, "a zero timeout does not block");
+        assert_eq!(ms(1), 1);
+        assert_eq!(ms(1_000_000), 1, "a whole millisecond is not a late one");
+        assert_eq!(ms(1_000_001), 2);
+        assert_eq!(ms(5_000_000), 5);
+        assert_eq!(poll_timeout_ms(Some(Duration::MAX)), std::ffi::c_int::MAX);
+        assert_eq!(poll_timeout_ms(None), -1, "no deadline waits indefinitely");
     }
 
     #[test]

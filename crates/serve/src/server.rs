@@ -1,6 +1,6 @@
 //! The connection core: one reactor thread per core, each owning its
-//! connections and all their state through `poll(2)` (see
-//! [`crate::reactor`]). Reactor 0 also owns the listener and hands
+//! connections and all their state through `poll(2)` (see the crate's
+//! `reactor` module). Reactor 0 also owns the listener and hands
 //! accepted sockets out round-robin. Complete frames are
 //! admission-checked. A cheap ENCODE or DECODE (one default panel of
 //! work against a model the zoo holds in RAM) then runs to completion
@@ -47,8 +47,7 @@ use crate::protocol::{
     HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use crate::reactor::{
-    earliest, read_available, write_queue, FrameAccumulator, FrameStep, Interest, Poller, Reply,
-    WakePipe, Waker, WireReply, WriteProgress,
+    earliest, read_available, FrameAccumulator, FrameStep, Interest, Poller, WakePipe, Waker,
 };
 use crate::stages::{self, span_ns, StageRecorder};
 use crate::store::ModelStore;
@@ -59,6 +58,7 @@ use qn_codec::{info, BackendKind, Codec, CodecOptions, Container, DEFAULT_PANEL_
 use qn_image::GrayImage;
 use qn_trace::{fmt_ns, write_json_string, SpanId, TraceBuilder, Tracer};
 use std::collections::{BTreeMap, VecDeque};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
@@ -105,7 +105,10 @@ const TRACE_SLOW_CAP: usize = 32;
 /// in logs.
 const SELF_TRACE_ID_BASE: u64 = 0x5e1f_0000_0000_0000;
 
-/// Tunables for [`spawn`].
+/// Tunables for [`spawn`]. Thread counts are not among them: a server
+/// runs one reactor per unit of `available_parallelism` and
+/// `max(available_parallelism, 8)` request workers, and INFO reports
+/// both.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address; port 0 picks an ephemeral port (see
@@ -126,16 +129,10 @@ pub struct ServerConfig {
     /// partial-frame buffer of up to the declared payload, and a unit of
     /// the `serve_inflight_requests` gauge forever.
     pub read_timeout: Duration,
-    /// Request-handling worker threads: they run every request that
-    /// does not run inline on its reactor (fits, inline-model decodes,
-    /// images past one panel, requests naming a model not in RAM, and
-    /// every other opcode). Zero (the default) sizes the pool to
-    /// `max(available_parallelism, 8)`. The reactor count is not
-    /// configurable: one per unit of `available_parallelism`.
-    pub workers: usize,
-    /// Global admission cap: requests admitted (parsed and handed to
-    /// the worker pool, reply not yet fully written) beyond this answer
-    /// a typed `BUSY` error instead of queueing. Zero = unlimited.
+    /// Global admission cap: requests admitted (parsed and run on a
+    /// reactor or handed to the worker pool, reply not yet fully
+    /// written) beyond this answer a typed `BUSY` error instead of
+    /// queueing. Zero = unlimited.
     pub max_inflight: usize,
     /// Per-connection admission cap: one pipelining peer beyond this
     /// many in-flight requests gets typed `BUSY` replies instead of
@@ -169,7 +166,6 @@ impl Default for ServerConfig {
             store_dir: None,
             model_cache: 16,
             read_timeout: Duration::from_secs(30),
-            workers: 0,
             max_inflight: 256,
             conn_inflight: 8,
             max_conns: 0,
@@ -185,6 +181,9 @@ impl Default for ServerConfig {
 struct Shared {
     store: ModelStore,
     config: ServerConfig,
+    /// Request workers running: `max(available_parallelism, 8)`, read
+    /// once at spawn, so INFO reports the pool that runs.
+    workers: usize,
     /// Requests admitted past the backpressure gate: taken by the
     /// reactor that read a complete frame clearing both caps, released
     /// (via [`AdmissionSlot`] drop) when the reply is fully written or
@@ -424,13 +423,16 @@ impl Drop for ServerHandle {
 }
 
 /// Bind and start serving on background threads: one reactor per unit
-/// of `available_parallelism` (`qn-serve-reactor-{k}`) and the
-/// configured workers (`qn-serve-worker-{i}`).
+/// of `available_parallelism` (`qn-serve-reactor-{k}`) and
+/// `max(available_parallelism, 8)` workers (`qn-serve-worker-{i}`),
+/// which run every request that does not run on its reactor: fits,
+/// inline-model decodes, images past one panel, requests naming a
+/// model not in RAM, and every other opcode.
 ///
 /// # Errors
 /// Bind/listen failures, wakeup-pipe creation, zoo-directory creation
 /// and thread-spawn failures.
-pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
+pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(
         config
             .addr
@@ -440,7 +442,8 @@ pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
     )?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let pipes = (0..std::thread::available_parallelism().map_or(1, usize::from))
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let pipes = (0..cores)
         .map(|_| WakePipe::new())
         .collect::<std::io::Result<Vec<_>>>()?;
     let metrics = Arc::new(ServeMetrics::new());
@@ -450,17 +453,12 @@ pub fn spawn(mut config: ServerConfig) -> std::io::Result<ServerHandle> {
         metrics.store_metrics(),
     )?;
     let tracer = Tracer::new(TRACE_RECENT_CAP, TRACE_SLOW_CAP, config.slow_threshold);
-    // Resolve "auto" once, so INFO reports the pool that runs.
-    if config.workers == 0 {
-        config.workers = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .max(8);
-    }
-    let worker_count = config.workers;
+    let worker_count = cores.max(8);
     let shared = Arc::new(Shared {
         store,
         log: Logger::new(config.log_level),
         config,
+        workers: worker_count,
         admitted: AtomicUsize::new(0),
         open_conns: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
@@ -600,6 +598,71 @@ impl Conn {
     fn write_backlogged(&self) -> bool {
         self.wire_bytes >= WIRE_BACKLOG_LIMIT
     }
+}
+
+/// One finished reply: sent by a worker on its connection's channel
+/// (or made by the reactor itself, inline requests' replies included),
+/// then held by the reactor until every reply before it in sequence
+/// order has been released.
+struct Reply {
+    /// Complete wire bytes of the reply frame.
+    bytes: Vec<u8>,
+    /// The admission slot this reply's request holds; dropped (and the
+    /// global in-flight count released) once the reply is fully
+    /// written — or discarded with the connection. `None` for a `BUSY`
+    /// shed or a stream error, which were never admitted.
+    admission: Option<AdmissionSlot>,
+    /// Close the connection once this reply has flushed (stream-level
+    /// errors: framing is lost, nothing after this is parseable).
+    close_after: bool,
+}
+
+/// A reply frame mid-write: wire bytes plus the write cursor.
+struct WireReply {
+    /// The released reply being written.
+    reply: Reply,
+    /// Bytes already written.
+    cursor: usize,
+}
+
+/// Outcome of pushing one connection's wire queue toward the socket.
+enum WriteProgress {
+    /// Everything queued has been written.
+    Drained,
+    /// The socket stopped accepting bytes (register for `POLLOUT`).
+    Blocked,
+    /// The peer is gone; close the connection.
+    Broken,
+    /// A reply with `close_after` finished writing; close now.
+    CloseRequested,
+}
+
+/// Write as much of `queue` as the nonblocking stream accepts,
+/// invoking `on_written` with each fully flushed reply.
+fn write_queue(
+    stream: &TcpStream,
+    queue: &mut VecDeque<WireReply>,
+    mut on_written: impl FnMut(&Reply),
+) -> WriteProgress {
+    while let Some(front) = queue.front_mut() {
+        while front.cursor < front.reply.bytes.len() {
+            match (&mut &*stream).write(&front.reply.bytes[front.cursor..]) {
+                Ok(0) => return WriteProgress::Broken,
+                Ok(n) => front.cursor += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    return WriteProgress::Blocked
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return WriteProgress::Broken,
+            }
+        }
+        let done = queue.pop_front().expect("front exists");
+        on_written(&done.reply);
+        if done.reply.close_after {
+            return WriteProgress::CloseRequested;
+        }
+    }
+    WriteProgress::Drained
 }
 
 /// Why a connection is being torn down (drives logging/metrics).
@@ -1301,7 +1364,7 @@ fn run_request(shared: &Shared, request: Request) -> Reply {
     drop(mesh_guard);
     Reply {
         bytes: wire,
-        admission: Some(Box::new(admission)),
+        admission: Some(admission),
         close_after: false,
     }
 }
@@ -1521,7 +1584,7 @@ fn server_info_json(shared: &Shared) -> String {
         shared.metrics.uptime_secs(),
         shared.config.slow_threshold.as_millis(),
         shared.config.read_timeout.as_millis(),
-        shared.config.workers,
+        shared.workers,
         shared.reactors.len(),
         shared.config.max_inflight,
         shared.config.conn_inflight,

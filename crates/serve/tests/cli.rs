@@ -355,6 +355,7 @@ fn removed_flags_are_rejected_by_name() {
         (serve(&["--no-metrics"]), "--no-metrics"),
         (serve(&["--no-tracing"]), "--no-tracing"),
         (serve(&["--metrics-dump-secs", "1"]), "--metrics-dump-secs"),
+        (serve(&["--workers", "4"]), "--workers"),
     ];
     for (mut cmd, flag) in cases {
         let mut child = cmd

@@ -541,26 +541,17 @@ fn info_replies_share_the_cli_json() {
     let store_dir = format!(r#""store_dir":"{parent}/info\tstore\n\"quoted\"\\dir_{pid}""#);
     assert!(status.contains(&store_dir), "{status}");
     assert!(!status.chars().any(char::is_control), "{status:?}");
-    // A default server reports the worker pool it runs, not the "auto"
-    // zero of its configuration, and one reactor per core.
+    // The server reports the worker pool it runs and one reactor per
+    // core.
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let auto = cores.max(8);
-    assert!(status.contains(&format!("\"workers\":{auto},")), "{status}");
+    let pool = cores.max(8);
+    assert!(status.contains(&format!("\"workers\":{pool},")), "{status}");
     assert!(
         status.contains(&format!("\"reactors\":{cores},")),
         "{status}"
     );
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
-
-    let sized = spawn(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 3,
-        ..ServerConfig::default()
-    })
-    .expect("spawn server");
-    let status = Client::connect(sized.addr()).unwrap().info(None).unwrap();
-    assert!(status.contains("\"workers\":3,"), "{status}");
 }
 
 /// Extract a plain integer counter/gauge value from the stats JSON.
